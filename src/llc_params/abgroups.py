@@ -154,9 +154,7 @@ def cokernel(a: IntMatrix) -> FinGenAbGroup:
     >>> cokernel(IntMatrix([[-11, 1], [1, -11]]))
     FinGenAbGroup(free_rank=0, invariant_factors=(120,))
     """
-    _, d, _ = smith_normal_form(a)
-    diag = d.diagonal()
-    nonzero = [e for e in diag if e != 0]
+    nonzero = [e for e in smith_normal_form(a) if e != 0]
     return FinGenAbGroup(a.rows - len(nonzero), tuple(e for e in nonzero if e > 1))
 
 

@@ -2,12 +2,12 @@
 
 For a twisted maximal torus the finite fixed-point group is computed on the
 cocharacter lattice as coker(q w - id); its ell-primary part is the block
-invariant.  For GL_n the relevant block has a one-dimensional free direction
-(the unramified twisting line) and cyclic ell-part Z/ell^k with
-k = v_ell(q^n - 1); those values come from the finite torus of order
-q^n - 1, so the descriptor can be cross-checked against finite_torus on the
-transposed twist; the transpose-cokernel law is exactly what makes the two
-sides of the comparison agree.
+invariant, and the directions the twist fixes (the free rank of
+coker(id - w)) are the free directions of the block.  For the GL_n Coxeter
+twist that is one free direction (the unramified twisting line) and cyclic
+ell-part Z/ell^k with k = v_ell(q^n - 1).  The cocharacter twist is the
+transpose of the character twist; the transpose-cokernel law is exactly what
+makes the two sides of the comparison agree.
 
 The matcher compares the mu invariant of a parameter component against the
 block torsion, records whether the free ranks agree, tags the report with
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup, cokernel
 from .arith import check_admissible, valuation
-from .cocycles import ComponentDescriptor
+from .cocycles import ComponentDescriptor, component_descriptor
 from .errors import DimensionMismatch, InfiniteGroup, InternalError
 from .lattice import IntMatrix
-from .rootdata import WeylTwist
+from .rootdata import WeylTwist, coxeter_twist, preset
 
 GRADING_INDEX = "Z"
 GRADING_IDENTIFICATIONS = ("X*(Z(G-hat))", "pi_1(G)_Gamma")
@@ -104,54 +104,36 @@ class BlockDescriptor:
         }
 
 
-def gln_block_descriptor(n: int, q: int, ell: int) -> BlockDescriptor:
-    """The depth-zero block data for GL_n at an elliptic torus.
-
-    The elliptic finite torus has order q^n - 1; the block carries its
-    ell-part Z/ell^k and one free direction.
-
-    >>> gln_block_descriptor(2, 11, 5).torsion
-    FinGenAbGroup(free_rank=0, invariant_factors=(5,))
-    """
-    if n < 1:
-        raise DimensionMismatch(f"n must be positive, got {n}")
-    check_admissible(q, ell)
-    order = q**n - 1
-    k = valuation(order, ell)
-    return BlockDescriptor(
-        torsion=FinGenAbGroup.cyclic(ell**k),
-        free_rank=1,
-        finite_torus_order=order,
-        k=k,
-        applicability=(_coxeter_bound_flag(q, n),),
-    )
-
-
 def torus_block_descriptor(
     rank: int,
     twist: WeylTwist,
     q: int,
     ell: int,
     *,
-    free_rank: int = 0,
     coxeter_number: int | None = None,
 ) -> BlockDescriptor:
-    """Block data computed honestly from a twisted torus (semisimple inputs).
+    """Block data computed from a twisted torus; every block comes from here.
 
     The twist is the action on the cocharacter lattice (for a twist given on
-    characters, pass the transpose).  ``free_rank`` is 0 for semisimple
-    groups; GL_n callers should prefer gln_block_descriptor.
+    characters, pass the transpose).  The finite torus is coker(q w - id);
+    the free rank is that of coker(id - w), the directions the twist fixes.
+    For the GL_n Coxeter twist this is Z/ell^k with k = v_ell(q^n - 1) and
+    one free direction.
+
+    >>> w = coxeter_twist(preset("GL", 2)).matrix.transpose()
+    >>> b = torus_block_descriptor(2, WeylTwist(w), 11, 5)
+    >>> b.torsion, b.free_rank
+    (FinGenAbGroup(free_rank=0, invariant_factors=(5,)), 1)
     """
     check_admissible(q, ell)
     t = finite_torus(rank, twist, q)
     order = t.order()
-    k = valuation(order, ell) if order > 1 else 0
     flags = () if coxeter_number is None else (_coxeter_bound_flag(q, coxeter_number),)
     return BlockDescriptor(
         torsion=ell_block_invariant(t, ell),
-        free_rank=free_rank,
+        free_rank=cokernel(IntMatrix.identity(rank) - twist.matrix).free_rank,
         finite_torus_order=order,
-        k=k,
+        k=valuation(order, ell),
         applicability=flags,
     )
 
@@ -193,8 +175,10 @@ def match_sides(component: ComponentDescriptor, block: BlockDescriptor) -> Match
 
     >>> from .rootdata import preset, coxeter_twist
     >>> from .cocycles import component_descriptor
-    >>> c = component_descriptor(preset("GL", 2), coxeter_twist(preset("GL", 2)), 11, 5)
-    >>> match_sides(c, gln_block_descriptor(2, 11, 5)).isomorphic
+    >>> w = coxeter_twist(preset("GL", 2))
+    >>> c = component_descriptor(preset("GL", 2), w, 11, 5)
+    >>> b = torus_block_descriptor(2, WeylTwist(w.matrix.transpose()), 11, 5)
+    >>> match_sides(c, b).isomorphic
     True
     """
     mu_chars = component.mu.char_group
@@ -250,12 +234,12 @@ class CategoricalSummary:
 
 def categorical_summary(n: int, q: int, ell: int) -> CategoricalSummary:
     """Assemble the full GL_n comparison at one (n, q, ell)."""
-    from .cocycles import component_descriptor
-    from .rootdata import coxeter_twist, preset
-
     rd = preset("GL", n)
-    component = component_descriptor(rd, coxeter_twist(rd), q, ell)
-    block = gln_block_descriptor(n, q, ell)
+    w = coxeter_twist(rd)
+    component = component_descriptor(rd, w, q, ell)
+    block = torus_block_descriptor(
+        n, WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n
+    )
     report = match_sides(component, block)
     return CategoricalSummary(
         n=n,

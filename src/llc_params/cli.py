@@ -21,12 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .blocks import (
-    BlockDescriptor,
-    gln_block_descriptor,
-    match_sides,
-    torus_block_descriptor,
-)
+from .blocks import BlockDescriptor, categorical_summary, match_sides, torus_block_descriptor
 from .cocycles import ComponentDescriptor, FrobTorus, cocycle_space, component_descriptor
 from .diag import DiagGroup
 from .errors import InvalidArgument, InvalidRank, LlcError
@@ -35,6 +30,7 @@ from .glparams import (
     TrselpGL,
     ZBAR,
     _scan_canonical,
+    canonical_lift,
     count_params,
     matrices,
     nilpotent_support_fixed_positions,
@@ -43,7 +39,6 @@ from .glparams import (
 from .lattice import IntMatrix
 from .rootdata import RootDatum, WeylTwist, coxeter_twist, identity_twist, preset, weyl_twist
 from .sweep import run_grid
-from .blocks import categorical_summary
 
 SCHEMA_VERSION = 1
 MAX_MODULUS_ENV = "LLC_PARAMS_MAX_MODULUS"
@@ -287,9 +282,12 @@ def _cmd_enumerate(args) -> tuple[dict, str]:
 def _cmd_verify(args) -> tuple[dict, str]:
     _require_gl(args, "verification")
     phi = TrselpGL(args.n, args.q, args.ell, args.coeff, args.a, args.b)
-    m = matrices(phi)
+    # a residue parameter is checked through its canonical integral lift,
+    # which has the same orbit size and the same nilpotent support
+    lift = phi if phi.coeff == ZBAR else canonical_lift(phi)
+    m = matrices(lift)
     ok = verify_cocycle(m, args.q)
-    support = nilpotent_support_fixed_positions(phi)
+    support = nilpotent_support_fixed_positions(lift)
     diagonal = support == [(i, i) for i in range(1, args.n + 1)]
     report = {
         "schemaVersion": SCHEMA_VERSION,
@@ -314,16 +312,8 @@ def _cmd_verify(args) -> tuple[dict, str]:
 
 
 def _block_for(args, rd: RootDatum, twist: WeylTwist) -> BlockDescriptor:
-    if args.group == "GL":
-        # the GL block is pinned to the elliptic (Coxeter-torus) block
-        return gln_block_descriptor(args.n, args.q, args.ell)
     return torus_block_descriptor(
-        rd.rank,
-        WeylTwist(twist.matrix.transpose()),
-        args.q,
-        args.ell,
-        free_rank=0,
-        coxeter_number=args.n,
+        rd.rank, WeylTwist(twist.matrix.transpose()), args.q, args.ell, coxeter_number=args.n
     )
 
 

@@ -24,7 +24,7 @@ from .abgroups import cokernel
 from .arith import check_admissible
 from .diag import DiagGroup, identity_component, component_group, product, torus
 from .errors import DimensionMismatch, InternalError, InvalidArgument, InvalidRank
-from .lattice import IntMatrix, rank as matrix_rank
+from .lattice import IntMatrix
 from .rootdata import RootDatum, WeylTwist, center_char_group
 
 POINT_MOD_STABILIZER = "point_mod_S_psi"
@@ -119,20 +119,6 @@ def cocycle_space(ft: FrobTorus) -> CocycleSpace:
     return CocycleSpace(ft.rank, fixed, count, shape)
 
 
-def ellipticity_check(rd: RootDatum, twist: WeylTwist) -> bool:
-    """Elliptic means the twisted centralizer is no bigger than the center.
-
-    Concretely: free rank of coker(id - w) equals the free rank of the
-    center's character group.
-    """
-    if twist.rank != rd.rank:
-        raise DimensionMismatch(
-            f"twist is {twist.rank}x{twist.rank} but the datum has rank {rd.rank}"
-        )
-    stab = cokernel(IntMatrix.identity(rd.rank) - twist.matrix)
-    return stab.free_rank == center_char_group(rd).free_rank
-
-
 @dataclass(frozen=True)
 class ComponentDescriptor:
     """Structure of one connected component of the parameter space.
@@ -177,8 +163,10 @@ def component_descriptor(rd: RootDatum, twist: WeylTwist, q: int, ell: int) -> C
     fixed = frob_fixed_scheme(ft)
     stabilizer = twisted_centralizer(ft)
     mu = identity_component(fixed, ell)
-    orbit_rank = rd.rank - matrix_rank(IntMatrix.identity(rd.rank) - twist.matrix)
-    elliptic = ellipticity_check(rd, twist)
-    center_finite = center_char_group(rd).free_rank == 0
-    form = POINT_MOD_STABILIZER if (elliptic and center_finite) else TORUS_QUOTIENT
+    # dim ker(1 - w) is the free rank of coker(1 - w); elliptic means the
+    # stabilizer is no bigger than the center
+    orbit_rank = stabilizer.rank
+    center_rank = center_char_group(rd).free_rank
+    elliptic = orbit_rank == center_rank
+    form = POINT_MOD_STABILIZER if (elliptic and center_rank == 0) else TORUS_QUOTIENT
     return ComponentDescriptor(orbit_rank, stabilizer, mu, elliptic, form, fixed)

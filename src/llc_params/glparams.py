@@ -264,34 +264,39 @@ def reduction(phi: TrselpGL) -> TrselpGL:
     return TrselpGL(phi.n, phi.q, phi.ell, FBAR, phi.a % mprime, phi.b).canonical()
 
 
+def canonical_lift(phi: TrselpGL) -> TrselpGL:
+    """The integral lift of a residue parameter with prime-to-ell eigenvalues.
+
+    Its exponent is the one congruent to a mod M' and divisible by ell^k
+    (Chinese remainders); it has the same orbit size as the residue
+    exponent, hence the same regularity and nilpotent support.
+
+    >>> canonical_lift(TrselpGL(2, 11, 5, FBAR, a=1)).a
+    25
+    """
+    if phi.coeff != FBAR:
+        raise CoefficientMismatch("lifts start from a residue parameter")
+    lk = phi.ell**phi.k
+    a = phi.a * lk * pow(lk, -1, phi.modulus) % phi.full_modulus
+    return TrselpGL(phi.n, phi.q, phi.ell, ZBAR, a, phi.b)
+
+
 def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
     """All integral lifts of a residue parameter, canonical lift first.
 
     The lifts form a torsor under the ell-power roots of unity: exactly the
-    ell^k exponents congruent to a mod M'.  The lift whose exponent is
-    divisible by ell^k (so the eigenvalues have prime-to-ell order) comes
-    first; the remaining lifts follow in increasing exponent order.
+    ell^k exponents congruent to a mod M'.  The canonical lift (see
+    canonical_lift) comes first; the remaining lifts follow in increasing
+    exponent order.
 
     >>> [psi.a for psi in lifts_in_component(TrselpGL(2, 11, 5, FBAR, a=1))]
     [25, 1, 49, 73, 97]
     """
-    if phi.coeff != FBAR:
-        raise CoefficientMismatch("lifts start from a residue parameter")
-    mprime = phi.modulus
-    lk = phi.ell**phi.k
-    if lk == 1:
-        return [TrselpGL(phi.n, phi.q, phi.ell, ZBAR, phi.a, phi.b)]
-    # CRT: a' = a mod M', a' = t mod ell^k
-    inv = pow(mprime, -1, lk)
-    exps = []
-    for t in range(lk):
-        a1 = (phi.a + mprime * ((t - phi.a) * inv % lk)) % (mprime * lk)
-        exps.append(a1)
-    canonical = next(e for e in exps if e % lk == 0)
-    rest = sorted(e for e in exps if e != canonical)
-    return [
-        TrselpGL(phi.n, phi.q, phi.ell, ZBAR, e, phi.b) for e in [canonical, *rest]
-    ]
+    first = canonical_lift(phi)
+    rest = sorted(
+        (first.a + phi.modulus * t) % phi.full_modulus for t in range(1, phi.ell**phi.k)
+    )
+    return [first] + [TrselpGL(phi.n, phi.q, phi.ell, ZBAR, e, phi.b) for e in rest]
 
 
 def equivalent(phi: TrselpGL, psi: TrselpGL) -> bool:

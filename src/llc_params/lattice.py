@@ -1,4 +1,4 @@
-"""Exact integer matrices and Smith normal form.
+"""Exact integer matrices and their Smith invariants.
 
 Matrices are immutable, row major, and arbitrary precision.  A matrix with
 ``rows`` r and ``cols`` c represents a homomorphism Z^c -> Z^r sending the
@@ -6,7 +6,7 @@ j-th basis vector to column j.  Empty matrices (r = 0 or c = 0) are legal and
 mean what they should.
 
 Everything downstream (fixed schemes of twisted Frobenius maps, kernels of
-character maps, centers of root data) reduces to the Smith normal form
+character maps, centers of root data) reduces to the Smith invariants
 computed here, so this module has no dependencies beyond the error types.
 """
 
@@ -200,46 +200,22 @@ class IntMatrix:
         return tuple(self._data[i][i] for i in range(min(self.rows, self.cols)))
 
 
-def _swap_rows(m: list[list[int]], i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
+def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
+    """The Smith invariants of a: d1 | d2 | ... , zeros last, min(rows, cols) of them.
 
+    The invariants are the diagonal of the Smith normal form: nonnegative,
+    each nonzero one dividing the next, and as many as the shorter side of a.
+    Only the invariants are computed; no unimodular transforms are built.
+    Pivot selection is the smallest nonzero entry in absolute value, ties
+    broken by (row, column) index.
 
-def _swap_cols(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _row_addmul(m: list[list[int]], dst: int, src: int, k: int) -> None:
-    if k:
-        row_dst, row_src = m[dst], m[src]
-        for j in range(len(row_dst)):
-            row_dst[j] += k * row_src[j]
-
-
-def _col_addmul(m: list[list[int]], dst: int, src: int, k: int) -> None:
-    if k:
-        for row in m:
-            row[dst] += k * row[src]
-
-
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (u, d, v) with u @ a @ v == d in Smith normal form.
-
-    u and v are unimodular; d is diagonal with nonnegative entries satisfying
-    d[0,0] | d[1,1] | ... and zeros at the end.  Pivot selection is the
-    smallest nonzero entry in absolute value, ties broken by (row, column)
-    index, which makes the transforms deterministic.
-
-    >>> u, d, v = smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
-    >>> d.diagonal()
+    >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
-    >>> u @ IntMatrix([[2, 4], [6, 8]]) @ v == d
-    True
+    >>> smith_normal_form(IntMatrix([[2, 4, 6], [4, 8, 12]]))
+    (2, 0)
     """
     r, c = a.rows, a.cols
     m = [list(row) for row in a.data]
-    u = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-    v = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
 
     t = 0
     while t < min(r, c):
@@ -254,82 +230,46 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     piv = (i, j)
         if piv is None:
             break
-        if piv != (t, t):
-            if piv[0] != t:
-                _swap_rows(m, t, piv[0])
-                _swap_rows(u, t, piv[0])
-            if piv[1] != t:
-                _swap_cols(m, t, piv[1])
-                _swap_cols(v, t, piv[1])
+        pi, pj = piv
+        if pi != t:
+            m[t], m[pi] = m[pi], m[t]
+        if pj != t:
+            for row in m:
+                row[t], row[pj] = row[pj], row[t]
 
         # clear column t below the pivot, then row t to its right; if any
         # remainder survives, a strictly smaller pivot now exists and we loop
         dirty = False
         d = m[t][t]
+        top = m[t]
         for i in range(t + 1, r):
-            if m[i][t]:
-                q = m[i][t] // d
-                _row_addmul(m, i, t, -q)
-                _row_addmul(u, i, t, -q)
-                if m[i][t]:
-                    dirty = True
+            row = m[i]
+            k = row[t] // d
+            if k:
+                for j in range(t, c):
+                    row[j] -= k * top[j]
+            if row[t]:
+                dirty = True
         for j in range(t + 1, c):
-            if m[t][j]:
-                q = m[t][j] // d
-                _col_addmul(m, j, t, -q)
-                _col_addmul(v, j, t, -q)
-                if m[t][j]:
-                    dirty = True
+            k = top[j] // d
+            if k:
+                for row in m:
+                    row[j] -= k * row[t]
+            if top[j]:
+                dirty = True
         if dirty:
             continue
 
         # divisibility fix-up: the pivot must divide the rest of the block
-        d = m[t][t]
         bad = None
         for i in range(t + 1, r):
             if any(m[i][j] % d for j in range(t + 1, c)):
                 bad = i
                 break
         if bad is not None:
-            _row_addmul(m, t, bad, 1)
-            _row_addmul(u, t, bad, 1)
+            for j in range(t, c):
+                top[j] += m[bad][j]
             continue
         t += 1
 
-    for i in range(min(r, c)):
-        if m[i][i] < 0:
-            for j in range(c):
-                m[i][j] = -m[i][j]
-            for j in range(r):
-                u[i][j] = -u[i][j]
-
-    return IntMatrix(u, cols=r), IntMatrix(m, cols=c), IntMatrix(v, cols=c)
-
-
-def rank(a: IntMatrix) -> int:
-    """The rank of a over Q (= number of nonzero Smith invariants)."""
-    _, d, _ = smith_normal_form(a)
-    return sum(1 for e in d.diagonal() if e != 0)
-
-
-def kernel_basis(a: IntMatrix) -> IntMatrix:
-    """A basis of ker(a: Z^c -> Z^r) as the columns of a c x k matrix.
-
-    The basis spans a saturated direct summand of Z^c (the kernel of an
-    integer matrix always is one), so each column is primitive.  Columns are
-    the kernel columns of the Smith decomposition, sign-normalized so the
-    first nonzero entry of each is positive.
-
-    >>> kernel_basis(IntMatrix([[1, -1], [-1, 1]])).column(0)
-    (1, 1)
-    """
-    _, d, v = smith_normal_form(a)
-    nonzero = sum(1 for e in d.diagonal() if e != 0)
-    cols = []
-    for j in range(nonzero, a.cols):
-        col = list(v.column(j))
-        lead = next((x for x in col if x != 0), 0)
-        if lead < 0:
-            col = [-x for x in col]
-        cols.append(col)
-    return IntMatrix.from_columns(cols, rows=a.cols)
+    return tuple(abs(m[i][i]) for i in range(min(r, c)))

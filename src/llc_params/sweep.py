@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup
-from .blocks import gln_block_descriptor, match_sides
+from .arith import valuation
+from .blocks import match_sides, torus_block_descriptor
 from .cocycles import component_descriptor, frob_fixed_scheme, mu_invariant, FrobTorus
 from .glparams import (
     FBAR,
@@ -28,7 +29,7 @@ from .glparams import (
     reduction,
     verify_cocycle,
 )
-from .rootdata import coxeter_twist, preset
+from .rootdata import WeylTwist, coxeter_twist, preset
 
 GRID_Q = (3, 5, 7, 11, 13)
 GRID_N_COMPONENT = (1, 2, 3, 4, 5, 6)
@@ -144,7 +145,7 @@ def run_grid() -> list[GridCheck]:
             rd = preset("GL", n)
             for ell in admissible_ells(q):
                 ft = FrobTorus(n, coxeter_twist(rd), q, ell)
-                expected = FinGenAbGroup.cyclic(ell ** _valuation(q**n - 1, ell))
+                expected = FinGenAbGroup.cyclic(ell ** valuation(q**n - 1, ell))
                 cases += 1
                 if mu_invariant(ft).char_group != expected:
                     bad.append((n, q, ell))
@@ -164,9 +165,11 @@ def run_grid() -> list[GridCheck]:
         for q in GRID_Q:
             rd = preset("GL", n)
             tw = coxeter_twist(rd)
+            cotw = WeylTwist(tw.matrix.transpose())
             for ell in admissible_ells(q):
                 comp = component_descriptor(rd, tw, q, ell)
-                report = match_sides(comp, gln_block_descriptor(n, q, ell))
+                block = torus_block_descriptor(n, cotw, q, ell, coxeter_number=n)
+                report = match_sides(comp, block)
                 cases += 1
                 if not (report.isomorphic and report.free_ranks_agree and not report.context_mismatch):
                     bad.append((n, q, ell))
@@ -277,11 +280,3 @@ def run_grid() -> list[GridCheck]:
     )
 
     return checks
-
-
-def _valuation(m: int, ell: int) -> int:
-    v = 0
-    while m % ell == 0:
-        m //= ell
-        v += 1
-    return v

@@ -2,14 +2,18 @@
 
 Everything here is deliberately written from scratch on top of the standard
 library, with different algorithms than the package under test (Gauss over
-Fraction instead of Bareiss, cofactor adjugates, coset enumeration instead
-of Smith normal form, linear scans instead of closed-form counts).  Nothing
+Fraction instead of Bareiss, cofactor adjugates, determinantal divisors and
+coset enumeration instead of Smith normal form, linear scans instead of
+closed-form counts, the closed-form GL_n block instead of the twisted
+torus).  Nothing
 in this module imports from llc_params.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 
 def gauss_det(rows) -> int:
@@ -65,6 +69,76 @@ def adjugate(rows):
             sign = -1 if (i + j) % 2 else 1
             out[i][j] = sign * gauss_det(_minor(rows, j, i))
     return out
+
+
+def determinantal_divisors(rows, cols=None):
+    """[D_1, ..., D_m]: D_k is the gcd of all k x k minors, m = min(rows, cols).
+
+    No elimination over Z: every minor is a gauss_det over Q.  D_k = 0 means
+    every k x k minor vanishes, and then so does every larger one.  The
+    Smith invariants are d_k = D_k / D_{k-1} (see smith_invariants_by_minors).
+    ``cols`` is needed only when there are no rows.
+
+    >>> determinantal_divisors([[2, 4], [6, 8]])
+    [2, 8]
+    >>> determinantal_divisors([[1, 2], [2, 4]])
+    [1, 0]
+    """
+    r = len(rows)
+    c = len(rows[0]) if rows else (cols or 0)
+    out = []
+    for k in range(1, min(r, c) + 1):
+        if out and out[-1] == 0:
+            out.append(0)
+            continue
+        g = 0
+        for ri in combinations(range(r), k):
+            for ci in combinations(range(c), k):
+                g = gcd(g, gauss_det([[rows[i][j] for j in ci] for i in ri]))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        out.append(g)
+    return out
+
+
+def smith_invariants_by_minors(rows, cols=None):
+    """Smith invariants d_k = D_k / D_{k-1} from the determinantal divisors.
+
+    >>> smith_invariants_by_minors([[2, 0], [0, 3]])
+    (1, 6)
+    >>> smith_invariants_by_minors([], cols=2)
+    ()
+    """
+    out = []
+    prev = 1
+    for d in determinantal_divisors(rows, cols):
+        out.append(d // prev if d else 0)
+        prev = d
+    return tuple(out)
+
+
+def gln_block_descriptor(n: int, q: int, ell: int) -> dict:
+    """Closed-form GL_n block data at the Coxeter torus, as block JSON.
+
+    The elliptic finite torus is cyclic of order q^n - 1; the block carries
+    its ell-part Z/ell^k, k = v_ell(q^n - 1), and one free direction.  The
+    applicability flags are left out.
+
+    >>> gln_block_descriptor(2, 11, 5)["torsion"]
+    {'freeRank': 0, 'torsion': [5]}
+    """
+    order = q**n - 1
+    k = 0
+    while order % ell ** (k + 1) == 0:
+        k += 1
+    return {
+        "torsion": {"freeRank": 0, "torsion": [ell**k] if k else []},
+        "freeRank": 1,
+        "finiteTorusOrder": order,
+        "k": k,
+    }
 
 
 def _prime_factors(n: int) -> dict:

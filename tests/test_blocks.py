@@ -10,7 +10,6 @@ from llc_params.blocks import (
     categorical_summary,
     ell_block_invariant,
     finite_torus,
-    gln_block_descriptor,
     match_sides,
     torus_block_descriptor,
 )
@@ -18,6 +17,8 @@ from llc_params.cocycles import component_descriptor
 from llc_params.errors import LlcError
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
+
+from oracles import gln_block_descriptor
 
 
 # ---------------------------------------------------------------------------
@@ -68,8 +69,20 @@ def test_ell_block_invariant_rejects_infinite_groups():
 # block descriptors
 
 
+def _gl_block(n, q, ell):
+    """The GL_n block at the Coxeter torus, through the transposed twist."""
+    w = coxeter_twist(preset("GL", n))
+    return torus_block_descriptor(n, WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n)
+
+
+def _without_flags(block):
+    j = block.to_json()
+    del j["applicabilityFlags"]
+    return j
+
+
 def test_gln_block_descriptor_frozen():
-    b = gln_block_descriptor(2, 11, 5)
+    b = _gl_block(2, 11, 5)
     assert b.torsion == FinGenAbGroup.cyclic(5)
     assert b.free_rank == 1
     assert b.finite_torus_order == 120
@@ -81,7 +94,7 @@ def test_gln_block_descriptor_frozen():
 
 
 def test_gln_block_descriptor_trivial_ell_part():
-    b = gln_block_descriptor(2, 3, 7)
+    b = _gl_block(2, 3, 7)
     assert b.torsion.is_trivial
     assert b.k == 0
     assert b.finite_torus_order == 8
@@ -89,7 +102,7 @@ def test_gln_block_descriptor_trivial_ell_part():
 
 def test_gln_block_coxeter_flag_can_fail():
     # q = 3 is not above the Coxeter number of GL_5
-    b = gln_block_descriptor(5, 3, 11)
+    b = _gl_block(5, 3, 11)
     assert not b.applicability[0].holds
     # the numbers are still computed
     assert b.finite_torus_order == 242
@@ -97,10 +110,13 @@ def test_gln_block_coxeter_flag_can_fail():
 
 
 def test_gln_block_descriptor_validation():
-    with pytest.raises(LlcError):
-        gln_block_descriptor(0, 11, 5)
-    with pytest.raises(LlcError):
-        gln_block_descriptor(2, 12, 5)
+    w = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
+    with pytest.raises(LlcError) as exc:
+        torus_block_descriptor(3, w, 11, 5)
+    assert exc.value.code == "dimension-mismatch"
+    with pytest.raises(LlcError) as exc:
+        torus_block_descriptor(2, w, 12, 5)
+    assert exc.value.code == "q-not-prime-power"
 
 
 def test_torus_block_descriptor_a1():
@@ -113,23 +129,21 @@ def test_torus_block_descriptor_a1():
 
 
 def test_torus_block_descriptor_matches_gln_numbers():
-    # the GL shortcut and the honest torus computation agree through the
-    # transposed twist
-    for n in range(1, 5):
-        for q, ell in ((3, 5), (11, 5)):
-            w = coxeter_twist(preset("GL", n))
-            honest = torus_block_descriptor(
-                n, WeylTwist(w.matrix.transpose()), q, ell, free_rank=1, coxeter_number=n
-            )
-            shortcut = gln_block_descriptor(n, q, ell)
-            assert honest.torsion == shortcut.torsion
-            assert honest.finite_torus_order == shortcut.finite_torus_order
-            assert honest.k == shortcut.k
-            assert honest.free_rank == shortcut.free_rank
+    # the twisted-torus route reproduces the closed-form GL_n block
+    for n in range(1, 9):
+        for q, ell in ((3, 5), (11, 5), (7, 3), (3, 13), (5, 31)):
+            assert _without_flags(_gl_block(n, q, ell)) == gln_block_descriptor(n, q, ell)
+
+
+def test_torus_block_free_rank_counts_fixed_directions():
+    # the identity twist fixes every direction; a transposition fixes n - 1
+    assert torus_block_descriptor(3, WeylTwist(IntMatrix.identity(3)), 7, 3).free_rank == 3
+    swap = WeylTwist(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    assert torus_block_descriptor(3, swap, 7, 3).free_rank == 2
 
 
 def test_block_json_keys():
-    j = gln_block_descriptor(2, 11, 5).to_json()
+    j = _gl_block(2, 11, 5).to_json()
     assert set(j) == {"torsion", "freeRank", "finiteTorusOrder", "k", "applicabilityFlags"}
     assert j["applicabilityFlags"][0]["code"] == "q-above-coxeter-number"
 
@@ -144,7 +158,7 @@ def _gl_component(n, q, ell):
 
 
 def test_match_gl2_golden():
-    report = match_sides(_gl_component(2, 11, 5), gln_block_descriptor(2, 11, 5))
+    report = match_sides(_gl_component(2, 11, 5), _gl_block(2, 11, 5))
     assert report.isomorphic
     assert report.free_ranks_agree
     assert report.mu_char_group == FinGenAbGroup.cyclic(5)
@@ -154,7 +168,7 @@ def test_match_gl2_golden():
 
 
 def test_match_q3_ell7_trivial_torsion():
-    report = match_sides(_gl_component(2, 3, 7), gln_block_descriptor(2, 3, 7))
+    report = match_sides(_gl_component(2, 3, 7), _gl_block(2, 3, 7))
     assert report.isomorphic
     assert report.free_ranks_agree
     assert report.mu_char_group.is_trivial
@@ -164,7 +178,7 @@ def test_match_context_mismatch_when_sides_disagree():
     # a GL_2 component against a GL_3 block: the mu parts at ell = 7 are both
     # trivial (7 divides neither 120 nor 242), so isomorphic is true, yet the
     # ambient finite tori differ and the mismatch is flagged
-    report = match_sides(_gl_component(2, 11, 7), gln_block_descriptor(3, 3, 7))
+    report = match_sides(_gl_component(2, 11, 7), _gl_block(3, 3, 7))
     assert report.isomorphic
     assert report.context_mismatch
 
@@ -172,7 +186,7 @@ def test_match_context_mismatch_when_sides_disagree():
 def test_match_detects_genuine_disagreement():
     # GL_2 at q=11, ell=5 has mu_5; the GL_3 block at q=3, ell=5
     # has 3^3 - 1 = 26 with trivial 5-part
-    report = match_sides(_gl_component(2, 11, 5), gln_block_descriptor(3, 3, 5))
+    report = match_sides(_gl_component(2, 11, 5), _gl_block(3, 3, 5))
     assert not report.isomorphic
     assert report.context_mismatch
 
@@ -180,14 +194,14 @@ def test_match_detects_genuine_disagreement():
 def test_match_free_rank_disagreement_with_identity_twist():
     rd = preset("GL", 2)
     comp = component_descriptor(rd, identity_twist(rd), 11, 5)
-    report = match_sides(comp, gln_block_descriptor(2, 11, 5))
+    report = match_sides(comp, _gl_block(2, 11, 5))
     # orbit torus rank 2 vs block free rank 1
     assert not report.free_ranks_agree
     assert report.context_mismatch
 
 
 def test_match_json_shape():
-    j = match_sides(_gl_component(2, 11, 5), gln_block_descriptor(2, 11, 5)).to_json()
+    j = match_sides(_gl_component(2, 11, 5), _gl_block(2, 11, 5)).to_json()
     assert set(j) == {
         "muCharGroup",
         "blockTorsion",
@@ -209,9 +223,7 @@ def test_match_desk_case_pgl2():
     rd = preset("PGL", 2)
     comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
     w = coxeter_twist(rd)
-    block = torus_block_descriptor(
-        rd.rank, WeylTwist(w.matrix.transpose()), 11, 3, free_rank=0, coxeter_number=2
-    )
+    block = torus_block_descriptor(rd.rank, WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
     report = match_sides(comp, block)
     assert comp.mu.char_group == FinGenAbGroup.cyclic(3)
     assert report.isomorphic
@@ -223,9 +235,7 @@ def test_match_desk_case_sl2():
     rd = preset("SL", 2)
     comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
     w = coxeter_twist(rd)
-    block = torus_block_descriptor(
-        rd.rank, WeylTwist(w.matrix.transpose()), 11, 3, free_rank=0, coxeter_number=2
-    )
+    block = torus_block_descriptor(rd.rank, WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
     report = match_sides(comp, block)
     assert report.isomorphic
     assert report.free_ranks_agree

@@ -113,6 +113,38 @@ def test_verify_non_regular_parameter():
     assert len(payload["nilpotentSupport"]["positions"]) == 4
 
 
+def test_verify_fbar_checks_the_canonical_lift():
+    # residue exponent 1 mod 24 lifts to 25 mod 120 (divisible by 5)
+    code, payload = run_json(
+        ["verify", "--n", "2", "--q", "11", "--ell", "5", "--coeff", "fbar", "--a", "1",
+         "--output", "json"]
+    )
+    assert code == 0
+    assert payload["parameter"]["coeff"] == "fbar"
+    assert payload["parameter"]["a"] == 1
+    assert payload["parameter"]["modulus"] == 24
+    assert payload["regular"] is True
+    assert payload["cocycleHolds"] is True
+    assert payload["matrices"]["modulus"] == 120
+    assert payload["matrices"]["x"][0][0] == {"exp": 25}
+    assert payload["nilpotentSupport"] == {"positions": [[1, 1], [2, 2]], "diagonalOnly": True}
+
+
+def test_verify_fbar_agrees_with_the_residue_orbit():
+    # every residue exponent of GL_3 at q = 7, ell = 3 (modulus 38): the
+    # canonical lift is regular and diagonal-only exactly when the residue is
+    for a in range(38):
+        code, payload = run_json(
+            ["verify", "--n", "3", "--q", "7", "--ell", "3", "--coeff", "fbar",
+             "--a", str(a), "--output", "json"]
+        )
+        assert code == 0, a
+        assert payload["cocycleHolds"] is True
+        regular = len({a * 7**i % 38 for i in range(3)}) == 3
+        assert payload["regular"] is regular
+        assert payload["nilpotentSupport"]["diagonalOnly"] is regular
+
+
 def test_block_json():
     code, payload = run_json(["block", "--n", "2", "--q", "11", "--ell", "5",
                               "--output", "json"])
@@ -152,6 +184,39 @@ def test_match_json_spec_shaped_trivial_case():
     assert code == 0
     assert payload["match"]["isomorphic"] is True
     assert payload["match"]["muCharGroup"] == {"freeRank": 0, "torsion": []}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["match", "--group", "GL", "--n", "3", "--q", "7", "--ell", "3", "--weyl", "identity"],
+        ["match", "--group", "GL", "--n", "4", "--q", "7", "--ell", "3",
+         "--weyl", "[[1,0,0,0],[0,0,0,1],[0,1,0,0],[0,0,1,0]]"],
+        ["match", "--group", "SL", "--n", "4", "--q", "7", "--ell", "3", "--weyl", "identity"],
+    ],
+    ids=["gl-identity", "gl-fixed-point", "sl-identity"],
+)
+def test_match_non_coxeter_twists(argv):
+    # the block comes from the same twisted torus as the component
+    code, payload = run_json(argv + ["--output", "json"])
+    assert code == 0
+    m = payload["match"]
+    assert m["isomorphic"] is True
+    assert m["freeRanksAgree"] is True
+    assert m["contextMismatch"] is False
+    assert payload["component"]["orbitTorusRank"] == payload["block"]["freeRank"] > 0
+
+
+def test_block_gl_identity_twist():
+    # split torus: coker(7 - 1)^4 = (Z/6)^4, ell-part (Z/3)^4, all 4 directions free
+    code, payload = run_json(
+        ["block", "--n", "4", "--q", "7", "--ell", "3", "--weyl", "identity", "--output", "json"]
+    )
+    assert code == 0
+    assert payload["block"]["finiteTorusOrder"] == 6**4
+    assert payload["block"]["torsion"] == {"freeRank": 0, "torsion": [3, 3, 3, 3]}
+    assert payload["block"]["freeRank"] == 4
+    assert payload["block"]["k"] == 4
 
 
 def test_summary_json():

@@ -11,7 +11,6 @@ from llc_params.cocycles import (
     _finite_cokernel,
     cocycle_space,
     component_descriptor,
-    ellipticity_check,
     frob_fixed_scheme,
     mu_invariant,
     twisted_centralizer,
@@ -141,28 +140,47 @@ def test_pgl2_cocycle_space_counts():
 # ellipticity
 
 
+def _elliptic(rd, twist):
+    return component_descriptor(rd, twist, 11, 5).elliptic
+
+
 def test_gl_coxeter_is_elliptic():
     for n in range(1, 6):
         rd = preset("GL", n)
-        assert ellipticity_check(rd, coxeter_twist(rd))
+        assert _elliptic(rd, coxeter_twist(rd))
 
 
 def test_gl_identity_twist_is_not_elliptic_for_n_at_least_2():
     rd = preset("GL", 2)
-    assert not ellipticity_check(rd, identity_twist(rd))
-    assert ellipticity_check(preset("GL", 1), identity_twist(preset("GL", 1)))
+    assert not _elliptic(rd, identity_twist(rd))
+    assert _elliptic(preset("GL", 1), identity_twist(preset("GL", 1)))
 
 
 def test_a1_coxeter_is_elliptic():
     for family in ("SL", "PGL"):
         rd = preset(family, 2)
-        assert ellipticity_check(rd, coxeter_twist(rd))
-        assert not ellipticity_check(rd, identity_twist(rd))
+        assert _elliptic(rd, coxeter_twist(rd))
+        assert not _elliptic(rd, identity_twist(rd))
 
 
 def test_ellipticity_shape_check():
-    with pytest.raises(LlcError):
-        ellipticity_check(preset("GL", 3), WeylTwist(IntMatrix([[0, 1], [1, 0]])))
+    with pytest.raises(LlcError) as exc:
+        component_descriptor(preset("GL", 3), WeylTwist(IntMatrix([[0, 1], [1, 0]])), 11, 5)
+    assert exc.value.code == "dimension-mismatch"
+
+
+def test_orbit_rank_and_ellipticity_follow_the_stabilizer():
+    # orbit torus rank = dim ker(1 - w) = free rank of the stabilizer, and
+    # elliptic exactly when that equals the free rank of the center
+    for family in ("GL", "SL", "PGL"):
+        for n in range(2, 5):
+            rd = preset(family, n)
+            center_rank = 1 if family == "GL" else 0
+            for twist in (coxeter_twist(rd), identity_twist(rd)):
+                d = component_descriptor(rd, twist, 7, 3)
+                assert d.orbit_torus_rank == d.stabilizer.rank
+                assert d.elliptic == (d.orbit_torus_rank == center_rank)
+            assert component_descriptor(rd, identity_twist(rd), 7, 3).orbit_torus_rank == rd.rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""Exact integer matrices, Smith normal form, kernels."""
+"""Exact integer matrices and their Smith invariants."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llc_params.abgroups import FinGenAbGroup, cokernel
 from llc_params.errors import LlcError
-from llc_params.lattice import IntMatrix, kernel_basis, rank, smith_normal_form
+from llc_params.lattice import IntMatrix, smith_normal_form
 
-from oracles import gauss_det
+from oracles import determinantal_divisors, gauss_det, smith_invariants_by_minors
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def test_det_multiplicative(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
+# Smith invariants
 
 
 def _is_descendingly_divisible(diag):
@@ -137,59 +138,50 @@ def _is_descendingly_divisible(diag):
 
 
 def assert_snf_contract(a):
-    u, d, v = smith_normal_form(a)
-    assert u.is_unimodular()
-    assert v.is_unimodular()
-    assert u @ a @ v == d
-    # off-diagonal zero
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d[i, j] == 0
-    diag = d.diagonal()
-    assert all(x >= 0 for x in diag)
+    """The invariants have the Smith shape and equal the minors-gcd oracle."""
+    inv = smith_normal_form(a)
+    assert isinstance(inv, tuple)
+    assert len(inv) == min(a.rows, a.cols)
+    assert all(x >= 0 for x in inv)
     # nonzero entries first, each dividing the next
-    nz = [x for x in diag if x != 0]
-    assert diag[: len(nz)] == tuple(nz)
-    assert _is_descendingly_divisible(diag)
-    return u, d, v
+    nz = [x for x in inv if x != 0]
+    assert inv[: len(nz)] == tuple(nz)
+    assert _is_descendingly_divisible(inv)
+    assert inv == smith_invariants_by_minors([list(r) for r in a.data], a.cols)
+    return inv
+
+
+def _nonzero(inv):
+    return sum(1 for x in inv if x != 0)
 
 
 def test_snf_frozen_2x2():
-    _, d, _ = assert_snf_contract(IntMatrix([[2, 4], [6, 8]]))
-    assert d.diagonal() == (2, 4)
+    assert assert_snf_contract(IntMatrix([[2, 4], [6, 8]])) == (2, 4)
 
 
 def test_snf_frozen_coxeter_style():
     # matrix of 1 - w for the rank-2 cyclic twist at q = 11: columns span
     # index-120 sublattice
-    _, d, _ = assert_snf_contract(IntMatrix([[-11, 1], [1, -11]]))
-    assert d.diagonal() == (1, 120)
+    assert assert_snf_contract(IntMatrix([[-11, 1], [1, -11]])) == (1, 120)
 
 
 def test_snf_zero_and_empty():
-    _, d, _ = assert_snf_contract(IntMatrix.zeros(2, 3))
-    assert d.diagonal() == (0, 0)
-    u, d, v = smith_normal_form(IntMatrix([], cols=2))
-    assert (d.rows, d.cols) == (0, 2)
-    assert u == IntMatrix.identity(0)
-    assert v.is_unimodular()
+    assert assert_snf_contract(IntMatrix.zeros(2, 3)) == (0, 0)
+    assert smith_normal_form(IntMatrix([], cols=2)) == ()
+    assert smith_normal_form(IntMatrix.zeros(3, 0)) == ()
 
 
 def test_snf_identity():
-    _, d, _ = assert_snf_contract(IntMatrix.identity(3))
-    assert d.diagonal() == (1, 1, 1)
+    assert assert_snf_contract(IntMatrix.identity(3)) == (1, 1, 1)
 
 
 def test_snf_rectangular():
-    _, d, _ = assert_snf_contract(IntMatrix([[2, 4, 6], [4, 8, 12]]))
-    assert d.diagonal() == (2, 0)
+    assert assert_snf_contract(IntMatrix([[2, 4, 6], [4, 8, 12]])) == (2, 0)
 
 
 def test_snf_needs_divisibility_fixup():
     # diag(2, 3) is already diagonal but violates the chain; SNF must fix it
-    _, d, _ = assert_snf_contract(IntMatrix([[2, 0], [0, 3]]))
-    assert d.diagonal() == (1, 6)
+    assert assert_snf_contract(IntMatrix([[2, 0], [0, 3]])) == (1, 6)
 
 
 @settings(max_examples=300, deadline=None)
@@ -201,9 +193,8 @@ def test_snf_contract_random(m):
 @settings(max_examples=150, deadline=None)
 @given(matrices(square=True, min_dim=1))
 def test_snf_diag_product_is_abs_det(m):
-    _, d, _ = smith_normal_form(m)
     prod = 1
-    for x in d.diagonal():
+    for x in smith_normal_form(m):
         prod *= x
     assert prod == abs(m.det())
 
@@ -213,57 +204,53 @@ def test_snf_seeded_batch_against_det_oracle():
     for _ in range(100):
         n = rng.randint(1, 5)
         a = IntMatrix([[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)])
-        u, d, v = assert_snf_contract(a)
-        assert abs(gauss_det([list(r) for r in a.data])) == abs(a.det())
+        inv = assert_snf_contract(a)
+        prod = 1
+        for x in inv:
+            prod *= x
+        assert prod == abs(gauss_det([list(r) for r in a.data]))
 
 
 # ---------------------------------------------------------------------------
-# rank and kernels
+# rank and kernel dimension, read off the invariants
 
 
 def test_rank_values():
-    assert rank(IntMatrix.identity(3)) == 3
-    assert rank(IntMatrix([[1, 2], [2, 4]])) == 1
-    assert rank(IntMatrix.zeros(2, 2)) == 0
-    assert rank(IntMatrix([], cols=4)) == 0
+    assert _nonzero(smith_normal_form(IntMatrix.identity(3))) == 3
+    assert _nonzero(smith_normal_form(IntMatrix([[1, 2], [2, 4]]))) == 1
+    assert _nonzero(smith_normal_form(IntMatrix.zeros(2, 2))) == 0
+    assert _nonzero(smith_normal_form(IntMatrix([], cols=4))) == 0
 
 
 def test_kernel_frozen():
-    k = kernel_basis(IntMatrix([[1, -1], [-1, 1]]))
-    assert k == IntMatrix([[1], [1]])
+    # ker of [[1, -1], [-1, 1]] is the line through (1, 1): coker is Z
+    a = IntMatrix([[1, -1], [-1, 1]])
+    assert smith_normal_form(a) == (1, 0)
+    assert cokernel(a) == FinGenAbGroup(1, ())
 
 
 def test_kernel_of_injective_map_is_empty():
-    k = kernel_basis(IntMatrix([[2, 0], [0, 3]]))
-    assert (k.rows, k.cols) == (2, 0)
+    inv = smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
+    assert 2 - _nonzero(inv) == 0
 
 
 def test_kernel_of_zero_map_is_identity_sized():
-    k = kernel_basis(IntMatrix.zeros(2, 3))
-    assert (k.rows, k.cols) == (3, 3)
-    assert abs(k.det()) == 1
+    inv = smith_normal_form(IntMatrix.zeros(2, 3))
+    assert 3 - _nonzero(inv) == 3
 
 
 @settings(max_examples=200, deadline=None)
 @given(matrices())
 def test_kernel_contract_random(m):
-    k = kernel_basis(m)
-    assert k.rows == m.cols
-    assert k.cols == m.cols - rank(m)
-    if k.cols:
-        assert m @ k == IntMatrix.zeros(m.rows, k.cols)
-        # saturation: the basis extends to a basis of Z^cols, i.e. the SNF
-        # diagonal of the basis matrix is all ones
-        _, d, _ = smith_normal_form(k)
-        assert set(d.diagonal()) == {1}
-        # pinned sign normalization: first nonzero entry of each column > 0
-        for j in range(k.cols):
-            col = k.column(j)
-            first = next(x for x in col if x != 0)
-            assert first > 0
+    # kernel dimension = cols - rank, where the rank over Q is the size of
+    # the largest nonvanishing minor
+    q_rank = sum(1 for d in determinantal_divisors([list(r) for r in m.data], m.cols) if d)
+    assert _nonzero(smith_normal_form(m)) == q_rank
 
 
 @settings(max_examples=100, deadline=None)
 @given(matrices(min_dim=1))
 def test_rank_matches_kernel_dimension(m):
-    assert rank(m) + kernel_basis(m).cols == m.cols
+    # rank-nullity through the cokernel: its free rank is rows - rank
+    assert cokernel(m).free_rank == m.rows - _nonzero(smith_normal_form(m))
+    assert cokernel(m.transpose()).free_rank == m.cols - _nonzero(smith_normal_form(m))

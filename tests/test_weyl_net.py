@@ -1,0 +1,78 @@
+"""The match law over whole Weyl groups at small rank.
+
+For every twist w in the Weyl group, the component side (coker(w - q) on
+characters) and the block side (coker(q w^T - 1) on cocharacters) must give
+isomorphic ell-parts, equal free ranks and the same ambient finite torus.
+GL_n runs over all permutation matrices; SL_n and PGL_n over the closure of
+the root reflections s_alpha(x) = x - <x, alpha_vee> alpha.
+"""
+
+from itertools import permutations
+
+import pytest
+
+from llc_params.blocks import match_sides, torus_block_descriptor
+from llc_params.cocycles import component_descriptor
+from llc_params.lattice import IntMatrix
+from llc_params.rootdata import WeylTwist, preset, weyl_twist
+
+from oracles import gauss_det
+
+Q_ELL = ((7, 3), (11, 5))
+
+
+def _permutation_matrices(n):
+    for p in permutations(range(n)):
+        yield IntMatrix([[int(p[j] == i) for j in range(n)] for i in range(n)], cols=n)
+
+
+def _weyl_group(rd):
+    r = rd.rank
+    gens = [
+        IntMatrix([[int(i == j) - a[i] * c[j] for j in range(r)] for i in range(r)], cols=r)
+        for a, c in zip(rd.roots, rd.coroots)
+    ]
+    seen = frontier = {IntMatrix.identity(r)}
+    while frontier:
+        frontier = {x @ g for x in frontier for g in gens} - seen
+        seen = seen | frontier
+    return sorted(seen, key=lambda m: m.data)
+
+
+def _cases():
+    for n in range(1, 5):
+        for w in _permutation_matrices(n):
+            yield "GL", n, w
+    for family in ("SL", "PGL"):
+        for n in range(2, 5):
+            for w in _weyl_group(preset(family, n)):
+                yield family, n, w
+
+
+def test_weyl_group_sizes():
+    # |W(A_{n-1})| = n!
+    assert [len(_weyl_group(preset("SL", n))) for n in (2, 3, 4)] == [2, 6, 24]
+    assert [len(_weyl_group(preset("PGL", n))) for n in (2, 3, 4)] == [2, 6, 24]
+
+
+@pytest.mark.parametrize("q,ell", Q_ELL)
+def test_match_law_over_whole_weyl_groups(q, ell):
+    cases = 0
+    for family, n, w in _cases():
+        rd = preset(family, n)
+        twist = weyl_twist(rd, w)
+        comp = component_descriptor(rd, twist, q, ell)
+        block = torus_block_descriptor(
+            rd.rank, WeylTwist(w.transpose()), q, ell, coxeter_number=n
+        )
+        report = match_sides(comp, block)
+        case = (family, n, w)
+        assert report.isomorphic, case
+        assert report.free_ranks_agree, case
+        assert not report.context_mismatch, case
+        # anchor the shared finite torus to an independent determinant
+        shifted = [[x - (q if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(w.data)]
+        assert block.finite_torus_order == abs(gauss_det(shifted)), case
+        cases += 1
+    assert cases == 33 + 2 * (2 + 6 + 24)
