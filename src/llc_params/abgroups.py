@@ -8,8 +8,9 @@ isomorphism of groups, the fact the whole matching pipeline leans on.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import gcd
 
-from .arith import factorint, is_prime, valuation
+from .arith import is_prime, valuation
 from .errors import InvalidArgument, InvalidPrime
 from .lattice import IntMatrix, smith_normal_form
 
@@ -17,12 +18,14 @@ from .lattice import IntMatrix, smith_normal_form
 def _chain_from_factors(factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Normalize arbitrary cyclic orders into (extra_free_rank, divisor chain).
 
-    Zeros contribute free rank (Z/0 = Z), ones vanish, and the rest are split
-    into prime powers and recombined largest-with-largest so the divisibility
-    chain holds.
+    Zeros contribute free rank (Z/0 = Z) and ones vanish.  Every pair
+    (a_i, a_j), i < j, with a_i not dividing a_j becomes (gcd, lcm), since
+    Z/a + Z/b = Z/gcd + Z/lcm: the Smith normal form of a diagonal matrix.
+    After the pass for i, a_i divides every later entry, so a chain passes
+    through with divisibility checks alone and nothing is factored.
     """
     extra_free = 0
-    primary: dict[int, list[int]] = {}
+    chain = []
     for d in factors:
         if isinstance(d, bool) or not isinstance(d, int):
             raise InvalidArgument(f"invariant factors must be integers, got {d!r}")
@@ -30,21 +33,17 @@ def _chain_from_factors(factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
             raise InvalidArgument(f"invariant factors must be nonnegative, got {d}")
         if d == 0:
             extra_free += 1
-            continue
-        for p, e in factorint(d):
-            primary.setdefault(p, []).append(e)
-    for exps in primary.values():
-        exps.sort(reverse=True)
-    depth = max((len(exps) for exps in primary.values()), default=0)
-    chain = []
-    for i in range(depth):
-        f = 1
-        for p, exps in primary.items():
-            if i < len(exps):
-                f *= p ** exps[i]
-        chain.append(f)
-    chain.reverse()
-    return extra_free, tuple(chain)
+        elif d > 1:
+            chain.append(d)
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            b = chain[j]
+            if b % a:
+                g = gcd(a, b)
+                chain[j] = a // g * b
+                a = g
+        chain[i] = a
+    return extra_free, tuple(d for d in chain if d > 1)
 
 
 class FinGenAbGroup:
@@ -156,8 +155,3 @@ def cokernel(a: IntMatrix) -> FinGenAbGroup:
     """
     nonzero = [e for e in smith_normal_form(a) if e != 0]
     return FinGenAbGroup(a.rows - len(nonzero), tuple(e for e in nonzero if e > 1))
-
-
-def group_order(g: FinGenAbGroup) -> int | None:
-    """Free-function alias for FinGenAbGroup.order: an int, or None when infinite."""
-    return g.order()

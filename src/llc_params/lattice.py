@@ -196,9 +196,6 @@ class IntMatrix:
     def is_unimodular(self) -> bool:
         return self.is_square and self.det() in (1, -1)
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self._data[i][i] for i in range(min(self.rows, self.cols)))
-
 
 def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     """The Smith invariants of a: d1 | d2 | ... , zeros last, min(rows, cols) of them.

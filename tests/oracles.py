@@ -155,6 +155,29 @@ def _prime_factors(n: int) -> dict:
     return out
 
 
+def primary_invariant_factors(factors) -> tuple[int, list]:
+    """(free rank, invariant factors) of the sum of the Z/d, by primary parts.
+
+    Z/0 = Z adds free rank.  Each d >= 1 splits into prime powers; the i-th
+    largest power of every prime goes into the i-th largest invariant factor.
+
+    >>> primary_invariant_factors([4, 2, 3, 0, 1])
+    (1, [2, 12])
+    """
+    free = sum(1 for d in factors if d == 0)
+    powers = {}
+    for d in factors:
+        if d:
+            for p, mult in _prime_factors(d).items():
+                powers.setdefault(p, []).append(p**mult)
+    depth = max((len(v) for v in powers.values()), default=0)
+    chain = [1] * depth
+    for v in powers.values():
+        for i, pe in enumerate(sorted(v, reverse=True)):
+            chain[depth - 1 - i] *= pe
+    return free, chain
+
+
 def coset_group_structure(rows):
     """Invariant factors of Z^r / (column span of A) for square nonsingular A.
 

@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llc_params.abgroups import FinGenAbGroup, cokernel, group_order
+from llc_params.abgroups import FinGenAbGroup, cokernel
 from llc_params.errors import LlcError
 from llc_params.lattice import IntMatrix
 
-from oracles import coset_group_structure, gauss_det
+from oracles import coset_group_structure, gauss_det, primary_invariant_factors
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +72,20 @@ def test_normal_form_preserves_order_and_chain(factors):
     assert g.free_rank == sum(1 for d in factors if d == 0)
 
 
+@given(st.lists(st.integers(min_value=0, max_value=5000), max_size=8))
+def test_normal_form_matches_primary_decomposition(factors):
+    free, chain = primary_invariant_factors(factors)
+    assert FinGenAbGroup(0, factors) == FinGenAbGroup(free, chain)
+    assert FinGenAbGroup(0, factors).invariant_factors == tuple(chain)
+
+
+def test_normal_form_passes_a_chain_through_without_factoring():
+    # 11^17 - 1 = 2 * 5 * 50544702849929377: trial division would run to 2.2e8
+    d = 11**17 - 1
+    assert FinGenAbGroup(0, (d, 3 * d)).invariant_factors == (d, 3 * d)
+    assert FinGenAbGroup(0, (5 * d, 2 * 5)).invariant_factors == (10, 5 * d)
+
+
 @given(
     st.lists(st.integers(min_value=2, max_value=100), max_size=5),
     st.lists(st.integers(min_value=2, max_value=100), max_size=5),
@@ -87,8 +101,8 @@ def test_normal_form_is_order_of_presentation_independent(xs, ys):
 def test_order_and_finiteness():
     assert FinGenAbGroup(0, (2, 12)).order() == 24
     assert FinGenAbGroup(1, (5,)).order() is None
-    assert group_order(FinGenAbGroup.trivial()) == 1
-    assert group_order(FinGenAbGroup(2, ())) is None
+    assert FinGenAbGroup.trivial().order() == 1
+    assert FinGenAbGroup(2, ()).order() is None
     assert FinGenAbGroup(1, (5,)).torsion_order() == 5
 
 

@@ -4,16 +4,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from llc_params.arith import (
+    PRIME_BOUND,
     check_admissible,
     factorint,
     is_prime,
     prime_power_split,
-    prime_to_part,
     valuation,
 )
 from llc_params.errors import LlcError
 
 from oracles import naive_is_prime
+
+SMALL_PRIMES = [p for p in range(2, 500) if naive_is_prime(p)]
 
 
 def test_factorint_small_values():
@@ -47,14 +49,48 @@ def test_is_prime_matches_trial_division(n):
     assert is_prime(n) == naive_is_prime(n)
 
 
+@given(st.integers(min_value=20_000, max_value=10**9))
+def test_is_prime_matches_trial_division_on_larger_numbers(n):
+    assert is_prime(n) == naive_is_prime(n)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2..7 and 2..31 respectively
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+
+
+def test_is_prime_refuses_above_the_bound():
+    with pytest.raises(LlcError) as exc:
+        is_prime(PRIME_BOUND)
+    assert exc.value.code == "n-too-large"
+    # a small factor still decides
+    assert not is_prime(3 * PRIME_BOUND)
+
+
 def test_prime_power_split():
     assert prime_power_split(11) == (11, 1)
     assert prime_power_split(27) == (3, 3)
     assert prime_power_split(121) == (11, 2)
+    assert prime_power_split(3**8000) == (3, 8000)
+    assert prime_power_split(1000000000000000003) == (1000000000000000003, 1)
+    assert prime_power_split(1000000000000000003**7) == (1000000000000000003, 7)
+    assert prime_power_split(1009**1000) == (1009, 1000)
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=1, max_value=200))
+def test_prime_power_split_round_trips(p, e):
+    assert prime_power_split(p**e) == (p, e)
+
+
+def test_prime_power_split_refuses_a_root_above_the_bound():
+    with pytest.raises(LlcError) as exc:
+        prime_power_split((2**89 - 1) ** 3)
+    assert exc.value.code == "q-too-large"
 
 
 def test_prime_power_split_rejects_composites():
-    for q in (1, 0, 6, 12, 100):
+    for q in (1, 0, 6, 12, 100, 3**20 * 5, 43**5 * 47):
         with pytest.raises(LlcError) as exc:
             prime_power_split(q)
         assert exc.value.code == "q-not-prime-power"
@@ -66,18 +102,13 @@ def test_valuation():
     assert valuation(7, 5) == 0
 
 
-def test_prime_to_part():
-    assert prime_to_part(120, 5) == 24
-    assert prime_to_part(120, 7) == 120
-
-
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.sampled_from([2, 3, 5, 7, 11, 13]),
 )
-def test_valuation_prime_to_part_reassemble(n, p):
+def test_valuation_reassembles(n, p):
     v = valuation(n, p)
-    m = prime_to_part(n, p)
+    m = n // p**v
     assert n == p**v * m
     assert m % p != 0
 
@@ -99,6 +130,9 @@ def test_check_admissible_accepts():
         (11, 2, "ell-even"),
         (11, 11, "ell-equals-p"),
         (121, 11, "ell-equals-p"),
+        (2**89 - 1, 5, "q-too-large"),
+        (11, 2**89 - 1, "ell-too-large"),
+        (11, 2 * PRIME_BOUND, "ell-not-prime"),
     ],
 )
 def test_check_admissible_rejects_with_distinct_codes(q, ell, code):

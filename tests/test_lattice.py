@@ -82,10 +82,9 @@ def test_matmul_shape_check():
         IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
 
 
-def test_transpose_and_diagonal():
+def test_transpose():
     m = IntMatrix([[1, 2, 3], [4, 5, 6]])
     assert m.transpose() == IntMatrix([[1, 4], [2, 5], [3, 6]])
-    assert m.diagonal() == (1, 5)
 
 
 def test_immutability_and_hash():
