@@ -41,14 +41,11 @@ from .cocycles import (
 )
 from .diag import (
     DiagGroup,
-    DiagHom,
     component_group,
-    geometric_points,
     identity_component,
     mu,
     product,
     torus,
-    torus_hom_kernel,
 )
 from .errors import (
     CoefficientMismatch,
@@ -61,17 +58,14 @@ from .errors import (
     InvalidRank,
     LlcError,
     ShapeMismatch,
-    TorusExpected,
     UnsupportedFamily,
 )
 from .glparams import (
     FBAR,
+    GLFamily,
     ParamMatrices,
     TrselpGL,
     ZBAR,
-    count_params,
-    enumerate_params,
-    equivalent,
     lifts_in_component,
     matrices,
     nilpotent_support_fixed_positions,
@@ -88,7 +82,6 @@ from .rootdata import (
     preset,
     weyl_twist,
 )
-from .rootdata import validate as validate_root_datum
 
 __version__ = "0.1.0"
 
@@ -100,11 +93,11 @@ __all__ = [
     "CoefficientMismatch",
     "ComponentDescriptor",
     "DiagGroup",
-    "DiagHom",
     "DimensionMismatch",
     "FBAR",
     "FinGenAbGroup",
     "FrobTorus",
+    "GLFamily",
     "InfiniteGroup",
     "IntMatrix",
     "InternalError",
@@ -119,7 +112,6 @@ __all__ = [
     "RootDatum",
     "ShapeMismatch",
     "TORUS_QUOTIENT",
-    "TorusExpected",
     "TrselpGL",
     "UnsupportedFamily",
     "WeylTwist",
@@ -130,14 +122,10 @@ __all__ = [
     "component_descriptor",
     "component_group",
     "cocycle_space",
-    "count_params",
     "coxeter_twist",
     "ell_block_invariant",
-    "enumerate_params",
-    "equivalent",
     "finite_torus",
     "frob_fixed_scheme",
-    "geometric_points",
     "identity_component",
     "identity_twist",
     "lifts_in_component",
@@ -152,9 +140,7 @@ __all__ = [
     "smith_normal_form",
     "torus",
     "torus_block_descriptor",
-    "torus_hom_kernel",
     "twisted_centralizer",
-    "validate_root_datum",
     "verify_cocycle",
     "weyl_twist",
 ]

@@ -66,13 +66,11 @@ def _too_large(name: str, n: int) -> InvalidArgument:
     )
 
 
-@lru_cache(maxsize=4096)
 def is_prime(n: int, *, name: str = "n") -> bool:
     """Whether n is prime, decided exactly.
 
     A number with a prime factor up to 41 is decided by division.  Any other
-    n at or above PRIME_BOUND raises ``{name}-too-large``.  Results are
-    cached: every parameter re-checks its ell through `valuation`.
+    n at or above PRIME_BOUND raises ``{name}-too-large``.
 
     >>> [m for m in range(30) if is_prime(m)]
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
@@ -178,14 +176,12 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-@lru_cache(maxsize=4096)
 def check_admissible(q: int, ell: int) -> tuple[int, int]:
     """Validate the standing hypotheses on (q, ell); return (p, e).
 
     q must be a power of an odd prime p, ell an odd prime different from p.
     Each violation raises with its own stable error code so callers can tell
-    them apart.  Results are cached: parameter families validate the same
-    pair once per parameter.
+    them apart.
     """
     p, e = prime_power_split(q)
     if p == 2:

@@ -15,23 +15,24 @@ output mode.  The environment variable ``LLC_PARAMS_MAX_MODULUS`` (default
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
 import sys
+from collections.abc import Iterator
 
 from . import __version__
 from .blocks import BlockDescriptor, categorical_summary, match_sides, torus_block_descriptor
-from .cocycles import ComponentDescriptor, FrobTorus, cocycle_space, component_descriptor
+from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
 from .diag import DiagGroup
 from .errors import InvalidArgument, InvalidRank, LlcError
 from .glparams import (
     COEFFS,
-    TrselpGL,
     ZBAR,
-    _scan_canonical,
+    GLFamily,
+    TrselpGL,
     canonical_lift,
-    count_params,
     matrices,
     nilpotent_support_fixed_positions,
     verify_cocycle,
@@ -198,37 +199,33 @@ def _build_twist(rd: RootDatum, choice: str) -> WeylTwist:
     return weyl_twist(rd, IntMatrix(data))
 
 
-def _input_echo(args, fields) -> dict:
-    return {name: getattr(args, name) for name in fields}
-
-
-def _cmd_component(args) -> tuple[dict, str]:
+def _cmd_component(args) -> tuple[dict, Iterator[str]]:
     rd = _build_datum(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
     desc = component_descriptor(rd, twist, args.q, args.ell)
-    space = cocycle_space(FrobTorus(rd.rank, twist, args.q, args.ell))
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "component",
-        "input": _input_echo(args, ("group", "n", "q", "ell", "weyl")),
+    space = cocycle_space(desc.fixed_scheme, rd.rank, args.ell)
+    body = {
         "datum": rd.to_json(),
         "notation": component_notation(desc),
         "cocycleSpace": space.to_json(),
         **desc.to_json(),
     }
-    lines = [
-        f"component [{rd.name}, q={args.q}, ell={args.ell}, weyl={args.weyl}]",
-        f"  notation:         {component_notation(desc)}",
-        f"  fixed scheme:     {_render_diag(desc.fixed_scheme)}",
-        f"  mu invariant:     {_render_diag(desc.mu)}",
-        f"  stabilizer:       {_render_diag(desc.stabilizer)}",
-        f"  orbit torus rank: {desc.orbit_torus_rank}",
-        f"  elliptic:         {_yesno(desc.elliptic)}",
-        f"  product form:     {desc.product_form}",
-        f"  cocycle space:    {space.component_count} components, each "
-        f"{_render_diag(space.component_shape)}",
-    ]
-    return report, "\n".join(lines)
+
+    def lines():
+        yield f"component [{rd.name}, q={args.q}, ell={args.ell}, weyl={args.weyl}]"
+        yield f"  notation:         {component_notation(desc)}"
+        yield f"  fixed scheme:     {_render_diag(desc.fixed_scheme)}"
+        yield f"  mu invariant:     {_render_diag(desc.mu)}"
+        yield f"  stabilizer:       {_render_diag(desc.stabilizer)}"
+        yield f"  orbit torus rank: {desc.orbit_torus_rank}"
+        yield f"  elliptic:         {_yesno(desc.elliptic)}"
+        yield f"  product form:     {desc.product_form}"
+        yield (
+            f"  cocycle space:    {space.component_count} components, each "
+            f"{_render_diag(space.component_shape)}"
+        )
+
+    return body, lines()
 
 
 def _require_gl(args, what: str) -> None:
@@ -240,48 +237,46 @@ def _require_gl(args, what: str) -> None:
         )
 
 
-def _cmd_enumerate(args) -> tuple[dict, str]:
+def _cmd_enumerate(args) -> tuple[dict, Iterator[str]]:
     _require_gl(args, "enumeration")
     if args.limit < 0 or args.offset < 0:
         raise InvalidArgument("--limit and --offset must be nonnegative", code="paging-invalid")
-    probe = TrselpGL(args.n, args.q, args.ell, args.coeff, 0, 0)
+    family = GLFamily(args.n, args.q, args.ell)
+    modulus = family.modulus(args.coeff)
     cap = _max_modulus()
-    if probe.modulus > cap:
+    if modulus > cap:
+        with _printing():
+            message = f"exponent modulus {modulus} exceeds the cap {cap}"
         raise InvalidArgument(
-            f"exponent modulus {probe.modulus} exceeds the cap {cap}",
+            message,
             code="modulus-cap-exceeded",
             hint=f"raise {MAX_MODULUS_ENV} to scan larger moduli",
         )
-    count = count_params(args.n, args.q, args.ell, args.coeff)
-    page = [
-        TrselpGL(args.n, args.q, args.ell, args.coeff, a, 0)
-        for a in itertools.islice(
-            _scan_canonical(args.n, args.q, probe.modulus), args.offset, args.offset + args.limit
-        )
-    ]
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "enumerate",
-        "input": _input_echo(args, ("group", "n", "q", "ell", "coeff")),
-        "modulus": probe.modulus,
+    count = family.count(args.coeff)
+    exponents = itertools.islice(family.scan(args.coeff), args.offset, args.offset + args.limit)
+    page = [TrselpGL(family, args.coeff, a) for a in exponents]
+    body = {
+        "modulus": modulus,
         "count": count,
         "offset": args.offset,
         "limit": args.limit,
         "parameters": [phi.to_json() for phi in page],
     }
-    lines = [
-        f"enumerate [GL_{args.n}, q={args.q}, ell={args.ell}, coeff={args.coeff}]",
-        f"  modulus: {probe.modulus}",
-        f"  count:   {count}",
-        f"  showing {len(page)} at offset {args.offset}",
-    ]
-    lines.extend(f"  a={phi.a} b={phi.b}" for phi in page)
-    return report, "\n".join(lines)
+
+    def lines():
+        yield f"enumerate [GL_{args.n}, q={args.q}, ell={args.ell}, coeff={args.coeff}]"
+        yield f"  modulus: {modulus}"
+        yield f"  count:   {count}"
+        yield f"  showing {len(page)} at offset {args.offset}"
+        for phi in page:
+            yield f"  a={phi.a} b={phi.b}"
+
+    return body, lines()
 
 
-def _cmd_verify(args) -> tuple[dict, str]:
+def _cmd_verify(args) -> tuple[dict, Iterator[str]]:
     _require_gl(args, "verification")
-    phi = TrselpGL(args.n, args.q, args.ell, args.coeff, args.a, args.b)
+    phi = TrselpGL(GLFamily(args.n, args.q, args.ell), args.coeff, args.a, args.b)
     # a residue parameter is checked through its canonical integral lift,
     # which has the same orbit size and the same nilpotent support
     lift = phi if phi.coeff == ZBAR else canonical_lift(phi)
@@ -289,10 +284,7 @@ def _cmd_verify(args) -> tuple[dict, str]:
     ok = verify_cocycle(m, args.q)
     support = nilpotent_support_fixed_positions(lift)
     diagonal = support == [(i, i) for i in range(1, args.n + 1)]
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "verify",
-        "input": _input_echo(args, ("group", "n", "q", "ell", "coeff", "a", "b")),
+    body = {
         "parameter": phi.to_json(),
         "regular": phi.is_regular,
         "cocycleHolds": ok,
@@ -302,13 +294,14 @@ def _cmd_verify(args) -> tuple[dict, str]:
             "diagonalOnly": diagonal,
         },
     }
-    lines = [
-        f"verify [GL_{args.n}, q={args.q}, ell={args.ell}, a={phi.a}, b={phi.b}]",
-        f"  regular:          {_yesno(phi.is_regular)}",
-        f"  cocycle holds:    {_yesno(ok)}",
-        f"  support diagonal: {_yesno(diagonal)} ({len(support)} positions)",
-    ]
-    return report, "\n".join(lines)
+
+    def lines():
+        yield f"verify [GL_{args.n}, q={args.q}, ell={args.ell}, a={phi.a}, b={phi.b}]"
+        yield f"  regular:          {_yesno(phi.is_regular)}"
+        yield f"  cocycle holds:    {_yesno(ok)}"
+        yield f"  support diagonal: {_yesno(diagonal)} ({len(support)} positions)"
+
+    return body, lines()
 
 
 def _block_for(args, rd: RootDatum, twist: WeylTwist) -> BlockDescriptor:
@@ -317,101 +310,118 @@ def _block_for(args, rd: RootDatum, twist: WeylTwist) -> BlockDescriptor:
     )
 
 
-def _cmd_block(args) -> tuple[dict, str]:
+def _cmd_block(args) -> tuple[dict, Iterator[str]]:
     rd = _build_datum(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
     block = _block_for(args, rd, twist)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "block",
-        "input": _input_echo(args, ("group", "n", "q", "ell", "weyl")),
-        "block": block.to_json(),
-    }
-    lines = [
-        f"block [{args.group}_{args.n}, q={args.q}, ell={args.ell}]",
-        f"  torsion:            {block.torsion.describe()}",
-        f"  free rank:          {block.free_rank}",
-        f"  finite torus order: {block.finite_torus_order}",
-        f"  k:                  {block.k}",
-    ]
-    for flag in block.applicability:
-        lines.append(f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})")
-    return report, "\n".join(lines)
+
+    def lines():
+        yield f"block [{args.group}_{args.n}, q={args.q}, ell={args.ell}]"
+        yield f"  torsion:            {block.torsion.describe()}"
+        yield f"  free rank:          {block.free_rank}"
+        yield f"  finite torus order: {block.finite_torus_order}"
+        yield f"  k:                  {block.k}"
+        for flag in block.applicability:
+            yield f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})"
+
+    return {"block": block.to_json()}, lines()
 
 
-def _cmd_match(args) -> tuple[dict, str]:
+def _cmd_match(args) -> tuple[dict, Iterator[str]]:
     rd = _build_datum(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
     desc = component_descriptor(rd, twist, args.q, args.ell)
     block = _block_for(args, rd, twist)
-    report_obj = match_sides(desc, block)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "match",
-        "input": _input_echo(args, ("group", "n", "q", "ell", "weyl")),
-        "component": desc.to_json(),
-        "block": block.to_json(),
-        "match": report_obj.to_json(),
-    }
-    lines = [
-        f"match [{args.group}_{args.n}, q={args.q}, ell={args.ell}, weyl={args.weyl}]",
-        f"  component:          {component_notation(desc)}",
-        f"  mu character group: {report_obj.mu_char_group.describe()}",
-        f"  block torsion:      {report_obj.block_torsion.describe()}",
-        f"  isomorphic:         {_yesno(report_obj.isomorphic)}",
-        f"  free ranks agree:   {_yesno(report_obj.free_ranks_agree)} "
-        f"({desc.orbit_torus_rank} vs {block.free_rank})",
-        f"  grading index:      {report_obj.grading_index}",
-        f"  context mismatch:   {_yesno(report_obj.context_mismatch)}",
-    ]
-    for flag in report_obj.applicability_flags:
-        lines.append(f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})")
-    return report, "\n".join(lines)
+    report = match_sides(desc, block)
+    body = {"component": desc.to_json(), "block": block.to_json(), "match": report.to_json()}
+
+    def lines():
+        yield f"match [{args.group}_{args.n}, q={args.q}, ell={args.ell}, weyl={args.weyl}]"
+        yield f"  component:          {component_notation(desc)}"
+        yield f"  mu character group: {report.mu_char_group.describe()}"
+        yield f"  block torsion:      {report.block_torsion.describe()}"
+        yield f"  isomorphic:         {_yesno(report.isomorphic)}"
+        yield (
+            f"  free ranks agree:   {_yesno(report.free_ranks_agree)} "
+            f"({desc.orbit_torus_rank} vs {block.free_rank})"
+        )
+        yield f"  grading index:      {report.grading_index}"
+        yield f"  context mismatch:   {_yesno(report.context_mismatch)}"
+        for flag in report.applicability_flags:
+            yield f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})"
+
+    return body, lines()
 
 
-def _cmd_summary(args) -> tuple[dict, str]:
+def _cmd_summary(args) -> tuple[dict, Iterator[str]]:
     _require_gl(args, "the comparison summary")
     summary = categorical_summary(args.n, args.q, args.ell)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "summary",
-        "input": _input_echo(args, ("group", "n", "q", "ell")),
-        "summary": summary.to_json(),
-    }
     verdict = summary.match.isomorphic and summary.match.free_ranks_agree
-    lines = [
-        f"summary [GL_{args.n}, q={args.q}, ell={args.ell}]",
-        f"  grading index: {summary.grading_index}",
-        f"  cell: free rank {summary.cell_free_rank}, torsion {summary.cell_torsion.describe()}",
-        f"  component:     {component_notation(summary.component)}",
-        f"  sides match:   {_yesno(verdict)}",
-    ]
-    return report, "\n".join(lines)
+
+    def lines():
+        yield f"summary [GL_{args.n}, q={args.q}, ell={args.ell}]"
+        yield f"  grading index: {summary.grading_index}"
+        yield (
+            f"  cell: free rank {summary.cell_free_rank}, "
+            f"torsion {summary.cell_torsion.describe()}"
+        )
+        yield f"  component:     {component_notation(summary.component)}"
+        yield f"  sides match:   {_yesno(verdict)}"
+
+    return {"summary": summary.to_json()}, lines()
 
 
-def _cmd_grid(args) -> tuple[dict, str, bool]:
+def _cmd_grid(args) -> tuple[dict, Iterator[str]]:
     checks = run_grid()
     all_pass = all(c.passed for c in checks)
-    report = {
-        "schemaVersion": SCHEMA_VERSION,
-        "command": "grid",
-        "checks": [c.to_json() for c in checks],
-        "allPass": all_pass,
-    }
-    width = max(len(c.check_id) for c in checks)
-    lines = ["grid sweep"]
-    for c in checks:
-        status = "PASS" if c.passed else "FAIL"
-        lines.append(f"  {status}  {c.check_id.ljust(width)}  {c.detail}")
-    lines.append(f"  {'all checks pass' if all_pass else 'SOME CHECKS FAILED'}")
-    return report, "\n".join(lines), all_pass
+    body = {"checks": [c.to_json() for c in checks], "allPass": all_pass}
+
+    def lines():
+        width = max(len(c.check_id) for c in checks)
+        yield "grid sweep"
+        for c in checks:
+            status = "PASS" if c.passed else "FAIL"
+            yield f"  {status}  {c.check_id.ljust(width)}  {c.detail}"
+        yield f"  {'all checks pass' if all_pass else 'SOME CHECKS FAILED'}"
+
+    return body, lines()
 
 
-def _emit(args, report: dict, text: str, stream) -> None:
-    if args.output == "json":
-        stream.write(json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
-    else:
-        stream.write(text + "\n")
+# command -> (handler, the argument fields the report echoes as "input");
+# a handler returns the report body and its text lines, rendered lazily
+COMMANDS = {
+    "component": (_cmd_component, ("group", "n", "q", "ell", "weyl")),
+    "enumerate": (_cmd_enumerate, ("group", "n", "q", "ell", "coeff")),
+    "verify": (_cmd_verify, ("group", "n", "q", "ell", "coeff", "a", "b")),
+    "block": (_cmd_block, ("group", "n", "q", "ell", "weyl")),
+    "match": (_cmd_match, ("group", "n", "q", "ell", "weyl")),
+    "summary": (_cmd_summary, ("group", "n", "q", "ell")),
+    "grid": (_cmd_grid, None),
+}
+
+
+@contextlib.contextmanager
+def _printing():
+    """Turn Python's refusal to print a long integer into a validation error.
+
+    str() of an int with more decimal digits than sys.get_int_max_str_digits()
+    raises ValueError; the guarded code only formats computed values, so no
+    other ValueError can arise there.
+    """
+    try:
+        yield
+    except ValueError:
+        raise InvalidArgument(
+            f"the report would print an integer of more than "
+            f"{sys.get_int_max_str_digits()} decimal digits",
+            code="output-too-large",
+            hint="Python prints integers up to that many digits; "
+            "the PYTHONINTMAXSTRDIGITS environment variable raises the limit",
+        ) from None
+
+
+def _dumps(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def run(argv: list[str] | None = None, stream=None) -> int:
@@ -431,38 +441,25 @@ def run(argv: list[str] | None = None, stream=None) -> int:
                 code="usage-error",
                 hint=f"choose one of: {', '.join(MATH_COMMANDS)} (or --grid)",
             )
-        if args.command == "grid":
-            report, text, all_pass = _cmd_grid(args)
-            _emit(args, report, text, stream)
-            return 0 if all_pass else 1
-        handler = {
-            "component": _cmd_component,
-            "enumerate": _cmd_enumerate,
-            "verify": _cmd_verify,
-            "block": _cmd_block,
-            "match": _cmd_match,
-            "summary": _cmd_summary,
-        }[args.command]
-        report, text = handler(args)
-        _emit(args, report, text, stream)
-        return 0
+        handler, fields = COMMANDS[args.command]
+        body, lines = handler(args)
+        report = {"schemaVersion": SCHEMA_VERSION, "command": args.command, **body}
+        if fields is not None:
+            report["input"] = {name: getattr(args, name) for name in fields}
+        with _printing():
+            text = _dumps(report) if args.output == "json" else "\n".join(lines) + "\n"
+        stream.write(text)
+        # only the grid can fail a check
+        return 0 if body.get("allPass", True) else 1
     except SystemExit as err:  # argparse --help / --version already printed
         code = err.code
         return code if isinstance(code, int) else 0
     except LlcError as err:
-        payload = {"schemaVersion": SCHEMA_VERSION, "error": err.to_json()}
-        stream.write(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+        stream.write(_dumps({"schemaVersion": SCHEMA_VERSION, "error": err.to_json()}))
         return err.exit_code
     except Exception as err:  # defensive: never a traceback on the report stream
-        payload = {
-            "schemaVersion": SCHEMA_VERSION,
-            "error": {
-                "code": "internal-error",
-                "message": f"{type(err).__name__}: {err}",
-                "hint": None,
-            },
-        }
-        stream.write(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
+        error = {"code": "internal-error", "message": f"{type(err).__name__}: {err}", "hint": None}
+        stream.write(_dumps({"schemaVersion": SCHEMA_VERSION, "error": error}))
         return 1
 
 

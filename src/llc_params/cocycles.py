@@ -107,16 +107,17 @@ class CocycleSpace:
         }
 
 
-def cocycle_space(ft: FrobTorus) -> CocycleSpace:
+def cocycle_space(fixed: DiagGroup, rank: int, ell: int) -> CocycleSpace:
     """The full cocycle space: Frobenius value free in T, inertia value fixed.
 
+    ``fixed`` is the inertia fixed scheme of a rank-``rank`` twisted torus, as
+    `frob_fixed_scheme` or a component descriptor's ``fixed_scheme`` gives it.
     Components are counted by pi_0 of the fixed scheme over Z-bar_ell; each
     component is a torus of the full rank times the identity component.
     """
-    fixed = frob_fixed_scheme(ft)
-    count = component_group(fixed, ft.ell).order()
-    shape = product(torus(ft.rank), identity_component(fixed, ft.ell))
-    return CocycleSpace(ft.rank, fixed, count, shape)
+    count = component_group(fixed, ell).order()
+    shape = product(torus(rank), identity_component(fixed, ell))
+    return CocycleSpace(rank, fixed, count, shape)
 
 
 @dataclass(frozen=True)

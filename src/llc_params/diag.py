@@ -3,9 +3,7 @@
 Sending D to its character group X*(D) is an anti-equivalence between
 diagonalizable groups and finitely generated abelian groups, so a DiagGroup
 is just a FinGenAbGroup wearing geometric clothing: tori have free character
-group, mu_n is dual to Z/n, kernels of torus maps are computed as cokernels
-of the induced maps on characters.  The contravariance is absorbed here once
-so no caller ever has to think about it again.
+group and mu_n is dual to Z/n.
 
 Identity components and component groups depend on the working prime ell:
 over Z-bar_ell the group mu_n is connected exactly when n is a power of ell,
@@ -15,9 +13,8 @@ while pi_0 is the prime-to-ell torsion.
 
 from __future__ import annotations
 
-from .abgroups import FinGenAbGroup, cokernel
-from .errors import InvalidArgument, InvalidRank, TorusExpected
-from .lattice import IntMatrix
+from .abgroups import FinGenAbGroup
+from .errors import InvalidArgument, InvalidRank
 
 
 class DiagGroup:
@@ -92,47 +89,6 @@ def product(d1: DiagGroup, d2: DiagGroup) -> DiagGroup:
     return DiagGroup(d1.char_group.direct_sum(d2.char_group))
 
 
-class DiagHom:
-    """A homomorphism between split tori, recorded contravariantly.
-
-    ``char_map`` is the induced map X*(target) -> X*(source); its shape is
-    therefore source.rank x target.rank.  Only tori carry matrices here;
-    maps with finite pieces never arise in this pipeline.
-    """
-
-    __slots__ = ("source", "target", "char_map")
-
-    def __init__(self, source: DiagGroup, target: DiagGroup, char_map: IntMatrix):
-        if not source.is_torus:
-            raise TorusExpected("DiagHom source must be a torus")
-        if not target.is_torus:
-            raise TorusExpected("DiagHom target must be a torus")
-        if char_map.rows != source.rank or char_map.cols != target.rank:
-            raise InvalidArgument(
-                f"char_map must be {source.rank}x{target.rank} "
-                f"(X*(target) -> X*(source)), got {char_map.rows}x{char_map.cols}"
-            )
-        self.source = source
-        self.target = target
-        self.char_map = char_map
-
-    def __repr__(self) -> str:
-        return f"DiagHom({self.source!r} -> {self.target!r})"
-
-
-def torus_hom_kernel(f: DiagHom) -> DiagGroup:
-    """ker(f) for a torus map f, computed as coker of the character map.
-
-    Duality turns the kernel of f: S -> T into the cokernel of
-    f*: X*(T) -> X*(S); this is where the contravariance pays off.
-
-    >>> t2, t1 = torus(2), torus(1)
-    >>> torus_hom_kernel(DiagHom(t2, t1, IntMatrix([[1], [1]]))).char_group
-    FinGenAbGroup(free_rank=1, invariant_factors=())
-    """
-    return DiagGroup(cokernel(f.char_map))
-
-
 def identity_component(d: DiagGroup, ell: int) -> DiagGroup:
     """The identity component over Z-bar_ell: free part plus ell-primary torsion."""
     char = d.char_group
@@ -143,15 +99,3 @@ def identity_component(d: DiagGroup, ell: int) -> DiagGroup:
 def component_group(d: DiagGroup, ell: int) -> FinGenAbGroup:
     """pi_0 of D over Z-bar_ell: the prime-to-ell torsion of the characters."""
     return d.char_group.prime_to_ell(ell)
-
-
-def geometric_points(d: DiagGroup, ell: int) -> int | None:
-    """Number of geometric points over a field of characteristic ell.
-
-    mu_n loses its ell-part in characteristic ell, so a finite D has
-    exactly ``order of the prime-to-ell character quotient`` points; a
-    positive-dimensional D has infinitely many (None).
-    """
-    if not d.is_finite:
-        return None
-    return component_group(d, ell).order()

@@ -44,10 +44,6 @@ class InvalidPrimePower(LlcError):
     code = "invalid-prime-power"
 
 
-class TorusExpected(LlcError):
-    code = "torus-expected"
-
-
 class UnsupportedFamily(LlcError):
     code = "unsupported-family"
 

@@ -6,6 +6,10 @@ order q^n - 1) and Frobenius to the cyclic shift with a unit corner entry
 zeta^b.  Everything about such a parameter is therefore integer arithmetic
 on exponents; no cyclotomic element is ever materialized.
 
+The parameters with one (n, q, ell) form a GLFamily.  It checks the standing
+hypotheses once, and it owns the canonical scan, the closed-form count and
+the enumeration; every parameter is minted from a family.
+
 Coefficients come in two flavors: integral (ZBAR, exponents mod q^n - 1) and
 residue (FBAR, exponents mod the prime-to-ell part).  Reduction forgets the
 ell-part of the exponent; the lifts of a residue parameter form a torsor
@@ -20,6 +24,7 @@ support stay total, but enumeration only emits regular ones.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
@@ -31,49 +36,146 @@ FBAR = "fbar"  # residue coefficients (F-bar_ell)
 COEFFS = (ZBAR, FBAR)
 
 
-class TrselpGL:
-    """One tame GL_n parameter, stored as exponent data.
+def _moebius(m: int) -> int:
+    mu = 1
+    for _, e in factorint(m):
+        if e > 1:
+            return 0
+        mu = -mu
+    return mu
 
-    >>> phi = TrselpGL(2, 11, 5, ZBAR, a=1)
-    >>> phi.modulus, phi.k
-    (120, 1)
-    >>> phi.is_regular
-    True
-    >>> TrselpGL(2, 11, 5, ZBAR, a=12).is_regular
+
+class GLFamily:
+    """The tame GL_n parameters at one (n, q, ell), with the hypotheses checked once.
+
+    Every parameter of a family shares n, q, ell, the residue characteristic
+    p, the modulus q^n - 1 and k = v_ell(q^n - 1).  The family validates
+    (n, q, ell) when it is built and holds these, so a parameter carries only
+    its coefficient flavor and its exponents.
+
+    >>> fam = GLFamily(2, 11, 5)
+    >>> fam.p, fam.k, fam.full_modulus, fam.residue_modulus
+    (11, 1, 120, 24)
+    """
+
+    __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus")
+
+    def __init__(self, n: int, q: int, ell: int):
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise InvalidArgument(f"n must be a positive integer, got {n!r}")
+        self.p, _ = check_admissible(q, ell)
+        self.n = n
+        self.q = q
+        self.ell = ell
+        self.full_modulus = q**n - 1
+        self.k = valuation(self.full_modulus, ell)
+        self.residue_modulus = self.full_modulus // ell**self.k
+
+    def modulus(self, coeff: str) -> int:
+        """The exponent modulus: q^n - 1 for ZBAR, its prime-to-ell part for FBAR."""
+        if coeff == ZBAR:
+            return self.full_modulus
+        if coeff == FBAR:
+            return self.residue_modulus
+        raise InvalidArgument(f"coeff must be one of {COEFFS}, got {coeff!r}")
+
+    def scan(self, coeff: str) -> Iterator[int]:
+        """Yield the canonical exponents of size-n orbits in increasing order."""
+        n, q, modulus = self.n, self.q, self.modulus(coeff)
+        for a in range(modulus):
+            x = a
+            size = None
+            canonical = True
+            for i in range(1, n + 1):
+                x = x * q % modulus
+                if x == a:
+                    size = i
+                    break
+                if x < a:
+                    canonical = False
+                    break
+            if canonical and size == n:
+                yield a
+
+    def parameters(self, coeff: str) -> list["TrselpGL"]:
+        """All regular parameters up to equivalence: canonical exponents, b = 0.
+
+        Representatives are the orbit minima, listed in increasing order.  For
+        n = 1 every exponent qualifies (a one-element orbit has full size).
+
+        >>> fam = GLFamily(2, 11, 5)
+        >>> len(fam.parameters(ZBAR)), len(fam.parameters(FBAR))
+        (55, 11)
+        """
+        return [TrselpGL(self, coeff, a) for a in self.scan(coeff)]
+
+    def count(self, coeff: str) -> int:
+        """Number of enumerated parameters, by Moebius inversion over orbit sizes.
+
+        Exponents with q^d a == a form a subgroup of size gcd(q^d - 1, M), so
+        the number of size-n orbits is (1/n) sum_{d | n} mu(n/d) gcd(q^d - 1, M).
+        This closed form lets the CLI report counts without a full scan; tests
+        check it against both the enumeration and an independent direct scan.
+
+        >>> fam = GLFamily(2, 11, 5)
+        >>> fam.count(ZBAR), fam.count(FBAR)
+        (55, 11)
+        """
+        n, q, m = self.n, self.q, self.modulus(coeff)
+        total = 0
+        for d in range(1, n + 1):
+            if n % d == 0:
+                total += _moebius(n // d) * gcd(q**d - 1, m)
+        if total % n:
+            raise InternalError("orbit count was not divisible by n")
+        return total // n
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GLFamily):
+            return NotImplemented
+        return (self.n, self.q, self.ell) == (other.n, other.q, other.ell)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.q, self.ell))
+
+    def __repr__(self) -> str:
+        return f"GLFamily(n={self.n}, q={self.q}, ell={self.ell})"
+
+
+class TrselpGL:
+    """One tame GL_n parameter of a family, stored as exponent data.
+
+    >>> fam = GLFamily(2, 11, 5)
+    >>> phi = TrselpGL(fam, ZBAR, a=1)
+    >>> phi.modulus, phi.is_regular
+    (120, True)
+    >>> TrselpGL(fam, ZBAR, a=12).is_regular
     False
     """
 
-    __slots__ = ("n", "q", "ell", "coeff", "a", "b", "p", "k", "full_modulus", "modulus")
+    __slots__ = ("family", "coeff", "modulus", "a", "b")
 
-    def __init__(self, n: int, q: int, ell: int, coeff: str = ZBAR, a: int = 0, b: int = 0):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise InvalidArgument(f"n must be a positive integer, got {n!r}")
-        p, _ = check_admissible(q, ell)
-        if coeff not in COEFFS:
-            raise InvalidArgument(f"coeff must be one of {COEFFS}, got {coeff!r}")
+    def __init__(self, family: GLFamily, coeff: str = ZBAR, a: int = 0, b: int = 0):
+        if not isinstance(family, GLFamily):
+            raise InvalidArgument(f"family must be a GLFamily, got {family!r}")
+        modulus = family.modulus(coeff)
         if isinstance(a, bool) or not isinstance(a, int):
             raise InvalidArgument(f"a must be an integer, got {a!r}")
         if isinstance(b, bool) or not isinstance(b, int):
             raise InvalidArgument(f"b must be an integer, got {b!r}")
-        full = q**n - 1
-        k = valuation(full, ell)
-        self.n = n
-        self.q = q
-        self.ell = ell
+        self.family = family
         self.coeff = coeff
-        self.p = p
-        self.k = k
-        self.full_modulus = full
-        self.modulus = full if coeff == ZBAR else full // ell**k
-        self.a = a % self.modulus
-        self.b = b % full
+        self.modulus = modulus
+        self.a = a % modulus
+        self.b = b % family.full_modulus
 
     def orbit(self) -> tuple[int, ...]:
         """The q-power orbit of the exponent, in generation order."""
+        n, q = self.family.n, self.family.q
         out = [self.a]
         x = self.a
-        for _ in range(self.n):
-            x = x * self.q % self.modulus
+        for _ in range(n):
+            x = x * q % self.modulus
             if x == self.a:
                 return tuple(out)
             out.append(x)
@@ -83,7 +185,7 @@ class TrselpGL:
     @property
     def is_regular(self) -> bool:
         """True when a, qa, ..., q^{n-1} a are pairwise distinct mod the modulus."""
-        return len(self.orbit()) == self.n
+        return len(self.orbit()) == self.family.n
 
     @property
     def is_canonical(self) -> bool:
@@ -94,13 +196,14 @@ class TrselpGL:
         least = min(self.orbit())
         if least == self.a:
             return self
-        return TrselpGL(self.n, self.q, self.ell, self.coeff, least, self.b)
+        return TrselpGL(self.family, self.coeff, least, self.b)
 
     def to_json(self) -> dict:
+        fam = self.family
         return {
-            "n": self.n,
-            "q": self.q,
-            "ell": self.ell,
+            "n": fam.n,
+            "q": fam.q,
+            "ell": fam.ell,
             "coeff": self.coeff,
             "a": self.a,
             "b": self.b,
@@ -110,17 +213,17 @@ class TrselpGL:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TrselpGL):
             return NotImplemented
-        return (
-            (self.n, self.q, self.ell, self.coeff, self.a, self.b)
-            == (other.n, other.q, other.ell, other.coeff, other.a, other.b)
+        return (self.family, self.coeff, self.a, self.b) == (
+            other.family, other.coeff, other.a, other.b
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.q, self.ell, self.coeff, self.a, self.b))
+        return hash((self.family, self.coeff, self.a, self.b))
 
     def __repr__(self) -> str:
+        fam = self.family
         return (
-            f"TrselpGL(n={self.n}, q={self.q}, ell={self.ell}, "
+            f"TrselpGL(n={fam.n}, q={fam.q}, ell={fam.ell}, "
             f"coeff={self.coeff!r}, a={self.a}, b={self.b})"
         )
 
@@ -193,12 +296,12 @@ def matrices(phi: TrselpGL) -> ParamMatrices:
             "matrices need integral coefficients",
             hint="lift the parameter first; residue exponents do not pin down matrices",
         )
-    n, mod = phi.n, phi.modulus
+    n, q, mod = phi.family.n, phi.family.q, phi.modulus
     x = [[None] * n for _ in range(n)]
     e = phi.a
     for i in range(n):
         x[i][i] = e
-        e = e * phi.q % mod
+        e = e * q % mod
     y = [[None] * n for _ in range(n)]
     if n == 1:
         y[0][0] = phi.b
@@ -242,7 +345,7 @@ def verify_cocycle(m: ParamMatrices, q: int) -> bool:
     exponents left by one (the corner unit cancels); raising to the q-th
     power multiplies exponents by q mod the exponent modulus.
 
-    >>> verify_cocycle(matrices(TrselpGL(2, 11, 5, ZBAR, a=1)), 11)
+    >>> verify_cocycle(matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1)), 11)
     True
     """
     diag = _diagonal_exponents(m)
@@ -260,8 +363,7 @@ def reduction(phi: TrselpGL) -> TrselpGL:
     """
     if phi.coeff != ZBAR:
         raise CoefficientMismatch("reduction starts from an integral parameter")
-    mprime = phi.full_modulus // phi.ell**phi.k
-    return TrselpGL(phi.n, phi.q, phi.ell, FBAR, phi.a % mprime, phi.b).canonical()
+    return TrselpGL(phi.family, FBAR, phi.a, phi.b).canonical()
 
 
 def canonical_lift(phi: TrselpGL) -> TrselpGL:
@@ -271,14 +373,15 @@ def canonical_lift(phi: TrselpGL) -> TrselpGL:
     (Chinese remainders); it has the same orbit size as the residue
     exponent, hence the same regularity and nilpotent support.
 
-    >>> canonical_lift(TrselpGL(2, 11, 5, FBAR, a=1)).a
+    >>> canonical_lift(TrselpGL(GLFamily(2, 11, 5), FBAR, a=1)).a
     25
     """
     if phi.coeff != FBAR:
         raise CoefficientMismatch("lifts start from a residue parameter")
-    lk = phi.ell**phi.k
-    a = phi.a * lk * pow(lk, -1, phi.modulus) % phi.full_modulus
-    return TrselpGL(phi.n, phi.q, phi.ell, ZBAR, a, phi.b)
+    fam = phi.family
+    lk = fam.ell**fam.k
+    a = phi.a * lk * pow(lk, -1, phi.modulus) % fam.full_modulus
+    return TrselpGL(fam, ZBAR, a, phi.b)
 
 
 def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
@@ -289,28 +392,13 @@ def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
     canonical_lift) comes first; the remaining lifts follow in increasing
     exponent order.
 
-    >>> [psi.a for psi in lifts_in_component(TrselpGL(2, 11, 5, FBAR, a=1))]
+    >>> [psi.a for psi in lifts_in_component(TrselpGL(GLFamily(2, 11, 5), FBAR, a=1))]
     [25, 1, 49, 73, 97]
     """
     first = canonical_lift(phi)
-    rest = sorted(
-        (first.a + phi.modulus * t) % phi.full_modulus for t in range(1, phi.ell**phi.k)
-    )
-    return [first] + [TrselpGL(phi.n, phi.q, phi.ell, ZBAR, e, phi.b) for e in rest]
-
-
-def equivalent(phi: TrselpGL, psi: TrselpGL) -> bool:
-    """Equivalence: same q-power orbit of the exponent and equal corner unit.
-
-    Comparable parameters must share (n, q, ell, coeff); anything else is a
-    shape error, not inequivalence.
-    """
-    if (phi.n, phi.q, phi.ell, phi.coeff) != (psi.n, psi.q, psi.ell, psi.coeff):
-        raise ShapeMismatch(
-            "parameters live in different families",
-            hint="equivalence only compares parameters with equal (n, q, ell, coeff)",
-        )
-    return psi.a in phi.orbit() and phi.b == psi.b
+    fam = phi.family
+    rest = sorted((first.a + phi.modulus * t) % fam.full_modulus for t in range(1, fam.ell**fam.k))
+    return [first] + [TrselpGL(fam, ZBAR, e, phi.b) for e in rest]
 
 
 def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
@@ -322,77 +410,11 @@ def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
     form of the statement that the relevant nilpotent cone meets the fixed
     space only at zero.
     """
-    n, mod = phi.n, phi.modulus
-    powers = [pow(phi.q, i, mod) for i in range(n)]
+    n, mod = phi.family.n, phi.modulus
+    powers = [pow(phi.family.q, i, mod) for i in range(n)]
     out = []
     for i in range(n):
         for j in range(n):
             if phi.a * (powers[i] - powers[j]) % mod == 0:
                 out.append((i + 1, j + 1))
     return out
-
-
-def _scan_canonical(n: int, q: int, modulus: int):
-    """Yield the canonical exponents of size-n orbits in increasing order."""
-    for a in range(modulus):
-        x = a
-        size = None
-        canonical = True
-        for i in range(1, n + 1):
-            x = x * q % modulus
-            if x == a:
-                size = i
-                break
-            if x < a:
-                canonical = False
-                break
-        if canonical and size == n:
-            yield a
-
-
-def enumerate_params(n: int, q: int, ell: int, coeff: str = ZBAR) -> list[TrselpGL]:
-    """All regular parameters up to equivalence: canonical exponents, b = 0.
-
-    Representatives are the orbit minima, listed in increasing order.  For
-    n = 1 every exponent qualifies (a one-element orbit has full size).
-
-    >>> len(enumerate_params(2, 11, 5, ZBAR))
-    55
-    >>> len(enumerate_params(2, 11, 5, FBAR))
-    11
-    """
-    probe = TrselpGL(n, q, ell, coeff, 0, 0)
-    return [
-        TrselpGL(n, q, ell, coeff, a, 0) for a in _scan_canonical(n, q, probe.modulus)
-    ]
-
-
-def _moebius(m: int) -> int:
-    mu = 1
-    for _, e in factorint(m):
-        if e > 1:
-            return 0
-        mu = -mu
-    return mu
-
-
-def count_params(n: int, q: int, ell: int, coeff: str = ZBAR) -> int:
-    """Number of enumerated parameters, by Moebius inversion over orbit sizes.
-
-    Exponents with q^d a == a form a subgroup of size gcd(q^d - 1, M), so
-    the number of size-n orbits is (1/n) sum_{d | n} mu(n/d) gcd(q^d - 1, M).
-    This closed form lets the CLI report counts without a full scan; tests
-    check it against both the enumeration and an independent direct scan.
-
-    >>> count_params(2, 11, 5, ZBAR), count_params(2, 11, 5, FBAR)
-    (55, 11)
-    """
-    probe = TrselpGL(n, q, ell, coeff, 0, 0)
-    m = probe.modulus
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += _moebius(n // d) * gcd(q**d - 1, m)
-    if total % n:
-        raise InternalError("orbit count was not divisible by n")
-    return total // n

@@ -47,11 +47,6 @@ class RootDatum:
         self.name = name
         self._preset = _preset
 
-    def pairing(self, char: tuple[int, ...], cochar: tuple[int, ...]) -> int:
-        if len(char) != self.rank or len(cochar) != self.rank:
-            raise InvalidArgument("pairing arguments must have length equal to the rank")
-        return sum(a * b for a, b in zip(char, cochar))
-
     def to_json(self) -> dict:
         return {
             "name": self.name,
@@ -252,47 +247,3 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
                 f"twist does not permute the roots: image of {alpha} is {image}",
             )
     return WeylTwist(matrix)
-
-
-def validate(rd: RootDatum) -> list[str]:
-    """Check the root-datum axioms; return a list of violations (never raises).
-
-    >>> validate(preset("GL", 3))
-    []
-    """
-    problems = []
-    if rd.rank < 0:
-        problems.append(f"rank must be nonnegative, got {rd.rank}")
-        return problems
-    if len(rd.roots) != len(rd.coroots):
-        problems.append(
-            f"{len(rd.roots)} roots but {len(rd.coroots)} coroots"
-        )
-        return problems
-    for vecs, label in ((rd.roots, "root"), (rd.coroots, "coroot")):
-        for a in vecs:
-            if len(a) != rd.rank:
-                problems.append(f"{label} {a} does not have length {rd.rank}")
-                return problems
-            if not any(a):
-                problems.append(f"zero {label} is not allowed")
-    if len(set(rd.roots)) != len(rd.roots):
-        problems.append("duplicate roots")
-    for alpha, alpha_vee in zip(rd.roots, rd.coroots):
-        pair = rd.pairing(alpha, alpha_vee)
-        if pair != 2:
-            problems.append(f"<{alpha}, {alpha_vee}> = {pair}, expected 2")
-    if problems:
-        return problems
-    root_set = set(rd.roots)
-    for alpha, alpha_vee in zip(rd.roots, rd.coroots):
-        for beta in rd.roots:
-            image = tuple(
-                b - rd.pairing(beta, alpha_vee) * a for a, b in zip(alpha, beta)
-            )
-            if image not in root_set:
-                problems.append(
-                    f"reflection in {alpha} maps {beta} outside the root set"
-                )
-                break
-    return problems

@@ -20,9 +20,8 @@ from .cocycles import component_descriptor, frob_fixed_scheme, mu_invariant, Fro
 from .glparams import (
     FBAR,
     ZBAR,
+    GLFamily,
     TrselpGL,
-    count_params,
-    enumerate_params,
     lifts_in_component,
     matrices,
     nilpotent_support_fixed_positions,
@@ -88,10 +87,10 @@ def run_grid() -> list[GridCheck]:
     checks = []
     enum_cache: dict[tuple, list[TrselpGL]] = {}
 
-    def enumerated(n, q, ell, coeff):
-        key = (n, q, ell, coeff)
+    def enumerated(fam, coeff):
+        key = (fam, coeff)
         if key not in enum_cache:
-            enum_cache[key] = enumerate_params(n, q, ell, coeff)
+            enum_cache[key] = fam.parameters(coeff)
         return enum_cache[key]
 
     # 1: the golden component
@@ -187,8 +186,8 @@ def run_grid() -> list[GridCheck]:
     bad = []
     for n in GRID_N_PARAMS:
         for q in GRID_Q:
-            ell = admissible_ells(q)[0]
-            for phi in enumerated(n, q, ell, ZBAR):
+            fam = GLFamily(n, q, admissible_ells(q)[0])
+            for phi in enumerated(fam, ZBAR):
                 cases += 1
                 if not verify_cocycle(matrices(phi), q):
                     bad.append((n, q, phi.a))
@@ -207,11 +206,11 @@ def run_grid() -> list[GridCheck]:
     for n in GRID_N_PARAMS:
         for q in GRID_Q:
             for ell in admissible_ells(q):
+                fam = GLFamily(n, q, ell)
                 for coeff in (ZBAR, FBAR):
-                    probe = TrselpGL(n, q, ell, coeff, 0, 0)
-                    listed = len(enumerated(n, q, ell, coeff))
-                    direct = _direct_orbit_count(n, q, probe.modulus)
-                    closed = count_params(n, q, ell, coeff)
+                    listed = len(enumerated(fam, coeff))
+                    direct = _direct_orbit_count(n, q, fam.modulus(coeff))
+                    closed = fam.count(coeff)
                     cases += 1
                     if not (listed == direct == closed):
                         bad.append((n, q, ell, coeff, listed, direct, closed))
@@ -231,10 +230,10 @@ def run_grid() -> list[GridCheck]:
     for n in GRID_N_PARAMS:
         for q in GRID_Q:
             for ell in admissible_ells(q):
-                pool = enumerated(n, q, ell, FBAR)
+                fam = GLFamily(n, q, ell)
+                pool = enumerated(fam, FBAR)
                 sample = pool if len(pool) <= SAMPLE_SIZE else rng.sample(pool, SAMPLE_SIZE)
-                probe = TrselpGL(n, q, ell, FBAR, 0, 0)
-                lk = probe.ell**probe.k
+                lk = ell**fam.k
                 for phi in sample:
                     lifts = lifts_in_component(phi)
                     cases += 1
@@ -259,14 +258,14 @@ def run_grid() -> list[GridCheck]:
     bad = []
     for n in GRID_N_PARAMS:
         for q in GRID_Q:
-            ell = admissible_ells(q)[0]
+            fam = GLFamily(n, q, admissible_ells(q)[0])
             diag = [(i, i) for i in range(1, n + 1)]
-            for phi in enumerated(n, q, ell, ZBAR):
+            for phi in enumerated(fam, ZBAR):
                 cases += 1
                 if nilpotent_support_fixed_positions(phi) != diag:
                     bad.append((n, q, phi.a))
             if n >= 2:
-                degenerate = TrselpGL(n, q, ell, ZBAR, 0, 0)
+                degenerate = TrselpGL(fam, ZBAR, 0, 0)
                 cases += 1
                 if len(nilpotent_support_fixed_positions(degenerate)) <= n:
                     bad.append((n, q, "degenerate"))

@@ -5,8 +5,8 @@ library, with different algorithms than the package under test (Gauss over
 Fraction instead of Bareiss, cofactor adjugates, determinantal divisors and
 coset enumeration instead of Smith normal form, linear scans instead of
 closed-form counts, the closed-form GL_n block instead of the twisted
-torus).  Nothing
-in this module imports from llc_params.
+torus, the root-datum axioms checked by hand).  Nothing in this module
+imports from llc_params.
 """
 
 from __future__ import annotations
@@ -322,3 +322,45 @@ def multiplicative_order(q: int, m: int) -> int:
         if order > m:
             raise ValueError("q is not a unit modulo m")
     return order
+
+
+def root_datum_problems(rank: int, roots, coroots) -> list[str]:
+    """Check the root-datum axioms for the dot pairing; list the violations.
+
+    Roots and coroots are paired in order: <alpha, alpha_vee> = 2, and the
+    reflection x - <x, alpha_vee> alpha must map the root set to itself.
+
+    >>> root_datum_problems(2, [(1, -1), (-1, 1)], [(1, -1), (-1, 1)])
+    []
+    >>> root_datum_problems(2, [(1, -1)], [(1, 0)])
+    ['<(1, -1), (1, 0)> = 1, expected 2']
+    """
+    def pair(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    if rank < 0:
+        return [f"rank must be nonnegative, got {rank}"]
+    if len(roots) != len(coroots):
+        return [f"{len(roots)} roots but {len(coroots)} coroots"]
+    problems = []
+    for vecs, label in ((roots, "root"), (coroots, "coroot")):
+        for a in vecs:
+            if len(a) != rank:
+                return problems + [f"{label} {a} does not have length {rank}"]
+            if not any(a):
+                problems.append(f"zero {label} is not allowed")
+    if len(set(roots)) != len(roots):
+        problems.append("duplicate roots")
+    for alpha, alpha_vee in zip(roots, coroots):
+        if pair(alpha, alpha_vee) != 2:
+            problems.append(f"<{alpha}, {alpha_vee}> = {pair(alpha, alpha_vee)}, expected 2")
+    if problems:
+        return problems
+    root_set = set(roots)
+    for alpha, alpha_vee in zip(roots, coroots):
+        for beta in roots:
+            image = tuple(b - pair(beta, alpha_vee) * a for a, b in zip(alpha, beta))
+            if image not in root_set:
+                problems.append(f"reflection in {alpha} maps {beta} outside the root set")
+                break
+    return problems

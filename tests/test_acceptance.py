@@ -17,10 +17,9 @@ from llc_params.cocycles import FrobTorus, component_descriptor, frob_fixed_sche
 from llc_params.diag import mu as mu_scheme
 from llc_params.glparams import (
     FBAR,
-    TrselpGL,
     ZBAR,
-    count_params,
-    enumerate_params,
+    GLFamily,
+    TrselpGL,
     lifts_in_component,
     matrices,
     nilpotent_support_fixed_positions,
@@ -133,7 +132,7 @@ def test_acceptance_05_cocycle_relation():
                 for ell in ELLS:
                     if not _admissible(q, ell):
                         continue
-                    for phi in enumerate_params(n, q, ell, ZBAR):
+                    for phi in GLFamily(n, q, ell).parameters(ZBAR):
                         assert verify_cocycle(matrices(phi), q), phi
                         checked += 1
         assert checked > 10_000
@@ -149,22 +148,23 @@ def test_acceptance_06_enumeration_oracle():
                 for ell in ELLS:
                     if not _admissible(q, ell):
                         continue
+                    family = GLFamily(n, q, ell)
                     for coeff in (ZBAR, FBAR):
-                        probe = TrselpGL(n, q, ell, coeff, 0, 0)
-                        if probe.modulus > 10**6:
+                        modulus = family.modulus(coeff)
+                        if modulus > 10**6:
                             continue
-                        key = (n, q, probe.modulus)
+                        key = (n, q, modulus)
                         if key not in brute_cache:
-                            brute_cache[key] = brute_count(n, q, probe.modulus)
-                        assert count_params(n, q, ell, coeff) == brute_cache[key], (
+                            brute_cache[key] = brute_count(n, q, modulus)
+                        assert family.count(coeff) == brute_cache[key], (
                             n,
                             q,
                             ell,
                             coeff,
                         )
         # the two frozen examples
-        assert count_params(2, 11, 5, ZBAR) == 55
-        assert count_params(2, 11, 5, FBAR) == 11
+        assert GLFamily(2, 11, 5).count(ZBAR) == 55
+        assert GLFamily(2, 11, 5).count(FBAR) == 11
 
 
 def test_acceptance_07_lift_torsor():
@@ -175,11 +175,11 @@ def test_acceptance_07_lift_torsor():
                 for ell in ELLS:
                     if not _admissible(q, ell):
                         continue
-                    probe = TrselpGL(n, q, ell, FBAR, 0, 0)
-                    lk = ell**probe.k
+                    family = GLFamily(n, q, ell)
+                    lk = ell**family.k
                     for _ in range(50):
                         phi = TrselpGL(
-                            n, q, ell, FBAR, rng.randrange(probe.modulus)
+                            family, FBAR, rng.randrange(family.modulus(FBAR))
                         ).canonical()
                         lifts = lifts_in_component(phi)
                         assert len(lifts) == lk
@@ -241,10 +241,11 @@ def test_acceptance_10_nilpotent_support():
             diag = [(i, i) for i in range(1, n + 1)]
             for q in GRID_Q:
                 ell = next(e for e in ELLS if _admissible(q, e))
-                for phi in enumerate_params(n, q, ell, ZBAR):
+                family = GLFamily(n, q, ell)
+                for phi in family.parameters(ZBAR):
                     assert nilpotent_support_fixed_positions(phi) == diag, phi
                 if n >= 2:
-                    degenerate = TrselpGL(n, q, ell, ZBAR, a=0)
+                    degenerate = TrselpGL(family, ZBAR, a=0)
                     assert not degenerate.is_regular
                     support = nilpotent_support_fixed_positions(degenerate)
                     assert len(support) > n, (n, q)

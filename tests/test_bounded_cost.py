@@ -1,7 +1,8 @@
 """Every (q, ell) the parser accepts ends fast: an answer or a structured error.
 
 Inputs that used to hang in trial division, q and ell beyond the certified
-primality bound, and a guard that component, block and match never factor.
+primality bound, reports with integers too long to print, and guards that
+component, block and match never factor and that enumeration validates once.
 """
 
 import io
@@ -61,17 +62,84 @@ def test_large_inputs_get_structured_errors(q, ell, code):
     assert error["hint"]
 
 
+@pytest.mark.parametrize("q", [3**8000, 43**2000], ids=["3^8000", "43^2000"])
+@pytest.mark.parametrize(
+    "cmd,output",
+    [
+        ("component", "text"),
+        ("component", "json"),
+        ("block", "text"),
+        ("block", "json"),
+        ("match", "json"),
+        ("summary", "json"),
+        ("enumerate", "text"),
+        ("enumerate", "json"),
+        ("verify", "json"),
+    ],
+)
+def test_reports_too_long_to_print_get_structured_errors(q, cmd, output):
+    # q^2 - 1 has more decimal digits than Python converts by default
+    argv = [cmd, "--n", "2", "--q", str(q), "--ell", "5", "--output", output]
+    if cmd == "verify":
+        argv += ["--a", "1"]
+    rc, text = run_timed(argv)
+    assert rc == 2
+    error = json.loads(text)["error"]
+    assert error["code"] == "output-too-large"
+    assert error["hint"]
+
+
+@pytest.mark.parametrize("cmd", ["match", "summary", "verify"])
+def test_text_reports_without_long_integers_still_answer(cmd):
+    # these text reports print neither q^2 - 1 nor anything as long
+    argv = [cmd, "--n", "2", "--q", str(3**8000), "--ell", "5", "--a", "1"]
+    rc, text = run_timed(argv if cmd == "verify" else argv[:-2])
+    assert rc == 0
+    assert text.startswith(f"{cmd} [GL_2, q=")
+
+
+def replace_everywhere(monkeypatch, original, replacement):
+    """Rebind every llc_params module attribute that is ``original``.
+
+    Modules bind functions by name (``from .arith import f``), so patching
+    the defining module alone would miss the callers.
+    """
+    for name, module in list(sys.modules.items()):
+        if not name.startswith(llc_params.__name__):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, replacement)
+
+
+def test_enumerate_validates_its_family_once(monkeypatch):
+    calls = {"check_admissible": 0, "valuation": 0}
+
+    def counting(name):
+        original = getattr(arith, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        replace_everywhere(monkeypatch, getattr(arith, name), counting(name))
+    argv = ["enumerate", "--n", "2", "--q", "173", "--ell", "43", "--limit", "2000"]
+    code, text = run_timed(argv + ["--output", "json"])
+    assert code == 0
+    assert len(json.loads(text)["parameters"]) == 2000
+    # one family, validated once; minting its 2000 parameters checks nothing
+    assert calls == {"check_admissible": 1, "valuation": 1}
+
+
 def test_matching_never_factors(monkeypatch):
     def refuse(n):
         raise AssertionError(f"factorint({n}) called")
 
-    # modules bind the function by name, so replace every binding of it
-    original = arith.factorint
-    for name, module in list(sys.modules.items()):
-        if name.startswith(llc_params.__name__) and getattr(module, "factorint", None) is original:
-            monkeypatch.setattr(module, "factorint", refuse)
+    replace_everywhere(monkeypatch, arith.factorint, refuse)
     assert arith.factorint is refuse
-    arith.check_admissible.cache_clear()
     inputs = [(17, 11, 3), (17, 11, 5)]
     inputs += [(n, q, ell) for n in GRID_N_COMPONENT for q in GRID_Q for ell in admissible_ells(q)]
     for n, q, ell in inputs:

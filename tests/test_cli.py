@@ -229,9 +229,34 @@ def test_summary_json():
     assert s["match"]["isomorphic"] is True
 
 
+def test_component_takes_each_invariant_once(monkeypatch):
+    from llc_params import abgroups, lattice
+
+    calls = {"snf": 0, "det": 0}
+    snf, det = abgroups.smith_normal_form, lattice.IntMatrix.det
+
+    def counting_snf(a):
+        calls["snf"] += 1
+        return snf(a)
+
+    def counting_det(self):
+        calls["det"] += 1
+        return det(self)
+
+    monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(lattice.IntMatrix, "det", counting_det)
+    code, _ = run_cli(["component", "--n", "4", "--q", "11", "--ell", "5"])
+    assert code == 0
+    # coker(w - q), coker(1 - w) and the center; one unimodularity check of w
+    assert calls == {"snf": 3, "det": 1}
+
+
 @pytest.fixture(scope="module")
-def grid_payload():
-    code, payload = run_json(["grid", "--output", "json"])
+def grid_payload(grid_checks):
+    # renders the shared sweep; test_grid_flag_spelling runs the grid end to end
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_grid", lambda: grid_checks)
+        code, payload = run_json(["grid", "--output", "json"])
     return code, payload
 
 

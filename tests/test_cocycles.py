@@ -112,7 +112,8 @@ def test_identity_twist_centralizer_is_full_torus():
 
 
 def test_gl2_cocycle_space():
-    space = cocycle_space(_gl_frob(2, 11, 5))
+    ft = _gl_frob(2, 11, 5)
+    space = cocycle_space(frob_fixed_scheme(ft), ft.rank, ft.ell)
     assert isinstance(space, CocycleSpace)
     assert space.free_torus_rank == 2
     assert space.fixed_scheme == mu(120)
@@ -123,7 +124,7 @@ def test_gl2_cocycle_space():
 def test_cocycle_space_component_count_times_mu_order_is_fixed_order():
     for n, q, ell in ((1, 3, 5), (2, 11, 5), (3, 5, 31), (4, 3, 5)):
         ft = _gl_frob(n, q, ell)
-        space = cocycle_space(ft)
+        space = cocycle_space(frob_fixed_scheme(ft), ft.rank, ell)
         mu_order = space.component_shape.char_group.torsion_order()
         assert space.component_count * mu_order == q**n - 1
 
@@ -131,7 +132,7 @@ def test_cocycle_space_component_count_times_mu_order_is_fixed_order():
 def test_pgl2_cocycle_space_counts():
     rd = preset("PGL", 2)
     ft = FrobTorus(rd.rank, coxeter_twist(rd), 11, 5)
-    space = cocycle_space(ft)
+    space = cocycle_space(frob_fixed_scheme(ft), ft.rank, ft.ell)
     assert space.fixed_scheme == mu(12)
     assert space.component_count == 12
 

@@ -6,12 +6,10 @@ from hypothesis import given, settings, strategies as st
 from llc_params.errors import LlcError
 from llc_params.glparams import (
     FBAR,
+    GLFamily,
     ParamMatrices,
     TrselpGL,
     ZBAR,
-    count_params,
-    enumerate_params,
-    equivalent,
     lifts_in_component,
     matrices,
     nilpotent_support_fixed_positions,
@@ -21,76 +19,85 @@ from llc_params.glparams import (
 
 from oracles import brute_count, brute_orbit_reps
 
+GL2 = GLFamily(2, 11, 5)
+
 
 # ---------------------------------------------------------------------------
 # construction and orbits
 
 
 def test_moduli_and_k():
-    phi = TrselpGL(2, 11, 5, ZBAR, a=1)
-    assert phi.full_modulus == 120
+    phi = TrselpGL(GL2, ZBAR, a=1)
+    assert phi.family.full_modulus == 120
     assert phi.modulus == 120
-    assert phi.k == 1
-    psi = TrselpGL(2, 11, 5, FBAR, a=1)
+    assert phi.family.k == 1
+    psi = TrselpGL(GL2, FBAR, a=1)
     assert psi.modulus == 24
-    assert psi.full_modulus == 120
+    assert psi.family.full_modulus == 120
+    assert GL2.p == 11 and GL2.residue_modulus == 24
 
 
 def test_exponents_are_reduced_mod_modulus():
-    phi = TrselpGL(2, 11, 5, ZBAR, a=121, b=-1)
+    phi = TrselpGL(GL2, ZBAR, a=121, b=-1)
     assert phi.a == 1
     assert phi.b == 119
 
 
 def test_construction_validation():
     with pytest.raises(LlcError):
-        TrselpGL(0, 11, 5)
+        GLFamily(0, 11, 5)
     with pytest.raises(LlcError):
-        TrselpGL(2, 12, 5)
+        GLFamily(2, 12, 5)
     with pytest.raises(LlcError):
-        TrselpGL(2, 11, 5, "padic")
+        TrselpGL(GL2, "padic")
     with pytest.raises(LlcError):
-        TrselpGL(2, 11, 5, ZBAR, a=1.5)
+        TrselpGL(GL2, ZBAR, a=1.5)
+    with pytest.raises(LlcError):
+        TrselpGL(GL2, ZBAR, b=True)
+    with pytest.raises(LlcError):
+        TrselpGL((2, 11, 5), ZBAR, a=1)
 
 
 def test_orbit_generation_order():
-    phi = TrselpGL(2, 11, 5, ZBAR, a=1)
+    phi = TrselpGL(GL2, ZBAR, a=1)
     assert phi.orbit() == (1, 11)
-    assert TrselpGL(2, 11, 5, ZBAR, a=11).orbit() == (11, 1)
+    assert TrselpGL(GL2, ZBAR, a=11).orbit() == (11, 1)
 
 
 def test_regularity():
-    assert TrselpGL(2, 11, 5, ZBAR, a=1).is_regular
+    assert TrselpGL(GL2, ZBAR, a=1).is_regular
     # 12 * 11 = 132 = 12 mod 120: fixed point, orbit size 1
-    assert not TrselpGL(2, 11, 5, ZBAR, a=12).is_regular
-    assert not TrselpGL(2, 11, 5, ZBAR, a=0).is_regular
+    assert not TrselpGL(GL2, ZBAR, a=12).is_regular
+    assert not TrselpGL(GL2, ZBAR, a=0).is_regular
     # n = 1: every exponent is regular
-    assert TrselpGL(1, 11, 5, ZBAR, a=0).is_regular
+    assert TrselpGL(GLFamily(1, 11, 5), ZBAR, a=0).is_regular
 
 
 def test_order_three_eigenvalue_parameter():
     # exponent 40 has order 3 in Z/120; its orbit {40, 80} still has size 2
-    phi = TrselpGL(2, 11, 5, ZBAR, a=40)
+    phi = TrselpGL(GL2, ZBAR, a=40)
     assert phi.orbit() == (40, 80)
     assert phi.is_regular
 
 
 def test_canonical():
-    phi = TrselpGL(2, 11, 5, ZBAR, a=11)
+    phi = TrselpGL(GL2, ZBAR, a=11)
     assert not phi.is_canonical
     assert phi.canonical().a == 1
     assert phi.canonical().is_canonical
-    assert TrselpGL(2, 11, 5, ZBAR, a=1).canonical().a == 1
+    assert TrselpGL(GL2, ZBAR, a=1).canonical().a == 1
 
 
 def test_equality_and_hash():
-    assert TrselpGL(2, 11, 5, ZBAR, a=1) == TrselpGL(2, 11, 5, ZBAR, a=121)
-    assert TrselpGL(2, 11, 5, ZBAR, a=1) != TrselpGL(2, 11, 5, FBAR, a=1)
-    assert len({TrselpGL(2, 11, 5, ZBAR, a=1), TrselpGL(2, 11, 5, ZBAR, a=1)}) == 1
+    # equal families need not be the same object
+    assert TrselpGL(GL2, ZBAR, a=1) == TrselpGL(GLFamily(2, 11, 5), ZBAR, a=121)
+    assert TrselpGL(GL2, ZBAR, a=1) != TrselpGL(GL2, FBAR, a=1)
+    assert TrselpGL(GL2, ZBAR, a=1) != TrselpGL(GLFamily(2, 11, 7), ZBAR, a=1)
+    assert len({TrselpGL(GL2, ZBAR, a=1), TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1)}) == 1
 
 
 def test_to_json():
-    j = TrselpGL(2, 11, 5, ZBAR, a=1, b=3).to_json()
+    j = TrselpGL(GL2, ZBAR, a=1, b=3).to_json()
     assert j == {"n": 2, "q": 11, "ell": 5, "coeff": "zbar", "a": 1, "b": 3, "modulus": 120}
 
 
@@ -99,26 +106,26 @@ def test_to_json():
 
 
 def test_matrices_frozen_gl2():
-    m = matrices(TrselpGL(2, 11, 5, ZBAR, a=1, b=7))
+    m = matrices(TrselpGL(GL2, ZBAR, a=1, b=7))
     assert m.x == ((1, None), (None, 11))
     assert m.y == ((None, 0), (7, None))
     assert m.modulus == 120
 
 
 def test_matrices_n1():
-    m = matrices(TrselpGL(1, 11, 5, ZBAR, a=3, b=4))
+    m = matrices(TrselpGL(GLFamily(1, 11, 5), ZBAR, a=3, b=4))
     assert m.x == ((3,),)
     assert m.y == ((4,),)
 
 
 def test_matrices_need_integral_coefficients():
     with pytest.raises(LlcError) as exc:
-        matrices(TrselpGL(2, 11, 5, FBAR, a=1))
+        matrices(TrselpGL(GL2, FBAR, a=1))
     assert exc.value.code == "coefficient-mismatch"
 
 
 def test_matrices_json_entries():
-    j = matrices(TrselpGL(2, 11, 5, ZBAR, a=1)).to_json()
+    j = matrices(TrselpGL(GL2, ZBAR, a=1)).to_json()
     assert j["x"][0][0] == {"exp": 1}
     assert j["x"][0][1] == {"zero": True}
     assert j["y"][0][1] == {"exp": 0}
@@ -133,7 +140,7 @@ def test_param_matrices_shape_errors():
 
 def test_verify_cocycle_holds_for_built_matrices():
     for a in (1, 7, 40):
-        m = matrices(TrselpGL(2, 11, 5, ZBAR, a=a))
+        m = matrices(TrselpGL(GL2, ZBAR, a=a))
         assert verify_cocycle(m, 11)
 
 
@@ -153,7 +160,7 @@ def test_verify_cocycle_rejects_wrong_shapes():
 def test_verify_cocycle_is_ell_independent():
     # the relation only involves n, q, a; both ell choices agree
     for ell in (5, 7, 13):
-        phi = TrselpGL(3, 3, ell, ZBAR, a=5)
+        phi = TrselpGL(GLFamily(3, 3, ell), ZBAR, a=5)
         assert verify_cocycle(matrices(phi), 3)
 
 
@@ -162,38 +169,38 @@ def test_verify_cocycle_is_ell_independent():
 
 
 def test_reduction_frozen_values():
-    assert reduction(TrselpGL(2, 11, 5, ZBAR, a=25)).a == 1
-    assert reduction(TrselpGL(2, 11, 5, ZBAR, a=49)).a == 1
-    assert reduction(TrselpGL(2, 11, 5, ZBAR, a=23)).a == 13
-    out = reduction(TrselpGL(2, 11, 5, ZBAR, a=1))
+    assert reduction(TrselpGL(GL2, ZBAR, a=25)).a == 1
+    assert reduction(TrselpGL(GL2, ZBAR, a=49)).a == 1
+    assert reduction(TrselpGL(GL2, ZBAR, a=23)).a == 13
+    out = reduction(TrselpGL(GL2, ZBAR, a=1))
     assert out.coeff == FBAR and out.modulus == 24 and out.a == 1
 
 
 def test_reduction_requires_integral_source():
     with pytest.raises(LlcError):
-        reduction(TrselpGL(2, 11, 5, FBAR, a=1))
+        reduction(TrselpGL(GL2, FBAR, a=1))
 
 
 def test_lifts_frozen_example():
-    lifts = lifts_in_component(TrselpGL(2, 11, 5, FBAR, a=1))
+    lifts = lifts_in_component(TrselpGL(GL2, FBAR, a=1))
     assert [psi.a for psi in lifts] == [25, 1, 49, 73, 97]
     assert all(psi.coeff == ZBAR for psi in lifts)
 
 
 def test_lifts_when_k_is_zero():
     # v_7(3^2 - 1) = 0: the lift is unique and keeps the exponent
-    lifts = lifts_in_component(TrselpGL(2, 3, 7, FBAR, a=5))
+    lifts = lifts_in_component(TrselpGL(GLFamily(2, 3, 7), FBAR, a=5))
     assert len(lifts) == 1
     assert lifts[0].a == 5 and lifts[0].coeff == ZBAR
 
 
 def test_lifts_require_residue_source():
     with pytest.raises(LlcError):
-        lifts_in_component(TrselpGL(2, 11, 5, ZBAR, a=1))
+        lifts_in_component(TrselpGL(GL2, ZBAR, a=1))
 
 
 def test_lift_torsor_properties():
-    phi = TrselpGL(2, 11, 5, FBAR, a=13)
+    phi = TrselpGL(GL2, FBAR, a=13)
     lifts = lifts_in_component(phi)
     assert len(lifts) == 5
     # all congruent to a mod M', pairwise distinct, canonical first
@@ -209,7 +216,7 @@ def test_lift_torsor_properties():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=119))
 def test_reduction_after_lift_is_identity_gl2(a):
-    phi = TrselpGL(2, 11, 5, FBAR, a=a).canonical()
+    phi = TrselpGL(GL2, FBAR, a=a).canonical()
     for psi in lifts_in_component(phi):
         assert reduction(psi) == phi
 
@@ -217,7 +224,7 @@ def test_reduction_after_lift_is_identity_gl2(a):
 def test_lift_preserves_regularity_both_ways_here():
     # regularity depends only on a mod M' when the orbit map is compatible;
     # check it concretely on the frozen example
-    phi = TrselpGL(2, 11, 5, FBAR, a=1)
+    phi = TrselpGL(GL2, FBAR, a=1)
     assert phi.is_regular
     assert all(psi.is_regular for psi in lifts_in_component(phi))
 
@@ -227,27 +234,13 @@ def test_lift_preserves_regularity_both_ways_here():
 
 
 def test_equivalent_same_orbit():
-    phi = TrselpGL(2, 11, 5, ZBAR, a=1)
-    assert equivalent(phi, TrselpGL(2, 11, 5, ZBAR, a=11))
-    assert equivalent(phi, phi)
-    assert not equivalent(phi, TrselpGL(2, 11, 5, ZBAR, a=2))
-    assert not equivalent(phi, TrselpGL(2, 11, 5, ZBAR, a=1, b=1))
-
-
-def test_equivalent_is_symmetric_on_samples():
-    params = enumerate_params(2, 11, 5, FBAR)
-    for phi in params[:6]:
-        for psi in params[:6]:
-            assert equivalent(phi, psi) == equivalent(psi, phi)
-
-
-def test_equivalent_rejects_different_families():
-    with pytest.raises(LlcError):
-        equivalent(TrselpGL(2, 11, 5, ZBAR), TrselpGL(2, 11, 5, FBAR))
-    with pytest.raises(LlcError):
-        equivalent(TrselpGL(2, 11, 5, ZBAR), TrselpGL(3, 11, 5, ZBAR))
-    with pytest.raises(LlcError):
-        equivalent(TrselpGL(2, 11, 5, ZBAR), TrselpGL(2, 11, 7, ZBAR))
+    # equivalent parameters (same q-power orbit, same corner unit) share
+    # their canonical form, the representative enumeration lists
+    phi = TrselpGL(GL2, ZBAR, a=1)
+    assert TrselpGL(GL2, ZBAR, a=11).canonical() == phi
+    assert phi.canonical() == phi
+    assert TrselpGL(GL2, ZBAR, a=2).canonical() != phi
+    assert TrselpGL(GL2, ZBAR, a=1, b=1).canonical() != phi
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +248,15 @@ def test_equivalent_rejects_different_families():
 
 
 def test_nilpotent_support_diagonal_for_regular():
-    phi = TrselpGL(2, 11, 5, ZBAR, a=1)
+    phi = TrselpGL(GL2, ZBAR, a=1)
     assert nilpotent_support_fixed_positions(phi) == [(1, 1), (2, 2)]
-    psi = TrselpGL(3, 3, 13, ZBAR, a=1)
+    psi = TrselpGL(GLFamily(3, 3, 13), ZBAR, a=1)
     assert nilpotent_support_fixed_positions(psi) == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_nilpotent_support_grows_for_degenerate_exponent():
     # a = 0: every position is fixed
-    phi = TrselpGL(2, 11, 5, ZBAR, a=0)
+    phi = TrselpGL(GL2, ZBAR, a=0)
     assert nilpotent_support_fixed_positions(phi) == [
         (1, 1),
         (1, 2),
@@ -271,13 +264,13 @@ def test_nilpotent_support_grows_for_degenerate_exponent():
         (2, 2),
     ]
     # a = 12 is a nonzero fixed point of multiplication by q
-    psi = TrselpGL(2, 11, 5, ZBAR, a=12)
+    psi = TrselpGL(GL2, ZBAR, a=12)
     assert len(nilpotent_support_fixed_positions(psi)) == 4
 
 
 def test_nilpotent_support_uses_own_modulus():
     # over residue coefficients the modulus is M', not q^n - 1
-    phi = TrselpGL(2, 11, 5, FBAR, a=1)
+    phi = TrselpGL(GL2, FBAR, a=1)
     assert nilpotent_support_fixed_positions(phi) == [(1, 1), (2, 2)]
 
 
@@ -286,12 +279,12 @@ def test_nilpotent_support_uses_own_modulus():
 
 
 def test_enumeration_frozen_counts():
-    assert len(enumerate_params(2, 11, 5, ZBAR)) == 55
-    assert len(enumerate_params(2, 11, 5, FBAR)) == 11
+    assert len(GL2.parameters(ZBAR)) == 55
+    assert len(GL2.parameters(FBAR)) == 11
 
 
 def test_enumeration_yields_canonical_ascending_regulars():
-    params = enumerate_params(2, 11, 5, FBAR)
+    params = GL2.parameters(FBAR)
     assert all(phi.is_regular and phi.is_canonical for phi in params)
     exps = [phi.a for phi in params]
     assert exps == sorted(exps)
@@ -300,25 +293,27 @@ def test_enumeration_yields_canonical_ascending_regulars():
 
 def test_enumeration_matches_brute_oracle():
     for n, q, ell in ((1, 11, 5), (2, 11, 5), (2, 3, 5), (3, 3, 13), (4, 3, 5)):
+        family = GLFamily(n, q, ell)
         for coeff in (ZBAR, FBAR):
-            probe = TrselpGL(n, q, ell, coeff, 0, 0)
-            got = [phi.a for phi in enumerate_params(n, q, ell, coeff)]
-            assert got == brute_orbit_reps(n, q, probe.modulus), (n, q, ell, coeff)
+            got = [phi.a for phi in family.parameters(coeff)]
+            assert got == brute_orbit_reps(n, q, family.modulus(coeff)), (n, q, ell, coeff)
+            assert list(family.scan(coeff)) == got
 
 
 def test_count_params_closed_form_matches_enumeration():
     for n, q, ell in ((1, 3, 7), (2, 11, 5), (3, 5, 11), (4, 3, 5), (6, 3, 7)):
+        family = GLFamily(n, q, ell)
         for coeff in (ZBAR, FBAR):
-            probe = TrselpGL(n, q, ell, coeff, 0, 0)
-            assert count_params(n, q, ell, coeff) == brute_count(n, q, probe.modulus)
+            assert family.count(coeff) == brute_count(n, q, family.modulus(coeff))
 
 
 def test_count_matches_enumerate_exactly():
+    gl3 = GLFamily(3, 3, 13)
     for coeff in (ZBAR, FBAR):
-        assert count_params(2, 11, 5, coeff) == len(enumerate_params(2, 11, 5, coeff))
-        assert count_params(3, 3, 13, coeff) == len(enumerate_params(3, 3, 13, coeff))
+        assert GL2.count(coeff) == len(GL2.parameters(coeff))
+        assert gl3.count(coeff) == len(gl3.parameters(coeff))
 
 
 def test_all_enumerated_parameters_pass_verify():
-    for phi in enumerate_params(3, 3, 13, ZBAR):
+    for phi in GLFamily(3, 3, 13).parameters(ZBAR):
         assert verify_cocycle(matrices(phi), 3)

@@ -1,13 +1,8 @@
 """Grid sweep: stable check ids, everything passes, JSON shape."""
 
-import pytest
+from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, GridCheck, admissible_ells
 
-from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, GridCheck, admissible_ells, run_grid
-
-
-@pytest.fixture(scope="module")
-def checks():
-    return run_grid()
+# grid_checks (conftest.py) is the one sweep the suite shares
 
 
 def test_grid_constants():
@@ -21,8 +16,8 @@ def test_admissible_ells():
     assert 2 not in admissible_ells(3)
 
 
-def test_grid_check_ids_are_stable(checks):
-    assert [c.check_id for c in checks] == [
+def test_grid_check_ids_are_stable(grid_checks):
+    assert [c.check_id for c in grid_checks] == [
         "golden-component",
         "fixed-scheme-cyclic",
         "mu-exponent-law",
@@ -34,18 +29,18 @@ def test_grid_check_ids_are_stable(checks):
     ]
 
 
-def test_grid_all_pass(checks):
-    failing = [c for c in checks if not c.passed]
+def test_grid_all_pass(grid_checks):
+    failing = [c for c in grid_checks if not c.passed]
     assert failing == [], [f"{c.check_id}: {c.detail}" for c in failing]
 
 
-def test_grid_check_json(checks):
-    j = checks[0].to_json()
+def test_grid_check_json(grid_checks):
+    j = grid_checks[0].to_json()
     assert set(j) == {"id", "label", "pass", "detail"}
     assert j["id"] == "golden-component"
     assert j["pass"] is True
 
 
-def test_grid_check_type(checks):
-    assert all(isinstance(c, GridCheck) for c in checks)
-    assert all(c.detail for c in checks)
+def test_grid_check_type(grid_checks):
+    assert all(isinstance(c, GridCheck) for c in grid_checks)
+    assert all(c.detail for c in grid_checks)
