@@ -156,12 +156,21 @@ def preset(family: str, n: int) -> RootDatum:
 def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     """Character group of the center: the lattice modulo the root lattice.
 
+    The simple roots of a preset span the root lattice, so the quotient is
+    read from the rank x (rank - 1) simple-root matrix; a hand-built datum
+    has no simple system and uses every root.
+
     >>> center_char_group(preset("GL", 2))
     FinGenAbGroup(free_rank=1, invariant_factors=())
     >>> center_char_group(preset("PGL", 2))
     FinGenAbGroup(free_rank=0, invariant_factors=(2,))
+    >>> center_char_group(preset("SL", 3)).is_trivial
+    True
+    >>> center_char_group(preset("PGL", 3))
+    FinGenAbGroup(free_rank=0, invariant_factors=(3,))
     """
-    return cokernel(IntMatrix.from_columns([list(a) for a in rd.roots], rows=rd.rank))
+    generators = rd.roots if rd._preset is None else _simple_system(rd)[0]
+    return cokernel(IntMatrix.from_columns([list(a) for a in generators], rows=rd.rank))
 
 
 def _simple_system(rd: RootDatum) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
@@ -181,17 +190,6 @@ def _simple_system(rd: RootDatum) -> tuple[list[tuple[int, ...]], list[tuple[int
     if kind == "adjoint":
         return list(ones), list(sums)
     return list(sums), list(ones)
-
-
-def _reflection(rank: int, root: tuple[int, ...], coroot: tuple[int, ...]) -> IntMatrix:
-    """s_alpha(x) = x - <x, alpha_vee> alpha as a matrix on the lattice."""
-    return IntMatrix(
-        [
-            [(1 if i == j else 0) - root[i] * coroot[j] for j in range(rank)]
-            for i in range(rank)
-        ],
-        cols=rank,
-    )
 
 
 def coxeter_twist(rd: RootDatum) -> WeylTwist:
@@ -217,11 +215,17 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
                 cols=n,
             )
         )
-    simples, cosimples = _simple_system(rd)
-    w = IntMatrix.identity(rd.rank)
-    for root, coroot in zip(simples, cosimples):
-        w = w @ _reflection(rd.rank, root, coroot)
-    return WeylTwist(w)
+    # w <- w s_alpha = w - (w alpha) alpha_vee^T, a rank-one update of w's rows
+    w = [[1 if i == j else 0 for j in range(rd.rank)] for i in range(rd.rank)]
+    for root, coroot in zip(*_simple_system(rd)):
+        alpha = [(k, a) for k, a in enumerate(root) if a]
+        alpha_vee = [(k, a) for k, a in enumerate(coroot) if a]
+        for row in w:
+            c = sum(row[k] * a for k, a in alpha)
+            if c:
+                for k, a in alpha_vee:
+                    row[k] -= c * a
+    return WeylTwist(IntMatrix(w, cols=rd.rank))
 
 
 def identity_twist(rd: RootDatum) -> WeylTwist:
@@ -239,9 +243,16 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
             "twist matrix is not unimodular",
             hint="the determinant must be 1 or -1",
         )
+    columns = list(zip(*matrix.data))
     root_set = set(rd.roots)
     for alpha in rd.roots:
-        image = tuple(sum(matrix[i, j] * alpha[j] for j in range(rd.rank)) for i in range(rd.rank))
+        # w alpha as a combination of w's columns over alpha's support
+        image = [0] * rd.rank
+        for j, a in enumerate(alpha):
+            if a:
+                for i, x in enumerate(columns[j]):
+                    image[i] += a * x
+        image = tuple(image)
         if image not in root_set:
             raise InvalidArgument(
                 f"twist does not permute the roots: image of {alpha} is {image}",

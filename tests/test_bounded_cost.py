@@ -98,6 +98,14 @@ def test_text_reports_without_long_integers_still_answer(cmd):
     assert text.startswith(f"{cmd} [GL_2, q=")
 
 
+@pytest.mark.parametrize("cmd", ["component", "match"])
+def test_high_rank_descriptors_answer(cmd):
+    # GL_96: every matrix is rank-sized, so the work grows with the report
+    code, text = run_timed([cmd, "--n", "96", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith(f"{cmd} [GL_96, q=3")
+
+
 def replace_everywhere(monkeypatch, original, replacement):
     """Rebind every llc_params module attribute that is ``original``.
 

@@ -251,6 +251,25 @@ def test_component_takes_each_invariant_once(monkeypatch):
     assert calls == {"snf": 3, "det": 1}
 
 
+@pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])
+@pytest.mark.parametrize("cmd", ["component", "block", "match"])
+def test_descriptor_matrices_are_no_wider_than_the_rank(monkeypatch, cmd, group, n):
+    from llc_params import abgroups
+
+    widths = []
+    snf = abgroups.smith_normal_form
+
+    def recording_snf(a):
+        widths.append(a.cols)
+        return snf(a)
+
+    monkeypatch.setattr(abgroups, "smith_normal_form", recording_snf)
+    code, _ = run_cli([cmd, "--group", group, "--n", str(n), "--q", "11", "--ell", "5"])
+    assert code == 0
+    rank = n if group == "GL" else n - 1
+    assert widths and max(widths) <= rank, widths
+
+
 @pytest.fixture(scope="module")
 def grid_payload(grid_checks):
     # renders the shared sweep; test_grid_flag_spelling runs the grid end to end

@@ -1,9 +1,10 @@
 """Root data presets, centers, Coxeter twists, validation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from llc_params.abgroups import FinGenAbGroup
-from llc_params.errors import LlcError
+from llc_params.abgroups import FinGenAbGroup, cokernel
+from llc_params.errors import InvalidArgument, LlcError
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import (
     RootDatum,
@@ -15,7 +16,7 @@ from llc_params.rootdata import (
     weyl_twist,
 )
 
-from oracles import root_datum_problems
+from oracles import root_datum_problems, smith_invariants_by_minors
 
 
 def validate(rd):
@@ -120,6 +121,41 @@ def test_center_of_simply_connected_datum_is_mu_n():
         assert center_char_group(preset("PGL", n)) == FinGenAbGroup.cyclic(n)
 
 
+def _root_matrix(rd):
+    return IntMatrix.from_columns([list(a) for a in rd.roots], rows=rd.rank)
+
+
+def _ranks(family, top):
+    return range(1 if family == "GL" else 2, top + 1)
+
+
+@pytest.mark.parametrize("family,top", [("GL", 4), ("SL", 5), ("PGL", 5)])
+def test_center_is_the_quotient_by_all_roots_by_minors(family, top):
+    for n in _ranks(family, top):
+        rd = preset(family, n)
+        invariants = smith_invariants_by_minors(
+            [list(r) for r in _root_matrix(rd).data], cols=len(rd.roots)
+        )
+        nonzero = [d for d in invariants if d]
+        expected = FinGenAbGroup(rd.rank - len(nonzero), nonzero)
+        assert center_char_group(rd) == expected, (family, n)
+
+
+@pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
+def test_center_is_the_cokernel_of_all_roots(family):
+    for n in _ranks(family, 12):
+        rd = preset(family, n)
+        assert center_char_group(rd) == cokernel(_root_matrix(rd)), (family, n)
+
+
+def test_center_of_a_hand_built_datum_uses_every_root():
+    # the simply connected A_1 datum written out by hand: X* / 2Z
+    rd = RootDatum(1, ((2,), (-2,)), ((1,), (-1,)), "custom")
+    assert center_char_group(rd) == FinGenAbGroup.cyclic(2)
+    rd = RootDatum(2, ((1, -1), (-1, 1)), ((1, -1), (-1, 1)), "custom")
+    assert center_char_group(rd) == FinGenAbGroup(1, ())
+
+
 # ---------------------------------------------------------------------------
 # twists
 
@@ -154,6 +190,68 @@ def test_coxeter_twist_permutes_the_roots():
             w = coxeter_twist(rd).matrix
             # weyl_twist re-runs the permutation check; it must accept
             assert weyl_twist(rd, w).matrix == w
+
+
+def _simple_reflections(family, n):
+    """s_i = 1 - alpha_i alpha_i_vee^T, in order, for the A_{n-1} presets."""
+    m = n - 1
+    units = [[int(i == k) for i in range(m)] for k in range(m)]
+    cartan = [[2 if i == k else -1 if abs(i - k) == 1 else 0 for i in range(m)] for k in range(m)]
+    # SL_n gives the adjoint datum (simple roots are unit vectors), PGL_n its mirror
+    pairs = zip(units, cartan) if family == "SL" else zip(cartan, units)
+    return [
+        IntMatrix([[int(i == j) - root[i] * coroot[j] for j in range(m)] for i in range(m)])
+        for root, coroot in pairs
+    ]
+
+
+@pytest.mark.parametrize("family", ["SL", "PGL"])
+def test_coxeter_twist_is_the_product_of_simple_reflections(family):
+    for n in range(2, 13):
+        rd = preset(family, n)
+        product = IntMatrix.identity(rd.rank)
+        for s in _simple_reflections(family, n):
+            product = product @ s
+        w = coxeter_twist(rd).matrix
+        assert w == product, (family, n)
+        assert _matrix_order(w) == n, (family, n)
+        assert weyl_twist(rd, w).matrix == w
+
+
+@pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
+def test_weyl_twist_rejects_a_transvection(family):
+    for rank in range(3, 9):
+        rd = preset(family, rank if family == "GL" else rank + 1)
+        # I + E_12 is unimodular but sends some root off the root set
+        m = IntMatrix([[int(i == j or (i, j) == (0, 1)) for j in range(rank)] for i in range(rank)])
+        assert m.is_unimodular()
+        with pytest.raises(InvalidArgument, match="does not permute the roots"):
+            weyl_twist(rd, m)
+
+
+def _permutes_the_roots(rd, m):
+    roots = set(rd.roots)
+    r = rd.rank
+    return all(
+        tuple(sum(m[i, j] * a[j] for j in range(r)) for i in range(r)) in roots for a in rd.roots
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([("GL", 3), ("SL", 4), ("PGL", 4)]),
+    st.lists(st.integers(min_value=-1, max_value=1), min_size=9, max_size=9),
+)
+def test_weyl_twist_accepts_exactly_the_root_permuting_automorphisms(datum, entries):
+    rd = preset(*datum)
+    m = IntMatrix([entries[0:3], entries[3:6], entries[6:9]])
+    expected = m.is_unimodular() and _permutes_the_roots(rd, m)
+    try:
+        weyl_twist(rd, m)
+    except InvalidArgument:
+        assert not expected
+    else:
+        assert expected
 
 
 def test_rank_one_coxeter_is_negation():
