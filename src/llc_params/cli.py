@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import os
 import sys
 from collections.abc import Iterator
+from json.encoder import encode_basestring
 
 from . import __version__
 from .blocks import BlockDescriptor, categorical_summary, match_sides, torus_block_descriptor
@@ -131,6 +133,13 @@ def build_parser() -> _Parser:
         "--output", choices=("text", "json"), default=argparse.SUPPRESS
     )
     return parser
+
+
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser `run` uses: argparse parses into a fresh namespace on every
+    call and keeps no per-call state, so one parser serves the whole process."""
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +430,63 @@ def _printing():
 
 
 def _dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\\n", written in one pass.
+
+    The value domain is that of the reports: dicts with str keys, lists,
+    tuples, str, int, bool and None; anything else raises TypeError.  An int
+    too long to print raises ValueError, as str() does.
+    """
+    chunks: list[str] = []
+    _write(payload, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, newline: str, chunks: list[str]) -> None:
+    """Append ``value``'s JSON; ``newline`` is a line break plus the indent of
+    the line the value starts on."""
+    if isinstance(value, str):
+        chunks.append(encode_basestring(value))
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:
+            # roots, coroots and matrix rows: one join, no per-item dispatch
+            items = ("," + inner).join(map(int.__repr__, value))
+            chunks.append("[" + inner + items + newline + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            chunks.append(sep)
+            _write(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            chunks.append(sep + encode_basestring(key) + ": ")
+            _write(value[key], inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def run(argv: list[str] | None = None, stream=None) -> int:
@@ -431,8 +496,7 @@ def run(argv: list[str] | None = None, stream=None) -> int:
     if stream is None:
         stream = sys.stdout
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         if args.grid and args.command is None:
             args.command = "grid"
         if args.command is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .abgroups import cokernel
 from .arith import check_admissible
 from .diag import DiagGroup, identity_component, component_group, product, torus
-from .errors import DimensionMismatch, InternalError, InvalidArgument, InvalidRank
+from .errors import DimensionMismatch, InternalError, InvalidRank
 from .lattice import IntMatrix
 from .rootdata import RootDatum, WeylTwist, center_char_group
 
@@ -44,8 +44,7 @@ class FrobTorus:
                 f"twist is {twist.rank}x{twist.rank} but the torus has rank {rank}"
             )
         p, _ = check_admissible(q, ell)
-        if not twist.matrix.is_unimodular():
-            raise InvalidArgument("twist matrix is not unimodular")
+        twist.check_unimodular()
         self.rank = rank
         self.twist = twist
         self.q = q

@@ -76,16 +76,28 @@ class RootDatum:
 class WeylTwist:
     """A lattice automorphism used to twist Frobenius."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ("matrix", "_unimodular")
 
     def __init__(self, matrix: IntMatrix):
         if not matrix.is_square:
             raise InvalidArgument("a twist must be a square matrix")
         self.matrix = matrix
+        self._unimodular = None
 
     @property
     def rank(self) -> int:
         return self.matrix.rows
+
+    def check_unimodular(self) -> None:
+        """Raise InvalidArgument unless det(w) = ±1; the determinant is taken
+        once per twist, however many consumers ask."""
+        if self._unimodular is None:
+            self._unimodular = self.matrix.is_unimodular()
+        if not self._unimodular:
+            raise InvalidArgument(
+                "twist matrix is not unimodular",
+                hint="the determinant must be 1 or -1",
+            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylTwist):
@@ -99,20 +111,25 @@ class WeylTwist:
         return f"WeylTwist({self.matrix!r})"
 
 
-def _cartan_a(m: int) -> list[list[int]]:
-    """Cartan matrix of type A_m."""
-    return [[2 if i == j else (-1 if abs(i - j) == 1 else 0) for j in range(m)] for i in range(m)]
-
-
 def _block_vector(m: int, i: int, j: int) -> list[int]:
     """The 0/1 vector supported on positions i..j (inclusive)."""
     return [1 if i <= k <= j else 0 for k in range(m)]
 
 
-def _cartan_block_sum(cartan: list[list[int]], i: int, j: int) -> list[int]:
-    """Sum of Cartan columns i..j (inclusive)."""
-    m = len(cartan)
-    return [sum(cartan[k][c] for c in range(i, j + 1)) for k in range(m)]
+def _cartan_column_sum(m: int, i: int, j: int) -> list[int]:
+    """Sum of the type A_m Cartan matrix's columns i..j (inclusive).
+
+    Column c is 2 at c and -1 at c - 1 and c + 1, so the sum telescopes to
+    +1 at i and at j (2 when i = j) and -1 just outside the block.
+    """
+    v = [0] * m
+    v[i] += 1
+    v[j] += 1
+    if i > 0:
+        v[i - 1] = -1
+    if j + 1 < m:
+        v[j + 1] = -1
+    return v
 
 
 def preset(family: str, n: int) -> RootDatum:
@@ -138,10 +155,9 @@ def preset(family: str, n: int) -> RootDatum:
     if n < 2:
         raise InvalidRank(f"{family} needs n >= 2, got {n}")
     m = n - 1
-    cartan = _cartan_a(m)
     blocks = [(i, j) for i in range(m) for j in range(i, m)]
     ones = [_block_vector(m, i, j) for i, j in blocks]
-    sums = [_cartan_block_sum(cartan, i, j) for i, j in blocks]
+    sums = [_cartan_column_sum(m, i, j) for i, j in blocks]
     if family == "SL":
         # dual group PGL_n: adjoint datum, simple-root basis
         pos_roots, pos_coroots, name, tag = ones, sums, f"PGL_{n}", ("adjoint", n)
@@ -184,9 +200,8 @@ def _simple_system(rd: RootDatum) -> tuple[list[tuple[int, ...]], list[tuple[int
             cosimples.append(tuple(v))
         return simples, cosimples
     m = n - 1
-    cartan = _cartan_a(m)
     ones = [tuple(_block_vector(m, i, i)) for i in range(m)]
-    sums = [tuple(_cartan_block_sum(cartan, i, i)) for i in range(m)]
+    sums = [tuple(_cartan_column_sum(m, i, i)) for i in range(m)]
     if kind == "adjoint":
         return list(ones), list(sums)
     return list(sums), list(ones)
@@ -238,11 +253,8 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
         raise InvalidArgument(
             f"twist must be {rd.rank}x{rd.rank} for {rd.name}, got {matrix.rows}x{matrix.cols}"
         )
-    if not matrix.is_unimodular():
-        raise InvalidArgument(
-            "twist matrix is not unimodular",
-            hint="the determinant must be 1 or -1",
-        )
+    twist = WeylTwist(matrix)
+    twist.check_unimodular()
     columns = list(zip(*matrix.data))
     root_set = set(rd.roots)
     for alpha in rd.roots:
@@ -257,4 +269,4 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
             raise InvalidArgument(
                 f"twist does not permute the roots: image of {alpha} is {image}",
             )
-    return WeylTwist(matrix)
+    return twist

@@ -251,6 +251,25 @@ def test_component_takes_each_invariant_once(monkeypatch):
     assert calls == {"snf": 3, "det": 1}
 
 
+@pytest.mark.parametrize("cmd", ["component", "match"])
+def test_an_explicit_weyl_matrix_is_checked_for_unimodularity_once(monkeypatch, cmd):
+    from llc_params import lattice
+
+    calls = []
+    det = lattice.IntMatrix.det
+
+    def counting_det(self):
+        calls.append(self.rows)
+        return det(self)
+
+    monkeypatch.setattr(lattice.IntMatrix, "det", counting_det)
+    swap = "[[1,0,0,0],[0,0,0,1],[0,1,0,0],[0,0,1,0]]"
+    code, _ = run_cli([cmd, "--n", "4", "--q", "11", "--ell", "5", "--weyl", swap])
+    assert code == 0
+    # weyl_twist checks the matrix; the Frobenius torus reuses that check
+    assert calls == [4]
+
+
 @pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])
 @pytest.mark.parametrize("cmd", ["component", "block", "match"])
 def test_descriptor_matrices_are_no_wider_than_the_rank(monkeypatch, cmd, group, n):
@@ -492,6 +511,48 @@ def test_module_entry_point():
 def test_version_flag():
     code, _ = run_cli(["--version"])
     assert code == 0
+
+
+def test_reusing_the_parser_leaks_no_state_between_calls(monkeypatch, capsys):
+    gl3 = ["--n", "3", "--q", "7", "--ell", "3"]
+    sequence = [
+        ["--output", "json", "component", *gl3],
+        ["component", *gl3, "--output", "json"],
+        ["component", *gl3],
+        ["component", *gl3, "--weyl", "identity", "--output", "json"],
+        ["component", *gl3, "--output", "json"],
+        ["enumerate", *gl3, "--coeff", "fbar", "--limit", "2", "--offset", "3", "--output", "json"],
+        ["enumerate", *gl3, "--output", "json"],
+        ["component", "--n", "3", "--q"],
+        ["component", *gl3],
+        ["--version"],
+        ["component", *gl3],
+    ]
+
+    def outputs():
+        seen = []
+        for argv in sequence:
+            code, text = run_cli(argv)
+            # --version prints through argparse, to sys.stdout
+            seen.append((code, text, capsys.readouterr().out))
+        return seen
+
+    assert cli._shared_parser() is cli._shared_parser()
+    shared = outputs()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    assert outputs() == shared
+
+    codes = [code for code, _, _ in shared]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0]
+    assert shared[0][1] == shared[1][1] == shared[4][1]
+    assert shared[2][1] == shared[8][1] == shared[10][1]
+    assert "weyl=coxeter" in shared[2][1]
+    assert json.loads(shared[3][1])["input"]["weyl"] == "identity"
+    assert json.loads(shared[4][1])["input"]["weyl"] == "coxeter"
+    deep, default = json.loads(shared[5][1]), json.loads(shared[6][1])
+    assert (deep["input"]["coeff"], deep["limit"], deep["offset"]) == ("fbar", 2, 3)
+    assert (default["input"]["coeff"], default["limit"], default["offset"]) == ("zbar", 100, 0)
+    assert shared[9][2].startswith("llc-params ")
 
 
 def test_json_is_sorted_and_newline_terminated():

@@ -72,6 +72,23 @@ def test_sl_and_pgl_presets_are_mirror_duals():
     assert set(a.coroots) == set(b.roots)
 
 
+def _dense_cartan_column_sum(m, i, j):
+    cartan = [[2 if r == c else (-1 if abs(r - c) == 1 else 0) for c in range(m)] for r in range(m)]
+    return tuple(sum(cartan[r][c] for c in range(i, j + 1)) for r in range(m))
+
+
+@pytest.mark.parametrize("family", ["SL", "PGL"])
+def test_type_a_presets_match_dense_cartan_column_sums(family):
+    for m in range(1, 13):
+        blocks = [(i, j) for i in range(m) for j in range(i, m)]
+        ones = [tuple(1 if i <= k <= j else 0 for k in range(m)) for i, j in blocks]
+        sums = [_dense_cartan_column_sum(m, i, j) for i, j in blocks]
+        pos_roots, pos_coroots = (ones, sums) if family == "SL" else (sums, ones)
+        rd = preset(family, m + 1)
+        assert rd.roots == tuple(pos_roots + [tuple(-x for x in v) for v in pos_roots])
+        assert rd.coroots == tuple(pos_coroots + [tuple(-x for x in v) for v in pos_coroots])
+
+
 def test_preset_validation_errors():
     with pytest.raises(LlcError):
         preset("SO", 3)
@@ -285,6 +302,25 @@ def test_weyl_twist_validation():
         weyl_twist(rd, IntMatrix([[1, 2], [0, 1]]))
     # the diagonal-swap permutation is fine
     assert weyl_twist(rd, IntMatrix([[0, 1], [1, 0]])).rank == 2
+
+
+def test_a_twist_takes_its_determinant_once(monkeypatch):
+    calls = []
+    det = IntMatrix.det
+
+    def counting_det(self):
+        calls.append(self.rows)
+        return det(self)
+
+    monkeypatch.setattr(IntMatrix, "det", counting_det)
+    w = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
+    w.check_unimodular()
+    w.check_unimodular()
+    bad = WeylTwist(IntMatrix([[2, 0], [0, 1]]))
+    for _ in range(2):
+        with pytest.raises(InvalidArgument, match="not unimodular"):
+            bad.check_unimodular()
+    assert calls == [2, 2]
 
 
 def test_weyl_twist_accepts_longest_element():
