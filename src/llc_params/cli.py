@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import itertools
 import json
 import os
 import sys
@@ -262,8 +261,7 @@ def _cmd_enumerate(args) -> tuple[dict, Iterator[str]]:
             hint=f"raise {MAX_MODULUS_ENV} to scan larger moduli",
         )
     count = family.count(args.coeff)
-    exponents = itertools.islice(family.scan(args.coeff), args.offset, args.offset + args.limit)
-    page = [TrselpGL(family, args.coeff, a) for a in exponents]
+    page = family.parameters(args.coeff, args.offset, args.limit)
     body = {
         "modulus": modulus,
         "count": count,

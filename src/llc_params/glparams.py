@@ -24,7 +24,7 @@ support stay total, but enumeration only emits regular ones.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
@@ -34,6 +34,8 @@ ZBAR = "zbar"  # integral coefficients (Z-bar_ell)
 FBAR = "fbar"  # residue coefficients (F-bar_ell)
 
 COEFFS = (ZBAR, FBAR)
+
+_SCAN_WINDOW = 4096  # exponents per comprehension; a short page stops after one
 
 
 def _moebius(m: int) -> int:
@@ -79,35 +81,50 @@ class GLFamily:
             return self.residue_modulus
         raise InvalidArgument(f"coeff must be one of {COEFFS}, got {coeff!r}")
 
+    def _windows(self, coeff: str) -> Iterator[Sequence[int]]:
+        """The canonical exponents (see scan), one ascending list per window."""
+        m = self.modulus(coeff)
+        powers = [pow(self.q, i, m) for i in range(1, self.n)]
+        for start in range(0, m, _SCAN_WINDOW):
+            window: Sequence[int] = range(start, min(start + _SCAN_WINDOW, m))
+            for power in powers:
+                window = [a for a in window if a * power % m > a]
+            yield window
+
     def scan(self, coeff: str) -> Iterator[int]:
-        """Yield the canonical exponents of size-n orbits in increasing order."""
-        n, q, modulus = self.n, self.q, self.modulus(coeff)
-        for a in range(modulus):
-            x = a
-            size = None
-            canonical = True
-            for i in range(1, n + 1):
-                x = x * q % modulus
-                if x == a:
-                    size = i
-                    break
-                if x < a:
-                    canonical = False
-                    break
-            if canonical and size == n:
-                yield a
+        """Yield the canonical exponents of size-n orbits in increasing order.
 
-    def parameters(self, coeff: str) -> list["TrselpGL"]:
-        """All regular parameters up to equivalence: canonical exponents, b = 0.
+        a mod M is the minimum of a size-n orbit exactly when a q^i mod M > a
+        for every 1 <= i < n.  This also rejects short orbits: an orbit's size
+        s divides n because M divides q^n - 1, and if s < n then i = s gives
+        a q^s = a.  Each power q^i filters a window of exponents in one
+        comprehension; for n = 1 there is no power and every exponent passes.
+        """
+        for window in self._windows(coeff):
+            yield from window
 
-        Representatives are the orbit minima, listed in increasing order.  For
-        n = 1 every exponent qualifies (a one-element orbit has full size).
+    def parameters(self, coeff: str, offset: int = 0, limit: int | None = None) -> list["TrselpGL"]:
+        """The regular parameters up to equivalence (orbit minima, b = 0), ascending.
+
+        Returns the page [offset, offset + limit) of that list, all of it by
+        default; scan windows wholly before the page are skipped by length.
 
         >>> fam = GLFamily(2, 11, 5)
-        >>> len(fam.parameters(ZBAR)), len(fam.parameters(FBAR))
-        (55, 11)
+        >>> len(fam.parameters(ZBAR)), [phi.a for phi in fam.parameters(ZBAR, 3, 2)]
+        (55, [4, 5])
         """
-        return [TrselpGL(self, coeff, a) for a in self.scan(coeff)]
+        if offset < 0 or (limit is not None and limit < 0):
+            raise InvalidArgument("offset and limit must be nonnegative")
+        m = self.modulus(coeff)
+        end = offset + (m if limit is None else limit)  # at most m exponents exist
+        page: list[int] = []
+        seen = 0
+        for window in self._windows(coeff):
+            if seen >= end:
+                break
+            page += window[max(offset - seen, 0):end - seen]
+            seen += len(window)
+        return [_param(self, coeff, m, a) for a in page]
 
     def count(self, coeff: str) -> int:
         """Number of enumerated parameters, by Moebius inversion over orbit sizes.
@@ -196,7 +213,7 @@ class TrselpGL:
         least = min(self.orbit())
         if least == self.a:
             return self
-        return TrselpGL(self.family, self.coeff, least, self.b)
+        return _param(self.family, self.coeff, self.modulus, least, self.b)
 
     def to_json(self) -> dict:
         fam = self.family
@@ -226,6 +243,13 @@ class TrselpGL:
             f"TrselpGL(n={fam.n}, q={fam.q}, ell={fam.ell}, "
             f"coeff={self.coeff!r}, a={self.a}, b={self.b})"
         )
+
+
+def _param(family: GLFamily, coeff: str, modulus: int, a: int, b: int = 0) -> TrselpGL:
+    """A parameter from exponents the caller has already reduced: no checks."""
+    phi = object.__new__(TrselpGL)
+    phi.family, phi.coeff, phi.modulus, phi.a, phi.b = family, coeff, modulus, a, b
+    return phi
 
 
 class ParamMatrices:
@@ -297,19 +321,20 @@ def matrices(phi: TrselpGL) -> ParamMatrices:
             hint="lift the parameter first; residue exponents do not pin down matrices",
         )
     n, q, mod = phi.family.n, phi.family.q, phi.modulus
-    x = [[None] * n for _ in range(n)]
+    x, y = [], []
     e = phi.a
     for i in range(n):
-        x[i][i] = e
+        row = [None] * n
+        row[i] = e
+        x.append(tuple(row))
         e = e * q % mod
-    y = [[None] * n for _ in range(n)]
-    if n == 1:
-        y[0][0] = phi.b
-    else:
-        for i in range(n - 1):
-            y[i][i + 1] = 0
-        y[n - 1][0] = phi.b
-    return ParamMatrices(n, mod, x, y)
+        row = [None] * n
+        row[(i + 1) % n] = 0 if i < n - 1 else phi.b
+        y.append(tuple(row))
+    # the exponents are already reduced, so skip the constructor's checks
+    m = object.__new__(ParamMatrices)
+    m.n, m.modulus, m.x, m.y = n, mod, tuple(x), tuple(y)
+    return m
 
 
 def _diagonal_exponents(m: ParamMatrices) -> list[int]:
@@ -331,10 +356,7 @@ def _check_cyclic_shift(m: ParamMatrices) -> None:
     for i in range(n):
         for j in range(n):
             e = m.y[i][j]
-            expected = (j == (i + 1) % n)
-            if expected and e is None:
-                raise ShapeMismatch("y must be the cyclic shift with a corner unit")
-            if not expected and e is not None:
+            if (e is None) == (j == (i + 1) % n):
                 raise ShapeMismatch("y must be the cyclic shift with a corner unit")
 
 
@@ -363,7 +385,8 @@ def reduction(phi: TrselpGL) -> TrselpGL:
     """
     if phi.coeff != ZBAR:
         raise CoefficientMismatch("reduction starts from an integral parameter")
-    return TrselpGL(phi.family, FBAR, phi.a, phi.b).canonical()
+    fam = phi.family
+    return _param(fam, FBAR, fam.residue_modulus, phi.a % fam.residue_modulus, phi.b).canonical()
 
 
 def canonical_lift(phi: TrselpGL) -> TrselpGL:
@@ -381,7 +404,7 @@ def canonical_lift(phi: TrselpGL) -> TrselpGL:
     fam = phi.family
     lk = fam.ell**fam.k
     a = phi.a * lk * pow(lk, -1, phi.modulus) % fam.full_modulus
-    return TrselpGL(fam, ZBAR, a, phi.b)
+    return _param(fam, ZBAR, fam.full_modulus, a, phi.b)
 
 
 def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
@@ -398,7 +421,7 @@ def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
     first = canonical_lift(phi)
     fam = phi.family
     rest = sorted((first.a + phi.modulus * t) % fam.full_modulus for t in range(1, fam.ell**fam.k))
-    return [first] + [TrselpGL(fam, ZBAR, e, phi.b) for e in rest]
+    return [first] + [_param(fam, ZBAR, fam.full_modulus, e, phi.b) for e in rest]
 
 
 def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:

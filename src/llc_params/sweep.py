@@ -85,13 +85,14 @@ def _direct_orbit_count(n: int, q: int, modulus: int) -> int:
 
 def run_grid() -> list[GridCheck]:
     checks = []
-    enum_cache: dict[tuple, list[TrselpGL]] = {}
+    scan_cache: dict[tuple, list[int]] = {}
+    integral: dict[GLFamily, list[TrselpGL]] = {}
 
-    def enumerated(fam, coeff):
+    def exponents(fam, coeff):
         key = (fam, coeff)
-        if key not in enum_cache:
-            enum_cache[key] = fam.parameters(coeff)
-        return enum_cache[key]
+        if key not in scan_cache:
+            scan_cache[key] = list(fam.scan(coeff))
+        return scan_cache[key]
 
     # 1: the golden component
     rd = preset("GL", 2)
@@ -187,7 +188,8 @@ def run_grid() -> list[GridCheck]:
     for n in GRID_N_PARAMS:
         for q in GRID_Q:
             fam = GLFamily(n, q, admissible_ells(q)[0])
-            for phi in enumerated(fam, ZBAR):
+            integral[fam] = fam.parameters(ZBAR)
+            for phi in integral[fam]:
                 cases += 1
                 if not verify_cocycle(matrices(phi), q):
                     bad.append((n, q, phi.a))
@@ -208,7 +210,7 @@ def run_grid() -> list[GridCheck]:
             for ell in admissible_ells(q):
                 fam = GLFamily(n, q, ell)
                 for coeff in (ZBAR, FBAR):
-                    listed = len(enumerated(fam, coeff))
+                    listed = len(exponents(fam, coeff))
                     direct = _direct_orbit_count(n, q, fam.modulus(coeff))
                     closed = fam.count(coeff)
                     cases += 1
@@ -231,10 +233,11 @@ def run_grid() -> list[GridCheck]:
         for q in GRID_Q:
             for ell in admissible_ells(q):
                 fam = GLFamily(n, q, ell)
-                pool = enumerated(fam, FBAR)
+                pool = exponents(fam, FBAR)
                 sample = pool if len(pool) <= SAMPLE_SIZE else rng.sample(pool, SAMPLE_SIZE)
                 lk = ell**fam.k
-                for phi in sample:
+                for a in sample:
+                    phi = TrselpGL(fam, FBAR, a)
                     lifts = lifts_in_component(phi)
                     cases += 1
                     ok = (
@@ -260,7 +263,7 @@ def run_grid() -> list[GridCheck]:
         for q in GRID_Q:
             fam = GLFamily(n, q, admissible_ells(q)[0])
             diag = [(i, i) for i in range(1, n + 1)]
-            for phi in enumerated(fam, ZBAR):
+            for phi in integral[fam]:
                 cases += 1
                 if nilpotent_support_fixed_positions(phi) != diag:
                     bad.append((n, q, phi.a))

@@ -106,6 +106,27 @@ def test_high_rank_descriptors_answer(cmd):
     assert text.startswith(f"{cmd} [GL_96, q=3")
 
 
+@pytest.mark.parametrize(
+    "n,q,offset,limit",
+    [(1, 9999991, 9000000, 10), (2, 1583, 500000, 100)],
+    ids=["gl1-q9999991", "gl2-q1583"],
+)
+def test_deep_enumerate_pages_answer(n, q, offset, limit):
+    # a deep page skips whole scan windows instead of yielding every exponent
+    argv = ["enumerate", "--n", str(n), "--q", str(q), "--ell", "3",
+            "--offset", str(offset), "--limit", str(limit), "--output", "json"]
+    code, text = run_timed(argv)
+    assert code == 0
+    doc = json.loads(text)
+    page = [p["a"] for p in doc["parameters"]]
+    m = doc["modulus"]
+    assert len(page) == limit and page == sorted(set(page))
+    # each listed exponent is the minimum of a size-n orbit
+    assert all(a * q**i % m > a for a in page for i in range(1, n))
+    if n == 1:
+        assert page == list(range(offset, offset + limit))
+
+
 def replace_everywhere(monkeypatch, original, replacement):
     """Rebind every llc_params module attribute that is ``original``.
 

@@ -1,15 +1,23 @@
 """Tame GL_n parameters: orbits, matrices, lifts, enumeration."""
 
+import io
+import json
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from llc_params import cli
 from llc_params.errors import LlcError
 from llc_params.glparams import (
+    _SCAN_WINDOW,
+    COEFFS,
     FBAR,
     GLFamily,
     ParamMatrices,
     TrselpGL,
     ZBAR,
+    canonical_lift,
     lifts_in_component,
     matrices,
     nilpotent_support_fixed_positions,
@@ -317,3 +325,121 @@ def test_count_matches_enumerate_exactly():
 def test_all_enumerated_parameters_pass_verify():
     for phi in GLFamily(3, 3, 13).parameters(ZBAR):
         assert verify_cocycle(matrices(phi), 3)
+
+
+# ---------------------------------------------------------------------------
+# the windowed scan against the brute oracle
+
+ODD_PRIME_POWERS = (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 47, 49, 53)
+SMALL_FAMILIES = [
+    (n, q, ell)
+    for n in (1, 2, 3, 4)
+    for q in ODD_PRIME_POWERS
+    for ell in (3, 5, 7, 11, 13)
+    if q % ell and q**n - 1 <= 3000
+]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_FAMILIES), st.sampled_from(COEFFS))
+def test_scan_matches_brute_oracle_on_small_families(family, coeff):
+    fam = GLFamily(*family)
+    assert list(fam.scan(coeff)) == brute_orbit_reps(fam.n, fam.q, fam.modulus(coeff))
+
+
+# Moduli at the scan window's edges: 4096 (one full window, GL_1 q=12289
+# fbar), 4098 and 8190 (just past one and two windows), 12288 (three full
+# windows), and n >= 2 families that cross a boundary.  q is odd, so q^n - 1
+# is even and no admissible family has modulus 1: modulus 2 (GL_1 q=7 ell=3
+# fbar, GL_3 q=3 ell=13 fbar) is the smallest there is.
+EDGE_FAMILIES = [
+    (1, 12289, 3), (1, 4099, 3), (1, 8191, 3), (2, 67, 5), (3, 17, 5), (4, 9, 7),
+    (1, 7, 3), (3, 3, 13),
+]
+
+
+@pytest.mark.parametrize("coeff", COEFFS)
+@pytest.mark.parametrize("n,q,ell", EDGE_FAMILIES)
+def test_scan_matches_brute_oracle_at_window_edges(n, q, ell, coeff):
+    fam = GLFamily(n, q, ell)
+    assert list(fam.scan(coeff)) == brute_orbit_reps(n, q, fam.modulus(coeff))
+
+
+def test_edge_families_hit_the_edges():
+    moduli = {GLFamily(*f).modulus(c) for f in EDGE_FAMILIES for c in COEFFS}
+    assert {2, _SCAN_WINDOW, _SCAN_WINDOW + 2, 2 * _SCAN_WINDOW - 2, 3 * _SCAN_WINDOW} <= moduli
+
+
+def enumerate_page(fam, coeff, offset, limit):
+    argv = ["enumerate", "--n", str(fam.n), "--q", str(fam.q), "--ell", str(fam.ell),
+            "--coeff", coeff, "--offset", str(offset), "--limit", str(limit), "--output", "json"]
+    out = io.StringIO()
+    assert cli.run(argv, stream=out) == 0
+    return [p["a"] for p in json.loads(out.getvalue())["parameters"]]
+
+
+@pytest.mark.parametrize("n,q,ell,coeff", [(1, 12289, 3, ZBAR), (2, 131, 3, ZBAR), (2, 131, 3, FBAR)])
+def test_pages_across_window_boundaries_are_slices(n, q, ell, coeff):
+    fam = GLFamily(n, q, ell)
+    full = list(fam.scan(coeff))
+    edges = range(_SCAN_WINDOW, fam.modulus(coeff), _SCAN_WINDOW)
+    assert len(edges) >= 1
+    for edge in edges:
+        first = bisect_left(full, edge)  # the first exponent of the window at edge
+        for offset, limit in ((first - 3, 7), (first - 1, 1), (first, 1), (first - 2, _SCAN_WINDOW + 5)):
+            assert [phi.a for phi in fam.parameters(coeff, offset, limit)] == full[offset:offset + limit]
+        assert enumerate_page(fam, coeff, first - 3, 7) == full[first - 3:first + 4]
+    assert [phi.a for phi in fam.parameters(coeff, 5)] == full[5:]
+    assert fam.parameters(coeff, len(full) - 2, 10)[-1].a == full[-1]
+    assert fam.parameters(coeff, len(full) + 5, 3) == []
+    assert fam.parameters(coeff, 3, 0) == []
+
+
+def test_parameters_reject_negative_paging():
+    for offset, limit in ((-1, 3), (0, -1)):
+        with pytest.raises(LlcError):
+            GL2.parameters(ZBAR, offset, limit)
+
+
+# ---------------------------------------------------------------------------
+# parameters the package mints itself equal the validated ones
+
+
+def assert_same_as_validated(phi):
+    ref = TrselpGL(phi.family, phi.coeff, phi.a, phi.b)
+    assert phi == ref and hash(phi) == hash(ref)
+    assert repr(phi) == repr(ref)
+    assert phi.to_json() == ref.to_json()
+
+
+def validated_matrices(phi):
+    n, q = phi.family.n, phi.family.q
+    x = [[None] * n for _ in range(n)]
+    y = [[None] * n for _ in range(n)]
+    for i in range(n):
+        x[i][i] = phi.a * q**i  # left unreduced: the constructor reduces
+        y[i][(i + 1) % n] = 0
+    y[n - 1][0] = phi.b
+    return ParamMatrices(n, phi.modulus, x, y)
+
+
+@pytest.mark.parametrize("n,q,ell", [(1, 11, 5), (2, 11, 5), (3, 3, 13), (4, 3, 5), (2, 131, 3)])
+def test_minted_parameters_equal_validated_ones(n, q, ell):
+    fam = GLFamily(n, q, ell)
+    for coeff in COEFFS:
+        listed = fam.parameters(coeff)
+        page = fam.parameters(coeff, len(listed) // 3, 40)
+        assert page == listed[len(listed) // 3:len(listed) // 3 + 40]
+        for phi in listed + page:
+            assert_same_as_validated(phi)
+            assert_same_as_validated(phi.canonical())
+    for phi in fam.parameters(FBAR)[:25]:
+        assert_same_as_validated(canonical_lift(phi))
+        for psi in lifts_in_component(phi):
+            assert_same_as_validated(psi)
+            assert_same_as_validated(reduction(psi))
+    for phi in fam.parameters(ZBAR)[:60] + [TrselpGL(fam, ZBAR, a=7, b=-3)]:
+        m = matrices(phi)
+        ref = validated_matrices(phi)
+        assert m == ref and repr(m) == repr(ref)
+        assert m.to_json() == ref.to_json()

@@ -29,6 +29,21 @@ def test_grid_check_ids_are_stable(grid_checks):
     ]
 
 
+def test_grid_case_counts_are_pinned(grid_checks):
+    # the grid walks exponents where it needs no parameter objects; a check
+    # that silently lost cases would change its count
+    assert {c.check_id: c.detail for c in grid_checks} == {
+        "golden-component": "fixed=Z/120, mu=Z/5, rank=1",
+        "fixed-scheme-cyclic": "30 cases",
+        "mu-exponent-law": "180 cases",
+        "match-law": "180 cases",
+        "cocycle-relation": "13013 parameters",
+        "count-oracle": "240 cases",
+        "lift-torsor": "3100 sampled parameters",
+        "nilpotent-support": "13028 cases",
+    }
+
+
 def test_grid_all_pass(grid_checks):
     failing = [c for c in grid_checks if not c.passed]
     assert failing == [], [f"{c.check_id}: {c.detail}" for c in failing]
