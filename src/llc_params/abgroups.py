@@ -8,42 +8,26 @@ isomorphism of groups, the fact the whole matching pipeline leans on.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from math import gcd
 
 from .arith import is_prime, valuation
 from .errors import InvalidArgument, InvalidPrime
-from .lattice import IntMatrix, smith_normal_form
+from .lattice import IntMatrix, diagonal_invariants, smith_normal_form
 
 
 def _chain_from_factors(factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     """Normalize arbitrary cyclic orders into (extra_free_rank, divisor chain).
 
-    Zeros contribute free rank (Z/0 = Z) and ones vanish.  Every pair
-    (a_i, a_j), i < j, with a_i not dividing a_j becomes (gcd, lcm), since
-    Z/a + Z/b = Z/gcd + Z/lcm: the Smith normal form of a diagonal matrix.
-    After the pass for i, a_i divides every later entry, so a chain passes
-    through with divisibility checks alone and nothing is factored.
+    Z/a1 + Z/a2 + ... is the cokernel of diag(a1, a2, ...): the chain is its
+    Smith invariants, zeros give free rank (Z/0 = Z) and ones vanish.
     """
-    extra_free = 0
-    chain = []
-    for d in factors:
+    orders = list(factors)
+    for d in orders:
         if isinstance(d, bool) or not isinstance(d, int):
             raise InvalidArgument(f"invariant factors must be integers, got {d!r}")
         if d < 0:
             raise InvalidArgument(f"invariant factors must be nonnegative, got {d}")
-        if d == 0:
-            extra_free += 1
-        elif d > 1:
-            chain.append(d)
-    for i, a in enumerate(chain):
-        for j in range(i + 1, len(chain)):
-            b = chain[j]
-            if b % a:
-                g = gcd(a, b)
-                chain[j] = a // g * b
-                a = g
-        chain[i] = a
-    return extra_free, tuple(d for d in chain if d > 1)
+    invariants = diagonal_invariants(orders)
+    return invariants.count(0), tuple(d for d in invariants if d > 1)
 
 
 class FinGenAbGroup:

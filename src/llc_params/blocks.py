@@ -24,7 +24,6 @@ from .abgroups import FinGenAbGroup, cokernel
 from .arith import check_admissible, valuation
 from .cocycles import ComponentDescriptor, component_descriptor
 from .errors import DimensionMismatch, InfiniteGroup, InternalError
-from .lattice import IntMatrix
 from .rootdata import WeylTwist, coxeter_twist, preset
 
 GRADING_INDEX = "Z"
@@ -46,7 +45,7 @@ def finite_torus(rank: int, twist: WeylTwist, q: int) -> FinGenAbGroup:
         raise DimensionMismatch(
             f"twist is {twist.rank}x{twist.rank} but the torus has rank {rank}"
         )
-    group = cokernel(q * twist.matrix - IntMatrix.identity(rank))
+    group = cokernel(twist.matrix.shifted(q, -1))
     if group.free_rank != 0:
         raise InternalError(
             "finite torus came out infinite; the twist cannot be of finite order"
@@ -131,7 +130,7 @@ def torus_block_descriptor(
     flags = () if coxeter_number is None else (_coxeter_bound_flag(q, coxeter_number),)
     return BlockDescriptor(
         torsion=ell_block_invariant(t, ell),
-        free_rank=cokernel(IntMatrix.identity(rank) - twist.matrix).free_rank,
+        free_rank=cokernel(twist.matrix.shifted(-1, 1)).free_rank,
         finite_torus_order=order,
         k=valuation(order, ell),
         applicability=flags,

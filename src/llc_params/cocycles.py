@@ -73,8 +73,7 @@ def frob_fixed_scheme(ft: FrobTorus) -> DiagGroup:
     Dual to coker(w - q id) on characters.  For the GL_n Coxeter twist this
     is mu_{q^n - 1}.
     """
-    w = ft.twist.matrix
-    return _finite_cokernel(w - ft.q * IntMatrix.identity(ft.rank), "the inertia fixed scheme")
+    return _finite_cokernel(ft.twist.matrix.shifted(1, -ft.q), "the inertia fixed scheme")
 
 
 def mu_invariant(ft: FrobTorus) -> DiagGroup:
@@ -84,8 +83,7 @@ def mu_invariant(ft: FrobTorus) -> DiagGroup:
 
 def twisted_centralizer(ft: FrobTorus) -> DiagGroup:
     """Stabilizer of the twisted conjugation action: dual to coker(id - w)."""
-    w = ft.twist.matrix
-    return DiagGroup(cokernel(IntMatrix.identity(ft.rank) - w))
+    return DiagGroup(cokernel(ft.twist.matrix.shifted(-1, 1)))
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,7 @@ class GLFamily:
     (11, 1, 120, 24)
     """
 
-    __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus")
+    __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus", "_powers")
 
     def __init__(self, n: int, q: int, ell: int):
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
@@ -72,6 +72,7 @@ class GLFamily:
         self.full_modulus = q**n - 1
         self.k = valuation(self.full_modulus, ell)
         self.residue_modulus = self.full_modulus // ell**self.k
+        self._powers: dict[str, tuple[int, ...]] = {}
 
     def modulus(self, coeff: str) -> int:
         """The exponent modulus: q^n - 1 for ZBAR, its prime-to-ell part for FBAR."""
@@ -81,10 +82,17 @@ class GLFamily:
             return self.residue_modulus
         raise InvalidArgument(f"coeff must be one of {COEFFS}, got {coeff!r}")
 
+    def powers(self, coeff: str) -> tuple[int, ...]:
+        """q^0, q^1, ..., q^(n-1) mod the exponent modulus, computed once per flavor."""
+        if coeff not in self._powers:
+            m = self.modulus(coeff)
+            self._powers[coeff] = tuple(pow(self.q, i, m) for i in range(self.n))
+        return self._powers[coeff]
+
     def _windows(self, coeff: str) -> Iterator[Sequence[int]]:
         """The canonical exponents (see scan), one ascending list per window."""
         m = self.modulus(coeff)
-        powers = [pow(self.q, i, m) for i in range(1, self.n)]
+        powers = self.powers(coeff)[1:]
         for start in range(0, m, _SCAN_WINDOW):
             window: Sequence[int] = range(start, min(start + _SCAN_WINDOW, m))
             for power in powers:
@@ -434,7 +442,7 @@ def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
     space only at zero.
     """
     n, mod = phi.family.n, phi.modulus
-    powers = [pow(phi.family.q, i, mod) for i in range(n)]
+    powers = phi.family.powers(phi.coeff)
     out = []
     for i in range(n):
         for j in range(n):

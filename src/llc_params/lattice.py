@@ -8,11 +8,16 @@ mean what they should.
 Everything downstream (fixed schemes of twisted Frobenius maps, kernels of
 character maps, centers of root data) reduces to the Smith invariants
 computed here, so this module has no dependencies beyond the error types.
+The twisted-torus matrices s w + t I (`IntMatrix.shifted`) have two or three
+nonzeros per row, so `smith_normal_form` eliminates sparsely: smallest
+|entry| first, ties by Markowitz cost, down to any diagonal, whose Smith
+invariants the gcd/lcm pass `diagonal_invariants` then takes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from math import gcd
 
 from .errors import DimensionMismatch, InvalidArgument
 
@@ -49,6 +54,15 @@ class IntMatrix:
         self.rows = len(rows)
         self.cols = width
 
+    @classmethod
+    def _trusted(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """A matrix from equal-length tuples of plain ints, taken as they are."""
+        m = object.__new__(cls)
+        m._data = data
+        m.rows = len(data)
+        m.cols = cols
+        return m
+
     @staticmethod
     def _as_int(x) -> int:
         if isinstance(x, bool) or not isinstance(x, int):
@@ -59,7 +73,7 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         if n < 0:
             raise InvalidArgument("identity size must be nonnegative")
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -121,27 +135,41 @@ class IntMatrix:
         if not isinstance(other, IntMatrix):
             return NotImplemented
         self._require_same_shape(other)
-        return IntMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._data, other._data)),
+            self.cols,
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         self._require_same_shape(other)
-        return IntMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._data, other._data)],
-            cols=self.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._data, other._data)),
+            self.cols,
         )
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-a for a in row] for row in self._data], cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self._data), self.cols)
 
     def __rmul__(self, k: int) -> "IntMatrix":
         if isinstance(k, bool) or not isinstance(k, int):
             return NotImplemented
-        return IntMatrix([[k * a for a in row] for row in self._data], cols=self.cols)
+        return IntMatrix._trusted(tuple(tuple(k * a for a in row) for row in self._data), self.cols)
+
+    def shifted(self, s: int, t: int) -> "IntMatrix":
+        """s * self + t * I in one pass, for a square matrix.
+
+        >>> IntMatrix([[0, 1], [1, 0]]).shifted(1, -11)
+        IntMatrix([[-11, 1], [1, -11]])
+        """
+        s, t = self._as_int(s), self._as_int(t)
+        if not self.is_square:
+            raise DimensionMismatch(f"shifted needs a square matrix, got {self.rows}x{self.cols}")
+        data = [[s * a for a in row] for row in self._data]
+        for i, row in enumerate(data):
+            row[i] += t
+        return IntMatrix._trusted(tuple(map(tuple, data)), self.cols)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -151,16 +179,13 @@ class IntMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         ocols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ocols] for row in self._data],
-            cols=other.cols,
+        return IntMatrix._trusted(
+            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols) for row in self._data),
+            other.cols,
         )
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return IntMatrix._trusted(tuple(zip(*self._data)) if self.rows else ((),) * self.cols, self.rows)
 
     @property
     def is_square(self) -> bool:
@@ -197,76 +222,89 @@ class IntMatrix:
         return self.is_square and self.det() in (1, -1)
 
 
+def diagonal_invariants(diagonal: Iterable[int]) -> tuple[int, ...]:
+    """The Smith invariants of a diagonal matrix with nonnegative entries.
+
+    Ones lead and zeros trail.  Every other pair (a_i, a_j), i < j, with a_i
+    not dividing a_j becomes (gcd, lcm), since diag(a, b) and diag(gcd, lcm)
+    are equivalent.  After the pass for i, a_i divides every later entry, so
+    a chain passes through with divisibility checks alone; nothing is factored.
+
+    >>> diagonal_invariants([0, 4, 1, 6])
+    (1, 2, 12, 0)
+    """
+    diagonal = list(diagonal)
+    chain = [d for d in diagonal if d > 1]
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            b = chain[j]
+            if b % a:
+                g = gcd(a, b)
+                chain[j] = a // g * b
+                a = g
+        chain[i] = a
+    return (1,) * diagonal.count(1) + tuple(chain) + (0,) * diagonal.count(0)
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     """The Smith invariants of a: d1 | d2 | ... , zeros last, min(rows, cols) of them.
 
-    The invariants are the diagonal of the Smith normal form: nonnegative,
-    each nonzero one dividing the next, and as many as the shorter side of a.
     Only the invariants are computed; no unimodular transforms are built.
-    Pivot selection is the smallest nonzero entry in absolute value, ties
-    broken by (row, column) index.
+    Rows are {column: entry} dicts with a column -> rows index.  The pivot
+    is a smallest |entry|, ties broken by the Markowitz cost
+    (row nnz - 1)(column nnz - 1), then by (row, column).  Row operations
+    clear its column, then the pivot row is reduced modulo the pivot; a
+    surviving remainder becomes the pivot and the clearing repeats.  The
+    diagonal this reaches goes through `diagonal_invariants`; there is no
+    divisibility fix-up.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
     >>> smith_normal_form(IntMatrix([[2, 4, 6], [4, 8, 12]]))
     (2, 0)
+    >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
+    (1, 6)
     """
-    r, c = a.rows, a.cols
-    m = [list(row) for row in a.data]
-
-    t = 0
-    while t < min(r, c):
-        # locate the pivot: smallest absolute nonzero entry, (i, j) tie-break
-        piv = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                e = m[i][j]
-                if e != 0 and (best is None or abs(e) < best):
-                    best = abs(e)
-                    piv = (i, j)
-        if piv is None:
+    rows = {i: r for i, dense in enumerate(a._data) if (r := {j: e for j, e in enumerate(dense) if e})}
+    where = {j: {i for i, e in enumerate(col) if e} for j, col in enumerate(zip(*a._data))}
+    diagonal = []
+    while rows:
+        _, _, pi, pj = min(
+            (abs(e), (len(row) - 1) * (len(where[j]) - 1), i, j)
+            for i, row in rows.items()
+            for j, e in row.items()
+        )
+        while True:
+            prow, d = rows[pi], rows[pi][pj]
+            # clear column pj with row operations
+            for i in where[pj] - {pi}:
+                row = rows[i]
+                k = row[pj] // d
+                if not k:
+                    continue
+                for j, e in prow.items():
+                    v = row.get(j, 0) - k * e
+                    if v:
+                        row[j] = v
+                        where[j].add(i)
+                    else:
+                        del row[j]
+                        where[j].discard(i)
+                if not row:
+                    del rows[i]
+            if len(where[pj]) > 1:  # remainders survive: the least is the pivot
+                pi = min(where[pj] - {pi}, key=lambda i: abs(rows[i][pj]))
+                continue
+            # column pj is clear, so reducing the pivot row modulo d touches it alone
+            for j in [j for j in prow if j != pj]:
+                prow[j] %= d
+                if not prow[j]:
+                    del prow[j]
+                    where[j].discard(pi)
+            if len(prow) > 1:
+                pj = min((j for j in prow if j != pj), key=lambda j: abs(prow[j]))
+                continue
+            diagonal.append(abs(d))
+            del rows[pi]  # a lone pivot: its column holds nothing else either
             break
-        pi, pj = piv
-        if pi != t:
-            m[t], m[pi] = m[pi], m[t]
-        if pj != t:
-            for row in m:
-                row[t], row[pj] = row[pj], row[t]
-
-        # clear column t below the pivot, then row t to its right; if any
-        # remainder survives, a strictly smaller pivot now exists and we loop
-        dirty = False
-        d = m[t][t]
-        top = m[t]
-        for i in range(t + 1, r):
-            row = m[i]
-            k = row[t] // d
-            if k:
-                for j in range(t, c):
-                    row[j] -= k * top[j]
-            if row[t]:
-                dirty = True
-        for j in range(t + 1, c):
-            k = top[j] // d
-            if k:
-                for row in m:
-                    row[j] -= k * row[t]
-            if top[j]:
-                dirty = True
-        if dirty:
-            continue
-
-        # divisibility fix-up: the pivot must divide the rest of the block
-        bad = None
-        for i in range(t + 1, r):
-            if any(m[i][j] % d for j in range(t + 1, c)):
-                bad = i
-                break
-        if bad is not None:
-            for j in range(t, c):
-                top[j] += m[bad][j]
-            continue
-        t += 1
-
-    return tuple(abs(m[i][i]) for i in range(min(r, c)))
+    return diagonal_invariants(diagonal + [0] * (min(a.rows, a.cols) - len(diagonal)))

@@ -255,14 +255,15 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
         )
     twist = WeylTwist(matrix)
     twist.check_unimodular()
-    columns = list(zip(*matrix.data))
+    # each column of w as its (row, entry) nonzeros
+    columns = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*matrix.data)]
     root_set = set(rd.roots)
     for alpha in rd.roots:
         # w alpha as a combination of w's columns over alpha's support
         image = [0] * rd.rank
         for j, a in enumerate(alpha):
             if a:
-                for i, x in enumerate(columns[j]):
+                for i, x in columns[j]:
                     image[i] += a * x
         image = tuple(image)
         if image not in root_set:

@@ -14,6 +14,7 @@ import pytest
 
 import llc_params
 from llc_params import arith, cli
+from llc_params.lattice import IntMatrix, smith_normal_form
 from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, admissible_ells
 
 BUDGET_S = 1.5
@@ -104,6 +105,32 @@ def test_high_rank_descriptors_answer(cmd):
     code, text = run_timed([cmd, "--n", "96", "--q", "3", "--ell", "5"])
     assert code == 0
     assert text.startswith(f"{cmd} [GL_96, q=3")
+
+
+@pytest.mark.parametrize("cmd", ["summary", "block"])
+def test_gl150_reports_answer(cmd):
+    # the Coxeter twisted tori are sparse; their Smith forms stay sparse too
+    code, text = run_timed([cmd, "--n", "150", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith(f"{cmd} [GL_150, q=3")
+
+
+@pytest.mark.parametrize("group", ["SL", "PGL"])
+@pytest.mark.parametrize("cmd", ["component", "match"])
+def test_semisimple_rank_60_answers(cmd, group):
+    code, text = run_timed([cmd, "--group", group, "--n", "60", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith(f"{cmd} [") and "_60, q=3" in text.splitlines()[0]
+
+
+def test_gl300_coxeter_smith_form_is_fast():
+    n = 300
+    w = IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
+    start = perf_counter()
+    invariants = smith_normal_form(w.shifted(1, -3))
+    elapsed = perf_counter() - start
+    assert elapsed < BUDGET_S, f"GL_300 w - 3 took {elapsed:.2f} s"
+    assert invariants == (1,) * (n - 1) + (3**n - 1,)
 
 
 @pytest.mark.parametrize(

@@ -282,6 +282,34 @@ def test_nilpotent_support_uses_own_modulus():
     assert nilpotent_support_fixed_positions(phi) == [(1, 1), (2, 2)]
 
 
+def test_powers_are_taken_once_per_flavor():
+    fam = GLFamily(4, 7, 5)
+    for coeff in COEFFS:
+        m = fam.modulus(coeff)
+        powers = fam.powers(coeff)
+        assert powers == tuple(7**i % m for i in range(4))
+        assert fam.powers(coeff) is powers
+    assert fam.powers(ZBAR) != fam.powers(FBAR)
+    with pytest.raises(LlcError):
+        fam.powers("qbar")
+
+
+def test_nilpotent_support_matches_fresh_powers_across_flavors():
+    # one family serves both flavors; each keeps its own modulus
+    fam = GLFamily(3, 7, 3)
+    for coeff in COEFFS:
+        m = fam.modulus(coeff)
+        for a in (0, 1, 2, m // 2, m - 1):
+            phi = TrselpGL(fam, coeff, a=a)
+            expected = [
+                (i + 1, j + 1)
+                for i in range(3)
+                for j in range(3)
+                if a * (pow(7, i, m) - pow(7, j, m)) % m == 0
+            ]
+            assert nilpotent_support_fixed_positions(phi) == expected
+
+
 # ---------------------------------------------------------------------------
 # enumeration and counting
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llc_params.abgroups import FinGenAbGroup, cokernel
-from llc_params.errors import LlcError
-from llc_params.lattice import IntMatrix, smith_normal_form
+from llc_params.errors import DimensionMismatch, InvalidArgument, LlcError
+from llc_params.lattice import IntMatrix, diagonal_invariants, smith_normal_form
+from llc_params.rootdata import center_char_group, coxeter_twist, preset
 
 from oracles import determinantal_divisors, gauss_det, smith_invariants_by_minors
 
@@ -208,6 +209,136 @@ def test_snf_seeded_batch_against_det_oracle():
         for x in inv:
             prod *= x
         assert prod == abs(gauss_det([list(r) for r in a.data]))
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination: a derandomized net against the minors oracle
+
+
+@st.composite
+def sparse_or_dense(draw):
+    """Up to 6x6, empty and zero shapes included, with a drawn density."""
+    r = draw(st.integers(min_value=0, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=6))
+    density = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    cells = st.integers(min_value=-12, max_value=12)
+    data = [
+        [draw(cells) if draw(st.floats(0, 1)) < density else 0 for _ in range(c)]
+        for _ in range(r)
+    ]
+    return IntMatrix(data, cols=c)
+
+
+@st.composite
+def signed_permutations(draw, min_dim=1, max_dim=6):
+    n = draw(st.integers(min_value=min_dim, max_value=max_dim))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return IntMatrix([[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)], cols=n)
+
+
+_small = st.integers(min_value=-4, max_value=4)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(sparse_or_dense())
+def test_sparse_snf_matches_minors_oracle(m):
+    assert_snf_contract(m)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(signed_permutations(), _small, _small)
+def test_sparse_snf_of_shifted_signed_permutations(w, s, t):
+    assert_snf_contract(w.shifted(s, t))
+
+
+def test_diagonal_invariants_is_the_snf_of_a_diagonal():
+    assert diagonal_invariants([2, 3]) == (1, 6)
+    assert diagonal_invariants([0, 4, 1, 6]) == (1, 2, 12, 0)
+    assert diagonal_invariants([]) == ()
+    for diag in ([12, 18, 8], [5, 0, 10, 1], [9, 6, 4, 2]):
+        m = IntMatrix([[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)])
+        assert diagonal_invariants(diag) == smith_invariants_by_minors([list(r) for r in m.data])
+
+
+def _coxeter(family, n):
+    """The preset Coxeter element; GL's n-cycle is written down directly."""
+    if family == "GL":
+        return IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
+    return coxeter_twist(preset(family, n)).matrix
+
+
+@pytest.mark.parametrize(
+    "family,n", [("GL", 24), ("GL", 96), ("GL", 150), ("SL", 40), ("PGL", 40)]
+)
+@pytest.mark.parametrize("q", [3, 7])
+def test_coxeter_twisted_tori_have_closed_forms(family, n, q):
+    # the Coxeter element's characteristic polynomial is x^n - 1, divided by
+    # x - 1 on the rank n - 1 semisimple lattices; both w - q and q w^T - 1
+    # are cyclic of order its value at q, and coker(1 - w) is Z once the
+    # centre is a torus (GL) and Z/n otherwise
+    w = _coxeter(family, n)
+    rank = w.rows
+    order = q**n - 1 if family == "GL" else (q**n - 1) // (q - 1)
+    ones = (1,) * (rank - 1)
+    assert smith_normal_form(w.shifted(1, -q)) == ones + (order,)
+    assert smith_normal_form(w.transpose().shifted(q, -1)) == ones + (order,)
+    fixed = smith_normal_form(w.shifted(-1, 1))
+    assert fixed == ones + ((0,) if family == "GL" else (n,))
+    if family == "PGL":
+        assert cokernel(w.shifted(-1, 1)) == center_char_group(preset("PGL", n))
+
+
+# ---------------------------------------------------------------------------
+# shifted and the trusted results agree with the validating constructor
+
+
+def _public(rows, cols):
+    return IntMatrix([list(r) for r in rows], cols=cols)
+
+
+def _same_matrix(got, expected):
+    assert got == expected
+    assert hash(got) == hash(expected)
+    assert repr(got) == repr(expected)
+    assert (got.rows, got.cols, got.data) == (expected.rows, expected.cols, expected.data)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrices(min_dim=0, max_dim=5, square=True), _small, _small)
+def test_shifted_equals_the_operator_route(w, s, t):
+    n = w.rows
+    expected = _public(
+        [[s * w[i, j] + (t if i == j else 0) for j in range(n)] for i in range(n)], n
+    )
+    _same_matrix(w.shifted(s, t), s * w + t * IntMatrix.identity(n))
+    _same_matrix(w.shifted(s, t), expected)
+
+
+def test_shifted_small_shapes():
+    _same_matrix(IntMatrix.zeros(0, 0).shifted(3, -1), IntMatrix([], cols=0))
+    _same_matrix(IntMatrix([[5]]).shifted(2, -3), IntMatrix([[7]]))
+    with pytest.raises(DimensionMismatch):
+        IntMatrix([[1, 2]]).shifted(1, 1)
+    with pytest.raises(InvalidArgument):
+        IntMatrix([[1]]).shifted(True, 1)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(matrices(), matrices(), _small)
+def test_trusted_results_equal_validated_ones(a, b, k):
+    r, c = a.rows, a.cols
+    _same_matrix(a.transpose(), _public([[a[i, j] for i in range(r)] for j in range(c)], r))
+    _same_matrix(-a, _public([[-x for x in row] for row in a.data], c))
+    _same_matrix(k * a, _public([[k * x for x in row] for row in a.data], c))
+    _same_matrix(IntMatrix.identity(r), _public([[int(i == j) for j in range(r)] for i in range(r)], r))
+    if (b.rows, b.cols) == (r, c):
+        _same_matrix(a + b, _public([[x + y for x, y in zip(u, v)] for u, v in zip(a.data, b.data)], c))
+        _same_matrix(a - b, _public([[x - y for x, y in zip(u, v)] for u, v in zip(a.data, b.data)], c))
+    bt = b.transpose()
+    if c == bt.rows:
+        product = [[sum(a[i, t] * bt[t, j] for t in range(c)) for j in range(bt.cols)] for i in range(r)]
+        _same_matrix(a @ bt, _public(product, bt.cols))
 
 
 # ---------------------------------------------------------------------------
