@@ -4,7 +4,6 @@ The package computes, in integer arithmetic only:
 
 * Smith invariants and the derived abelian-group calculus (`lattice`,
   `abgroups`),
-* diagonalizable groups via character groups (`diag`),
 * root data of the dual groups with their standard twists (`rootdata`),
 * the component structure of spaces of tame torus-valued cocycles
   (`cocycles`),
@@ -22,7 +21,6 @@ from .blocks import (
     CategoricalSummary,
     MatchReport,
     categorical_summary,
-    ell_block_invariant,
     finite_torus,
     match_sides,
     torus_block_descriptor,
@@ -39,18 +37,9 @@ from .cocycles import (
     mu_invariant,
     twisted_centralizer,
 )
-from .diag import (
-    DiagGroup,
-    component_group,
-    identity_component,
-    mu,
-    product,
-    torus,
-)
 from .errors import (
     CoefficientMismatch,
     DimensionMismatch,
-    InfiniteGroup,
     InternalError,
     InvalidArgument,
     InvalidPrime,
@@ -92,13 +81,11 @@ __all__ = [
     "CocycleSpace",
     "CoefficientMismatch",
     "ComponentDescriptor",
-    "DiagGroup",
     "DimensionMismatch",
     "FBAR",
     "FinGenAbGroup",
     "FrobTorus",
     "GLFamily",
-    "InfiniteGroup",
     "IntMatrix",
     "InternalError",
     "InvalidArgument",
@@ -120,25 +107,19 @@ __all__ = [
     "center_char_group",
     "cokernel",
     "component_descriptor",
-    "component_group",
     "cocycle_space",
     "coxeter_twist",
-    "ell_block_invariant",
     "finite_torus",
     "frob_fixed_scheme",
-    "identity_component",
     "identity_twist",
     "lifts_in_component",
     "match_sides",
     "matrices",
-    "mu",
     "mu_invariant",
     "nilpotent_support_fixed_positions",
     "preset",
-    "product",
     "reduction",
     "smith_normal_form",
-    "torus",
     "torus_block_descriptor",
     "twisted_centralizer",
     "verify_cocycle",

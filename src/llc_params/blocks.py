@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .abgroups import FinGenAbGroup, cokernel
 from .arith import check_admissible, valuation
 from .cocycles import ComponentDescriptor, component_descriptor
-from .errors import DimensionMismatch, InfiniteGroup, InternalError
+from .errors import DimensionMismatch, InternalError
 from .rootdata import WeylTwist, coxeter_twist, preset
 
 GRADING_INDEX = "Z"
@@ -51,16 +51,6 @@ def finite_torus(rank: int, twist: WeylTwist, q: int) -> FinGenAbGroup:
             "finite torus came out infinite; the twist cannot be of finite order"
         )
     return group
-
-
-def ell_block_invariant(t: FinGenAbGroup, ell: int) -> FinGenAbGroup:
-    """The ell-primary part of a finite torus; the group must be finite."""
-    if not t.is_finite:
-        raise InfiniteGroup(
-            "the ell-block invariant needs a finite group",
-            hint="take the finite torus first",
-        )
-    return t.ell_primary(ell)
 
 
 @dataclass(frozen=True)
@@ -129,7 +119,7 @@ def torus_block_descriptor(
     order = t.order()
     flags = () if coxeter_number is None else (_coxeter_bound_flag(q, coxeter_number),)
     return BlockDescriptor(
-        torsion=ell_block_invariant(t, ell),
+        torsion=t.ell_primary(ell),
         free_rank=cokernel(twist.matrix.shifted(-1, 1)).free_rank,
         finite_torus_order=order,
         k=valuation(order, ell),
@@ -180,16 +170,13 @@ def match_sides(component: ComponentDescriptor, block: BlockDescriptor) -> Match
     >>> match_sides(c, b).isomorphic
     True
     """
-    mu_chars = component.mu.char_group
-    isomorphic = mu_chars == block.torsion
-    free_agree = component.orbit_torus_rank == block.free_rank
-    fixed_order = component.fixed_scheme.char_group.order()
+    fixed_order = component.fixed_scheme.order()
     context_mismatch = fixed_order is not None and fixed_order != block.finite_torus_order
     return MatchReport(
-        mu_char_group=mu_chars,
+        mu_char_group=component.mu,
         block_torsion=block.torsion,
-        isomorphic=isomorphic,
-        free_ranks_agree=free_agree,
+        isomorphic=component.mu == block.torsion,
+        free_ranks_agree=component.orbit_torus_rank == block.free_rank,
         grading_index=GRADING_INDEX,
         applicability_flags=block.applicability,
         context_mismatch=context_mismatch,

@@ -24,9 +24,9 @@ from collections.abc import Iterator
 from json.encoder import encode_basestring
 
 from . import __version__
+from .abgroups import FinGenAbGroup
 from .blocks import BlockDescriptor, categorical_summary, match_sides, torus_block_descriptor
 from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
-from .diag import DiagGroup
 from .errors import InvalidArgument, InvalidRank, LlcError
 from .glparams import (
     COEFFS,
@@ -145,8 +145,7 @@ def _shared_parser() -> _Parser:
 # rendering
 
 
-def _render_diag(d: DiagGroup) -> str:
-    g = d.char_group
+def _render_diag(g: FinGenAbGroup) -> str:
     parts = []
     if g.free_rank == 1:
         parts.append("G_m")

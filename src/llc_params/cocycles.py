@@ -8,21 +8,25 @@ of fixed points of t -> t^q twisted by w).  On character groups this makes
 everything a cokernel:
 
 * fixed scheme of w-twisted q-power map:  coker(w - q id)   on X*,
-* twisted centralizer of the Frobenius:   coker(id - w)     on X*,
+* twisted centralizer of the Frobenius:   coker(id - w)     on X*.
 
-and the identity component of the fixed scheme (the mu invariant) is its
-ell-primary part.  The descriptor assembled here is the complete structure
-of one connected component of the parameter space: a torus orbit of rank
-rank(ker(id - w)), the stabilizer acting on it, and the finite mu factor.
+D -> X*(D) is an anti-equivalence of diagonalizable groups with finitely
+generated abelian groups, so each group here is held as its character group
+(G_m^r as Z^r, mu_n as Z/n).  Over Z-bar_ell, mu_n is connected exactly when
+n is a power of ell: the identity component is the free part plus the
+ell-primary torsion, and pi_0 is the prime-to-ell torsion.  The fixed scheme
+is finite, so the mu invariant is its ell-primary part.  The descriptor
+assembled here is the complete structure of one connected component of the
+parameter space: a torus orbit of rank rank(ker(id - w)), the stabilizer
+acting on it, and the finite mu factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroups import cokernel
+from .abgroups import FinGenAbGroup, cokernel
 from .arith import check_admissible
-from .diag import DiagGroup, identity_component, component_group, product, torus
 from .errors import DimensionMismatch, InternalError, InvalidRank
 from .lattice import IntMatrix
 from .rootdata import RootDatum, WeylTwist, center_char_group
@@ -55,7 +59,7 @@ class FrobTorus:
         return f"FrobTorus(rank={self.rank}, q={self.q}, ell={self.ell})"
 
 
-def _finite_cokernel(matrix: IntMatrix, context: str) -> DiagGroup:
+def _finite_cokernel(matrix: IntMatrix, context: str) -> FinGenAbGroup:
     group = cokernel(matrix)
     if group.free_rank != 0:
         # a unimodular finite-order twist can never have eigenvalue q >= 2,
@@ -64,26 +68,26 @@ def _finite_cokernel(matrix: IntMatrix, context: str) -> DiagGroup:
             f"{context} is infinite; the twist cannot be of finite order",
             hint="check that the twist matrix is a root-permuting automorphism",
         )
-    return DiagGroup(group)
+    return group
 
 
-def frob_fixed_scheme(ft: FrobTorus) -> DiagGroup:
+def frob_fixed_scheme(ft: FrobTorus) -> FinGenAbGroup:
     """The scheme of inertia values: fixed points of the w-twisted q-power map.
 
-    Dual to coker(w - q id) on characters.  For the GL_n Coxeter twist this
-    is mu_{q^n - 1}.
+    Its character group is coker(w - q id).  For the GL_n Coxeter twist this
+    is mu_{q^n - 1}, with character group Z/(q^n - 1).
     """
     return _finite_cokernel(ft.twist.matrix.shifted(1, -ft.q), "the inertia fixed scheme")
 
 
-def mu_invariant(ft: FrobTorus) -> DiagGroup:
+def mu_invariant(ft: FrobTorus) -> FinGenAbGroup:
     """Identity component of the fixed scheme: the ell-primary mu factor."""
-    return identity_component(frob_fixed_scheme(ft), ft.ell)
+    return frob_fixed_scheme(ft).ell_primary(ft.ell)
 
 
-def twisted_centralizer(ft: FrobTorus) -> DiagGroup:
-    """Stabilizer of the twisted conjugation action: dual to coker(id - w)."""
-    return DiagGroup(cokernel(ft.twist.matrix.shifted(-1, 1)))
+def twisted_centralizer(ft: FrobTorus) -> FinGenAbGroup:
+    """Stabilizer of the twisted conjugation action: character group coker(id - w)."""
+    return cokernel(ft.twist.matrix.shifted(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,9 @@ class CocycleSpace:
     """Shape of the space of cocycles: a torus times the inertia fixed scheme."""
 
     free_torus_rank: int
-    fixed_scheme: DiagGroup
+    fixed_scheme: FinGenAbGroup
     component_count: int
-    component_shape: DiagGroup
+    component_shape: FinGenAbGroup
 
     def to_json(self) -> dict:
         return {
@@ -104,7 +108,7 @@ class CocycleSpace:
         }
 
 
-def cocycle_space(fixed: DiagGroup, rank: int, ell: int) -> CocycleSpace:
+def cocycle_space(fixed: FinGenAbGroup, rank: int, ell: int) -> CocycleSpace:
     """The full cocycle space: Frobenius value free in T, inertia value fixed.
 
     ``fixed`` is the inertia fixed scheme of a rank-``rank`` twisted torus, as
@@ -112,8 +116,8 @@ def cocycle_space(fixed: DiagGroup, rank: int, ell: int) -> CocycleSpace:
     Components are counted by pi_0 of the fixed scheme over Z-bar_ell; each
     component is a torus of the full rank times the identity component.
     """
-    count = component_group(fixed, ell).order()
-    shape = product(torus(rank), identity_component(fixed, ell))
+    count = fixed.prime_to_ell(ell).order()
+    shape = FinGenAbGroup(rank + fixed.free_rank).direct_sum(fixed.ell_primary(ell))
     return CocycleSpace(rank, fixed, count, shape)
 
 
@@ -128,11 +132,11 @@ class ComponentDescriptor:
     """
 
     orbit_torus_rank: int
-    stabilizer: DiagGroup
-    mu: DiagGroup
+    stabilizer: FinGenAbGroup
+    mu: FinGenAbGroup
     elliptic: bool
     product_form: str
-    fixed_scheme: DiagGroup
+    fixed_scheme: FinGenAbGroup
 
     def to_json(self) -> dict:
         return {
@@ -150,7 +154,7 @@ def component_descriptor(rd: RootDatum, twist: WeylTwist, q: int, ell: int) -> C
 
     >>> from .rootdata import preset, coxeter_twist
     >>> d = component_descriptor(preset("GL", 2), coxeter_twist(preset("GL", 2)), 11, 5)
-    >>> d.orbit_torus_rank, d.mu.char_group.invariant_factors
+    >>> d.orbit_torus_rank, d.mu.invariant_factors
     (1, (5,))
     """
     if twist.rank != rd.rank:
@@ -160,10 +164,10 @@ def component_descriptor(rd: RootDatum, twist: WeylTwist, q: int, ell: int) -> C
     ft = FrobTorus(rd.rank, twist, q, ell)
     fixed = frob_fixed_scheme(ft)
     stabilizer = twisted_centralizer(ft)
-    mu = identity_component(fixed, ell)
+    mu = fixed.ell_primary(ell)
     # dim ker(1 - w) is the free rank of coker(1 - w); elliptic means the
     # stabilizer is no bigger than the center
-    orbit_rank = stabilizer.rank
+    orbit_rank = stabilizer.free_rank
     center_rank = center_char_group(rd).free_rank
     elliptic = orbit_rank == center_rank
     form = POINT_MOD_STABILIZER if (elliptic and center_rank == 0) else TORUS_QUOTIENT

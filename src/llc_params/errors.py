@@ -60,10 +60,6 @@ class ShapeMismatch(LlcError):
     code = "shape-mismatch"
 
 
-class InfiniteGroup(LlcError):
-    code = "infinite-group"
-
-
 class InternalError(LlcError):
     """An invariant the library promised to maintain was violated."""
 

@@ -16,7 +16,7 @@ provided, named by the INPUT group (the datum built is that of the dual):
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action); the factory checks unimodularity and
-that the root set is permuted.
+that the roots and coroots are permuted compatibly.
 """
 
 from __future__ import annotations
@@ -247,27 +247,38 @@ def identity_twist(rd: RootDatum) -> WeylTwist:
     return WeylTwist(IntMatrix.identity(rd.rank))
 
 
+def _apply(columns: list, v: tuple[int, ...], rank: int) -> tuple[int, ...]:
+    """M v for M given column by column as (row, entry) nonzeros."""
+    image = [0] * rank
+    for a, column in zip(v, columns):
+        if a:
+            for i, x in column:
+                image[i] += a * x
+    return tuple(image)
+
+
 def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
-    """Validate a raw lattice matrix as a twist for the given datum."""
+    """Validate a raw lattice matrix as a twist for the given datum.
+
+    w must permute the roots, and w^T (w alpha)^vee = alpha^vee; on a preset
+    alpha -> alpha^vee is linear, so the simple pairs imply it for every root.
+    """
     if matrix.rows != rd.rank or matrix.cols != rd.rank:
         raise InvalidArgument(
             f"twist must be {rd.rank}x{rd.rank} for {rd.name}, got {matrix.rows}x{matrix.cols}"
         )
     twist = WeylTwist(matrix)
     twist.check_unimodular()
-    # each column of w as its (row, entry) nonzeros
-    columns = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*matrix.data)]
-    root_set = set(rd.roots)
+    # the columns of w and of w^T as (row, entry) nonzeros
+    w = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*matrix.data)]
+    w_t = [[(i, x) for i, x in enumerate(row) if x] for row in matrix.data]
+    coroot_of = dict(zip(rd.roots, rd.coroots))
     for alpha in rd.roots:
-        # w alpha as a combination of w's columns over alpha's support
-        image = [0] * rd.rank
-        for j, a in enumerate(alpha):
-            if a:
-                for i, x in columns[j]:
-                    image[i] += a * x
-        image = tuple(image)
-        if image not in root_set:
-            raise InvalidArgument(
-                f"twist does not permute the roots: image of {alpha} is {image}",
-            )
+        image = _apply(w, alpha, rd.rank)
+        if image not in coroot_of:
+            raise InvalidArgument(f"twist does not permute the roots: image of {alpha} is {image}")
+    pairs = zip(rd.roots, rd.coroots) if rd._preset is None else zip(*_simple_system(rd))
+    for alpha, alpha_vee in pairs:
+        if _apply(w_t, coroot_of[_apply(w, alpha, rd.rank)], rd.rank) != alpha_vee:
+            raise InvalidArgument(f"twist does not preserve the coroots at the root {alpha}")
     return twist

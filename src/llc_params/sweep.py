@@ -98,9 +98,8 @@ def run_grid() -> list[GridCheck]:
     rd = preset("GL", 2)
     desc = component_descriptor(rd, coxeter_twist(rd), 11, 5)
     golden_ok = (
-        desc.fixed_scheme.char_group == FinGenAbGroup.cyclic(120)
-        and desc.mu.char_group == FinGenAbGroup.cyclic(5)
-        and desc.stabilizer.char_group == FinGenAbGroup(1, ())
+        (desc.fixed_scheme, desc.mu, desc.stabilizer)
+        == (FinGenAbGroup.cyclic(120), FinGenAbGroup.cyclic(5), FinGenAbGroup(1, ()))
         and desc.orbit_torus_rank == 1
         and desc.elliptic
     )
@@ -109,11 +108,8 @@ def run_grid() -> list[GridCheck]:
             "golden-component",
             "GL_2, q=11, ell=5: mu_120 fixed scheme, mu_5, G_m stabilizer",
             golden_ok,
-            "fixed={}, mu={}, rank={}".format(
-                desc.fixed_scheme.char_group.describe(),
-                desc.mu.char_group.describe(),
-                desc.orbit_torus_rank,
-            ),
+            f"fixed={desc.fixed_scheme.describe()}, mu={desc.mu.describe()}, "
+            f"rank={desc.orbit_torus_rank}",
         )
     )
 
@@ -126,7 +122,7 @@ def run_grid() -> list[GridCheck]:
             ell = admissible_ells(q)[0]
             ft = FrobTorus(n, coxeter_twist(rd), q, ell)
             cases += 1
-            if frob_fixed_scheme(ft).char_group != FinGenAbGroup.cyclic(q**n - 1):
+            if frob_fixed_scheme(ft) != FinGenAbGroup.cyclic(q**n - 1):
                 bad.append((n, q))
     checks.append(
         GridCheck(
@@ -147,7 +143,7 @@ def run_grid() -> list[GridCheck]:
                 ft = FrobTorus(n, coxeter_twist(rd), q, ell)
                 expected = FinGenAbGroup.cyclic(ell ** valuation(q**n - 1, ell))
                 cases += 1
-                if mu_invariant(ft).char_group != expected:
+                if mu_invariant(ft) != expected:
                     bad.append((n, q, ell))
     checks.append(
         GridCheck(

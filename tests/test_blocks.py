@@ -8,7 +8,6 @@ from llc_params.blocks import (
     GRADING_INDEX,
     BlockDescriptor,
     categorical_summary,
-    ell_block_invariant,
     finite_torus,
     match_sides,
     torus_block_descriptor,
@@ -53,16 +52,12 @@ def test_finite_torus_shape_check():
 
 
 def test_ell_block_invariant():
-    t = FinGenAbGroup.cyclic(120)
-    assert ell_block_invariant(t, 5) == FinGenAbGroup.cyclic(5)
-    assert ell_block_invariant(t, 2) == FinGenAbGroup.cyclic(8)
-    assert ell_block_invariant(t, 7).is_trivial
-
-
-def test_ell_block_invariant_rejects_infinite_groups():
-    with pytest.raises(LlcError) as exc:
-        ell_block_invariant(FinGenAbGroup(1, (5,)), 5)
-    assert exc.value.code == "infinite-group"
+    # the block torsion is the ell-primary part of the finite torus Z/120
+    w = WeylTwist(coxeter_twist(preset("GL", 2)).matrix.transpose())
+    torsion = {ell: torus_block_descriptor(2, w, 11, ell).torsion for ell in (3, 5, 7)}
+    assert torsion[3] == FinGenAbGroup.cyclic(3)
+    assert torsion[5] == FinGenAbGroup.cyclic(5)
+    assert torsion[7].is_trivial
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +220,7 @@ def test_match_desk_case_pgl2():
     w = coxeter_twist(rd)
     block = torus_block_descriptor(rd.rank, WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
     report = match_sides(comp, block)
-    assert comp.mu.char_group == FinGenAbGroup.cyclic(3)
+    assert comp.mu == FinGenAbGroup.cyclic(3)
     assert report.isomorphic
     assert report.free_ranks_agree
     assert not report.context_mismatch
@@ -251,7 +246,7 @@ def test_categorical_summary_golden():
     assert s.grading_index == "Z"
     assert s.cell_free_rank == 1
     assert s.cell_torsion == FinGenAbGroup.cyclic(5)
-    assert s.component.mu.char_group == FinGenAbGroup.cyclic(5)
+    assert s.component.mu == FinGenAbGroup.cyclic(5)
     assert s.block.torsion == FinGenAbGroup.cyclic(5)
     assert s.match.isomorphic and s.match.free_ranks_agree
 

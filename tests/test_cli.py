@@ -340,6 +340,12 @@ def test_grid_flag_spelling():
          "invalid-argument"),
         (["enumerate", "--n", "2", "--q", "11", "--ell", "5", "--limit", "-1"],
          "paging-invalid"),
+        # twists that fix the roots but move the coroots
+        *(
+            ([cmd, "--n", n, "--q", "3", "--ell", "5", "--weyl", weyl], "invalid-argument")
+            for cmd in ("component", "block", "match")
+            for n, weyl in (("2", "[[6,5],[-5,-4]]"), ("3", "[[0,-1,-1],[-1,0,-1],[0,0,1]]"))
+        ),
     ],
 )
 def test_validation_errors_are_machine_readable(argv, expected_code):
@@ -456,10 +462,9 @@ def test_notation_helper_directly():
 
 def test_render_diag_shapes():
     from llc_params.abgroups import FinGenAbGroup
-    from llc_params.diag import DiagGroup
 
-    assert cli._render_diag(DiagGroup(FinGenAbGroup(2, (3, 6)))) == "G_m^2 × μ_3 × μ_6"
-    assert cli._render_diag(DiagGroup(FinGenAbGroup.trivial())) == "1"
+    assert cli._render_diag(FinGenAbGroup(2, (3, 6))) == "G_m^2 × μ_3 × μ_6"
+    assert cli._render_diag(FinGenAbGroup.trivial()) == "1"
     assert cli._torus_symbol(0) == "*"
     assert cli._torus_symbol(1) == "G_m"
     assert cli._torus_symbol(3) == "G_m^3"

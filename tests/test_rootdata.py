@@ -1,7 +1,7 @@
 """Root data presets, centers, Coxeter twists, validation."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from llc_params.abgroups import FinGenAbGroup, cokernel
 from llc_params.errors import InvalidArgument, LlcError
@@ -254,15 +254,30 @@ def _permutes_the_roots(rd, m):
     )
 
 
+def _preserves_every_coroot(rd, m):
+    """w^T (w alpha)^vee = alpha^vee for every (alpha, alpha^vee), by brute force."""
+    r = rd.rank
+    coroot = dict(zip(rd.roots, rd.coroots))
+    for a, a_vee in zip(rd.roots, rd.coroots):
+        image_vee = coroot[tuple(sum(m[i, j] * a[j] for j in range(r)) for i in range(r))]
+        if tuple(sum(m[i, j] * image_vee[i] for i in range(r)) for j in range(r)) != a_vee:
+            return False
+    return True
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([("GL", 3), ("SL", 4), ("PGL", 4)]),
     st.lists(st.integers(min_value=-1, max_value=1), min_size=9, max_size=9),
 )
+# fixes every root of GL_3 but moves the coroots
+@example(("GL", 3), [0, -1, -1, -1, 0, -1, 0, 0, 1])
 def test_weyl_twist_accepts_exactly_the_root_permuting_automorphisms(datum, entries):
     rd = preset(*datum)
     m = IntMatrix([entries[0:3], entries[3:6], entries[6:9]])
-    expected = m.is_unimodular() and _permutes_the_roots(rd, m)
+    expected = (
+        m.is_unimodular() and _permutes_the_roots(rd, m) and _preserves_every_coroot(rd, m)
+    )
     try:
         weyl_twist(rd, m)
     except InvalidArgument:
@@ -302,6 +317,17 @@ def test_weyl_twist_validation():
         weyl_twist(rd, IntMatrix([[1, 2], [0, 1]]))
     # the diagonal-swap permutation is fine
     assert weyl_twist(rd, IntMatrix([[0, 1], [1, 0]])).rank == 2
+    # unimodular and fixing every root, but moving the coroots: unipotent of
+    # infinite order on GL_2 (a hand-built copy has every pair checked), and
+    # a map on GL_3
+    for datum, rows in (
+        (rd, [[6, 5], [-5, -4]]),
+        (RootDatum(2, rd.roots, rd.coroots, "custom"), [[6, 5], [-5, -4]]),
+        (preset("GL", 3), [[0, -1, -1], [-1, 0, -1], [0, 0, 1]]),
+    ):
+        assert _permutes_the_roots(datum, IntMatrix(rows))
+        with pytest.raises(InvalidArgument, match="does not preserve the coroots"):
+            weyl_twist(datum, IntMatrix(rows))
 
 
 def test_a_twist_takes_its_determinant_once(monkeypatch):
