@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup, cokernel
-from .arith import check_admissible, valuation
+from .arith import check_admissible, prime_power_split, valuation
 from .cocycles import ComponentDescriptor, component_descriptor
 from .errors import DimensionMismatch, InternalError
 from .rootdata import WeylTwist, coxeter_twist, preset
@@ -35,7 +35,8 @@ def finite_torus(rank: int, twist: WeylTwist, q: int) -> FinGenAbGroup:
 
     The cocharacter lattice carries the twist w; the finite torus is
     coker(q w - id).  For the GL_n shift twist this is cyclic of order
-    q^n - 1; for the rank-one twist w = -1 it is Z/(q + 1).
+    q^n - 1; for the rank-one twist w = -1 it is Z/(q + 1).  q must be a
+    prime power (InvalidPrimePower otherwise).
 
     >>> from .rootdata import preset, coxeter_twist
     >>> finite_torus(2, coxeter_twist(preset("GL", 2)), 11)
@@ -45,6 +46,7 @@ def finite_torus(rank: int, twist: WeylTwist, q: int) -> FinGenAbGroup:
         raise DimensionMismatch(
             f"twist is {twist.rank}x{twist.rank} but the torus has rank {rank}"
         )
+    prime_power_split(q)
     group = cokernel(twist.matrix.shifted(q, -1))
     if group.free_rank != 0:
         raise InternalError(

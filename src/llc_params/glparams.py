@@ -24,7 +24,8 @@ support stay total, but enumeration only emits regular ones.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
@@ -35,7 +36,8 @@ FBAR = "fbar"  # residue coefficients (F-bar_ell)
 
 COEFFS = (ZBAR, FBAR)
 
-_SCAN_WINDOW = 4096  # exponents per comprehension; a short page stops after one
+_SCAN_WINDOW = 4096  # exponents per window; a short page stops after one
+_BAND_COST = 8  # cutting out one band costs about as much as 8 comprehension steps
 
 
 def _moebius(m: int) -> int:
@@ -45,6 +47,27 @@ def _moebius(m: int) -> int:
             return 0
         mu = -mu
     return mu
+
+
+def _cut_bands(ranges: list[range], p: int, m: int) -> list[range]:
+    """The exponents a in the ranges with a p mod m > a, for 2 <= p < m.
+
+    The rejected exponents are the bands [ceil(j m / p), floor(j m / (p - 1))]
+    (see GLFamily.scan); only the j that meet a range are visited.
+    """
+    out = []
+    for r in ranges:
+        cur, stop = r.start, r.stop
+        for jm in range(cur * p // m * m, (stop - 1) * p // m * m + 1, m):
+            start, end = -(-jm // p), jm // (p - 1) + 1  # band j = jm / m is [start, end)
+            if start < end:
+                if start > cur:
+                    out.append(range(cur, start))
+                if end > cur:
+                    cur = end
+        if cur < stop:
+            out.append(range(cur, stop))
+    return out
 
 
 class GLFamily:
@@ -89,15 +112,36 @@ class GLFamily:
             self._powers[coeff] = tuple(pow(self.q, i, m) for i in range(self.n))
         return self._powers[coeff]
 
-    def _windows(self, coeff: str) -> Iterator[Sequence[int]]:
-        """The canonical exponents (see scan), one ascending list per window."""
+    def _windows(self, coeff: str) -> Iterator[tuple[int, Sequence[Sequence[int]]]]:
+        """The canonical exponents (see scan), one window of _SCAN_WINDOW at a time.
+
+        Each window yields its number of canonical exponents and ascending
+        chunks that hold them.  The powers are taken in ascending order.
+        While a power's bands in the window, times _BAND_COST, stay below the
+        number of surviving exponents, its bands are cut out of the surviving
+        ranges, so those powers cost per band whatever the bands' lengths.
+        The first power past that point, and every larger one, filters the
+        survivors in one comprehension, and the window yields that list.
+        """
         m = self.modulus(coeff)
-        powers = self.powers(coeff)[1:]
-        for start in range(0, m, _SCAN_WINDOW):
-            window: Sequence[int] = range(start, min(start + _SCAN_WINDOW, m))
-            for power in powers:
-                window = [a for a in window if a * power % m > a]
-            yield window
+        powers = sorted(self.powers(coeff)[1:])
+        if powers and powers[0] <= 1:
+            return  # q^i = 1 mod m for some 0 < i < n, so no orbit has size n
+        for lo in range(0, m, _SCAN_WINDOW):
+            hi = min(lo + _SCAN_WINDOW, m)
+            ranges = [range(lo, hi)]
+            survivors = hi - lo
+            for i, power in enumerate(powers):
+                if ((hi - lo) * power // m + 1) * _BAND_COST >= survivors:
+                    window: Iterable[int] = chain.from_iterable(ranges)
+                    for power in powers[i:]:
+                        window = [a for a in window if a * power % m > a]
+                    yield len(window), [window]
+                    break
+                ranges = _cut_bands(ranges, power, m)
+                survivors = sum(map(len, ranges))
+            else:
+                yield survivors, ranges
 
     def scan(self, coeff: str) -> Iterator[int]:
         """Yield the canonical exponents of size-n orbits in increasing order.
@@ -105,17 +149,25 @@ class GLFamily:
         a mod M is the minimum of a size-n orbit exactly when a q^i mod M > a
         for every 1 <= i < n.  This also rejects short orbits: an orbit's size
         s divides n because M divides q^n - 1, and if s < n then i = s gives
-        a q^s = a.  Each power q^i filters a window of exponents in one
-        comprehension; for n = 1 there is no power and every exponent passes.
+        a q^s = a.  For n = 1 there is no power and every exponent passes.
+
+        The exponents one power p = q^i mod M rejects form bands: with
+        j = floor(a p / M), a p mod M <= a exactly when
+        ceil(j M / p) <= a <= floor(j M / (p - 1)), one band for each
+        j = 0, ..., p - 1 (the last one runs to M - 1); p <= 1 rejects every
+        exponent.  The scan cuts out the bands of the powers that have few of
+        them in a window and filters by the rest (see _windows).
         """
-        for window in self._windows(coeff):
-            yield from window
+        for _, chunks in self._windows(coeff):
+            for chunk in chunks:
+                yield from chunk
 
     def parameters(self, coeff: str, offset: int = 0, limit: int | None = None) -> list["TrselpGL"]:
         """The regular parameters up to equivalence (orbit minima, b = 0), ascending.
 
         Returns the page [offset, offset + limit) of that list, all of it by
-        default; scan windows wholly before the page are skipped by length.
+        default.  Scan windows wholly before the page are skipped by their
+        count, so their surviving ranges are never expanded.
 
         >>> fam = GLFamily(2, 11, 5)
         >>> len(fam.parameters(ZBAR)), [phi.a for phi in fam.parameters(ZBAR, 3, 2)]
@@ -127,11 +179,13 @@ class GLFamily:
         end = offset + (m if limit is None else limit)  # at most m exponents exist
         page: list[int] = []
         seen = 0
-        for window in self._windows(coeff):
+        for size, chunks in self._windows(coeff):
             if seen >= end:
                 break
-            page += window[max(offset - seen, 0):end - seen]
-            seen += len(window)
+            if seen + size > offset:
+                window = [a for chunk in chunks for a in chunk]
+                page += window[max(offset - seen, 0):end - seen]
+            seen += size
         return [_param(self, coeff, m, a) for a in page]
 
     def count(self, coeff: str) -> int:

@@ -85,11 +85,14 @@ def _direct_orbit_count(n: int, q: int, modulus: int) -> int:
 
 def run_grid() -> list[GridCheck]:
     checks = []
-    scan_cache: dict[tuple, list[int]] = {}
+    # a scan and a walk depend only on (n, q, modulus), and the ZBAR modulus
+    # q^n - 1 is the same for every ell: each distinct input runs once
+    scan_cache: dict[tuple[int, int, int], list[int]] = {}
+    walk_cache: dict[tuple[int, int, int], int] = {}
     integral: dict[GLFamily, list[TrselpGL]] = {}
 
     def exponents(fam, coeff):
-        key = (fam, coeff)
+        key = (fam.n, fam.q, fam.modulus(coeff))
         if key not in scan_cache:
             scan_cache[key] = list(fam.scan(coeff))
         return scan_cache[key]
@@ -207,7 +210,10 @@ def run_grid() -> list[GridCheck]:
                 fam = GLFamily(n, q, ell)
                 for coeff in (ZBAR, FBAR):
                     listed = len(exponents(fam, coeff))
-                    direct = _direct_orbit_count(n, q, fam.modulus(coeff))
+                    key = (n, q, fam.modulus(coeff))
+                    if key not in walk_cache:
+                        walk_cache[key] = _direct_orbit_count(*key)
+                    direct = walk_cache[key]
                     closed = fam.count(coeff)
                     cases += 1
                     if not (listed == direct == closed):

@@ -13,7 +13,7 @@ from llc_params.blocks import (
     torus_block_descriptor,
 )
 from llc_params.cocycles import component_descriptor
-from llc_params.errors import LlcError
+from llc_params.errors import InvalidPrimePower, LlcError
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
 
@@ -49,6 +49,15 @@ def test_finite_torus_rank_one_negation():
 def test_finite_torus_shape_check():
     with pytest.raises(LlcError):
         finite_torus(3, WeylTwist(IntMatrix.identity(2)), 11)
+
+
+@pytest.mark.parametrize("q", [1, 0, -3, 6])
+def test_finite_torus_rejects_q_not_a_prime_power(q):
+    # q = 1 used to blame the twist with an internal error; 0, -3 and 6
+    # used to return a group
+    with pytest.raises(InvalidPrimePower) as exc:
+        finite_torus(1, WeylTwist(IntMatrix([[1]])), q)
+    assert exc.value.code == "q-not-prime-power"
 
 
 def test_ell_block_invariant():

@@ -133,14 +133,22 @@ def test_gl300_coxeter_smith_form_is_fast():
     assert invariants == (1,) * (n - 1) + (3**n - 1,)
 
 
+# GL_2 q=3137: q^2 - 1 = 9840768, just under the 10^7 modulus cap, and its
+# last page starts at count - 100 = 4918716
 @pytest.mark.parametrize(
-    "n,q,offset,limit",
-    [(1, 9999991, 9000000, 10), (2, 1583, 500000, 100)],
-    ids=["gl1-q9999991", "gl2-q1583"],
+    "n,q,ell,offset,limit",
+    [
+        (1, 9999991, 3, 9000000, 10),
+        (2, 1583, 3, 500000, 100),
+        (4, 47, 13, 368652, 100),
+        (2, 3137, 3, 4918716, 100),
+    ],
+    ids=["gl1-q9999991", "gl2-q1583", "gl4-q47", "gl2-q3137-last-page"],
 )
-def test_deep_enumerate_pages_answer(n, q, offset, limit):
-    # a deep page skips whole scan windows instead of yielding every exponent
-    argv = ["enumerate", "--n", str(n), "--q", str(q), "--ell", "3",
+def test_deep_enumerate_pages_answer(n, q, ell, offset, limit):
+    # a deep page skips whole scan windows and cuts rejected bands out of the
+    # windows it scans, instead of testing every exponent below the page
+    argv = ["enumerate", "--n", str(n), "--q", str(q), "--ell", str(ell),
             "--offset", str(offset), "--limit", str(limit), "--output", "json"]
     code, text = run_timed(argv)
     assert code == 0
@@ -148,6 +156,7 @@ def test_deep_enumerate_pages_answer(n, q, offset, limit):
     page = [p["a"] for p in doc["parameters"]]
     m = doc["modulus"]
     assert len(page) == limit and page == sorted(set(page))
+    assert doc["count"] >= offset + limit
     # each listed exponent is the minimum of a size-n orbit
     assert all(a * q**i % m > a for a in page for i in range(1, n))
     if n == 1:

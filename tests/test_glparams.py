@@ -3,11 +3,13 @@
 import io
 import json
 from bisect import bisect_left
+from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llc_params import cli
+from llc_params import cli, glparams
 from llc_params.errors import LlcError
 from llc_params.glparams import (
     _SCAN_WINDOW,
@@ -471,3 +473,81 @@ def test_minted_parameters_equal_validated_ones(n, q, ell):
         ref = validated_matrices(phi)
         assert m == ref and repr(m) == repr(ref)
         assert m.to_json() == ref.to_json()
+
+
+# ---------------------------------------------------------------------------
+# the band scan against the brute oracle, on both of its routes
+
+# (n, q, ell, coeff) with moduli up to ~7 * 10^5.  Each window cuts the bands
+# of its cheap powers and filters by the others, so the net holds windows
+# that only cut bands (GL_2 q=1999 fbar: q is 0.014 M, 56 bands a window),
+# windows that only filter (GL_2 q=647 fbar: 513 bands a window), and
+# windows that do both (GL_6 q=13 fbar, whose largest power is 0.54 M).
+NET_CASES = [
+    (2, 523, 5, ZBAR), (2, 1871, 3, FBAR), (2, 1999, 3, FBAR), (2, 647, 3, FBAR),
+    (3, 43, 3, ZBAR), (3, 19, 5, FBAR), (3, 67, 3, FBAR), (4, 11, 7, ZBAR), (4, 23, 3, FBAR),
+    (5, 9, 5, ZBAR), (5, 11, 3, FBAR), (6, 13, 7, FBAR), (6, 7, 5, ZBAR), (7, 5, 3, ZBAR),
+    (7, 7, 3, FBAR),
+]
+
+
+@lru_cache(maxsize=None)
+def net_reps(n, q, ell, coeff):
+    return brute_orbit_reps(n, q, GLFamily(n, q, ell).modulus(coeff))
+
+
+@lru_cache(maxsize=None)
+def page_anchors(case):
+    """Indices where a page is most likely to go wrong: the first exponent
+    after each rejected band, the first exponent of each scan window, and the
+    end of the list."""
+    reps = net_reps(*case)
+    after_band = [i for i in range(1, len(reps)) if reps[i] - reps[i - 1] > 1]
+    window_starts = [bisect_left(reps, w) for w in range(_SCAN_WINDOW, reps[-1] + 1, _SCAN_WINDOW)]
+    return tuple(anchors for anchors in (after_band, window_starts, [len(reps)]) if anchors)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from(NET_CASES), st.data())
+def test_band_scan_pages_match_brute_oracle(case, data):
+    n, q, ell, coeff = case
+    fam = GLFamily(n, q, ell)
+    reps = net_reps(*case)
+    anchors = data.draw(st.sampled_from(page_anchors(case)))
+    offset = max(data.draw(st.sampled_from(anchors)) + data.draw(st.integers(-1, 1)), 0)
+    limit = data.draw(st.sampled_from([0, 1, 2, 7, 100, _SCAN_WINDOW + 3]))
+    stop = offset + limit
+    assert [phi.a for phi in fam.parameters(coeff, offset, limit)] == reps[offset:stop]
+    assert list(islice(fam.scan(coeff), offset, stop)) == reps[offset:stop]
+
+
+@pytest.mark.parametrize("n,q,ell,coeff", NET_CASES)
+def test_band_scan_matches_brute_oracle(n, q, ell, coeff):
+    fam = GLFamily(n, q, ell)
+    assert list(fam.scan(coeff)) == net_reps(n, q, ell, coeff)
+    assert fam.count(coeff) == len(net_reps(n, q, ell, coeff))
+
+
+def window_routes(fam, coeff, monkeypatch):
+    """How each window of the scan ran: "bands", "filter" or "both"."""
+    cuts = []
+    cut_bands = glparams._cut_bands
+    monkeypatch.setattr(glparams, "_cut_bands", lambda *args: cuts.append(1) or cut_bands(*args))
+    routes = []
+    for _, chunks in fam._windows(coeff):
+        filtered = any(isinstance(chunk, list) for chunk in chunks)
+        routes.append(("both" if cuts else "filter") if filtered else "bands")
+        cuts.clear()
+    return routes
+
+
+def test_band_net_takes_every_route(monkeypatch):
+    taken = {
+        case: set(window_routes(GLFamily(*case[:3]), case[3], monkeypatch)) for case in NET_CASES
+    }
+    assert set().union(*taken.values()) == {"bands", "filter", "both"}
+    assert taken[(6, 13, 7, FBAR)] == {"both"}
+    assert taken[(2, 647, 3, FBAR)] == {"filter"}
+    assert taken[(2, 1999, 3, FBAR)] == {"bands"}
+    # some families switch route from one window to the next
+    assert any(len(routes) > 1 for routes in taken.values())
