@@ -111,8 +111,7 @@ def torus_block_descriptor(
     For the GL_n Coxeter twist this is Z/ell^k with k = v_ell(q^n - 1) and
     one free direction.
 
-    >>> w = coxeter_twist(preset("GL", 2)).matrix.transpose()
-    >>> b = torus_block_descriptor(2, WeylTwist(w), 11, 5)
+    >>> b = torus_block_descriptor(2, coxeter_twist(preset("GL", 2)).transpose(), 11, 5)
     >>> b.torsion, b.free_rank
     (FinGenAbGroup(free_rank=0, invariant_factors=(5,)), 1)
     """
@@ -168,7 +167,7 @@ def match_sides(component: ComponentDescriptor, block: BlockDescriptor) -> Match
     >>> from .cocycles import component_descriptor
     >>> w = coxeter_twist(preset("GL", 2))
     >>> c = component_descriptor(preset("GL", 2), w, 11, 5)
-    >>> b = torus_block_descriptor(2, WeylTwist(w.matrix.transpose()), 11, 5)
+    >>> b = torus_block_descriptor(2, w.transpose(), 11, 5)
     >>> match_sides(c, b).isomorphic
     True
     """
@@ -225,9 +224,7 @@ def categorical_summary(n: int, q: int, ell: int) -> CategoricalSummary:
     rd = preset("GL", n)
     w = coxeter_twist(rd)
     component = component_descriptor(rd, w, q, ell)
-    block = torus_block_descriptor(
-        n, WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n
-    )
+    block = torus_block_descriptor(n, w.transpose(), q, ell, coxeter_number=n)
     report = match_sides(component, block)
     return CategoricalSummary(
         n=n,

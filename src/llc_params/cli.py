@@ -20,14 +20,14 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from json.encoder import encode_basestring
 
 from . import __version__
 from .abgroups import FinGenAbGroup
 from .blocks import BlockDescriptor, categorical_summary, match_sides, torus_block_descriptor
 from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
-from .errors import InvalidArgument, InvalidRank, LlcError
+from .errors import InvalidArgument, LlcError
 from .glparams import (
     COEFFS,
     ZBAR,
@@ -178,15 +178,9 @@ def _yesno(flag: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command implementations
-
-
-def _build_datum(group: str, n: int) -> RootDatum:
-    if group in ("SL", "PGL") and n < 2:
-        raise InvalidRank(f"{group} needs n >= 2, got {n}")
-    if n < 1:
-        raise InvalidRank(f"n must be positive, got {n}")
-    return preset(group, n)
+# command implementations: each returns a builder of its JSON body, its text
+# lines and its exit code; text output never calls the builder
+_Outcome = tuple[Callable[[], dict], Iterator[str], int]
 
 
 def _build_twist(rd: RootDatum, choice: str) -> WeylTwist:
@@ -206,17 +200,19 @@ def _build_twist(rd: RootDatum, choice: str) -> WeylTwist:
     return weyl_twist(rd, IntMatrix(data))
 
 
-def _cmd_component(args) -> tuple[dict, Iterator[str]]:
-    rd = _build_datum(args.group, args.n)
+def _cmd_component(args) -> _Outcome:
+    rd = preset(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
     desc = component_descriptor(rd, twist, args.q, args.ell)
     space = cocycle_space(desc.fixed_scheme, rd.rank, args.ell)
-    body = {
-        "datum": rd.to_json(),
-        "notation": component_notation(desc),
-        "cocycleSpace": space.to_json(),
-        **desc.to_json(),
-    }
+
+    def body():
+        return {
+            "datum": rd.to_json(),
+            "notation": component_notation(desc),
+            "cocycleSpace": space.to_json(),
+            **desc.to_json(),
+        }
 
     def lines():
         yield f"component [{rd.name}, q={args.q}, ell={args.ell}, weyl={args.weyl}]"
@@ -232,7 +228,7 @@ def _cmd_component(args) -> tuple[dict, Iterator[str]]:
             f"{_render_diag(space.component_shape)}"
         )
 
-    return body, lines()
+    return body, lines(), 0
 
 
 def _require_gl(args, what: str) -> None:
@@ -244,7 +240,7 @@ def _require_gl(args, what: str) -> None:
         )
 
 
-def _cmd_enumerate(args) -> tuple[dict, Iterator[str]]:
+def _cmd_enumerate(args) -> _Outcome:
     _require_gl(args, "enumeration")
     if args.limit < 0 or args.offset < 0:
         raise InvalidArgument("--limit and --offset must be nonnegative", code="paging-invalid")
@@ -261,13 +257,15 @@ def _cmd_enumerate(args) -> tuple[dict, Iterator[str]]:
         )
     count = family.count(args.coeff)
     page = family.parameters(args.coeff, args.offset, args.limit)
-    body = {
-        "modulus": modulus,
-        "count": count,
-        "offset": args.offset,
-        "limit": args.limit,
-        "parameters": [phi.to_json() for phi in page],
-    }
+
+    def body():
+        return {
+            "modulus": modulus,
+            "count": count,
+            "offset": args.offset,
+            "limit": args.limit,
+            "parameters": [phi.to_json() for phi in page],
+        }
 
     def lines():
         yield f"enumerate [GL_{args.n}, q={args.q}, ell={args.ell}, coeff={args.coeff}]"
@@ -277,10 +275,10 @@ def _cmd_enumerate(args) -> tuple[dict, Iterator[str]]:
         for phi in page:
             yield f"  a={phi.a} b={phi.b}"
 
-    return body, lines()
+    return body, lines(), 0
 
 
-def _cmd_verify(args) -> tuple[dict, Iterator[str]]:
+def _cmd_verify(args) -> _Outcome:
     _require_gl(args, "verification")
     phi = TrselpGL(GLFamily(args.n, args.q, args.ell), args.coeff, args.a, args.b)
     # a residue parameter is checked through its canonical integral lift,
@@ -290,16 +288,15 @@ def _cmd_verify(args) -> tuple[dict, Iterator[str]]:
     ok = verify_cocycle(m, args.q)
     support = nilpotent_support_fixed_positions(lift)
     diagonal = support == [(i, i) for i in range(1, args.n + 1)]
-    body = {
-        "parameter": phi.to_json(),
-        "regular": phi.is_regular,
-        "cocycleHolds": ok,
-        "matrices": m.to_json(),
-        "nilpotentSupport": {
-            "positions": [list(p) for p in support],
-            "diagonalOnly": diagonal,
-        },
-    }
+
+    def body():
+        return {
+            "parameter": phi.to_json(),
+            "regular": phi.is_regular,
+            "cocycleHolds": ok,
+            "matrices": m.to_json(),
+            "nilpotentSupport": {"positions": [list(p) for p in support], "diagonalOnly": diagonal},
+        }
 
     def lines():
         yield f"verify [GL_{args.n}, q={args.q}, ell={args.ell}, a={phi.a}, b={phi.b}]"
@@ -307,17 +304,15 @@ def _cmd_verify(args) -> tuple[dict, Iterator[str]]:
         yield f"  cocycle holds:    {_yesno(ok)}"
         yield f"  support diagonal: {_yesno(diagonal)} ({len(support)} positions)"
 
-    return body, lines()
+    return body, lines(), 0
 
 
 def _block_for(args, rd: RootDatum, twist: WeylTwist) -> BlockDescriptor:
-    return torus_block_descriptor(
-        rd.rank, WeylTwist(twist.matrix.transpose()), args.q, args.ell, coxeter_number=args.n
-    )
+    return torus_block_descriptor(rd.rank, twist.transpose(), args.q, args.ell, coxeter_number=args.n)
 
 
-def _cmd_block(args) -> tuple[dict, Iterator[str]]:
-    rd = _build_datum(args.group, args.n)
+def _cmd_block(args) -> _Outcome:
+    rd = preset(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
     block = _block_for(args, rd, twist)
 
@@ -330,16 +325,18 @@ def _cmd_block(args) -> tuple[dict, Iterator[str]]:
         for flag in block.applicability:
             yield f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})"
 
-    return {"block": block.to_json()}, lines()
+    return lambda: {"block": block.to_json()}, lines(), 0
 
 
-def _cmd_match(args) -> tuple[dict, Iterator[str]]:
-    rd = _build_datum(args.group, args.n)
+def _cmd_match(args) -> _Outcome:
+    rd = preset(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
     desc = component_descriptor(rd, twist, args.q, args.ell)
     block = _block_for(args, rd, twist)
     report = match_sides(desc, block)
-    body = {"component": desc.to_json(), "block": block.to_json(), "match": report.to_json()}
+
+    def body():
+        return {"component": desc.to_json(), "block": block.to_json(), "match": report.to_json()}
 
     def lines():
         yield f"match [{args.group}_{args.n}, q={args.q}, ell={args.ell}, weyl={args.weyl}]"
@@ -356,10 +353,10 @@ def _cmd_match(args) -> tuple[dict, Iterator[str]]:
         for flag in report.applicability_flags:
             yield f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})"
 
-    return body, lines()
+    return body, lines(), 0
 
 
-def _cmd_summary(args) -> tuple[dict, Iterator[str]]:
+def _cmd_summary(args) -> _Outcome:
     _require_gl(args, "the comparison summary")
     summary = categorical_summary(args.n, args.q, args.ell)
     verdict = summary.match.isomorphic and summary.match.free_ranks_agree
@@ -374,13 +371,15 @@ def _cmd_summary(args) -> tuple[dict, Iterator[str]]:
         yield f"  component:     {component_notation(summary.component)}"
         yield f"  sides match:   {_yesno(verdict)}"
 
-    return {"summary": summary.to_json()}, lines()
+    return lambda: {"summary": summary.to_json()}, lines(), 0
 
 
-def _cmd_grid(args) -> tuple[dict, Iterator[str]]:
+def _cmd_grid(args) -> _Outcome:
     checks = run_grid()
     all_pass = all(c.passed for c in checks)
-    body = {"checks": [c.to_json() for c in checks], "allPass": all_pass}
+
+    def body():
+        return {"checks": [c.to_json() for c in checks], "allPass": all_pass}
 
     def lines():
         width = max(len(c.check_id) for c in checks)
@@ -390,11 +389,10 @@ def _cmd_grid(args) -> tuple[dict, Iterator[str]]:
             yield f"  {status}  {c.check_id.ljust(width)}  {c.detail}"
         yield f"  {'all checks pass' if all_pass else 'SOME CHECKS FAILED'}"
 
-    return body, lines()
+    return body, lines(), 0 if all_pass else 1
 
 
-# command -> (handler, the argument fields the report echoes as "input");
-# a handler returns the report body and its text lines, rendered lazily
+# command -> (handler, the argument fields the report echoes as "input")
 COMMANDS = {
     "component": (_cmd_component, ("group", "n", "q", "ell", "weyl")),
     "enumerate": (_cmd_enumerate, ("group", "n", "q", "ell", "coeff")),
@@ -503,15 +501,17 @@ def run(argv: list[str] | None = None, stream=None) -> int:
                 hint=f"choose one of: {', '.join(MATH_COMMANDS)} (or --grid)",
             )
         handler, fields = COMMANDS[args.command]
-        body, lines = handler(args)
-        report = {"schemaVersion": SCHEMA_VERSION, "command": args.command, **body}
-        if fields is not None:
-            report["input"] = {name: getattr(args, name) for name in fields}
+        body, lines, code = handler(args)
         with _printing():
-            text = _dumps(report) if args.output == "json" else "\n".join(lines) + "\n"
+            if args.output == "json":
+                report = {"schemaVersion": SCHEMA_VERSION, "command": args.command, **body()}
+                if fields is not None:
+                    report["input"] = {name: getattr(args, name) for name in fields}
+                text = _dumps(report)
+            else:
+                text = "\n".join(lines) + "\n"
         stream.write(text)
-        # only the grid can fail a check
-        return 0 if body.get("allPass", True) else 1
+        return code
     except SystemExit as err:  # argparse --help / --version already printed
         code = err.code
         return code if isinstance(code, int) else 0

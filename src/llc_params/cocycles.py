@@ -48,7 +48,6 @@ class FrobTorus:
                 f"twist is {twist.rank}x{twist.rank} but the torus has rank {rank}"
             )
         p, _ = check_admissible(q, ell)
-        twist.check_unimodular()
         self.rank = rank
         self.twist = twist
         self.q = q

@@ -191,36 +191,6 @@ class IntMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square:
-            raise InvalidArgument(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = [list(row) for row in self._data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss update: division is exact
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.is_square and self.det() in (1, -1)
-
 
 def diagonal_invariants(diagonal: Iterable[int]) -> tuple[int, ...]:
     """The Smith invariants of a diagonal matrix with nonnegative entries.

@@ -15,8 +15,11 @@ provided, named by the INPUT group (the datum built is that of the dual):
   character group is Z/n.
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
-candidates for a Frobenius action); the factory checks unimodularity and
-that the roots and coroots are permuted compatibly.
+candidates for a Frobenius action).  It is unimodular by construction: the
+constructor checks it once, by the invariants-only Smith form (w is
+unimodular iff coker(w) is trivial), and the Coxeter, identity and transposed
+twists are unimodular without a check.  ``weyl_twist`` also checks that the
+roots and coroots are permuted compatibly.
 """
 
 from __future__ import annotations
@@ -74,30 +77,34 @@ class RootDatum:
 
 
 class WeylTwist:
-    """A lattice automorphism used to twist Frobenius."""
+    """A lattice automorphism used to twist Frobenius; unimodular by construction."""
 
-    __slots__ = ("matrix", "_unimodular")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix: IntMatrix):
         if not matrix.is_square:
             raise InvalidArgument("a twist must be a square matrix")
+        if not cokernel(matrix).is_trivial:
+            raise InvalidArgument(
+                "twist matrix is not unimodular",
+                hint="the determinant must be 1 or -1",
+            )
         self.matrix = matrix
-        self._unimodular = None
+
+    @classmethod
+    def _trusted(cls, matrix: IntMatrix) -> "WeylTwist":
+        """A twist from a matrix that is unimodular by construction, taken as it is."""
+        twist = object.__new__(cls)
+        twist.matrix = matrix
+        return twist
 
     @property
     def rank(self) -> int:
         return self.matrix.rows
 
-    def check_unimodular(self) -> None:
-        """Raise InvalidArgument unless det(w) = ±1; the determinant is taken
-        once per twist, however many consumers ask."""
-        if self._unimodular is None:
-            self._unimodular = self.matrix.is_unimodular()
-        if not self._unimodular:
-            raise InvalidArgument(
-                "twist matrix is not unimodular",
-                hint="the determinant must be 1 or -1",
-            )
+    def transpose(self) -> "WeylTwist":
+        """The twist on the dual lattice (cocharacters for a character twist)."""
+        return WeylTwist._trusted(self.matrix.transpose())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylTwist):
@@ -224,11 +231,8 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
         )
     kind, n = rd._preset
     if kind == "gl":
-        return WeylTwist(
-            IntMatrix(
-                [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)],
-                cols=n,
-            )
+        return WeylTwist._trusted(
+            IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)], cols=n)
         )
     # w <- w s_alpha = w - (w alpha) alpha_vee^T, a rank-one update of w's rows
     w = [[1 if i == j else 0 for j in range(rd.rank)] for i in range(rd.rank)]
@@ -240,11 +244,11 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
             if c:
                 for k, a in alpha_vee:
                     row[k] -= c * a
-    return WeylTwist(IntMatrix(w, cols=rd.rank))
+    return WeylTwist._trusted(IntMatrix(w, cols=rd.rank))
 
 
 def identity_twist(rd: RootDatum) -> WeylTwist:
-    return WeylTwist(IntMatrix.identity(rd.rank))
+    return WeylTwist._trusted(IntMatrix.identity(rd.rank))
 
 
 def _apply(columns: list, v: tuple[int, ...], rank: int) -> tuple[int, ...]:
@@ -268,7 +272,6 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
             f"twist must be {rd.rank}x{rd.rank} for {rd.name}, got {matrix.rows}x{matrix.cols}"
         )
     twist = WeylTwist(matrix)
-    twist.check_unimodular()
     # the columns of w and of w^T as (row, entry) nonzeros
     w = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*matrix.data)]
     w_t = [[(i, x) for i, x in enumerate(row) if x] for row in matrix.data]

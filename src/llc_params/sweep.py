@@ -28,7 +28,7 @@ from .glparams import (
     reduction,
     verify_cocycle,
 )
-from .rootdata import WeylTwist, coxeter_twist, preset
+from .rootdata import coxeter_twist, preset
 
 GRID_Q = (3, 5, 7, 11, 13)
 GRID_N_COMPONENT = (1, 2, 3, 4, 5, 6)
@@ -164,7 +164,7 @@ def run_grid() -> list[GridCheck]:
         for q in GRID_Q:
             rd = preset("GL", n)
             tw = coxeter_twist(rd)
-            cotw = WeylTwist(tw.matrix.transpose())
+            cotw = tw.transpose()
             for ell in admissible_ells(q):
                 comp = component_descriptor(rd, tw, q, ell)
                 block = torus_block_descriptor(n, cotw, q, ell, coxeter_number=n)

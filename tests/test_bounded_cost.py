@@ -15,6 +15,7 @@ import pytest
 import llc_params
 from llc_params import arith, cli
 from llc_params.lattice import IntMatrix, smith_normal_form
+from llc_params.rootdata import WeylTwist, coxeter_twist, preset
 from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, admissible_ells
 
 BUDGET_S = 1.5
@@ -131,6 +132,26 @@ def test_gl300_coxeter_smith_form_is_fast():
     elapsed = perf_counter() - start
     assert elapsed < BUDGET_S, f"GL_300 w - 3 took {elapsed:.2f} s"
     assert invariants == (1,) * (n - 1) + (3**n - 1,)
+
+
+@pytest.mark.parametrize("family,n", [("GL", 1000), ("SL", 200)])
+def test_explicit_coxeter_twists_validate_fast(family, n):
+    # an explicit matrix is checked once, by the sparse Smith form of w; the
+    # SL_n Coxeter matrix (adjoint basis) is the companion matrix of
+    # 1 + x + ... + x^(n-1), checked against the preset at a small rank
+    if family == "GL":
+        rows = [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)]
+    else:
+        m = n - 1
+        rows = [[1 if i == j + 1 else -(j == m - 1) for j in range(m)] for i in range(m)]
+        small = [[1 if i == j + 1 else -(j == 4) for j in range(5)] for i in range(5)]
+        assert coxeter_twist(preset("SL", 6)).matrix == IntMatrix(small)
+    w = IntMatrix(rows)
+    start = perf_counter()
+    twist = WeylTwist(w)
+    elapsed = perf_counter() - start
+    assert elapsed < BUDGET_S, f"{family}_{n} twist check took {elapsed:.2f} s"
+    assert twist.matrix == w
 
 
 # GL_2 q=3137: q^2 - 1 = 9840768, just under the 10^7 modulus cap, and its

@@ -229,45 +229,42 @@ def test_summary_json():
     assert s["match"]["isomorphic"] is True
 
 
-def test_component_takes_each_invariant_once(monkeypatch):
-    from llc_params import abgroups, lattice
+def _count_snf(monkeypatch):
+    """Record every matrix handed to the Smith normal form."""
+    from llc_params import abgroups
 
-    calls = {"snf": 0, "det": 0}
-    snf, det = abgroups.smith_normal_form, lattice.IntMatrix.det
+    calls = []
+    snf = abgroups.smith_normal_form
 
     def counting_snf(a):
-        calls["snf"] += 1
+        calls.append(a)
         return snf(a)
 
-    def counting_det(self):
-        calls["det"] += 1
-        return det(self)
-
     monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
-    monkeypatch.setattr(lattice.IntMatrix, "det", counting_det)
+    return calls
+
+
+def test_component_takes_each_invariant_once(monkeypatch):
+    calls = _count_snf(monkeypatch)
     code, _ = run_cli(["component", "--n", "4", "--q", "11", "--ell", "5"])
     assert code == 0
-    # coker(w - q), coker(1 - w) and the center; one unimodularity check of w
-    assert calls == {"snf": 3, "det": 1}
+    # coker(w - q), coker(1 - w) and the center; the Coxeter twist is
+    # unimodular by construction, so w itself is never checked
+    assert len(calls) == 3
+    assert coxeter_twist(preset("GL", 4)).matrix not in calls
 
 
 @pytest.mark.parametrize("cmd", ["component", "match"])
 def test_an_explicit_weyl_matrix_is_checked_for_unimodularity_once(monkeypatch, cmd):
-    from llc_params import lattice
-
-    calls = []
-    det = lattice.IntMatrix.det
-
-    def counting_det(self):
-        calls.append(self.rows)
-        return det(self)
-
-    monkeypatch.setattr(lattice.IntMatrix, "det", counting_det)
-    swap = "[[1,0,0,0],[0,0,0,1],[0,1,0,0],[0,0,1,0]]"
-    code, _ = run_cli([cmd, "--n", "4", "--q", "11", "--ell", "5", "--weyl", swap])
+    calls = _count_snf(monkeypatch)
+    swap = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
+    code, _ = run_cli([cmd, "--n", "4", "--q", "11", "--ell", "5", "--weyl", json.dumps(swap)])
     assert code == 0
-    # weyl_twist checks the matrix; the Frobenius torus reuses that check
-    assert calls == [4]
+    # weyl_twist checks the matrix when it makes the twist; the Frobenius
+    # torus and the transposed block-side twist take it as it is
+    assert [a for a in calls if a.data == tuple(map(tuple, swap))] == [calls[0]]
+    # then the component's three invariants, and the block's two
+    assert calls[0].rows == 4 and len(calls) == {"component": 4, "match": 6}[cmd]
 
 
 @pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])
@@ -477,6 +474,53 @@ def test_output_flag_position_is_flexible():
                         "--output", "json"])
     assert before == after
     json.loads(before)
+
+
+def _json_bodies_raise(monkeypatch):
+    """Make every report-body builder raise, so text output shows it never calls one."""
+    from llc_params import abgroups, blocks, cocycles, glparams, rootdata, sweep
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.to_json built for a text report")
+
+    for cls in (
+        abgroups.FinGenAbGroup, rootdata.RootDatum, cocycles.CocycleSpace,
+        cocycles.ComponentDescriptor, blocks.ApplicabilityFlag, blocks.BlockDescriptor,
+        blocks.MatchReport, blocks.CategoricalSummary, glparams.TrselpGL,
+        glparams.ParamMatrices, sweep.GridCheck,
+    ):
+        monkeypatch.setattr(cls, "to_json", refuse)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["component", "--n", "4", "--q", "11", "--ell", "5"],
+        ["component", "--group", "SL", "--n", "4", "--q", "11", "--ell", "5"],
+        ["enumerate", "--n", "2", "--q", "11", "--ell", "5"],
+        ["verify", "--n", "3", "--q", "5", "--ell", "31", "--a", "1"],
+        ["block", "--n", "4", "--q", "11", "--ell", "5"],
+        ["match", "--n", "4", "--q", "11", "--ell", "5", "--weyl", "identity"],
+        ["summary", "--n", "3", "--q", "5", "--ell", "31"],
+    ],
+    ids=["component-GL", "component-SL", "enumerate", "verify", "block", "match", "summary"],
+)
+def test_text_reports_never_build_their_json_body(monkeypatch, argv):
+    _, expected = run_cli(argv)
+    _json_bodies_raise(monkeypatch)
+    assert run_cli(argv) == (0, expected)
+    assert run_cli(argv + ["--output", "json"])[0] == 1  # the JSON body does need them
+
+
+def test_the_grid_exit_code_does_not_build_the_json_body(monkeypatch):
+    from llc_params.sweep import GridCheck
+
+    _json_bodies_raise(monkeypatch)
+    for passed, code, verdict in ((True, 0, "all checks pass"), (False, 1, "SOME CHECKS FAILED")):
+        checks = [GridCheck("probe", "a probe check", passed, "1 case")]
+        monkeypatch.setattr(cli, "run_grid", lambda: checks)
+        rc, text = run_cli(["--grid"])
+        assert (rc, text.splitlines()[-1].strip()) == (code, verdict)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact integer matrices and their Smith invariants."""
 
+import itertools
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from llc_params.abgroups import FinGenAbGroup, cokernel
 from llc_params.errors import DimensionMismatch, InvalidArgument, LlcError
 from llc_params.lattice import IntMatrix, diagonal_invariants, smith_normal_form
-from llc_params.rootdata import center_char_group, coxeter_twist, preset
+from llc_params.rootdata import WeylTwist, center_char_group, coxeter_twist, preset
 
 from oracles import determinantal_divisors, gauss_det, smith_invariants_by_minors
 
@@ -57,7 +58,7 @@ def test_empty_shapes():
     z = IntMatrix([], cols=3)
     assert (z.rows, z.cols) == (0, 3)
     assert IntMatrix.zeros(2, 0).cols == 0
-    assert IntMatrix.identity(0).det() == 1
+    assert cokernel(IntMatrix.identity(0)).is_trivial
 
 
 def test_from_columns():
@@ -96,36 +97,82 @@ def test_immutability_and_hash():
     assert len({a, b}) == 1
 
 
-def test_det_known_values():
-    assert IntMatrix([[2, 0], [1, 3]]).det() == 6
-    assert IntMatrix([[1, 2], [2, 4]]).det() == 0
-    assert IntMatrix([[0, 1], [1, 0]]).det() == -1
+def _signed_permutations(n):
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            yield [[signs[i] * (perm[i] == j) for j in range(n)] for i in range(n)]
 
 
-def test_det_requires_square():
-    with pytest.raises(LlcError):
-        IntMatrix([[1, 2]]).det()
+def _random_signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    return [[rng.choice((1, -1)) * (perm[i] == j) for j in range(n)] for i in range(n)]
 
 
-def test_is_unimodular():
-    assert IntMatrix([[0, 1], [1, 0]]).is_unimodular()
-    assert IntMatrix.identity(4).is_unimodular()
-    assert not IntMatrix([[2, 0], [0, 1]]).is_unimodular()
-    assert not IntMatrix([[1, 2], [2, 4]]).is_unimodular()
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
-@settings(max_examples=200)
-@given(matrices(square=True))
-def test_det_matches_fraction_gauss_oracle(m):
-    assert m.det() == gauss_det([list(r) for r in m.data])
+def _unimodularity_net():
+    """Square matrices of size 0 to 8 in every class the twist check separates.
+
+    Signed permutations (all of them up to size 3, seeded ones to size 8),
+    seeded signed permutations times transvections (unimodular, not
+    permutations), seeded small random matrices, singular ones made by
+    repeating or scaling a row or by a zero row, and products with a
+    singular factor.
+    """
+    rng = random.Random(20251101)
+    cases = [rows for n in range(4) for rows in _signed_permutations(n)]
+    cases += [_random_signed_permutation(rng, rng.randint(4, 8)) for _ in range(40)]
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        t = [[int(i == j) for j in range(n)] for i in range(n)]
+        i, j = rng.sample(range(n), 2)
+        t[i][j] = rng.randint(-5, 5)
+        cases.append(_product(_random_signed_permutation(rng, n), t))
+    for k in range(300):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and k % 3 == 0:
+            i, j = rng.sample(range(n), 2)
+            rows[i] = [rng.choice((0, 1, -2)) * x for x in rows[j]]
+        cases.append(rows)
+    for _ in range(30):
+        n = rng.randint(2, 4)
+        singular = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)] + [[0] * n]
+        cases.append(_product(_random_signed_permutation(rng, n), singular))
+    cases += [[[0, 1], [1, 0]], [[2, 0], [0, 1]], [[1, 2], [2, 4]]]
+    cases.append([[int(i == j) for j in range(4)] for i in range(4)])
+    return cases
 
 
-@settings(max_examples=100)
-@given(matrices(min_dim=1, max_dim=4, square=True), matrices(min_dim=1, max_dim=4, square=True))
-def test_det_multiplicative(a, b):
-    if a.rows != b.rows:
-        b = IntMatrix.identity(a.rows)
-    assert (a @ b).det() == a.det() * b.det()
+def test_a_twist_is_accepted_iff_its_determinant_is_a_unit():
+    outcomes = {"accepted": 0, "singular": 0, "other": 0}
+    for rows in _unimodularity_net():
+        m = IntMatrix(rows, cols=len(rows))
+        det = gauss_det(rows)
+        try:
+            twist = WeylTwist(m)
+        except InvalidArgument as err:
+            assert abs(det) != 1, rows
+            assert (err.message, err.hint) == (
+                "twist matrix is not unimodular",
+                "the determinant must be 1 or -1",
+            )
+            outcomes["singular" if det == 0 else "other"] += 1
+        else:
+            assert abs(det) == 1, rows
+            assert twist.matrix == m
+            assert twist.transpose().matrix == m.transpose()
+            outcomes["accepted"] += 1
+    # the net takes every route: units, singular matrices and other determinants
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_a_twist_must_be_square():
+    for m in (IntMatrix([[1, 2]]), IntMatrix([[1], [0]]), IntMatrix.zeros(0, 2)):
+        with pytest.raises(InvalidArgument, match="a twist must be a square matrix"):
+            WeylTwist(m)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +243,7 @@ def test_snf_diag_product_is_abs_det(m):
     prod = 1
     for x in smith_normal_form(m):
         prod *= x
-    assert prod == abs(m.det())
+    assert prod == abs(gauss_det([list(r) for r in m.data]))
 
 
 def test_snf_seeded_batch_against_det_oracle():

@@ -16,7 +16,7 @@ from llc_params.rootdata import (
     weyl_twist,
 )
 
-from oracles import root_datum_problems, smith_invariants_by_minors
+from oracles import gauss_det, root_datum_problems, smith_invariants_by_minors
 
 
 def validate(rd):
@@ -241,7 +241,7 @@ def test_weyl_twist_rejects_a_transvection(family):
         rd = preset(family, rank if family == "GL" else rank + 1)
         # I + E_12 is unimodular but sends some root off the root set
         m = IntMatrix([[int(i == j or (i, j) == (0, 1)) for j in range(rank)] for i in range(rank)])
-        assert m.is_unimodular()
+        assert abs(gauss_det([list(r) for r in m.data])) == 1
         with pytest.raises(InvalidArgument, match="does not permute the roots"):
             weyl_twist(rd, m)
 
@@ -276,7 +276,9 @@ def test_weyl_twist_accepts_exactly_the_root_permuting_automorphisms(datum, entr
     rd = preset(*datum)
     m = IntMatrix([entries[0:3], entries[3:6], entries[6:9]])
     expected = (
-        m.is_unimodular() and _permutes_the_roots(rd, m) and _preserves_every_coroot(rd, m)
+        abs(gauss_det([entries[0:3], entries[3:6], entries[6:9]])) == 1
+        and _permutes_the_roots(rd, m)
+        and _preserves_every_coroot(rd, m)
     )
     try:
         weyl_twist(rd, m)
@@ -331,22 +333,34 @@ def test_weyl_twist_validation():
 
 
 def test_a_twist_takes_its_determinant_once(monkeypatch):
+    """A twist's one Smith form (whose product is |det w|) is taken when it is
+    made; a bad matrix raises there, and twists that are unimodular by
+    construction take none."""
+    from llc_params import abgroups
+
     calls = []
-    det = IntMatrix.det
+    snf = abgroups.smith_normal_form
 
-    def counting_det(self):
-        calls.append(self.rows)
-        return det(self)
+    def counting_snf(a):
+        calls.append(a)
+        return snf(a)
 
-    monkeypatch.setattr(IntMatrix, "det", counting_det)
-    w = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
-    w.check_unimodular()
-    w.check_unimodular()
-    bad = WeylTwist(IntMatrix([[2, 0], [0, 1]]))
-    for _ in range(2):
-        with pytest.raises(InvalidArgument, match="not unimodular"):
-            bad.check_unimodular()
-    assert calls == [2, 2]
+    monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
+    swap = IntMatrix([[0, 1], [1, 0]])
+    w = WeylTwist(swap)
+    assert calls == [swap]
+    assert w.transpose().matrix == swap.transpose()
+    bad = IntMatrix([[2, 0], [0, 1]])
+    with pytest.raises(InvalidArgument, match="not unimodular"):
+        WeylTwist(bad)
+    assert calls == [swap, bad]
+    with pytest.raises(InvalidArgument, match="square"):
+        WeylTwist(IntMatrix([[1, 0]]))
+    for family, n in (("GL", 5), ("SL", 5), ("PGL", 5), ("GL", 1)):
+        rd = preset(family, n)
+        for twist in (coxeter_twist(rd), identity_twist(rd)):
+            assert twist.transpose().transpose() == twist
+    assert calls == [swap, bad]
 
 
 def test_weyl_twist_accepts_longest_element():
