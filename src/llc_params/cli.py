@@ -190,7 +190,7 @@ def _build_twist(rd: RootDatum, choice: str) -> WeylTwist:
         return identity_twist(rd)
     try:
         data = json.loads(choice)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # bad JSON, integers over the digit limit, deep nesting
         raise InvalidArgument(
             f"--weyl must be 'coxeter', 'identity', or a JSON matrix; got {choice!r}",
             code="weyl-invalid",

@@ -125,38 +125,6 @@ class IntMatrix:
             return f"IntMatrix({[list(r) for r in self._data]})"
         return f"IntMatrix.zeros({self.rows}, {self.cols})"
 
-    def _require_same_shape(self, other: "IntMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._require_same_shape(other)
-        return IntMatrix._trusted(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self._data, other._data)),
-            self.cols,
-        )
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        self._require_same_shape(other)
-        return IntMatrix._trusted(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self._data, other._data)),
-            self.cols,
-        )
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(tuple(-a for a in row) for row in self._data), self.cols)
-
-    def __rmul__(self, k: int) -> "IntMatrix":
-        if isinstance(k, bool) or not isinstance(k, int):
-            return NotImplemented
-        return IntMatrix._trusted(tuple(tuple(k * a for a in row) for row in self._data), self.cols)
-
     def shifted(self, s: int, t: int) -> "IntMatrix":
         """s * self + t * I in one pass, for a square matrix.
 

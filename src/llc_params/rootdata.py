@@ -14,6 +14,11 @@ provided, named by the INPUT group (the datum built is that of the dual):
   fundamental-weight basis, the mirror image of the adjoint one; the center
   character group is Z/n.
 
+A preset is held by its kind and n.  One routine gives the positive (root,
+coroot) of each block of consecutive simple roots: the one-root blocks are
+the simple system, and all n(n - 1) roots are generated only where they are
+printed (component JSON) or checked (an explicit Weyl matrix).
+
 A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  It is unimodular by construction: the
 constructor checks it once, by the invariants-only Smith form (w is
@@ -32,7 +37,7 @@ FAMILIES = ("GL", "SL", "PGL")
 
 
 class RootDatum:
-    """A based root datum with dot-product pairing.
+    """A based root datum with dot-product pairing; a hand-built one keeps its lists.
 
     >>> gl2 = preset("GL", 2)
     >>> gl2.rank, len(gl2.roots)
@@ -41,39 +46,54 @@ class RootDatum:
     (1, -1)
     """
 
-    __slots__ = ("rank", "roots", "coroots", "name", "_preset")
+    __slots__ = ("rank", "name", "_preset", "_lists")
 
     def __init__(self, rank, roots, coroots, name, _preset=None):
         self.rank = rank
-        self.roots = tuple(tuple(a) for a in roots)
-        self.coroots = tuple(tuple(a) for a in coroots)
         self.name = name
         self._preset = _preset
+        self._lists = None if _preset else (tuple(map(tuple, roots)), tuple(map(tuple, coroots)))
+
+    def _root_lists(self) -> tuple[tuple, tuple]:
+        """(roots, coroots); a preset's positive blocks in order, then their negatives."""
+        if self._preset is None:
+            return self._lists
+        kind, n = self._preset
+        blocks = ((i, j) for i in range(n - 1) for j in range(i, n - 1))
+        pos = list(_block_pairs(kind, self.rank, blocks))
+        roots = _with_negatives([a for a, _ in pos])
+        return roots, roots if kind == "gl" else _with_negatives([b for _, b in pos])
+
+    @property
+    def roots(self) -> tuple:
+        return self._root_lists()[0]
+
+    @property
+    def coroots(self) -> tuple:
+        return self._root_lists()[1]
 
     def to_json(self) -> dict:
+        roots, coroots = self._root_lists()
         return {
             "name": self.name,
             "charLatticeRank": self.rank,
-            "roots": [list(a) for a in self.roots],
+            "roots": [list(a) for a in roots],
             "cocharLatticeRank": self.rank,
-            "coroots": [list(a) for a in self.coroots],
+            "coroots": [list(a) for a in coroots],
             "pairing": "dot",
         }
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootDatum):
             return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.roots == other.roots
-            and self.coroots == other.coroots
-        )
+        return (self.rank, self._preset, self._lists) == (other.rank, other._preset, other._lists)
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.roots, self.coroots))
+        return hash((self.rank, self._preset, self._lists))
 
     def __repr__(self) -> str:
-        return f"RootDatum({self.name!r}, rank={self.rank}, roots={len(self.roots)})"
+        count = len(self._lists[0]) if self._lists else self._preset[1] * (self._preset[1] - 1)
+        return f"RootDatum({self.name!r}, rank={self.rank}, roots={count})"
 
 
 class WeylTwist:
@@ -118,25 +138,38 @@ class WeylTwist:
         return f"WeylTwist({self.matrix!r})"
 
 
-def _block_vector(m: int, i: int, j: int) -> list[int]:
-    """The 0/1 vector supported on positions i..j (inclusive)."""
-    return [1 if i <= k <= j else 0 for k in range(m)]
+def _block_pairs(kind: str, rank: int, blocks):
+    """The positive (root, coroot) of each block i..j of simple roots of a preset.
 
-
-def _cartan_column_sum(m: int, i: int, j: int) -> list[int]:
-    """Sum of the type A_m Cartan matrix's columns i..j (inclusive).
-
-    Column c is 2 at c and -1 at c - 1 and c + 1, so the sum telescopes to
-    +1 at i and at j (2 when i = j) and -1 just outside the block.
+    GL: e_i - e_{j+1}, its own coroot.  Adjoint basis: the 0/1 vector on
+    i..j with the sum of the type A Cartan matrix's columns i..j, which
+    telescopes to +1 at i and at j (2 when i = j) and -1 just outside the
+    block; the simply connected basis swaps the two.
     """
-    v = [0] * m
-    v[i] += 1
-    v[j] += 1
-    if i > 0:
-        v[i - 1] = -1
-    if j + 1 < m:
-        v[j + 1] = -1
-    return v
+    for i, j in blocks:
+        if kind == "gl":
+            v = [0] * rank
+            v[i], v[j + 1] = 1, -1
+            v = tuple(v)
+            yield v, v
+            continue
+        ones = (0,) * i + (1,) * (j + 1 - i) + (0,) * (rank - 1 - j)
+        sums = [0] * (rank + 2)  # one spare slot at each end
+        sums[i] = sums[j + 2] = -1
+        sums[i + 1] += 1
+        sums[j + 1] += 1
+        sums = tuple(sums[1:-1])
+        yield (ones, sums) if kind == "adjoint" else (sums, ones)
+
+
+def _with_negatives(pos: list) -> tuple:
+    return tuple(pos) + tuple([tuple([-x for x in v]) for v in pos])
+
+
+def _simple_pairs(rd: RootDatum) -> list:
+    """The (simple root, simple coroot) pairs of a preset: its one-root blocks."""
+    kind, n = rd._preset
+    return list(_block_pairs(kind, rd.rank, ((i, i) for i in range(n - 1))))
 
 
 def preset(family: str, n: int) -> RootDatum:
@@ -151,37 +184,20 @@ def preset(family: str, n: int) -> RootDatum:
     if family == "GL":
         if n < 1:
             raise InvalidRank(f"GL needs n >= 1, got {n}")
-        pos = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                v = [0] * n
-                v[i], v[j] = 1, -1
-                pos.append(tuple(v))
-        roots = pos + [tuple(-x for x in v) for v in pos]
-        return RootDatum(n, roots, roots, f"GL_{n}", _preset=("gl", n))
+        return RootDatum(n, None, None, f"GL_{n}", _preset=("gl", n))
     if n < 2:
         raise InvalidRank(f"{family} needs n >= 2, got {n}")
-    m = n - 1
-    blocks = [(i, j) for i in range(m) for j in range(i, m)]
-    ones = [_block_vector(m, i, j) for i, j in blocks]
-    sums = [_cartan_column_sum(m, i, j) for i, j in blocks]
-    if family == "SL":
-        # dual group PGL_n: adjoint datum, simple-root basis
-        pos_roots, pos_coroots, name, tag = ones, sums, f"PGL_{n}", ("adjoint", n)
-    else:
-        # dual group SL_n: simply connected datum, fundamental-weight basis
-        pos_roots, pos_coroots, name, tag = sums, ones, f"SL_{n}", ("sc", n)
-    roots = [tuple(v) for v in pos_roots] + [tuple(-x for x in v) for v in pos_roots]
-    coroots = [tuple(v) for v in pos_coroots] + [tuple(-x for x in v) for v in pos_coroots]
-    return RootDatum(m, roots, coroots, name, _preset=tag)
+    kind, dual = ("adjoint", "PGL") if family == "SL" else ("sc", "SL")
+    return RootDatum(n - 1, None, None, f"{dual}_{n}", _preset=(kind, n))
 
 
 def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     """Character group of the center: the lattice modulo the root lattice.
 
     The simple roots of a preset span the root lattice, so the quotient is
-    read from the rank x (rank - 1) simple-root matrix; a hand-built datum
-    has no simple system and uses every root.
+    read from the simple-root matrix (rank x (rank - 1) for GL, rank x rank
+    for the semisimple presets); a hand-built datum has no simple system
+    and uses every root.
 
     >>> center_char_group(preset("GL", 2))
     FinGenAbGroup(free_rank=1, invariant_factors=())
@@ -192,26 +208,8 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     >>> center_char_group(preset("PGL", 3))
     FinGenAbGroup(free_rank=0, invariant_factors=(3,))
     """
-    generators = rd.roots if rd._preset is None else _simple_system(rd)[0]
+    generators = rd.roots if rd._preset is None else [a for a, _ in _simple_pairs(rd)]
     return cokernel(IntMatrix.from_columns([list(a) for a in generators], rows=rd.rank))
-
-
-def _simple_system(rd: RootDatum) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    kind, n = rd._preset
-    if kind == "gl":
-        simples, cosimples = [], []
-        for i in range(n - 1):
-            v = [0] * n
-            v[i], v[i + 1] = 1, -1
-            simples.append(tuple(v))
-            cosimples.append(tuple(v))
-        return simples, cosimples
-    m = n - 1
-    ones = [tuple(_block_vector(m, i, i)) for i in range(m)]
-    sums = [tuple(_cartan_column_sum(m, i, i)) for i in range(m)]
-    if kind == "adjoint":
-        return list(ones), list(sums)
-    return list(sums), list(ones)
 
 
 def coxeter_twist(rd: RootDatum) -> WeylTwist:
@@ -236,7 +234,7 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
         )
     # w <- w s_alpha = w - (w alpha) alpha_vee^T, a rank-one update of w's rows
     w = [[1 if i == j else 0 for j in range(rd.rank)] for i in range(rd.rank)]
-    for root, coroot in zip(*_simple_system(rd)):
+    for root, coroot in _simple_pairs(rd):
         alpha = [(k, a) for k, a in enumerate(root) if a]
         alpha_vee = [(k, a) for k, a in enumerate(coroot) if a]
         for row in w:
@@ -275,12 +273,13 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
     # the columns of w and of w^T as (row, entry) nonzeros
     w = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*matrix.data)]
     w_t = [[(i, x) for i, x in enumerate(row) if x] for row in matrix.data]
-    coroot_of = dict(zip(rd.roots, rd.coroots))
-    for alpha in rd.roots:
+    roots, coroots = rd._root_lists()
+    coroot_of = dict(zip(roots, coroots))
+    for alpha in roots:
         image = _apply(w, alpha, rd.rank)
         if image not in coroot_of:
             raise InvalidArgument(f"twist does not permute the roots: image of {alpha} is {image}")
-    pairs = zip(rd.roots, rd.coroots) if rd._preset is None else zip(*_simple_system(rd))
+    pairs = zip(roots, coroots) if rd._preset is None else _simple_pairs(rd)
     for alpha, alpha_vee in pairs:
         if _apply(w_t, coroot_of[_apply(w, alpha, rd.rank)], rd.rank) != alpha_vee:
             raise InvalidArgument(f"twist does not preserve the coroots at the root {alpha}")

@@ -124,6 +124,22 @@ def test_semisimple_rank_60_answers(cmd, group):
     assert text.startswith(f"{cmd} [") and "_60, q=3" in text.splitlines()[0]
 
 
+@pytest.mark.parametrize("cmd", ["block", "summary", "component"])
+def test_gl300_text_reports_answer(cmd):
+    # a preset is held by its kind and rank: no text report lists its 89,700 roots
+    code, text = run_timed([cmd, "--n", "300", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith(f"{cmd} [GL_300, q=3")
+
+
+@pytest.mark.parametrize("group", ["SL", "PGL"])
+@pytest.mark.parametrize("cmd", ["component", "match"])
+def test_semisimple_rank_200_answers(cmd, group):
+    code, text = run_timed([cmd, "--group", group, "--n", "200", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith(f"{cmd} [") and "_200, q=3" in text.splitlines()[0]
+
+
 def test_gl300_coxeter_smith_form_is_fast():
     n = 300
     w = IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])

@@ -343,6 +343,12 @@ def test_grid_flag_spelling():
             for cmd in ("component", "block", "match")
             for n, weyl in (("2", "[[6,5],[-5,-4]]"), ("3", "[[0,-1,-1],[-1,0,-1],[0,0,1]]"))
         ),
+        # well-formed JSON that json.loads refuses: an integer past the digit limit,
+        # nesting past the recursion limit
+        (["component", "--n", "1", "--q", "7", "--ell", "3", "--weyl", f"[[{'9' * 5000}]]"],
+         "weyl-invalid"),
+        (["component", "--n", "1", "--q", "7", "--ell", "3", "--weyl", "[" * 5000],
+         "weyl-invalid"),
     ],
 )
 def test_validation_errors_are_machine_readable(argv, expected_code):
@@ -510,6 +516,35 @@ def test_text_reports_never_build_their_json_body(monkeypatch, argv):
     _json_bodies_raise(monkeypatch)
     assert run_cli(argv) == (0, expected)
     assert run_cli(argv + ["--output", "json"])[0] == 1  # the JSON body does need them
+
+
+@pytest.mark.parametrize("group", ["GL", "SL", "PGL"])
+def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, group):
+    """Text reports with the Coxeter and identity twists, and the grid, read
+    only a preset's simple system; component JSON and an explicit --weyl
+    matrix are the two that need every root."""
+    from llc_params import rootdata
+
+    geometry = ["--group", group, "--n", "5", "--q", "11", "--ell", "5"]
+    argvs = [
+        [cmd, *geometry, "--weyl", weyl]
+        for cmd in ("component", "block", "match")
+        for weyl in ("coxeter", "identity")
+    ]
+    if group == "GL":
+        argvs += [["summary", *geometry], ["--grid"]]
+    expected = [run_cli(argv) for argv in argvs]
+    assert all(code == 0 for code, _ in expected)
+
+    def refuse(self):
+        raise AssertionError(f"the roots of {self.name} generated")
+
+    monkeypatch.setattr(rootdata.RootDatum, "_root_lists", refuse)
+    assert [run_cli(argv) for argv in argvs] == expected
+    rank = 5 if group == "GL" else 4
+    identity = json.dumps([[int(i == j) for j in range(rank)] for i in range(rank)])
+    assert run_cli(["component", *geometry, "--output", "json"])[0] == 1
+    assert run_cli(["match", *geometry, "--weyl", identity])[0] == 1
 
 
 def test_the_grid_exit_code_does_not_build_the_json_body(monkeypatch):

@@ -71,10 +71,6 @@ def test_from_columns():
 def test_arithmetic():
     a = IntMatrix([[1, 2], [3, 4]])
     b = IntMatrix([[5, 6], [7, 8]])
-    assert a + b == IntMatrix([[6, 8], [10, 12]])
-    assert b - a == IntMatrix([[4, 4], [4, 4]])
-    assert -a == IntMatrix([[-1, -2], [-3, -4]])
-    assert 2 * a == IntMatrix([[2, 4], [6, 8]])
     assert a @ b == IntMatrix([[19, 22], [43, 50]])
     assert a @ IntMatrix.identity(2) == a
 
@@ -358,7 +354,6 @@ def test_shifted_equals_the_operator_route(w, s, t):
     expected = _public(
         [[s * w[i, j] + (t if i == j else 0) for j in range(n)] for i in range(n)], n
     )
-    _same_matrix(w.shifted(s, t), s * w + t * IntMatrix.identity(n))
     _same_matrix(w.shifted(s, t), expected)
 
 
@@ -372,16 +367,11 @@ def test_shifted_small_shapes():
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(matrices(), matrices(), _small)
-def test_trusted_results_equal_validated_ones(a, b, k):
+@given(matrices(), matrices())
+def test_trusted_results_equal_validated_ones(a, b):
     r, c = a.rows, a.cols
     _same_matrix(a.transpose(), _public([[a[i, j] for i in range(r)] for j in range(c)], r))
-    _same_matrix(-a, _public([[-x for x in row] for row in a.data], c))
-    _same_matrix(k * a, _public([[k * x for x in row] for row in a.data], c))
     _same_matrix(IntMatrix.identity(r), _public([[int(i == j) for j in range(r)] for i in range(r)], r))
-    if (b.rows, b.cols) == (r, c):
-        _same_matrix(a + b, _public([[x + y for x, y in zip(u, v)] for u, v in zip(a.data, b.data)], c))
-        _same_matrix(a - b, _public([[x - y for x, y in zip(u, v)] for u, v in zip(a.data, b.data)], c))
     bt = b.transpose()
     if c == bt.rows:
         product = [[sum(a[i, t] * bt[t, j] for t in range(c)) for j in range(bt.cols)] for i in range(r)]

@@ -77,16 +77,27 @@ def _dense_cartan_column_sum(m, i, j):
     return tuple(sum(cartan[r][c] for c in range(i, j + 1)) for r in range(m))
 
 
-@pytest.mark.parametrize("family", ["SL", "PGL"])
+@pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
 def test_type_a_presets_match_dense_cartan_column_sums(family):
-    for m in range(1, 13):
-        blocks = [(i, j) for i in range(m) for j in range(i, m)]
-        ones = [tuple(1 if i <= k <= j else 0 for k in range(m)) for i, j in blocks]
-        sums = [_dense_cartan_column_sum(m, i, j) for i, j in blocks]
-        pos_roots, pos_coroots = (ones, sums) if family == "SL" else (sums, ones)
-        rd = preset(family, m + 1)
-        assert rd.roots == tuple(pos_roots + [tuple(-x for x in v) for v in pos_roots])
-        assert rd.coroots == tuple(pos_coroots + [tuple(-x for x in v) for v in pos_coroots])
+    # the order is pinned too: component JSON prints the roots as listed
+    for n in range(1 if family == "GL" else 2, 13):
+        if family == "GL":
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            pos_roots = [tuple(int(k == i) - int(k == j) for k in range(n)) for i, j in pairs]
+            pos_coroots = pos_roots
+        else:
+            m = n - 1
+            blocks = [(i, j) for i in range(m) for j in range(i, m)]
+            ones = [tuple(1 if i <= k <= j else 0 for k in range(m)) for i, j in blocks]
+            sums = [_dense_cartan_column_sum(m, i, j) for i, j in blocks]
+            pos_roots, pos_coroots = (ones, sums) if family == "SL" else (sums, ones)
+        rd = preset(family, n)
+        roots = tuple(pos_roots + [tuple(-x for x in v) for v in pos_roots])
+        coroots = tuple(pos_coroots + [tuple(-x for x in v) for v in pos_coroots])
+        assert (rd.roots, rd.coroots) == (roots, coroots)
+        doc = rd.to_json()
+        assert doc["roots"] == [list(v) for v in roots]
+        assert doc["coroots"] == [list(v) for v in coroots]
 
 
 def test_preset_validation_errors():
@@ -382,3 +393,15 @@ def test_to_json_shape():
     assert j["cocharLatticeRank"] == 2
     assert j["pairing"] == "dot"
     assert [1, -1] in j["roots"]
+
+
+def test_datum_equality_keys_on_what_it_stores():
+    a, b = preset("GL", 3), preset("GL", 3)
+    assert a == b and hash(a) == hash(b)
+    assert preset("SL", 3) != preset("PGL", 3)
+    assert preset("SL", 3) != preset("SL", 4)
+    # a hand-built datum keeps its lists: equal to a copy, not to the preset
+    custom = RootDatum(a.rank, a.roots, a.coroots, "custom")
+    copy = RootDatum(a.rank, list(a.roots), list(a.coroots), "copy")
+    assert custom == copy and hash(custom) == hash(copy)
+    assert custom != a
