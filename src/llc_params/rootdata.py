@@ -92,8 +92,7 @@ class RootDatum:
         return hash((self.rank, self._preset, self._lists))
 
     def __repr__(self) -> str:
-        count = len(self._lists[0]) if self._lists else self._preset[1] * (self._preset[1] - 1)
-        return f"RootDatum({self.name!r}, rank={self.rank}, roots={count})"
+        return f"RootDatum({self.name!r}, rank={self.rank})"
 
 
 class WeylTwist:
