@@ -7,7 +7,7 @@ The package computes, in integer arithmetic only:
 * root data of the dual groups with their standard twists (`rootdata`),
 * the component structure of spaces of tame torus-valued cocycles
   (`cocycles`),
-* tame regular elliptic GL_n parameters as exponent matrices (`glparams`),
+* tame regular elliptic GL_n parameters in exponent coordinates (`glparams`),
 * the block-side invariants and the matcher that certifies both sides agree
   (`blocks`).
 
@@ -46,7 +46,6 @@ from .errors import (
     InvalidPrimePower,
     InvalidRank,
     LlcError,
-    ShapeMismatch,
     UnsupportedFamily,
 )
 from .glparams import (
@@ -97,7 +96,6 @@ __all__ = [
     "POINT_MOD_STABILIZER",
     "ParamMatrices",
     "RootDatum",
-    "ShapeMismatch",
     "TORUS_QUOTIENT",
     "TrselpGL",
     "UnsupportedFamily",

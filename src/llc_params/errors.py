@@ -56,10 +56,6 @@ class CoefficientMismatch(LlcError):
     code = "coefficient-mismatch"
 
 
-class ShapeMismatch(LlcError):
-    code = "shape-mismatch"
-
-
 class InternalError(LlcError):
     """An invariant the library promised to maintain was violated."""
 

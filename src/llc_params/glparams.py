@@ -29,7 +29,7 @@ from itertools import chain
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
-from .errors import CoefficientMismatch, InternalError, InvalidArgument, ShapeMismatch
+from .errors import CoefficientMismatch, InternalError, InvalidArgument
 
 ZBAR = "zbar"  # integral coefficients (Z-bar_ell)
 FBAR = "fbar"  # residue coefficients (F-bar_ell)
@@ -266,10 +266,6 @@ class TrselpGL:
         """True when a, qa, ..., q^{n-1} a are pairwise distinct mod the modulus."""
         return len(self.orbit()) == self.family.n
 
-    @property
-    def is_canonical(self) -> bool:
-        return self.a == min(self.orbit())
-
     def canonical(self) -> "TrselpGL":
         """The same parameter with the exponent replaced by its orbit minimum."""
         least = min(self.orbit())
@@ -314,112 +310,85 @@ def _param(family: GLFamily, coeff: str, modulus: int, a: int, b: int = 0) -> Tr
     return phi
 
 
-class ParamMatrices:
-    """Exponent matrices for a parameter: entries are None (zero) or exponents.
+def _exponent(e, name: str) -> int:
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise InvalidArgument(f"{name} must be an integer exponent, got {e!r}")
+    return e
 
-    ``x`` is the inertia value, ``y`` the Frobenius value; an integer entry e
-    stands for zeta^e with zeta of order ``modulus``.
+
+class ParamMatrices:
+    """The (x, y) pair of a parameter, held as exponents of zeta.
+
+    x, the inertia value, is diag(zeta^e_1, ..., zeta^e_n) with the exponents
+    ``diagonal``; y, the Frobenius value, is the cyclic shift with ones on the
+    superdiagonal and zeta^``corner`` in the lower-left corner (for n = 1,
+    x = (zeta^e_1) and y = (zeta^corner)).  zeta has order ``modulus``.
+
+    >>> ParamMatrices(120, [1, 131], -1)
+    ParamMatrices(n=2, modulus=120)
+    >>> ParamMatrices(120, [1, 131], -1).diagonal
+    (1, 11)
     """
 
-    __slots__ = ("n", "modulus", "x", "y")
+    __slots__ = ("modulus", "diagonal", "corner")
 
-    def __init__(self, n: int, modulus: int, x, y):
-        if n < 1 or modulus < 1:
-            raise InvalidArgument("need n >= 1 and a positive modulus")
-        self.n = n
+    def __init__(self, modulus: int, diagonal: Iterable[int], corner: int):
+        if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
+            raise InvalidArgument(f"modulus must be a positive integer, got {modulus!r}")
+        diagonal = tuple(_exponent(e, "diagonal entry") % modulus for e in diagonal)
+        if not diagonal:
+            raise InvalidArgument("the diagonal needs n >= 1 exponents")
         self.modulus = modulus
-        self.x = self._normalize(x, n, modulus, "x")
-        self.y = self._normalize(y, n, modulus, "y")
+        self.diagonal = diagonal
+        self.corner = _exponent(corner, "corner") % modulus
 
-    @staticmethod
-    def _normalize(m, n: int, modulus: int, which: str):
-        rows = [list(row) for row in m]
-        if len(rows) != n or any(len(r) != n for r in rows):
-            raise ShapeMismatch(f"{which} must be {n}x{n}")
-        out = []
-        for row in rows:
-            cooked = []
-            for e in row:
-                if e is None:
-                    cooked.append(None)
-                elif isinstance(e, bool) or not isinstance(e, int):
-                    raise InvalidArgument(f"{which} entries must be None or integers, got {e!r}")
-                else:
-                    cooked.append(e % modulus)
-            out.append(tuple(cooked))
-        return tuple(out)
-
-    @staticmethod
-    def _entry_json(e):
-        return {"zero": True} if e is None else {"exp": e}
+    @property
+    def n(self) -> int:
+        return len(self.diagonal)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "modulus": self.modulus,
-            "x": [[self._entry_json(e) for e in row] for row in self.x],
-            "y": [[self._entry_json(e) for e in row] for row in self.y],
-        }
+        """Both matrices written out densely: {"exp": e} for zeta^e, {"zero": true} for 0."""
+        n = self.n
+        x = [[{"zero": True} for _ in range(n)] for _ in range(n)]
+        y = [[{"zero": True} for _ in range(n)] for _ in range(n)]
+        for i, e in enumerate(self.diagonal):
+            x[i][i] = {"exp": e}
+            y[i][(i + 1) % n] = {"exp": 0}
+        y[n - 1][0] = {"exp": self.corner}
+        return {"n": n, "modulus": self.modulus, "x": x, "y": y}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamMatrices):
             return NotImplemented
-        return (self.n, self.modulus, self.x, self.y) == (other.n, other.modulus, other.x, other.y)
+        return (self.modulus, self.diagonal, self.corner) == (
+            other.modulus, other.diagonal, other.corner
+        )
 
     def __repr__(self) -> str:
         return f"ParamMatrices(n={self.n}, modulus={self.modulus})"
 
 
 def matrices(phi: TrselpGL) -> ParamMatrices:
-    """The (x, y) pair for an integral parameter.
+    """The (x, y) pair of an integral parameter: x has the exponents a q^i mod M
+    on its diagonal, and y has b in its corner.
 
-    x = diag(zeta^a, zeta^{aq}, ..., zeta^{a q^{n-1}}); y is the cyclic shift
-    with ones on the superdiagonal and zeta^b in the lower-left corner.  For
-    n = 1 the matrices are (zeta^a) and (zeta^b).
+    The diagonal is the orbit of a, repeated n / s times for an orbit of
+    size s, since a q^s = a.
+
+    >>> m = matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1, b=7))
+    >>> m.diagonal, m.corner
+    ((1, 11), 7)
     """
     if phi.coeff != ZBAR:
         raise CoefficientMismatch(
             "matrices need integral coefficients",
             hint="lift the parameter first; residue exponents do not pin down matrices",
         )
-    n, q, mod = phi.family.n, phi.family.q, phi.modulus
-    x, y = [], []
-    e = phi.a
-    for i in range(n):
-        row = [None] * n
-        row[i] = e
-        x.append(tuple(row))
-        e = e * q % mod
-        row = [None] * n
-        row[(i + 1) % n] = 0 if i < n - 1 else phi.b
-        y.append(tuple(row))
+    orbit = phi.orbit()
     # the exponents are already reduced, so skip the constructor's checks
     m = object.__new__(ParamMatrices)
-    m.n, m.modulus, m.x, m.y = n, mod, tuple(x), tuple(y)
+    m.modulus, m.diagonal, m.corner = phi.modulus, orbit * (phi.family.n // len(orbit)), phi.b
     return m
-
-
-def _diagonal_exponents(m: ParamMatrices) -> list[int]:
-    diag = []
-    for i in range(m.n):
-        for j in range(m.n):
-            e = m.x[i][j]
-            if i == j:
-                if e is None:
-                    raise ShapeMismatch("x must be diagonal with unit eigenvalues")
-                diag.append(e)
-            elif e is not None:
-                raise ShapeMismatch("x must be diagonal")
-    return diag
-
-
-def _check_cyclic_shift(m: ParamMatrices) -> None:
-    n = m.n
-    for i in range(n):
-        for j in range(n):
-            e = m.y[i][j]
-            if (e is None) == (j == (i + 1) % n):
-                raise ShapeMismatch("y must be the cyclic shift with a corner unit")
 
 
 def verify_cocycle(m: ParamMatrices, q: int) -> bool:
@@ -432,10 +401,8 @@ def verify_cocycle(m: ParamMatrices, q: int) -> bool:
     >>> verify_cocycle(matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1)), 11)
     True
     """
-    diag = _diagonal_exponents(m)
-    _check_cyclic_shift(m)
-    n, mod = m.n, m.modulus
-    return all(diag[(i + 1) % n] == diag[i] * q % mod for i in range(n))
+    diag, mod = m.diagonal, m.modulus
+    return all(r == e * q % mod for e, r in zip(diag, diag[1:] + diag[:1]))
 
 
 def reduction(phi: TrselpGL) -> TrselpGL:
@@ -487,19 +454,18 @@ def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
 
 
 def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
-    """Matrix positions where an inertia-fixed nilpotent could live.
+    """Matrix positions where an inertia-fixed nilpotent could live, row by row.
 
     Position (i, j), 1-indexed, is fixed by the inertia action exactly when
-    a (q^{i-1} - q^{j-1}) == 0 mod the exponent modulus.  For a regular
-    parameter this is precisely the diagonal, which is the computational
-    form of the statement that the relevant nilpotent cone meets the fixed
-    space only at zero.
+    a (q^{i-1} - q^{j-1}) == 0 mod the exponent modulus, that is, when the
+    diagonal exponents a q^{i-1} and a q^{j-1} agree.  The orbit of a has s
+    distinct exponents and then repeats, so they agree exactly when
+    i == j mod s.  For a regular parameter (s = n) this is precisely the
+    diagonal, which is the computational form of the statement that the
+    relevant nilpotent cone meets the fixed space only at zero.
+
+    >>> nilpotent_support_fixed_positions(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=12))
+    [(1, 1), (1, 2), (2, 1), (2, 2)]
     """
-    n, mod = phi.family.n, phi.modulus
-    powers = phi.family.powers(phi.coeff)
-    out = []
-    for i in range(n):
-        for j in range(n):
-            if phi.a * (powers[i] - powers[j]) % mod == 0:
-                out.append((i + 1, j + 1))
-    return out
+    n, s = phi.family.n, len(phi.orbit())
+    return [(i, j) for i in range(1, n + 1) for j in range((i - 1) % s + 1, n + 1, s)]

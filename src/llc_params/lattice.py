@@ -99,9 +99,6 @@ class IntMatrix:
     def data(self) -> tuple[tuple[int, ...], ...]:
         return self._data
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(self._data[i][j] for i in range(self.rows))
 

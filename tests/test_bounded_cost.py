@@ -140,6 +140,17 @@ def test_semisimple_rank_200_answers(cmd, group):
     assert text.startswith(f"{cmd} [") and "_200, q=3" in text.splitlines()[0]
 
 
+@pytest.mark.parametrize("coeff", ["zbar", "fbar"])
+def test_gl3000_verify_text_answers(coeff):
+    # x is held by its diagonal and y by its corner: the text report costs
+    # O(n) plus the nilpotent support, which is the diagonal here
+    argv = ["verify", "--n", "3000", "--q", "3", "--ell", "5", "--a", "1", "--coeff", coeff]
+    code, text = run_timed(argv)
+    assert code == 0
+    assert text.startswith("verify [GL_3000, q=3")
+    assert "support diagonal: yes (3000 positions)" in text
+
+
 def test_gl300_coxeter_smith_form_is_fast():
     n = 300
     w = IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])

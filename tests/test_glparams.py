@@ -92,9 +92,8 @@ def test_order_three_eigenvalue_parameter():
 
 def test_canonical():
     phi = TrselpGL(GL2, ZBAR, a=11)
-    assert not phi.is_canonical
-    assert phi.canonical().a == 1
-    assert phi.canonical().is_canonical
+    assert phi.a != min(phi.orbit())
+    assert phi.canonical().a == 1 == min(phi.canonical().orbit())
     assert TrselpGL(GL2, ZBAR, a=1).canonical().a == 1
 
 
@@ -117,15 +116,16 @@ def test_to_json():
 
 def test_matrices_frozen_gl2():
     m = matrices(TrselpGL(GL2, ZBAR, a=1, b=7))
-    assert m.x == ((1, None), (None, 11))
-    assert m.y == ((None, 0), (7, None))
-    assert m.modulus == 120
+    assert m.diagonal == (1, 11)
+    assert m.corner == 7
+    assert m.modulus == 120 and m.n == 2
 
 
 def test_matrices_n1():
     m = matrices(TrselpGL(GLFamily(1, 11, 5), ZBAR, a=3, b=4))
-    assert m.x == ((3,),)
-    assert m.y == ((4,),)
+    assert m.diagonal == (3,)
+    assert m.corner == 4
+    assert m.to_json() == {"n": 1, "modulus": 10, "x": [[{"exp": 3}]], "y": [[{"exp": 4}]]}
 
 
 def test_matrices_need_integral_coefficients():
@@ -142,10 +142,18 @@ def test_matrices_json_entries():
 
 
 def test_param_matrices_shape_errors():
-    with pytest.raises(LlcError):
-        ParamMatrices(2, 120, [[1, None]], [[None, 0], [0, None]])
-    with pytest.raises(LlcError):
-        ParamMatrices(2, 120, [[1, None], [None, "x"]], [[None, 0], [0, None]])
+    for args in [
+        (120, [1, True], 0),
+        (120, [1, "x"], 0),
+        (120, [1, 11], False),
+        (120, [1, 11], "7"),
+        (120, [], 0),
+        (0, [1, 11], 0),
+        (True, [1, 11], 0),
+    ]:
+        with pytest.raises(LlcError) as exc:
+            ParamMatrices(*args)
+        assert exc.value.code == "invalid-argument"
 
 
 def test_verify_cocycle_holds_for_built_matrices():
@@ -156,15 +164,11 @@ def test_verify_cocycle_holds_for_built_matrices():
 
 def test_verify_cocycle_rejects_corrupted_diagonal():
     # diag (1, 12): conjugation rotates to (12, 1) but x^q is (11, 12)
-    m = ParamMatrices(2, 120, [[1, None], [None, 12]], [[None, 0], [5, None]])
+    m = ParamMatrices(120, [1, 12], 5)
     assert not verify_cocycle(m, 11)
-
-
-def test_verify_cocycle_rejects_wrong_shapes():
-    with pytest.raises(LlcError):
-        verify_cocycle(ParamMatrices(2, 120, [[1, 0], [None, 11]], [[None, 0], [0, None]]), 11)
-    with pytest.raises(LlcError):
-        verify_cocycle(ParamMatrices(2, 120, [[1, None], [None, 11]], [[0, None], [None, 0]]), 11)
+    # the last exponent must wrap around to the first: (1, 11, 121 = 1 mod 120)
+    assert verify_cocycle(ParamMatrices(120, [1, 11], 5), 11)
+    assert not verify_cocycle(ParamMatrices(120, [1, 11, 1], 5), 11)
 
 
 def test_verify_cocycle_is_ell_independent():
@@ -297,19 +301,28 @@ def test_powers_are_taken_once_per_flavor():
 
 
 def test_nilpotent_support_matches_fresh_powers_across_flavors():
-    # one family serves both flavors; each keeps its own modulus
-    fam = GLFamily(3, 7, 3)
-    for coeff in COEFFS:
-        m = fam.modulus(coeff)
-        for a in (0, 1, 2, m // 2, m - 1):
-            phi = TrselpGL(fam, coeff, a=a)
-            expected = [
-                (i + 1, j + 1)
-                for i in range(3)
-                for j in range(3)
-                if a * (pow(7, i, m) - pow(7, j, m)) % m == 0
-            ]
-            assert nilpotent_support_fixed_positions(phi) == expected
+    # one family serves both flavors; each keeps its own modulus.  The
+    # reference is the definition, an O(n^2) scan of a (q^i - q^j) == 0
+    families = [(1, 11, 5), (2, 11, 5), (3, 7, 3), (3, 3, 13), (4, 3, 5), (4, 7, 5),
+                (5, 3, 11), (6, 5, 7), (6, 7, 3)]
+    for n, q, ell in families:
+        fam = GLFamily(n, q, ell)
+        for coeff in COEFFS:
+            m = fam.modulus(coeff)
+            # orbits of size 1, small orbits, full ones, and the multiples of
+            # m / ell^j, whose orbits the ell-power roots of unity shorten
+            exps = {0, 1, 2, m // 2, m - 1}
+            exps |= {m // ell**j for j in range(1, fam.k + 1) if coeff == ZBAR}
+            exps |= {m // d for d in range(2, 10) if m % d == 0}
+            for a in sorted(exps):
+                phi = TrselpGL(fam, coeff, a=a)
+                expected = [
+                    (i + 1, j + 1)
+                    for i in range(n)
+                    for j in range(n)
+                    if a * (pow(q, i, m) - pow(q, j, m)) % m == 0
+                ]
+                assert nilpotent_support_fixed_positions(phi) == expected, (n, q, ell, coeff, a)
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +336,7 @@ def test_enumeration_frozen_counts():
 
 def test_enumeration_yields_canonical_ascending_regulars():
     params = GL2.parameters(FBAR)
-    assert all(phi.is_regular and phi.is_canonical for phi in params)
+    assert all(phi.is_regular and phi.a == min(phi.orbit()) for phi in params)
     exps = [phi.a for phi in params]
     assert exps == sorted(exps)
     assert all(phi.b == 0 for phi in params)
@@ -444,16 +457,26 @@ def assert_same_as_validated(phi):
 
 def validated_matrices(phi):
     n, q = phi.family.n, phi.family.q
-    x = [[None] * n for _ in range(n)]
-    y = [[None] * n for _ in range(n)]
-    for i in range(n):
-        x[i][i] = phi.a * q**i  # left unreduced: the constructor reduces
-        y[i][(i + 1) % n] = 0
-    y[n - 1][0] = phi.b
-    return ParamMatrices(n, phi.modulus, x, y)
+    # left unreduced, and the corner shifted by a modulus: the constructor reduces
+    return ParamMatrices(phi.modulus, [phi.a * q**i for i in range(n)], phi.b - phi.modulus)
 
 
-@pytest.mark.parametrize("n,q,ell", [(1, 11, 5), (2, 11, 5), (3, 3, 13), (4, 3, 5), (2, 131, 3)])
+def dense_json(n, modulus, a, b, q):
+    """The matrices' JSON written out from their definition, entry by entry."""
+    def entry(e):
+        return {"zero": True} if e is None else {"exp": e % modulus}
+
+    x = [[entry(a * q**i if i == j else None) for j in range(n)] for i in range(n)]
+    y = [[entry(None) for _ in range(n)] for _ in range(n)]
+    for i in range(n - 1):
+        y[i][i + 1] = entry(0)
+    y[n - 1][0] = entry(b)
+    return {"n": n, "modulus": modulus, "x": x, "y": y}
+
+
+@pytest.mark.parametrize(
+    "n,q,ell", [(1, 11, 5), (2, 11, 5), (3, 3, 13), (4, 3, 5), (2, 131, 3), (5, 3, 11), (6, 3, 7)]
+)
 def test_minted_parameters_equal_validated_ones(n, q, ell):
     fam = GLFamily(n, q, ell)
     for coeff in COEFFS:
@@ -468,11 +491,16 @@ def test_minted_parameters_equal_validated_ones(n, q, ell):
         for psi in lifts_in_component(phi):
             assert_same_as_validated(psi)
             assert_same_as_validated(reduction(psi))
-    for phi in fam.parameters(ZBAR)[:60] + [TrselpGL(fam, ZBAR, a=7, b=-3)]:
+    extra = [TrselpGL(fam, ZBAR, a=7, b=b) for b in (1, -3)]
+    # M / (q^d - 1) has an orbit of size d, so the diagonal repeats n / d times
+    extra += [
+        TrselpGL(fam, ZBAR, a=(q**n - 1) // (q**d - 1), b=5) for d in range(1, n + 1) if n % d == 0
+    ]
+    for phi in fam.parameters(ZBAR)[:60] + extra:
         m = matrices(phi)
         ref = validated_matrices(phi)
         assert m == ref and repr(m) == repr(ref)
-        assert m.to_json() == ref.to_json()
+        assert m.to_json() == dense_json(n, phi.modulus, phi.a, phi.b, q)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ def matrices(draw, min_dim=0, max_dim=5, square=False):
 def test_constructor_and_accessors():
     m = IntMatrix([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
-    assert m.row(1) == (4, 5, 6)
+    assert m.data[1] == (4, 5, 6)
     assert m.column(2) == (3, 6)
     assert m[1, 0] == 4
     assert m.data == ((1, 2, 3), (4, 5, 6))
