@@ -21,7 +21,9 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterator
+from itertools import chain
 from json.encoder import encode_basestring
+from operator import itemgetter
 
 from . import __version__
 from .abgroups import FinGenAbGroup
@@ -456,10 +458,9 @@ def _write(value, newline: str, chunks: list[str]) -> None:
             chunks.append("[]")
             return
         inner = newline + "  "
-        if set(map(type, value)) == {int}:
-            # roots, coroots and matrix rows: one join, no per-item dispatch
-            items = ("," + inner).join(map(int.__repr__, value))
-            chunks.append("[" + inner + items + newline + "]")
+        items = _uniform_items(value, inner)
+        if items is not None:
+            chunks.append("[" + inner + ("," + inner).join(items) + newline + "]")
             return
         sep = "[" + inner
         for item in value:
@@ -482,6 +483,55 @@ def _write(value, newline: str, chunks: list[str]) -> None:
         chunks.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _uniform_items(value, inner: str) -> Iterator[str] | None:
+    """The items of a uniform list, with no per-value dispatch; None for any
+    other list, which `_write` writes value by value.
+
+    A uniform list holds exact ints (one root), int vectors (a datum's roots:
+    non-empty exact lists or tuples of one length, every entry an exact int)
+    or records (a page of parameters: non-empty exact dicts with the same str
+    keys, each key's column all exact int or all exact str).  Vectors and
+    records are filled from one item template; '%d' writes an int as
+    int.__repr__ does and raises the same ValueError for one too long to print.
+    """
+    kinds = set(map(type, value))
+    if kinds == {int}:
+        return map(int.__repr__, value)
+    field = inner + "  "
+    if kinds <= {list, tuple}:
+        if len(set(map(len, value))) != 1 or not value[0]:
+            return None
+        if set(map(type, chain.from_iterable(value))) != {int}:
+            return None
+        slots = ("," + field).join(["%d"] * len(value[0]))
+        return map(("[" + field + slots + inner + "]").__mod__, map(tuple, value))
+    if kinds != {dict}:
+        return None
+    keys = value[0].keys()
+    if not keys or set(map(type, keys)) != {str} or set(map(len, value)) != {len(keys)}:
+        return None
+    names = sorted(keys)
+    columns = []
+    fields = []
+    for name in names:
+        try:  # with the lengths equal, no missing key means the same keys
+            column = list(map(itemgetter(name), value))
+        except KeyError:
+            return None
+        column_kinds = set(map(type, column))
+        if column_kinds == {str}:
+            column = list(map(encode_basestring, column))
+            slot = "%s"
+        elif column_kinds == {int}:
+            slot = "%d"
+        else:
+            return None
+        columns.append(column)
+        fields.append(encode_basestring(name).replace("%", "%%") + ": " + slot)
+    template = "{" + field + ("," + field).join(fields) + inner + "}"
+    return map(template.__mod__, zip(*columns))
 
 
 def run(argv: list[str] | None = None, stream=None) -> int:

@@ -17,6 +17,7 @@ invariants the gcd/lcm pass `diagonal_invariants` then takes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import chain
 from math import gcd
 
 from .errors import DimensionMismatch, InvalidArgument
@@ -37,9 +38,12 @@ class IntMatrix:
     __slots__ = ("_data", "rows", "cols")
 
     def __init__(self, data: Iterable[Sequence[int]], *, cols: int | None = None):
-        rows = []
-        for row in data:
-            rows.append(tuple(self._as_int(x) for x in row))
+        rows = list(map(tuple, data))
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            # a bool, a non-integer or an int subclass: refuse the first bad
+            # entry, or accept int subclasses as they are
+            for x in chain.from_iterable(rows):
+                self._as_int(x)
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):

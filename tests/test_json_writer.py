@@ -39,9 +39,85 @@ def test_writer_matches_json_dumps(value):
     assert cli._dumps(value) == reference(value)
 
 
+# uniform lists take the writer's one-template path; each strategy sometimes
+# breaks the uniformity, which must send the list down the recursive path
+keys = st.sampled_from(["a", "b", "modulus", "%", "%s", "%%", "%d", "", '"', "'", "\\",
+                        "é", "μ_5", "\U0001d11e"])
+
+
+@st.composite
+def int_vector_lists(draw):
+    length = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(ints, min_size=length, max_size=length), min_size=1, max_size=5))
+    rows = [tuple(row) if draw(st.booleans()) else row for row in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    odd = draw(st.sampled_from([None, None, "bool", "ragged"]))
+    if odd == "bool":
+        rows[i] = [*rows[i][:-1], draw(st.booleans())]
+    elif odd == "ragged":
+        rows[i] = [*rows[i], 0] if draw(st.booleans()) else rows[i][:-1]
+    return rows
+
+
+@st.composite
+def record_lists(draw):
+    names = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    columns = {name: draw(st.sampled_from([ints, text])) for name in names}
+    count = draw(st.integers(1, 5))
+    # every record lists its keys in an order of its own
+    rows = [{name: draw(columns[name]) for name in draw(st.permutations(names))}
+            for _ in range(count)]
+    row = rows[draw(st.integers(0, count - 1))]
+    name = draw(st.sampled_from(names))
+    odd = draw(st.sampled_from([None, "none", "bool", "float", "nested", "other kind",
+                                "missing", "renamed", "extra"]))
+    if odd == "none":
+        row[name] = None
+    elif odd == "bool":
+        row[name] = draw(st.booleans())
+    elif odd == "float":
+        row[name] = 0.5
+    elif odd == "nested":
+        row[name] = draw(st.sampled_from([[1, 2], [], {"x": 1}, {}]))
+    elif odd == "other kind":
+        row[name] = "7" if isinstance(row[name], int) else 7
+    elif odd in ("missing", "renamed"):
+        del row[name]
+        if odd == "renamed":  # as many keys as the others, not the same ones
+            row[name + "?"] = 1
+    elif odd == "extra":
+        row[name + "?"] = 1
+    return rows
+
+
+def holds_float(value):
+    if isinstance(value, dict):
+        return any(map(holds_float, value.values()))
+    if isinstance(value, (list, tuple)):
+        return any(map(holds_float, value))
+    return isinstance(value, float)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(int_vector_lists(), record_lists()), st.sampled_from(["bare", "in dict", "in list"]))
+def test_uniform_lists_match_json_dumps(rows, where):
+    value = {"page": rows, "n": 1} if where == "in dict" else [[rows]] if where == "in list" else rows
+    if holds_float(value):
+        with pytest.raises(TypeError):
+            cli._dumps(value)
+    else:
+        assert cli._dumps(value) == reference(value)
+
+
 def test_writer_edge_cases():
     for value in ({}, [], (), {"a": {}}, {"a": [[], ()]}, [True, 1, False, 0], (7,), [-0],
                   {"b": 1, "a": 2, "A": 3, "é": 4, "": 5}):
+        assert cli._dumps(value) == reference(value), value
+
+
+def test_records_that_do_not_share_their_keys_are_written_in_full():
+    a, b, c = {"a": 1, "b": "x"}, {"a": 2}, {"a": 3, "c": "y"}
+    for value in ([a, b], [b, a], [a, c], [c, a], [a, a, c], [b, b, a], [a, {}], [{}, a]):
         assert cli._dumps(value) == reference(value), value
 
 
@@ -52,7 +128,10 @@ REPORTS = [
     ["component", "--group", "SL", "--n", "3", "--q", "11", "--ell", "5"],
     ["component", "--group", "PGL", "--n", "3", "--q", "11", "--ell", "5", "--weyl", "identity"],
     ["component", "--n", "4", "--q", "7", "--ell", "3", "--weyl", SWAP_GL4],
+    ["component", "--n", "24", "--q", "3", "--ell", "5"],
+    ["component", "--n", "16", "--group", "SL", "--q", "3", "--ell", "5"],
     ["enumerate", *GL2],
+    ["enumerate", "--limit", "2000", "--n", "2", "--q", "499", "--ell", "3", "--offset", "244"],
     ["enumerate", "--n", "3", "--q", "5", "--ell", "31", "--coeff", "fbar", "--limit", "4"],
     ["verify", "--n", "3", "--q", "11", "--ell", "5", "--a", "7"],
     ["block", "--n", "4", "--q", "7", "--ell", "3"],
@@ -91,9 +170,9 @@ def test_every_report_is_written_as_json_dumps_writes_it(monkeypatch, argv):
 @pytest.mark.parametrize(
     "value",
     [1.5, {"x": float("nan")}, [1, 2.0], {1: "a"}, {("a",): 1}, {"a": {None: 1}},
-     object(), {"a": {1, 2}}, b"bytes"],
+     object(), {"a": {1, 2}}, b"bytes", [{"a": 1, "b": "x"}, {"a": 2, "b": 1.5}]],
     ids=["float", "nan", "float-in-ints", "int-key", "tuple-key", "none-key",
-         "object", "set", "bytes"],
+         "object", "set", "bytes", "float-in-records"],
 )
 def test_writer_refuses_values_outside_the_report_domain(value):
     with pytest.raises(TypeError):
@@ -101,10 +180,45 @@ def test_writer_refuses_values_outside_the_report_domain(value):
 
 
 def test_an_integer_too_long_to_print_is_output_too_large():
-    with pytest.raises(ValueError):
-        cli._dumps({"modulus": 10**5000})
+    for value in ({"modulus": 10**5000}, [[1, 2], [3, 10**5000]],
+                  [{"a": 1, "b": "x"}, {"a": 10**5000, "b": "y"}]):
+        with pytest.raises(ValueError):
+            cli._dumps(value)
     out = io.StringIO()
     code = cli.run(["component", "--n", "2", "--q", str(3**8000), "--ell", "5",
                     "--output", "json"], stream=out)
     assert code == 2
     assert json.loads(out.getvalue())["error"]["code"] == "output-too-large"
+
+
+def writer_calls(monkeypatch, argv):
+    """How many times `cli._write` runs for one JSON report."""
+    calls = 0
+    write = cli._write
+
+    def counting_write(value, newline, chunks):
+        nonlocal calls
+        calls += 1
+        write(value, newline, chunks)
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_write", counting_write)
+        assert cli.run(["--output", "json", *argv], stream=io.StringIO()) == 0
+    return calls
+
+
+def test_a_page_of_parameters_takes_a_constant_number_of_writer_calls(monkeypatch):
+    # each record was 8 calls before the page was filled from one template
+    page = ["enumerate", "--n", "2", "--q", "499", "--ell", "3", "--offset", "244", "--limit"]
+    calls = {limit: writer_calls(monkeypatch, [*page, limit]) for limit in ("1", "10", "2000")}
+    assert len(set(calls.values())) == 1, calls
+    assert calls["2000"] <= 20, calls
+
+
+@pytest.mark.parametrize("group", ["GL", "SL", "PGL"])
+def test_roots_and_coroots_take_a_constant_number_of_writer_calls(monkeypatch, group):
+    calls = {n: writer_calls(monkeypatch, ["component", "--group", group, "--n", n,
+                                           "--q", "3", "--ell", "5"])
+             for n in ("2", "8", "24")}
+    assert len(set(calls.values())) == 1, calls
+    assert calls["24"] <= 50, calls

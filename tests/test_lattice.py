@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,34 @@ def test_constructor_rejects_non_integers():
         IntMatrix([[1.5]])
     with pytest.raises(LlcError):
         IntMatrix([[True]])
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 2.5, "3", None],
+                         ids=["true", "false", "float-1.0", "float-2.5", "str", "none"])
+def test_a_non_integer_entry_is_refused_by_name(bad):
+    # alone, among ints, in a later row, and ahead of a ragged-row error
+    for rows in ([[bad]], [[1, bad], [3, 4]], [[1, 2, 3], [4, 5, bad]], [[1, 2], [bad]]):
+        with pytest.raises(InvalidArgument) as err:
+            IntMatrix(rows)
+        assert err.value.message == f"matrix entries must be plain integers, got {bad!r}"
+
+
+def test_the_first_bad_entry_in_row_major_order_is_named():
+    with pytest.raises(InvalidArgument, match=r"got 2\.5$"):
+        IntMatrix([[1, 2.5], [None, True]])
+    with pytest.raises(InvalidArgument, match=r"got None$"):
+        IntMatrix(((0, 1), (None, 2.5)))
+
+
+def test_an_int_subclass_entry_is_accepted_and_equals_its_int():
+    class Small(IntEnum):
+        TWO = 2
+
+    m = IntMatrix([[Small.TWO, 1], [0, 1]])
+    assert m == IntMatrix([[2, 1], [0, 1]])
+    assert m[0, 0] == 2
+    assert m.data[0][0] is Small.TWO
+    assert IntMatrix([[Small.TWO]], cols=1).cols == 1
 
 
 def test_empty_shapes():
