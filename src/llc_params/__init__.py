@@ -28,13 +28,11 @@ from .blocks import (
 from .cocycles import (
     CocycleSpace,
     ComponentDescriptor,
-    FrobTorus,
     POINT_MOD_STABILIZER,
     TORUS_QUOTIENT,
     cocycle_space,
     component_descriptor,
     frob_fixed_scheme,
-    mu_invariant,
     twisted_centralizer,
 )
 from .errors import (
@@ -83,7 +81,6 @@ __all__ = [
     "DimensionMismatch",
     "FBAR",
     "FinGenAbGroup",
-    "FrobTorus",
     "GLFamily",
     "IntMatrix",
     "InternalError",
@@ -113,7 +110,6 @@ __all__ = [
     "lifts_in_component",
     "match_sides",
     "matrices",
-    "mu_invariant",
     "nilpotent_support_fixed_positions",
     "preset",
     "reduction",

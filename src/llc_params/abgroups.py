@@ -53,10 +53,6 @@ class FinGenAbGroup:
         self._factors = chain
 
     @classmethod
-    def trivial(cls) -> "FinGenAbGroup":
-        return cls(0, ())
-
-    @classmethod
     def cyclic(cls, n: int) -> "FinGenAbGroup":
         """Z/n, with Z/0 = Z and Z/1 = 0."""
         return cls(0, (n,))

@@ -22,15 +22,15 @@ from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup, cokernel
 from .arith import check_admissible, prime_power_split, valuation
-from .cocycles import ComponentDescriptor, component_descriptor
-from .errors import DimensionMismatch, InternalError
+from .cocycles import ComponentDescriptor, component_descriptor, twisted_centralizer
+from .errors import InternalError
 from .rootdata import WeylTwist, coxeter_twist, preset
 
 GRADING_INDEX = "Z"
 GRADING_IDENTIFICATIONS = ("X*(Z(G-hat))", "pi_1(G)_Gamma")
 
 
-def finite_torus(rank: int, twist: WeylTwist, q: int) -> FinGenAbGroup:
+def finite_torus(twist: WeylTwist, q: int) -> FinGenAbGroup:
     """Fixed points of q-twisted Frobenius on a torus, via cocharacters.
 
     The cocharacter lattice carries the twist w; the finite torus is
@@ -39,13 +39,9 @@ def finite_torus(rank: int, twist: WeylTwist, q: int) -> FinGenAbGroup:
     prime power (InvalidPrimePower otherwise).
 
     >>> from .rootdata import preset, coxeter_twist
-    >>> finite_torus(2, coxeter_twist(preset("GL", 2)), 11)
+    >>> finite_torus(coxeter_twist(preset("GL", 2)), 11)
     FinGenAbGroup(free_rank=0, invariant_factors=(120,))
     """
-    if twist.rank != rank:
-        raise DimensionMismatch(
-            f"twist is {twist.rank}x{twist.rank} but the torus has rank {rank}"
-        )
     prime_power_split(q)
     group = cokernel(twist.matrix.shifted(q, -1))
     if group.free_rank != 0:
@@ -96,7 +92,6 @@ class BlockDescriptor:
 
 
 def torus_block_descriptor(
-    rank: int,
     twist: WeylTwist,
     q: int,
     ell: int,
@@ -107,21 +102,22 @@ def torus_block_descriptor(
 
     The twist is the action on the cocharacter lattice (for a twist given on
     characters, pass the transpose).  The finite torus is coker(q w - id);
-    the free rank is that of coker(id - w), the directions the twist fixes.
+    the free rank is that of `twisted_centralizer`, coker(id - w): the
+    directions the twist fixes.
     For the GL_n Coxeter twist this is Z/ell^k with k = v_ell(q^n - 1) and
     one free direction.
 
-    >>> b = torus_block_descriptor(2, coxeter_twist(preset("GL", 2)).transpose(), 11, 5)
+    >>> b = torus_block_descriptor(coxeter_twist(preset("GL", 2)).transpose(), 11, 5)
     >>> b.torsion, b.free_rank
     (FinGenAbGroup(free_rank=0, invariant_factors=(5,)), 1)
     """
     check_admissible(q, ell)
-    t = finite_torus(rank, twist, q)
+    t = finite_torus(twist, q)
     order = t.order()
     flags = () if coxeter_number is None else (_coxeter_bound_flag(q, coxeter_number),)
     return BlockDescriptor(
         torsion=t.ell_primary(ell),
-        free_rank=cokernel(twist.matrix.shifted(-1, 1)).free_rank,
+        free_rank=twisted_centralizer(twist).free_rank,
         finite_torus_order=order,
         k=valuation(order, ell),
         applicability=flags,
@@ -167,7 +163,7 @@ def match_sides(component: ComponentDescriptor, block: BlockDescriptor) -> Match
     >>> from .cocycles import component_descriptor
     >>> w = coxeter_twist(preset("GL", 2))
     >>> c = component_descriptor(preset("GL", 2), w, 11, 5)
-    >>> b = torus_block_descriptor(2, w.transpose(), 11, 5)
+    >>> b = torus_block_descriptor(w.transpose(), 11, 5)
     >>> match_sides(c, b).isomorphic
     True
     """
@@ -224,7 +220,7 @@ def categorical_summary(n: int, q: int, ell: int) -> CategoricalSummary:
     rd = preset("GL", n)
     w = coxeter_twist(rd)
     component = component_descriptor(rd, w, q, ell)
-    block = torus_block_descriptor(n, w.transpose(), q, ell, coxeter_number=n)
+    block = torus_block_descriptor(w.transpose(), q, ell, coxeter_number=n)
     report = match_sides(component, block)
     return CategoricalSummary(
         n=n,

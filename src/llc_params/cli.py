@@ -309,14 +309,14 @@ def _cmd_verify(args) -> _Outcome:
     return body, lines(), 0
 
 
-def _block_for(args, rd: RootDatum, twist: WeylTwist) -> BlockDescriptor:
-    return torus_block_descriptor(rd.rank, twist.transpose(), args.q, args.ell, coxeter_number=args.n)
+def _block_for(args, twist: WeylTwist) -> BlockDescriptor:
+    return torus_block_descriptor(twist.transpose(), args.q, args.ell, coxeter_number=args.n)
 
 
 def _cmd_block(args) -> _Outcome:
     rd = preset(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
-    block = _block_for(args, rd, twist)
+    block = _block_for(args, twist)
 
     def lines():
         yield f"block [{args.group}_{args.n}, q={args.q}, ell={args.ell}]"
@@ -334,7 +334,7 @@ def _cmd_match(args) -> _Outcome:
     rd = preset(args.group, args.n)
     twist = _build_twist(rd, args.weyl)
     desc = component_descriptor(rd, twist, args.q, args.ell)
-    block = _block_for(args, rd, twist)
+    block = _block_for(args, twist)
     report = match_sides(desc, block)
 
     def body():

@@ -26,67 +26,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup, cokernel
-from .arith import check_admissible
-from .errors import DimensionMismatch, InternalError, InvalidRank
-from .lattice import IntMatrix
+from .arith import check_admissible, prime_power_split
+from .errors import DimensionMismatch, InternalError
 from .rootdata import RootDatum, WeylTwist, center_char_group
 
 POINT_MOD_STABILIZER = "point_mod_S_psi"
 TORUS_QUOTIENT = "torus_quotient"
 
 
-class FrobTorus:
-    """A torus with a twisted Frobenius: rank, twist w, size q, working prime ell."""
+def frob_fixed_scheme(twist: WeylTwist, q: int) -> FinGenAbGroup:
+    """The scheme of inertia values: fixed points of the w-twisted q-power map.
 
-    __slots__ = ("rank", "twist", "q", "ell", "p")
-
-    def __init__(self, rank: int, twist: WeylTwist, q: int, ell: int):
-        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
-            raise InvalidRank(f"rank must be a positive integer, got {rank!r}")
-        if twist.rank != rank:
-            raise DimensionMismatch(
-                f"twist is {twist.rank}x{twist.rank} but the torus has rank {rank}"
-            )
-        p, _ = check_admissible(q, ell)
-        self.rank = rank
-        self.twist = twist
-        self.q = q
-        self.ell = ell
-        self.p = p
-
-    def __repr__(self) -> str:
-        return f"FrobTorus(rank={self.rank}, q={self.q}, ell={self.ell})"
-
-
-def _finite_cokernel(matrix: IntMatrix, context: str) -> FinGenAbGroup:
-    group = cokernel(matrix)
+    Its character group is coker(w - q id).  For the GL_n Coxeter twist this
+    is mu_{q^n - 1}, with character group Z/(q^n - 1).  q must be a prime
+    power (InvalidPrimePower otherwise).
+    """
+    prime_power_split(q)
+    group = cokernel(twist.matrix.shifted(1, -q))
     if group.free_rank != 0:
         # a unimodular finite-order twist can never have eigenvalue q >= 2,
         # so a positive free rank means the caller fed a non-Frobenius matrix
         raise InternalError(
-            f"{context} is infinite; the twist cannot be of finite order",
+            "the inertia fixed scheme is infinite; the twist cannot be of finite order",
             hint="check that the twist matrix is a root-permuting automorphism",
         )
     return group
 
 
-def frob_fixed_scheme(ft: FrobTorus) -> FinGenAbGroup:
-    """The scheme of inertia values: fixed points of the w-twisted q-power map.
-
-    Its character group is coker(w - q id).  For the GL_n Coxeter twist this
-    is mu_{q^n - 1}, with character group Z/(q^n - 1).
-    """
-    return _finite_cokernel(ft.twist.matrix.shifted(1, -ft.q), "the inertia fixed scheme")
-
-
-def mu_invariant(ft: FrobTorus) -> FinGenAbGroup:
-    """Identity component of the fixed scheme: the ell-primary mu factor."""
-    return frob_fixed_scheme(ft).ell_primary(ft.ell)
-
-
-def twisted_centralizer(ft: FrobTorus) -> FinGenAbGroup:
+def twisted_centralizer(twist: WeylTwist) -> FinGenAbGroup:
     """Stabilizer of the twisted conjugation action: character group coker(id - w)."""
-    return cokernel(ft.twist.matrix.shifted(-1, 1))
+    return cokernel(twist.matrix.shifted(-1, 1))
 
 
 @dataclass(frozen=True)
@@ -160,9 +129,9 @@ def component_descriptor(rd: RootDatum, twist: WeylTwist, q: int, ell: int) -> C
         raise DimensionMismatch(
             f"twist is {twist.rank}x{twist.rank} but the datum has rank {rd.rank}"
         )
-    ft = FrobTorus(rd.rank, twist, q, ell)
-    fixed = frob_fixed_scheme(ft)
-    stabilizer = twisted_centralizer(ft)
+    check_admissible(q, ell)
+    fixed = frob_fixed_scheme(twist, q)
+    stabilizer = twisted_centralizer(twist)
     mu = fixed.ell_primary(ell)
     # dim ker(1 - w) is the free rank of coker(1 - w); elliptic means the
     # stabilizer is no bigger than the center

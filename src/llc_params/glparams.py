@@ -30,6 +30,7 @@ from math import gcd
 
 from .arith import check_admissible, factorint, valuation
 from .errors import CoefficientMismatch, InternalError, InvalidArgument
+from .rootdata import preset
 
 ZBAR = "zbar"  # integral coefficients (Z-bar_ell)
 FBAR = "fbar"  # residue coefficients (F-bar_ell)
@@ -86,8 +87,7 @@ class GLFamily:
     __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus", "_powers")
 
     def __init__(self, n: int, q: int, ell: int):
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise InvalidArgument(f"n must be a positive integer, got {n!r}")
+        preset("GL", n)  # the rank rule of GL_n, and its error
         self.p, _ = check_admissible(q, ell)
         self.n = n
         self.q = q

@@ -29,10 +29,8 @@ class IntMatrix:
     >>> a = IntMatrix([[2, 4], [6, 8]])
     >>> a.rows, a.cols
     (2, 2)
-    >>> a[1, 0]
-    6
-    >>> a.transpose() @ IntMatrix.identity(2) == a.transpose()
-    True
+    >>> a.transpose()
+    IntMatrix([[2, 6], [4, 8]])
     """
 
     __slots__ = ("_data", "rows", "cols")
@@ -103,16 +101,6 @@ class IntMatrix:
     def data(self) -> tuple[tuple[int, ...], ...]:
         return self._data
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self._data[i][j] for i in range(self.rows))
-
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self._data[i][j]
-
-    def __iter__(self):
-        return iter(self._data)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -139,19 +127,6 @@ class IntMatrix:
         for i, row in enumerate(data):
             row[i] += t
         return IntMatrix._trusted(tuple(map(tuple, data)), self.cols)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        ocols = [other.column(j) for j in range(other.cols)]
-        return IntMatrix._trusted(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in ocols) for row in self._data),
-            other.cols,
-        )
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix._trusted(tuple(zip(*self._data)) if self.rows else ((),) * self.cols, self.rows)

@@ -1,9 +1,9 @@
 """Root data for the dual groups in play, with their standard twists.
 
-A RootDatum records the character lattice of a maximal torus of the dual
-group together with the root and coroot vectors; the pairing is always the
-dot product because the presets pick dual bases.  Three preset families are
-provided, named by the INPUT group (the datum built is that of the dual):
+A RootDatum is the based root datum of a maximal torus of the dual group,
+on its character lattice; the pairing is always the dot product because the
+presets pick dual bases.  Three preset families are provided, named by the
+INPUT group (the datum built is that of the dual):
 
 * ``preset("GL", n)``  -> dual GL_n: lattice Z^n in the coordinate basis,
   roots e_i - e_j, coroots the same vectors.
@@ -23,8 +23,8 @@ A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  It is unimodular by construction: the
 constructor checks it once, by the invariants-only Smith form (w is
 unimodular iff coker(w) is trivial), and the Coxeter, identity and transposed
-twists are unimodular without a check.  ``weyl_twist`` also checks that the
-roots and coroots are permuted compatibly.
+twists are unimodular without a check.  ``weyl_twist`` also checks that w
+permutes the roots, and that the simple coroots follow.
 """
 
 from __future__ import annotations
@@ -34,10 +34,12 @@ from .errors import InvalidArgument, InvalidRank, UnsupportedFamily
 from .lattice import IntMatrix
 
 FAMILIES = ("GL", "SL", "PGL")
+# the dual group each kind of datum belongs to
+_DUAL_NAMES = {"gl": "GL", "adjoint": "PGL", "sc": "SL"}
 
 
 class RootDatum:
-    """A based root datum with dot-product pairing; a hand-built one keeps its lists.
+    """The based root datum of a preset, held by its kind and n; `preset` makes one.
 
     >>> gl2 = preset("GL", 2)
     >>> gl2.rank, len(gl2.roots)
@@ -46,34 +48,38 @@ class RootDatum:
     (1, -1)
     """
 
-    __slots__ = ("rank", "name", "_preset", "_lists")
+    __slots__ = ("kind", "n")
 
-    def __init__(self, rank, roots, coroots, name, _preset=None):
-        self.rank = rank
-        self.name = name
-        self._preset = _preset
-        self._lists = None if _preset else (tuple(map(tuple, roots)), tuple(map(tuple, coroots)))
+    def __init__(self, kind: str, n: int):
+        self.kind = kind
+        self.n = n
 
-    def _root_lists(self) -> tuple[tuple, tuple]:
-        """(roots, coroots); a preset's positive blocks in order, then their negatives."""
-        if self._preset is None:
-            return self._lists
-        kind, n = self._preset
+    @property
+    def rank(self) -> int:
+        return self.n if self.kind == "gl" else self.n - 1
+
+    @property
+    def name(self) -> str:
+        return f"{_DUAL_NAMES[self.kind]}_{self.n}"
+
+    def _roots_and_coroots(self) -> tuple[tuple, tuple]:
+        """(roots, coroots): the positive blocks in order, then their negatives."""
+        n = self.n
         blocks = ((i, j) for i in range(n - 1) for j in range(i, n - 1))
-        pos = list(_block_pairs(kind, self.rank, blocks))
+        pos = list(_block_pairs(self.kind, self.rank, blocks))
         roots = _with_negatives([a for a, _ in pos])
-        return roots, roots if kind == "gl" else _with_negatives([b for _, b in pos])
+        return roots, roots if self.kind == "gl" else _with_negatives([b for _, b in pos])
 
     @property
     def roots(self) -> tuple:
-        return self._root_lists()[0]
+        return self._roots_and_coroots()[0]
 
     @property
     def coroots(self) -> tuple:
-        return self._root_lists()[1]
+        return self._roots_and_coroots()[1]
 
     def to_json(self) -> dict:
-        roots, coroots = self._root_lists()
+        roots, coroots = self._roots_and_coroots()
         return {
             "name": self.name,
             "charLatticeRank": self.rank,
@@ -86,10 +92,10 @@ class RootDatum:
     def __eq__(self, other) -> bool:
         if not isinstance(other, RootDatum):
             return NotImplemented
-        return (self.rank, self._preset, self._lists) == (other.rank, other._preset, other._lists)
+        return (self.kind, self.n) == (other.kind, other.n)
 
     def __hash__(self) -> int:
-        return hash((self.rank, self._preset, self._lists))
+        return hash((self.kind, self.n))
 
     def __repr__(self) -> str:
         return f"RootDatum({self.name!r}, rank={self.rank})"
@@ -167,8 +173,7 @@ def _with_negatives(pos: list) -> tuple:
 
 def _simple_pairs(rd: RootDatum) -> list:
     """The (simple root, simple coroot) pairs of a preset: its one-root blocks."""
-    kind, n = rd._preset
-    return list(_block_pairs(kind, rd.rank, ((i, i) for i in range(n - 1))))
+    return list(_block_pairs(rd.kind, rd.rank, ((i, i) for i in range(rd.n - 1))))
 
 
 def preset(family: str, n: int) -> RootDatum:
@@ -183,11 +188,10 @@ def preset(family: str, n: int) -> RootDatum:
     if family == "GL":
         if n < 1:
             raise InvalidRank(f"GL needs n >= 1, got {n}")
-        return RootDatum(n, None, None, f"GL_{n}", _preset=("gl", n))
+        return RootDatum("gl", n)
     if n < 2:
         raise InvalidRank(f"{family} needs n >= 2, got {n}")
-    kind, dual = ("adjoint", "PGL") if family == "SL" else ("sc", "SL")
-    return RootDatum(n - 1, None, None, f"{dual}_{n}", _preset=(kind, n))
+    return RootDatum("adjoint" if family == "SL" else "sc", n)
 
 
 def center_char_group(rd: RootDatum) -> FinGenAbGroup:
@@ -195,8 +199,7 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
 
     The simple roots of a preset span the root lattice, so the quotient is
     read from the simple-root matrix (rank x (rank - 1) for GL, rank x rank
-    for the semisimple presets); a hand-built datum has no simple system
-    and uses every root.
+    for the semisimple presets).
 
     >>> center_char_group(preset("GL", 2))
     FinGenAbGroup(free_rank=1, invariant_factors=())
@@ -207,12 +210,12 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     >>> center_char_group(preset("PGL", 3))
     FinGenAbGroup(free_rank=0, invariant_factors=(3,))
     """
-    generators = rd.roots if rd._preset is None else [a for a, _ in _simple_pairs(rd)]
-    return cokernel(IntMatrix.from_columns([list(a) for a in generators], rows=rd.rank))
+    simple = [list(a) for a, _ in _simple_pairs(rd)]
+    return cokernel(IntMatrix.from_columns(simple, rows=rd.rank))
 
 
 def coxeter_twist(rd: RootDatum) -> WeylTwist:
-    """The standard Coxeter element of a preset datum, as a lattice matrix.
+    """The standard Coxeter element of a datum, as a lattice matrix.
 
     For GL_n this is the n-cycle permutation matrix (order n); for the rank-1
     A_1 data it is (-1); in general it is the ordered product of the simple
@@ -221,13 +224,8 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
     >>> coxeter_twist(preset("GL", 2)).matrix
     IntMatrix([[0, 1], [1, 0]])
     """
-    if rd._preset is None:
-        raise UnsupportedFamily(
-            "coxeter_twist needs a preset datum",
-            hint="hand-built data can use weyl_twist with an explicit matrix",
-        )
-    kind, n = rd._preset
-    if kind == "gl":
+    n = rd.n
+    if rd.kind == "gl":
         return WeylTwist._trusted(
             IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)], cols=n)
         )
@@ -261,8 +259,8 @@ def _apply(columns: list, v: tuple[int, ...], rank: int) -> tuple[int, ...]:
 def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
     """Validate a raw lattice matrix as a twist for the given datum.
 
-    w must permute the roots, and w^T (w alpha)^vee = alpha^vee; on a preset
-    alpha -> alpha^vee is linear, so the simple pairs imply it for every root.
+    w must permute the roots, and w^T (w alpha)^vee = alpha^vee; alpha ->
+    alpha^vee is linear, so the simple pairs imply it for every root.
     """
     if matrix.rows != rd.rank or matrix.cols != rd.rank:
         raise InvalidArgument(
@@ -272,14 +270,13 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
     # the columns of w and of w^T as (row, entry) nonzeros
     w = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*matrix.data)]
     w_t = [[(i, x) for i, x in enumerate(row) if x] for row in matrix.data]
-    roots, coroots = rd._root_lists()
+    roots, coroots = rd._roots_and_coroots()
     coroot_of = dict(zip(roots, coroots))
     for alpha in roots:
         image = _apply(w, alpha, rd.rank)
         if image not in coroot_of:
             raise InvalidArgument(f"twist does not permute the roots: image of {alpha} is {image}")
-    pairs = zip(roots, coroots) if rd._preset is None else _simple_pairs(rd)
-    for alpha, alpha_vee in pairs:
+    for alpha, alpha_vee in _simple_pairs(rd):
         if _apply(w_t, coroot_of[_apply(w, alpha, rd.rank)], rd.rank) != alpha_vee:
             raise InvalidArgument(f"twist does not preserve the coroots at the root {alpha}")
     return twist

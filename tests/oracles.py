@@ -324,6 +324,15 @@ def multiplicative_order(q: int, m: int) -> int:
     return order
 
 
+def matmul(a, b) -> list[list[int]]:
+    """The product of two integer matrices given as sequences of rows.
+
+    >>> matmul([[1, 2], [3, 4]], [[5, 6], [7, 8]])
+    [[19, 22], [43, 50]]
+    """
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def root_datum_problems(rank: int, roots, coroots) -> list[str]:
     """Check the root-datum axioms for the dot pairing; list the violations.
 

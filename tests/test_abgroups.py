@@ -45,7 +45,7 @@ def test_constructor_validation():
 
 
 def test_classmethods():
-    assert FinGenAbGroup.trivial().is_trivial
+    assert FinGenAbGroup().is_trivial
     assert FinGenAbGroup.cyclic(12).invariant_factors == (12,)
     assert FinGenAbGroup.cyclic(0) == FinGenAbGroup(1, ())
     assert FinGenAbGroup.cyclic(1).is_trivial
@@ -101,7 +101,7 @@ def test_normal_form_is_order_of_presentation_independent(xs, ys):
 def test_order_and_finiteness():
     assert FinGenAbGroup(0, (2, 12)).order() == 24
     assert FinGenAbGroup(1, (5,)).order() is None
-    assert FinGenAbGroup.trivial().order() == 1
+    assert FinGenAbGroup().order() == 1
     assert FinGenAbGroup(2, ()).order() is None
     assert FinGenAbGroup(1, (5,)).torsion_order() == 5
 
@@ -139,18 +139,18 @@ def test_direct_sum():
     a = FinGenAbGroup(1, (2,))
     b = FinGenAbGroup(0, (3,))
     assert a.direct_sum(b) == FinGenAbGroup(1, (6,))
-    assert a.direct_sum(FinGenAbGroup.trivial()) == a
+    assert a.direct_sum(FinGenAbGroup()) == a
 
 
 def test_describe():
-    assert FinGenAbGroup.trivial().describe() == "0"
+    assert FinGenAbGroup().describe() == "0"
     assert FinGenAbGroup(1, ()).describe() == "Z"
     assert FinGenAbGroup(2, (2, 12)).describe() == "Z^2 + Z/2 + Z/12"
 
 
 def test_to_json():
     assert FinGenAbGroup(1, (5,)).to_json() == {"freeRank": 1, "torsion": [5]}
-    assert FinGenAbGroup.trivial().to_json() == {"freeRank": 0, "torsion": []}
+    assert FinGenAbGroup().to_json() == {"freeRank": 0, "torsion": []}
 
 
 def test_hashable():

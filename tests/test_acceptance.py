@@ -13,7 +13,7 @@ import pytest
 
 from llc_params.abgroups import FinGenAbGroup, cokernel
 from llc_params.arith import valuation
-from llc_params.cocycles import FrobTorus, component_descriptor, frob_fixed_scheme
+from llc_params.cocycles import component_descriptor, frob_fixed_scheme
 from llc_params.glparams import (
     FBAR,
     ZBAR,
@@ -64,7 +64,7 @@ def _gl_component(n, q, ell):
 
 def _gl_block(n, q, ell):
     w = coxeter_twist(preset("GL", n))
-    return torus_block_descriptor(n, WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n)
+    return torus_block_descriptor(WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n)
 
 
 # ---------------------------------------------------------------------------
@@ -89,8 +89,7 @@ def test_acceptance_02_fixed_scheme_law():
             rd = preset("GL", n)
             w = coxeter_twist(rd)
             for q in GRID_Q:
-                ell = next(e for e in ELLS if _admissible(q, e))
-                fixed = frob_fixed_scheme(FrobTorus(n, w, q, ell))
+                fixed = frob_fixed_scheme(w, q)
                 assert fixed == FinGenAbGroup.cyclic(q**n - 1), (n, q)
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"took {elapsed:.3f} s"

@@ -25,30 +25,25 @@ from oracles import gln_block_descriptor
 
 
 def test_finite_torus_gl2_coxeter():
-    t = finite_torus(2, coxeter_twist(preset("GL", 2)), 11)
+    t = finite_torus(coxeter_twist(preset("GL", 2)), 11)
     assert t == FinGenAbGroup.cyclic(120)
 
 
 def test_finite_torus_gl_n_is_cyclic_of_order_q_n_minus_1():
     for n in range(1, 6):
         for q in (3, 5, 11):
-            t = finite_torus(n, coxeter_twist(preset("GL", n)), q)
+            t = finite_torus(coxeter_twist(preset("GL", n)), q)
             assert t == FinGenAbGroup.cyclic(q**n - 1), (n, q)
 
 
 def test_finite_torus_untwisted():
-    t = finite_torus(2, WeylTwist(IntMatrix.identity(2)), 11)
+    t = finite_torus(WeylTwist(IntMatrix.identity(2)), 11)
     assert t == FinGenAbGroup(0, (10, 10))
 
 
 def test_finite_torus_rank_one_negation():
-    t = finite_torus(1, WeylTwist(IntMatrix([[-1]])), 11)
+    t = finite_torus(WeylTwist(IntMatrix([[-1]])), 11)
     assert t == FinGenAbGroup.cyclic(12)
-
-
-def test_finite_torus_shape_check():
-    with pytest.raises(LlcError):
-        finite_torus(3, WeylTwist(IntMatrix.identity(2)), 11)
 
 
 @pytest.mark.parametrize("q", [1, 0, -3, 6])
@@ -56,14 +51,14 @@ def test_finite_torus_rejects_q_not_a_prime_power(q):
     # q = 1 used to blame the twist with an internal error; 0, -3 and 6
     # used to return a group
     with pytest.raises(InvalidPrimePower) as exc:
-        finite_torus(1, WeylTwist(IntMatrix([[1]])), q)
+        finite_torus(WeylTwist(IntMatrix([[1]])), q)
     assert exc.value.code == "q-not-prime-power"
 
 
 def test_ell_block_invariant():
     # the block torsion is the ell-primary part of the finite torus Z/120
     w = WeylTwist(coxeter_twist(preset("GL", 2)).matrix.transpose())
-    torsion = {ell: torus_block_descriptor(2, w, 11, ell).torsion for ell in (3, 5, 7)}
+    torsion = {ell: torus_block_descriptor(w, 11, ell).torsion for ell in (3, 5, 7)}
     assert torsion[3] == FinGenAbGroup.cyclic(3)
     assert torsion[5] == FinGenAbGroup.cyclic(5)
     assert torsion[7].is_trivial
@@ -76,7 +71,7 @@ def test_ell_block_invariant():
 def _gl_block(n, q, ell):
     """The GL_n block at the Coxeter torus, through the transposed twist."""
     w = coxeter_twist(preset("GL", n))
-    return torus_block_descriptor(n, WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n)
+    return torus_block_descriptor(WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n)
 
 
 def _without_flags(block):
@@ -116,16 +111,13 @@ def test_gln_block_coxeter_flag_can_fail():
 def test_gln_block_descriptor_validation():
     w = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(LlcError) as exc:
-        torus_block_descriptor(3, w, 11, 5)
-    assert exc.value.code == "dimension-mismatch"
-    with pytest.raises(LlcError) as exc:
-        torus_block_descriptor(2, w, 12, 5)
+        torus_block_descriptor(w, 12, 5)
     assert exc.value.code == "q-not-prime-power"
 
 
 def test_torus_block_descriptor_a1():
     # cocharacter twist -1 for the rank-one elliptic torus: order q + 1
-    b = torus_block_descriptor(1, WeylTwist(IntMatrix([[-1]])), 11, 3, coxeter_number=2)
+    b = torus_block_descriptor(WeylTwist(IntMatrix([[-1]])), 11, 3, coxeter_number=2)
     assert b.finite_torus_order == 12
     assert b.torsion == FinGenAbGroup.cyclic(3)
     assert b.free_rank == 0
@@ -141,9 +133,9 @@ def test_torus_block_descriptor_matches_gln_numbers():
 
 def test_torus_block_free_rank_counts_fixed_directions():
     # the identity twist fixes every direction; a transposition fixes n - 1
-    assert torus_block_descriptor(3, WeylTwist(IntMatrix.identity(3)), 7, 3).free_rank == 3
+    assert torus_block_descriptor(WeylTwist(IntMatrix.identity(3)), 7, 3).free_rank == 3
     swap = WeylTwist(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
-    assert torus_block_descriptor(3, swap, 7, 3).free_rank == 2
+    assert torus_block_descriptor(swap, 7, 3).free_rank == 2
 
 
 def test_block_json_keys():
@@ -227,7 +219,7 @@ def test_match_desk_case_pgl2():
     rd = preset("PGL", 2)
     comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
     w = coxeter_twist(rd)
-    block = torus_block_descriptor(rd.rank, WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
+    block = torus_block_descriptor(WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
     report = match_sides(comp, block)
     assert comp.mu == FinGenAbGroup.cyclic(3)
     assert report.isomorphic
@@ -239,7 +231,7 @@ def test_match_desk_case_sl2():
     rd = preset("SL", 2)
     comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
     w = coxeter_twist(rd)
-    block = torus_block_descriptor(rd.rank, WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
+    block = torus_block_descriptor(WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
     report = match_sides(comp, block)
     assert report.isomorphic
     assert report.free_ranks_agree

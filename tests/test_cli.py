@@ -260,8 +260,8 @@ def test_an_explicit_weyl_matrix_is_checked_for_unimodularity_once(monkeypatch, 
     swap = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
     code, _ = run_cli([cmd, "--n", "4", "--q", "11", "--ell", "5", "--weyl", json.dumps(swap)])
     assert code == 0
-    # weyl_twist checks the matrix when it makes the twist; the Frobenius
-    # torus and the transposed block-side twist take it as it is
+    # weyl_twist checks the matrix when it makes the twist; the component
+    # and the transposed block-side twist take it as it is
     assert [a for a in calls if a.data == tuple(map(tuple, swap))] == [calls[0]]
     # then the component's three invariants, and the block's two
     assert calls[0].rows == 4 and len(calls) == {"component": 4, "match": 6}[cmd]
@@ -349,6 +349,9 @@ def test_grid_flag_spelling():
          "weyl-invalid"),
         (["component", "--n", "1", "--q", "7", "--ell", "3", "--weyl", "[" * 5000],
          "weyl-invalid"),
+        # one rank rule, one code, for every command
+        (["enumerate", "--n", "0", "--q", "11", "--ell", "5"], "invalid-rank"),
+        (["verify", "--n", "0", "--q", "11", "--ell", "5", "--a", "1"], "invalid-rank"),
     ],
 )
 def test_validation_errors_are_machine_readable(argv, expected_code):
@@ -467,7 +470,7 @@ def test_render_diag_shapes():
     from llc_params.abgroups import FinGenAbGroup
 
     assert cli._render_diag(FinGenAbGroup(2, (3, 6))) == "G_m^2 × μ_3 × μ_6"
-    assert cli._render_diag(FinGenAbGroup.trivial()) == "1"
+    assert cli._render_diag(FinGenAbGroup()) == "1"
     assert cli._torus_symbol(0) == "*"
     assert cli._torus_symbol(1) == "G_m"
     assert cli._torus_symbol(3) == "G_m^3"
@@ -539,7 +542,7 @@ def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, g
     def refuse(self):
         raise AssertionError(f"the roots of {self.name} generated")
 
-    monkeypatch.setattr(rootdata.RootDatum, "_root_lists", refuse)
+    monkeypatch.setattr(rootdata.RootDatum, "_roots_and_coroots", refuse)
     assert [run_cli(argv) for argv in argvs] == expected
     rank = 5 if group == "GL" else 4
     identity = json.dumps([[int(i == j) for j in range(rank)] for i in range(rank)])

@@ -7,44 +7,46 @@ from llc_params.cocycles import (
     POINT_MOD_STABILIZER,
     TORUS_QUOTIENT,
     CocycleSpace,
-    FrobTorus,
-    _finite_cokernel,
     cocycle_space,
     component_descriptor,
     frob_fixed_scheme,
-    mu_invariant,
     twisted_centralizer,
 )
-from llc_params.errors import LlcError
+from llc_params.errors import InvalidPrimePower, LlcError
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
 
 
-def _gl_frob(n, q, ell):
-    rd = preset("GL", n)
-    return FrobTorus(rd.rank, coxeter_twist(rd), q, ell)
+def _gl_coxeter(n):
+    return coxeter_twist(preset("GL", n))
 
 
 # ---------------------------------------------------------------------------
-# FrobTorus validation
+# validation
 
 
-def test_frob_torus_validation():
+def test_component_descriptor_validation():
+    rd = preset("GL", 2)
     w = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(LlcError) as exc:
-        FrobTorus(0, WeylTwist(IntMatrix([], cols=0)), 11, 5)
-    assert exc.value.code == "invalid-rank"
-    with pytest.raises(LlcError) as exc:
-        FrobTorus(3, w, 11, 5)
+        component_descriptor(preset("GL", 3), w, 11, 5)
     assert exc.value.code == "dimension-mismatch"
     with pytest.raises(LlcError) as exc:
-        FrobTorus(2, w, 12, 5)
+        component_descriptor(rd, w, 12, 5)
     assert exc.value.code == "q-not-prime-power"
     with pytest.raises(LlcError) as exc:
-        FrobTorus(2, w, 11, 11)
+        component_descriptor(rd, w, 11, 11)
     assert exc.value.code == "ell-equals-p"
     with pytest.raises(LlcError):
-        FrobTorus(2, WeylTwist(IntMatrix([[2, 0], [0, 1]])), 11, 5)
+        WeylTwist(IntMatrix([[2, 0], [0, 1]]))
+
+
+@pytest.mark.parametrize("q", [1, 0, -3, 6])
+def test_frob_fixed_scheme_rejects_q_not_a_prime_power(q):
+    # q = 1 would otherwise blame the twist with an internal error
+    with pytest.raises(InvalidPrimePower) as exc:
+        frob_fixed_scheme(WeylTwist(IntMatrix([[1]])), q)
+    assert exc.value.code == "q-not-prime-power"
 
 
 # ---------------------------------------------------------------------------
@@ -52,38 +54,40 @@ def test_frob_torus_validation():
 
 
 def test_gl2_fixed_scheme_is_mu_120():
-    assert frob_fixed_scheme(_gl_frob(2, 11, 5)) == FinGenAbGroup.cyclic(120)
+    assert frob_fixed_scheme(_gl_coxeter(2), 11) == FinGenAbGroup.cyclic(120)
 
 
 def test_gl1_fixed_scheme_is_mu_q_minus_1():
-    assert frob_fixed_scheme(_gl_frob(1, 11, 5)) == FinGenAbGroup.cyclic(10)
+    assert frob_fixed_scheme(_gl_coxeter(1), 11) == FinGenAbGroup.cyclic(10)
 
 
 def test_gl3_fixed_scheme():
-    assert frob_fixed_scheme(_gl_frob(3, 3, 13)) == FinGenAbGroup.cyclic(26)
+    assert frob_fixed_scheme(_gl_coxeter(3), 3) == FinGenAbGroup.cyclic(26)
 
 
 def test_untwisted_fixed_scheme_is_product_of_mu_q_minus_1():
-    ft = FrobTorus(2, WeylTwist(IntMatrix.identity(2)), 11, 5)
-    assert frob_fixed_scheme(ft) == FinGenAbGroup(0, (10, 10))
+    assert frob_fixed_scheme(WeylTwist(IntMatrix.identity(2)), 11) == FinGenAbGroup(0, (10, 10))
 
 
 def test_mu_invariant_values():
-    assert mu_invariant(_gl_frob(2, 11, 5)) == FinGenAbGroup.cyclic(5)
-    assert mu_invariant(_gl_frob(2, 11, 3)) == FinGenAbGroup.cyclic(3)
-    assert mu_invariant(_gl_frob(2, 11, 7)).is_trivial
-    assert mu_invariant(_gl_frob(2, 3, 7)).is_trivial
+    # the mu invariant is the ell-primary part of the fixed scheme
+    def mu(n, q, ell):
+        return frob_fixed_scheme(_gl_coxeter(n), q).ell_primary(ell)
+
+    assert mu(2, 11, 5) == FinGenAbGroup.cyclic(5)
+    assert mu(2, 11, 3) == FinGenAbGroup.cyclic(3)
+    assert mu(2, 11, 7).is_trivial
+    assert mu(2, 3, 7).is_trivial
     # 3^5 - 1 = 242 = 2 * 11^2
-    assert mu_invariant(_gl_frob(5, 3, 11)) == FinGenAbGroup.cyclic(121)
+    assert mu(5, 3, 11) == FinGenAbGroup.cyclic(121)
 
 
 def test_a1_fixed_scheme_is_mu_q_plus_1():
-    rd = preset("SL", 2)
-    ft = FrobTorus(rd.rank, coxeter_twist(rd), 11, 5)
-    assert frob_fixed_scheme(ft) == FinGenAbGroup.cyclic(12)
-    assert mu_invariant(ft).is_trivial
+    fixed = frob_fixed_scheme(coxeter_twist(preset("SL", 2)), 11)
+    assert fixed == FinGenAbGroup.cyclic(12)
+    assert fixed.ell_primary(5).is_trivial
     # with ell = 3 the 3-part of 12 survives
-    assert mu_invariant(FrobTorus(rd.rank, coxeter_twist(rd), 11, 3)) == FinGenAbGroup.cyclic(3)
+    assert fixed.ell_primary(3) == FinGenAbGroup.cyclic(3)
 
 
 # ---------------------------------------------------------------------------
@@ -92,18 +96,15 @@ def test_a1_fixed_scheme_is_mu_q_plus_1():
 
 def test_gl_coxeter_centralizer_is_one_torus():
     for n in range(2, 6):
-        assert twisted_centralizer(_gl_frob(n, 11, 5)) == FinGenAbGroup(1, ())
+        assert twisted_centralizer(_gl_coxeter(n)) == FinGenAbGroup(1, ())
 
 
 def test_a1_centralizer_is_mu_2():
-    rd = preset("SL", 2)
-    ft = FrobTorus(rd.rank, coxeter_twist(rd), 11, 5)
-    assert twisted_centralizer(ft) == FinGenAbGroup.cyclic(2)
+    assert twisted_centralizer(coxeter_twist(preset("SL", 2))) == FinGenAbGroup.cyclic(2)
 
 
 def test_identity_twist_centralizer_is_full_torus():
-    ft = FrobTorus(3, WeylTwist(IntMatrix.identity(3)), 11, 5)
-    assert twisted_centralizer(ft) == FinGenAbGroup(3, ())
+    assert twisted_centralizer(WeylTwist(IntMatrix.identity(3))) == FinGenAbGroup(3, ())
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +112,7 @@ def test_identity_twist_centralizer_is_full_torus():
 
 
 def test_gl2_cocycle_space():
-    ft = _gl_frob(2, 11, 5)
-    space = cocycle_space(frob_fixed_scheme(ft), ft.rank, ft.ell)
+    space = cocycle_space(frob_fixed_scheme(_gl_coxeter(2), 11), 2, 5)
     assert isinstance(space, CocycleSpace)
     assert space.free_torus_rank == 2
     assert space.fixed_scheme == FinGenAbGroup.cyclic(120)
@@ -122,16 +122,14 @@ def test_gl2_cocycle_space():
 
 def test_cocycle_space_component_count_times_mu_order_is_fixed_order():
     for n, q, ell in ((1, 3, 5), (2, 11, 5), (3, 5, 31), (4, 3, 5)):
-        ft = _gl_frob(n, q, ell)
-        space = cocycle_space(frob_fixed_scheme(ft), ft.rank, ell)
+        space = cocycle_space(frob_fixed_scheme(_gl_coxeter(n), q), n, ell)
         mu_order = space.component_shape.torsion_order()
         assert space.component_count * mu_order == q**n - 1
 
 
 def test_pgl2_cocycle_space_counts():
     rd = preset("PGL", 2)
-    ft = FrobTorus(rd.rank, coxeter_twist(rd), 11, 5)
-    space = cocycle_space(frob_fixed_scheme(ft), ft.rank, ft.ell)
+    space = cocycle_space(frob_fixed_scheme(coxeter_twist(rd), 11), rd.rank, 5)
     assert space.fixed_scheme == FinGenAbGroup.cyclic(12)
     assert space.component_count == 12
 
@@ -264,9 +262,10 @@ def test_descriptor_json_keys():
 
 
 def test_finite_cokernel_guard_fires_on_non_frobenius_input():
-    # eigenvalue 1 with q folded in already: feed a singular difference directly
+    # no unimodular matrix has the eigenvalue q, so take w = q id unchecked:
+    # w - q id is zero and its cokernel infinite
     with pytest.raises(LlcError) as exc:
-        _finite_cokernel(IntMatrix.zeros(2, 2), "test context")
+        frob_fixed_scheme(WeylTwist._trusted(IntMatrix([[11, 0], [0, 11]])), 11)
     assert exc.value.code == "internal-error"
     assert exc.value.exit_code == 1
 
@@ -277,6 +276,5 @@ def test_fixed_scheme_is_always_finite_for_root_permuting_twists():
     for family in ("GL", "SL", "PGL"):
         for n in range(2, 6):
             rd = preset(family, n)
-            for q, ell in ((3, 5), (11, 5), (13, 7)):
-                ft = FrobTorus(rd.rank, coxeter_twist(rd), q, ell)
-                assert frob_fixed_scheme(ft).is_finite
+            for q in (3, 11, 13):
+                assert frob_fixed_scheme(coxeter_twist(rd), q).is_finite

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llc_params import cli, glparams
-from llc_params.errors import LlcError
+from llc_params.errors import InvalidRank, LlcError
 from llc_params.glparams import (
     _SCAN_WINDOW,
     COEFFS,
@@ -54,8 +54,11 @@ def test_exponents_are_reduced_mod_modulus():
 
 
 def test_construction_validation():
-    with pytest.raises(LlcError):
+    # the GL preset's rank rule, under its code
+    with pytest.raises(InvalidRank, match=r"^GL needs n >= 1, got 0$"):
         GLFamily(0, 11, 5)
+    with pytest.raises(InvalidRank, match=r"^n must be an integer, got True$"):
+        GLFamily(True, 11, 5)
     with pytest.raises(LlcError):
         GLFamily(2, 12, 5)
     with pytest.raises(LlcError):

@@ -38,8 +38,6 @@ def test_constructor_and_accessors():
     m = IntMatrix([[1, 2, 3], [4, 5, 6]])
     assert (m.rows, m.cols) == (2, 3)
     assert m.data[1] == (4, 5, 6)
-    assert m.column(2) == (3, 6)
-    assert m[1, 0] == 4
     assert m.data == ((1, 2, 3), (4, 5, 6))
 
 
@@ -78,7 +76,6 @@ def test_an_int_subclass_entry_is_accepted_and_equals_its_int():
 
     m = IntMatrix([[Small.TWO, 1], [0, 1]])
     assert m == IntMatrix([[2, 1], [0, 1]])
-    assert m[0, 0] == 2
     assert m.data[0][0] is Small.TWO
     assert IntMatrix([[Small.TWO]], cols=1).cols == 1
 
@@ -95,18 +92,6 @@ def test_from_columns():
     assert m == IntMatrix([[1, 3], [2, 4]])
     empty = IntMatrix.from_columns([], rows=2)
     assert (empty.rows, empty.cols) == (2, 0)
-
-
-def test_arithmetic():
-    a = IntMatrix([[1, 2], [3, 4]])
-    b = IntMatrix([[5, 6], [7, 8]])
-    assert a @ b == IntMatrix([[19, 22], [43, 50]])
-    assert a @ IntMatrix.identity(2) == a
-
-
-def test_matmul_shape_check():
-    with pytest.raises(LlcError):
-        IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]])
 
 
 def test_transpose():
@@ -381,7 +366,7 @@ def _same_matrix(got, expected):
 def test_shifted_equals_the_operator_route(w, s, t):
     n = w.rows
     expected = _public(
-        [[s * w[i, j] + (t if i == j else 0) for j in range(n)] for i in range(n)], n
+        [[s * w.data[i][j] + (t if i == j else 0) for j in range(n)] for i in range(n)], n
     )
     _same_matrix(w.shifted(s, t), expected)
 
@@ -396,15 +381,11 @@ def test_shifted_small_shapes():
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(matrices(), matrices())
-def test_trusted_results_equal_validated_ones(a, b):
+@given(matrices())
+def test_trusted_results_equal_validated_ones(a):
     r, c = a.rows, a.cols
-    _same_matrix(a.transpose(), _public([[a[i, j] for i in range(r)] for j in range(c)], r))
+    _same_matrix(a.transpose(), _public([[a.data[i][j] for i in range(r)] for j in range(c)], r))
     _same_matrix(IntMatrix.identity(r), _public([[int(i == j) for j in range(r)] for i in range(r)], r))
-    bt = b.transpose()
-    if c == bt.rows:
-        product = [[sum(a[i, t] * bt[t, j] for t in range(c)) for j in range(bt.cols)] for i in range(r)]
-        _same_matrix(a @ bt, _public(product, bt.cols))
 
 
 # ---------------------------------------------------------------------------

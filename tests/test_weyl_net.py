@@ -16,7 +16,7 @@ from llc_params.cocycles import component_descriptor
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, preset, weyl_twist
 
-from oracles import gauss_det
+from oracles import gauss_det, matmul
 
 Q_ELL = ((7, 3), (11, 5))
 
@@ -29,14 +29,14 @@ def _permutation_matrices(n):
 def _weyl_group(rd):
     r = rd.rank
     gens = [
-        IntMatrix([[int(i == j) - a[i] * c[j] for j in range(r)] for i in range(r)], cols=r)
+        [[int(i == j) - a[i] * c[j] for j in range(r)] for i in range(r)]
         for a, c in zip(rd.roots, rd.coroots)
     ]
-    seen = frontier = {IntMatrix.identity(r)}
+    seen = frontier = {IntMatrix.identity(r).data}
     while frontier:
-        frontier = {x @ g for x in frontier for g in gens} - seen
+        frontier = {tuple(map(tuple, matmul(x, g))) for x in frontier for g in gens} - seen
         seen = seen | frontier
-    return sorted(seen, key=lambda m: m.data)
+    return [IntMatrix(m, cols=r) for m in sorted(seen)]
 
 
 def _cases():
@@ -62,9 +62,7 @@ def test_match_law_over_whole_weyl_groups(q, ell):
         rd = preset(family, n)
         twist = weyl_twist(rd, w)
         comp = component_descriptor(rd, twist, q, ell)
-        block = torus_block_descriptor(
-            rd.rank, WeylTwist(w.transpose()), q, ell, coxeter_number=n
-        )
+        block = torus_block_descriptor(WeylTwist(w.transpose()), q, ell, coxeter_number=n)
         report = match_sides(comp, block)
         case = (family, n, w)
         assert report.isomorphic, case
