@@ -84,7 +84,7 @@ class GLFamily:
     (11, 1, 120, 24)
     """
 
-    __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus", "_powers")
+    __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus")
 
     def __init__(self, n: int, q: int, ell: int):
         preset("GL", n)  # the rank rule of GL_n, and its error
@@ -95,7 +95,6 @@ class GLFamily:
         self.full_modulus = q**n - 1
         self.k = valuation(self.full_modulus, ell)
         self.residue_modulus = self.full_modulus // ell**self.k
-        self._powers: dict[str, tuple[int, ...]] = {}
 
     def modulus(self, coeff: str) -> int:
         """The exponent modulus: q^n - 1 for ZBAR, its prime-to-ell part for FBAR."""
@@ -106,11 +105,9 @@ class GLFamily:
         raise InvalidArgument(f"coeff must be one of {COEFFS}, got {coeff!r}")
 
     def powers(self, coeff: str) -> tuple[int, ...]:
-        """q^0, q^1, ..., q^(n-1) mod the exponent modulus, computed once per flavor."""
-        if coeff not in self._powers:
-            m = self.modulus(coeff)
-            self._powers[coeff] = tuple(pow(self.q, i, m) for i in range(self.n))
-        return self._powers[coeff]
+        """q^0, q^1, ..., q^(n-1) mod the exponent modulus."""
+        m = self.modulus(coeff)
+        return tuple(pow(self.q, i, m) for i in range(self.n))
 
     def _windows(self, coeff: str) -> Iterator[tuple[int, Sequence[Sequence[int]]]]:
         """The canonical exponents (see scan), one window of _SCAN_WINDOW at a time.

@@ -1,17 +1,23 @@
 """Exact integer matrices and their Smith invariants.
 
-Matrices are immutable, row major, and arbitrary precision.  A matrix with
-``rows`` r and ``cols`` c represents a homomorphism Z^c -> Z^r sending the
-j-th basis vector to column j.  Empty matrices (r = 0 or c = 0) are legal and
-mean what they should.
+Matrices are immutable and arbitrary precision.  A matrix with ``rows`` r
+and ``cols`` c represents a homomorphism Z^c -> Z^r sending the j-th basis
+vector to column j.  Empty matrices (r = 0 or c = 0) are legal and mean what
+they should.
+
+A matrix is held as its nonzeros: each row is a tuple of (column, entry)
+pairs, columns ascending.  Dense rows are only the constructor's input (the
+``--weyl`` JSON and the tests), and ``data`` is their read-out.  The
+twisted-torus matrices s w + t I (`IntMatrix.shifted`) have two or three
+nonzeros per row, so the identity, shifts and transposes cost O(rows + nnz),
+and `smith_normal_form` takes the rows as they are.
 
 Everything downstream (fixed schemes of twisted Frobenius maps, kernels of
 character maps, centers of root data) reduces to the Smith invariants
 computed here, so this module has no dependencies beyond the error types.
-The twisted-torus matrices s w + t I (`IntMatrix.shifted`) have two or three
-nonzeros per row, so `smith_normal_form` eliminates sparsely: smallest
-|entry| first, ties by Markowitz cost, down to any diagonal, whose Smith
-invariants the gcd/lcm pass `diagonal_invariants` then takes.
+`smith_normal_form` eliminates sparsely: smallest |entry| first, ties by
+Markowitz cost, down to any diagonal, whose Smith invariants the gcd/lcm
+pass `diagonal_invariants` then takes.
 """
 
 from __future__ import annotations
@@ -24,16 +30,16 @@ from .errors import DimensionMismatch, InvalidArgument
 
 
 class IntMatrix:
-    """An immutable matrix over Z.
+    """An immutable matrix over Z, held as its nonzeros row by row.
 
-    >>> a = IntMatrix([[2, 4], [6, 8]])
-    >>> a.rows, a.cols
-    (2, 2)
+    >>> a = IntMatrix([[2, 0], [6, 8]])
+    >>> a.rows, a.cols, a.nonzeros
+    (2, 2, (((0, 2),), ((0, 6), (1, 8))))
     >>> a.transpose()
-    IntMatrix([[2, 6], [4, 8]])
+    IntMatrix([[2, 6], [0, 8]])
     """
 
-    __slots__ = ("_data", "rows", "cols")
+    __slots__ = ("nonzeros", "rows", "cols")
 
     def __init__(self, data: Iterable[Sequence[int]], *, cols: int | None = None):
         rows = list(map(tuple, data))
@@ -52,16 +58,19 @@ class IntMatrix:
             width = 0 if cols is None else cols
         if width < 0:
             raise InvalidArgument("cols must be nonnegative")
-        self._data = tuple(rows)
+        self.nonzeros = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
         self.rows = len(rows)
         self.cols = width
 
     @classmethod
-    def _trusted(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """A matrix from equal-length tuples of plain ints, taken as they are."""
+    def _trusted(cls, nonzeros: tuple[tuple[tuple[int, int], ...], ...], cols: int) -> "IntMatrix":
+        """A matrix from rows of (column, plain int) nonzeros, columns ascending.
+
+        The rows are taken as they are.
+        """
         m = object.__new__(cls)
-        m._data = data
-        m.rows = len(data)
+        m.nonzeros = nonzeros
+        m.rows = len(nonzeros)
         m.cols = cols
         return m
 
@@ -75,47 +84,34 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         if n < 0:
             raise InvalidArgument("identity size must be nonnegative")
-        return cls._trusted(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        if rows < 0 or cols < 0:
-            raise InvalidArgument("matrix dimensions must be nonnegative")
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]], *, rows: int | None = None) -> "IntMatrix":
-        """Build the matrix whose j-th column is columns[j]."""
-        cols = list(columns)
-        if cols:
-            height = len(cols[0])
-            if any(len(c) != height for c in cols):
-                raise InvalidArgument("ragged columns: all columns must have the same length")
-            if rows is not None and rows != height:
-                raise InvalidArgument(f"rows = {rows} disagrees with column height {height}")
-        else:
-            height = 0 if rows is None else rows
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(height)], cols=len(cols))
+        return cls._trusted(tuple(((i, 1),) for i in range(n)), n)
 
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
-        return self._data
+        """The dense rows: a read-out, O(rows * cols)."""
+        out = []
+        for row in self.nonzeros:
+            dense = [0] * self.cols
+            for j, e in row:
+                dense[j] = e
+            out.append(tuple(dense))
+        return tuple(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._data == other._data
+        return self.cols == other.cols and self.nonzeros == other.nonzeros
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.cols, self.nonzeros))
 
     def __repr__(self) -> str:
-        if self.rows and self.cols:
-            return f"IntMatrix({[list(r) for r in self._data]})"
-        return f"IntMatrix.zeros({self.rows}, {self.cols})"
+        if self.rows:
+            return f"IntMatrix({[list(r) for r in self.data]})"
+        return f"IntMatrix([], cols={self.cols})"
 
     def shifted(self, s: int, t: int) -> "IntMatrix":
-        """s * self + t * I in one pass, for a square matrix.
+        """s * self + t * I, for a square matrix.
 
         >>> IntMatrix([[0, 1], [1, 0]]).shifted(1, -11)
         IntMatrix([[-11, 1], [1, -11]])
@@ -123,13 +119,20 @@ class IntMatrix:
         s, t = self._as_int(s), self._as_int(t)
         if not self.is_square:
             raise DimensionMismatch(f"shifted needs a square matrix, got {self.rows}x{self.cols}")
-        data = [[s * a for a in row] for row in self._data]
-        for i, row in enumerate(data):
-            row[i] += t
-        return IntMatrix._trusted(tuple(map(tuple, data)), self.cols)
+        out = []
+        for i, row in enumerate(self.nonzeros):
+            entries = {j: s * e for j, e in row}
+            entries[i] = entries.get(i, 0) + t
+            # the diagonal comes last when it was zero: a one-element sort
+            out.append(tuple(sorted((j, e) for j, e in entries.items() if e)))
+        return IntMatrix._trusted(tuple(out), self.cols)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(tuple(zip(*self._data)) if self.rows else ((),) * self.cols, self.rows)
+        columns = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, e in row:
+                columns[j].append((i, e))
+        return IntMatrix._trusted(tuple(map(tuple, columns)), self.rows)
 
     @property
     def is_square(self) -> bool:
@@ -164,13 +167,13 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     """The Smith invariants of a: d1 | d2 | ... , zeros last, min(rows, cols) of them.
 
     Only the invariants are computed; no unimodular transforms are built.
-    Rows are {column: entry} dicts with a column -> rows index.  The pivot
-    is a smallest |entry|, ties broken by the Markowitz cost
-    (row nnz - 1)(column nnz - 1), then by (row, column).  Row operations
-    clear its column, then the pivot row is reduced modulo the pivot; a
-    surviving remainder becomes the pivot and the clearing repeats.  The
-    diagonal this reaches goes through `diagonal_invariants`; there is no
-    divisibility fix-up.
+    The stored rows are copied into {column: entry} dicts with a column ->
+    rows index.  The pivot is a smallest |entry|, ties broken by the
+    Markowitz cost (row nnz - 1)(column nnz - 1), then by (row, column).
+    Row operations clear its column, then the pivot row is reduced modulo
+    the pivot; a surviving remainder becomes the pivot and the clearing
+    repeats.  The diagonal this reaches goes through `diagonal_invariants`;
+    there is no divisibility fix-up.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
@@ -179,8 +182,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     >>> smith_normal_form(IntMatrix([[2, 0], [0, 3]]))
     (1, 6)
     """
-    rows = {i: r for i, dense in enumerate(a._data) if (r := {j: e for j, e in enumerate(dense) if e})}
-    where = {j: {i for i, e in enumerate(col) if e} for j, col in enumerate(zip(*a._data))}
+    rows = {i: dict(r) for i, r in enumerate(a.nonzeros) if r}
+    where = {j: set() for j in range(a.cols)}
+    for i, row in rows.items():
+        for j in row:
+            where[j].add(i)
     diagonal = []
     while rows:
         _, _, pi, pj = min(

@@ -171,6 +171,11 @@ def _with_negatives(pos: list) -> tuple:
     return tuple(pos) + tuple([tuple([-x for x in v]) for v in pos])
 
 
+def _nonzeros(v: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """A vector as its (coordinate, entry) nonzeros: one sparse row."""
+    return tuple((k, a) for k, a in enumerate(v) if a)
+
+
 def _simple_pairs(rd: RootDatum) -> list:
     """The (simple root, simple coroot) pairs of a preset: its one-root blocks."""
     return list(_block_pairs(rd.kind, rd.rank, ((i, i) for i in range(rd.n - 1))))
@@ -198,8 +203,9 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     """Character group of the center: the lattice modulo the root lattice.
 
     The simple roots of a preset span the root lattice, so the quotient is
-    read from the simple-root matrix (rank x (rank - 1) for GL, rank x rank
-    for the semisimple presets).
+    the cokernel of the simple roots as columns (rank x (rank - 1) for GL,
+    rank x rank for the semisimple presets): the transpose of their sparse
+    rows.
 
     >>> center_char_group(preset("GL", 2))
     FinGenAbGroup(free_rank=1, invariant_factors=())
@@ -210,8 +216,8 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     >>> center_char_group(preset("PGL", 3))
     FinGenAbGroup(free_rank=0, invariant_factors=(3,))
     """
-    simple = [list(a) for a, _ in _simple_pairs(rd)]
-    return cokernel(IntMatrix.from_columns(simple, rows=rd.rank))
+    simple = tuple(_nonzeros(a) for a, _ in _simple_pairs(rd))
+    return cokernel(IntMatrix._trusted(simple, rd.rank).transpose())
 
 
 def coxeter_twist(rd: RootDatum) -> WeylTwist:
@@ -225,15 +231,14 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
     IntMatrix([[0, 1], [1, 0]])
     """
     n = rd.n
-    if rd.kind == "gl":
-        return WeylTwist._trusted(
-            IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)], cols=n)
-        )
+    if rd.kind == "gl":  # the n-cycle e_j -> e_{j+1}: row i holds a 1 in column i - 1
+        cycle = tuple((((i - 1) % n, 1),) for i in range(n))
+        return WeylTwist._trusted(IntMatrix._trusted(cycle, n))
     # w <- w s_alpha = w - (w alpha) alpha_vee^T, a rank-one update of w's rows
     w = [[1 if i == j else 0 for j in range(rd.rank)] for i in range(rd.rank)]
     for root, coroot in _simple_pairs(rd):
-        alpha = [(k, a) for k, a in enumerate(root) if a]
-        alpha_vee = [(k, a) for k, a in enumerate(coroot) if a]
+        alpha = _nonzeros(root)
+        alpha_vee = _nonzeros(coroot)
         for row in w:
             c = sum(row[k] * a for k, a in alpha)
             if c:
@@ -268,8 +273,7 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
         )
     twist = WeylTwist(matrix)
     # the columns of w and of w^T as (row, entry) nonzeros
-    w = [[(i, x) for i, x in enumerate(col) if x] for col in zip(*matrix.data)]
-    w_t = [[(i, x) for i, x in enumerate(row) if x] for row in matrix.data]
+    w, w_t = matrix.transpose().nonzeros, matrix.nonzeros
     roots, coroots = rd._roots_and_coroots()
     coroot_of = dict(zip(roots, coroots))
     for alpha in roots:

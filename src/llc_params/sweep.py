@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .abgroups import FinGenAbGroup
 from .arith import valuation
 from .blocks import match_sides, torus_block_descriptor
-from .cocycles import component_descriptor, frob_fixed_scheme
+from .cocycles import component_descriptor
 from .glparams import (
     FBAR,
     ZBAR,
@@ -116,68 +116,38 @@ def run_grid() -> list[GridCheck]:
         )
     )
 
-    # 2: the fixed scheme is cyclic of order q^n - 1
-    cases = 0
-    bad = []
-    for n in GRID_N_COMPONENT:
-        for q in GRID_Q:
-            fixed = frob_fixed_scheme(coxeter_twist(preset("GL", n)), q)
-            cases += 1
-            if fixed != FinGenAbGroup.cyclic(q**n - 1):
-                bad.append((n, q))
-    checks.append(
-        GridCheck(
-            "fixed-scheme-cyclic",
-            "inertia fixed scheme is mu_{q^n - 1} for the GL_n shift twist",
-            not bad,
-            f"{cases} cases" + (f"; failures: {bad}" if bad else ""),
-        )
-    )
-
-    # 3: the mu invariant is cyclic of ell-power order ell^{v_ell(q^n-1)};
-    # the fixed scheme does not depend on ell, so each (n, q) takes it once
-    cases = 0
-    bad = []
-    for n in GRID_N_COMPONENT:
-        for q in GRID_Q:
-            fixed = frob_fixed_scheme(coxeter_twist(preset("GL", n)), q)
-            for ell in admissible_ells(q):
-                expected = FinGenAbGroup.cyclic(ell ** valuation(q**n - 1, ell))
-                cases += 1
-                if fixed.ell_primary(ell) != expected:
-                    bad.append((n, q, ell))
-    checks.append(
-        GridCheck(
-            "mu-exponent-law",
-            "mu invariant equals Z/ell^{v_ell(q^n - 1)}",
-            not bad,
-            f"{cases} cases" + (f"; failures: {bad}" if bad else ""),
-        )
-    )
-
-    # 4: the two sides match across the grid
-    cases = 0
-    bad = []
+    # 2-4: the fixed scheme is cyclic of order q^n - 1, the mu invariant is
+    # cyclic of order ell^{v_ell(q^n - 1)}, and the two sides match.  Each
+    # (n, q) builds its Coxeter torus once, and checks 2 and 3 read the
+    # component descriptors the match takes; the fixed scheme does not
+    # depend on ell, so it is read at the first ell
+    pairs = cases = 0
+    bad_fixed, bad_mu, bad_match = [], [], []
     for n in GRID_N_COMPONENT:
         for q in GRID_Q:
             rd = preset("GL", n)
             tw = coxeter_twist(rd)
             cotw = tw.transpose()
-            for ell in admissible_ells(q):
-                comp = component_descriptor(rd, tw, q, ell)
-                block = torus_block_descriptor(cotw, q, ell, coxeter_number=n)
-                report = match_sides(comp, block)
+            ells = admissible_ells(q)
+            comps = [component_descriptor(rd, tw, q, ell) for ell in ells]
+            pairs += 1
+            if comps[0].fixed_scheme != FinGenAbGroup.cyclic(q**n - 1):
+                bad_fixed.append((n, q))
+            for ell, comp in zip(ells, comps):
                 cases += 1
+                if comp.mu != FinGenAbGroup.cyclic(ell ** valuation(q**n - 1, ell)):
+                    bad_mu.append((n, q, ell))
+                report = match_sides(comp, torus_block_descriptor(cotw, q, ell, coxeter_number=n))
                 if not (report.isomorphic and report.free_ranks_agree and not report.context_mismatch):
-                    bad.append((n, q, ell))
-    checks.append(
-        GridCheck(
-            "match-law",
-            "component mu matches block torsion, free ranks agree",
-            not bad,
-            f"{cases} cases" + (f"; failures: {bad}" if bad else ""),
-        )
-    )
+                    bad_match.append((n, q, ell))
+    for check_id, label, count, bad in (
+        ("fixed-scheme-cyclic", "inertia fixed scheme is mu_{q^n - 1} for the GL_n shift twist",
+         pairs, bad_fixed),
+        ("mu-exponent-law", "mu invariant equals Z/ell^{v_ell(q^n - 1)}", cases, bad_mu),
+        ("match-law", "component mu matches block torsion, free ranks agree", cases, bad_match),
+    ):
+        detail = f"{count} cases" + (f"; failures: {bad}" if bad else "")
+        checks.append(GridCheck(check_id, label, not bad, detail))
 
     # 5: the cocycle relation holds for every enumerated parameter
     cases = 0

@@ -333,6 +333,48 @@ def matmul(a, b) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def signed_permutation_cokernels(rows, q: int) -> tuple[list[int], list[int]]:
+    """Closed forms for a twist w = eps * P, P a permutation matrix, eps = +-1.
+
+    Read the cycle type (l_1, ..., l_r) of P.  On a cycle of length l, w acts
+    as eps times the l-cycle, whose characteristic polynomial is x^l - eps^l,
+    and w - q is cyclic there, so
+
+        coker(w - q) = coker(q w^T - 1) = Z/(q^l_1 - eps^l_1) + ...,
+
+    while 1 - w has determinant 1 - eps^l on the cycle: coker(1 - w) gets a Z
+    for each cycle with eps^l = 1 and a Z/2 for each with eps^l = -1.
+    Returns the cyclic orders of coker(w - q) and of coker(1 - w), one per
+    cycle, with 0 standing for Z.
+
+    >>> signed_permutation_cokernels([[0, -1, 0], [-1, 0, 0], [0, 0, -1]], 3)
+    ([8, 4], [0, 2])
+    """
+    n = len(rows)
+    image, signs = [], set()
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        if len(row) != n or len(nonzero) != 1:
+            raise ValueError("not a signed permutation matrix")
+        image.append(nonzero[0][0])
+        signs.add(nonzero[0][1])
+    if sorted(image) != list(range(n)) or len(signs) > 1 or not signs <= {1, -1}:
+        raise ValueError("not eps times a permutation matrix")
+    eps = signs.pop() if signs else 1
+    lengths, seen = [], [False] * n
+    for start in range(n):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            i = image[i]
+        if length:
+            lengths.append(length)
+    fixed = [q**l - eps**l for l in lengths]
+    centralizer = [0 if eps**l == 1 else 2 for l in lengths]
+    return fixed, centralizer
+
+
 def root_datum_problems(rank: int, roots, coroots) -> list[str]:
     """Check the root-datum axioms for the dot pairing; list the violations.
 

@@ -161,6 +161,25 @@ def test_gl300_coxeter_smith_form_is_fast():
     assert invariants == (1,) * (n - 1) + (3**n - 1,)
 
 
+def test_gl5000_twist_matrices_are_built_from_their_nonzeros():
+    # a matrix is held as its nonzeros, so the n-cycle, its shift, its
+    # transpose and the identity cost O(n), not n^2 entries
+    n = 5000
+
+    def built(make, nnz):
+        start = perf_counter()
+        m = make()
+        elapsed = perf_counter() - start
+        assert elapsed < BUDGET_S, f"GL_{n} matrix took {elapsed:.2f} s"
+        assert (m.rows, m.cols, sum(map(len, m.nonzeros))) == (n, n, nnz)
+        return m
+
+    w = built(lambda: coxeter_twist(preset("GL", n)).matrix, n)
+    built(lambda: w.shifted(1, -3), 2 * n)
+    built(w.transpose, n)
+    built(lambda: IntMatrix.identity(n), n)
+
+
 @pytest.mark.parametrize("family,n", [("GL", 1000), ("SL", 200)])
 def test_explicit_coxeter_twists_validate_fast(family, n):
     # an explicit matrix is checked once, by the sparse Smith form of w; the

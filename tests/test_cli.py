@@ -550,6 +550,33 @@ def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, g
     assert run_cli(["match", *geometry, "--weyl", identity])[0] == 1
 
 
+@pytest.mark.parametrize("group", ["GL", "SL", "PGL"])
+def test_reports_read_matrices_as_their_nonzeros(monkeypatch, group):
+    """Only the constructor (input) and `IntMatrix.data` (read-out) know the
+    dense format: every report, in text and in JSON, prints the same bytes
+    when the read-out refuses."""
+    from llc_params.lattice import IntMatrix
+
+    geometry = ["--group", group, "--n", "5", "--q", "11", "--ell", "5"]
+    explicit = json.dumps([list(r) for r in coxeter_twist(preset(group, 5)).matrix.data])
+    argvs = [
+        [cmd, *geometry, "--weyl", weyl]
+        for cmd in ("component", "block", "match")
+        for weyl in ("coxeter", "identity", explicit)
+    ]
+    if group == "GL":
+        argvs += [["summary", *geometry], ["--grid"]]
+    argvs = [[*argv, "--output", output] for argv in argvs for output in ("text", "json")]
+    expected = [run_cli(argv) for argv in argvs]
+    assert all(code == 0 for code, _ in expected)
+
+    def refuse(self):
+        raise AssertionError("a matrix was read densely")
+
+    monkeypatch.setattr(IntMatrix, "data", property(refuse))
+    assert [run_cli(argv) for argv in argvs] == expected
+
+
 def test_the_grid_exit_code_does_not_build_the_json_body(monkeypatch):
     from llc_params.sweep import GridCheck
 

@@ -83,15 +83,23 @@ def test_an_int_subclass_entry_is_accepted_and_equals_its_int():
 def test_empty_shapes():
     z = IntMatrix([], cols=3)
     assert (z.rows, z.cols) == (0, 3)
-    assert IntMatrix.zeros(2, 0).cols == 0
+    assert IntMatrix([[], []]).cols == 0
     assert cokernel(IntMatrix.identity(0)).is_trivial
 
 
-def test_from_columns():
-    m = IntMatrix.from_columns([[1, 2], [3, 4]])
-    assert m == IntMatrix([[1, 3], [2, 4]])
-    empty = IntMatrix.from_columns([], rows=2)
-    assert (empty.rows, empty.cols) == (2, 0)
+def test_a_matrix_is_held_as_its_nonzeros():
+    m = IntMatrix([[0, 3, 0, -1], [0, 0, 0, 0], [5, 0, 0, 0]])
+    assert m.nonzeros == (((1, 3), (3, -1)), (), ((0, 5),))
+    assert m.data == ((0, 3, 0, -1), (0, 0, 0, 0), (5, 0, 0, 0))
+    assert IntMatrix.identity(3).nonzeros == (((0, 1),), ((1, 1),), ((2, 1),))
+    assert m.transpose().nonzeros == (((2, 5),), ((0, 3),), (), ((0, -1),))
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 0), (0, 3), (2, 0), (1, 1), (2, 3)])
+def test_repr_round_trips_every_shape(rows, cols):
+    m = IntMatrix([[i - j for j in range(cols)] for i in range(rows)], cols=cols)
+    back = eval(repr(m), {"IntMatrix": IntMatrix})
+    assert (back, back.rows, back.cols) == (m, rows, cols)
 
 
 def test_transpose():
@@ -180,7 +188,7 @@ def test_a_twist_is_accepted_iff_its_determinant_is_a_unit():
 
 
 def test_a_twist_must_be_square():
-    for m in (IntMatrix([[1, 2]]), IntMatrix([[1], [0]]), IntMatrix.zeros(0, 2)):
+    for m in (IntMatrix([[1, 2]]), IntMatrix([[1], [0]]), IntMatrix([], cols=2)):
         with pytest.raises(InvalidArgument, match="a twist must be a square matrix"):
             WeylTwist(m)
 
@@ -223,9 +231,9 @@ def test_snf_frozen_coxeter_style():
 
 
 def test_snf_zero_and_empty():
-    assert assert_snf_contract(IntMatrix.zeros(2, 3)) == (0, 0)
+    assert assert_snf_contract(IntMatrix([[0, 0, 0], [0, 0, 0]])) == (0, 0)
     assert smith_normal_form(IntMatrix([], cols=2)) == ()
-    assert smith_normal_form(IntMatrix.zeros(3, 0)) == ()
+    assert smith_normal_form(IntMatrix([[], [], []])) == ()
 
 
 def test_snf_identity():
@@ -372,7 +380,7 @@ def test_shifted_equals_the_operator_route(w, s, t):
 
 
 def test_shifted_small_shapes():
-    _same_matrix(IntMatrix.zeros(0, 0).shifted(3, -1), IntMatrix([], cols=0))
+    _same_matrix(IntMatrix([]).shifted(3, -1), IntMatrix([], cols=0))
     _same_matrix(IntMatrix([[5]]).shifted(2, -3), IntMatrix([[7]]))
     with pytest.raises(DimensionMismatch):
         IntMatrix([[1, 2]]).shifted(1, 1)
@@ -395,7 +403,7 @@ def test_trusted_results_equal_validated_ones(a):
 def test_rank_values():
     assert _nonzero(smith_normal_form(IntMatrix.identity(3))) == 3
     assert _nonzero(smith_normal_form(IntMatrix([[1, 2], [2, 4]]))) == 1
-    assert _nonzero(smith_normal_form(IntMatrix.zeros(2, 2))) == 0
+    assert _nonzero(smith_normal_form(IntMatrix([[0, 0], [0, 0]]))) == 0
     assert _nonzero(smith_normal_form(IntMatrix([], cols=4))) == 0
 
 
@@ -412,7 +420,7 @@ def test_kernel_of_injective_map_is_empty():
 
 
 def test_kernel_of_zero_map_is_identity_sized():
-    inv = smith_normal_form(IntMatrix.zeros(2, 3))
+    inv = smith_normal_form(IntMatrix([[0, 0, 0], [0, 0, 0]]))
     assert 3 - _nonzero(inv) == 3
 
 

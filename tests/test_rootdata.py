@@ -142,7 +142,8 @@ def test_center_of_simply_connected_datum_is_mu_n():
 
 
 def _root_matrix(rd):
-    return IntMatrix.from_columns([list(a) for a in rd.roots], rows=rd.rank)
+    # the roots as columns
+    return IntMatrix([list(a) for a in rd.roots], cols=rd.rank).transpose()
 
 
 def _ranks(family, top):

@@ -62,10 +62,10 @@ def test_grid_check_type(grid_checks):
 
 
 def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
-    # coker(w - q) does not depend on ell, so fixed-scheme-cyclic and
-    # mu-exponent-law take it once per (n, q): 30 Smith forms each.  With the
-    # golden component's 3 and match-law's 5 for each of its 180 cases, the
-    # grid takes 963
+    # fixed-scheme-cyclic and mu-exponent-law read match-law's component
+    # descriptors, so they take no Smith form of their own.  With the golden
+    # component's 3 and match-law's 5 for each of its 180 cases, the grid
+    # takes 903
     from llc_params import abgroups
     from llc_params.sweep import run_grid
 
@@ -78,4 +78,4 @@ def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
 
     monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
     assert all(c.passed for c in run_grid())
-    assert len(calls) == 963
+    assert len(calls) == 903
