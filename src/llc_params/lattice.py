@@ -17,12 +17,16 @@ character maps, centers of root data) reduces to the Smith invariants
 computed here, so this module has no dependencies beyond the error types.
 `smith_normal_form` eliminates sparsely: smallest |entry| first, ties by
 Markowitz cost, down to any diagonal, whose Smith invariants the gcd/lcm
-pass `diagonal_invariants` then takes.
+pass `diagonal_invariants` then takes.  The pivots come off a lazy heap, so
+a sparse n x n twisted torus takes O(n log n) heap steps rather than a scan of
+every nonzero per pivot; dense input, where each pivot changes most rows,
+falls back to that scan.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
 from math import gcd
 
@@ -142,25 +146,51 @@ class IntMatrix:
 def diagonal_invariants(diagonal: Iterable[int]) -> tuple[int, ...]:
     """The Smith invariants of a diagonal matrix with nonnegative entries.
 
-    Ones lead and zeros trail.  Every other pair (a_i, a_j), i < j, with a_i
-    not dividing a_j becomes (gcd, lcm), since diag(a, b) and diag(gcd, lcm)
-    are equivalent.  After the pass for i, a_i divides every later entry, so
-    a chain passes through with divisibility checks alone; nothing is factored.
+    Ones lead and zeros trail.  The other entries are taken as (value,
+    multiplicity) groups, so a run of equal entries costs one group.  Every
+    pair of groups (a, b), a before b, with a not dividing b is exchanged
+    for gcd and lcm, since diag(a, b) and diag(gcd, lcm) are equivalent: the
+    min(#a, #b) pairs become (gcd, lcm) and the surplus copies of a or b
+    move to a new group at the end.  After the pass for a group, its value
+    divides every later one, so a chain passes through with divisibility
+    checks alone; nothing is factored.
 
     >>> diagonal_invariants([0, 4, 1, 6])
     (1, 2, 12, 0)
+    >>> diagonal_invariants([6, 6, 4, 4, 4])
+    (2, 2, 4, 12, 12)
     """
     diagonal = list(diagonal)
     chain = [d for d in diagonal if d > 1]
-    for i, a in enumerate(chain):
-        for j in range(i + 1, len(chain)):
-            b = chain[j]
-            if b % a:
-                g = gcd(a, b)
-                chain[j] = a // g * b
-                a = g
-        chain[i] = a
+    if len(chain) > 1:
+        counts = {}
+        for d in chain:
+            counts[d] = counts.get(d, 0) + 1
+        groups = list(counts.items())
+        for i, (a, count) in enumerate(groups):  # enumerate visits the groups appended below
+            for j in range(i + 1, len(groups)):  # not those appended meanwhile: a divides them
+                b, bcount = groups[j]
+                if b % a:
+                    g = gcd(a, b)
+                    pairs = min(count, bcount)
+                    groups[j] = (a // g * b, pairs)
+                    if count > pairs:
+                        groups.append((a, count - pairs))
+                    elif bcount > pairs:
+                        groups.append((b, bcount - pairs))
+                    a, count = g, pairs
+            groups[i] = (a, count)
+        chain = [a for a, count in groups for _ in range(count)]
     return (1,) * diagonal.count(1) + tuple(chain) + (0,) * diagonal.count(0)
+
+
+def _pivot_keys(items, where: dict):
+    """Pivot keys (|entry|, Markowitz cost, row, column) of the (row index, row) items."""
+    return (
+        (abs(e), (len(row) - 1) * (len(where[j]) - 1), i, j)
+        for i, row in items
+        for j, e in row.items()
+    )
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
@@ -175,6 +205,17 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     repeats.  The diagonal this reaches goes through `diagonal_invariants`;
     there is no divisibility fix-up.
 
+    The pivots come off a lazy min-heap of (|entry|, cost, row, column)
+    keys.  A key is stale once its row is gone or its |entry| has changed,
+    and is dropped when it reaches the top; a key whose cost has grown is
+    pushed back with the new cost.  After each pivot, the entries it changed
+    get fresh keys; once the heap has doubled since it was built, it is
+    rebuilt from the live entries.  A pivot that changes half of the live
+    rows or more, as on dense input, drops the heap instead, and the next
+    pivot is found by a scan of every entry: rebuilding the heap would cost
+    that scan and more.  Either way the pivot has the least |entry|, and the
+    invariants do not depend on the order.
+
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
     >>> smith_normal_form(IntMatrix([[2, 4, 6], [4, 8, 12]]))
@@ -187,21 +228,35 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     for i, row in rows.items():
         for j in row:
             where[j].add(i)
+    heap = list(_pivot_keys(rows.items(), where))
+    heapify(heap)
+    built = len(heap)  # the heap's size when last built
     diagonal = []
     while rows:
-        _, _, pi, pj = min(
-            (abs(e), (len(row) - 1) * (len(where[j]) - 1), i, j)
-            for i, row in rows.items()
-            for j, e in row.items()
-        )
+        if heap is None:
+            _, _, pi, pj = min(_pivot_keys(rows.items(), where))
+        else:
+            size, cost, pi, pj = heap[0]
+            row = rows.get(pi)
+            if row is None or abs(row.get(pj, 0)) != size:  # stale: the row or entry changed
+                heappop(heap)
+                continue
+            now = (len(row) - 1) * (len(where[pj]) - 1)
+            if now > cost:
+                heapreplace(heap, (size, now, pi, pj))
+                continue
+        # the pivot's key stays, to go stale with its row
+        touched, cols = set(), set()  # the rows changed, and the columns they changed in
         while True:
             prow, d = rows[pi], rows[pi][pj]
+            cols.update(prow)
             # clear column pj with row operations
             for i in where[pj] - {pi}:
                 row = rows[i]
                 k = row[pj] // d
                 if not k:
                     continue
+                touched.add(i)
                 for j, e in prow.items():
                     v = row.get(j, 0) - k * e
                     if v:
@@ -215,7 +270,8 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
             if len(where[pj]) > 1:  # remainders survive: the least is the pivot
                 pi = min(where[pj] - {pi}, key=lambda i: abs(rows[i][pj]))
                 continue
-            # column pj is clear, so reducing the pivot row modulo d touches it alone
+            # column pj is clear, so reducing the pivot row modulo d touches it alone;
+            # should the pivot leave this row, clearing its new column touches the row
             for j in [j for j in prow if j != pj]:
                 prow[j] %= d
                 if not prow[j]:
@@ -227,4 +283,15 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
             diagonal.append(abs(d))
             del rows[pi]  # a lone pivot: its column holds nothing else either
             break
+        if 2 * len(touched) >= len(rows):  # half or more changed: scan for the next pivot
+            heap = None
+        elif heap is None or len(heap) > 2 * built:  # stale keys pile up
+            heap = list(_pivot_keys(rows.items(), where))
+            heapify(heap)
+            built = len(heap)
+        else:
+            for i in touched & rows.keys():
+                row = rows[i]
+                for j in cols & row.keys():
+                    heappush(heap, (abs(row[j]), (len(row) - 1) * (len(where[j]) - 1), i, j))
     return diagonal_invariants(diagonal + [0] * (min(a.rows, a.cols) - len(diagonal)))

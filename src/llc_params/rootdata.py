@@ -15,9 +15,11 @@ INPUT group (the datum built is that of the dual):
   character group is Z/n.
 
 A preset is held by its kind and n.  One routine gives the positive (root,
-coroot) of each block of consecutive simple roots: the one-root blocks are
-the simple system, and all n(n - 1) roots are generated only where they are
-printed (component JSON) or checked (an explicit Weyl matrix).
+coroot) of each block of consecutive simple roots, and all n(n - 1) roots
+are generated only where they are printed (component JSON) or checked (an
+explicit Weyl matrix).  The simple system, its one-root blocks, is also
+written as sparse rows of at most three nonzeros, so that the center and
+the Coxeter twist cost O(n).
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  It is unimodular by construction: the
@@ -171,14 +173,23 @@ def _with_negatives(pos: list) -> tuple:
     return tuple(pos) + tuple([tuple([-x for x in v]) for v in pos])
 
 
-def _nonzeros(v: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """A vector as its (coordinate, entry) nonzeros: one sparse row."""
-    return tuple((k, a) for k, a in enumerate(v) if a)
-
-
 def _simple_pairs(rd: RootDatum) -> list:
-    """The (simple root, simple coroot) pairs of a preset: its one-root blocks."""
-    return list(_block_pairs(rd.kind, rd.rank, ((i, i) for i in range(rd.n - 1))))
+    """The (simple root, simple coroot) pairs of a preset, as sparse rows.
+
+    They are `_block_pairs`'s one-root blocks, written as (coordinate, entry)
+    pairs with at most three nonzeros: GL's e_i - e_{i+1}, its own coroot;
+    in the adjoint basis e_i with the i-th Cartan matrix column (2 at i, -1
+    at i - 1 and i + 1); the simply connected basis swaps the two.
+    """
+    pairs = []
+    for i in range(rd.n - 1):
+        if rd.kind == "gl":
+            v = ((i, 1), (i + 1, -1))
+            pairs.append((v, v))
+            continue
+        cartan = tuple((k, a) for k, a in ((i - 1, -1), (i, 2), (i + 1, -1)) if 0 <= k < rd.rank)
+        pairs.append((((i, 1),), cartan) if rd.kind == "adjoint" else (cartan, ((i, 1),)))
+    return pairs
 
 
 def preset(family: str, n: int) -> RootDatum:
@@ -216,7 +227,7 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     >>> center_char_group(preset("PGL", 3))
     FinGenAbGroup(free_rank=0, invariant_factors=(3,))
     """
-    simple = tuple(_nonzeros(a) for a, _ in _simple_pairs(rd))
+    simple = tuple(a for a, _ in _simple_pairs(rd))
     return cokernel(IntMatrix._trusted(simple, rd.rank).transpose())
 
 
@@ -234,21 +245,52 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
     if rd.kind == "gl":  # the n-cycle e_j -> e_{j+1}: row i holds a 1 in column i - 1
         cycle = tuple((((i - 1) % n, 1),) for i in range(n))
         return WeylTwist._trusted(IntMatrix._trusted(cycle, n))
-    # w <- w s_alpha = w - (w alpha) alpha_vee^T, a rank-one update of w's rows
-    w = [[1 if i == j else 0 for j in range(rd.rank)] for i in range(rd.rank)]
-    for root, coroot in _simple_pairs(rd):
-        alpha = _nonzeros(root)
-        alpha_vee = _nonzeros(coroot)
-        for row in w:
-            c = sum(row[k] * a for k, a in alpha)
-            if c:
-                for k, a in alpha_vee:
-                    row[k] -= c * a
-    return WeylTwist._trusted(IntMatrix(w, cols=rd.rank))
+    pairs = _simple_pairs(rd)
+    if rd.kind == "sc":
+        return WeylTwist._trusted(_reflection_product(pairs, rd.rank))
+    # each adjoint reflection is the transpose of the reflection of the
+    # swapped pair, so w = s_1 ... s_m is the transpose of the product of the
+    # swapped pairs in reverse order; taken in that order each update meets
+    # O(1) rows, where s_1 ... s_m taken directly meets O(n)
+    swapped = [(b, a) for a, b in reversed(pairs)]
+    return WeylTwist._trusted(_reflection_product(swapped, rd.rank).transpose())
+
+
+def _reflection_product(pairs: list, rank: int) -> IntMatrix:
+    """s_1 s_2 ... for the sparse (alpha, alpha_vee) pairs, s = 1 - alpha alpha_vee^T.
+
+    Each factor is the rank-one update w <- w - (w alpha) alpha_vee^T of w's
+    rows; only the rows with a nonzero in alpha's coordinates change.
+    """
+    rows = [{i: 1} for i in range(rank)]
+    where = [{i} for i in range(rank)]  # coordinate -> the rows holding it
+    for alpha, alpha_vee in pairs:
+        for i in set().union(*(where[k] for k, _ in alpha)):
+            row = rows[i]
+            c = sum(row.get(k, 0) * a for k, a in alpha)
+            if not c:
+                continue
+            for k, a in alpha_vee:
+                v = row.get(k, 0) - c * a
+                if v:
+                    row[k] = v
+                    where[k].add(i)
+                else:
+                    row.pop(k, None)
+                    where[k].discard(i)
+    return IntMatrix._trusted(tuple(tuple(sorted(row.items())) for row in rows), rank)
 
 
 def identity_twist(rd: RootDatum) -> WeylTwist:
     return WeylTwist._trusted(IntMatrix.identity(rd.rank))
+
+
+def _dense(v: tuple, rank: int) -> tuple[int, ...]:
+    """A sparse row as a length-rank vector."""
+    out = [0] * rank
+    for k, a in v:
+        out[k] = a
+    return tuple(out)
 
 
 def _apply(columns: list, v: tuple[int, ...], rank: int) -> tuple[int, ...]:
@@ -281,6 +323,7 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
         if image not in coroot_of:
             raise InvalidArgument(f"twist does not permute the roots: image of {alpha} is {image}")
     for alpha, alpha_vee in _simple_pairs(rd):
+        alpha, alpha_vee = _dense(alpha, rd.rank), _dense(alpha_vee, rd.rank)
         if _apply(w_t, coroot_of[_apply(w, alpha, rd.rank)], rd.rank) != alpha_vee:
             raise InvalidArgument(f"twist does not preserve the coroots at the root {alpha}")
     return twist

@@ -336,16 +336,8 @@ def matmul(a, b) -> list[list[int]]:
 def signed_permutation_cokernels(rows, q: int) -> tuple[list[int], list[int]]:
     """Closed forms for a twist w = eps * P, P a permutation matrix, eps = +-1.
 
-    Read the cycle type (l_1, ..., l_r) of P.  On a cycle of length l, w acts
-    as eps times the l-cycle, whose characteristic polynomial is x^l - eps^l,
-    and w - q is cyclic there, so
-
-        coker(w - q) = coker(q w^T - 1) = Z/(q^l_1 - eps^l_1) + ...,
-
-    while 1 - w has determinant 1 - eps^l on the cycle: coker(1 - w) gets a Z
-    for each cycle with eps^l = 1 and a Z/2 for each with eps^l = -1.
-    Returns the cyclic orders of coker(w - q) and of coker(1 - w), one per
-    cycle, with 0 standing for Z.
+    The dense rows are read as the permutation i -> j of their one nonzero
+    and its common sign; see `signed_cycle_cokernels`.
 
     >>> signed_permutation_cokernels([[0, -1, 0], [-1, 0, 0], [0, 0, -1]], 3)
     ([8, 4], [0, 2])
@@ -360,7 +352,27 @@ def signed_permutation_cokernels(rows, q: int) -> tuple[list[int], list[int]]:
         signs.add(nonzero[0][1])
     if sorted(image) != list(range(n)) or len(signs) > 1 or not signs <= {1, -1}:
         raise ValueError("not eps times a permutation matrix")
-    eps = signs.pop() if signs else 1
+    return signed_cycle_cokernels(image, signs.pop() if signs else 1, q)
+
+
+def signed_cycle_cokernels(image, eps: int, q: int) -> tuple[list[int], list[int]]:
+    """Closed forms for w = eps * P, where row i of P has its 1 in column image[i].
+
+    Read the cycle type (l_1, ..., l_r) of P.  On a cycle of length l, w acts
+    as eps times the l-cycle, whose characteristic polynomial is x^l - eps^l,
+    and w - q is cyclic there, so
+
+        coker(w - q) = coker(q w^T - 1) = Z/(q^l_1 - eps^l_1) + ...,
+
+    while 1 - w has determinant 1 - eps^l on the cycle: coker(1 - w) gets a Z
+    for each cycle with eps^l = 1 and a Z/2 for each with eps^l = -1.
+    Returns the cyclic orders of coker(w - q) and of coker(1 - w), one per
+    cycle, with 0 standing for Z.
+
+    >>> signed_cycle_cokernels([1, 0, 2], -1, 3)
+    ([8, 4], [0, 2])
+    """
+    n = len(image)
     lengths, seen = [], [False] * n
     for start in range(n):
         length, i = 0, start
@@ -373,6 +385,29 @@ def signed_permutation_cokernels(rows, q: int) -> tuple[list[int], list[int]]:
     fixed = [q**l - eps**l for l in lengths]
     centralizer = [0 if eps**l == 1 else 2 for l in lengths]
     return fixed, centralizer
+
+
+def pairwise_diagonal_invariants(diagonal) -> tuple[int, ...]:
+    """The Smith invariants of a nonnegative diagonal by the pairwise gcd/lcm pass.
+
+    Ones lead and zeros trail.  Every other pair (a_i, a_j), i < j, with a_i
+    not dividing a_j becomes (gcd, lcm); after the pass for i, a_i divides
+    every later entry.  Quadratic in the number of entries.
+
+    >>> pairwise_diagonal_invariants([0, 4, 1, 6])
+    (1, 2, 12, 0)
+    """
+    diagonal = list(diagonal)
+    chain = [d for d in diagonal if d > 1]
+    for i, a in enumerate(chain):
+        for j in range(i + 1, len(chain)):
+            b = chain[j]
+            if b % a:
+                g = gcd(a, b)
+                chain[j] = a // g * b
+                a = g
+        chain[i] = a
+    return (1,) * diagonal.count(1) + tuple(chain) + (0,) * diagonal.count(0)
 
 
 def root_datum_problems(rank: int, roots, coroots) -> list[str]:

@@ -7,6 +7,7 @@ component, block and match never factor and that enumeration validates once.
 
 import io
 import json
+import random
 import sys
 from time import perf_counter
 
@@ -149,6 +150,49 @@ def test_gl3000_verify_text_answers(coeff):
     assert code == 0
     assert text.startswith("verify [GL_3000, q=3")
     assert "support diagonal: yes (3000 positions)" in text
+
+
+@pytest.mark.parametrize("cmd", ["component", "match"])
+def test_gl1000_coxeter_reports_answer(cmd):
+    # the Smith forms take their pivots off a heap, not a scan of every entry
+    code, text = run_timed([cmd, "--n", "1000", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith(f"{cmd} [GL_1000, q=3")
+
+
+@pytest.mark.parametrize("cmd", ["block", "match", "summary"])
+def test_gl5000_text_reports_answer(cmd):
+    # q^n - 1 has 2,386 digits; the center's simple roots are sparse rows
+    code, text = run_timed([cmd, "--n", "5000", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith(f"{cmd} [GL_5000, q=3")
+
+
+def test_gl10000_identity_twist_answers():
+    # w - q = (1 - q) I: 10,000 equal diagonal entries pass as one group
+    argv = ["match", "--n", "10000", "--q", "3", "--ell", "5", "--weyl", "identity"]
+    code, text = run_timed(argv)
+    assert code == 0
+    assert text.startswith("match [GL_10000, q=3")
+
+
+@pytest.mark.parametrize("group", ["SL", "PGL"])
+def test_semisimple_rank_1000_components_answer(group):
+    # the Coxeter twist is built over sparse rows, one reflection at a time
+    code, text = run_timed(["component", "--group", group, "--n", "1000", "--q", "3", "--ell", "5"])
+    assert code == 0
+    assert text.startswith("component [") and "_1000, q=3" in text.splitlines()[0]
+
+
+def test_a_dense_weyl_matrix_is_refused_within_budget():
+    # each pivot of a dense matrix changes most rows, so the Smith form finds
+    # the next pivot by a scan and keeps no heap
+    rng = random.Random(100)
+    rows = [[rng.randint(-1, 1) for _ in range(100)] for _ in range(100)]
+    argv = ["block", "--n", "100", "--q", "3", "--ell", "5", "--weyl", json.dumps(rows)]
+    code, text = run_timed([*argv, "--output", "json"])
+    assert code == 2
+    assert json.loads(text)["error"]["message"] == "twist matrix is not unimodular"
 
 
 def test_gl300_coxeter_smith_form_is_fast():

@@ -12,7 +12,12 @@ from llc_params.errors import DimensionMismatch, InvalidArgument, LlcError
 from llc_params.lattice import IntMatrix, diagonal_invariants, smith_normal_form
 from llc_params.rootdata import WeylTwist, center_char_group, coxeter_twist, preset
 
-from oracles import determinantal_divisors, gauss_det, smith_invariants_by_minors
+from oracles import (
+    determinantal_divisors,
+    gauss_det,
+    pairwise_diagonal_invariants,
+    smith_invariants_by_minors,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +329,108 @@ def test_diagonal_invariants_is_the_snf_of_a_diagonal():
     for diag in ([12, 18, 8], [5, 0, 10, 1], [9, 6, 4, 2]):
         m = IntMatrix([[d if i == j else 0 for j in range(len(diag))] for i, d in enumerate(diag)])
         assert diagonal_invariants(diag) == smith_invariants_by_minors([list(r) for r in m.data])
+
+
+def _diagonal_draws():
+    """Seeded chains with repeats, ones and zeros, from a few small values."""
+    rng = random.Random(20261019)
+    draws = []
+    for _ in range(400):
+        values = [0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 18, 27, 30, 36, 60]
+        pool = rng.sample(values, rng.randint(1, 5))
+        draws.append([rng.choice(pool) for _ in range(rng.randint(0, 14))])
+    return draws + [[6] * 40 + [4] * 25 + [9] * 10, [0, 1] * 5 + [2] * 30, [12] * 7 + [18, 8]]
+
+
+def test_diagonal_invariants_match_the_pairwise_pass():
+    # equal entries pass as one group; the pairwise pass is the oracle
+    for diag in _diagonal_draws():
+        assert diagonal_invariants(diag) == pairwise_diagonal_invariants(diag), diag
+
+
+# ---------------------------------------------------------------------------
+# the pivot heap: remainder steps, signs, ties, empty lines and shapes
+
+
+def test_the_pivot_moves_to_another_row_then_along_it():
+    # the pivot -4 leaves the remainder -2 in row 1, which becomes the pivot;
+    # reducing row 1 modulo -2 leaves 5 % -2 = -1 in column 0, so the pivot
+    # moves along row 1 to a negative entry
+    assert assert_snf_contract(IntMatrix([[0, -4], [5, -6]])) == (1, 20)
+    assert assert_snf_contract(IntMatrix([[0, 4], [-5, 6]])) == (1, 20)
+
+
+def test_a_key_whose_cost_grew_is_pushed_back():
+    # the pivot 1 at (0, 0) clears rows 1 and 3, and both gain an entry in
+    # column 2; the 2 at (2, 2) is then the least entry, but its key still
+    # has the cost of its column's old count.  The three filler rows keep
+    # the heap: the pivot changed under half of the live rows
+    core = [[1, 0, 5, 0, 0], [3, 7, 0, 0, 0], [0, 0, 2, 9, 0], [4, 0, 0, 0, 11]]
+    filler = [11, 13, 17]
+    rows = [row + [0] * len(filler) for row in core]
+    rows += [[0] * 5 + [f * (k == j) for k in range(len(filler))] for j, f in enumerate(filler)]
+    expected = pairwise_diagonal_invariants(smith_invariants_by_minors(core) + tuple(filler))
+    assert smith_normal_form(IntMatrix(rows)) == expected == (1,) * 6 + (2431,)
+
+
+# no units: pivots seldom divide their line, so remainders move them; equal
+# magnitudes of both signs make ties
+_REMAINDER_HEAVY = (0, 0, 0, 2, -2, 3, -3, 4, 5, -5, 6, 7, -7)
+
+
+def _block(rng):
+    r, c = rng.randint(0, 4), rng.randint(0, 4)
+    rows = [[rng.choice(_REMAINDER_HEAVY) for _ in range(c)] for _ in range(r)]
+    if r and rng.random() < 0.3:
+        rows[rng.randrange(r)] = [0] * c  # an empty row
+    if c and rng.random() < 0.3:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = 0  # an empty column
+    return rows, c
+
+
+def _scrambled_block_diagonal(rng):
+    """A block diagonal of small blocks, rows and columns shuffled, with its invariants.
+
+    The Smith invariants of a block diagonal are those of the diagonal of
+    all its blocks' invariants, padded with zeros; each block's come from
+    the minors.  Up to 32 x 32, and sparse, so most pivots change few rows
+    and the heap, not the scan, picks them.
+    """
+    blocks = [_block(rng) for _ in range(rng.randint(1, 8))]
+    height = sum(len(rows) for rows, _ in blocks)
+    width = sum(c for _, c in blocks)
+    dense = [[0] * width for _ in range(height)]
+    top = left = 0
+    invariants = []
+    for rows, c in blocks:
+        for i, row in enumerate(rows):
+            dense[top + i][left:left + c] = row
+        invariants += smith_invariants_by_minors(rows, c)
+        top, left = top + len(rows), left + c
+    row_order, col_order = rng.sample(range(height), height), rng.sample(range(width), width)
+    dense = [[dense[i][j] for j in col_order] for i in row_order]
+    expected = pairwise_diagonal_invariants(invariants)
+    return IntMatrix(dense, cols=width), expected + (0,) * (min(height, width) - len(expected))
+
+
+def test_the_heap_net_against_block_minors():
+    rng = random.Random(20261020)
+    for _ in range(300):
+        m, expected = _scrambled_block_diagonal(rng)
+        assert smith_normal_form(m) == expected, m
+        assert smith_normal_form(m.transpose()) == expected, m
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (7, 1), (2, 6), (6, 2), (3, 5), (5, 3), (4, 4)])
+def test_the_remainder_net_against_the_minors_oracle(shape):
+    # tall and wide shapes, drawn without units so the remainder steps run
+    rng = random.Random(f"remainders/{shape}")
+    r, c = shape
+    for _ in range(40):
+        rows = [[rng.choice(_REMAINDER_HEAVY) for _ in range(c)] for _ in range(r)]
+        assert_snf_contract(IntMatrix(rows, cols=c))
 
 
 def _coxeter(family, n):

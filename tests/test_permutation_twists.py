@@ -6,7 +6,8 @@ coker(w - q) = coker(q w^T - 1) is the sum of the Z/(q^l - eps^l), and
 coker(1 - w) has a Z or a Z/2 for each cycle.  The net is derandomized: each
 twist comes from a generator seeded by its case.  High-rank twists are built
 with `WeylTwist`, since `weyl_twist`'s root check maps all n(n - 1) roots;
-small ones also go through `weyl_twist` and through `match --weyl`.
+small ones also go through `weyl_twist` and through `match --weyl`.  The
+widest, GL_3000 and GL_5000, are built from their nonzeros.
 """
 
 import io
@@ -22,10 +23,9 @@ from llc_params.cocycles import frob_fixed_scheme, twisted_centralizer
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, preset, weyl_twist
 
-from oracles import signed_permutation_cokernels
+from oracles import signed_cycle_cokernels, signed_permutation_cokernels
 
-# (n, eps, q): both signs and q in {3, 5, 9, 25, 27}.  A GL_1000 draw takes
-# four Smith forms of about half a second each, so the top draws are few
+# (n, eps, q): both signs and q in {3, 5, 9, 25, 27}
 HIGH_RANK = (
     (50, 1, 3),
     (50, -1, 25),
@@ -36,7 +36,9 @@ HIGH_RANK = (
     (500, -1, 3),
     (700, 1, 27),
     (1000, -1, 9),
+    (1000, 1, 5),
 )
+WIDE = ((3000, 1, 5), (5000, -1, 3))
 
 
 def _signed_permutation(rng, n, eps):
@@ -56,8 +58,8 @@ def _ell_part(orders, ell):
     return tuple(sorted(out))
 
 
-def _check_twist(twist, rows, q):
-    fixed, centralizer = signed_permutation_cokernels(rows, q)
+def _check_twist(twist, expected, q):
+    fixed, centralizer = expected
     scheme = frob_fixed_scheme(twist, q)
     torus = finite_torus(twist.transpose(), q)
     assert scheme == torus == FinGenAbGroup(0, fixed)
@@ -76,7 +78,15 @@ def _check_twist(twist, rows, q):
                          ids=[f"gl{n}-eps{e:+d}-q{q}" for n, e, q in HIGH_RANK])
 def test_high_rank_permutation_twists_have_closed_forms(n, eps, q):
     rows = _signed_permutation(random.Random(f"{n}/{eps}/{q}"), n, eps)
-    _check_twist(WeylTwist(IntMatrix(rows)), rows, q)
+    _check_twist(WeylTwist(IntMatrix(rows)), signed_permutation_cokernels(rows, q), q)
+
+
+@pytest.mark.parametrize("n,eps,q", WIDE, ids=[f"gl{n}-eps{e:+d}-q{q}" for n, e, q in WIDE])
+def test_wide_permutation_twists_have_closed_forms(n, eps, q):
+    # row i holds eps in column image[i]: n nonzeros, where dense rows hold n^2
+    image = random.Random(f"{n}/{eps}/{q}").sample(range(n), n)
+    w = IntMatrix._trusted(tuple(((j, eps),) for j in image), n)
+    _check_twist(WeylTwist(w), signed_cycle_cokernels(image, eps, q), q)
 
 
 def _small_draws():
@@ -91,7 +101,8 @@ def _small_draws():
 
 @pytest.mark.parametrize("n,q,ell,rows", _small_draws())
 def test_small_permutation_twists_through_weyl_twist_and_match(n, q, ell, rows):
-    fixed, centralizer = _check_twist(weyl_twist(preset("GL", n), IntMatrix(rows)), rows, q)
+    twist = weyl_twist(preset("GL", n), IntMatrix(rows))
+    fixed, centralizer = _check_twist(twist, signed_permutation_cokernels(rows, q), q)
     mu = FinGenAbGroup(0, _ell_part(fixed, ell))
     argv = ["match", "--n", str(n), "--q", str(q), "--ell", str(ell), "--weyl", json.dumps(rows)]
 

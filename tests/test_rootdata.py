@@ -8,6 +8,9 @@ from llc_params.errors import InvalidArgument, LlcError
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import (
     WeylTwist,
+    _block_pairs,
+    _dense,
+    _simple_pairs,
     center_char_group,
     coxeter_twist,
     identity_twist,
@@ -229,6 +232,38 @@ def test_coxeter_twist_is_the_product_of_simple_reflections(family):
         assert w == IntMatrix(product, cols=rd.rank), (family, n)
         assert _matrix_order(w) == n, (family, n)
         assert weyl_twist(rd, w).matrix == w
+
+
+def _companion(family, n):
+    """The semisimple Coxeter matrices in closed form, as sparse rows.
+
+    SL_n (adjoint basis): row i holds 1 in column i - 1 and -1 in the last
+    column.  PGL_n (simply connected basis): row 0 is all -1 and row i
+    holds 1 in column i - 1.
+    """
+    m = n - 1
+    if family == "SL":
+        return tuple(((i - 1, 1),) * (i > 0) + ((m - 1, -1),) for i in range(m))
+    return (tuple((k, -1) for k in range(m)),) + tuple(((i - 1, 1),) for i in range(1, m))
+
+
+@pytest.mark.parametrize("family", ["SL", "PGL"])
+def test_semisimple_coxeter_twists_are_companion_matrices(family):
+    # the small ranks are also pinned to the product of reflections above
+    for n in [*range(2, 13), 2000]:
+        assert coxeter_twist(preset(family, n)).matrix.nonzeros == _companion(family, n), n
+
+
+@pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
+def test_simple_pairs_are_the_one_root_blocks_as_sparse_rows(family):
+    for n in range(1 if family == "GL" else 2, 12):
+        rd = preset(family, n)
+        pairs = _simple_pairs(rd)
+        for v in (v for pair in pairs for v in pair):
+            assert len(v) <= 3 and all(a for _, a in v)
+            assert [k for k, _ in v] == sorted({k for k, _ in v})
+        dense = [(_dense(a, rd.rank), _dense(b, rd.rank)) for a, b in pairs]
+        assert dense == list(_block_pairs(rd.kind, rd.rank, ((i, i) for i in range(n - 1))))
 
 
 @pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
