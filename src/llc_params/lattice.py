@@ -19,8 +19,8 @@ computed here, so this module has no dependencies beyond the error types.
 Markowitz cost, down to any diagonal, whose Smith invariants the gcd/lcm
 pass `diagonal_invariants` then takes.  The pivots come off a lazy heap, so
 a sparse n x n twisted torus takes O(n log n) heap steps rather than a scan of
-every nonzero per pivot; dense input, where each pivot changes most rows,
-falls back to that scan.
+every nonzero per pivot; on dense input, where each pivot changes most rows,
+the heap is rebuilt from the live entries instead.
 """
 
 from __future__ import annotations
@@ -161,36 +161,28 @@ def diagonal_invariants(diagonal: Iterable[int]) -> tuple[int, ...]:
     (2, 2, 4, 12, 12)
     """
     diagonal = list(diagonal)
-    chain = [d for d in diagonal if d > 1]
-    if len(chain) > 1:
-        counts = {}
-        for d in chain:
+    counts = {}
+    for d in diagonal:
+        if d > 1:
             counts[d] = counts.get(d, 0) + 1
-        groups = list(counts.items())
-        for i, (a, count) in enumerate(groups):  # enumerate visits the groups appended below
-            for j in range(i + 1, len(groups)):  # not those appended meanwhile: a divides them
-                b, bcount = groups[j]
-                if b % a:
-                    g = gcd(a, b)
-                    pairs = min(count, bcount)
-                    groups[j] = (a // g * b, pairs)
-                    if count > pairs:
-                        groups.append((a, count - pairs))
-                    elif bcount > pairs:
-                        groups.append((b, bcount - pairs))
-                    a, count = g, pairs
-            groups[i] = (a, count)
-        chain = [a for a, count in groups for _ in range(count)]
-    return (1,) * diagonal.count(1) + tuple(chain) + (0,) * diagonal.count(0)
-
-
-def _pivot_keys(items, where: dict):
-    """Pivot keys (|entry|, Markowitz cost, row, column) of the (row index, row) items."""
-    return (
-        (abs(e), (len(row) - 1) * (len(where[j]) - 1), i, j)
-        for i, row in items
-        for j, e in row.items()
-    )
+    groups = list(counts.items())
+    for i, (a, count) in enumerate(groups):  # enumerate visits the groups appended below
+        for j in range(i + 1, len(groups)):  # not those appended meanwhile: a divides them
+            b, bcount = groups[j]
+            if b % a:
+                g = gcd(a, b)
+                pairs = min(count, bcount)
+                groups[j] = (a // g * b, pairs)
+                if count > pairs:
+                    groups.append((a, count - pairs))
+                elif bcount > pairs:
+                    groups.append((b, bcount - pairs))
+                a, count = g, pairs
+        groups[i] = (a, count)
+    chain = [1] * diagonal.count(1)
+    for a, count in groups:
+        chain += [a] * count
+    return tuple(chain) + (0,) * diagonal.count(0)
 
 
 def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
@@ -209,12 +201,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     keys.  A key is stale once its row is gone or its |entry| has changed,
     and is dropped when it reaches the top; a key whose cost has grown is
     pushed back with the new cost.  After each pivot, the entries it changed
-    get fresh keys; once the heap has doubled since it was built, it is
-    rebuilt from the live entries.  A pivot that changes half of the live
-    rows or more, as on dense input, drops the heap instead, and the next
-    pivot is found by a scan of every entry: rebuilding the heap would cost
-    that scan and more.  Either way the pivot has the least |entry|, and the
-    invariants do not depend on the order.
+    get fresh keys.  The heap is rebuilt from the live entries instead once
+    it has doubled since it was built, or when the pivot changed half of the
+    live rows or more, as on dense input: one rebuild there costs less than
+    pushing a key for each changed entry.  The invariants do not depend on
+    the pivot order.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
@@ -228,23 +219,26 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     for i, row in rows.items():
         for j in row:
             where[j].add(i)
-    heap = list(_pivot_keys(rows.items(), where))
-    heapify(heap)
-    built = len(heap)  # the heap's size when last built
     diagonal = []
+    rebuild = True
     while rows:
-        if heap is None:
-            _, _, pi, pj = min(_pivot_keys(rows.items(), where))
-        else:
-            size, cost, pi, pj = heap[0]
-            row = rows.get(pi)
-            if row is None or abs(row.get(pj, 0)) != size:  # stale: the row or entry changed
-                heappop(heap)
-                continue
-            now = (len(row) - 1) * (len(where[pj]) - 1)
-            if now > cost:
-                heapreplace(heap, (size, now, pi, pj))
-                continue
+        if rebuild:
+            heap = [
+                (abs(e), (len(row) - 1) * (len(where[j]) - 1), i, j)
+                for i, row in rows.items()
+                for j, e in row.items()
+            ]
+            heapify(heap)
+            built, rebuild = len(heap), False  # the heap's size when last built
+        size, cost, pi, pj = heap[0]
+        row = rows.get(pi)
+        if row is None or abs(row.get(pj, 0)) != size:  # stale: the row or entry changed
+            heappop(heap)
+            continue
+        now = (len(row) - 1) * (len(where[pj]) - 1)
+        if now > cost:
+            heapreplace(heap, (size, now, pi, pj))
+            continue
         # the pivot's key stays, to go stale with its row
         touched, cols = set(), set()  # the rows changed, and the columns they changed in
         while True:
@@ -283,13 +277,9 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
             diagonal.append(abs(d))
             del rows[pi]  # a lone pivot: its column holds nothing else either
             break
-        if 2 * len(touched) >= len(rows):  # half or more changed: scan for the next pivot
-            heap = None
-        elif heap is None or len(heap) > 2 * built:  # stale keys pile up
-            heap = list(_pivot_keys(rows.items(), where))
-            heapify(heap)
-            built = len(heap)
-        else:
+        # rebuild once half the live rows changed (dense input) or stale keys pile up
+        rebuild = 2 * len(touched) >= len(rows) or len(heap) > 2 * built
+        if not rebuild:
             for i in touched & rows.keys():
                 row = rows[i]
                 for j in cols & row.keys():

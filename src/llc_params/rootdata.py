@@ -17,9 +17,9 @@ INPUT group (the datum built is that of the dual):
 A preset is held by its kind and n.  One routine gives the positive (root,
 coroot) of each block of consecutive simple roots, and all n(n - 1) roots
 are generated only where they are printed (component JSON) or checked (an
-explicit Weyl matrix).  The simple system, its one-root blocks, is also
-written as sparse rows of at most three nonzeros, so that the center and
-the Coxeter twist cost O(n).
+explicit Weyl matrix).  The simple roots, the one-root blocks, are also
+written as sparse rows of at most three nonzeros, so that the center costs
+O(n); so does the Coxeter twist, written in closed form.
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  It is unimodular by construction: the
@@ -173,23 +173,22 @@ def _with_negatives(pos: list) -> tuple:
     return tuple(pos) + tuple([tuple([-x for x in v]) for v in pos])
 
 
-def _simple_pairs(rd: RootDatum) -> list:
-    """The (simple root, simple coroot) pairs of a preset, as sparse rows.
+def _simple_roots(rd: RootDatum) -> list:
+    """The simple roots of a preset, as sparse rows.
 
-    They are `_block_pairs`'s one-root blocks, written as (coordinate, entry)
-    pairs with at most three nonzeros: GL's e_i - e_{i+1}, its own coroot;
-    in the adjoint basis e_i with the i-th Cartan matrix column (2 at i, -1
-    at i - 1 and i + 1); the simply connected basis swaps the two.
+    They are the roots of `_block_pairs`'s one-root blocks, written as
+    (coordinate, entry) pairs with at most three nonzeros: GL's e_i -
+    e_{i+1}; e_i in the adjoint basis; in the simply connected basis the
+    i-th Cartan matrix column (2 at i, -1 at i - 1 and i + 1).
     """
-    pairs = []
-    for i in range(rd.n - 1):
-        if rd.kind == "gl":
-            v = ((i, 1), (i + 1, -1))
-            pairs.append((v, v))
-            continue
-        cartan = tuple((k, a) for k, a in ((i - 1, -1), (i, 2), (i + 1, -1)) if 0 <= k < rd.rank)
-        pairs.append((((i, 1),), cartan) if rd.kind == "adjoint" else (cartan, ((i, 1),)))
-    return pairs
+    if rd.kind == "gl":
+        return [((i, 1), (i + 1, -1)) for i in range(rd.n - 1)]
+    if rd.kind == "adjoint":
+        return [((i, 1),) for i in range(rd.rank)]
+    return [
+        tuple((k, a) for k, a in ((i - 1, -1), (i, 2), (i + 1, -1)) if 0 <= k < rd.rank)
+        for i in range(rd.rank)
+    ]
 
 
 def preset(family: str, n: int) -> RootDatum:
@@ -227,16 +226,17 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
     >>> center_char_group(preset("PGL", 3))
     FinGenAbGroup(free_rank=0, invariant_factors=(3,))
     """
-    simple = tuple(a for a, _ in _simple_pairs(rd))
+    simple = tuple(_simple_roots(rd))
     return cokernel(IntMatrix._trusted(simple, rd.rank).transpose())
 
 
 def coxeter_twist(rd: RootDatum) -> WeylTwist:
     """The standard Coxeter element of a datum, as a lattice matrix.
 
-    For GL_n this is the n-cycle permutation matrix (order n); for the rank-1
-    A_1 data it is (-1); in general it is the ordered product of the simple
-    reflections and has order equal to the Coxeter number n.
+    It is the ordered product of the simple reflections, of order the
+    Coxeter number n, and is written in closed form: for GL_n the n-cycle
+    permutation matrix; for the semisimple presets a companion matrix of
+    1 + x + ... + x^(n-1) ((-1) for the rank-1 A_1 data).
 
     >>> coxeter_twist(preset("GL", 2)).matrix
     IntMatrix([[0, 1], [1, 0]])
@@ -245,52 +245,16 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
     if rd.kind == "gl":  # the n-cycle e_j -> e_{j+1}: row i holds a 1 in column i - 1
         cycle = tuple((((i - 1) % n, 1),) for i in range(n))
         return WeylTwist._trusted(IntMatrix._trusted(cycle, n))
-    pairs = _simple_pairs(rd)
-    if rd.kind == "sc":
-        return WeylTwist._trusted(_reflection_product(pairs, rd.rank))
-    # each adjoint reflection is the transpose of the reflection of the
-    # swapped pair, so w = s_1 ... s_m is the transpose of the product of the
-    # swapped pairs in reverse order; taken in that order each update meets
-    # O(1) rows, where s_1 ... s_m taken directly meets O(n)
-    swapped = [(b, a) for a, b in reversed(pairs)]
-    return WeylTwist._trusted(_reflection_product(swapped, rd.rank).transpose())
-
-
-def _reflection_product(pairs: list, rank: int) -> IntMatrix:
-    """s_1 s_2 ... for the sparse (alpha, alpha_vee) pairs, s = 1 - alpha alpha_vee^T.
-
-    Each factor is the rank-one update w <- w - (w alpha) alpha_vee^T of w's
-    rows; only the rows with a nonzero in alpha's coordinates change.
-    """
-    rows = [{i: 1} for i in range(rank)]
-    where = [{i} for i in range(rank)]  # coordinate -> the rows holding it
-    for alpha, alpha_vee in pairs:
-        for i in set().union(*(where[k] for k, _ in alpha)):
-            row = rows[i]
-            c = sum(row.get(k, 0) * a for k, a in alpha)
-            if not c:
-                continue
-            for k, a in alpha_vee:
-                v = row.get(k, 0) - c * a
-                if v:
-                    row[k] = v
-                    where[k].add(i)
-                else:
-                    row.pop(k, None)
-                    where[k].discard(i)
-    return IntMatrix._trusted(tuple(tuple(sorted(row.items())) for row in rows), rank)
+    m = rd.rank
+    if rd.kind == "adjoint":  # row i holds 1 in column i - 1 and -1 in the last column
+        rows = tuple(((i - 1, 1),) * (i > 0) + ((m - 1, -1),) for i in range(m))
+    else:  # simply connected: row 0 is all -1, row i holds 1 in column i - 1
+        rows = (tuple((k, -1) for k in range(m)),) + tuple(((i - 1, 1),) for i in range(1, m))
+    return WeylTwist._trusted(IntMatrix._trusted(rows, m))
 
 
 def identity_twist(rd: RootDatum) -> WeylTwist:
     return WeylTwist._trusted(IntMatrix.identity(rd.rank))
-
-
-def _dense(v: tuple, rank: int) -> tuple[int, ...]:
-    """A sparse row as a length-rank vector."""
-    out = [0] * rank
-    for k, a in v:
-        out[k] = a
-    return tuple(out)
 
 
 def _apply(columns: list, v: tuple[int, ...], rank: int) -> tuple[int, ...]:
@@ -322,8 +286,7 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
         image = _apply(w, alpha, rd.rank)
         if image not in coroot_of:
             raise InvalidArgument(f"twist does not permute the roots: image of {alpha} is {image}")
-    for alpha, alpha_vee in _simple_pairs(rd):
-        alpha, alpha_vee = _dense(alpha, rd.rank), _dense(alpha_vee, rd.rank)
+    for alpha, alpha_vee in _block_pairs(rd.kind, rd.rank, ((i, i) for i in range(rd.n - 1))):
         if _apply(w_t, coroot_of[_apply(w, alpha, rd.rank)], rd.rank) != alpha_vee:
             raise InvalidArgument(f"twist does not preserve the coroots at the root {alpha}")
     return twist

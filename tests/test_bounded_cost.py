@@ -178,15 +178,16 @@ def test_gl10000_identity_twist_answers():
 
 @pytest.mark.parametrize("group", ["SL", "PGL"])
 def test_semisimple_rank_1000_components_answer(group):
-    # the Coxeter twist is built over sparse rows, one reflection at a time
+    # the Coxeter twist is written in closed form, O(n)
     code, text = run_timed(["component", "--group", group, "--n", "1000", "--q", "3", "--ell", "5"])
     assert code == 0
     assert text.startswith("component [") and "_1000, q=3" in text.splitlines()[0]
 
 
 def test_a_dense_weyl_matrix_is_refused_within_budget():
-    # each pivot of a dense matrix changes most rows, so the Smith form finds
-    # the next pivot by a scan and keeps no heap
+    # each pivot of a dense matrix changes most rows, so the Smith form
+    # rebuilds its heap from the live entries instead of pushing a key for
+    # every changed entry
     rng = random.Random(100)
     rows = [[rng.randint(-1, 1) for _ in range(100)] for _ in range(100)]
     argv = ["block", "--n", "100", "--q", "3", "--ell", "5", "--weyl", json.dumps(rows)]

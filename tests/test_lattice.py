@@ -364,7 +364,7 @@ def test_a_key_whose_cost_grew_is_pushed_back():
     # the pivot 1 at (0, 0) clears rows 1 and 3, and both gain an entry in
     # column 2; the 2 at (2, 2) is then the least entry, but its key still
     # has the cost of its column's old count.  The three filler rows keep
-    # the heap: the pivot changed under half of the live rows
+    # the heap from a rebuild: the pivot changed under half of the live rows
     core = [[1, 0, 5, 0, 0], [3, 7, 0, 0, 0], [0, 0, 2, 9, 0], [4, 0, 0, 0, 11]]
     filler = [11, 13, 17]
     rows = [row + [0] * len(filler) for row in core]
@@ -396,7 +396,7 @@ def _scrambled_block_diagonal(rng):
     The Smith invariants of a block diagonal are those of the diagonal of
     all its blocks' invariants, padded with zeros; each block's come from
     the minors.  Up to 32 x 32, and sparse, so most pivots change few rows
-    and the heap, not the scan, picks them.
+    and the next pivot comes off pushed keys, not a rebuilt heap.
     """
     blocks = [_block(rng) for _ in range(rng.randint(1, 8))]
     height = sum(len(rows) for rows, _ in blocks)

@@ -9,8 +9,7 @@ from llc_params.lattice import IntMatrix
 from llc_params.rootdata import (
     WeylTwist,
     _block_pairs,
-    _dense,
-    _simple_pairs,
+    _simple_roots,
     center_char_group,
     coxeter_twist,
     identity_twist,
@@ -234,36 +233,20 @@ def test_coxeter_twist_is_the_product_of_simple_reflections(family):
         assert weyl_twist(rd, w).matrix == w
 
 
-def _companion(family, n):
-    """The semisimple Coxeter matrices in closed form, as sparse rows.
-
-    SL_n (adjoint basis): row i holds 1 in column i - 1 and -1 in the last
-    column.  PGL_n (simply connected basis): row 0 is all -1 and row i
-    holds 1 in column i - 1.
-    """
-    m = n - 1
-    if family == "SL":
-        return tuple(((i - 1, 1),) * (i > 0) + ((m - 1, -1),) for i in range(m))
-    return (tuple((k, -1) for k in range(m)),) + tuple(((i - 1, 1),) for i in range(1, m))
-
-
-@pytest.mark.parametrize("family", ["SL", "PGL"])
-def test_semisimple_coxeter_twists_are_companion_matrices(family):
-    # the small ranks are also pinned to the product of reflections above
-    for n in [*range(2, 13), 2000]:
-        assert coxeter_twist(preset(family, n)).matrix.nonzeros == _companion(family, n), n
-
-
 @pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
-def test_simple_pairs_are_the_one_root_blocks_as_sparse_rows(family):
+def test_simple_roots_are_the_one_root_blocks_as_sparse_rows(family):
     for n in range(1 if family == "GL" else 2, 12):
         rd = preset(family, n)
-        pairs = _simple_pairs(rd)
-        for v in (v for pair in pairs for v in pair):
+        simple = _simple_roots(rd)
+        for v in simple:
             assert len(v) <= 3 and all(a for _, a in v)
             assert [k for k, _ in v] == sorted({k for k, _ in v})
-        dense = [(_dense(a, rd.rank), _dense(b, rd.rank)) for a, b in pairs]
-        assert dense == list(_block_pairs(rd.kind, rd.rank, ((i, i) for i in range(n - 1))))
+        dense = [[0] * rd.rank for _ in simple]
+        for row, v in zip(dense, simple):
+            for k, a in v:
+                row[k] = a
+        blocks = _block_pairs(rd.kind, rd.rank, ((i, i) for i in range(n - 1)))
+        assert list(map(tuple, dense)) == [root for root, _ in blocks]
 
 
 @pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
