@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup, cokernel
 from .arith import check_admissible, prime_power_split, valuation
-from .cocycles import ComponentDescriptor, component_descriptor, twisted_centralizer
+from .cocycles import ComponentDescriptor, component_descriptors, twisted_centralizer
 from .errors import InternalError
 from .rootdata import WeylTwist, coxeter_twist, preset
 
@@ -91,37 +91,45 @@ class BlockDescriptor:
         }
 
 
-def torus_block_descriptor(
-    twist: WeylTwist,
-    q: int,
-    ell: int,
-    *,
-    coxeter_number: int | None = None,
-) -> BlockDescriptor:
-    """Block data computed from a twisted torus; every block comes from here.
+def torus_block_descriptors(
+    twist: WeylTwist, q: int, ells: tuple[int, ...], *, coxeter_number: int | None = None
+) -> tuple[BlockDescriptor, ...]:
+    """Block data computed from a twisted torus, per ell; every block comes from here.
 
     The twist is the action on the cocharacter lattice (for a twist given on
     characters, pass the transpose).  The finite torus is coker(q w - id);
     the free rank is that of `twisted_centralizer`, coker(id - w): the
-    directions the twist fixes.
+    directions the twist fixes.  Neither depends on ell, so both cokernels
+    are taken once; each ell reads only the torus's ell-primary part and k.
     For the GL_n Coxeter twist this is Z/ell^k with k = v_ell(q^n - 1) and
     one free direction.
+
+    >>> cotwist = coxeter_twist(preset("GL", 2)).transpose()
+    >>> [(b.k, b.free_rank) for b in torus_block_descriptors(cotwist, 11, (3, 5, 7))]
+    [(1, 1), (1, 1), (0, 1)]
+    """
+    for ell in ells:
+        check_admissible(q, ell)
+    t = finite_torus(twist, q)
+    order = t.order()
+    free_rank = twisted_centralizer(twist).free_rank
+    flags = () if coxeter_number is None else (_coxeter_bound_flag(q, coxeter_number),)
+    return tuple(
+        BlockDescriptor(t.ell_primary(ell), free_rank, order, valuation(order, ell), flags)
+        for ell in ells
+    )
+
+
+def torus_block_descriptor(
+    twist: WeylTwist, q: int, ell: int, *, coxeter_number: int | None = None
+) -> BlockDescriptor:
+    """`torus_block_descriptors` at the one ell.
 
     >>> b = torus_block_descriptor(coxeter_twist(preset("GL", 2)).transpose(), 11, 5)
     >>> b.torsion, b.free_rank
     (FinGenAbGroup(free_rank=0, invariant_factors=(5,)), 1)
     """
-    check_admissible(q, ell)
-    t = finite_torus(twist, q)
-    order = t.order()
-    flags = () if coxeter_number is None else (_coxeter_bound_flag(q, coxeter_number),)
-    return BlockDescriptor(
-        torsion=t.ell_primary(ell),
-        free_rank=twisted_centralizer(twist).free_rank,
-        finite_torus_order=order,
-        k=valuation(order, ell),
-        applicability=flags,
-    )
+    return torus_block_descriptors(twist, q, (ell,), coxeter_number=coxeter_number)[0]
 
 
 @dataclass(frozen=True)
@@ -215,21 +223,26 @@ class CategoricalSummary:
         }
 
 
-def categorical_summary(n: int, q: int, ell: int) -> CategoricalSummary:
-    """Assemble the full GL_n comparison at one (n, q, ell)."""
+def categorical_summaries(
+    n: int, q: int, ells: tuple[int, ...]
+) -> tuple[CategoricalSummary, ...]:
+    """Assemble the full GL_n comparison at (n, q), one summary per ell.
+
+    The component and block builders take their cokernels once for all ells.
+
+    >>> [s.cell_torsion.describe() for s in categorical_summaries(2, 11, (3, 5, 7))]
+    ['Z/3', 'Z/5', '0']
+    """
     rd = preset("GL", n)
     w = coxeter_twist(rd)
-    component = component_descriptor(rd, w, q, ell)
-    block = torus_block_descriptor(w.transpose(), q, ell, coxeter_number=n)
-    report = match_sides(component, block)
-    return CategoricalSummary(
-        n=n,
-        q=q,
-        ell=ell,
-        grading_index=GRADING_INDEX,
-        cell_free_rank=block.free_rank,
-        cell_torsion=block.torsion,
-        component=component,
-        block=block,
-        match=report,
+    components = component_descriptors(rd, w, q, ells)
+    blocks = torus_block_descriptors(w.transpose(), q, ells, coxeter_number=n)
+    return tuple(
+        CategoricalSummary(n, q, ell, GRADING_INDEX, b.free_rank, b.torsion, c, b, match_sides(c, b))
+        for ell, c, b in zip(ells, components, blocks)
     )
+
+
+def categorical_summary(n: int, q: int, ell: int) -> CategoricalSummary:
+    """`categorical_summaries` at the one ell."""
+    return categorical_summaries(n, q, (ell,))[0]

@@ -117,26 +117,46 @@ class ComponentDescriptor:
         }
 
 
-def component_descriptor(rd: RootDatum, twist: WeylTwist, q: int, ell: int) -> ComponentDescriptor:
-    """Assemble the component structure for a datum with a chosen twist.
+def component_descriptors(
+    rd: RootDatum, twist: WeylTwist, q: int, ells: tuple[int, ...]
+) -> tuple[ComponentDescriptor, ...]:
+    """Assemble the component structure for a datum with a chosen twist, per ell.
+
+    The fixed scheme, the stabilizer and the center do not depend on ell, so
+    their cokernels are taken once; each ell reads only the fixed scheme's
+    ell-primary part.  Every ell is checked against q before any cokernel.
 
     >>> from .rootdata import preset, coxeter_twist
-    >>> d = component_descriptor(preset("GL", 2), coxeter_twist(preset("GL", 2)), 11, 5)
-    >>> d.orbit_torus_rank, d.mu.invariant_factors
-    (1, (5,))
+    >>> gl2 = preset("GL", 2)
+    >>> [d.mu.describe() for d in component_descriptors(gl2, coxeter_twist(gl2), 11, (3, 5, 7))]
+    ['Z/3', 'Z/5', '0']
     """
     if twist.rank != rd.rank:
         raise DimensionMismatch(
             f"twist is {twist.rank}x{twist.rank} but the datum has rank {rd.rank}"
         )
-    check_admissible(q, ell)
+    for ell in ells:
+        check_admissible(q, ell)
     fixed = frob_fixed_scheme(twist, q)
     stabilizer = twisted_centralizer(twist)
-    mu = fixed.ell_primary(ell)
     # dim ker(1 - w) is the free rank of coker(1 - w); elliptic means the
     # stabilizer is no bigger than the center
     orbit_rank = stabilizer.free_rank
     center_rank = center_char_group(rd).free_rank
     elliptic = orbit_rank == center_rank
     form = POINT_MOD_STABILIZER if (elliptic and center_rank == 0) else TORUS_QUOTIENT
-    return ComponentDescriptor(orbit_rank, stabilizer, mu, elliptic, form, fixed)
+    return tuple(
+        ComponentDescriptor(orbit_rank, stabilizer, fixed.ell_primary(ell), elliptic, form, fixed)
+        for ell in ells
+    )
+
+
+def component_descriptor(rd: RootDatum, twist: WeylTwist, q: int, ell: int) -> ComponentDescriptor:
+    """`component_descriptors` at the one ell.
+
+    >>> from .rootdata import preset, coxeter_twist
+    >>> d = component_descriptor(preset("GL", 2), coxeter_twist(preset("GL", 2)), 11, 5)
+    >>> d.orbit_torus_rank, d.mu.invariant_factors
+    (1, (5,))
+    """
+    return component_descriptors(rd, twist, q, (ell,))[0]

@@ -17,9 +17,10 @@ INPUT group (the datum built is that of the dual):
 A preset is held by its kind and n.  One routine gives the positive (root,
 coroot) of each block of consecutive simple roots, and all n(n - 1) roots
 are generated only where they are printed (component JSON) or checked (an
-explicit Weyl matrix).  The simple roots, the one-root blocks, are also
-written as sparse rows of at most three nonzeros, so that the center costs
-O(n); so does the Coxeter twist, written in closed form.
+explicit Weyl matrix), at most once per datum.  The simple roots, the
+one-root blocks, are also written as sparse rows of at most three
+nonzeros, so that the center costs O(n); so does the Coxeter twist,
+written in closed form.
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  It is unimodular by construction: the
@@ -50,11 +51,12 @@ class RootDatum:
     (1, -1)
     """
 
-    __slots__ = ("kind", "n")
+    __slots__ = ("kind", "n", "_lists")
 
     def __init__(self, kind: str, n: int):
         self.kind = kind
         self.n = n
+        self._lists = None
 
     @property
     def rank(self) -> int:
@@ -72,16 +74,22 @@ class RootDatum:
         roots = _with_negatives([a for a, _ in pos])
         return roots, roots if self.kind == "gl" else _with_negatives([b for _, b in pos])
 
+    def _root_lists(self) -> tuple[tuple, tuple]:
+        """`_roots_and_coroots`, generated at the first call and kept by the datum."""
+        if self._lists is None:
+            self._lists = self._roots_and_coroots()
+        return self._lists
+
     @property
     def roots(self) -> tuple:
-        return self._roots_and_coroots()[0]
+        return self._root_lists()[0]
 
     @property
     def coroots(self) -> tuple:
-        return self._roots_and_coroots()[1]
+        return self._root_lists()[1]
 
     def to_json(self) -> dict:
-        roots, coroots = self._roots_and_coroots()
+        roots, coroots = self._root_lists()
         return {
             "name": self.name,
             "charLatticeRank": self.rank,
@@ -280,7 +288,7 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
     twist = WeylTwist(matrix)
     # the columns of w and of w^T as (row, entry) nonzeros
     w, w_t = matrix.transpose().nonzeros, matrix.nonzeros
-    roots, coroots = rd._roots_and_coroots()
+    roots, coroots = rd._root_lists()
     coroot_of = dict(zip(roots, coroots))
     for alpha in roots:
         image = _apply(w, alpha, rd.rank)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup
 from .arith import valuation
-from .blocks import match_sides, torus_block_descriptor
+from .blocks import categorical_summaries
 from .cocycles import component_descriptor
 from .glparams import (
     FBAR,
@@ -33,18 +33,13 @@ from .rootdata import coxeter_twist, preset
 GRID_Q = (3, 5, 7, 11, 13)
 GRID_N_COMPONENT = (1, 2, 3, 4, 5, 6)
 GRID_N_PARAMS = (1, 2, 3, 4)
-GRID_ELL_BOUND = 19
 SAMPLE_SEED = 20260817
 SAMPLE_SIZE = 50
 
 
 def admissible_ells(q: int) -> tuple[int, ...]:
-    """Odd primes up to the grid bound, excluding the characteristic of q."""
-    out = []
-    for ell in (3, 5, 7, 11, 13, 17, 19):
-        if q % ell != 0:
-            out.append(ell)
-    return tuple(out)
+    """Odd primes up to 19, excluding the characteristic of q."""
+    return tuple(ell for ell in (3, 5, 7, 11, 13, 17, 19) if q % ell != 0)
 
 
 @dataclass(frozen=True)
@@ -117,29 +112,26 @@ def run_grid() -> list[GridCheck]:
     )
 
     # 2-4: the fixed scheme is cyclic of order q^n - 1, the mu invariant is
-    # cyclic of order ell^{v_ell(q^n - 1)}, and the two sides match.  Each
-    # (n, q) builds its Coxeter torus once, and checks 2 and 3 read the
-    # component descriptors the match takes; the fixed scheme does not
-    # depend on ell, so it is read at the first ell
+    # cyclic of order ell^{v_ell(q^n - 1)}, and the two sides match.  Only
+    # the ell-primary parts and k depend on ell: each (n, q) takes its five
+    # cokernels once (the fixed scheme, the stabilizer and the center; the
+    # finite torus and the centralizer), and `categorical_summaries` reads
+    # them at each ell.  Checks 2 and 3 read the components the match compares
     pairs = cases = 0
     bad_fixed, bad_mu, bad_match = [], [], []
     for n in GRID_N_COMPONENT:
         for q in GRID_Q:
-            rd = preset("GL", n)
-            tw = coxeter_twist(rd)
-            cotw = tw.transpose()
-            ells = admissible_ells(q)
-            comps = [component_descriptor(rd, tw, q, ell) for ell in ells]
+            summaries = categorical_summaries(n, q, admissible_ells(q))
             pairs += 1
-            if comps[0].fixed_scheme != FinGenAbGroup.cyclic(q**n - 1):
+            if summaries[0].component.fixed_scheme != FinGenAbGroup.cyclic(q**n - 1):
                 bad_fixed.append((n, q))
-            for ell, comp in zip(ells, comps):
+            for s in summaries:
                 cases += 1
-                if comp.mu != FinGenAbGroup.cyclic(ell ** valuation(q**n - 1, ell)):
-                    bad_mu.append((n, q, ell))
-                report = match_sides(comp, torus_block_descriptor(cotw, q, ell, coxeter_number=n))
-                if not (report.isomorphic and report.free_ranks_agree and not report.context_mismatch):
-                    bad_match.append((n, q, ell))
+                if s.component.mu != FinGenAbGroup.cyclic(s.ell ** valuation(q**n - 1, s.ell)):
+                    bad_mu.append((n, q, s.ell))
+                m = s.match
+                if not (m.isomorphic and m.free_ranks_agree and not m.context_mismatch):
+                    bad_match.append((n, q, s.ell))
     for check_id, label, count, bad in (
         ("fixed-scheme-cyclic", "inertia fixed scheme is mu_{q^n - 1} for the GL_n shift twist",
          pairs, bad_fixed),

@@ -550,6 +550,26 @@ def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, g
     assert run_cli(["match", *geometry, "--weyl", identity])[0] == 1
 
 
+@pytest.mark.parametrize("group,n", [("SL", 16), ("GL", 24)])
+def test_component_json_with_an_explicit_twist_generates_the_roots_once(monkeypatch, group, n):
+    """weyl_twist's root check and the datum's JSON read one root list."""
+    from llc_params import rootdata
+
+    calls = []
+    generate = rootdata.RootDatum._roots_and_coroots
+
+    def counting(self):
+        calls.append(self.name)
+        return generate(self)
+
+    monkeypatch.setattr(rootdata.RootDatum, "_roots_and_coroots", counting)
+    explicit = json.dumps([list(r) for r in coxeter_twist(preset(group, n)).matrix.data])
+    geometry = ["--group", group, "--n", str(n), "--q", "11", "--ell", "5"]
+    code, payload = run_json(["component", *geometry, "--weyl", explicit, "--output", "json"])
+    assert code == 0 and len(payload["datum"]["roots"]) == n * (n - 1)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("group", ["GL", "SL", "PGL"])
 def test_reports_read_matrices_as_their_nonzeros(monkeypatch, group):
     """Only the constructor (input) and `IntMatrix.data` (read-out) know the

@@ -18,8 +18,18 @@ import pytest
 
 from llc_params import cli
 from llc_params.abgroups import FinGenAbGroup
-from llc_params.blocks import finite_torus
-from llc_params.cocycles import frob_fixed_scheme, twisted_centralizer
+from llc_params.blocks import (
+    finite_torus,
+    match_sides,
+    torus_block_descriptor,
+    torus_block_descriptors,
+)
+from llc_params.cocycles import (
+    component_descriptor,
+    component_descriptors,
+    frob_fixed_scheme,
+    twisted_centralizer,
+)
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, preset, weyl_twist
 
@@ -119,3 +129,27 @@ def test_small_permutation_twists_through_weyl_twist_and_match(n, q, ell, rows):
     lines = out.getvalue().splitlines()
     assert f"  mu character group: {mu.describe()}" in lines
     assert f"  block torsion:      {mu.describe()}" in lines
+
+
+def test_the_ell_free_route_equals_the_one_ell_route():
+    # the descriptor builders take their cokernels once for a tuple of ells;
+    # on a seeded draw, read at every admissible ell, that equals one call
+    # per ell, for twists that fix no direction and for non-Coxeter twists
+    # that fix several
+    rng = random.Random(20261019)
+    orbit_ranks = set()
+    for _ in range(16):
+        n, eps, q = rng.randint(1, 8), rng.choice((1, -1)), rng.choice((3, 5, 9, 25, 27))
+        rd, twist = preset("GL", n), WeylTwist(IntMatrix(_signed_permutation(rng, n, eps)))
+        cotwist = twist.transpose()
+        ells = tuple(ell for ell in (3, 5, 7, 11, 13) if q % ell)
+        components = component_descriptors(rd, twist, q, ells)
+        blocks = torus_block_descriptors(cotwist, q, ells, coxeter_number=n)
+        assert components == tuple(component_descriptor(rd, twist, q, ell) for ell in ells)
+        assert blocks == tuple(
+            torus_block_descriptor(cotwist, q, ell, coxeter_number=n) for ell in ells
+        )
+        for report in map(match_sides, components, blocks):
+            assert report.isomorphic and report.free_ranks_agree and not report.context_mismatch
+        orbit_ranks.add(components[0].orbit_torus_rank)
+    assert 0 in orbit_ranks and max(orbit_ranks) > 1, orbit_ranks

@@ -63,9 +63,11 @@ def test_grid_check_type(grid_checks):
 
 def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
     # fixed-scheme-cyclic and mu-exponent-law read match-law's component
-    # descriptors, so they take no Smith form of their own.  With the golden
-    # component's 3 and match-law's 5 for each of its 180 cases, the grid
-    # takes 903
+    # descriptors, so they take no Smith form of their own, and match-law
+    # takes its cokernels once per (n, q) for all of its ells: the fixed
+    # scheme, the stabilizer and the center, then the finite torus and the
+    # centralizer.  With the golden component's 3 and those 5 for each of
+    # the 30 (n, q) pairs, the grid takes 153
     from llc_params import abgroups
     from llc_params.sweep import run_grid
 
@@ -78,4 +80,27 @@ def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
 
     monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
     assert all(c.passed for c in run_grid())
-    assert len(calls) == 903
+    assert len(calls) == 153
+
+
+def test_the_grid_compares_what_categorical_summary_gives(monkeypatch):
+    # the ell-free route the grid takes gives, at every (n, q, ell), the
+    # component, block and match report of the one-ell route
+    from llc_params import sweep
+    from llc_params.blocks import categorical_summary
+
+    seen = []
+    summaries = sweep.categorical_summaries
+
+    def recording(n, q, ells):
+        seen.extend(out := summaries(n, q, ells))
+        return out
+
+    monkeypatch.setattr(sweep, "categorical_summaries", recording)
+    assert all(c.passed for c in sweep.run_grid())
+    assert [(s.n, s.q, s.ell) for s in seen] == [
+        (n, q, ell) for n in GRID_N_COMPONENT for q in GRID_Q for ell in admissible_ells(q)
+    ]
+    for s in seen:
+        # a summary holds the component, the block and their match report
+        assert s == categorical_summary(s.n, s.q, s.ell)
