@@ -90,13 +90,13 @@ class FinGenAbGroup:
 
     def ell_primary(self, ell: int) -> "FinGenAbGroup":
         """The ell-primary component of the torsion part (a finite group)."""
-        if not is_prime(ell):
+        if not is_prime(ell, name="ell"):
             raise InvalidPrime(f"ell = {ell} is not prime")
         return FinGenAbGroup(0, tuple(ell ** valuation(d, ell) for d in self._factors))
 
     def prime_to_ell(self, ell: int) -> "FinGenAbGroup":
         """The prime-to-ell part of the torsion (the free part is dropped)."""
-        if not is_prime(ell):
+        if not is_prime(ell, name="ell"):
             raise InvalidPrime(f"ell = {ell} is not prime")
         return FinGenAbGroup(0, tuple(d // ell ** valuation(d, ell) for d in self._factors))
 

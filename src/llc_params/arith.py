@@ -166,7 +166,7 @@ def valuation(n: int, p: int) -> int:
     """The exponent of the prime p in n != 0."""
     if n == 0:
         raise InvalidArgument("valuation of 0 is undefined")
-    if not is_prime(p):
+    if not is_prime(p, name="p"):
         raise InvalidPrime(f"{p} is not prime")
     n = abs(n)
     v = 0

@@ -542,7 +542,13 @@ def run(argv: list[str] | None = None, stream=None) -> int:
         stream = sys.stdout
     try:
         args = _shared_parser().parse_args(argv)
-        if args.grid and args.command is None:
+        if args.grid:
+            if args.command not in (None, "grid"):
+                raise InvalidArgument(
+                    f"--grid runs the grid sweep and takes no {args.command} command",
+                    code="usage-error",
+                    hint=f"run llc-params --grid and llc-params {args.command} separately",
+                )
             args.command = "grid"
         if args.command is None:
             raise InvalidArgument(

@@ -5,7 +5,9 @@ Each check aggregates a family of exact assertions over the standard grid
 parameter-level checks stop at n = 4).  Where a claim has two independent
 routes the sweep runs both: enumeration counts are re-derived by a direct
 orbit walk, and the component/block comparison pits the character-lattice
-computation against the cocharacter one.
+computation against the cocharacter one.  The sweep makes one pass over
+(n, q): each pair takes its cokernels once for all its ells, and scans and
+walks each of its distinct exponent moduli once.
 """
 
 from __future__ import annotations
@@ -78,169 +80,116 @@ def _direct_orbit_count(n: int, q: int, modulus: int) -> int:
     return count
 
 
+def _lifts_form_torsor(phi: TrselpGL) -> bool:
+    """phi has ell^k integral lifts, each reducing to phi, the first one's
+    exponent divisible by ell^k."""
+    lk = phi.family.ell**phi.family.k
+    lifts = lifts_in_component(phi)
+    return len(lifts) == lk and all(reduction(psi) == phi for psi in lifts) and lifts[0].a % lk == 0
+
+
+# the checks after the golden one: id, label, what their count counts, and how
+# many failures the detail lists (None: all of them)
+_CHECKS = (
+    ("fixed-scheme-cyclic", "inertia fixed scheme is mu_{q^n - 1} for the GL_n shift twist",
+     "cases", None),
+    ("mu-exponent-law", "mu invariant equals Z/ell^{v_ell(q^n - 1)}", "cases", None),
+    ("match-law", "component mu matches block torsion, free ranks agree", "cases", None),
+    ("cocycle-relation", "y x y^{-1} = x^q for every enumerated integral parameter",
+     "parameters", 3),
+    ("count-oracle", "enumeration count = direct orbit walk = closed form", "cases", 3),
+    ("lift-torsor", "each residue parameter has ell^k integral lifts; reduction returns",
+     "sampled parameters", 3),
+    ("nilpotent-support", "support is the diagonal iff the parameter is regular", "cases", 3),
+)
+
+
 def run_grid() -> list[GridCheck]:
-    checks = []
-    # a scan and a walk depend only on (n, q, modulus), and the ZBAR modulus
-    # q^n - 1 is the same for every ell: each distinct input runs once
-    scan_cache: dict[tuple[int, int, int], list[int]] = {}
-    walk_cache: dict[tuple[int, int, int], int] = {}
-    integral: dict[GLFamily, list[TrselpGL]] = {}
-
-    def exponents(fam, coeff):
-        key = (fam.n, fam.q, fam.modulus(coeff))
-        if key not in scan_cache:
-            scan_cache[key] = list(fam.scan(coeff))
-        return scan_cache[key]
-
     # 1: the golden component
     rd = preset("GL", 2)
     desc = component_descriptor(rd, coxeter_twist(rd), 11, 5)
-    golden_ok = (
+    golden = GridCheck(
+        "golden-component",
+        "GL_2, q=11, ell=5: mu_120 fixed scheme, mu_5, G_m stabilizer",
         (desc.fixed_scheme, desc.mu, desc.stabilizer)
         == (FinGenAbGroup.cyclic(120), FinGenAbGroup.cyclic(5), FinGenAbGroup(1, ()))
         and desc.orbit_torus_rank == 1
-        and desc.elliptic
-    )
-    checks.append(
-        GridCheck(
-            "golden-component",
-            "GL_2, q=11, ell=5: mu_120 fixed scheme, mu_5, G_m stabilizer",
-            golden_ok,
-            f"fixed={desc.fixed_scheme.describe()}, mu={desc.mu.describe()}, "
-            f"rank={desc.orbit_torus_rank}",
-        )
+        and desc.elliptic,
+        f"fixed={desc.fixed_scheme.describe()}, mu={desc.mu.describe()}, "
+        f"rank={desc.orbit_torus_rank}",
     )
 
-    # 2-4: the fixed scheme is cyclic of order q^n - 1, the mu invariant is
-    # cyclic of order ell^{v_ell(q^n - 1)}, and the two sides match.  Only
-    # the ell-primary parts and k depend on ell: each (n, q) takes its five
-    # cokernels once (the fixed scheme, the stabilizer and the center; the
-    # finite torus and the centralizer), and `categorical_summaries` reads
-    # them at each ell.  Checks 2 and 3 read the components the match compares
-    pairs = cases = 0
-    bad_fixed, bad_mu, bad_match = [], [], []
+    cases = {check_id: 0 for check_id, *_ in _CHECKS}
+    bad: dict[str, list] = {check_id: [] for check_id, *_ in _CHECKS}
+
+    def tally(check_id, count, failures):
+        cases[check_id] += count
+        bad[check_id] += failures
+
+    rng = random.Random(SAMPLE_SEED)
     for n in GRID_N_COMPONENT:
         for q in GRID_Q:
-            summaries = categorical_summaries(n, q, admissible_ells(q))
-            pairs += 1
-            if summaries[0].component.fixed_scheme != FinGenAbGroup.cyclic(q**n - 1):
-                bad_fixed.append((n, q))
-            for s in summaries:
-                cases += 1
-                if s.component.mu != FinGenAbGroup.cyclic(s.ell ** valuation(q**n - 1, s.ell)):
-                    bad_mu.append((n, q, s.ell))
-                m = s.match
-                if not (m.isomorphic and m.free_ranks_agree and not m.context_mismatch):
-                    bad_match.append((n, q, s.ell))
-    for check_id, label, count, bad in (
-        ("fixed-scheme-cyclic", "inertia fixed scheme is mu_{q^n - 1} for the GL_n shift twist",
-         pairs, bad_fixed),
-        ("mu-exponent-law", "mu invariant equals Z/ell^{v_ell(q^n - 1)}", cases, bad_mu),
-        ("match-law", "component mu matches block torsion, free ranks agree", cases, bad_match),
-    ):
-        detail = f"{count} cases" + (f"; failures: {bad}" if bad else "")
-        checks.append(GridCheck(check_id, label, not bad, detail))
+            ells = admissible_ells(q)
+            # 2-4: the fixed scheme is cyclic of order q^n - 1, the mu invariant
+            # is cyclic of order ell^{v_ell(q^n - 1)}, and the two sides match.
+            # One call takes the five ell-free cokernels of (n, q) once and
+            # reads them at each ell; checks 2 and 3 read the match's components
+            summaries = categorical_summaries(n, q, ells)
+            fixed_ok = summaries[0].component.fixed_scheme == FinGenAbGroup.cyclic(q**n - 1)
+            tally("fixed-scheme-cyclic", 1, [] if fixed_ok else [(n, q)])
+            tally("mu-exponent-law", len(summaries), [
+                (n, q, s.ell) for s in summaries
+                if s.component.mu != FinGenAbGroup.cyclic(s.ell ** valuation(q**n - 1, s.ell))
+            ])
+            tally("match-law", len(summaries), [
+                (n, q, s.ell) for s in summaries
+                if not (s.match.isomorphic and s.match.free_ranks_agree
+                        and not s.match.context_mismatch)
+            ])
+            if n not in GRID_N_PARAMS:
+                continue
 
-    # 5: the cocycle relation holds for every enumerated parameter
-    cases = 0
-    bad = []
-    for n in GRID_N_PARAMS:
-        for q in GRID_Q:
-            fam = GLFamily(n, q, admissible_ells(q)[0])
-            integral[fam] = fam.parameters(ZBAR)
-            for phi in integral[fam]:
-                cases += 1
-                if not verify_cocycle(matrices(phi), q):
-                    bad.append((n, q, phi.a))
-    checks.append(
-        GridCheck(
-            "cocycle-relation",
-            "y x y^{-1} = x^q for every enumerated integral parameter",
-            not bad,
-            f"{cases} parameters" + (f"; failures: {bad[:3]}" if bad else ""),
-        )
-    )
-
-    # 6: enumeration counts agree with a direct orbit walk and the closed form
-    cases = 0
-    bad = []
-    for n in GRID_N_PARAMS:
-        for q in GRID_Q:
-            for ell in admissible_ells(q):
-                fam = GLFamily(n, q, ell)
-                for coeff in (ZBAR, FBAR):
-                    listed = len(exponents(fam, coeff))
-                    key = (n, q, fam.modulus(coeff))
-                    if key not in walk_cache:
-                        walk_cache[key] = _direct_orbit_count(*key)
-                    direct = walk_cache[key]
-                    closed = fam.count(coeff)
-                    cases += 1
-                    if not (listed == direct == closed):
-                        bad.append((n, q, ell, coeff, listed, direct, closed))
-    checks.append(
-        GridCheck(
-            "count-oracle",
-            "enumeration count = direct orbit walk = closed form",
-            not bad,
-            f"{cases} cases" + (f"; failures: {bad[:3]}" if bad else ""),
-        )
-    )
-
-    # 7: lifts form an ell^k torsor with a prime-to-ell canonical point
-    rng = random.Random(SAMPLE_SEED)
-    cases = 0
-    bad = []
-    for n in GRID_N_PARAMS:
-        for q in GRID_Q:
-            for ell in admissible_ells(q):
-                fam = GLFamily(n, q, ell)
-                pool = exponents(fam, FBAR)
-                sample = pool if len(pool) <= SAMPLE_SIZE else rng.sample(pool, SAMPLE_SIZE)
-                lk = ell**fam.k
-                for a in sample:
-                    phi = TrselpGL(fam, FBAR, a)
-                    lifts = lifts_in_component(phi)
-                    cases += 1
-                    ok = (
-                        len(lifts) == lk
-                        and all(reduction(psi) == phi for psi in lifts)
-                        and lifts[0].a % lk == 0
-                    )
-                    if not ok:
-                        bad.append((n, q, ell, phi.a))
-    checks.append(
-        GridCheck(
-            "lift-torsor",
-            "each residue parameter has ell^k integral lifts; reduction returns",
-            not bad,
-            f"{cases} sampled parameters" + (f"; failures: {bad[:3]}" if bad else ""),
-        )
-    )
-
-    # 8: nilpotent support is the diagonal exactly in the regular case
-    cases = 0
-    bad = []
-    for n in GRID_N_PARAMS:
-        for q in GRID_Q:
-            fam = GLFamily(n, q, admissible_ells(q)[0])
+            # 5 and 8: the cocycle relation holds for every enumerated
+            # parameter, and the nilpotent support is the diagonal exactly in
+            # the regular case
+            fam = GLFamily(n, q, ells[0])
+            integral = fam.parameters(ZBAR)
+            tally("cocycle-relation", len(integral), [
+                (n, q, phi.a) for phi in integral if not verify_cocycle(matrices(phi), q)
+            ])
             diag = [(i, i) for i in range(1, n + 1)]
-            for phi in integral[fam]:
-                cases += 1
-                if nilpotent_support_fixed_positions(phi) != diag:
-                    bad.append((n, q, phi.a))
+            tally("nilpotent-support", len(integral), [
+                (n, q, phi.a) for phi in integral if nilpotent_support_fixed_positions(phi) != diag
+            ])
             if n >= 2:
                 degenerate = TrselpGL(fam, ZBAR, 0, 0)
-                cases += 1
-                if len(nilpotent_support_fixed_positions(degenerate)) <= n:
-                    bad.append((n, q, "degenerate"))
-    checks.append(
-        GridCheck(
-            "nilpotent-support",
-            "support is the diagonal iff the parameter is regular",
-            not bad,
-            f"{cases} cases" + (f"; failures: {bad[:3]}" if bad else ""),
-        )
-    )
+                regular = len(nilpotent_support_fixed_positions(degenerate)) <= n
+                tally("nilpotent-support", 1, [(n, q, "degenerate")] if regular else [])
 
-    return checks
+            # 6: enumeration counts agree with a direct orbit walk and the
+            # closed form; 7: lifts form an ell^k torsor with a prime-to-ell
+            # canonical point.  A scan and a walk depend only on the modulus,
+            # q^n - 1 at every ell or the residue modulus at each: `moduli`
+            # holds each distinct one's exponents and direct count, taken once
+            m = fam.full_modulus
+            moduli = {m: ([phi.a for phi in integral], _direct_orbit_count(n, q, m))}
+            for ell in ells:
+                fam = GLFamily(n, q, ell)
+                for coeff in (ZBAR, FBAR):
+                    m = fam.modulus(coeff)
+                    if m not in moduli:
+                        moduli[m] = list(fam.scan(coeff)), _direct_orbit_count(n, q, m)
+                    listed, direct, closed = len(moduli[m][0]), moduli[m][1], fam.count(coeff)
+                    tally("count-oracle", 1, [] if listed == direct == closed
+                          else [(n, q, ell, coeff, listed, direct, closed)])
+                pool = moduli[fam.residue_modulus][0]
+                sample = pool if len(pool) <= SAMPLE_SIZE else rng.sample(pool, SAMPLE_SIZE)
+                tally("lift-torsor", len(sample), [
+                    (n, q, ell, a) for a in sample if not _lifts_form_torsor(TrselpGL(fam, FBAR, a))
+                ])
+
+    return [golden] + [
+        GridCheck(check_id, label, not bad[check_id], f"{cases[check_id]} {noun}"
+                  + (f"; failures: {bad[check_id][:shown]}" if bad[check_id] else ""))
+        for check_id, label, noun, shown in _CHECKS
+    ]

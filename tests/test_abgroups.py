@@ -125,6 +125,17 @@ def test_ell_primary_requires_prime():
         FinGenAbGroup.cyclic(12).prime_to_ell(1)
 
 
+def test_ell_parts_refuse_a_huge_prime_as_ell():
+    # the refusal names the argument, as check_admissible does
+    from llc_params.arith import PRIME_BOUND
+
+    for part in (FinGenAbGroup.ell_primary, FinGenAbGroup.prime_to_ell):
+        with pytest.raises(LlcError) as exc:
+            part(FinGenAbGroup.cyclic(12), PRIME_BOUND + 6)
+        assert exc.value.code == "ell-too-large"
+        assert str(exc.value).startswith(f"ell = {PRIME_BOUND + 6} is too large")
+
+
 @given(st.lists(st.integers(min_value=2, max_value=200), max_size=5))
 def test_parts_reassemble(factors):
     g = FinGenAbGroup(0, factors)

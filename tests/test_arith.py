@@ -102,6 +102,13 @@ def test_valuation():
     assert valuation(7, 5) == 0
 
 
+def test_valuation_refuses_a_huge_prime_as_p():
+    with pytest.raises(LlcError) as exc:
+        valuation(120, PRIME_BOUND + 6)
+    assert exc.value.code == "p-too-large"
+    assert str(exc.value).startswith(f"p = {PRIME_BOUND + 6} is too large")
+
+
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.sampled_from([2, 3, 5, 7, 11, 13]),

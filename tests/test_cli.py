@@ -383,6 +383,23 @@ def test_usage_errors():
     assert json.loads(text)["error"]["code"] == "usage-error"
 
 
+def test_grid_flag_with_a_math_command_is_refused(monkeypatch):
+    # --grid with another command is refused before any computation; its own
+    # spellings still run the sweep
+    from llc_params.sweep import GridCheck
+
+    monkeypatch.setattr(cli, "component_descriptor", None)
+    for cmd in cli.MATH_COMMANDS:
+        extra = ["--a", "1"] if cmd == "verify" else []
+        code, payload = run_json(["--grid", cmd, "--n", "2", "--q", "11", "--ell", "5", *extra])
+        assert (code, payload["error"]["code"]) == (2, "usage-error"), cmd
+        assert "--grid" in payload["error"]["message"]
+    checks = [GridCheck("probe", "a probe check", True, "1 case")]
+    monkeypatch.setattr(cli, "run_grid", lambda: checks)
+    for argv in (["--grid"], ["grid"], ["--grid", "grid"], ["--output", "json", "--grid", "grid"]):
+        assert run_cli(argv)[0] == 0
+
+
 def test_missing_required_flag_is_usage_error():
     code, text = run_cli(["component", "--n", "2", "--q", "11"])
     assert code == 2

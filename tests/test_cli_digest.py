@@ -67,5 +67,19 @@ def test_the_cli_net_keeps_its_bytes():
     assert net_digest() == NET_DIGEST
 
 
+def test_the_grid_keeps_its_bytes():
+    # the net leaves out the grid (about a second a run); these pin its
+    # table, labels included, in both output modes
+    digests = {}
+    for output, argv in (("text", ["--grid"]), ("json", ["--grid", "--output", "json"])):
+        out = io.StringIO()
+        assert cli.run(argv, stream=out) == 0
+        digests[output] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    assert digests == {
+        "text": "580b831932902d8b823097bf567f9feddf38dba25da192b076c5ed34fa855513",
+        "json": "b000b32987ec83139d3af5051942da405cdc5593e58047b603a178d4bf6a72b4",
+    }
+
+
 if __name__ == "__main__":
     print(net_digest())

@@ -1,6 +1,6 @@
 """Grid sweep: stable check ids, everything passes, JSON shape."""
 
-from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, GridCheck, admissible_ells
+from llc_params.sweep import GRID_N_COMPONENT, GRID_N_PARAMS, GRID_Q, GridCheck, admissible_ells
 
 # grid_checks (conftest.py) is the one sweep the suite shares
 
@@ -8,6 +8,8 @@ from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, GridCheck, admissible_ell
 def test_grid_constants():
     assert GRID_Q == (3, 5, 7, 11, 13)
     assert tuple(GRID_N_COMPONENT) == (1, 2, 3, 4, 5, 6)
+    # the parameter checks run inside the component checks' pass over (n, q)
+    assert GRID_N_PARAMS == (1, 2, 3, 4)
 
 
 def test_admissible_ells():
@@ -104,3 +106,103 @@ def test_the_grid_compares_what_categorical_summary_gives(monkeypatch):
     for s in seen:
         # a summary holds the component, the block and their match report
         assert s == categorical_summary(s.n, s.q, s.ell)
+
+
+PINNED_FAILURES = [
+    ("golden-component", True, "fixed=Z/120, mu=Z/5, rank=1"),
+    ("fixed-scheme-cyclic", False, "30 cases; failures: [(2, 5)]"),
+    ("mu-exponent-law", False, "180 cases; failures: [(2, 5, 3)]"),
+    (
+        "match-law",
+        False,
+        "180 cases; failures: [(4, 3, 13), (4, 5, 13), (4, 7, 13), (4, 11, 13), "
+        "(6, 3, 13), (6, 5, 13), (6, 7, 13), (6, 11, 13)]",
+    ),
+    ("cocycle-relation", False, "13013 parameters; failures: [(1, 11, 7), (1, 13, 7), (2, 5, 7)]"),
+    (
+        "count-oracle",
+        False,
+        "240 cases; failures: [(1, 11, 3, 'fbar', 10, 10, 11), "
+        "(1, 11, 17, 'fbar', 10, 10, 11), (2, 11, 3, 'fbar', 15, 15, 16)]",
+    ),
+    (
+        "lift-torsor",
+        False,
+        "3100 sampled parameters; failures: [(1, 11, 3, 9), (1, 11, 7, 9), (1, 11, 13, 9)]",
+    ),
+    ("nilpotent-support", False, "13028 cases; failures: [(2, 3, 5), (2, 3, 'degenerate'), (3, 3, 5)]"),
+]
+
+
+def test_failing_cases_are_reported_in_grid_order(monkeypatch):
+    # a fault injected into each route the grid checks: checks 2-4 list every
+    # failure, the parameter checks the first three, each in grid order
+    from dataclasses import replace
+
+    from llc_params import sweep
+    from llc_params.glparams import FBAR, GLFamily
+
+    summaries, lifts = sweep.categorical_summaries, sweep.lifts_in_component
+    verify, support, count = (
+        sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions, GLFamily.count
+    )
+
+    def skewed_summaries(n, q, ells):
+        out = summaries(n, q, ells)
+        if (n, q) == (2, 5):  # GL_3's components: mu_124 and no 3-part
+            out = tuple(replace(s, component=t.component) for s, t in zip(out, summaries(3, q, ells)))
+        return tuple(
+            replace(s, match=replace(s.match, free_ranks_agree=False))
+            if n in (4, 6) and s.ell == 13 else s
+            for s in out
+        )
+
+    def skewed_support(phi):
+        if phi.family.q == 3 and phi.family.n >= 2 and phi.a in (0, 5):
+            return []
+        return support(phi)
+
+    def skewed_lifts(phi):
+        out = lifts(phi)
+        return out[1:] if phi.a % 10 == 9 else out
+
+    def skewed_count(fam, coeff):
+        return count(fam, coeff) + (fam.q == 11 and fam.ell in (3, 17) and coeff == FBAR)
+
+    monkeypatch.setattr(sweep, "categorical_summaries", skewed_summaries)
+    monkeypatch.setattr(sweep, "verify_cocycle", lambda m, q: m.diagonal[0] % 1000 != 7 and verify(m, q))
+    monkeypatch.setattr(sweep, "nilpotent_support_fixed_positions", skewed_support)
+    monkeypatch.setattr(sweep, "lifts_in_component", skewed_lifts)
+    monkeypatch.setattr(GLFamily, "count", skewed_count)
+    assert [(c.check_id, c.passed, c.detail) for c in sweep.run_grid()] == PINNED_FAILURES
+
+
+def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
+    # a full parameter list and a scan both walk every exponent of their
+    # modulus, and the ZBAR modulus q^n - 1 is the same at every ell: the
+    # grid takes each (n, q, modulus) through one of them, once, and walks it
+    # once by the direct orbit count
+    from llc_params import sweep
+    from llc_params.glparams import GLFamily
+
+    scanned, walked = [], []
+    parameters, scan, walk = GLFamily.parameters, GLFamily.scan, sweep._direct_orbit_count
+
+    def counting_parameters(fam, coeff, offset=0, limit=None):
+        if (offset, limit) == (0, None):
+            scanned.append((fam.n, fam.q, fam.modulus(coeff)))
+        return parameters(fam, coeff, offset, limit)
+
+    def counting_scan(fam, coeff):
+        scanned.append((fam.n, fam.q, fam.modulus(coeff)))
+        return scan(fam, coeff)
+
+    def counting_walk(n, q, modulus):
+        walked.append((n, q, modulus))
+        return walk(n, q, modulus)
+
+    monkeypatch.setattr(GLFamily, "parameters", counting_parameters)
+    monkeypatch.setattr(GLFamily, "scan", counting_scan)
+    monkeypatch.setattr(sweep, "_direct_orbit_count", counting_walk)
+    assert all(c.passed for c in sweep.run_grid())
+    assert sorted(scanned) == sorted(walked) == sorted(set(walked))
