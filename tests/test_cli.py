@@ -706,6 +706,50 @@ def test_reusing_the_parser_leaks_no_state_between_calls(monkeypatch, capsys):
     assert shared[9][2].startswith("llc-params ")
 
 
+# command -> (its argv, the "input" its JSON report echoes)
+ECHOES = {
+    "component": (
+        ["--group", "SL", "--n", "3", "--q", "7", "--ell", "3", "--weyl", "identity"],
+        {"group": "SL", "n": 3, "q": 7, "ell": 3, "weyl": "identity"},
+    ),
+    "enumerate": (
+        ["--n", "2", "--q", "11", "--ell", "5", "--coeff", "fbar", "--limit", "2", "--offset", "1"],
+        {"group": "GL", "n": 2, "q": 11, "ell": 5, "coeff": "fbar"},
+    ),
+    "verify": (
+        ["--n", "2", "--q", "11", "--ell", "5", "--a", "1", "--b", "7"],
+        {"group": "GL", "n": 2, "q": 11, "ell": 5, "coeff": "zbar", "a": 1, "b": 7},
+    ),
+    "block": (
+        ["--group", "PGL", "--n", "2", "--q", "11", "--ell", "3", "--weyl", "[[-1]]"],
+        {"group": "PGL", "n": 2, "q": 11, "ell": 3, "weyl": "[[-1]]"},
+    ),
+    "match": (
+        ["--n", "2", "--q", "11", "--ell", "5"],
+        {"group": "GL", "n": 2, "q": 11, "ell": 5, "weyl": "coxeter"},
+    ),
+    "summary": (["--n", "3", "--q", "7", "--ell", "3"], {"group": "GL", "n": 3, "q": 7, "ell": 3}),
+}
+
+
+@pytest.mark.parametrize("cmd", ECHOES)
+def test_each_report_echoes_exactly_its_declared_input(cmd):
+    argv, echoed = ECHOES[cmd]
+    code, payload = run_json([cmd, *argv, "--output", "json"])
+    assert code == 0
+    assert payload["input"] == echoed
+
+
+def test_the_grid_report_echoes_no_input(monkeypatch):
+    from llc_params.sweep import GridCheck
+
+    assert set(ECHOES) | {"grid"} == set(cli.COMMANDS)
+    monkeypatch.setattr(cli, "run_grid", lambda: [GridCheck("probe", "a probe check", True, "1 case")])
+    code, payload = run_json(["grid", "--output", "json"])
+    assert code == 0
+    assert "input" not in payload
+
+
 def test_json_is_sorted_and_newline_terminated():
     _, text = run_cli(["block", "--n", "2", "--q", "11", "--ell", "5",
                        "--output", "json"])

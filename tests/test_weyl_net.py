@@ -12,7 +12,7 @@ from itertools import permutations
 import pytest
 
 from llc_params.blocks import match_sides, torus_block_descriptor
-from llc_params.cocycles import component_descriptor
+from llc_params.cocycles import POINT_MOD_STABILIZER, component_descriptor
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, preset, weyl_twist
 
@@ -74,3 +74,16 @@ def test_match_law_over_whole_weyl_groups(q, ell):
         assert block.finite_torus_order == abs(gauss_det(shifted)), case
         cases += 1
     assert cases == 33 + 2 * (2 + 6 + 24)
+
+
+@pytest.mark.parametrize("q,ell", Q_ELL)
+def test_a_point_form_component_has_no_orbit_torus(q, ell):
+    # the component notation writes a point-form orbit as the rank-0 torus "*"
+    forms = set()
+    for family, n, w in _cases():
+        rd = preset(family, n)
+        comp = component_descriptor(rd, weyl_twist(rd, w), q, ell)
+        forms.add(comp.product_form)
+        if comp.product_form == POINT_MOD_STABILIZER:
+            assert comp.orbit_torus_rank == 0, (family, n, w)
+    assert POINT_MOD_STABILIZER in forms and len(forms) == 2
