@@ -134,27 +134,22 @@ def torus_block_descriptor(
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Verdict of the component-to-block comparison."""
+    """Verdict of the component-to-block comparison, with the two sides compared."""
 
-    mu_char_group: FinGenAbGroup
-    block_torsion: FinGenAbGroup
+    component: ComponentDescriptor
+    block: BlockDescriptor
     isomorphic: bool
     free_ranks_agree: bool
-    grading_index: str
-    applicability_flags: tuple[ApplicabilityFlag, ...]
     context_mismatch: bool
 
     def to_json(self) -> dict:
         return {
-            "muCharGroup": self.mu_char_group.to_json(),
-            "blockTorsion": self.block_torsion.to_json(),
+            "muCharGroup": self.component.mu.to_json(),
+            "blockTorsion": self.block.torsion.to_json(),
             "isomorphic": self.isomorphic,
             "freeRanksAgree": self.free_ranks_agree,
-            "grading": {
-                "index": self.grading_index,
-                "identifications": list(GRADING_IDENTIFICATIONS),
-            },
-            "applicabilityFlags": [f.to_json() for f in self.applicability_flags],
+            "grading": {"index": GRADING_INDEX, "identifications": list(GRADING_IDENTIFICATIONS)},
+            "applicabilityFlags": [f.to_json() for f in self.block.applicability],
             "contextMismatch": self.context_mismatch,
         }
 
@@ -178,12 +173,10 @@ def match_sides(component: ComponentDescriptor, block: BlockDescriptor) -> Match
     fixed_order = component.fixed_scheme.order()
     context_mismatch = fixed_order is not None and fixed_order != block.finite_torus_order
     return MatchReport(
-        mu_char_group=component.mu,
-        block_torsion=block.torsion,
+        component,
+        block,
         isomorphic=component.mu == block.torsion,
         free_ranks_agree=component.orbit_torus_rank == block.free_rank,
-        grading_index=GRADING_INDEX,
-        applicability_flags=block.applicability,
         context_mismatch=context_mismatch,
     )
 
@@ -193,32 +186,25 @@ class CategoricalSummary:
     """The computable shadow of the depth-zero comparison for GL_n.
 
     Both sides decompose into cells indexed by the same integer grading,
-    each cell carrying one free direction and the cyclic ell-part; this
-    record aggregates the component, the block, and their match.
+    each cell carrying one free direction and the cyclic ell-part (the
+    block's); the match holds the component and the block it compares.
     """
 
     n: int
     q: int
     ell: int
-    grading_index: str
-    cell_free_rank: int
-    cell_torsion: FinGenAbGroup
-    component: ComponentDescriptor
-    block: BlockDescriptor
     match: MatchReport
 
     def to_json(self) -> dict:
+        block = self.match.block
         return {
             "n": self.n,
             "q": self.q,
             "ell": self.ell,
-            "gradingIndex": self.grading_index,
-            "cell": {
-                "freeRank": self.cell_free_rank,
-                "torsion": self.cell_torsion.to_json(),
-            },
-            "component": self.component.to_json(),
-            "block": self.block.to_json(),
+            "gradingIndex": GRADING_INDEX,
+            "cell": {"freeRank": block.free_rank, "torsion": block.torsion.to_json()},
+            "component": self.match.component.to_json(),
+            "block": block.to_json(),
             "match": self.match.to_json(),
         }
 
@@ -230,7 +216,7 @@ def categorical_summaries(
 
     The component and block builders take their cokernels once for all ells.
 
-    >>> [s.cell_torsion.describe() for s in categorical_summaries(2, 11, (3, 5, 7))]
+    >>> [s.match.block.torsion.describe() for s in categorical_summaries(2, 11, (3, 5, 7))]
     ['Z/3', 'Z/5', '0']
     """
     rd = preset("GL", n)
@@ -238,7 +224,7 @@ def categorical_summaries(
     components = component_descriptors(rd, w, q, ells)
     blocks = torus_block_descriptors(w.transpose(), q, ells, coxeter_number=n)
     return tuple(
-        CategoricalSummary(n, q, ell, GRADING_INDEX, b.free_rank, b.torsion, c, b, match_sides(c, b))
+        CategoricalSummary(n, q, ell, match_sides(c, b))
         for ell, c, b in zip(ells, components, blocks)
     )
 

@@ -1,10 +1,12 @@
 """Deterministic command line front end.
 
 Subcommands mirror the library: ``component``, ``enumerate``, ``verify``,
-``block``, ``match``, ``summary``; the top-level ``--grid`` flag runs the
-full grid sweep.  Reports go to standard output as either JSON (sorted keys,
-schema version stamped, byte-identical across runs) or a text rendering in
-component notation such as ``[G_m/G_m] × μ_5``.
+``block``, ``match``, ``summary``; the ``grid`` subcommand, or the top-level
+``--grid`` flag, runs the full grid sweep.  ``component``, ``block`` and
+``match`` take ``--group`` GL, SL or PGL; ``enumerate``, ``verify`` and
+``summary`` take GL only.  Reports go to standard output as either JSON
+(sorted keys, schema version stamped, byte-identical across runs) or a text
+rendering in component notation such as ``[G_m/G_m] × μ_5``.
 
 Exit codes: 0 success, 2 validation failure, 1 internal error.  Failures are
 always emitted as a machine-readable error object regardless of the chosen
@@ -24,10 +26,17 @@ from collections.abc import Callable, Iterator
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import __version__
 from .abgroups import FinGenAbGroup
-from .blocks import BlockDescriptor, categorical_summary, match_sides, torus_block_descriptor
+from .blocks import (
+    GRADING_INDEX,
+    BlockDescriptor,
+    categorical_summary,
+    match_sides,
+    torus_block_descriptor,
+)
 from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
 from .errors import InvalidArgument, LlcError
 from .glparams import (
@@ -47,8 +56,7 @@ from .sweep import run_grid
 SCHEMA_VERSION = 1
 MAX_MODULUS_ENV = "LLC_PARAMS_MAX_MODULUS"
 DEFAULT_MAX_MODULUS = 10**7
-
-MATH_COMMANDS = ("component", "enumerate", "verify", "block", "match", "summary")
+OUTPUTS = ("text", "json")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,6 +85,24 @@ def _max_modulus() -> int:
     return cap
 
 
+# option -> its add_argument keywords; --group takes its choices from the command
+_OPTIONS = {
+    "group": {"default": "GL"},
+    "n": {"type": int, "required": True},
+    "q": {"type": int, "required": True},
+    "ell": {"type": int, "required": True},
+    "weyl": {"default": "coxeter",
+             "help": "twist: 'coxeter', 'identity', or a JSON matrix like [[0,1],[1,0]]"},
+    "coeff": {"choices": COEFFS, "default": ZBAR},
+    "a": {"type": int, "required": True},
+    "b": {"type": int, "default": 0},
+    "limit": {"type": int, "default": 100},
+    "offset": {"type": int, "default": 0},
+    # SUPPRESS: a subparser default must not clobber a top-level --output
+    "output": {"choices": OUTPUTS, "default": argparse.SUPPRESS},
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="llc-params", description=__doc__, add_help=True)
     parser.add_argument("--version", action="version", version=f"llc-params {__version__}")
@@ -86,53 +112,16 @@ def build_parser() -> _Parser:
         help="run the grid sweep (all computable grid claims) and emit a pass/fail table",
     )
     parser.add_argument(
-        "--output",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
+        "--output", choices=OUTPUTS, default="text", help="report format (default: text)"
     )
-
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p, *, weyl=False, coeff=False, ab=False, paging=False):
-        p.add_argument("--group", choices=("GL", "SL", "PGL"), default="GL")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--ell", type=int, required=True)
-        if weyl:
-            p.add_argument(
-                "--weyl",
-                default="coxeter",
-                help="twist: 'coxeter', 'identity', or a JSON matrix like [[0,1],[1,0]]",
-            )
-        if coeff:
-            p.add_argument("--coeff", choices=COEFFS, default=ZBAR)
-        if ab:
-            p.add_argument("--a", type=int, required=True)
-            p.add_argument("--b", type=int, default=0)
-        if paging:
-            p.add_argument("--limit", type=int, default=100)
-            p.add_argument("--offset", type=int, default=0)
-        # SUPPRESS: a subparser default must not clobber a top-level --output
-        p.add_argument("--output", choices=("text", "json"), default=argparse.SUPPRESS)
-
-    add_common(sub.add_parser("component", help="structure of one parameter component"), weyl=True)
-    add_common(
-        sub.add_parser("enumerate", help="list regular parameters up to equivalence"),
-        coeff=True,
-        paging=True,
-    )
-    add_common(
-        sub.add_parser("verify", help="check one parameter: regularity, cocycle, support"),
-        coeff=True,
-        ab=True,
-    )
-    add_common(sub.add_parser("block", help="block-side invariants"), weyl=True)
-    add_common(sub.add_parser("match", help="compare component and block sides"), weyl=True)
-    add_common(sub.add_parser("summary", help="full GL_n comparison summary"))
-    sub.add_parser("grid", help="run the grid sweep").add_argument(
-        "--output", choices=("text", "json"), default=argparse.SUPPRESS
-    )
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for option in (*command.echoed, *command.unechoed, "output"):
+            keywords = _OPTIONS[option]
+            if option == "group":
+                keywords = {**keywords, "choices": command.groups}
+            p.add_argument(f"--{option}", **keywords)
     return parser
 
 
@@ -147,31 +136,20 @@ def _shared_parser() -> _Parser:
 # rendering
 
 
+def _torus_symbol(rank: int) -> str:
+    return {0: "*", 1: "G_m"}.get(rank, f"G_m^{rank}")
+
+
 def _render_diag(g: FinGenAbGroup) -> str:
-    parts = []
-    if g.free_rank == 1:
-        parts.append("G_m")
-    elif g.free_rank > 1:
-        parts.append(f"G_m^{g.free_rank}")
+    parts = [_torus_symbol(g.free_rank)] if g.free_rank else []
     parts.extend(f"μ_{f}" for f in g.invariant_factors)
     return " × ".join(parts) if parts else "1"
 
 
-def _torus_symbol(rank: int) -> str:
-    if rank == 0:
-        return "*"
-    if rank == 1:
-        return "G_m"
-    return f"G_m^{rank}"
-
-
 def component_notation(desc: ComponentDescriptor) -> str:
-    """The component in quotient notation, e.g. '[G_m/G_m] × μ_5'."""
-    stab = _render_diag(desc.stabilizer)
-    if desc.product_form == "point_mod_S_psi":
-        left = f"[*/{stab}]"
-    else:
-        left = f"[{_torus_symbol(desc.orbit_torus_rank)}/{stab}]"
+    """The component in quotient notation, e.g. '[G_m/G_m] × μ_5'; a point
+    modulo the stabilizer has orbit torus rank 0, written '*'."""
+    left = f"[{_torus_symbol(desc.orbit_torus_rank)}/{_render_diag(desc.stabilizer)}]"
     return f"{left} × {_render_diag(desc.mu)}"
 
 
@@ -233,17 +211,7 @@ def _cmd_component(args) -> _Outcome:
     return body, lines(), 0
 
 
-def _require_gl(args, what: str) -> None:
-    if args.group != "GL":
-        raise InvalidArgument(
-            f"{what} is defined for GL only, got group {args.group}",
-            code="unsupported-group",
-            hint="parameter enumeration lives on the GL side",
-        )
-
-
 def _cmd_enumerate(args) -> _Outcome:
-    _require_gl(args, "enumeration")
     if args.limit < 0 or args.offset < 0:
         raise InvalidArgument("--limit and --offset must be nonnegative", code="paging-invalid")
     family = GLFamily(args.n, args.q, args.ell)
@@ -281,7 +249,6 @@ def _cmd_enumerate(args) -> _Outcome:
 
 
 def _cmd_verify(args) -> _Outcome:
-    _require_gl(args, "verification")
     phi = TrselpGL(GLFamily(args.n, args.q, args.ell), args.coeff, args.a, args.b)
     # a residue parameter is checked through its canonical integral lift,
     # which has the same orbit size and the same nilpotent support
@@ -343,34 +310,31 @@ def _cmd_match(args) -> _Outcome:
     def lines():
         yield f"match [{args.group}_{args.n}, q={args.q}, ell={args.ell}, weyl={args.weyl}]"
         yield f"  component:          {component_notation(desc)}"
-        yield f"  mu character group: {report.mu_char_group.describe()}"
-        yield f"  block torsion:      {report.block_torsion.describe()}"
+        yield f"  mu character group: {desc.mu.describe()}"
+        yield f"  block torsion:      {block.torsion.describe()}"
         yield f"  isomorphic:         {_yesno(report.isomorphic)}"
         yield (
             f"  free ranks agree:   {_yesno(report.free_ranks_agree)} "
             f"({desc.orbit_torus_rank} vs {block.free_rank})"
         )
-        yield f"  grading index:      {report.grading_index}"
+        yield f"  grading index:      {GRADING_INDEX}"
         yield f"  context mismatch:   {_yesno(report.context_mismatch)}"
-        for flag in report.applicability_flags:
+        for flag in block.applicability:
             yield f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})"
 
     return body, lines(), 0
 
 
 def _cmd_summary(args) -> _Outcome:
-    _require_gl(args, "the comparison summary")
     summary = categorical_summary(args.n, args.q, args.ell)
-    verdict = summary.match.isomorphic and summary.match.free_ranks_agree
+    match = summary.match
+    verdict = match.isomorphic and match.free_ranks_agree
 
     def lines():
         yield f"summary [GL_{args.n}, q={args.q}, ell={args.ell}]"
-        yield f"  grading index: {summary.grading_index}"
-        yield (
-            f"  cell: free rank {summary.cell_free_rank}, "
-            f"torsion {summary.cell_torsion.describe()}"
-        )
-        yield f"  component:     {component_notation(summary.component)}"
+        yield f"  grading index: {GRADING_INDEX}"
+        yield f"  cell: free rank {match.block.free_rank}, torsion {match.block.torsion.describe()}"
+        yield f"  component:     {component_notation(match.component)}"
         yield f"  sides match:   {_yesno(verdict)}"
 
     return lambda: {"summary": summary.to_json()}, lines(), 0
@@ -394,16 +358,29 @@ def _cmd_grid(args) -> _Outcome:
     return body, lines(), 0 if all_pass else 1
 
 
-# command -> (handler, the argument fields the report echoes as "input")
+class _Command(NamedTuple):
+    help: str
+    handler: Callable[[argparse.Namespace], _Outcome]
+    groups: tuple[str, ...]  # the --group choices
+    echoed: tuple[str, ...]  # options, in order, that the JSON report echoes as "input"
+    unechoed: tuple[str, ...] = ()  # options after them that it does not echo
+
+
+_ALL, _GL = ("GL", "SL", "PGL"), ("GL",)
+_GEOMETRY = ("group", "n", "q", "ell")
 COMMANDS = {
-    "component": (_cmd_component, ("group", "n", "q", "ell", "weyl")),
-    "enumerate": (_cmd_enumerate, ("group", "n", "q", "ell", "coeff")),
-    "verify": (_cmd_verify, ("group", "n", "q", "ell", "coeff", "a", "b")),
-    "block": (_cmd_block, ("group", "n", "q", "ell", "weyl")),
-    "match": (_cmd_match, ("group", "n", "q", "ell", "weyl")),
-    "summary": (_cmd_summary, ("group", "n", "q", "ell")),
-    "grid": (_cmd_grid, None),
+    "component": _Command("structure of one parameter component", _cmd_component, _ALL,
+                          (*_GEOMETRY, "weyl")),
+    "enumerate": _Command("list regular parameters up to equivalence", _cmd_enumerate, _GL,
+                          (*_GEOMETRY, "coeff"), ("limit", "offset")),
+    "verify": _Command("check one parameter: regularity, cocycle, support", _cmd_verify, _GL,
+                       (*_GEOMETRY, "coeff", "a", "b")),
+    "block": _Command("block-side invariants", _cmd_block, _ALL, (*_GEOMETRY, "weyl")),
+    "match": _Command("compare component and block sides", _cmd_match, _ALL, (*_GEOMETRY, "weyl")),
+    "summary": _Command("full GL_n comparison summary", _cmd_summary, _GL, _GEOMETRY),
+    "grid": _Command("run the grid sweep", _cmd_grid, (), ()),
 }
+MATH_COMMANDS = tuple(name for name, command in COMMANDS.items() if command.echoed)
 
 
 @contextlib.contextmanager
@@ -556,13 +533,13 @@ def run(argv: list[str] | None = None, stream=None) -> int:
                 code="usage-error",
                 hint=f"choose one of: {', '.join(MATH_COMMANDS)} (or --grid)",
             )
-        handler, fields = COMMANDS[args.command]
-        body, lines, code = handler(args)
+        command = COMMANDS[args.command]
+        body, lines, code = command.handler(args)
         with _printing():
             if args.output == "json":
                 report = {"schemaVersion": SCHEMA_VERSION, "command": args.command, **body()}
-                if fields is not None:
-                    report["input"] = {name: getattr(args, name) for name in fields}
+                if command.echoed:
+                    report["input"] = {name: getattr(args, name) for name in command.echoed}
                 text = _dumps(report)
             else:
                 text = "\n".join(lines) + "\n"

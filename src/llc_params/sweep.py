@@ -135,11 +135,11 @@ def run_grid() -> list[GridCheck]:
             # One call takes the five ell-free cokernels of (n, q) once and
             # reads them at each ell; checks 2 and 3 read the match's components
             summaries = categorical_summaries(n, q, ells)
-            fixed_ok = summaries[0].component.fixed_scheme == FinGenAbGroup.cyclic(q**n - 1)
+            fixed_ok = summaries[0].match.component.fixed_scheme == FinGenAbGroup.cyclic(q**n - 1)
             tally("fixed-scheme-cyclic", 1, [] if fixed_ok else [(n, q)])
             tally("mu-exponent-law", len(summaries), [
                 (n, q, s.ell) for s in summaries
-                if s.component.mu != FinGenAbGroup.cyclic(s.ell ** valuation(q**n - 1, s.ell))
+                if s.match.component.mu != FinGenAbGroup.cyclic(s.ell ** valuation(q**n - 1, s.ell))
             ])
             tally("match-law", len(summaries), [
                 (n, q, s.ell) for s in summaries

@@ -157,9 +157,9 @@ def test_match_gl2_golden():
     report = match_sides(_gl_component(2, 11, 5), _gl_block(2, 11, 5))
     assert report.isomorphic
     assert report.free_ranks_agree
-    assert report.mu_char_group == FinGenAbGroup.cyclic(5)
-    assert report.block_torsion == FinGenAbGroup.cyclic(5)
-    assert report.grading_index == GRADING_INDEX == "Z"
+    assert report.component.mu == FinGenAbGroup.cyclic(5)
+    assert report.block.torsion == FinGenAbGroup.cyclic(5)
+    assert report.to_json()["grading"]["index"] == GRADING_INDEX == "Z"
     assert not report.context_mismatch
 
 
@@ -167,7 +167,7 @@ def test_match_q3_ell7_trivial_torsion():
     report = match_sides(_gl_component(2, 3, 7), _gl_block(2, 3, 7))
     assert report.isomorphic
     assert report.free_ranks_agree
-    assert report.mu_char_group.is_trivial
+    assert report.component.mu.is_trivial
 
 
 def test_match_context_mismatch_when_sides_disagree():
@@ -244,11 +244,12 @@ def test_match_desk_case_sl2():
 
 def test_categorical_summary_golden():
     s = categorical_summary(2, 11, 5)
-    assert s.grading_index == "Z"
-    assert s.cell_free_rank == 1
-    assert s.cell_torsion == FinGenAbGroup.cyclic(5)
-    assert s.component.mu == FinGenAbGroup.cyclic(5)
-    assert s.block.torsion == FinGenAbGroup.cyclic(5)
+    cell = s.to_json()["cell"]
+    assert s.to_json()["gradingIndex"] == GRADING_INDEX == "Z"
+    assert cell["freeRank"] == s.match.block.free_rank == 1
+    assert cell["torsion"] == s.match.block.torsion.to_json()
+    assert s.match.component.mu == FinGenAbGroup.cyclic(5)
+    assert s.match.block.torsion == FinGenAbGroup.cyclic(5)
     assert s.match.isomorphic and s.match.free_ranks_agree
 
 

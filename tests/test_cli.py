@@ -325,9 +325,9 @@ def test_grid_flag_spelling():
         (["component", "--n", "2", "--q", "11", "--ell", "2"], "ell-even"),
         (["component", "--n", "2", "--q", "11", "--ell", "11"], "ell-equals-p"),
         (["enumerate", "--group", "SL", "--n", "2", "--q", "11", "--ell", "5"],
-         "unsupported-group"),
+         "usage-error"),
         (["summary", "--group", "PGL", "--n", "2", "--q", "11", "--ell", "5"],
-         "unsupported-group"),
+         "usage-error"),
         (["component", "--group", "SL", "--n", "1", "--q", "11", "--ell", "5"],
          "invalid-rank"),
         (["component", "--n", "0", "--q", "11", "--ell", "5"], "invalid-rank"),
@@ -398,6 +398,27 @@ def test_grid_flag_with_a_math_command_is_refused(monkeypatch):
     monkeypatch.setattr(cli, "run_grid", lambda: checks)
     for argv in (["--grid"], ["grid"], ["--grid", "grid"], ["--output", "json", "--grid", "grid"]):
         assert run_cli(argv)[0] == 0
+
+
+def test_gl_only_commands_refuse_other_groups_in_the_parser(monkeypatch):
+    # enumerate, verify and summary offer only GL: SL and PGL are usage errors
+    # whose hint is the command's usage, raised before anything is computed
+    def boom(*args, **kwargs):
+        raise AssertionError("computed for a refused group")
+
+    geometry = ["--n", "2", "--q", "11", "--ell", "5"]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "GLFamily", boom)
+        m.setattr(cli, "categorical_summary", boom)
+        for cmd, extra in (("enumerate", []), ("verify", ["--a", "1"]), ("summary", [])):
+            for group in ("SL", "PGL"):
+                code, payload = run_json([cmd, "--group", group, *geometry, *extra])
+                assert (code, payload["error"]["code"]) == (2, "usage-error"), (cmd, group)
+                assert payload["error"]["message"].startswith("argument --group: invalid choice")
+                assert payload["error"]["hint"].startswith(f"usage: llc-params {cmd} ")
+                assert "[--group {GL}]" in payload["error"]["hint"]
+    for cmd, extra in (("enumerate", []), ("verify", ["--a", "1"]), ("summary", [])):
+        assert run_cli([cmd, "--group", "GL", *geometry, *extra])[0] == 0, cmd
 
 
 def test_missing_required_flag_is_usage_error():

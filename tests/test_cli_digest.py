@@ -23,11 +23,14 @@ GRID_DIGESTS = {
     "text": "580b831932902d8b823097bf567f9feddf38dba25da192b076c5ed34fa855513",
     "json": "b000b32987ec83139d3af5051942da405cdc5593e58047b603a178d4bf6a72b4",
 }
-# "kept": the program's help, the help of component, block, match and grid,
-# and their usage errors; "gl-only": those of enumerate, verify and summary
+# "program-help": llc-params --help, whose description is the cli module's
+# docstring; "kept": the help of component, block, match and grid, and the
+# usage errors of the program and of those commands; "gl-only": the help and
+# usage errors of enumerate, verify and summary
 GRAMMAR_DIGESTS = {
-    "kept": "935927867223b6d9ff9cccbb19f031a6576b8c26521097dc7725526ede4a363a",
-    "gl-only": "26a463cb97914c37619ff5431ff7e974a316515a126a9888da32e7412081ee3f",
+    "program-help": "9a0566f963fecc3db12cb0b69c757eff0d6f2c866ae13ebe1977a1bfa00c8216",
+    "kept": "78fdb455c4068438201d78ebf97d6b6dbec717657da27fa641b795dd7a5934ba",
+    "gl-only": "90f884da91ed01b8da138bf6d39ee23167112846525c5ebf8e37ca0414f2250e",
 }
 
 ALL_COMMANDS = ("component", "enumerate", "verify", "block", "match", "summary", "grid")
@@ -101,10 +104,10 @@ def test_the_grid_keeps_its_bytes():
 
 def grammar_net() -> dict[str, list[list[str]]]:
     """The help of the program and of each command, and one usage error per
-    command, split into the GL-only commands' part and the rest."""
+    command: the program's help, the GL-only commands' part and the rest."""
     nets = {
+        "program-help": [["--help"]],
         "kept": [
-            ["--help"],
             ["nonsense"],
             ["--output", "xml"],
             ["component", "--group", "XX", "--n", "2", "--q", "11", "--ell", "5"],

@@ -150,7 +150,10 @@ def test_failing_cases_are_reported_in_grid_order(monkeypatch):
     def skewed_summaries(n, q, ells):
         out = summaries(n, q, ells)
         if (n, q) == (2, 5):  # GL_3's components: mu_124 and no 3-part
-            out = tuple(replace(s, component=t.component) for s, t in zip(out, summaries(3, q, ells)))
+            out = tuple(
+                replace(s, match=replace(s.match, component=t.match.component))
+                for s, t in zip(out, summaries(3, q, ells))
+            )
         return tuple(
             replace(s, match=replace(s.match, free_ranks_agree=False))
             if n in (4, 6) and s.ell == 13 else s
