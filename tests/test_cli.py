@@ -764,7 +764,7 @@ def test_each_report_echoes_exactly_its_declared_input(cmd):
 def test_the_grid_report_echoes_no_input(monkeypatch):
     from llc_params.sweep import GridCheck
 
-    assert set(ECHOES) | {"grid"} == set(cli.COMMANDS)
+    assert set(ECHOES) | {"grid"} == set(cli.COMMANDS)  # every command is covered
     monkeypatch.setattr(cli, "run_grid", lambda: [GridCheck("probe", "a probe check", True, "1 case")])
     code, payload = run_json(["grid", "--output", "json"])
     assert code == 0
