@@ -407,17 +407,18 @@ def test_gl_only_commands_refuse_other_groups_in_the_parser(monkeypatch):
         raise AssertionError("computed for a refused group")
 
     geometry = ["--n", "2", "--q", "11", "--ell", "5"]
+    gl_only = (("enumerate", []), ("verify", ["--a", "1"]), ("summary", []))
     with monkeypatch.context() as m:
         m.setattr(cli, "GLFamily", boom)
         m.setattr(cli, "categorical_summary", boom)
-        for cmd, extra in (("enumerate", []), ("verify", ["--a", "1"]), ("summary", [])):
+        for cmd, extra in gl_only:
             for group in ("SL", "PGL"):
                 code, payload = run_json([cmd, "--group", group, *geometry, *extra])
                 assert (code, payload["error"]["code"]) == (2, "usage-error"), (cmd, group)
                 assert payload["error"]["message"].startswith("argument --group: invalid choice")
                 assert payload["error"]["hint"].startswith(f"usage: llc-params {cmd} ")
                 assert "[--group {GL}]" in payload["error"]["hint"]
-    for cmd, extra in (("enumerate", []), ("verify", ["--a", "1"]), ("summary", [])):
+    for cmd, extra in gl_only:
         assert run_cli([cmd, "--group", "GL", *geometry, *extra])[0] == 0, cmd
 
 
