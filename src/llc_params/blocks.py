@@ -1,9 +1,9 @@
 """The block side of the comparison, and the matcher that certifies it.
 
 For a twisted maximal torus the finite fixed-point group is computed on the
-cocharacter lattice as coker(q w - id); its ell-primary part is the block
-invariant, and the directions the twist fixes (the free rank of
-coker(id - w)) are the free directions of the block.  For the GL_n Coxeter
+cocharacter lattice as coker(q w - id), which the twist takes itself; its
+ell-primary part is the block invariant, and the directions the twist fixes
+(the free rank of coker(id - w)) are the free directions of the block.  For the GL_n Coxeter
 twist that is one free direction (the unramified twisting line) and cyclic
 ell-part Z/ell^k with k = v_ell(q^n - 1).  The cocharacter twist is the
 transpose of the character twist; the transpose-cokernel law is exactly what
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroups import FinGenAbGroup, cokernel
+from .abgroups import FinGenAbGroup
 from .arith import check_admissible, prime_power_split, valuation
 from .cocycles import ComponentDescriptor, component_descriptors, twisted_centralizer
 from .errors import InternalError
@@ -43,7 +43,7 @@ def finite_torus(twist: WeylTwist, q: int) -> FinGenAbGroup:
     FinGenAbGroup(free_rank=0, invariant_factors=(120,))
     """
     prime_power_split(q)
-    group = cokernel(twist.matrix.shifted(q, -1))
+    group = twist.cokernel(q, -1)
     if group.free_rank != 0:
         raise InternalError(
             "finite torus came out infinite; the twist cannot be of finite order"

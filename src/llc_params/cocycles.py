@@ -5,7 +5,7 @@ inertia generator s0 subject to Fr s0 Fr^{-1} = s0^q.  A cocycle valued in a
 torus T-hat on which Fr acts through a finite-order lattice automorphism w is
 pinned down by its values on Fr (free) and on s0 (constrained to the scheme
 of fixed points of t -> t^q twisted by w).  On character groups this makes
-everything a cokernel:
+everything a cokernel, which the twist takes itself (`WeylTwist.cokernel`):
 
 * fixed scheme of w-twisted q-power map:  coker(w - q id)   on X*,
 * twisted centralizer of the Frobenius:   coker(id - w)     on X*.
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroups import FinGenAbGroup, cokernel
+from .abgroups import FinGenAbGroup
 from .arith import check_admissible, prime_power_split
 from .errors import DimensionMismatch, InternalError
 from .rootdata import RootDatum, WeylTwist, center_char_group
@@ -42,7 +42,7 @@ def frob_fixed_scheme(twist: WeylTwist, q: int) -> FinGenAbGroup:
     power (InvalidPrimePower otherwise).
     """
     prime_power_split(q)
-    group = cokernel(twist.matrix.shifted(1, -q))
+    group = twist.cokernel(1, -q)
     if group.free_rank != 0:
         # a unimodular finite-order twist can never have eigenvalue q >= 2,
         # so a positive free rank means the caller fed a non-Frobenius matrix
@@ -55,7 +55,7 @@ def frob_fixed_scheme(twist: WeylTwist, q: int) -> FinGenAbGroup:
 
 def twisted_centralizer(twist: WeylTwist) -> FinGenAbGroup:
     """Stabilizer of the twisted conjugation action: character group coker(id - w)."""
-    return cokernel(twist.matrix.shifted(-1, 1))
+    return twist.cokernel(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,9 @@ def component_descriptors(
     >>> [d.mu.describe() for d in component_descriptors(gl2, coxeter_twist(gl2), 11, (3, 5, 7))]
     ['Z/3', 'Z/5', '0']
     """
-    if twist.rank != rd.rank:
+    if (twist.kind, len(twist.perm)) != (rd.kind, rd.n):
         raise DimensionMismatch(
-            f"twist is {twist.rank}x{twist.rank} but the datum has rank {rd.rank}"
+            f"twist of a {twist.kind} lattice of rank {twist.rank} given for {rd.name}"
         )
     for ell in ells:
         check_admissible(q, ell)

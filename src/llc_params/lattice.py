@@ -8,9 +8,9 @@ they should.
 A matrix is held as its nonzeros: each row is a tuple of (column, entry)
 pairs, columns ascending.  Dense rows are only the constructor's input (the
 ``--weyl`` JSON and the tests), and ``data`` is their read-out.  The
-twisted-torus matrices s w + t I (`IntMatrix.shifted`) have two or three
-nonzeros per row, so the identity, shifts and transposes cost O(rows + nnz),
-and `smith_normal_form` takes the rows as they are.
+twisted-torus presentations that `rootdata` writes have at most four
+nonzeros per row, so they and their transposes cost O(rows + nnz), and
+`smith_normal_form` takes the rows as they are.
 
 Everything downstream (fixed schemes of twisted Frobenius maps, kernels of
 character maps, centers of root data) reduces to the Smith invariants
@@ -30,7 +30,7 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
 from math import gcd
 
-from .errors import DimensionMismatch, InvalidArgument
+from .errors import InvalidArgument
 
 
 class IntMatrix:
@@ -51,7 +51,8 @@ class IntMatrix:
             # a bool, a non-integer or an int subclass: refuse the first bad
             # entry, or accept int subclasses as they are
             for x in chain.from_iterable(rows):
-                self._as_int(x)
+                if isinstance(x, bool) or not isinstance(x, int):
+                    raise InvalidArgument(f"matrix entries must be plain integers, got {x!r}")
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -78,18 +79,6 @@ class IntMatrix:
         m.cols = cols
         return m
 
-    @staticmethod
-    def _as_int(x) -> int:
-        if isinstance(x, bool) or not isinstance(x, int):
-            raise InvalidArgument(f"matrix entries must be plain integers, got {x!r}")
-        return x
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        if n < 0:
-            raise InvalidArgument("identity size must be nonnegative")
-        return cls._trusted(tuple(((i, 1),) for i in range(n)), n)
-
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
         """The dense rows: a read-out, O(rows * cols)."""
@@ -114,33 +103,12 @@ class IntMatrix:
             return f"IntMatrix({[list(r) for r in self.data]})"
         return f"IntMatrix([], cols={self.cols})"
 
-    def shifted(self, s: int, t: int) -> "IntMatrix":
-        """s * self + t * I, for a square matrix.
-
-        >>> IntMatrix([[0, 1], [1, 0]]).shifted(1, -11)
-        IntMatrix([[-11, 1], [1, -11]])
-        """
-        s, t = self._as_int(s), self._as_int(t)
-        if not self.is_square:
-            raise DimensionMismatch(f"shifted needs a square matrix, got {self.rows}x{self.cols}")
-        out = []
-        for i, row in enumerate(self.nonzeros):
-            entries = {j: s * e for j, e in row}
-            entries[i] = entries.get(i, 0) + t
-            # the diagonal comes last when it was zero: a one-element sort
-            out.append(tuple(sorted((j, e) for j, e in entries.items() if e)))
-        return IntMatrix._trusted(tuple(out), self.cols)
-
     def transpose(self) -> "IntMatrix":
         columns = [[] for _ in range(self.cols)]
         for i, row in enumerate(self.nonzeros):
             for j, e in row:
                 columns[j].append((i, e))
         return IntMatrix._trusted(tuple(map(tuple, columns)), self.rows)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
 
 
 def diagonal_invariants(diagonal: Iterable[int]) -> tuple[int, ...]:

@@ -16,29 +16,33 @@ INPUT group (the datum built is that of the dual):
 
 A preset is held by its kind and n.  One routine gives the positive (root,
 coroot) of each block of consecutive simple roots, and all n(n - 1) roots
-are generated only where they are printed (component JSON) or checked (an
-explicit Weyl matrix), at most once per datum.  The simple roots, the
-one-root blocks, are also written as sparse rows of at most three
-nonzeros, so that the center costs O(n); so does the Coxeter twist,
-written in closed form.
+are generated only where they are printed (component JSON) or where an
+explicit Weyl matrix is refused.  The simple roots, the one-root blocks,
+are also written as sparse rows of at most three nonzeros, so that the
+center costs O(n).
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
-candidates for a Frobenius action).  It is unimodular by construction: the
-constructor checks it once, by the invariants-only Smith form (w is
-unimodular iff coker(w) is trivial), and the Coxeter, identity and transposed
-twists are unimodular without a check.  ``weyl_twist`` also checks that w
-permutes the roots, and that the simple coroots follow.
+candidates for a Frobenius action).  As Aut(A_{n-1}) = W x {+-1}, it is
+held as a signed permutation e_i -> sign * e_perm[i] of e-coordinates on
+its kind of lattice: Z^n ("gl"), the sum-zero lattice ("adjoint") or
+Z^n / Z(1, ..., 1) ("sc").  Its cokernels come from sparse e-coordinate
+presentations that only this module writes, and ``weyl_twist`` reads a
+matrix in the preset's basis as one in O(nnz), or refuses it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .abgroups import FinGenAbGroup, cokernel
-from .errors import InvalidArgument, InvalidRank, UnsupportedFamily
+from .errors import InternalError, InvalidArgument, InvalidRank, UnsupportedFamily
 from .lattice import IntMatrix
 
 FAMILIES = ("GL", "SL", "PGL")
 # the dual group each kind of datum belongs to
 _DUAL_NAMES = {"gl": "GL", "adjoint": "PGL", "sc": "SL"}
+# the kind of the dual lattice: the coweights of the root lattice, and back
+_DUAL_KINDS = {"gl": "gl", "adjoint": "sc", "sc": "adjoint"}
 
 
 class RootDatum:
@@ -51,12 +55,11 @@ class RootDatum:
     (1, -1)
     """
 
-    __slots__ = ("kind", "n", "_lists")
+    __slots__ = ("kind", "n")
 
     def __init__(self, kind: str, n: int):
         self.kind = kind
         self.n = n
-        self._lists = None
 
     @property
     def rank(self) -> int:
@@ -74,22 +77,16 @@ class RootDatum:
         roots = _with_negatives([a for a, _ in pos])
         return roots, roots if self.kind == "gl" else _with_negatives([b for _, b in pos])
 
-    def _root_lists(self) -> tuple[tuple, tuple]:
-        """`_roots_and_coroots`, generated at the first call and kept by the datum."""
-        if self._lists is None:
-            self._lists = self._roots_and_coroots()
-        return self._lists
-
     @property
     def roots(self) -> tuple:
-        return self._root_lists()[0]
+        return self._roots_and_coroots()[0]
 
     @property
     def coroots(self) -> tuple:
-        return self._root_lists()[1]
+        return self._roots_and_coroots()[1]
 
     def to_json(self) -> dict:
-        roots, coroots = self._root_lists()
+        roots, coroots = self._roots_and_coroots()
         return {
             "name": self.name,
             "charLatticeRank": self.rank,
@@ -111,46 +108,53 @@ class RootDatum:
         return f"RootDatum({self.name!r}, rank={self.rank})"
 
 
+@dataclass(frozen=True)
 class WeylTwist:
-    """A lattice automorphism used to twist Frobenius; unimodular by construction."""
+    """The twist e_i -> sign * e_perm[i], n = len(perm), of a kind of lattice.
 
-    __slots__ = ("matrix",)
+    >>> w = coxeter_twist(preset("SL", 3))
+    >>> w.transpose()
+    WeylTwist(kind='sc', perm=(2, 0, 1), sign=1)
+    >>> w.cokernel(1, -3)
+    FinGenAbGroup(free_rank=0, invariant_factors=(13,))
+    """
 
-    def __init__(self, matrix: IntMatrix):
-        if not matrix.is_square:
-            raise InvalidArgument("a twist must be a square matrix")
-        if not cokernel(matrix).is_trivial:
-            raise InvalidArgument(
-                "twist matrix is not unimodular",
-                hint="the determinant must be 1 or -1",
-            )
-        self.matrix = matrix
-
-    @classmethod
-    def _trusted(cls, matrix: IntMatrix) -> "WeylTwist":
-        """A twist from a matrix that is unimodular by construction, taken as it is."""
-        twist = object.__new__(cls)
-        twist.matrix = matrix
-        return twist
+    kind: str
+    perm: tuple[int, ...]
+    sign: int
 
     @property
     def rank(self) -> int:
-        return self.matrix.rows
+        return len(self.perm) - (self.kind != "gl")
 
     def transpose(self) -> "WeylTwist":
-        """The twist on the dual lattice (cocharacters for a character twist)."""
-        return WeylTwist._trusted(self.matrix.transpose())
+        """The twist on the dual lattice: the inverse permutation on the dual kind."""
+        inverse = sorted(range(len(self.perm)), key=self.perm.__getitem__)
+        return WeylTwist(_DUAL_KINDS[self.kind], tuple(inverse), self.sign)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WeylTwist):
-            return NotImplemented
-        return self.matrix == other.matrix
+    def cokernel(self, s: int, t: int) -> FinGenAbGroup:
+        """coker(s w + t) on the twist's lattice, from an e-coordinate presentation.
 
-    def __hash__(self) -> int:
-        return hash(self.matrix)
-
-    def __repr__(self) -> str:
-        return f"WeylTwist({self.matrix!r})"
+        Row j of s w + t on Z^n holds s * sign in column perm^-1(j) and t in
+        column j.  "sc" adds a column of ones, for Z^n / Z(1, ..., 1); "adjoint"
+        takes it times B, whose columns e_i - e_{i+1} span the sum-zero lattice
+        L, and Z^n / (s w + t) L is L / (s w + t) L plus Z^n / L = Z.
+        """
+        n, kind = len(self.perm), self.kind
+        width = {"gl": n, "sc": n + 1, "adjoint": n - 1}[kind]
+        presentation = []
+        for j, i in enumerate(self.transpose().perm):
+            row = {n: 1} if kind == "sc" else {}
+            for c, a in ((i, s * self.sign), (j, t)):
+                # times B, an entry a in column c is a in c and -a in c - 1
+                for k, b in ((c, a), (c - 1, -a)) if kind == "adjoint" else ((c, a),):
+                    if 0 <= k < width:
+                        row[k] = row.get(k, 0) + b
+            presentation.append(tuple(sorted((k, b) for k, b in row.items() if b)))
+        group = cokernel(IntMatrix._trusted(tuple(presentation), width))
+        if kind == "adjoint":
+            return FinGenAbGroup(group.free_rank - 1, group.invariant_factors)
+        return group
 
 
 def _block_pairs(kind: str, rank: int, blocks):
@@ -239,30 +243,48 @@ def center_char_group(rd: RootDatum) -> FinGenAbGroup:
 
 
 def coxeter_twist(rd: RootDatum) -> WeylTwist:
-    """The standard Coxeter element of a datum, as a lattice matrix.
+    """The standard Coxeter element of a datum: the n-cycle e_j -> e_{j+1}.
 
     It is the ordered product of the simple reflections, of order the
-    Coxeter number n, and is written in closed form: for GL_n the n-cycle
-    permutation matrix; for the semisimple presets a companion matrix of
-    1 + x + ... + x^(n-1) ((-1) for the rank-1 A_1 data).
+    Coxeter number n; for GL_1 it is the identity.
 
-    >>> coxeter_twist(preset("GL", 2)).matrix
-    IntMatrix([[0, 1], [1, 0]])
+    >>> coxeter_twist(preset("GL", 2))
+    WeylTwist(kind='gl', perm=(1, 0), sign=1)
     """
     n = rd.n
-    if rd.kind == "gl":  # the n-cycle e_j -> e_{j+1}: row i holds a 1 in column i - 1
-        cycle = tuple((((i - 1) % n, 1),) for i in range(n))
-        return WeylTwist._trusted(IntMatrix._trusted(cycle, n))
-    m = rd.rank
-    if rd.kind == "adjoint":  # row i holds 1 in column i - 1 and -1 in the last column
-        rows = tuple(((i - 1, 1),) * (i > 0) + ((m - 1, -1),) for i in range(m))
-    else:  # simply connected: row 0 is all -1, row i holds 1 in column i - 1
-        rows = (tuple((k, -1) for k in range(m)),) + tuple(((i - 1, 1),) for i in range(1, m))
-    return WeylTwist._trusted(IntMatrix._trusted(rows, m))
+    return WeylTwist(rd.kind, tuple((j + 1) % n for j in range(n)), 1)
 
 
 def identity_twist(rd: RootDatum) -> WeylTwist:
-    return WeylTwist._trusted(IntMatrix.identity(rd.rank))
+    return WeylTwist(rd.kind, tuple(range(rd.n)), 1)
+
+
+def _read_signed_permutation(kind: str, n: int, columns) -> WeylTwist | None:
+    """The twist of Z^n ("gl") or of the sum-zero lattice ("adjoint") with a
+    matrix of these columns, as (row, entry) nonzeros by ascending row; or None.
+
+    On Z^n, column i is sign * e_perm[i].  In the simple-root basis, column i
+    is sign * (e_perm[i] - e_perm[i+1]) = +-(e_a - e_{b+1}), ones on rows
+    a..b; sign 1 is tried first, since at n = 2 both fit.
+    """
+    if kind == "gl":
+        ones = [column[0] for column in columns if len(column) == 1]
+        perm, signs = tuple(i for i, _ in ones), {x for _, x in ones}
+        readable = len(ones) == n == len(set(perm)) and len(signs) == 1 and signs <= {1, -1}
+        return WeylTwist(kind, perm, signs.pop()) if readable else None
+    pairs = []  # (perm[i], perm[i+1]) for sign 1
+    for column in columns:
+        if not column:
+            return None
+        (a, x), b = column[0], column[-1][0]
+        if abs(x) != 1 or b - a + 1 != len(column) or any(y != x for _, y in column):
+            return None
+        pairs.append((a, b + 1) if x == 1 else (b + 1, a))
+    for sign, chain in ((1, pairs), (-1, [(j, i) for i, j in pairs])):
+        perm = tuple(i for i, _ in chain) + (chain[-1][1],)
+        if all(chain[i][1] == chain[i + 1][0] for i in range(n - 2)) and len(set(perm)) == n:
+            return WeylTwist(kind, perm, sign)
+    return None
 
 
 def _apply(columns: list, v: tuple[int, ...], rank: int) -> tuple[int, ...]:
@@ -276,19 +298,29 @@ def _apply(columns: list, v: tuple[int, ...], rank: int) -> tuple[int, ...]:
 
 
 def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
-    """Validate a raw lattice matrix as a twist for the given datum.
+    """Read a raw lattice matrix in the preset's basis as a signed permutation.
 
-    w must permute the roots, and w^T (w alpha)^vee = alpha^vee; alpha ->
-    alpha^vee is linear, so the simple pairs imply it for every root.
+    The read is O(nnz); in the weight basis ("sc"), dual to the simple roots,
+    the transpose is read as a sum-zero lattice twist and transposed back.
+    Any other matrix is refused by the first check it fails: w is unimodular
+    (coker(w) trivial), w permutes the roots, and w^T (w alpha)^vee =
+    alpha^vee (alpha -> alpha^vee is linear: the simple pairs imply it).
     """
     if matrix.rows != rd.rank or matrix.cols != rd.rank:
         raise InvalidArgument(
             f"twist must be {rd.rank}x{rd.rank} for {rd.name}, got {matrix.rows}x{matrix.cols}"
         )
-    twist = WeylTwist(matrix)
+    columns = matrix.nonzeros if rd.kind == "sc" else matrix.transpose().nonzeros
+    twist = _read_signed_permutation("gl" if rd.kind == "gl" else "adjoint", rd.n, columns)
+    if twist is not None:
+        return twist.transpose() if rd.kind == "sc" else twist
+    if not cokernel(matrix).is_trivial:
+        raise InvalidArgument(
+            "twist matrix is not unimodular", hint="the determinant must be 1 or -1"
+        )
     # the columns of w and of w^T as (row, entry) nonzeros
     w, w_t = matrix.transpose().nonzeros, matrix.nonzeros
-    roots, coroots = rd._root_lists()
+    roots, coroots = rd._roots_and_coroots()
     coroot_of = dict(zip(roots, coroots))
     for alpha in roots:
         image = _apply(w, alpha, rd.rank)
@@ -297,4 +329,4 @@ def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
     for alpha, alpha_vee in _block_pairs(rd.kind, rd.rank, ((i, i) for i in range(rd.n - 1))):
         if _apply(w_t, coroot_of[_apply(w, alpha, rd.rank)], rd.rank) != alpha_vee:
             raise InvalidArgument(f"twist does not preserve the coroots at the root {alpha}")
-    return twist
+    raise InternalError(f"a {rd.name} twist passed every check but is no signed permutation")

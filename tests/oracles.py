@@ -5,8 +5,8 @@ library, with different algorithms than the package under test (Gauss over
 Fraction instead of Bareiss, cofactor adjugates, determinantal divisors and
 coset enumeration instead of Smith normal form, linear scans instead of
 closed-form counts, the closed-form GL_n block instead of the twisted
-torus, the root-datum axioms checked by hand).  Nothing in this module
-imports from llc_params.
+torus, cycle-type closed forms for type A twists, the root-datum axioms
+checked by hand).  Nothing in this module imports from llc_params.
 """
 
 from __future__ import annotations
@@ -333,6 +333,24 @@ def matmul(a, b) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
+def identity(n: int) -> list[list[int]]:
+    """The n x n identity matrix as rows.
+
+    >>> identity(2)
+    [[1, 0], [0, 1]]
+    """
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def shifted(rows, s: int, t: int) -> list[list[int]]:
+    """s * a + t * I for a square matrix a given as rows.
+
+    >>> shifted([[0, 1], [1, 0]], 1, -11)
+    [[-11, 1], [1, -11]]
+    """
+    return [[s * x + t * (i == j) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
 def signed_permutation_cokernels(rows, q: int) -> tuple[list[int], list[int]]:
     """Closed forms for a twist w = eps * P, P a permutation matrix, eps = +-1.
 
@@ -372,6 +390,18 @@ def signed_cycle_cokernels(image, eps: int, q: int) -> tuple[list[int], list[int
     >>> signed_cycle_cokernels([1, 0, 2], -1, 3)
     ([8, 4], [0, 2])
     """
+    lengths = cycle_lengths(image)
+    fixed = [q**l - eps**l for l in lengths]
+    centralizer = [0 if eps**l == 1 else 2 for l in lengths]
+    return fixed, centralizer
+
+
+def cycle_lengths(image) -> list[int]:
+    """The cycle lengths of the permutation i -> image[i], by first element.
+
+    >>> cycle_lengths([1, 0, 2, 4, 5, 3])
+    [2, 1, 3]
+    """
     n = len(image)
     lengths, seen = [], [False] * n
     for start in range(n):
@@ -382,9 +412,117 @@ def signed_cycle_cokernels(image, eps: int, q: int) -> tuple[list[int], list[int
             i = image[i]
         if length:
             lengths.append(length)
-    fixed = [q**l - eps**l for l in lengths]
-    centralizer = [0 if eps**l == 1 else 2 for l in lengths]
-    return fixed, centralizer
+    return lengths
+
+
+def textbook_smith_invariants(rows, cols: int) -> tuple[int, ...]:
+    """The Smith invariants of a small dense matrix, zeros last, by the textbook route.
+
+    Move a least nonzero |entry| of the trailing block to its corner, clear
+    its row and column by division with remainder, and start over while a
+    remainder survives; once the corner divides nothing else fails, add a
+    row whose entry it does not divide to its row and start over.
+
+    >>> textbook_smith_invariants([[2, 4], [6, 8]], 2)
+    (2, 4)
+    >>> textbook_smith_invariants([[4, 0, 6]], 3)
+    (2,)
+    """
+    a = [list(r) for r in rows]
+    m, out = len(a), []
+    t = 0
+    while t < min(m, cols):
+        block = [(abs(a[i][j]), i, j) for i in range(t, m) for j in range(t, cols) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
+        d = a[t][t]
+        for i in range(t + 1, m):
+            k = a[i][t] // d
+            a[i] = [x - k * y for x, y in zip(a[i], a[t])]
+        for j in range(t + 1, cols):
+            k = a[t][j] // d
+            for row in a:
+                row[j] -= k * row[t]
+        if any(a[i][t] for i in range(t + 1, m)) or any(a[t][j] for j in range(t + 1, cols)):
+            continue
+        bad = next((i for i in range(t + 1, m) for j in range(t + 1, cols) if a[i][j] % d), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+            continue
+        out.append(abs(d))
+        t += 1
+    return tuple(out) + (0,) * (min(m, cols) - len(out))
+
+
+def type_a_fixed_cokernel(family: str, lengths, eps: int, q: int) -> tuple[int, tuple[int, ...]]:
+    """coker(w - q) on a type A preset's lattice, for w = eps * sigma on e-coordinates.
+
+    sigma has cycle lengths l_1, ..., l_r; C = Z/(q^l_1 - eps^l_1) + ..., one
+    generator g_i per cycle, is the answer on Z^n (GL).  The sum-zero lattice
+    (SL's preset, the root lattice) and Z^n / Z(1, ..., 1) (PGL's preset, the
+    weight lattice) are read off C with the sums s_i = sum_{k < l_i} (eps q)^k:
+
+    * PGL: C / <(s_1, ..., s_r)>, the cokernel of [diag(q^l_i - eps^l_i) | s],
+      since (1, ..., 1) restricted to cycle i is sum_k eps^k w^k e_i;
+    * SL: the kernel of C -> Z/(q - eps), g_i -> 1, written in the basis
+      g_1 - g_2, ..., g_{r-1} - g_r, (q - eps) g_r of the preimage lattice.
+
+    Returns (free rank, invariant factors > 1) from `textbook_smith_invariants`.
+    The finite torus coker(q w^T - 1) = coker(w^{-T} - q) is the other
+    semisimple preset's formula at the same cycle type and eps.
+
+    >>> type_a_fixed_cokernel("SL", [3], 1, 3), type_a_fixed_cokernel("PGL", [3], 1, 3)
+    ((0, (13,)), (0, (13,)))
+    >>> type_a_fixed_cokernel("SL", [1, 1], 1, 7)
+    (0, (6,))
+    """
+    d = [q**l - eps**l for l in lengths]
+    r = len(d)
+    diagonal = [[d[i] if i == j else 0 for j in range(r)] for i in range(r)]
+    if family == "GL":
+        rows, cols = diagonal, r
+    elif family == "PGL":
+        sums = [sum((eps * q) ** k for k in range(l)) for l in lengths]
+        rows, cols = [row + [s] for row, s in zip(diagonal, sums)], r + 1
+    else:
+        # the column of d_j g_j has coordinates d_j on the first r - 1 basis
+        # vectors from j on and d_j / (q - eps) on the last
+        rows = [[d[j] if j <= i else 0 for j in range(r)] for i in range(r - 1)]
+        rows, cols = rows + [[x // (q - eps) for x in d]], r
+    invariants = textbook_smith_invariants(rows, cols)
+    nonzero = [x for x in invariants if x]
+    return r - len(nonzero), tuple(x for x in nonzero if x > 1)
+
+
+def preset_twist_matrix(family: str, perm, eps: int) -> list[list[int]]:
+    """w = eps * sigma, e_i -> eps e_perm[i], as the dense matrix of a preset's basis.
+
+    Column j is the image of basis vector j: e_j for GL; the simple root
+    e_j - e_{j+1} for SL, whose image e_a - e_b is +-(ones on a..b-1); the
+    fundamental weight e_0 + ... + e_j mod (1, ..., 1) for PGL, whose image x
+    has coordinates x_i - x_{i+1}.
+
+    >>> preset_twist_matrix("SL", [1, 2, 0], 1)
+    [[0, -1], [1, -1]]
+    >>> preset_twist_matrix("PGL", [1, 2, 0], 1)
+    [[-1, -1], [1, 0]]
+    """
+    n = len(perm)
+    if family == "GL":
+        return [[eps * (perm[j] == i) for j in range(n)] for i in range(n)]
+    columns, x = [], [0] * n
+    for j in range(n - 1):
+        if family == "SL":
+            (lo, hi), sign = sorted(perm[j : j + 2]), eps if perm[j] < perm[j + 1] else -eps
+            columns.append([0] * lo + [sign] * (hi - lo) + [0] * (n - 1 - hi))
+        else:
+            x[perm[j]] = 1  # x is now e_perm[0] + ... + e_perm[j]
+            columns.append([eps * (x[i] - x[i + 1]) for i in range(n - 1)])
+    return [list(row) for row in zip(*columns)]
 
 
 def pairwise_diagonal_invariants(diagonal) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ from llc_params.blocks import (
 from llc_params.cocycles import component_descriptor
 from llc_params.errors import InvalidPrimePower, LlcError
 from llc_params.lattice import IntMatrix
-from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
+from llc_params.rootdata import coxeter_twist, identity_twist, preset, weyl_twist
 
 from oracles import gln_block_descriptor
 
@@ -37,12 +37,12 @@ def test_finite_torus_gl_n_is_cyclic_of_order_q_n_minus_1():
 
 
 def test_finite_torus_untwisted():
-    t = finite_torus(WeylTwist(IntMatrix.identity(2)), 11)
+    t = finite_torus(identity_twist(preset("GL", 2)), 11)
     assert t == FinGenAbGroup(0, (10, 10))
 
 
 def test_finite_torus_rank_one_negation():
-    t = finite_torus(WeylTwist(IntMatrix([[-1]])), 11)
+    t = finite_torus(weyl_twist(preset("GL", 1), IntMatrix([[-1]])), 11)
     assert t == FinGenAbGroup.cyclic(12)
 
 
@@ -51,13 +51,13 @@ def test_finite_torus_rejects_q_not_a_prime_power(q):
     # q = 1 used to blame the twist with an internal error; 0, -3 and 6
     # used to return a group
     with pytest.raises(InvalidPrimePower) as exc:
-        finite_torus(WeylTwist(IntMatrix([[1]])), q)
+        finite_torus(identity_twist(preset("GL", 1)), q)
     assert exc.value.code == "q-not-prime-power"
 
 
 def test_ell_block_invariant():
     # the block torsion is the ell-primary part of the finite torus Z/120
-    w = WeylTwist(coxeter_twist(preset("GL", 2)).matrix.transpose())
+    w = coxeter_twist(preset("GL", 2)).transpose()
     torsion = {ell: torus_block_descriptor(w, 11, ell).torsion for ell in (3, 5, 7)}
     assert torsion[3] == FinGenAbGroup.cyclic(3)
     assert torsion[5] == FinGenAbGroup.cyclic(5)
@@ -71,7 +71,7 @@ def test_ell_block_invariant():
 def _gl_block(n, q, ell):
     """The GL_n block at the Coxeter torus, through the transposed twist."""
     w = coxeter_twist(preset("GL", n))
-    return torus_block_descriptor(WeylTwist(w.matrix.transpose()), q, ell, coxeter_number=n)
+    return torus_block_descriptor(w.transpose(), q, ell, coxeter_number=n)
 
 
 def _without_flags(block):
@@ -109,7 +109,7 @@ def test_gln_block_coxeter_flag_can_fail():
 
 
 def test_gln_block_descriptor_validation():
-    w = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
+    w = weyl_twist(preset("GL", 2), IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(LlcError) as exc:
         torus_block_descriptor(w, 12, 5)
     assert exc.value.code == "q-not-prime-power"
@@ -117,7 +117,7 @@ def test_gln_block_descriptor_validation():
 
 def test_torus_block_descriptor_a1():
     # cocharacter twist -1 for the rank-one elliptic torus: order q + 1
-    b = torus_block_descriptor(WeylTwist(IntMatrix([[-1]])), 11, 3, coxeter_number=2)
+    b = torus_block_descriptor(coxeter_twist(preset("SL", 2)).transpose(), 11, 3, coxeter_number=2)
     assert b.finite_torus_order == 12
     assert b.torsion == FinGenAbGroup.cyclic(3)
     assert b.free_rank == 0
@@ -133,8 +133,8 @@ def test_torus_block_descriptor_matches_gln_numbers():
 
 def test_torus_block_free_rank_counts_fixed_directions():
     # the identity twist fixes every direction; a transposition fixes n - 1
-    assert torus_block_descriptor(WeylTwist(IntMatrix.identity(3)), 7, 3).free_rank == 3
-    swap = WeylTwist(IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
+    assert torus_block_descriptor(identity_twist(preset("GL", 3)), 7, 3).free_rank == 3
+    swap = weyl_twist(preset("GL", 3), IntMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
     assert torus_block_descriptor(swap, 7, 3).free_rank == 2
 
 
@@ -219,7 +219,7 @@ def test_match_desk_case_pgl2():
     rd = preset("PGL", 2)
     comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
     w = coxeter_twist(rd)
-    block = torus_block_descriptor(WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
+    block = torus_block_descriptor(w.transpose(), 11, 3, coxeter_number=2)
     report = match_sides(comp, block)
     assert comp.mu == FinGenAbGroup.cyclic(3)
     assert report.isomorphic
@@ -231,7 +231,7 @@ def test_match_desk_case_sl2():
     rd = preset("SL", 2)
     comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
     w = coxeter_twist(rd)
-    block = torus_block_descriptor(WeylTwist(w.matrix.transpose()), 11, 3, coxeter_number=2)
+    block = torus_block_descriptor(w.transpose(), 11, 3, coxeter_number=2)
     report = match_sides(comp, block)
     assert report.isomorphic
     assert report.free_ranks_agree

@@ -16,8 +16,10 @@ import pytest
 import llc_params
 from llc_params import arith, cli
 from llc_params.lattice import IntMatrix, smith_normal_form
-from llc_params.rootdata import WeylTwist, coxeter_twist, preset
+from llc_params.rootdata import coxeter_twist, identity_twist, preset
 from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, admissible_ells
+
+from oracles import cycle_lengths, preset_twist_matrix, shifted, type_a_fixed_cokernel
 
 BUDGET_S = 1.5
 PSI_12 = 318665857834031151167461  # strong pseudoprime to 2..37; base 41 catches it
@@ -198,51 +200,84 @@ def test_a_dense_weyl_matrix_is_refused_within_budget():
 
 def test_gl300_coxeter_smith_form_is_fast():
     n = 300
-    w = IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
+    rows = [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)]
+    w_minus_3 = IntMatrix(shifted(rows, 1, -3))
     start = perf_counter()
-    invariants = smith_normal_form(w.shifted(1, -3))
+    invariants = smith_normal_form(w_minus_3)
     elapsed = perf_counter() - start
     assert elapsed < BUDGET_S, f"GL_300 w - 3 took {elapsed:.2f} s"
     assert invariants == (1,) * (n - 1) + (3**n - 1,)
 
 
-def test_gl5000_twist_matrices_are_built_from_their_nonzeros():
-    # a matrix is held as its nonzeros, so the n-cycle, its shift, its
-    # transpose and the identity cost O(n), not n^2 entries
-    n = 5000
+def test_gl5000_twist_matrices_are_built_from_their_nonzeros(monkeypatch):
+    # a twist is its signed permutation and a matrix is held as its nonzeros,
+    # so the n-cycle, its transpose, the identity and the presentations of
+    # w - 3 and its transpose cost O(n), not n^2 entries
+    from llc_params import abgroups
 
-    def built(make, nnz):
+    n = 5000
+    rd = preset("GL", n)
+    presented = []
+    snf = abgroups.smith_normal_form
+    monkeypatch.setattr(abgroups, "smith_normal_form", lambda a: presented.append(a) or snf(a))
+
+    def built(make):
         start = perf_counter()
-        m = make()
+        out = make()
         elapsed = perf_counter() - start
         assert elapsed < BUDGET_S, f"GL_{n} matrix took {elapsed:.2f} s"
+        return out
+
+    for twist, nnz in (
+        (built(lambda: coxeter_twist(rd)), 2 * n),
+        (built(coxeter_twist(rd).transpose), 2 * n),
+        (built(lambda: identity_twist(rd)), n),
+    ):
+        assert len(twist.perm) == n
+        built(lambda: twist.cokernel(1, -3))
+        m = presented.pop()
         assert (m.rows, m.cols, sum(map(len, m.nonzeros))) == (n, n, nnz)
-        return m
-
-    w = built(lambda: coxeter_twist(preset("GL", n)).matrix, n)
-    built(lambda: w.shifted(1, -3), 2 * n)
-    built(w.transpose, n)
-    built(lambda: IntMatrix.identity(n), n)
+        t = built(m.transpose)
+        assert (t.rows, t.cols, sum(map(len, t.nonzeros))) == (n, n, nnz)
 
 
-@pytest.mark.parametrize("family,n", [("GL", 1000), ("SL", 200)])
-def test_explicit_coxeter_twists_validate_fast(family, n):
-    # an explicit matrix is checked once, by the sparse Smith form of w; the
-    # SL_n Coxeter matrix (adjoint basis) is the companion matrix of
-    # 1 + x + ... + x^(n-1), checked against the preset at a small rank
-    if family == "GL":
-        rows = [[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)]
-    else:
-        m = n - 1
-        rows = [[1 if i == j + 1 else -(j == m - 1) for j in range(m)] for i in range(m)]
-        small = [[1 if i == j + 1 else -(j == 4) for j in range(5)] for i in range(5)]
-        assert coxeter_twist(preset("SL", 6)).matrix == IntMatrix(small)
-    w = IntMatrix(rows)
-    start = perf_counter()
-    twist = WeylTwist(w)
-    elapsed = perf_counter() - start
-    assert elapsed < BUDGET_S, f"{family}_{n} twist check took {elapsed:.2f} s"
-    assert twist.matrix == w
+def _explicit_argv(cmd, family, perm, weyl):
+    return [cmd, "--group", family, "--n", str(len(perm)), "--q", "3", "--ell", "5",
+            "--weyl", weyl, "--output", "json"]
+
+
+@pytest.mark.parametrize(
+    "cmd,family,n",
+    [("block", "GL", 1000), ("match", "GL", 1000), ("match", "SL", 200)],
+    ids=["GL-1000", "GL-1000-match", "SL-200"],
+)
+def test_explicit_coxeter_twists_validate_fast(cmd, family, n):
+    # an explicit matrix is read as its signed permutation in O(nnz): no Smith
+    # form of its own and no root list.  The GL_1000 JSON passes 128 KiB, the
+    # limit on one argv string, so the matrices reach the program by `cli.run`
+    perm = [(j + 1) % n for j in range(n)]
+    explicit = json.dumps(preset_twist_matrix(family, perm, 1))
+    code, text = run_timed(_explicit_argv(cmd, family, perm, explicit))
+    assert code == 0
+    payload = json.loads(text)
+    coxeter = json.loads(run_timed(_explicit_argv(cmd, family, perm, "coxeter"))[1])
+    assert payload["input"].pop("weyl") == explicit
+    assert coxeter["input"].pop("weyl") == "coxeter"
+    assert payload == coxeter
+
+
+def test_a_random_explicit_sl400_twist_answers_within_budget():
+    n = 400
+    perm = random.Random(n).sample(range(n), n)
+    explicit = json.dumps(preset_twist_matrix("SL", perm, 1))
+    code, text = run_timed(_explicit_argv("block", "SL", perm, explicit))
+    assert code == 0
+    # the finite torus on the cocharacters (the simply connected lattice)
+    free, torsion = type_a_fixed_cokernel("PGL", cycle_lengths(perm), 1, 3)
+    order = 1
+    for d in torsion:
+        order *= d
+    assert free == 0 and json.loads(text)["block"]["finiteTorusOrder"] == order
 
 
 # GL_2 q=3137: q^2 - 1 = 9840768, just under the 10^7 modulus cap, and its

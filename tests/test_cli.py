@@ -12,7 +12,10 @@ from jsonschema import Draft202012Validator
 
 from llc_params import cli
 from llc_params.cocycles import component_descriptor
+from llc_params.lattice import IntMatrix
 from llc_params.rootdata import coxeter_twist, preset
+
+from oracles import preset_twist_matrix
 
 SCHEMA = json.loads((Path(__file__).resolve().parent.parent / "docs" / "schema.json").read_text())
 VALIDATOR = Draft202012Validator(SCHEMA)
@@ -248,23 +251,31 @@ def test_component_takes_each_invariant_once(monkeypatch):
     calls = _count_snf(monkeypatch)
     code, _ = run_cli(["component", "--n", "4", "--q", "11", "--ell", "5"])
     assert code == 0
-    # coker(w - q), coker(1 - w) and the center; the Coxeter twist is
-    # unimodular by construction, so w itself is never checked
+    # coker(w - q), coker(1 - w) and the center; the Coxeter twist is a
+    # signed permutation by construction, so w itself is never checked
     assert len(calls) == 3
-    assert coxeter_twist(preset("GL", 4)).matrix not in calls
+    assert IntMatrix(preset_twist_matrix("GL", [1, 2, 3, 0], 1)) not in calls
 
 
 @pytest.mark.parametrize("cmd", ["component", "match"])
 def test_an_explicit_weyl_matrix_is_checked_for_unimodularity_once(monkeypatch, cmd):
-    calls = _count_snf(monkeypatch)
+    from llc_params import rootdata
+
+    calls, generated = _count_snf(monkeypatch), []
+    generate = rootdata.RootDatum._roots_and_coroots
+    monkeypatch.setattr(
+        rootdata.RootDatum, "_roots_and_coroots", lambda rd: generated.append(rd) or generate(rd)
+    )
     swap = [[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]]
     code, _ = run_cli([cmd, "--n", "4", "--q", "11", "--ell", "5", "--weyl", json.dumps(swap)])
     assert code == 0
-    # weyl_twist checks the matrix when it makes the twist; the component
-    # and the transposed block-side twist take it as it is
-    assert [a for a in calls if a.data == tuple(map(tuple, swap))] == [calls[0]]
-    # then the component's three invariants, and the block's two
-    assert calls[0].rows == 4 and len(calls) == {"component": 4, "match": 6}[cmd]
+    # weyl_twist checks the matrix once, by reading it as a signed
+    # permutation (unimodular by construction): it takes no Smith form of its
+    # own and generates no roots
+    assert [a for a in calls if a.data == tuple(map(tuple, swap))] == []
+    assert generated == []
+    # only the component's three invariants, and the block's two
+    assert {a.rows for a in calls} == {4} and len(calls) == {"component": 3, "match": 5}[cmd]
 
 
 @pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])
@@ -272,18 +283,21 @@ def test_an_explicit_weyl_matrix_is_checked_for_unimodularity_once(monkeypatch, 
 def test_descriptor_matrices_are_no_wider_than_the_rank(monkeypatch, cmd, group, n):
     from llc_params import abgroups
 
-    widths = []
+    widths, sizes = [], []
     snf = abgroups.smith_normal_form
 
     def recording_snf(a):
         widths.append(a.cols)
+        sizes.append(sum(map(len, a.nonzeros)))
         return snf(a)
 
     monkeypatch.setattr(abgroups, "smith_normal_form", recording_snf)
     code, _ = run_cli([cmd, "--group", group, "--n", str(n), "--q", "11", "--ell", "5"])
     assert code == 0
-    rank = n if group == "GL" else n - 1
-    assert widths and max(widths) <= rank, widths
+    # a twist's cokernels are presented in e-coordinates, on n rows: the
+    # simply connected lattice Z^n / Z(1, ..., 1) takes one column more
+    assert widths and max(widths) <= n + 1, widths
+    assert max(sizes) <= 5 * n, sizes
 
 
 @pytest.fixture(scope="module")
@@ -562,16 +576,18 @@ def test_text_reports_never_build_their_json_body(monkeypatch, argv):
 
 @pytest.mark.parametrize("group", ["GL", "SL", "PGL"])
 def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, group):
-    """Text reports with the Coxeter and identity twists, and the grid, read
-    only a preset's simple system; component JSON and an explicit --weyl
-    matrix are the two that need every root."""
+    """Text reports with the Coxeter, identity and explicit twists, and the
+    grid, read only a preset's simple system; component JSON and a refused
+    explicit --weyl matrix are the two that need every root."""
     from llc_params import rootdata
 
     geometry = ["--group", group, "--n", "5", "--q", "11", "--ell", "5"]
+    rank = 5 if group == "GL" else 4
+    identity = json.dumps([[int(i == j) for j in range(rank)] for i in range(rank)])
     argvs = [
         [cmd, *geometry, "--weyl", weyl]
         for cmd in ("component", "block", "match")
-        for weyl in ("coxeter", "identity")
+        for weyl in ("coxeter", "identity", identity)
     ]
     if group == "GL":
         argvs += [["summary", *geometry], ["--grid"]]
@@ -583,15 +599,17 @@ def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, g
 
     monkeypatch.setattr(rootdata.RootDatum, "_roots_and_coroots", refuse)
     assert [run_cli(argv) for argv in argvs] == expected
-    rank = 5 if group == "GL" else 4
-    identity = json.dumps([[int(i == j) for j in range(rank)] for i in range(rank)])
+    # unimodular, but it moves a root
+    transvection = json.dumps(
+        [[int(i == j or (i, j) == (0, 1)) for j in range(rank)] for i in range(rank)]
+    )
     assert run_cli(["component", *geometry, "--output", "json"])[0] == 1
-    assert run_cli(["match", *geometry, "--weyl", identity])[0] == 1
+    assert run_cli(["match", *geometry, "--weyl", transvection])[0] == 1
 
 
 @pytest.mark.parametrize("group,n", [("SL", 16), ("GL", 24)])
 def test_component_json_with_an_explicit_twist_generates_the_roots_once(monkeypatch, group, n):
-    """weyl_twist's root check and the datum's JSON read one root list."""
+    """The datum's JSON reads the one root list; weyl_twist reads none."""
     from llc_params import rootdata
 
     calls = []
@@ -602,7 +620,7 @@ def test_component_json_with_an_explicit_twist_generates_the_roots_once(monkeypa
         return generate(self)
 
     monkeypatch.setattr(rootdata.RootDatum, "_roots_and_coroots", counting)
-    explicit = json.dumps([list(r) for r in coxeter_twist(preset(group, n)).matrix.data])
+    explicit = json.dumps(preset_twist_matrix(group, [(j + 1) % n for j in range(n)], 1))
     geometry = ["--group", group, "--n", str(n), "--q", "11", "--ell", "5"]
     code, payload = run_json(["component", *geometry, "--weyl", explicit, "--output", "json"])
     assert code == 0 and len(payload["datum"]["roots"]) == n * (n - 1)
@@ -614,10 +632,8 @@ def test_reports_read_matrices_as_their_nonzeros(monkeypatch, group):
     """Only the constructor (input) and `IntMatrix.data` (read-out) know the
     dense format: every report, in text and in JSON, prints the same bytes
     when the read-out refuses."""
-    from llc_params.lattice import IntMatrix
-
     geometry = ["--group", group, "--n", "5", "--q", "11", "--ell", "5"]
-    explicit = json.dumps([list(r) for r in coxeter_twist(preset(group, 5)).matrix.data])
+    explicit = json.dumps(preset_twist_matrix(group, [1, 2, 3, 4, 0], 1))
     argvs = [
         [cmd, *geometry, "--weyl", weyl]
         for cmd in ("component", "block", "match")

@@ -12,13 +12,17 @@ from llc_params.cocycles import (
     frob_fixed_scheme,
     twisted_centralizer,
 )
-from llc_params.errors import InvalidPrimePower, LlcError
+from llc_params.errors import DimensionMismatch, InvalidPrimePower, LlcError
 from llc_params.lattice import IntMatrix
-from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
+from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset, weyl_twist
 
 
 def _gl_coxeter(n):
     return coxeter_twist(preset("GL", n))
+
+
+def _gl2_swap():
+    return weyl_twist(preset("GL", 2), IntMatrix([[0, 1], [1, 0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -27,7 +31,7 @@ def _gl_coxeter(n):
 
 def test_component_descriptor_validation():
     rd = preset("GL", 2)
-    w = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
+    w = weyl_twist(rd, IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(LlcError) as exc:
         component_descriptor(preset("GL", 3), w, 11, 5)
     assert exc.value.code == "dimension-mismatch"
@@ -38,14 +42,14 @@ def test_component_descriptor_validation():
         component_descriptor(rd, w, 11, 11)
     assert exc.value.code == "ell-equals-p"
     with pytest.raises(LlcError):
-        WeylTwist(IntMatrix([[2, 0], [0, 1]]))
+        weyl_twist(rd, IntMatrix([[2, 0], [0, 1]]))
 
 
 @pytest.mark.parametrize("q", [1, 0, -3, 6])
 def test_frob_fixed_scheme_rejects_q_not_a_prime_power(q):
     # q = 1 would otherwise blame the twist with an internal error
     with pytest.raises(InvalidPrimePower) as exc:
-        frob_fixed_scheme(WeylTwist(IntMatrix([[1]])), q)
+        frob_fixed_scheme(identity_twist(preset("GL", 1)), q)
     assert exc.value.code == "q-not-prime-power"
 
 
@@ -66,7 +70,7 @@ def test_gl3_fixed_scheme():
 
 
 def test_untwisted_fixed_scheme_is_product_of_mu_q_minus_1():
-    assert frob_fixed_scheme(WeylTwist(IntMatrix.identity(2)), 11) == FinGenAbGroup(0, (10, 10))
+    assert frob_fixed_scheme(identity_twist(preset("GL", 2)), 11) == FinGenAbGroup(0, (10, 10))
 
 
 def test_mu_invariant_values():
@@ -104,7 +108,7 @@ def test_a1_centralizer_is_mu_2():
 
 
 def test_identity_twist_centralizer_is_full_torus():
-    assert twisted_centralizer(WeylTwist(IntMatrix.identity(3))) == FinGenAbGroup(3, ())
+    assert twisted_centralizer(identity_twist(preset("GL", 3))) == FinGenAbGroup(3, ())
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,7 @@ def test_a1_coxeter_is_elliptic():
 
 def test_ellipticity_shape_check():
     with pytest.raises(LlcError) as exc:
-        component_descriptor(preset("GL", 3), WeylTwist(IntMatrix([[0, 1], [1, 0]])), 11, 5)
+        component_descriptor(preset("GL", 3), _gl2_swap(), 11, 5)
     assert exc.value.code == "dimension-mismatch"
 
 
@@ -240,7 +244,13 @@ def test_gl_identity_twist_descriptor():
 
 def test_component_descriptor_shape_check():
     with pytest.raises(LlcError):
-        component_descriptor(preset("GL", 3), WeylTwist(IntMatrix([[0, 1], [1, 0]])), 11, 5)
+        component_descriptor(preset("GL", 3), _gl2_swap(), 11, 5)
+
+
+def test_a_twist_of_another_datum_is_refused():
+    # a GL_3 twist has the rank of SL_4's lattice, but acts on another one
+    with pytest.raises(DimensionMismatch):
+        component_descriptor(preset("SL", 4), coxeter_twist(preset("GL", 3)), 11, 5)
 
 
 def test_descriptor_json_keys():
@@ -262,10 +272,10 @@ def test_descriptor_json_keys():
 
 
 def test_finite_cokernel_guard_fires_on_non_frobenius_input():
-    # no unimodular matrix has the eigenvalue q, so take w = q id unchecked:
-    # w - q id is zero and its cokernel infinite
+    # no signed permutation has the eigenvalue q, so take the record
+    # e_i -> q e_i, which is none: w - q id is zero and its cokernel infinite
     with pytest.raises(LlcError) as exc:
-        frob_fixed_scheme(WeylTwist._trusted(IntMatrix([[11, 0], [0, 11]])), 11)
+        frob_fixed_scheme(WeylTwist("gl", (0, 1), 11), 11)
     assert exc.value.code == "internal-error"
     assert exc.value.exit_code == 1
 

@@ -8,14 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llc_params.abgroups import FinGenAbGroup, cokernel
-from llc_params.errors import DimensionMismatch, InvalidArgument, LlcError
+from llc_params.errors import InvalidArgument, LlcError
 from llc_params.lattice import IntMatrix, diagonal_invariants, smith_normal_form
-from llc_params.rootdata import WeylTwist, center_char_group, coxeter_twist, preset
+from llc_params.rootdata import center_char_group, preset, weyl_twist
 
 from oracles import (
     determinantal_divisors,
     gauss_det,
+    identity,
     pairwise_diagonal_invariants,
+    preset_twist_matrix,
+    shifted,
     smith_invariants_by_minors,
 )
 
@@ -89,14 +92,14 @@ def test_empty_shapes():
     z = IntMatrix([], cols=3)
     assert (z.rows, z.cols) == (0, 3)
     assert IntMatrix([[], []]).cols == 0
-    assert cokernel(IntMatrix.identity(0)).is_trivial
+    assert cokernel(IntMatrix([], cols=0)).is_trivial
 
 
 def test_a_matrix_is_held_as_its_nonzeros():
     m = IntMatrix([[0, 3, 0, -1], [0, 0, 0, 0], [5, 0, 0, 0]])
     assert m.nonzeros == (((1, 3), (3, -1)), (), ((0, 5),))
     assert m.data == ((0, 3, 0, -1), (0, 0, 0, 0), (5, 0, 0, 0))
-    assert IntMatrix.identity(3).nonzeros == (((0, 1),), ((1, 1),), ((2, 1),))
+    assert IntMatrix(identity(3)).nonzeros == (((0, 1),), ((1, 1),), ((2, 1),))
     assert m.transpose().nonzeros == (((2, 5),), ((0, 3),), (), ((0, -1),))
 
 
@@ -138,7 +141,8 @@ def _product(a, b):
 def _unimodularity_net():
     """Square matrices of size 0 to 8 in every class the twist check separates.
 
-    Signed permutations (all of them up to size 3, seeded ones to size 8),
+    Signed permutations (all of them up to size 3, seeded ones to size 8,
+    with mixed signs and with one sign),
     seeded signed permutations times transvections (unimodular, not
     permutations), seeded small random matrices, singular ones made by
     repeating or scaling a row or by a zero row, and products with a
@@ -147,6 +151,10 @@ def _unimodularity_net():
     rng = random.Random(20251101)
     cases = [rows for n in range(4) for rows in _signed_permutations(n)]
     cases += [_random_signed_permutation(rng, rng.randint(4, 8)) for _ in range(40)]
+    for _ in range(40):
+        n, sign = rng.randint(4, 8), rng.choice((1, -1))
+        perm = rng.sample(range(n), n)
+        cases.append([[sign * (perm[i] == j) for j in range(n)] for i in range(n)])
     for _ in range(40):
         n = rng.randint(2, 6)
         t = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -169,33 +177,41 @@ def _unimodularity_net():
     return cases
 
 
-def test_a_twist_is_accepted_iff_its_determinant_is_a_unit():
-    outcomes = {"accepted": 0, "singular": 0, "other": 0}
+def test_a_twist_is_refused_as_not_unimodular_iff_its_determinant_is_not_a_unit():
+    # weyl_twist reads a signed permutation without a Smith form; any other
+    # matrix takes the unimodularity check first, then the root checks
+    outcomes = {"accepted": 0, "unimodular, refused": 0, "singular": 0, "other": 0}
     for rows in _unimodularity_net():
-        m = IntMatrix(rows, cols=len(rows))
-        det = gauss_det(rows)
+        if not rows:  # no datum has rank 0
+            continue
+        n = len(rows)
+        m, rd, det = IntMatrix(rows, cols=n), preset("GL", n), gauss_det(rows)
         try:
-            twist = WeylTwist(m)
+            twist = weyl_twist(rd, m)
         except InvalidArgument as err:
-            assert abs(det) != 1, rows
-            assert (err.message, err.hint) == (
-                "twist matrix is not unimodular",
-                "the determinant must be 1 or -1",
-            )
-            outcomes["singular" if det == 0 else "other"] += 1
+            if abs(det) == 1:
+                assert err.message.startswith(("twist does not permute the roots",
+                                               "twist does not preserve the coroots")), rows
+                outcomes["unimodular, refused"] += 1
+            else:
+                assert (err.message, err.hint) == (
+                    "twist matrix is not unimodular",
+                    "the determinant must be 1 or -1",
+                )
+                outcomes["singular" if det == 0 else "other"] += 1
         else:
             assert abs(det) == 1, rows
-            assert twist.matrix == m
-            assert twist.transpose().matrix == m.transpose()
+            assert weyl_twist(rd, m.transpose()) == twist.transpose()
             outcomes["accepted"] += 1
-    # the net takes every route: units, singular matrices and other determinants
+    # the net takes every route: twists, other units, singular matrices and
+    # other determinants
     assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_a_twist_must_be_square():
     for m in (IntMatrix([[1, 2]]), IntMatrix([[1], [0]]), IntMatrix([], cols=2)):
-        with pytest.raises(InvalidArgument, match="a twist must be a square matrix"):
-            WeylTwist(m)
+        with pytest.raises(InvalidArgument, match=r"^twist must be 2x2 for GL_2, got "):
+            weyl_twist(preset("GL", 2), m)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +258,7 @@ def test_snf_zero_and_empty():
 
 
 def test_snf_identity():
-    assert assert_snf_contract(IntMatrix.identity(3)) == (1, 1, 1)
+    assert assert_snf_contract(IntMatrix(identity(3))) == (1, 1, 1)
 
 
 def test_snf_rectangular():
@@ -319,7 +335,7 @@ def test_sparse_snf_matches_minors_oracle(m):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(signed_permutations(), _small, _small)
 def test_sparse_snf_of_shifted_signed_permutations(w, s, t):
-    assert_snf_contract(w.shifted(s, t))
+    assert_snf_contract(_shifted(w, s, t))
 
 
 def test_diagonal_invariants_is_the_snf_of_a_diagonal():
@@ -434,10 +450,12 @@ def test_the_remainder_net_against_the_minors_oracle(shape):
 
 
 def _coxeter(family, n):
-    """The preset Coxeter element; GL's n-cycle is written down directly."""
-    if family == "GL":
-        return IntMatrix([[1 if i == (j + 1) % n else 0 for j in range(n)] for i in range(n)])
-    return coxeter_twist(preset(family, n)).matrix
+    """The preset Coxeter element e_j -> e_{j+1}, written densely in the preset's basis."""
+    return IntMatrix(preset_twist_matrix(family, [(j + 1) % n for j in range(n)], 1))
+
+
+def _shifted(w, s, t):
+    return IntMatrix(shifted(w.data, s, t), cols=w.cols)
 
 
 @pytest.mark.parametrize(
@@ -453,16 +471,16 @@ def test_coxeter_twisted_tori_have_closed_forms(family, n, q):
     rank = w.rows
     order = q**n - 1 if family == "GL" else (q**n - 1) // (q - 1)
     ones = (1,) * (rank - 1)
-    assert smith_normal_form(w.shifted(1, -q)) == ones + (order,)
-    assert smith_normal_form(w.transpose().shifted(q, -1)) == ones + (order,)
-    fixed = smith_normal_form(w.shifted(-1, 1))
+    assert smith_normal_form(_shifted(w, 1, -q)) == ones + (order,)
+    assert smith_normal_form(_shifted(w.transpose(), q, -1)) == ones + (order,)
+    fixed = smith_normal_form(_shifted(w, -1, 1))
     assert fixed == ones + ((0,) if family == "GL" else (n,))
     if family == "PGL":
-        assert cokernel(w.shifted(-1, 1)) == center_char_group(preset("PGL", n))
+        assert cokernel(_shifted(w, -1, 1)) == center_char_group(preset("PGL", n))
 
 
 # ---------------------------------------------------------------------------
-# shifted and the trusted results agree with the validating constructor
+# the trusted results agree with the validating constructor
 
 
 def _public(rows, cols):
@@ -477,30 +495,11 @@ def _same_matrix(got, expected):
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(matrices(min_dim=0, max_dim=5, square=True), _small, _small)
-def test_shifted_equals_the_operator_route(w, s, t):
-    n = w.rows
-    expected = _public(
-        [[s * w.data[i][j] + (t if i == j else 0) for j in range(n)] for i in range(n)], n
-    )
-    _same_matrix(w.shifted(s, t), expected)
-
-
-def test_shifted_small_shapes():
-    _same_matrix(IntMatrix([]).shifted(3, -1), IntMatrix([], cols=0))
-    _same_matrix(IntMatrix([[5]]).shifted(2, -3), IntMatrix([[7]]))
-    with pytest.raises(DimensionMismatch):
-        IntMatrix([[1, 2]]).shifted(1, 1)
-    with pytest.raises(InvalidArgument):
-        IntMatrix([[1]]).shifted(True, 1)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
 @given(matrices())
 def test_trusted_results_equal_validated_ones(a):
     r, c = a.rows, a.cols
     _same_matrix(a.transpose(), _public([[a.data[i][j] for i in range(r)] for j in range(c)], r))
-    _same_matrix(IntMatrix.identity(r), _public([[int(i == j) for j in range(r)] for i in range(r)], r))
+    _same_matrix(IntMatrix._trusted(a.nonzeros, c), _public(a.data, c))
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ def test_trusted_results_equal_validated_ones(a):
 
 
 def test_rank_values():
-    assert _nonzero(smith_normal_form(IntMatrix.identity(3))) == 3
+    assert _nonzero(smith_normal_form(IntMatrix(identity(3)))) == 3
     assert _nonzero(smith_normal_form(IntMatrix([[1, 2], [2, 4]]))) == 1
     assert _nonzero(smith_normal_form(IntMatrix([[0, 0], [0, 0]]))) == 0
     assert _nonzero(smith_normal_form(IntMatrix([], cols=4))) == 0

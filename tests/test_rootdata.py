@@ -1,5 +1,8 @@
 """Root data presets, centers, Coxeter twists, validation."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,7 +20,14 @@ from llc_params.rootdata import (
     weyl_twist,
 )
 
-from oracles import gauss_det, matmul, root_datum_problems, smith_invariants_by_minors
+from oracles import (
+    gauss_det,
+    identity,
+    matmul,
+    preset_twist_matrix,
+    root_datum_problems,
+    smith_invariants_by_minors,
+)
 
 # ---------------------------------------------------------------------------
 # presets
@@ -176,25 +186,30 @@ def test_center_is_the_cokernel_of_all_roots(family):
 
 
 def test_gl_coxeter_twist_is_the_cycle_matrix():
-    assert coxeter_twist(preset("GL", 2)).matrix == IntMatrix([[0, 1], [1, 0]])
-    assert coxeter_twist(preset("GL", 3)).matrix == IntMatrix(
-        [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    )
+    gl2, gl3 = preset("GL", 2), preset("GL", 3)
+    assert coxeter_twist(gl2) == weyl_twist(gl2, IntMatrix([[0, 1], [1, 0]]))
+    assert coxeter_twist(gl3) == weyl_twist(gl3, IntMatrix([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
 
 
 def _matrix_order(m, cap=50):
     acc = m.data
     for k in range(1, cap + 1):
-        if acc == IntMatrix.identity(m.rows).data:
+        if acc == tuple(map(tuple, identity(m.rows))):
             return k
         acc = tuple(map(tuple, matmul(acc, m.data)))
     raise AssertionError("order not found within cap")
 
 
+def _coxeter_matrix(family, n):
+    """The n-cycle e_j -> e_{j+1}, written densely in the preset's basis."""
+    return IntMatrix(preset_twist_matrix(family, [(j + 1) % n for j in range(n)], 1))
+
+
 def test_coxeter_twist_has_order_n():
     for family in ("GL", "SL", "PGL"):
         for n in range(2, 7):
-            w = coxeter_twist(preset(family, n)).matrix
+            w = _coxeter_matrix(family, n)
+            assert weyl_twist(preset(family, n), w) == coxeter_twist(preset(family, n))
             assert _matrix_order(w) == n, (family, n)
 
 
@@ -202,9 +217,9 @@ def test_coxeter_twist_permutes_the_roots():
     for family in ("GL", "SL", "PGL"):
         for n in range(2, 6):
             rd = preset(family, n)
-            w = coxeter_twist(rd).matrix
-            # weyl_twist re-runs the permutation check; it must accept
-            assert weyl_twist(rd, w).matrix == w
+            w = _coxeter_matrix(family, n)
+            assert _permutes_the_roots(rd, w) and _preserves_every_coroot(rd, w)
+            assert weyl_twist(rd, w) == coxeter_twist(rd)
 
 
 def _simple_reflections(family, n):
@@ -224,13 +239,13 @@ def _simple_reflections(family, n):
 def test_coxeter_twist_is_the_product_of_simple_reflections(family):
     for n in range(2, 13):
         rd = preset(family, n)
-        product = IntMatrix.identity(rd.rank).data
+        product = identity(rd.rank)
         for s in _simple_reflections(family, n):
             product = matmul(product, s)
-        w = coxeter_twist(rd).matrix
-        assert w == IntMatrix(product, cols=rd.rank), (family, n)
+        w = IntMatrix(product, cols=rd.rank)
+        assert w == _coxeter_matrix(family, n), (family, n)
         assert _matrix_order(w) == n, (family, n)
-        assert weyl_twist(rd, w).matrix == w
+        assert weyl_twist(rd, w) == coxeter_twist(rd)
 
 
 @pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
@@ -279,6 +294,31 @@ def _preserves_every_coroot(rd, m):
     return True
 
 
+def _first_failing_check(rd, rows):
+    """The refusal a brute-force check gives first, or None: |det| != 1, then
+    the first root in `rd.roots` whose image is not a root, then the first
+    simple root (a positive root that is no sum of two) moving its coroot."""
+    r = rd.rank
+    if abs(gauss_det(rows)) != 1:
+        return "twist matrix is not unimodular"
+
+    def image(a):
+        return tuple(sum(rows[i][j] * a[j] for j in range(r)) for i in range(r))
+
+    for a in rd.roots:
+        if image(a) not in set(rd.roots):
+            return f"twist does not permute the roots: image of {a} is {image(a)}"
+    coroot = dict(zip(rd.roots, rd.coroots))
+    positive = rd.roots[: len(rd.roots) // 2]
+    for a in positive:
+        if any(tuple(x - y for x, y in zip(a, b)) in positive for b in positive):
+            continue
+        image_vee = coroot[image(a)]
+        if tuple(sum(rows[i][j] * image_vee[i] for i in range(r)) for j in range(r)) != coroot[a]:
+            return f"twist does not preserve the coroots at the root {a}"
+    return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from([("GL", 3), ("SL", 4), ("PGL", 4)]),
@@ -286,34 +326,64 @@ def _preserves_every_coroot(rd, m):
 )
 # fixes every root of GL_3 but moves the coroots
 @example(("GL", 3), [0, -1, -1, -1, 0, -1, 0, 0, 1])
+# unimodular, moves a root of each datum
+@example(("GL", 3), [1, 1, 0, 0, 1, 0, 0, 0, 1])
+@example(("SL", 4), [1, 1, 0, 0, 1, 0, 0, 0, 1])
+@example(("PGL", 4), [1, 1, 0, 0, 1, 0, 0, 0, 1])
 def test_weyl_twist_accepts_exactly_the_root_permuting_automorphisms(datum, entries):
     rd = preset(*datum)
-    m = IntMatrix([entries[0:3], entries[3:6], entries[6:9]])
+    rows = [entries[0:3], entries[3:6], entries[6:9]]
+    m = IntMatrix(rows)
     expected = (
-        abs(gauss_det([entries[0:3], entries[3:6], entries[6:9]])) == 1
+        abs(gauss_det(rows)) == 1
         and _permutes_the_roots(rd, m)
         and _preserves_every_coroot(rd, m)
     )
+    # a refusal names the brute-force oracle's first failing check
+    refusal = _first_failing_check(rd, rows)
+    assert (refusal is None) == expected
     try:
         weyl_twist(rd, m)
-    except InvalidArgument:
+    except InvalidArgument as err:
         assert not expected
+        assert err.message == refusal
     else:
         assert expected
 
 
+@pytest.mark.parametrize(
+    "datum,accepted",
+    [(("GL", 3), 12), (("SL", 4), 48), (("PGL", 4), 48)],
+    ids=["GL3", "SL4", "PGL4"],
+)
+def test_weyl_twist_accepts_exactly_the_signed_permutations_over_small_entries(datum, accepted):
+    # every 3x3 matrix with entries in {-1, 0, 1}: |W x {+-1}| is 2 * 3! for
+    # GL_3 and 2 * 4! for the rank 3 semisimple data
+    rd, count = preset(*datum), 0
+    for e in itertools.product((-1, 0, 1), repeat=9):
+        try:
+            weyl_twist(rd, IntMatrix([e[0:3], e[3:6], e[6:9]]))
+        except InvalidArgument:
+            continue
+        count += 1
+    assert count == accepted
+
+
 def test_rank_one_coxeter_is_negation():
-    assert coxeter_twist(preset("SL", 2)).matrix == IntMatrix([[-1]])
-    assert coxeter_twist(preset("PGL", 2)).matrix == IntMatrix([[-1]])
+    for family in ("SL", "PGL"):
+        rd = preset(family, 2)
+        assert coxeter_twist(rd) == weyl_twist(rd, IntMatrix([[-1]]))
+        assert identity_twist(rd) == weyl_twist(rd, IntMatrix([[1]]))
 
 
 def test_gl1_coxeter_is_identity():
-    assert coxeter_twist(preset("GL", 1)).matrix == IntMatrix.identity(1)
+    rd = preset("GL", 1)
+    assert coxeter_twist(rd) == identity_twist(rd) == weyl_twist(rd, IntMatrix([[1]]))
 
 
 def test_identity_twist():
     rd = preset("GL", 3)
-    assert identity_twist(rd).matrix == IntMatrix.identity(3)
+    assert identity_twist(rd) == weyl_twist(rd, IntMatrix(identity(3)))
     assert identity_twist(rd).rank == 3
 
 
@@ -339,46 +409,72 @@ def test_weyl_twist_validation():
 
 
 def test_a_twist_takes_its_determinant_once(monkeypatch):
-    """A twist's one Smith form (whose product is |det w|) is taken when it is
-    made; a bad matrix raises there, and twists that are unimodular by
-    construction take none."""
-    from llc_params import abgroups
+    """An explicit matrix that reads as a signed permutation takes no Smith
+    form and generates no roots; any other takes its one Smith form (whose
+    product is |det w|), and a bad one raises there.  Twists built in closed
+    form, and transposes, take none."""
+    from llc_params import abgroups, rootdata
 
-    calls = []
-    snf = abgroups.smith_normal_form
+    calls, generated = [], []
+    snf, generate = abgroups.smith_normal_form, rootdata.RootDatum._roots_and_coroots
 
     def counting_snf(a):
         calls.append(a)
         return snf(a)
 
+    def counting_roots(rd):
+        generated.append(rd.name)
+        return generate(rd)
+
     monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
-    swap = IntMatrix([[0, 1], [1, 0]])
-    w = WeylTwist(swap)
-    assert calls == [swap]
-    assert w.transpose().matrix == swap.transpose()
+    monkeypatch.setattr(rootdata.RootDatum, "_roots_and_coroots", counting_roots)
+    gl2, swap = preset("GL", 2), IntMatrix([[0, 1], [1, 0]])
+    w = weyl_twist(gl2, swap)
+    assert calls == generated == []
+    assert w.transpose() == weyl_twist(gl2, swap.transpose())
     bad = IntMatrix([[2, 0], [0, 1]])
     with pytest.raises(InvalidArgument, match="not unimodular"):
-        WeylTwist(bad)
-    assert calls == [swap, bad]
-    with pytest.raises(InvalidArgument, match="square"):
-        WeylTwist(IntMatrix([[1, 0]]))
+        weyl_twist(gl2, bad)
+    assert calls == [bad] and generated == []
+    with pytest.raises(InvalidArgument, match="must be 2x2"):
+        weyl_twist(gl2, IntMatrix([[1, 0]]))
     for family, n in (("GL", 5), ("SL", 5), ("PGL", 5), ("GL", 1)):
         rd = preset(family, n)
         for twist in (coxeter_twist(rd), identity_twist(rd)):
             assert twist.transpose().transpose() == twist
-    assert calls == [swap, bad]
+    assert calls == [bad] and generated == []
 
 
 def test_weyl_twist_accepts_longest_element():
     rd = preset("GL", 3)
     rev = IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    assert weyl_twist(rd, rev).matrix == rev
+    assert weyl_twist(rd, rev) == WeylTwist("gl", (2, 1, 0), 1)
+
+
+@pytest.mark.parametrize("family,other", [("GL", "GL"), ("SL", "PGL"), ("PGL", "SL")])
+def test_weyl_twist_reads_each_signed_permutation(family, other):
+    # e_i -> eps e_perm[i], written in the preset's basis, reads back as
+    # itself (at SL_2 and PGL_2, -1 lies in the Weyl group, so (swap, -1) is
+    # (id, 1)), and its transpose, in the dual preset's basis, as its transpose
+    rng, kind = random.Random(f"read/{family}"), preset(family, 2).kind
+    for _ in range(60):
+        n, eps = rng.randint(1 if family == "GL" else 2, 7), rng.choice((1, -1))
+        perm = tuple(rng.sample(range(n), n))
+        rows = preset_twist_matrix(family, perm, eps)
+        twist = weyl_twist(preset(family, n), IntMatrix(rows, cols=len(rows)))
+        if family == "GL" or n > 2:
+            assert twist == WeylTwist(kind, perm, eps), (perm, eps)
+        else:
+            assert twist in (WeylTwist(kind, perm, eps), WeylTwist(kind, perm[::-1], -eps))
+        dual = IntMatrix(rows, cols=len(rows)).transpose()
+        assert weyl_twist(preset(other, n), dual) == twist.transpose(), (perm, eps)
 
 
 def test_twist_equality_and_hash():
-    a = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
-    b = WeylTwist(IntMatrix([[0, 1], [1, 0]]))
+    a = weyl_twist(preset("GL", 2), IntMatrix([[0, 1], [1, 0]]))
+    b = WeylTwist("gl", (1, 0), 1)
     assert a == b and hash(a) == hash(b)
+    assert a != WeylTwist("sc", (1, 0), 1)
 
 
 def test_to_json_shape():

@@ -14,11 +14,12 @@ import pytest
 from llc_params.blocks import match_sides, torus_block_descriptor
 from llc_params.cocycles import POINT_MOD_STABILIZER, component_descriptor
 from llc_params.lattice import IntMatrix
-from llc_params.rootdata import WeylTwist, preset, weyl_twist
+from llc_params.rootdata import preset, weyl_twist
 
-from oracles import gauss_det, matmul
+from oracles import gauss_det, identity, matmul
 
 Q_ELL = ((7, 3), (11, 5))
+_DUAL = {"GL": "GL", "SL": "PGL", "PGL": "SL"}
 
 
 def _permutation_matrices(n):
@@ -32,7 +33,7 @@ def _weyl_group(rd):
         [[int(i == j) - a[i] * c[j] for j in range(r)] for i in range(r)]
         for a, c in zip(rd.roots, rd.coroots)
     ]
-    seen = frontier = {IntMatrix.identity(r).data}
+    seen = frontier = {tuple(map(tuple, identity(r)))}
     while frontier:
         frontier = {tuple(map(tuple, matmul(x, g))) for x in frontier for g in gens} - seen
         seen = seen | frontier
@@ -60,11 +61,13 @@ def test_match_law_over_whole_weyl_groups(q, ell):
     cases = points = 0
     for family, n, w in _cases():
         rd = preset(family, n)
-        twist = weyl_twist(rd, w)
+        twist, case = weyl_twist(rd, w), (family, n, w)
         comp = component_descriptor(rd, twist, q, ell)
-        block = torus_block_descriptor(WeylTwist(w.transpose()), q, ell, coxeter_number=n)
+        # the cocharacter twist is w^T, read in the dual preset's basis
+        cotwist = twist.transpose()
+        assert cotwist == weyl_twist(preset(_DUAL[family], n), w.transpose()), case
+        block = torus_block_descriptor(cotwist, q, ell, coxeter_number=n)
         report = match_sides(comp, block)
-        case = (family, n, w)
         assert report.isomorphic, case
         assert report.free_ranks_agree, case
         assert not report.context_mismatch, case
