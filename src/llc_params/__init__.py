@@ -37,7 +37,6 @@ from .cocycles import (
 )
 from .errors import (
     CoefficientMismatch,
-    DimensionMismatch,
     InternalError,
     InvalidArgument,
     InvalidPrime,
@@ -78,7 +77,6 @@ __all__ = [
     "CocycleSpace",
     "CoefficientMismatch",
     "ComponentDescriptor",
-    "DimensionMismatch",
     "FBAR",
     "FinGenAbGroup",
     "GLFamily",

@@ -9,11 +9,12 @@ ell-part Z/ell^k with k = v_ell(q^n - 1).  The cocharacter twist is the
 transpose of the character twist; the transpose-cokernel law is exactly what
 makes the two sides of the comparison agree.
 
-The matcher compares the mu invariant of a parameter component against the
-block torsion, records whether the free ranks agree, tags the report with
-the integer grading common to both sides, and raises an applicability flag
-when q is not above the Coxeter number (the regime where the block-to-torus
-dictionary is unconditional).
+Every block records whether q is above the Coxeter number n of the twist's
+datum A_{n-1} (the regime where the block-to-torus dictionary is
+unconditional), read off the twist itself as len(perm).  The matcher
+compares the mu invariant of a parameter component against the block
+torsion, records whether the free ranks agree, and tags the report with the
+integer grading common to both sides.
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ class ApplicabilityFlag:
         return {"code": self.code, "holds": self.holds, "detail": self.detail}
 
 
-def _coxeter_bound_flag(q: int, coxeter_number: int) -> ApplicabilityFlag:
-    return ApplicabilityFlag(
-        code="q-above-coxeter-number",
-        holds=q > coxeter_number,
-        detail=f"q = {q}, Coxeter number = {coxeter_number}",
-    )
-
-
 @dataclass(frozen=True)
 class BlockDescriptor:
     """Shape of one block: ell-part, free direction, ambient finite torus."""
@@ -79,7 +72,7 @@ class BlockDescriptor:
     free_rank: int
     finite_torus_order: int
     k: int
-    applicability: tuple[ApplicabilityFlag, ...] = ()
+    applicability: tuple[ApplicabilityFlag, ...]
 
     def to_json(self) -> dict:
         return {
@@ -92,7 +85,7 @@ class BlockDescriptor:
 
 
 def torus_block_descriptors(
-    twist: WeylTwist, q: int, ells: tuple[int, ...], *, coxeter_number: int | None = None
+    twist: WeylTwist, q: int, ells: tuple[int, ...]
 ) -> tuple[BlockDescriptor, ...]:
     """Block data computed from a twisted torus, per ell; every block comes from here.
 
@@ -102,7 +95,7 @@ def torus_block_descriptors(
     directions the twist fixes.  Neither depends on ell, so both cokernels
     are taken once; each ell reads only the torus's ell-primary part and k.
     For the GL_n Coxeter twist this is Z/ell^k with k = v_ell(q^n - 1) and
-    one free direction.
+    one free direction.  Each block carries the flag q > n, n = len(perm).
 
     >>> cotwist = coxeter_twist(preset("GL", 2)).transpose()
     >>> [(b.k, b.free_rank) for b in torus_block_descriptors(cotwist, 11, (3, 5, 7))]
@@ -113,23 +106,22 @@ def torus_block_descriptors(
     t = finite_torus(twist, q)
     order = t.order()
     free_rank = twisted_centralizer(twist).free_rank
-    flags = () if coxeter_number is None else (_coxeter_bound_flag(q, coxeter_number),)
+    h = len(twist.perm)  # the Coxeter number of A_{h-1}
+    flag = ApplicabilityFlag("q-above-coxeter-number", q > h, f"q = {q}, Coxeter number = {h}")
     return tuple(
-        BlockDescriptor(t.ell_primary(ell), free_rank, order, valuation(order, ell), flags)
+        BlockDescriptor(t.ell_primary(ell), free_rank, order, valuation(order, ell), (flag,))
         for ell in ells
     )
 
 
-def torus_block_descriptor(
-    twist: WeylTwist, q: int, ell: int, *, coxeter_number: int | None = None
-) -> BlockDescriptor:
+def torus_block_descriptor(twist: WeylTwist, q: int, ell: int) -> BlockDescriptor:
     """`torus_block_descriptors` at the one ell.
 
     >>> b = torus_block_descriptor(coxeter_twist(preset("GL", 2)).transpose(), 11, 5)
     >>> b.torsion, b.free_rank
     (FinGenAbGroup(free_rank=0, invariant_factors=(5,)), 1)
     """
-    return torus_block_descriptors(twist, q, (ell,), coxeter_number=coxeter_number)[0]
+    return torus_block_descriptors(twist, q, (ell,))[0]
 
 
 @dataclass(frozen=True)
@@ -165,7 +157,7 @@ def match_sides(component: ComponentDescriptor, block: BlockDescriptor) -> Match
     >>> from .rootdata import preset, coxeter_twist
     >>> from .cocycles import component_descriptor
     >>> w = coxeter_twist(preset("GL", 2))
-    >>> c = component_descriptor(preset("GL", 2), w, 11, 5)
+    >>> c = component_descriptor(w, 11, 5)
     >>> b = torus_block_descriptor(w.transpose(), 11, 5)
     >>> match_sides(c, b).isomorphic
     True
@@ -219,10 +211,9 @@ def categorical_summaries(
     >>> [s.match.block.torsion.describe() for s in categorical_summaries(2, 11, (3, 5, 7))]
     ['Z/3', 'Z/5', '0']
     """
-    rd = preset("GL", n)
-    w = coxeter_twist(rd)
-    components = component_descriptors(rd, w, q, ells)
-    blocks = torus_block_descriptors(w.transpose(), q, ells, coxeter_number=n)
+    w = coxeter_twist(preset("GL", n))
+    components = component_descriptors(w, q, ells)
+    blocks = torus_block_descriptors(w.transpose(), q, ells)
     return tuple(
         CategoricalSummary(n, q, ell, match_sides(c, b))
         for ell, c, b in zip(ells, components, blocks)

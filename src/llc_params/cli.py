@@ -30,13 +30,7 @@ from typing import NamedTuple
 
 from . import __version__
 from .abgroups import FinGenAbGroup
-from .blocks import (
-    GRADING_INDEX,
-    BlockDescriptor,
-    categorical_summary,
-    match_sides,
-    torus_block_descriptor,
-)
+from .blocks import GRADING_INDEX, categorical_summary, match_sides, torus_block_descriptor
 from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
 from .errors import InvalidArgument, LlcError
 from .glparams import (
@@ -50,7 +44,7 @@ from .glparams import (
     verify_cocycle,
 )
 from .lattice import IntMatrix
-from .rootdata import RootDatum, WeylTwist, coxeter_twist, identity_twist, preset, weyl_twist
+from .rootdata import WeylTwist, coxeter_twist, identity_twist, preset, weyl_twist
 from .sweep import run_grid
 
 SCHEMA_VERSION = 1
@@ -163,7 +157,9 @@ def _yesno(flag: bool) -> str:
 _Outcome = tuple[Callable[[], dict], Iterator[str], int]
 
 
-def _build_twist(rd: RootDatum, choice: str) -> WeylTwist:
+def _build_twist(args) -> WeylTwist:
+    """The twist that --weyl names on the preset of --group and --n."""
+    rd, choice = preset(args.group, args.n), args.weyl
     if choice == "coxeter":
         return coxeter_twist(rd)
     if choice == "identity":
@@ -181,9 +177,9 @@ def _build_twist(rd: RootDatum, choice: str) -> WeylTwist:
 
 
 def _cmd_component(args) -> _Outcome:
-    rd = preset(args.group, args.n)
-    twist = _build_twist(rd, args.weyl)
-    desc = component_descriptor(rd, twist, args.q, args.ell)
+    twist = _build_twist(args)
+    rd = twist.datum
+    desc = component_descriptor(twist, args.q, args.ell)
     space = cocycle_space(desc.fixed_scheme, rd.rank, args.ell)
 
     def body():
@@ -255,35 +251,32 @@ def _cmd_verify(args) -> _Outcome:
     lift = phi if phi.coeff == ZBAR else canonical_lift(phi)
     m = matrices(lift)
     ok = verify_cocycle(m, args.q)
-    support = nilpotent_support_fixed_positions(lift)
-    diagonal = support == [(i, i) for i in range(1, args.n + 1)]
+    # the support is the n^2 / s positions i == j mod the orbit size s, so the
+    # text report counts it and only the JSON body lists it
+    s = len(lift.orbit())
+    diagonal = s == args.n
 
     def body():
+        support = [list(p) for p in nilpotent_support_fixed_positions(lift)]
         return {
             "parameter": phi.to_json(),
             "regular": phi.is_regular,
             "cocycleHolds": ok,
             "matrices": m.to_json(),
-            "nilpotentSupport": {"positions": [list(p) for p in support], "diagonalOnly": diagonal},
+            "nilpotentSupport": {"positions": support, "diagonalOnly": diagonal},
         }
 
     def lines():
         yield f"verify [GL_{args.n}, q={args.q}, ell={args.ell}, a={phi.a}, b={phi.b}]"
         yield f"  regular:          {_yesno(phi.is_regular)}"
         yield f"  cocycle holds:    {_yesno(ok)}"
-        yield f"  support diagonal: {_yesno(diagonal)} ({len(support)} positions)"
+        yield f"  support diagonal: {_yesno(diagonal)} ({args.n * args.n // s} positions)"
 
     return body, lines(), 0
 
 
-def _block_for(args, twist: WeylTwist) -> BlockDescriptor:
-    return torus_block_descriptor(twist.transpose(), args.q, args.ell, coxeter_number=args.n)
-
-
 def _cmd_block(args) -> _Outcome:
-    rd = preset(args.group, args.n)
-    twist = _build_twist(rd, args.weyl)
-    block = _block_for(args, twist)
+    block = torus_block_descriptor(_build_twist(args).transpose(), args.q, args.ell)
 
     def lines():
         yield f"block [{args.group}_{args.n}, q={args.q}, ell={args.ell}]"
@@ -298,10 +291,9 @@ def _cmd_block(args) -> _Outcome:
 
 
 def _cmd_match(args) -> _Outcome:
-    rd = preset(args.group, args.n)
-    twist = _build_twist(rd, args.weyl)
-    desc = component_descriptor(rd, twist, args.q, args.ell)
-    block = _block_for(args, twist)
+    twist = _build_twist(args)
+    desc = component_descriptor(twist, args.q, args.ell)
+    block = torus_block_descriptor(twist.transpose(), args.q, args.ell)
     report = match_sides(desc, block)
 
     def body():

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup
 from .arith import check_admissible, prime_power_split
-from .errors import DimensionMismatch, InternalError
-from .rootdata import RootDatum, WeylTwist, center_char_group
+from .errors import InternalError
+from .rootdata import WeylTwist, center_char_group
 
 POINT_MOD_STABILIZER = "point_mod_S_psi"
 TORUS_QUOTIENT = "torus_quotient"
@@ -118,23 +118,20 @@ class ComponentDescriptor:
 
 
 def component_descriptors(
-    rd: RootDatum, twist: WeylTwist, q: int, ells: tuple[int, ...]
+    twist: WeylTwist, q: int, ells: tuple[int, ...]
 ) -> tuple[ComponentDescriptor, ...]:
-    """Assemble the component structure for a datum with a chosen twist, per ell.
+    """Assemble the component structure for a twist on characters, per ell.
 
-    The fixed scheme, the stabilizer and the center do not depend on ell, so
-    their cokernels are taken once; each ell reads only the fixed scheme's
-    ell-primary part.  Every ell is checked against q before any cokernel.
+    The center is that of the twist's datum.  The fixed scheme, the
+    stabilizer and the center do not depend on ell, so their cokernels are
+    taken once; each ell reads only the fixed scheme's ell-primary part.
+    Every ell is checked against q before any cokernel.
 
     >>> from .rootdata import preset, coxeter_twist
-    >>> gl2 = preset("GL", 2)
-    >>> [d.mu.describe() for d in component_descriptors(gl2, coxeter_twist(gl2), 11, (3, 5, 7))]
+    >>> w = coxeter_twist(preset("GL", 2))
+    >>> [d.mu.describe() for d in component_descriptors(w, 11, (3, 5, 7))]
     ['Z/3', 'Z/5', '0']
     """
-    if (twist.kind, len(twist.perm)) != (rd.kind, rd.n):
-        raise DimensionMismatch(
-            f"twist of a {twist.kind} lattice of rank {twist.rank} given for {rd.name}"
-        )
     for ell in ells:
         check_admissible(q, ell)
     fixed = frob_fixed_scheme(twist, q)
@@ -142,7 +139,7 @@ def component_descriptors(
     # dim ker(1 - w) is the free rank of coker(1 - w); elliptic means the
     # stabilizer is no bigger than the center
     orbit_rank = stabilizer.free_rank
-    center_rank = center_char_group(rd).free_rank
+    center_rank = center_char_group(twist.datum).free_rank
     elliptic = orbit_rank == center_rank
     form = POINT_MOD_STABILIZER if (elliptic and center_rank == 0) else TORUS_QUOTIENT
     return tuple(
@@ -151,12 +148,12 @@ def component_descriptors(
     )
 
 
-def component_descriptor(rd: RootDatum, twist: WeylTwist, q: int, ell: int) -> ComponentDescriptor:
+def component_descriptor(twist: WeylTwist, q: int, ell: int) -> ComponentDescriptor:
     """`component_descriptors` at the one ell.
 
     >>> from .rootdata import preset, coxeter_twist
-    >>> d = component_descriptor(preset("GL", 2), coxeter_twist(preset("GL", 2)), 11, 5)
+    >>> d = component_descriptor(coxeter_twist(preset("GL", 2)), 11, 5)
     >>> d.orbit_torus_rank, d.mu.invariant_factors
     (1, (5,))
     """
-    return component_descriptors(rd, twist, q, (ell,))[0]
+    return component_descriptors(twist, q, (ell,))[0]

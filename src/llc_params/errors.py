@@ -48,10 +48,6 @@ class UnsupportedFamily(LlcError):
     code = "unsupported-family"
 
 
-class DimensionMismatch(LlcError):
-    code = "dimension-mismatch"
-
-
 class CoefficientMismatch(LlcError):
     code = "coefficient-mismatch"
 

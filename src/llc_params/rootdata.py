@@ -25,9 +25,12 @@ A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  As Aut(A_{n-1}) = W x {+-1}, it is
 held as a signed permutation e_i -> sign * e_perm[i] of e-coordinates on
 its kind of lattice: Z^n ("gl"), the sum-zero lattice ("adjoint") or
-Z^n / Z(1, ..., 1) ("sc").  Its cokernels come from sparse e-coordinate
-presentations that only this module writes, and ``weyl_twist`` reads a
-matrix in the preset's basis as one in O(nnz), or refuses it.
+Z^n / Z(1, ..., 1) ("sc").  The record refuses any other (kind, perm,
+sign), so a twist names its datum: ``twist.datum`` is the preset of its
+kind and n, and the component and block builders take the twist alone.
+Its cokernels come from sparse e-coordinate presentations that only this
+module writes, and ``weyl_twist`` reads a matrix in the preset's basis as
+one in O(nnz), or refuses it.
 """
 
 from __future__ import annotations
@@ -123,14 +126,31 @@ class WeylTwist:
     perm: tuple[int, ...]
     sign: int
 
+    def __post_init__(self):
+        """Refuse, in O(n), a record that is no signed permutation of a preset's lattice."""
+        kinds = tuple(_DUAL_KINDS)
+        if self.kind not in kinds:
+            raise InvalidArgument(f"twist kind must be one of {kinds}, got {self.kind!r}")
+        n, least = len(self.perm), 1 if self.kind == "gl" else 2
+        if n < least or set(map(type, self.perm)) != {int} or set(self.perm) != set(range(n)):
+            raise InvalidArgument(
+                f"a {self.kind} twist's perm must permute range(n) with n >= {least}; "
+                f"got one of length {n}"
+            )
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise InvalidArgument(f"twist sign must be 1 or -1, got {self.sign!r}")
+
     @property
-    def rank(self) -> int:
-        return len(self.perm) - (self.kind != "gl")
+    def datum(self) -> RootDatum:
+        """The preset whose lattice the twist acts on."""
+        return RootDatum(self.kind, len(self.perm))
 
     def transpose(self) -> "WeylTwist":
         """The twist on the dual lattice: the inverse permutation on the dual kind."""
-        inverse = sorted(range(len(self.perm)), key=self.perm.__getitem__)
-        return WeylTwist(_DUAL_KINDS[self.kind], tuple(inverse), self.sign)
+        return WeylTwist(_DUAL_KINDS[self.kind], self._inverse(), self.sign)
+
+    def _inverse(self) -> tuple[int, ...]:
+        return tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
 
     def cokernel(self, s: int, t: int) -> FinGenAbGroup:
         """coker(s w + t) on the twist's lattice, from an e-coordinate presentation.
@@ -143,7 +163,7 @@ class WeylTwist:
         n, kind = len(self.perm), self.kind
         width = {"gl": n, "sc": n + 1, "adjoint": n - 1}[kind]
         presentation = []
-        for j, i in enumerate(self.transpose().perm):
+        for j, i in enumerate(self._inverse()):
             row = {n: 1} if kind == "sc" else {}
             for c, a in ((i, s * self.sign), (j, t)):
                 # times B, an entry a in column c is a in c and -a in c - 1

@@ -106,8 +106,7 @@ _CHECKS = (
 
 def run_grid() -> list[GridCheck]:
     # 1: the golden component
-    rd = preset("GL", 2)
-    desc = component_descriptor(rd, coxeter_twist(rd), 11, 5)
+    desc = component_descriptor(coxeter_twist(preset("GL", 2)), 11, 5)
     golden = GridCheck(
         "golden-component",
         "GL_2, q=11, ell=5: mu_120 fixed scheme, mu_5, G_m stabilizer",

@@ -59,12 +59,12 @@ def _admissible(q, ell):
 
 def _gl_component(n, q, ell):
     rd = preset("GL", n)
-    return component_descriptor(rd, coxeter_twist(rd), q, ell)
+    return component_descriptor(coxeter_twist(rd), q, ell)
 
 
 def _gl_block(n, q, ell):
     w = coxeter_twist(preset("GL", n))
-    return torus_block_descriptor(w.transpose(), q, ell, coxeter_number=n)
+    return torus_block_descriptor(w.transpose(), q, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_acceptance_03_mu_exponent_law():
                 for ell in ELLS:
                     if not _admissible(q, ell):
                         continue
-                    d = component_descriptor(rd, w, q, ell)
+                    d = component_descriptor(w, q, ell)
                     k = valuation(q**n - 1, ell)
                     assert d.mu == FinGenAbGroup.cyclic(ell**k), (n, q, ell)
 

@@ -71,7 +71,7 @@ def test_ell_block_invariant():
 def _gl_block(n, q, ell):
     """The GL_n block at the Coxeter torus, through the transposed twist."""
     w = coxeter_twist(preset("GL", n))
-    return torus_block_descriptor(w.transpose(), q, ell, coxeter_number=n)
+    return torus_block_descriptor(w.transpose(), q, ell)
 
 
 def _without_flags(block):
@@ -106,6 +106,18 @@ def test_gln_block_coxeter_flag_can_fail():
     # the numbers are still computed
     assert b.finite_torus_order == 242
     assert b.torsion == FinGenAbGroup.cyclic(121)
+    # every block flags q against n = len(perm), the Coxeter number of the
+    # twist's datum A_{n-1}, whichever lattice the twist acts on
+    for family in ("GL", "SL", "PGL"):
+        for n in (2, 3, 5):
+            for make in (coxeter_twist, identity_twist):
+                w = make(preset(family, n))
+                for twist in (w, w.transpose()):
+                    for q in (3, 5, 7):
+                        (flag,) = torus_block_descriptor(twist, q, 11).applicability
+                        assert flag.code == "q-above-coxeter-number"
+                        assert flag.holds == (q > n), (family, n, twist, q)
+                        assert flag.detail == f"q = {q}, Coxeter number = {n}"
 
 
 def test_gln_block_descriptor_validation():
@@ -117,7 +129,7 @@ def test_gln_block_descriptor_validation():
 
 def test_torus_block_descriptor_a1():
     # cocharacter twist -1 for the rank-one elliptic torus: order q + 1
-    b = torus_block_descriptor(coxeter_twist(preset("SL", 2)).transpose(), 11, 3, coxeter_number=2)
+    b = torus_block_descriptor(coxeter_twist(preset("SL", 2)).transpose(), 11, 3)
     assert b.finite_torus_order == 12
     assert b.torsion == FinGenAbGroup.cyclic(3)
     assert b.free_rank == 0
@@ -149,8 +161,7 @@ def test_block_json_keys():
 
 
 def _gl_component(n, q, ell):
-    rd = preset("GL", n)
-    return component_descriptor(rd, coxeter_twist(rd), q, ell)
+    return component_descriptor(coxeter_twist(preset("GL", n)), q, ell)
 
 
 def test_match_gl2_golden():
@@ -188,8 +199,7 @@ def test_match_detects_genuine_disagreement():
 
 
 def test_match_free_rank_disagreement_with_identity_twist():
-    rd = preset("GL", 2)
-    comp = component_descriptor(rd, identity_twist(rd), 11, 5)
+    comp = component_descriptor(identity_twist(preset("GL", 2)), 11, 5)
     report = match_sides(comp, _gl_block(2, 11, 5))
     # orbit torus rank 2 vs block free rank 1
     assert not report.free_ranks_agree
@@ -216,10 +226,9 @@ def test_match_json_shape():
 
 def test_match_desk_case_pgl2():
     # both sides computed by this package's own machinery
-    rd = preset("PGL", 2)
-    comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
-    w = coxeter_twist(rd)
-    block = torus_block_descriptor(w.transpose(), 11, 3, coxeter_number=2)
+    w = coxeter_twist(preset("PGL", 2))
+    comp = component_descriptor(w, 11, 3)
+    block = torus_block_descriptor(w.transpose(), 11, 3)
     report = match_sides(comp, block)
     assert comp.mu == FinGenAbGroup.cyclic(3)
     assert report.isomorphic
@@ -228,10 +237,9 @@ def test_match_desk_case_pgl2():
 
 
 def test_match_desk_case_sl2():
-    rd = preset("SL", 2)
-    comp = component_descriptor(rd, coxeter_twist(rd), 11, 3)
-    w = coxeter_twist(rd)
-    block = torus_block_descriptor(w.transpose(), 11, 3, coxeter_number=2)
+    w = coxeter_twist(preset("SL", 2))
+    comp = component_descriptor(w, 11, 3)
+    block = torus_block_descriptor(w.transpose(), 11, 3)
     report = match_sides(comp, block)
     assert report.isomorphic
     assert report.free_ranks_agree

@@ -145,13 +145,34 @@ def test_semisimple_rank_200_answers(cmd, group):
 
 @pytest.mark.parametrize("coeff", ["zbar", "fbar"])
 def test_gl3000_verify_text_answers(coeff):
-    # x is held by its diagonal and y by its corner: the text report costs
-    # O(n) plus the nilpotent support, which is the diagonal here
-    argv = ["verify", "--n", "3000", "--q", "3", "--ell", "5", "--a", "1", "--coeff", coeff]
-    code, text = run_timed(argv)
-    assert code == 0
-    assert text.startswith("verify [GL_3000, q=3")
-    assert "support diagonal: yes (3000 positions)" in text
+    # x is held by its diagonal and y by its corner, and the text report
+    # counts the n^2 / s support positions of an orbit of size s: O(n) for
+    # the regular a = 1 (the diagonal) and for the degenerate a = 0 (all)
+    for a, support in (("1", "yes (3000 positions)"), ("0", "no (9000000 positions)")):
+        argv = ["verify", "--n", "3000", "--q", "3", "--ell", "5", "--a", a, "--coeff", coeff]
+        code, text = run_timed(argv)
+        assert code == 0
+        assert text.startswith("verify [GL_3000, q=3")
+        assert f"support diagonal: {support}" in text
+
+
+def test_text_verify_never_lists_the_nilpotent_support(monkeypatch):
+    calls, listed = [], cli.nilpotent_support_fixed_positions
+
+    def listing(phi):
+        calls.append(phi.a)
+        return listed(phi)
+
+    monkeypatch.setattr(cli, "nilpotent_support_fixed_positions", listing)
+    for n, a in (("2", "4"), ("6", "0"), ("6", "1"), ("3000", "0")):
+        code, _ = run_timed(["verify", "--n", n, "--q", "3", "--ell", "5", "--a", a])
+        assert code == 0
+    assert calls == []
+    # the JSON body still lists it
+    code, text = run_timed(["verify", "--n", "2", "--q", "11", "--ell", "5", "--a", "12",
+                            "--output", "json"])
+    assert code == 0 and calls == [12]
+    assert json.loads(text)["nilpotentSupport"]["positions"] == [[1, 1], [1, 2], [2, 1], [2, 2]]
 
 
 @pytest.mark.parametrize("cmd", ["component", "match"])

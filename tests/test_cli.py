@@ -512,10 +512,10 @@ def test_text_render_pgl2():
 
 def test_notation_helper_directly():
     rd = preset("GL", 2)
-    d = component_descriptor(rd, coxeter_twist(rd), 11, 5)
+    d = component_descriptor(coxeter_twist(rd), 11, 5)
     assert cli.component_notation(d) == "[G_m/G_m] × μ_5"
     rd = preset("PGL", 2)
-    d = component_descriptor(rd, coxeter_twist(rd), 11, 5)
+    d = component_descriptor(coxeter_twist(rd), 11, 5)
     assert cli.component_notation(d) == "[*/μ_2] × 1"
 
 

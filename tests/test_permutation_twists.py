@@ -153,12 +153,10 @@ def test_the_ell_free_route_equals_the_one_ell_route():
         twist = weyl_twist(rd, IntMatrix(_signed_permutation(rng, n, eps)))
         cotwist = twist.transpose()
         ells = tuple(ell for ell in (3, 5, 7, 11, 13) if q % ell)
-        components = component_descriptors(rd, twist, q, ells)
-        blocks = torus_block_descriptors(cotwist, q, ells, coxeter_number=n)
-        assert components == tuple(component_descriptor(rd, twist, q, ell) for ell in ells)
-        assert blocks == tuple(
-            torus_block_descriptor(cotwist, q, ell, coxeter_number=n) for ell in ells
-        )
+        components = component_descriptors(twist, q, ells)
+        blocks = torus_block_descriptors(cotwist, q, ells)
+        assert components == tuple(component_descriptor(twist, q, ell) for ell in ells)
+        assert blocks == tuple(torus_block_descriptor(cotwist, q, ell) for ell in ells)
         for report in map(match_sides, components, blocks):
             assert report.isomorphic and report.free_ranks_agree and not report.context_mismatch
         orbit_ranks.add(components[0].orbit_torus_rank)
@@ -190,9 +188,9 @@ def _check_semisimple_twist(family, perm, eps, q):
     # the adjoint one through coker(1 - w) = coker(1 - w^T)
     centralizer = type_a_fixed_cokernel("PGL", lengths, eps, 1)
     assert twisted_centralizer(twist) == FinGenAbGroup(*centralizer)
-    rd, ells = preset(family, len(perm)), tuple(ell for ell in (3, 5, 7, 11, 13) if q % ell)
-    components = component_descriptors(rd, twist, q, ells)
-    blocks = torus_block_descriptors(twist.transpose(), q, ells, coxeter_number=len(perm))
+    ells = tuple(ell for ell in (3, 5, 7, 11, 13) if q % ell)
+    components = component_descriptors(twist, q, ells)
+    blocks = torus_block_descriptors(twist.transpose(), q, ells)
     for ell, component, block in zip(ells, components, blocks):
         assert component.mu.invariant_factors == _ell_part(fixed[1], ell), ell
         assert block.torsion.invariant_factors == _ell_part(torus[1], ell), ell

@@ -384,7 +384,8 @@ def test_gl1_coxeter_is_identity():
 def test_identity_twist():
     rd = preset("GL", 3)
     assert identity_twist(rd) == weyl_twist(rd, IntMatrix(identity(3)))
-    assert identity_twist(rd).rank == 3
+    assert identity_twist(rd).datum == rd
+    assert identity_twist(rd).datum.rank == 3
 
 
 def test_weyl_twist_validation():
@@ -396,7 +397,7 @@ def test_weyl_twist_validation():
     with pytest.raises(LlcError):
         weyl_twist(rd, IntMatrix([[1, 2], [0, 1]]))
     # the diagonal-swap permutation is fine
-    assert weyl_twist(rd, IntMatrix([[0, 1], [1, 0]])).rank == 2
+    assert weyl_twist(rd, IntMatrix([[0, 1], [1, 0]])).datum.rank == 2
     # unimodular and fixing every root, but moving the coroots: unipotent of
     # infinite order on GL_2, and a map on GL_3
     for datum, rows in (
@@ -468,6 +469,30 @@ def test_weyl_twist_reads_each_signed_permutation(family, other):
             assert twist in (WeylTwist(kind, perm, eps), WeylTwist(kind, perm[::-1], -eps))
         dual = IntMatrix(rows, cols=len(rows)).transpose()
         assert weyl_twist(preset(other, n), dual) == twist.transpose(), (perm, eps)
+        # the twist names its preset, and its transpose the dual kind at the same n
+        assert twist.datum == preset(family, n)
+        assert twist.transpose().datum == preset(other, n)
+
+
+@pytest.mark.parametrize("kind, perm, sign", [
+    ("gl", (0, 0), 1),  # no permutation: it used to give GL_2 the scheme Z/10 + Z/10
+    ("gl", (0, 1), 2),  # sign 2 used to give GL_2 at q = 11 the scheme Z/117
+    ("gl", (1, 2), 1),
+    ("gl", (), 1),
+    ("sc", (0,), 1),
+    ("adjoint", (0,), -1),
+    ("GL", (0, 1), 1),
+    ("dual", (0, 1), 1),
+    ("gl", (0, 1.0), 1),
+    ("gl", (0, True), 1),
+    ("gl", (0, 1), True),
+    ("gl", (0, 1), -1.0),
+    ("sc", (1, 0), 0),
+])
+def test_a_record_that_is_no_signed_permutation_is_refused(kind, perm, sign):
+    with pytest.raises(InvalidArgument) as exc:
+        WeylTwist(kind, perm, sign)
+    assert exc.value.exit_code == 2
 
 
 def test_twist_equality_and_hash():

@@ -62,11 +62,11 @@ def test_match_law_over_whole_weyl_groups(q, ell):
     for family, n, w in _cases():
         rd = preset(family, n)
         twist, case = weyl_twist(rd, w), (family, n, w)
-        comp = component_descriptor(rd, twist, q, ell)
+        comp = component_descriptor(twist, q, ell)
         # the cocharacter twist is w^T, read in the dual preset's basis
         cotwist = twist.transpose()
         assert cotwist == weyl_twist(preset(_DUAL[family], n), w.transpose()), case
-        block = torus_block_descriptor(cotwist, q, ell, coxeter_number=n)
+        block = torus_block_descriptor(cotwist, q, ell)
         report = match_sides(comp, block)
         assert report.isomorphic, case
         assert report.free_ranks_agree, case
