@@ -247,16 +247,15 @@ class TrselpGL:
 
     def orbit(self) -> tuple[int, ...]:
         """The q-power orbit of the exponent, in generation order."""
-        n, q = self.family.n, self.family.q
-        out = [self.a]
-        x = self.a
-        for _ in range(n):
-            x = x * q % self.modulus
-            if x == self.a:
-                return tuple(out)
+        a, m, q, n = self.a, self.modulus, self.family.q, self.family.n
+        out = [a]
+        x = a * q % m
+        while x != a:
+            if len(out) == n:
+                raise _unclosed(a, m)
             out.append(x)
-        # the orbit size divides n because the modulus divides q^n - 1
-        raise InternalError(f"orbit of {self.a} mod {self.modulus} did not close within n steps")
+            x = x * q % m
+        return tuple(out)
 
     @property
     def is_regular(self) -> bool:
@@ -265,10 +264,18 @@ class TrselpGL:
 
     def canonical(self) -> "TrselpGL":
         """The same parameter with the exponent replaced by its orbit minimum."""
-        least = min(self.orbit())
-        if least == self.a:
+        a, m, q, n = self.a, self.modulus, self.family.q, self.family.n
+        # the least exponent of the orbit, walked without building it
+        least, x, s = a, a * q % m, 1
+        while x != a:
+            if s == n:
+                raise _unclosed(a, m)
+            if x < least:
+                least = x
+            x, s = x * q % m, s + 1
+        if least == a:
             return self
-        return _param(self.family, self.coeff, self.modulus, least, self.b)
+        return _param(self.family, self.coeff, m, least, self.b)
 
     def to_json(self) -> dict:
         fam = self.family
@@ -303,8 +310,21 @@ class TrselpGL:
 def _param(family: GLFamily, coeff: str, modulus: int, a: int, b: int = 0) -> TrselpGL:
     """A parameter from exponents the caller has already reduced: no checks."""
     phi = object.__new__(TrselpGL)
-    phi.family, phi.coeff, phi.modulus, phi.a, phi.b = family, coeff, modulus, a, b
+    phi.family = family
+    phi.coeff = coeff
+    phi.modulus = modulus
+    phi.a = a
+    phi.b = b
     return phi
+
+
+def _unclosed(a: int, modulus: int) -> InternalError:
+    """The error for an orbit of a mod the modulus that did not close within n steps.
+
+    The orbit size divides n because the modulus divides q^n - 1, so only a
+    parameter whose fields were overwritten gets here.
+    """
+    return InternalError(f"orbit of {a} mod {modulus} did not close within n steps")
 
 
 def _exponent(e, name: str) -> int:
@@ -384,7 +404,9 @@ def matrices(phi: TrselpGL) -> ParamMatrices:
     orbit = phi.orbit()
     # the exponents are already reduced, so skip the constructor's checks
     m = object.__new__(ParamMatrices)
-    m.modulus, m.diagonal, m.corner = phi.modulus, orbit * (phi.family.n // len(orbit)), phi.b
+    m.modulus = phi.modulus
+    m.diagonal = orbit * (phi.family.n // len(orbit))
+    m.corner = phi.b
     return m
 
 
@@ -393,13 +415,14 @@ def verify_cocycle(m: ParamMatrices, q: int) -> bool:
 
     Conjugating a diagonal matrix by the cyclic shift rotates its diagonal
     exponents left by one (the corner unit cancels); raising to the q-th
-    power multiplies exponents by q mod the exponent modulus.
+    power multiplies exponents by q mod the exponent modulus.  So the check
+    is one comparison: the q-multiple of the diagonal against its rotation.
 
     >>> verify_cocycle(matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1)), 11)
     True
     """
     diag, mod = m.diagonal, m.modulus
-    return all(r == e * q % mod for e, r in zip(diag, diag[1:] + diag[:1]))
+    return [e * q % mod for e in diag] == [*diag[1:], diag[0]]
 
 
 def reduction(phi: TrselpGL) -> TrselpGL:
@@ -445,9 +468,12 @@ def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
     [25, 1, 49, 73, 97]
     """
     first = canonical_lift(phi)
-    fam = phi.family
-    rest = sorted((first.a + phi.modulus * t) % fam.full_modulus for t in range(1, fam.ell**fam.k))
-    return [first] + [_param(fam, ZBAR, fam.full_modulus, e, phi.b) for e in rest]
+    fam, b, skip = phi.family, phi.b, first.a
+    full = fam.full_modulus
+    # a < M', so the lifts a + t M' (0 <= t < ell^k) ascend below q^n - 1
+    return [first] + [
+        _param(fam, ZBAR, full, e, b) for e in range(phi.a, full, phi.modulus) if e != skip
+    ]
 
 
 def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
@@ -464,5 +490,15 @@ def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
     >>> nilpotent_support_fixed_positions(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=12))
     [(1, 1), (1, 2), (2, 1), (2, 2)]
     """
-    n, s = phi.family.n, len(phi.orbit())
+    fam = phi.family
+    n, q, m, a = fam.n, fam.q, phi.modulus, phi.a
+    # the orbit size s is the least s >= 1 with a q^s == a, walked without
+    # building the orbit
+    s, x = 1, a * q % m
+    while x != a:
+        if s == n:
+            raise _unclosed(a, m)
+        s, x = s + 1, x * q % m
+    if s == n:
+        return [(i, i) for i in range(1, n + 1)]
     return [(i, j) for i in range(1, n + 1) for j in range((i - 1) % s + 1, n + 1, s)]

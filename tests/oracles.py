@@ -292,6 +292,88 @@ def brute_count(n: int, q: int, modulus: int) -> int:
     return len(brute_orbit_reps(n, q, modulus))
 
 
+def monomial_product(x, y, modulus: int):
+    """The product x y of monomial matrices, each given as {row: (col, exponent)}.
+
+    The entry of a monomial matrix in row i is zeta^exponent in column col;
+    exponents are reduced mod the order of zeta.
+
+    >>> monomial_product({0: (1, 2), 1: (0, 3)}, {0: (1, 5), 1: (0, 7)}, 10)
+    {0: (0, 9), 1: (1, 8)}
+    """
+    out = {}
+    for i, (k, e) in x.items():
+        j, f = y[k]
+        out[i] = (j, (e + f) % modulus)
+    return out
+
+
+def conjugation_law_holds(diagonal, corner: int, q: int, modulus: int) -> bool:
+    """y x y^{-1} == x^q for x = diag(zeta^e) and y the cyclic shift, entry by entry.
+
+    y has ones on the superdiagonal and zeta^corner in the lower-left corner
+    (y = (zeta^corner) for n = 1); the matrices are multiplied as monomial
+    matrices, and the inverse of y is read off its entries.
+
+    >>> conjugation_law_holds([1, 11], 7, 11, 120), conjugation_law_holds([1, 12], 7, 11, 120)
+    (True, False)
+    """
+    n = len(diagonal)
+    x = {i: (i, e % modulus) for i, e in enumerate(diagonal)}
+    y = {i: (i + 1, 0) for i in range(n - 1)}
+    y[n - 1] = (0, corner % modulus)
+    y_inv = {j: (i, -e % modulus) for i, (j, e) in y.items()}
+    x_q = {i: (i, q * e % modulus) for i, (_, e) in x.items()}
+    return monomial_product(monomial_product(y, x, modulus), y_inv, modulus) == x_q
+
+
+def orbit_size_by_powers(a: int, q: int, modulus: int, n: int) -> int:
+    """The least s >= 1 with a q^s == a mod modulus, from fresh powers; n if none below n.
+
+    >>> orbit_size_by_powers(12, 11, 120, 2), orbit_size_by_powers(1, 11, 120, 2)
+    (1, 2)
+    """
+    for s in range(1, n):
+        if a * pow(q, s, modulus) % modulus == a % modulus:
+            return s
+    return n
+
+
+def fixed_positions_by_powers(a: int, q: int, modulus: int, n: int) -> list[tuple[int, int]]:
+    """Positions (i, j), 1-indexed, row by row, with a q^(i-1) == a q^(j-1) mod modulus.
+
+    >>> fixed_positions_by_powers(12, 11, 120, 2)
+    [(1, 1), (1, 2), (2, 1), (2, 2)]
+    """
+    diagonal = [a * pow(q, i, modulus) % modulus for i in range(n)]
+    return [(i + 1, j + 1) for i in range(n) for j in range(n) if diagonal[i] == diagonal[j]]
+
+
+def brute_lifts(a: int, residue_modulus: int, full_modulus: int) -> tuple[int, list[int]]:
+    """The canonical lift of a mod residue_modulus and all its lifts, by a linear scan.
+
+    The lifts are the exponents mod full_modulus congruent to a mod
+    residue_modulus; the canonical one is the lift divisible by
+    full_modulus / residue_modulus (whose eigenvalue has prime-to-ell order).
+
+    >>> brute_lifts(1, 24, 120)
+    (25, [1, 25, 49, 73, 97])
+    """
+    lifts = [e for e in range(full_modulus) if e % residue_modulus == a % residue_modulus]
+    ell_part = full_modulus // residue_modulus
+    (canonical,) = [e for e in lifts if e % ell_part == 0]
+    return canonical, lifts
+
+
+def brute_reduction(e: int, q: int, residue_modulus: int, n: int) -> int:
+    """The least exponent of the q-power orbit of e mod residue_modulus, from fresh powers.
+
+    >>> brute_reduction(35, 11, 24, 2), brute_reduction(37, 11, 24, 2)
+    (1, 13)
+    """
+    return min(e * pow(q, i, residue_modulus) % residue_modulus for i in range(n))
+
+
 def naive_is_prime(n: int) -> bool:
     """Trial division primality, no wheel.
 

@@ -5,16 +5,19 @@ primality bound, reports with integers too long to print, and guards that
 component, block and match never factor and that enumeration validates once.
 """
 
+import gc
 import io
 import json
 import random
 import sys
+import tracemalloc
 from time import perf_counter
 
 import pytest
 
 import llc_params
 from llc_params import arith, cli
+from llc_params.glparams import ZBAR, GLFamily, TrselpGL, nilpotent_support_fixed_positions
 from llc_params.lattice import IntMatrix, smith_normal_form
 from llc_params.rootdata import coxeter_twist, identity_twist, preset
 from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, admissible_ells
@@ -173,6 +176,35 @@ def test_text_verify_never_lists_the_nilpotent_support(monkeypatch):
                             "--output", "json"])
     assert code == 0 and calls == [12]
     assert json.loads(text)["nilpotentSupport"]["positions"] == [[1, 1], [1, 2], [2, 1], [2, 2]]
+
+
+def test_the_nilpotent_support_keeps_no_memory():
+    # the support is listed afresh on every call: no table keyed by n, by
+    # (n, s) or by the parameter outlives its result.  GL_1500 at a = 0 has
+    # orbit size 1 and 2,250,000 positions, about 200 MB as pairs.  Tracing
+    # those allocations takes seconds, so the GL_1500 calls are timed and
+    # counted in pymalloc blocks, and tracemalloc watches GL_300 (90,000
+    # positions, 6.2 MB, which any table would keep)
+    phi = TrselpGL(GLFamily(1500, 3, 5), ZBAR, 0)
+    gc.collect()
+    blocks = sys.getallocatedblocks()
+    start = perf_counter()
+    for _ in range(2):
+        assert len(nilpotent_support_fixed_positions(phi)) == 1500**2
+    elapsed = perf_counter() - start
+    assert elapsed < BUDGET_S, f"two GL_1500 supports took {elapsed:.2f} s"
+    gc.collect()
+    assert sys.getallocatedblocks() - blocks < 2**14  # under 1 MB of 64-byte blocks
+
+    phi = TrselpGL(GLFamily(300, 3, 5), ZBAR, 0)
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            assert len(nilpotent_support_fixed_positions(phi)) == 300**2
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20, f"{held} bytes held after the supports were dropped"
 
 
 @pytest.mark.parametrize("cmd", ["component", "match"])

@@ -2,15 +2,17 @@
 
 import io
 import json
+import random
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from llc_params import cli, glparams
-from llc_params.errors import InvalidRank, LlcError
+from llc_params.errors import InternalError, InvalidRank, LlcError
 from llc_params.glparams import (
     _SCAN_WINDOW,
     COEFFS,
@@ -27,7 +29,15 @@ from llc_params.glparams import (
     verify_cocycle,
 )
 
-from oracles import brute_count, brute_orbit_reps
+from oracles import (
+    brute_count,
+    brute_lifts,
+    brute_orbit_reps,
+    brute_reduction,
+    conjugation_law_holds,
+    fixed_positions_by_powers,
+    orbit_size_by_powers,
+)
 
 GL2 = GLFamily(2, 11, 5)
 
@@ -250,6 +260,17 @@ def test_lift_preserves_regularity_both_ways_here():
 # equivalence
 
 
+def test_an_orbit_that_cannot_close_is_an_internal_error():
+    # a modulus that does not divide q^n - 1 only arises from overwritten
+    # fields: 1 mod 9 under q = 3 runs 3, 0, 0, ... and never returns.
+    # Each orbit walk stops after n steps with an error instead of hanging
+    phi = TrselpGL(GLFamily(2, 3, 5), ZBAR, a=1)
+    phi.modulus = 9
+    for walk in (TrselpGL.orbit, TrselpGL.canonical, nilpotent_support_fixed_positions):
+        with pytest.raises(InternalError, match="orbit of 1 mod 9 did not close"):
+            walk(phi)
+
+
 def test_equivalent_same_orbit():
     # equivalent parameters (same q-power orbit, same corner unit) share
     # their canonical form, the representative enumeration lists
@@ -301,12 +322,25 @@ def test_powers_are_taken_once_per_flavor():
         fam.powers("qbar")
 
 
+# n = 1..6, prime and prime-power q, ell-parts from none to 121 (GL_5 at q = 3,
+# ell = 11 leaves the residue modulus 2, so GL_5 at q = 7 gives its size-5 orbits)
+KERNEL_FAMILIES = [
+    (1, 11, 5), (1, 13, 3), (1, 13, 5), (2, 11, 5), (2, 9, 5), (2, 19, 3), (3, 7, 3), (3, 3, 13),
+    (3, 25, 3), (4, 3, 5), (4, 7, 5), (5, 3, 11), (5, 7, 3), (6, 5, 7), (6, 3, 7), (6, 7, 3),
+]
+
+
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def test_nilpotent_support_matches_fresh_powers_across_flavors():
     # one family serves both flavors; each keeps its own modulus.  The
-    # reference is the definition, an O(n^2) scan of a (q^i - q^j) == 0
-    families = [(1, 11, 5), (2, 11, 5), (3, 7, 3), (3, 3, 13), (4, 3, 5), (4, 7, 5),
-                (5, 3, 11), (6, 5, 7), (6, 7, 3)]
-    for n, q, ell in families:
+    # reference is the definition, positions where a q^(i-1) and a q^(j-1)
+    # agree, from fresh powers; the net reaches every orbit size s | n
+    rng = random.Random(20261020)
+    sizes = {coeff: set() for coeff in COEFFS}
+    for n, q, ell in KERNEL_FAMILIES:
         fam = GLFamily(n, q, ell)
         for coeff in COEFFS:
             m = fam.modulus(coeff)
@@ -315,15 +349,20 @@ def test_nilpotent_support_matches_fresh_powers_across_flavors():
             exps = {0, 1, 2, m // 2, m - 1}
             exps |= {m // ell**j for j in range(1, fam.k + 1) if coeff == ZBAR}
             exps |= {m // d for d in range(2, 10) if m % d == 0}
+            # and seeded exponents fixed by q^s for each s | n: the multiples
+            # of m / gcd(q^s - 1, m)
+            for s in divisors(n):
+                g = gcd(q**s - 1, m)
+                exps |= {m // g * k for k in rng.sample(range(g), min(g, 12))}
             for a in sorted(exps):
-                phi = TrselpGL(fam, coeff, a=a)
-                expected = [
-                    (i + 1, j + 1)
-                    for i in range(n)
-                    for j in range(n)
-                    if a * (pow(q, i, m) - pow(q, j, m)) % m == 0
-                ]
+                phi = TrselpGL(fam, coeff, a, rng.randrange(m))
+                expected = fixed_positions_by_powers(a, q, m, n)
                 assert nilpotent_support_fixed_positions(phi) == expected, (n, q, ell, coeff, a)
+                s = orbit_size_by_powers(a, q, m, n)
+                assert len(expected) == n * n // s
+                sizes[coeff].add((n, s))
+    every = {(n, s) for n, _, _ in KERNEL_FAMILIES for s in divisors(n)}
+    assert sizes[ZBAR] == sizes[FBAR] == every
 
 
 # ---------------------------------------------------------------------------
@@ -580,3 +619,74 @@ def test_band_net_takes_every_route(monkeypatch):
     assert taken[(2, 1999, 3, FBAR)] == {"bands"}
     # some families switch route from one window to the next
     assert any(len(routes) > 1 for routes in taken.values())
+
+
+# ---------------------------------------------------------------------------
+# the cocycle and lift kernels against independent oracles (the support is
+# checked against one in the nilpotent support section)
+
+
+def test_verify_cocycle_matches_the_conjugation_oracle():
+    # built diagonals satisfy y x y^{-1} = x^q; changing one cell breaks the
+    # law at that cell's predecessor, so for n >= 2 every single-cell
+    # corruption is refused.  At n = 1 the modulus is q - 1 and every
+    # exponent e has q e = e, so the oracle accepts the corruptions too
+    rng = random.Random(20261019)
+    refused = 0
+    for n, q, ell in KERNEL_FAMILIES:
+        fam = GLFamily(n, q, ell)
+        m = fam.full_modulus
+        # orbits of every size d | n, the extremes and seeded draws
+        exps = {0, 1, m - 1} | {m // (q**d - 1) for d in divisors(n)}
+        exps |= {rng.randrange(m) for _ in range(6)}
+        for a in sorted(exps):
+            built = matrices(TrselpGL(fam, ZBAR, a, rng.randrange(m)))
+            assert conjugation_law_holds(built.diagonal, built.corner, q, m)
+            assert verify_cocycle(built, q), (n, q, a)
+            for i, e in enumerate(built.diagonal):
+                for v in {e + 1, e - 1, e + m // 2, rng.randrange(m)}:
+                    if (v - e) % m == 0:
+                        continue
+                    cells = list(built.diagonal)
+                    cells[i] = v
+                    bad = ParamMatrices(m, cells, built.corner)
+                    law = conjugation_law_holds(bad.diagonal, bad.corner, q, m)
+                    assert verify_cocycle(bad, q) == law == (n == 1), (n, q, a, i, v)
+                    refused += n > 1
+            # and diagonals drawn at random, which mostly break the law
+            drawn = ParamMatrices(m, [rng.randrange(m) for _ in range(n)], rng.randrange(m))
+            law = conjugation_law_holds(drawn.diagonal, drawn.corner, q, m)
+            assert verify_cocycle(drawn, q) == law, (n, q, drawn.diagonal)
+    assert refused > 1000
+
+
+def test_lifts_and_reduction_match_brute_chinese_remainders():
+    # the lifts of a residue exponent are found by scanning Z/(q^n - 1), the
+    # canonical one by its divisibility by ell^k, and each reduction by the
+    # least exponent of its orbit from fresh powers
+    rng = random.Random(20261021)
+    torsor_sizes = set()
+    for n, q, ell in KERNEL_FAMILIES:
+        fam = GLFamily(n, q, ell)
+        m, r = fam.full_modulus, fam.residue_modulus
+        if m > 50000:
+            continue
+        listed = fam.parameters(FBAR)
+        residues = rng.sample(listed, min(len(listed), 8))
+        residues += [TrselpGL(fam, FBAR, rng.randrange(r), rng.randrange(m)) for _ in range(4)]
+        for phi in residues:
+            canonical, lifts = brute_lifts(phi.a, r, m)
+            torsor_sizes.add(len(lifts))
+            got = lifts_in_component(phi)
+            assert [psi.a for psi in got] == [canonical] + [e for e in lifts if e != canonical]
+            assert canonical_lift(phi).a == canonical
+            assert {(psi.coeff, psi.modulus, psi.b) for psi in got} == {(ZBAR, m, phi.b)}
+            for psi in got:
+                red = reduction(psi)
+                assert (red.coeff, red.modulus, red.a, red.b) == (
+                    FBAR, r, brute_reduction(psi.a, q, r, n), phi.b
+                ), (n, q, ell, psi.a)
+        for a in rng.sample(range(m), min(m, 25)):
+            red = reduction(TrselpGL(fam, ZBAR, a, 3))
+            assert (red.a, red.b) == (brute_reduction(a, q, r, n), 3), (n, q, ell, a)
+    assert {1, 5, 25, 121} <= torsor_sizes

@@ -209,3 +209,91 @@ def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
     monkeypatch.setattr(sweep, "_direct_orbit_count", counting_walk)
     assert all(c.passed for c in sweep.run_grid())
     assert sorted(scanned) == sorted(walked) == sorted(set(walked))
+
+
+def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
+    # checks 5 and 8 read each integral parameter in one pass: one matrix
+    # pair, one cocycle check and one nilpotent support for each, plus the
+    # degenerate a = 0 support for n >= 2.  The pair walks the orbit through
+    # TrselpGL.orbit; the support and canonical() walk their own orbits
+    # without building them, so the orbit is built once per parameter.  One
+    # run_grid() mints 13,013 + 6,996 + 6,996 parameters unchecked (the
+    # integral lists, the lifts and their reductions) and validates the
+    # 3,100 sampled residue parameters and the 15 degenerate ones
+    from llc_params import glparams, sweep
+    from llc_params.glparams import ZBAR, GLFamily, TrselpGL
+
+    integral = [
+        (n, q, phi.a)
+        for n in GRID_N_PARAMS
+        for q in GRID_Q
+        for phi in GLFamily(n, q, admissible_ells(q)[0]).parameters(ZBAR)
+    ]
+    supported = []
+    for n in GRID_N_PARAMS:
+        for q in GRID_Q:
+            supported += [k for k in integral if k[:2] == (n, q)]
+            if n >= 2:
+                supported.append((n, q, 0))
+    assert (len(integral), len(supported)) == (13013, 13028)
+
+    seen = {name: [] for name in ("matrices", "cocycle", "support")}
+    calls = {name: 0 for name in ("orbit", "lifts", "_param", "__init__")}
+    matrices, verify, support, lifts = (
+        sweep.matrices, sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions,
+        sweep.lifts_in_component,
+    )
+    orbit, param, init = TrselpGL.orbit, glparams._param, TrselpGL.__init__
+
+    def counting(name, f):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapped
+
+    def seeing_matrices(phi):
+        seen["matrices"].append((phi.family.n, phi.family.q, phi.a))
+        return matrices(phi)
+
+    def seeing_cocycle(m, q):
+        seen["cocycle"].append((m.n, q, m.diagonal[0]))
+        return verify(m, q)
+
+    def seeing_support(phi):
+        seen["support"].append((phi.family.n, phi.family.q, phi.a))
+        return support(phi)
+
+    monkeypatch.setattr(sweep, "matrices", seeing_matrices)
+    monkeypatch.setattr(sweep, "verify_cocycle", seeing_cocycle)
+    monkeypatch.setattr(sweep, "nilpotent_support_fixed_positions", seeing_support)
+    monkeypatch.setattr(sweep, "lifts_in_component", counting("lifts", lifts))
+    monkeypatch.setattr(TrselpGL, "orbit", counting("orbit", orbit))
+    monkeypatch.setattr(glparams, "_param", counting("_param", param))
+    monkeypatch.setattr(TrselpGL, "__init__", counting("__init__", init))
+    assert all(c.passed for c in sweep.run_grid())
+    assert seen["matrices"] == seen["cocycle"] == integral
+    assert seen["support"] == supported
+    assert calls == {"orbit": 13013, "lifts": 3100, "_param": 27005, "__init__": 3115}
+
+
+def test_the_one_pass_reports_a_parameter_under_both_checks(monkeypatch):
+    # a parameter that fails both checks of the fused pass is listed under
+    # each: the cocycle failure does not skip its support
+    from llc_params import sweep
+
+    verify, support = sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions
+
+    def skewed_cocycle(m, q):
+        return (m.n, q, m.diagonal[0]) != (2, 3, 5) and verify(m, q)
+
+    def skewed_support(phi):
+        return [] if (phi.family.n, phi.family.q, phi.a) == (2, 3, 5) else support(phi)
+
+    monkeypatch.setattr(sweep, "verify_cocycle", skewed_cocycle)
+    monkeypatch.setattr(sweep, "nilpotent_support_fixed_positions", skewed_support)
+    details = {c.check_id: (c.passed, c.detail) for c in sweep.run_grid()}
+    assert details["cocycle-relation"] == (False, "13013 parameters; failures: [(2, 3, 5)]")
+    assert details["nilpotent-support"] == (False, "13028 cases; failures: [(2, 3, 5)]")
+    assert [check for check, (passed, _) in details.items() if not passed] == [
+        "cocycle-relation", "nilpotent-support"
+    ]
