@@ -61,7 +61,6 @@ from .lattice import IntMatrix, smith_normal_form
 from .rootdata import (
     RootDatum,
     WeylTwist,
-    center_char_group,
     coxeter_twist,
     identity_twist,
     preset,
@@ -97,7 +96,6 @@ __all__ = [
     "WeylTwist",
     "ZBAR",
     "categorical_summary",
-    "center_char_group",
     "cokernel",
     "component_descriptor",
     "cocycle_space",

@@ -134,6 +134,8 @@ def _perfect_power_root(n: int) -> tuple[int, int]:
 def prime_power_split(q: int) -> tuple[int, int]:
     """Write q = p**e with p prime, e >= 1, or raise InvalidPrimePower.
 
+    A q that is no int (a float or a bool) is refused before any arithmetic.
+
     A q with a prime factor up to 41 is a prime power exactly when it is a
     power of that prime.  Otherwise its maximal perfect-power root is
     certified prime, or refused with ``q-too-large`` at or above PRIME_BOUND.
@@ -141,8 +143,8 @@ def prime_power_split(q: int) -> tuple[int, int]:
     >>> prime_power_split(121), prime_power_split(3**8000)[1]
     ((11, 2), 8000)
     """
-    if q < 2:
-        raise InvalidPrimePower(f"q = {q} is not a prime power", code="q-not-prime-power")
+    if type(q) is not int or q < 2:
+        raise InvalidPrimePower(f"q = {q!r} is not a prime power", code="q-not-prime-power")
     for p in _SMALL_PRIMES:
         if q % p == 0:
             e = valuation(q, p)
@@ -179,7 +181,8 @@ def valuation(n: int, p: int) -> int:
 def check_admissible(q: int, ell: int) -> tuple[int, int]:
     """Validate the standing hypotheses on (q, ell); return (p, e).
 
-    q must be a power of an odd prime p, ell an odd prime different from p.
+    q must be a power of an odd prime p, ell an odd prime different from p,
+    both exact ints (a float or a bool is refused before any arithmetic).
     Each violation raises with its own stable error code so callers can tell
     them apart.
     """
@@ -189,8 +192,8 @@ def check_admissible(q: int, ell: int) -> tuple[int, int]:
             f"q = {q} is a power of 2; residue characteristic 2 is excluded",
             code="p-even",
         )
-    if not is_prime(ell, name="ell"):
-        raise InvalidPrime(f"ell = {ell} is not prime", code="ell-not-prime")
+    if type(ell) is not int or not is_prime(ell, name="ell"):
+        raise InvalidPrime(f"ell = {ell!r} is not prime", code="ell-not-prime")
     if ell == 2:
         raise InvalidPrime("ell = 2 is excluded; the coefficient prime must be odd", code="ell-even")
     if ell == p:

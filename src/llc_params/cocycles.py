@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from .abgroups import FinGenAbGroup
 from .arith import check_admissible, prime_power_split
 from .errors import InternalError
-from .rootdata import WeylTwist, center_char_group
+from .rootdata import WeylTwist
 
 POINT_MOD_STABILIZER = "point_mod_S_psi"
 TORUS_QUOTIENT = "torus_quotient"
@@ -122,10 +122,10 @@ def component_descriptors(
 ) -> tuple[ComponentDescriptor, ...]:
     """Assemble the component structure for a twist on characters, per ell.
 
-    The center is that of the twist's datum.  The fixed scheme, the
-    stabilizer and the center do not depend on ell, so their cokernels are
-    taken once; each ell reads only the fixed scheme's ell-primary part.
-    Every ell is checked against q before any cokernel.
+    The center is that of the twist's datum.  The fixed scheme and the
+    stabilizer do not depend on ell, so their cokernels are taken once; each
+    ell reads only the fixed scheme's ell-primary part.  Every ell is checked
+    against q before any cokernel.
 
     >>> from .rootdata import preset, coxeter_twist
     >>> w = coxeter_twist(preset("GL", 2))
@@ -137,9 +137,12 @@ def component_descriptors(
     fixed = frob_fixed_scheme(twist, q)
     stabilizer = twisted_centralizer(twist)
     # dim ker(1 - w) is the free rank of coker(1 - w); elliptic means the
-    # stabilizer is no bigger than the center
+    # stabilizer is no bigger than the center.  The simple roots are a basis
+    # of the root lattice, so the center's character group X* / ZPhi has free
+    # rank rank X* - |Delta|, and A_{n-1} has n - 1 simple roots
     orbit_rank = stabilizer.free_rank
-    center_rank = center_char_group(twist.datum).free_rank
+    rd = twist.datum
+    center_rank = rd.rank - (rd.n - 1)
     elliptic = orbit_rank == center_rank
     form = POINT_MOD_STABILIZER if (elliptic and center_rank == 0) else TORUS_QUOTIENT
     return tuple(

@@ -170,8 +170,12 @@ class GLFamily:
         >>> len(fam.parameters(ZBAR)), [phi.a for phi in fam.parameters(ZBAR, 3, 2)]
         (55, [4, 5])
         """
-        if offset < 0 or (limit is not None and limit < 0):
-            raise InvalidArgument("offset and limit must be nonnegative")
+        if type(offset) is not int or offset < 0 or (
+            limit is not None and (type(limit) is not int or limit < 0)
+        ):
+            raise InvalidArgument(
+                f"offset and limit must be nonnegative ints, got {offset!r} and {limit!r}"
+            )
         m = self.modulus(coeff)
         end = offset + (m if limit is None else limit)  # at most m exponents exist
         page: list[int] = []

@@ -17,9 +17,8 @@ INPUT group (the datum built is that of the dual):
 A preset is held by its kind and n.  One routine gives the positive (root,
 coroot) of each block of consecutive simple roots, and all n(n - 1) roots
 are generated only where they are printed (component JSON) or where an
-explicit Weyl matrix is refused.  The simple roots, the one-root blocks,
-are also written as sparse rows of at most three nonzeros, so that the
-center costs O(n).
+explicit Weyl matrix is refused.  A RootDatum refuses any (kind, n) that
+no preset has.
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  As Aut(A_{n-1}) = W x {+-1}, it is
@@ -42,6 +41,10 @@ from .errors import InternalError, InvalidArgument, InvalidRank, UnsupportedFami
 from .lattice import IntMatrix
 
 FAMILIES = ("GL", "SL", "PGL")
+# the kind of datum each family's preset builds, that of its dual group
+_KINDS = {"GL": "gl", "SL": "adjoint", "PGL": "sc"}
+# the least n of each kind: GL_1 is a torus, A_0 has no semisimple part
+_LEAST_N = {"gl": 1, "adjoint": 2, "sc": 2}
 # the dual group each kind of datum belongs to
 _DUAL_NAMES = {"gl": "GL", "adjoint": "PGL", "sc": "SL"}
 # the kind of the dual lattice: the coweights of the root lattice, and back
@@ -61,6 +64,9 @@ class RootDatum:
     __slots__ = ("kind", "n")
 
     def __init__(self, kind: str, n: int):
+        least = _least_n(kind, "datum")
+        if type(n) is not int or n < least:
+            raise InvalidArgument(f"a {kind} datum needs an int n >= {least}, got {n!r}")
         self.kind = kind
         self.n = n
 
@@ -128,10 +134,10 @@ class WeylTwist:
 
     def __post_init__(self):
         """Refuse, in O(n), a record that is no signed permutation of a preset's lattice."""
-        kinds = tuple(_DUAL_KINDS)
-        if self.kind not in kinds:
-            raise InvalidArgument(f"twist kind must be one of {kinds}, got {self.kind!r}")
-        n, least = len(self.perm), 1 if self.kind == "gl" else 2
+        least = _least_n(self.kind, "twist")
+        if type(self.perm) is not tuple:
+            raise InvalidArgument(f"a twist's perm must be a tuple, got {type(self.perm).__name__}")
+        n = len(self.perm)
         if n < least or set(map(type, self.perm)) != {int} or set(self.perm) != set(range(n)):
             raise InvalidArgument(
                 f"a {self.kind} twist's perm must permute range(n) with n >= {least}; "
@@ -205,22 +211,11 @@ def _with_negatives(pos: list) -> tuple:
     return tuple(pos) + tuple([tuple([-x for x in v]) for v in pos])
 
 
-def _simple_roots(rd: RootDatum) -> list:
-    """The simple roots of a preset, as sparse rows.
-
-    They are the roots of `_block_pairs`'s one-root blocks, written as
-    (coordinate, entry) pairs with at most three nonzeros: GL's e_i -
-    e_{i+1}; e_i in the adjoint basis; in the simply connected basis the
-    i-th Cartan matrix column (2 at i, -1 at i - 1 and i + 1).
-    """
-    if rd.kind == "gl":
-        return [((i, 1), (i + 1, -1)) for i in range(rd.n - 1)]
-    if rd.kind == "adjoint":
-        return [((i, 1),) for i in range(rd.rank)]
-    return [
-        tuple((k, a) for k, a in ((i - 1, -1), (i, 2), (i + 1, -1)) if 0 <= k < rd.rank)
-        for i in range(rd.rank)
-    ]
+def _least_n(kind: str, record: str) -> int:
+    """The least n of a preset of this kind; any other kind is refused."""
+    if kind not in _LEAST_N:
+        raise InvalidArgument(f"{record} kind must be one of {tuple(_LEAST_N)}, got {kind!r}")
+    return _LEAST_N[kind]
 
 
 def preset(family: str, n: int) -> RootDatum:
@@ -232,34 +227,10 @@ def preset(family: str, n: int) -> RootDatum:
         )
     if isinstance(n, bool) or not isinstance(n, int):
         raise InvalidRank(f"n must be an integer, got {n!r}")
-    if family == "GL":
-        if n < 1:
-            raise InvalidRank(f"GL needs n >= 1, got {n}")
-        return RootDatum("gl", n)
-    if n < 2:
-        raise InvalidRank(f"{family} needs n >= 2, got {n}")
-    return RootDatum("adjoint" if family == "SL" else "sc", n)
-
-
-def center_char_group(rd: RootDatum) -> FinGenAbGroup:
-    """Character group of the center: the lattice modulo the root lattice.
-
-    The simple roots of a preset span the root lattice, so the quotient is
-    the cokernel of the simple roots as columns (rank x (rank - 1) for GL,
-    rank x rank for the semisimple presets): the transpose of their sparse
-    rows.
-
-    >>> center_char_group(preset("GL", 2))
-    FinGenAbGroup(free_rank=1, invariant_factors=())
-    >>> center_char_group(preset("PGL", 2))
-    FinGenAbGroup(free_rank=0, invariant_factors=(2,))
-    >>> center_char_group(preset("SL", 3)).is_trivial
-    True
-    >>> center_char_group(preset("PGL", 3))
-    FinGenAbGroup(free_rank=0, invariant_factors=(3,))
-    """
-    simple = tuple(_simple_roots(rd))
-    return cokernel(IntMatrix._trusted(simple, rd.rank).transpose())
+    kind = _KINDS[family]
+    if n < _LEAST_N[kind]:
+        raise InvalidRank(f"{family} needs n >= {_LEAST_N[kind]}, got {n}")
+    return RootDatum(kind, n)
 
 
 def coxeter_twist(rd: RootDatum) -> WeylTwist:

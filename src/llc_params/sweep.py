@@ -133,7 +133,7 @@ def run_grid() -> list[GridCheck]:
             ells = admissible_ells(q)
             # 2-4: the fixed scheme is cyclic of order q^n - 1, the mu invariant
             # is cyclic of order ell^{v_ell(q^n - 1)}, and the two sides match.
-            # One call takes the five ell-free cokernels of (n, q) once and
+            # One call takes the four ell-free cokernels of (n, q) once and
             # reads them at each ell; checks 2 and 3 read the match's components
             summaries = categorical_summaries(n, q, ells)
             fixed_ok = summaries[0].match.component.fixed_scheme == FinGenAbGroup.cyclic(q**n - 1)

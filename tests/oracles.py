@@ -540,6 +540,32 @@ def textbook_smith_invariants(rows, cols: int) -> tuple[int, ...]:
     return tuple(out) + (0,) * (min(m, cols) - len(out))
 
 
+def textbook_cokernel(rows, cols: int) -> tuple[int, tuple[int, ...]]:
+    """Z^m / (column span of a), m = len(rows): (free rank, invariant factors > 1).
+
+    >>> textbook_cokernel([[2, 0], [0, 0]], 2)
+    (1, (2,))
+    >>> textbook_cokernel([[]], 0)
+    (1, ())
+    """
+    nonzero = [d for d in textbook_smith_invariants(rows, cols) if d]
+    return len(rows) - len(nonzero), tuple(d for d in nonzero if d > 1)
+
+
+def center_by_roots(rank: int, roots) -> tuple[int, tuple[int, ...]]:
+    """The center's character group X* / ZPhi, X* = Z^rank, from every root.
+
+    The roots, given as coordinate vectors, are the columns; see
+    `textbook_cokernel` for the answer's shape.
+
+    >>> center_by_roots(2, [(1, -1), (-1, 1)])
+    (1, ())
+    >>> center_by_roots(1, [(2,), (-2,)])
+    (0, (2,))
+    """
+    return textbook_cokernel([[a[i] for a in roots] for i in range(rank)], len(roots))
+
+
 def type_a_fixed_cokernel(family: str, lengths, eps: int, q: int) -> tuple[int, tuple[int, ...]]:
     """coker(w - q) on a type A preset's lattice, for w = eps * sigma on e-coordinates.
 
@@ -553,7 +579,7 @@ def type_a_fixed_cokernel(family: str, lengths, eps: int, q: int) -> tuple[int, 
     * SL: the kernel of C -> Z/(q - eps), g_i -> 1, written in the basis
       g_1 - g_2, ..., g_{r-1} - g_r, (q - eps) g_r of the preimage lattice.
 
-    Returns (free rank, invariant factors > 1) from `textbook_smith_invariants`.
+    Returns (free rank, invariant factors > 1) from `textbook_cokernel`.
     The finite torus coker(q w^T - 1) = coker(w^{-T} - q) is the other
     semisimple preset's formula at the same cycle type and eps.
 
@@ -575,9 +601,7 @@ def type_a_fixed_cokernel(family: str, lengths, eps: int, q: int) -> tuple[int, 
         # vectors from j on and d_j / (q - eps) on the last
         rows = [[d[j] if j <= i else 0 for j in range(r)] for i in range(r - 1)]
         rows, cols = rows + [[x // (q - eps) for x in d]], r
-    invariants = textbook_smith_invariants(rows, cols)
-    nonzero = [x for x in invariants if x]
-    return r - len(nonzero), tuple(x for x in nonzero if x > 1)
+    return textbook_cokernel(rows, cols)
 
 
 def preset_twist_matrix(family: str, perm, eps: int) -> list[list[int]]:

@@ -140,6 +140,13 @@ def test_check_admissible_accepts():
         (2**89 - 1, 5, "q-too-large"),
         (11, 2**89 - 1, "ell-too-large"),
         (11, 2 * PRIME_BOUND, "ell-not-prime"),
+        # no exact int: 9.0 used to read as (3, 2)
+        (9.0, 5, "q-not-prime-power"),
+        (True, 5, "q-not-prime-power"),
+        ("11", 5, "q-not-prime-power"),
+        (11, 5.0, "ell-not-prime"),
+        (11, True, "ell-not-prime"),
+        (11, "5", "ell-not-prime"),
     ],
 )
 def test_check_admissible_rejects_with_distinct_codes(q, ell, code):

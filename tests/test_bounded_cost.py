@@ -217,7 +217,7 @@ def test_gl1000_coxeter_reports_answer(cmd):
 
 @pytest.mark.parametrize("cmd", ["block", "match", "summary"])
 def test_gl5000_text_reports_answer(cmd):
-    # q^n - 1 has 2,386 digits; the center's simple roots are sparse rows
+    # q^n - 1 has 2,386 digits; the center's rank is read off the datum
     code, text = run_timed([cmd, "--n", "5000", "--q", "3", "--ell", "5"])
     assert code == 0
     assert text.startswith(f"{cmd} [GL_5000, q=3")

@@ -251,9 +251,10 @@ def test_component_takes_each_invariant_once(monkeypatch):
     calls = _count_snf(monkeypatch)
     code, _ = run_cli(["component", "--n", "4", "--q", "11", "--ell", "5"])
     assert code == 0
-    # coker(w - q), coker(1 - w) and the center; the Coxeter twist is a
-    # signed permutation by construction, so w itself is never checked
-    assert len(calls) == 3
+    # coker(w - q) and coker(1 - w), the center's rank is read off the datum;
+    # the Coxeter twist is a signed permutation by construction, so w itself
+    # is never checked
+    assert len(calls) == 2
     assert IntMatrix(preset_twist_matrix("GL", [1, 2, 3, 0], 1)) not in calls
 
 
@@ -274,8 +275,8 @@ def test_an_explicit_weyl_matrix_is_checked_for_unimodularity_once(monkeypatch, 
     # own and generates no roots
     assert [a for a in calls if a.data == tuple(map(tuple, swap))] == []
     assert generated == []
-    # only the component's three invariants, and the block's two
-    assert {a.rows for a in calls} == {4} and len(calls) == {"component": 3, "match": 5}[cmd]
+    # only the component's two invariants, and the block's two
+    assert {a.rows for a in calls} == {4} and len(calls) == {"component": 2, "match": 4}[cmd]
 
 
 @pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])

@@ -34,11 +34,16 @@ def test_component_descriptor_validation():
     with pytest.raises(LlcError) as exc:
         component_descriptor(w, 11, 11)
     assert exc.value.code == "ell-equals-p"
+    # 11.0 used to end in "invariant factors must be integers, got 120.0"
+    for q, ell, code in ((11.0, 5, "q-not-prime-power"), (11, 5.0, "ell-not-prime")):
+        with pytest.raises(LlcError) as exc:
+            component_descriptor(w, q, ell)
+        assert exc.value.code == code
     with pytest.raises(LlcError):
         weyl_twist(rd, IntMatrix([[2, 0], [0, 1]]))
 
 
-@pytest.mark.parametrize("q", [1, 0, -3, 6])
+@pytest.mark.parametrize("q", [1, 0, -3, 6, 11.0, True])
 def test_frob_fixed_scheme_rejects_q_not_a_prime_power(q):
     # q = 1 would otherwise blame the twist with an internal error
     with pytest.raises(InvalidPrimePower) as exc:

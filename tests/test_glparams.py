@@ -71,6 +71,11 @@ def test_construction_validation():
         GLFamily(True, 11, 5)
     with pytest.raises(LlcError):
         GLFamily(2, 12, 5)
+    # 11.0 used to give the modulus 120.0, and its parameters a bare TypeError
+    for q, ell, code in ((11.0, 5, "q-not-prime-power"), (11, 5.0, "ell-not-prime")):
+        with pytest.raises(LlcError) as exc:
+            GLFamily(2, q, ell)
+        assert exc.value.code == code
     with pytest.raises(LlcError):
         TrselpGL(GL2, "padic")
     with pytest.raises(LlcError):
@@ -479,9 +484,12 @@ def test_pages_across_window_boundaries_are_slices(n, q, ell, coeff):
 
 
 def test_parameters_reject_negative_paging():
-    for offset, limit in ((-1, 3), (0, -1)):
-        with pytest.raises(LlcError):
+    # and paging that is no int: True used to page as 1, and 1.5 ended in a
+    # bare TypeError
+    for offset, limit in ((-1, 3), (0, -1), (True, 3), (0, True), (1.5, 3), (0, 2.0), ("1", None)):
+        with pytest.raises(LlcError) as exc:
             GL2.parameters(ZBAR, offset, limit)
+        assert exc.value.code == "invalid-argument"
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ from llc_params.abgroups import FinGenAbGroup, cokernel
 from llc_params.errors import InvalidArgument, LlcError
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import (
+    RootDatum,
     WeylTwist,
     _block_pairs,
-    _simple_roots,
-    center_char_group,
     coxeter_twist,
     identity_twist,
     preset,
@@ -21,6 +20,7 @@ from llc_params.rootdata import (
 )
 
 from oracles import (
+    center_by_roots,
     gauss_det,
     identity,
     matmul,
@@ -136,21 +136,30 @@ def test_validate_reports_violations():
 # centers
 
 
+# The library reads the center's free rank off the datum as rank X* - |Delta|
+# (component descriptors' ellipticity); the oracle takes the cokernel of
+# every root.
+
+
+def _center(rd):
+    return center_by_roots(rd.rank, rd.roots)
+
+
 def test_center_of_gl_n_is_a_torus():
     for n in range(1, 6):
-        assert center_char_group(preset("GL", n)) == FinGenAbGroup(1, ())
+        assert _center(preset("GL", n)) == (1, ())
 
 
 def test_center_of_adjoint_datum_is_trivial():
     # dual of SL_n is adjoint PGL_n whose center is trivial
     for n in range(2, 6):
-        assert center_char_group(preset("SL", n)).is_trivial
+        assert _center(preset("SL", n)) == (0, ())
 
 
 def test_center_of_simply_connected_datum_is_mu_n():
     # dual of PGL_n is SL_n with center mu_n
     for n in range(2, 6):
-        assert center_char_group(preset("PGL", n)) == FinGenAbGroup.cyclic(n)
+        assert _center(preset("PGL", n)) == (0, (n,))
 
 
 def _root_matrix(rd):
@@ -164,21 +173,26 @@ def _ranks(family, top):
 
 @pytest.mark.parametrize("family,top", [("GL", 4), ("SL", 5), ("PGL", 5)])
 def test_center_is_the_quotient_by_all_roots_by_minors(family, top):
+    # two oracles, determinantal divisors and the textbook Smith form, agree
     for n in _ranks(family, top):
         rd = preset(family, n)
         invariants = smith_invariants_by_minors(
             [list(r) for r in _root_matrix(rd).data], cols=len(rd.roots)
         )
         nonzero = [d for d in invariants if d]
-        expected = FinGenAbGroup(rd.rank - len(nonzero), nonzero)
-        assert center_char_group(rd) == expected, (family, n)
+        expected = (rd.rank - len(nonzero), tuple(d for d in nonzero if d > 1))
+        assert _center(rd) == expected, (family, n)
 
 
 @pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
 def test_center_is_the_cokernel_of_all_roots(family):
+    # the package's cokernel of every root is the oracle's, and its free rank
+    # is the rank X* - |Delta| = rank - (n - 1) that ellipticity reads
     for n in _ranks(family, 12):
         rd = preset(family, n)
-        assert center_char_group(rd) == cokernel(_root_matrix(rd)), (family, n)
+        free_rank, factors = _center(rd)
+        assert cokernel(_root_matrix(rd)) == FinGenAbGroup(free_rank, factors), (family, n)
+        assert free_rank == rd.rank - (n - 1), (family, n)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +264,24 @@ def test_coxeter_twist_is_the_product_of_simple_reflections(family):
 
 @pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
 def test_simple_roots_are_the_one_root_blocks_as_sparse_rows(family):
-    for n in range(1 if family == "GL" else 2, 12):
+    # the simple roots, GL's e_i - e_{i+1}, e_i in the adjoint basis and the
+    # i-th Cartan matrix column in the simply connected one, are the roots of
+    # the one-root blocks; each has at most three nonzeros, and the n - 1 of
+    # them span the root lattice, so |Delta| = n - 1 is what the center's
+    # free rank rank X* - |Delta| subtracts
+    for n in _ranks(family, 11):
         rd = preset(family, n)
-        simple = _simple_roots(rd)
-        for v in simple:
-            assert len(v) <= 3 and all(a for _, a in v)
-            assert [k for k, _ in v] == sorted({k for k, _ in v})
-        dense = [[0] * rd.rank for _ in simple]
-        for row, v in zip(dense, simple):
-            for k, a in v:
-                row[k] = a
+        m = rd.rank
+        if family == "GL":
+            simple = [tuple(int(k == i) - int(k == i + 1) for k in range(m)) for i in range(n - 1)]
+        elif family == "SL":
+            simple = [tuple(int(k == i) for k in range(m)) for i in range(m)]
+        else:
+            simple = [_dense_cartan_column_sum(m, i, i) for i in range(m)]
         blocks = _block_pairs(rd.kind, rd.rank, ((i, i) for i in range(n - 1)))
-        assert list(map(tuple, dense)) == [root for root, _ in blocks]
+        assert [root for root, _ in blocks] == simple, (family, n)
+        assert all(len([a for a in v if a]) <= 3 for v in simple), (family, n)
+        assert center_by_roots(m, simple) == _center(rd), (family, n)
 
 
 @pytest.mark.parametrize("family", ["GL", "SL", "PGL"])
@@ -488,11 +508,26 @@ def test_weyl_twist_reads_each_signed_permutation(family, other):
     ("gl", (0, 1), True),
     ("gl", (0, 1), -1.0),
     ("sc", (1, 0), 0),
+    ("gl", [1, 0], 1),  # a list perm used to make an unhashable record
 ])
 def test_a_record_that_is_no_signed_permutation_is_refused(kind, perm, sign):
     with pytest.raises(InvalidArgument) as exc:
         WeylTwist(kind, perm, sign)
     assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("xx", 3),  # its repr used to raise KeyError
+    ("adjoint", 1),  # weyl_twist on it used to end in a bare IndexError
+    ("sc", 1),
+    ("gl", 0),
+    ("gl", 2.0),
+    ("gl", True),
+])
+def test_a_datum_no_preset_has_is_refused(kind, n):
+    with pytest.raises(InvalidArgument) as exc:
+        RootDatum(kind, n)
+    assert exc.value.code == "invalid-argument"
 
 
 def test_twist_equality_and_hash():

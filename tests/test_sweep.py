@@ -67,9 +67,9 @@ def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
     # fixed-scheme-cyclic and mu-exponent-law read match-law's component
     # descriptors, so they take no Smith form of their own, and match-law
     # takes its cokernels once per (n, q) for all of its ells: the fixed
-    # scheme, the stabilizer and the center, then the finite torus and the
-    # centralizer.  With the golden component's 3 and those 5 for each of
-    # the 30 (n, q) pairs, the grid takes 153
+    # scheme and the stabilizer, then the finite torus and the centralizer.
+    # With the golden component's 2 and those 4 for each of the 30 (n, q)
+    # pairs, the grid takes 122
     from llc_params import abgroups
     from llc_params.sweep import run_grid
 
@@ -82,7 +82,7 @@ def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
 
     monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
     assert all(c.passed for c in run_grid())
-    assert len(calls) == 153
+    assert len(calls) == 122
 
 
 def test_the_grid_compares_what_categorical_summary_gives(monkeypatch):

@@ -4,7 +4,9 @@ For every twist w in the Weyl group, the component side (coker(w - q) on
 characters) and the block side (coker(q w^T - 1) on cocharacters) must give
 isomorphic ell-parts, equal free ranks and the same ambient finite torus.
 GL_n runs over all permutation matrices; SL_n and PGL_n over the closure of
-the root reflections s_alpha(x) = x - <x, alpha_vee> alpha.
+the root reflections s_alpha(x) = x - <x, alpha_vee> alpha.  Over the same
+twists, ellipticity is checked against the oracle's free ranks of
+coker(1 - w) and of the center.
 """
 
 from itertools import permutations
@@ -16,7 +18,7 @@ from llc_params.cocycles import POINT_MOD_STABILIZER, component_descriptor
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import preset, weyl_twist
 
-from oracles import gauss_det, identity, matmul
+from oracles import center_by_roots, gauss_det, identity, matmul, shifted, textbook_cokernel
 
 Q_ELL = ((7, 3), (11, 5))
 _DUAL = {"GL": "GL", "SL": "PGL", "PGL": "SL"}
@@ -82,3 +84,22 @@ def test_match_law_over_whole_weyl_groups(q, ell):
         cases += 1
     assert cases == 33 + 2 * (2 + 6 + 24)
     assert points > 0
+
+
+def test_ellipticity_is_the_centers_free_rank_over_whole_weyl_groups():
+    # elliptic: dim ker(1 - w), the free rank of coker(1 - w), equals the
+    # free rank of the center X* / ZPhi, both from the textbook Smith form
+    elliptic = 0
+    for family, n, w in _cases():
+        rd, case = preset(family, n), (family, n, w)
+        comp = component_descriptor(weyl_twist(rd, w), 7, 3)
+        orbit_rank, _ = textbook_cokernel(shifted(w.data, -1, 1), rd.rank)
+        center_rank, _ = center_by_roots(rd.rank, rd.roots)
+        assert comp.orbit_torus_rank == orbit_rank, case
+        assert comp.elliptic == (orbit_rank == center_rank), case
+        point = comp.product_form == POINT_MOD_STABILIZER
+        assert point == (comp.elliptic and center_rank == 0), case
+        elliptic += comp.elliptic
+    # the elliptic elements of S_n are its (n - 1)! n-cycles: 1 + 1 + 2 + 6
+    # for GL_1..GL_4, and 1 + 2 + 6 for each of SL and PGL at n = 2..4
+    assert elliptic == 10 + 2 * 9
