@@ -67,7 +67,7 @@ def _too_large(name: str, n: int) -> InvalidArgument:
 
 
 def is_prime(n: int, *, name: str = "n") -> bool:
-    """Whether n is prime, decided exactly.
+    """Whether n is prime, decided exactly; anything but an exact int is not.
 
     A number with a prime factor up to 41 is decided by division.  Any other
     n at or above PRIME_BOUND raises ``{name}-too-large``.
@@ -77,7 +77,7 @@ def is_prime(n: int, *, name: str = "n") -> bool:
     >>> is_prime(3215031751)  # a strong pseudoprime to the bases 2, 3, 5, 7
     False
     """
-    if n < 2:
+    if type(n) is not int or n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
@@ -192,7 +192,7 @@ def check_admissible(q: int, ell: int) -> tuple[int, int]:
             f"q = {q} is a power of 2; residue characteristic 2 is excluded",
             code="p-even",
         )
-    if type(ell) is not int or not is_prime(ell, name="ell"):
+    if not is_prime(ell, name="ell"):
         raise InvalidPrime(f"ell = {ell!r} is not prime", code="ell-not-prime")
     if ell == 2:
         raise InvalidPrime("ell = 2 is excluded; the coefficient prime must be odd", code="ell-even")

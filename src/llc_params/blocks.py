@@ -19,12 +19,10 @@ integer grading common to both sides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroups import FinGenAbGroup
 from .arith import check_admissible, prime_power_split, valuation
 from .cocycles import ComponentDescriptor, component_descriptors, twisted_centralizer
-from .errors import InternalError
+from .errors import FrozenRecord, InternalError
 from .rootdata import WeylTwist, coxeter_twist, preset
 
 GRADING_INDEX = "Z"
@@ -52,27 +50,19 @@ def finite_torus(twist: WeylTwist, q: int) -> FinGenAbGroup:
     return group
 
 
-@dataclass(frozen=True)
-class ApplicabilityFlag:
+class ApplicabilityFlag(FrozenRecord):
     """One recorded hypothesis check, e.g. q above the Coxeter number."""
 
-    code: str
-    holds: bool
-    detail: str
+    __slots__ = ("code", "holds", "detail")
 
     def to_json(self) -> dict:
         return {"code": self.code, "holds": self.holds, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class BlockDescriptor(FrozenRecord):
     """Shape of one block: ell-part, free direction, ambient finite torus."""
 
-    torsion: FinGenAbGroup
-    free_rank: int
-    finite_torus_order: int
-    k: int
-    applicability: tuple[ApplicabilityFlag, ...]
+    __slots__ = ("torsion", "free_rank", "finite_torus_order", "k", "applicability")
 
     def to_json(self) -> dict:
         return {
@@ -124,15 +114,10 @@ def torus_block_descriptor(twist: WeylTwist, q: int, ell: int) -> BlockDescripto
     return torus_block_descriptors(twist, q, (ell,))[0]
 
 
-@dataclass(frozen=True)
-class MatchReport:
+class MatchReport(FrozenRecord):
     """Verdict of the component-to-block comparison, with the two sides compared."""
 
-    component: ComponentDescriptor
-    block: BlockDescriptor
-    isomorphic: bool
-    free_ranks_agree: bool
-    context_mismatch: bool
+    __slots__ = ("component", "block", "isomorphic", "free_ranks_agree", "context_mismatch")
 
     def to_json(self) -> dict:
         return {
@@ -173,8 +158,7 @@ def match_sides(component: ComponentDescriptor, block: BlockDescriptor) -> Match
     )
 
 
-@dataclass(frozen=True)
-class CategoricalSummary:
+class CategoricalSummary(FrozenRecord):
     """The computable shadow of the depth-zero comparison for GL_n.
 
     Both sides decompose into cells indexed by the same integer grading,
@@ -182,10 +166,7 @@ class CategoricalSummary:
     block's); the match holds the component and the block it compares.
     """
 
-    n: int
-    q: int
-    ell: int
-    match: MatchReport
+    __slots__ = ("n", "q", "ell", "match")
 
     def to_json(self) -> dict:
         block = self.match.block

@@ -26,13 +26,12 @@ from collections.abc import Callable, Iterator
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import NamedTuple
 
 from . import __version__
 from .abgroups import FinGenAbGroup
 from .blocks import GRADING_INDEX, categorical_summary, match_sides, torus_block_descriptor
 from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
-from .errors import InvalidArgument, LlcError
+from .errors import FrozenRecord, InvalidArgument, LlcError
 from .glparams import (
     COEFFS,
     ZBAR,
@@ -350,12 +349,13 @@ def _cmd_grid(args) -> _Outcome:
     return body, lines(), 0 if all_pass else 1
 
 
-class _Command(NamedTuple):
-    help: str
-    handler: Callable[[argparse.Namespace], _Outcome]
-    groups: tuple[str, ...]  # the --group choices
-    echoed: tuple[str, ...]  # options, in order, that the JSON report echoes as "input"
-    unechoed: tuple[str, ...] = ()  # options after them that it does not echo
+class _Command(FrozenRecord):
+    # handler: args -> _Outcome; groups: the --group choices; echoed: the options,
+    # in order, that the JSON report echoes as "input"; unechoed: those after them
+    __slots__ = ("help", "handler", "groups", "echoed", "unechoed")
+
+    def __init__(self, help, handler, groups, echoed, unechoed=()):
+        super().__init__(help, handler, groups, echoed, unechoed)
 
 
 _ALL, _GL = ("GL", "SL", "PGL"), ("GL",)

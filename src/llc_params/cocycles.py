@@ -23,11 +23,9 @@ acting on it, and the finite mu factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroups import FinGenAbGroup
 from .arith import check_admissible, prime_power_split
-from .errors import InternalError
+from .errors import FrozenRecord, InternalError
 from .rootdata import WeylTwist
 
 POINT_MOD_STABILIZER = "point_mod_S_psi"
@@ -58,14 +56,10 @@ def twisted_centralizer(twist: WeylTwist) -> FinGenAbGroup:
     return twist.cokernel(-1, 1)
 
 
-@dataclass(frozen=True)
-class CocycleSpace:
+class CocycleSpace(FrozenRecord):
     """Shape of the space of cocycles: a torus times the inertia fixed scheme."""
 
-    free_torus_rank: int
-    fixed_scheme: FinGenAbGroup
-    component_count: int
-    component_shape: FinGenAbGroup
+    __slots__ = ("free_torus_rank", "fixed_scheme", "component_count", "component_shape")
 
     def to_json(self) -> dict:
         return {
@@ -89,8 +83,7 @@ def cocycle_space(fixed: FinGenAbGroup, rank: int, ell: int) -> CocycleSpace:
     return CocycleSpace(rank, fixed, count, shape)
 
 
-@dataclass(frozen=True)
-class ComponentDescriptor:
+class ComponentDescriptor(FrozenRecord):
     """Structure of one connected component of the parameter space.
 
     The component is a quotient [T_psi / S_psi] x mu: a torus orbit of rank
@@ -99,12 +92,7 @@ class ComponentDescriptor:
     collapses and the component is a point modulo the stabilizer.
     """
 
-    orbit_torus_rank: int
-    stabilizer: FinGenAbGroup
-    mu: FinGenAbGroup
-    elliptic: bool
-    product_form: str
-    fixed_scheme: FinGenAbGroup
+    __slots__ = ("orbit_torus_rank", "stabilizer", "mu", "elliptic", "product_form", "fixed_scheme")
 
     def to_json(self) -> dict:
         return {

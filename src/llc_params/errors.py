@@ -1,4 +1,4 @@
-"""Structured errors shared by the library and the command line front end.
+"""Structured errors, and the frozen record base, shared across the package.
 
 Every error carries a stable machine-readable ``code`` and an optional
 ``hint``.  Validation failures (bad user input) map to process exit code 2,
@@ -57,3 +57,55 @@ class InternalError(LlcError):
 
     code = "internal-error"
     exit_code = 1
+
+
+class FrozenRecord:
+    """An immutable value record whose fields are the ``__slots__`` of its classes.
+
+    A record is built from its fields by position or by keyword, equals a
+    record of the same class with equal fields (and hashes alike), and
+    refuses assignment and deletion.  Its repr names every field.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # the fields in order, base classes' first; a class pattern reads them too
+        cls.__match_args__ = tuple(
+            name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
+        )
+
+    def __init__(self, *values, **named):
+        fields = self.__match_args__
+        if named and named.keys() == set(fields[len(values):]):
+            # the keyword values follow the positional ones, in field order
+            values += tuple(map(named.pop, fields[len(values):]))
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for name, value in zip(fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the default reduction restores slots by assignment, which is refused
+        return type(self), self._values()

@@ -34,10 +34,8 @@ one in O(nnz), or refuses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroups import FinGenAbGroup, cokernel
-from .errors import InternalError, InvalidArgument, InvalidRank, UnsupportedFamily
+from .errors import FrozenRecord, InternalError, InvalidArgument, InvalidRank, UnsupportedFamily
 from .lattice import IntMatrix
 
 FAMILIES = ("GL", "SL", "PGL")
@@ -117,8 +115,7 @@ class RootDatum:
         return f"RootDatum({self.name!r}, rank={self.rank})"
 
 
-@dataclass(frozen=True)
-class WeylTwist:
+class WeylTwist(FrozenRecord):
     """The twist e_i -> sign * e_perm[i], n = len(perm), of a kind of lattice.
 
     >>> w = coxeter_twist(preset("SL", 3))
@@ -128,23 +125,22 @@ class WeylTwist:
     FinGenAbGroup(free_rank=0, invariant_factors=(13,))
     """
 
-    kind: str
-    perm: tuple[int, ...]
-    sign: int
+    __slots__ = ("kind", "perm", "sign")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, perm: tuple[int, ...], sign: int):
         """Refuse, in O(n), a record that is no signed permutation of a preset's lattice."""
-        least = _least_n(self.kind, "twist")
-        if type(self.perm) is not tuple:
-            raise InvalidArgument(f"a twist's perm must be a tuple, got {type(self.perm).__name__}")
-        n = len(self.perm)
-        if n < least or set(map(type, self.perm)) != {int} or set(self.perm) != set(range(n)):
+        least = _least_n(kind, "twist")
+        if type(perm) is not tuple:
+            raise InvalidArgument(f"a twist's perm must be a tuple, got {type(perm).__name__}")
+        n = len(perm)
+        if n < least or set(map(type, perm)) != {int} or set(perm) != set(range(n)):
             raise InvalidArgument(
-                f"a {self.kind} twist's perm must permute range(n) with n >= {least}; "
+                f"a {kind} twist's perm must permute range(n) with n >= {least}; "
                 f"got one of length {n}"
             )
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise InvalidArgument(f"twist sign must be 1 or -1, got {self.sign!r}")
+        if type(sign) is not int or sign not in (1, -1):
+            raise InvalidArgument(f"twist sign must be 1 or -1, got {sign!r}")
+        super().__init__(kind, perm, sign)
 
     @property
     def datum(self) -> RootDatum:

@@ -15,12 +15,12 @@ its own failures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .abgroups import FinGenAbGroup
 from .arith import valuation
 from .blocks import categorical_summaries
 from .cocycles import component_descriptor
+from .errors import FrozenRecord
 from .glparams import (
     FBAR,
     ZBAR,
@@ -46,12 +46,8 @@ def admissible_ells(q: int) -> tuple[int, ...]:
     return tuple(ell for ell in (3, 5, 7, 11, 13, 17, 19) if q % ell != 0)
 
 
-@dataclass(frozen=True)
-class GridCheck:
-    check_id: str
-    label: str
-    passed: bool
-    detail: str
+class GridCheck(FrozenRecord):
+    __slots__ = ("check_id", "label", "passed", "detail")
 
     def to_json(self) -> dict:
         return {

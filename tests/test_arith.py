@@ -68,6 +68,21 @@ def test_is_prime_refuses_above_the_bound():
     assert not is_prime(3 * PRIME_BOUND)
 
 
+@pytest.mark.parametrize("n", [5.0, 2.0, 7.5, True, "5", None, 5 + 0j])
+def test_is_prime_is_false_for_anything_but_an_exact_int(n):
+    # 5.0 used to pass every Miller-Rabin round and read as prime
+    assert is_prime(n) is False
+
+
+@pytest.mark.parametrize(
+    "ell,message", [(5.0, "ell = 5.0 is not prime"), ("5", "ell = '5' is not prime")]
+)
+def test_check_admissible_refuses_an_inexact_ell_through_is_prime(ell, message):
+    with pytest.raises(LlcError) as exc:
+        check_admissible(11, ell)
+    assert (exc.value.code, exc.value.message) == ("ell-not-prime", message)
+
+
 def test_prime_power_split():
     assert prime_power_split(11) == (11, 1)
     assert prime_power_split(27) == (3, 3)

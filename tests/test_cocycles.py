@@ -12,7 +12,7 @@ from llc_params.cocycles import (
     frob_fixed_scheme,
     twisted_centralizer,
 )
-from llc_params.errors import InvalidPrimePower, LlcError
+from llc_params.errors import InvalidPrime, InvalidPrimePower, LlcError
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset, weyl_twist
 
@@ -120,6 +120,19 @@ def test_gl2_cocycle_space():
     assert space.fixed_scheme == FinGenAbGroup.cyclic(120)
     assert space.component_count == 24
     assert space.component_shape == FinGenAbGroup(2, (5,))
+
+
+def test_cocycle_space_refuses_a_float_ell():
+    # it used to end in "invariant factors must be integers, got 24.0"
+    fixed = FinGenAbGroup(0, (120,))
+    for call in (
+        lambda: cocycle_space(fixed, 2, 5.0),
+        lambda: fixed.ell_primary(5.0),
+        lambda: fixed.prime_to_ell(5.0),
+    ):
+        with pytest.raises(InvalidPrime) as exc:
+            call()
+        assert exc.value.message == "ell = 5.0 is not prime"
 
 
 def test_cocycle_space_component_count_times_mu_order_is_fixed_order():

@@ -137,9 +137,8 @@ PINNED_FAILURES = [
 def test_failing_cases_are_reported_in_grid_order(monkeypatch):
     # a fault injected into each route the grid checks: checks 2-4 list every
     # failure, the parameter checks the first three, each in grid order
-    from dataclasses import replace
-
     from llc_params import sweep
+    from llc_params.blocks import CategoricalSummary, MatchReport
     from llc_params.glparams import FBAR, GLFamily
 
     summaries, lifts = sweep.categorical_summaries, sweep.lifts_in_component
@@ -147,16 +146,20 @@ def test_failing_cases_are_reported_in_grid_order(monkeypatch):
         sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions, GLFamily.count
     )
 
+    def skewed(s, component, free_ranks_agree):
+        m = s.match
+        match = MatchReport(component, m.block, m.isomorphic, free_ranks_agree, m.context_mismatch)
+        return CategoricalSummary(s.n, s.q, s.ell, match)
+
     def skewed_summaries(n, q, ells):
         out = summaries(n, q, ells)
         if (n, q) == (2, 5):  # GL_3's components: mu_124 and no 3-part
             out = tuple(
-                replace(s, match=replace(s.match, component=t.match.component))
+                skewed(s, t.match.component, s.match.free_ranks_agree)
                 for s, t in zip(out, summaries(3, q, ells))
             )
         return tuple(
-            replace(s, match=replace(s.match, free_ranks_agree=False))
-            if n in (4, 6) and s.ell == 13 else s
+            skewed(s, s.match.component, False) if n in (4, 6) and s.ell == 13 else s
             for s in out
         )
 
