@@ -10,7 +10,9 @@ pairs, columns ascending.  Dense rows are only the constructor's input (the
 ``--weyl`` JSON and the tests), and ``data`` is their read-out.  The
 twisted-torus presentations that `rootdata` writes have at most four
 nonzeros per row, so they and their transposes cost O(rows + nnz), and
-`smith_normal_form` takes the rows as they are.
+`smith_normal_form` takes the rows as they are.  A ``--weyl`` matrix itself
+is read or refused in O(nnz) and takes no Smith form, so the CLI hands it
+only these sparse presentations.
 
 Everything downstream (fixed schemes of twisted Frobenius maps, kernels of
 character maps, centers of root data) reduces to the Smith invariants

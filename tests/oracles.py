@@ -566,6 +566,15 @@ def center_by_roots(rank: int, roots) -> tuple[int, tuple[int, ...]]:
     return textbook_cokernel([[a[i] for a in roots] for i in range(rank)], len(roots))
 
 
+def json_roots(doc: dict) -> tuple[tuple, tuple]:
+    """(roots, coroots), each a tuple of vectors, read off a root datum's JSON.
+
+    >>> json_roots({"roots": [[1, -1], [-1, 1]], "coroots": [[1, -1], [-1, 1]]})
+    (((1, -1), (-1, 1)), ((1, -1), (-1, 1)))
+    """
+    return tuple(map(tuple, doc["roots"])), tuple(map(tuple, doc["coroots"]))
+
+
 def type_a_fixed_cokernel(family: str, lengths, eps: int, q: int) -> tuple[int, tuple[int, ...]]:
     """coker(w - q) on a type A preset's lattice, for w = eps * sigma on e-coordinates.
 

@@ -239,16 +239,40 @@ def test_semisimple_rank_1000_components_answer(group):
     assert text.startswith("component [") and "_1000, q=3" in text.splitlines()[0]
 
 
-def test_a_dense_weyl_matrix_is_refused_within_budget():
-    # each pivot of a dense matrix changes most rows, so the Smith form
-    # rebuilds its heap from the live entries instead of pushing a key for
-    # every changed entry
-    rng = random.Random(100)
-    rows = [[rng.randint(-1, 1) for _ in range(100)] for _ in range(100)]
-    argv = ["block", "--n", "100", "--q", "3", "--ell", "5", "--weyl", json.dumps(rows)]
+def _refused_as_no_twist(n, rows):
+    argv = ["block", "--n", str(n), "--q", "3", "--ell", "5", "--weyl", json.dumps(rows)]
     code, text = run_timed([*argv, "--output", "json"])
     assert code == 2
-    assert json.loads(text)["error"]["message"] == "twist matrix is not unimodular"
+    error = json.loads(text)["error"]
+    assert (error["code"], error["message"]) == (
+        "invalid-argument",
+        f"twist matrix is no signed permutation of the GL_{n} lattice",
+    )
+
+
+def _dense(n):
+    rng = random.Random(100)
+    return [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)]
+
+
+def _identity_plus_e01(n):
+    return [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
+
+
+def test_a_dense_weyl_matrix_is_refused_within_budget():
+    # a matrix that does not read as a signed permutation is refused in
+    # O(nnz), with no Smith form and no root list
+    _refused_as_no_twist(100, _dense(100))
+
+
+# a Smith form of a dense matrix grows its entries, and the GL_1000 roots are
+# 999,000 vectors of length 1000: the refusal must take neither
+@pytest.mark.parametrize(
+    "n,make", [(200, _dense), (1000, _identity_plus_e01)],
+    ids=["dense-gl200", "gl1000-identity-plus-e01"],
+)
+def test_large_non_twist_weyl_matrices_are_refused_within_budget(n, make):
+    _refused_as_no_twist(n, make(n))
 
 
 def test_gl300_coxeter_smith_form_is_fast():

@@ -89,6 +89,14 @@ def test_enumerate_pagination():
     _, beyond = run_json(base + ["--offset", "100"])
     assert beyond["parameters"] == []
     assert beyond["count"] == 11
+    # an empty page still counts the family
+    empty = ["enumerate", "--n", "2", "--q", "11", "--ell", "5", "--limit", "0"]
+    code, page = run_json(empty + ["--output", "json"])
+    assert code == 0
+    assert (page["parameters"], page["count"], page["limit"]) == ([], 55, 0)
+    code, text = run_cli(empty)
+    assert code == 0
+    assert text.splitlines()[2:] == ["  count:   55", "  showing 0 at offset 0"]
 
 
 def test_verify_json():
@@ -578,8 +586,8 @@ def test_text_reports_never_build_their_json_body(monkeypatch, argv):
 @pytest.mark.parametrize("group", ["GL", "SL", "PGL"])
 def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, group):
     """Text reports with the Coxeter, identity and explicit twists, and the
-    grid, read only a preset's simple system; component JSON and a refused
-    explicit --weyl matrix are the two that need every root."""
+    grid, read only a preset's simple system, and an explicit --weyl matrix
+    is refused without one; only component JSON needs every root."""
     from llc_params import rootdata
 
     geometry = ["--group", group, "--n", "5", "--q", "11", "--ell", "5"]
@@ -605,7 +613,11 @@ def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, g
         [[int(i == j or (i, j) == (0, 1)) for j in range(rank)] for i in range(rank)]
     )
     assert run_cli(["component", *geometry, "--output", "json"])[0] == 1
-    assert run_cli(["match", *geometry, "--weyl", transvection])[0] == 1
+    code, text = run_cli(["match", *geometry, "--weyl", transvection])
+    assert code == 2
+    assert json.loads(text)["error"]["message"] == (
+        f"twist matrix is no signed permutation of the {preset(group, 5).name} lattice"
+    )
 
 
 @pytest.mark.parametrize("group,n", [("SL", 16), ("GL", 24)])

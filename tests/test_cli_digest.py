@@ -18,7 +18,7 @@ from unittest import mock
 
 from llc_params import cli
 
-NET_DIGEST = "4b5635718d5a342419e2ac10468631a7f81f9ac8f257f4906358dd67d49519c9"
+NET_DIGEST = "1acd52952d83b9c97a4f79703b54ecee0e47a4952710cd991ff52b870a0e39e6"
 GRID_DIGESTS = {
     "text": "580b831932902d8b823097bf567f9feddf38dba25da192b076c5ed34fa855513",
     "json": "b000b32987ec83139d3af5051942da405cdc5593e58047b603a178d4bf6a72b4",

@@ -172,6 +172,9 @@ def test_param_matrices_shape_errors():
         with pytest.raises(LlcError) as exc:
             ParamMatrices(*args)
         assert exc.value.code == "invalid-argument"
+    # the least modulus is 1, where every exponent is 0
+    m = ParamMatrices(1, [0], 0)
+    assert (m.modulus, m.diagonal, m.corner) == (1, (0,), 0)
 
 
 def test_verify_cocycle_holds_for_built_matrices():

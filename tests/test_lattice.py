@@ -17,6 +17,7 @@ from oracles import (
     determinantal_divisors,
     gauss_det,
     identity,
+    json_roots,
     pairwise_diagonal_invariants,
     preset_twist_matrix,
     shifted,
@@ -140,7 +141,8 @@ def _product(a, b):
 
 
 def _unimodularity_net():
-    """Square matrices of size 0 to 8 in every class the twist check separates.
+    """Square matrices of size 0 to 8: twists, other units, singular matrices
+    and other determinants.
 
     Signed permutations (all of them up to size 3, seeded ones to size 8,
     with mixed signs and with one sign),
@@ -178,9 +180,9 @@ def _unimodularity_net():
     return cases
 
 
-def test_a_twist_is_refused_as_not_unimodular_iff_its_determinant_is_not_a_unit():
-    # weyl_twist reads a signed permutation without a Smith form; any other
-    # matrix takes the unimodularity check first, then the root checks
+def test_a_twist_is_accepted_only_with_a_unit_determinant(no_smith_form_or_roots):
+    # weyl_twist reads a signed permutation, or refuses the matrix with one
+    # message, without a Smith form or a root list
     outcomes = {"accepted": 0, "unimodular, refused": 0, "singular": 0, "other": 0}
     for rows in _unimodularity_net():
         if not rows:  # no datum has rank 0
@@ -190,15 +192,15 @@ def test_a_twist_is_refused_as_not_unimodular_iff_its_determinant_is_not_a_unit(
         try:
             twist = weyl_twist(rd, m)
         except InvalidArgument as err:
+            assert (err.message, err.hint, err.code, err.exit_code) == (
+                f"twist matrix is no signed permutation of the GL_{n} lattice",
+                "a twist is a Weyl group element times 1 or -1, written in the preset's basis",
+                "invalid-argument",
+                2,
+            ), rows
             if abs(det) == 1:
-                assert err.message.startswith(("twist does not permute the roots",
-                                               "twist does not preserve the coroots")), rows
                 outcomes["unimodular, refused"] += 1
             else:
-                assert (err.message, err.hint) == (
-                    "twist matrix is not unimodular",
-                    "the determinant must be 1 or -1",
-                )
                 outcomes["singular" if det == 0 else "other"] += 1
         else:
             assert abs(det) == 1, rows
@@ -479,7 +481,7 @@ def test_coxeter_twisted_tori_have_closed_forms(family, n, q):
     if family == "PGL":
         # the Coxeter twist's centralizer is the whole center Z/n of SL_n
         rd = preset("PGL", n)
-        free_rank, factors = center_by_roots(rd.rank, rd.roots)
+        free_rank, factors = center_by_roots(rd.rank, json_roots(rd.to_json())[0])
         assert cokernel(_shifted(w, -1, 1)) == FinGenAbGroup(free_rank, factors)
 
 

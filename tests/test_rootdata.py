@@ -23,11 +23,15 @@ from oracles import (
     center_by_roots,
     gauss_det,
     identity,
+    json_roots,
     matmul,
     preset_twist_matrix,
     root_datum_problems,
     smith_invariants_by_minors,
 )
+
+NOT_A_TWIST = "twist matrix is no signed permutation of the {} lattice"
+NOT_A_TWIST_HINT = "a twist is a Weyl group element times 1 or -1, written in the preset's basis"
 
 # ---------------------------------------------------------------------------
 # presets
@@ -35,47 +39,52 @@ from oracles import (
 
 def test_gl_preset_structure():
     rd = preset("GL", 3)
+    roots, coroots = json_roots(rd.to_json())
     assert rd.rank == 3
     assert rd.name == "GL_3"
-    assert len(rd.roots) == 6
-    assert rd.roots == rd.coroots
-    assert (1, -1, 0) in rd.roots
-    assert (-1, 0, 1) in rd.roots
+    assert len(roots) == 6
+    assert roots == coroots
+    assert (1, -1, 0) in roots
+    assert (-1, 0, 1) in roots
 
 
 def test_gl1_has_no_roots():
     rd = preset("GL", 1)
     assert rd.rank == 1
-    assert rd.roots == ()
+    assert json_roots(rd.to_json()) == ((), ())
 
 
 def test_sl_preset_is_adjoint_type_a():
     # input SL_n; the datum built is that of the dual group PGL_n
     rd = preset("SL", 3)
+    roots, coroots = json_roots(rd.to_json())
     assert rd.rank == 2
     assert rd.name == "PGL_3"
-    assert len(rd.roots) == 6
+    assert len(roots) == 6
     # adjoint datum: roots are consecutive-ones blocks in the simple basis
-    assert (1, 0) in rd.roots
-    assert (1, 1) in rd.roots
+    assert (1, 0) in roots
+    assert (1, 1) in roots
     # coroots are Cartan column sums
-    assert (2, -1) in rd.coroots
-    assert (1, 1) in rd.coroots
+    assert (2, -1) in coroots
+    assert (1, 1) in coroots
 
 
 def test_pgl_preset_is_simply_connected_type_a():
     rd = preset("PGL", 3)
+    roots, coroots = json_roots(rd.to_json())
     assert rd.rank == 2
     assert rd.name == "SL_3"
     # mirror of the adjoint datum
-    assert (2, -1) in rd.roots
-    assert (1, 0) in rd.coroots
+    assert (2, -1) in roots
+    assert (1, 0) in coroots
 
 
 def test_sl_and_pgl_presets_are_mirror_duals():
-    a, b = preset("SL", 4), preset("PGL", 4)
-    assert set(a.roots) == set(b.coroots)
-    assert set(a.coroots) == set(b.roots)
+    (a_roots, a_coroots), (b_roots, b_coroots) = (
+        json_roots(preset(family, 4).to_json()) for family in ("SL", "PGL")
+    )
+    assert set(a_roots) == set(b_coroots)
+    assert set(a_coroots) == set(b_roots)
 
 
 def _dense_cartan_column_sum(m, i, j):
@@ -100,7 +109,6 @@ def test_type_a_presets_match_dense_cartan_column_sums(family):
         rd = preset(family, n)
         roots = tuple(pos_roots + [tuple(-x for x in v) for v in pos_roots])
         coroots = tuple(pos_coroots + [tuple(-x for x in v) for v in pos_coroots])
-        assert (rd.roots, rd.coroots) == (roots, coroots)
         doc = rd.to_json()
         assert doc["roots"] == [list(v) for v in roots]
         assert doc["coroots"] == [list(v) for v in coroots]
@@ -120,12 +128,13 @@ def test_preset_validation_errors():
 def test_all_presets_satisfy_the_axioms():
     for family, n in [("GL", 1)] + [(f, n) for f in ("GL", "SL", "PGL") for n in range(2, 7)]:
         rd = preset(family, n)
-        assert root_datum_problems(rd.rank, rd.roots, rd.coroots) == [], (family, n)
+        assert root_datum_problems(rd.rank, *json_roots(rd.to_json())) == [], (family, n)
 
 
 def test_validate_reports_violations():
     rd = preset("GL", 2)
-    problems = root_datum_problems(rd.rank, rd.roots, ((1, 0), (-1, 0)))
+    roots, _ = json_roots(rd.to_json())
+    problems = root_datum_problems(rd.rank, roots, ((1, 0), (-1, 0)))
     assert problems
     assert any("expected 2" in p for p in problems)
     assert root_datum_problems(2, ((0, 0),), ((1, 1),))
@@ -142,7 +151,7 @@ def test_validate_reports_violations():
 
 
 def _center(rd):
-    return center_by_roots(rd.rank, rd.roots)
+    return center_by_roots(rd.rank, json_roots(rd.to_json())[0])
 
 
 def test_center_of_gl_n_is_a_torus():
@@ -164,7 +173,7 @@ def test_center_of_simply_connected_datum_is_mu_n():
 
 def _root_matrix(rd):
     # the roots as columns
-    return IntMatrix([list(a) for a in rd.roots], cols=rd.rank).transpose()
+    return IntMatrix(rd.to_json()["roots"], cols=rd.rank).transpose()
 
 
 def _ranks(family, top):
@@ -176,8 +185,9 @@ def test_center_is_the_quotient_by_all_roots_by_minors(family, top):
     # two oracles, determinantal divisors and the textbook Smith form, agree
     for n in _ranks(family, top):
         rd = preset(family, n)
+        root_matrix = _root_matrix(rd)
         invariants = smith_invariants_by_minors(
-            [list(r) for r in _root_matrix(rd).data], cols=len(rd.roots)
+            [list(r) for r in root_matrix.data], cols=root_matrix.cols
         )
         nonzero = [d for d in invariants if d]
         expected = (rd.rank - len(nonzero), tuple(d for d in nonzero if d > 1))
@@ -291,52 +301,37 @@ def test_weyl_twist_rejects_a_transvection(family):
         # I + E_12 is unimodular but sends some root off the root set
         m = IntMatrix([[int(i == j or (i, j) == (0, 1)) for j in range(rank)] for i in range(rank)])
         assert abs(gauss_det([list(r) for r in m.data])) == 1
-        with pytest.raises(InvalidArgument, match="does not permute the roots"):
-            weyl_twist(rd, m)
+        assert not _permutes_the_roots(rd, m)
+        _assert_refused(rd, m)
+
+
+def _assert_refused(rd, m):
+    """weyl_twist refuses m with its one message, hint, code and exit code."""
+    with pytest.raises(InvalidArgument) as exc:
+        weyl_twist(rd, m)
+    err = exc.value
+    assert (err.message, err.hint) == (NOT_A_TWIST.format(rd.name), NOT_A_TWIST_HINT)
+    assert (err.code, err.exit_code) == ("invalid-argument", 2)
 
 
 def _permutes_the_roots(rd, m):
-    roots = set(rd.roots)
-    r, m = rd.rank, m.data
+    roots, _ = json_roots(rd.to_json())
+    root_set, r, m = set(roots), rd.rank, m.data
     return all(
-        tuple(sum(m[i][j] * a[j] for j in range(r)) for i in range(r)) in roots for a in rd.roots
+        tuple(sum(m[i][j] * a[j] for j in range(r)) for i in range(r)) in root_set for a in roots
     )
 
 
 def _preserves_every_coroot(rd, m):
     """w^T (w alpha)^vee = alpha^vee for every (alpha, alpha^vee), by brute force."""
     r, m = rd.rank, m.data
-    coroot = dict(zip(rd.roots, rd.coroots))
-    for a, a_vee in zip(rd.roots, rd.coroots):
+    roots, coroots = json_roots(rd.to_json())
+    coroot = dict(zip(roots, coroots))
+    for a, a_vee in zip(roots, coroots):
         image_vee = coroot[tuple(sum(m[i][j] * a[j] for j in range(r)) for i in range(r))]
         if tuple(sum(m[i][j] * image_vee[i] for i in range(r)) for j in range(r)) != a_vee:
             return False
     return True
-
-
-def _first_failing_check(rd, rows):
-    """The refusal a brute-force check gives first, or None: |det| != 1, then
-    the first root in `rd.roots` whose image is not a root, then the first
-    simple root (a positive root that is no sum of two) moving its coroot."""
-    r = rd.rank
-    if abs(gauss_det(rows)) != 1:
-        return "twist matrix is not unimodular"
-
-    def image(a):
-        return tuple(sum(rows[i][j] * a[j] for j in range(r)) for i in range(r))
-
-    for a in rd.roots:
-        if image(a) not in set(rd.roots):
-            return f"twist does not permute the roots: image of {a} is {image(a)}"
-    coroot = dict(zip(rd.roots, rd.coroots))
-    positive = rd.roots[: len(rd.roots) // 2]
-    for a in positive:
-        if any(tuple(x - y for x, y in zip(a, b)) in positive for b in positive):
-            continue
-        image_vee = coroot[image(a)]
-        if tuple(sum(rows[i][j] * image_vee[i] for i in range(r)) for j in range(r)) != coroot[a]:
-            return f"twist does not preserve the coroots at the root {a}"
-    return None
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,16 +354,11 @@ def test_weyl_twist_accepts_exactly_the_root_permuting_automorphisms(datum, entr
         and _permutes_the_roots(rd, m)
         and _preserves_every_coroot(rd, m)
     )
-    # a refusal names the brute-force oracle's first failing check
-    refusal = _first_failing_check(rd, rows)
-    assert (refusal is None) == expected
-    try:
-        weyl_twist(rd, m)
-    except InvalidArgument as err:
-        assert not expected
-        assert err.message == refusal
+    # the brute-force oracle judges acceptance; every refusal is the one message
+    if expected:
+        assert weyl_twist(rd, m).datum == rd
     else:
-        assert expected
+        _assert_refused(rd, m)
 
 
 @pytest.mark.parametrize(
@@ -376,14 +366,19 @@ def test_weyl_twist_accepts_exactly_the_root_permuting_automorphisms(datum, entr
     [(("GL", 3), 12), (("SL", 4), 48), (("PGL", 4), 48)],
     ids=["GL3", "SL4", "PGL4"],
 )
-def test_weyl_twist_accepts_exactly_the_signed_permutations_over_small_entries(datum, accepted):
+def test_weyl_twist_accepts_exactly_the_signed_permutations_over_small_entries(
+    datum, accepted, no_smith_form_or_roots
+):
     # every 3x3 matrix with entries in {-1, 0, 1}: |W x {+-1}| is 2 * 3! for
-    # GL_3 and 2 * 4! for the rank 3 semisimple data
+    # GL_3 and 2 * 4! for the rank 3 semisimple data; none takes a Smith
+    # form or a root list, and every refusal is the one message
     rd, count = preset(*datum), 0
+    refusal = (NOT_A_TWIST.format(rd.name), NOT_A_TWIST_HINT, "invalid-argument", 2)
     for e in itertools.product((-1, 0, 1), repeat=9):
         try:
             weyl_twist(rd, IntMatrix([e[0:3], e[3:6], e[6:9]]))
-        except InvalidArgument:
+        except InvalidArgument as err:
+            assert (err.message, err.hint, err.code, err.exit_code) == refusal, e
             continue
         count += 1
     assert count == accepted
@@ -425,45 +420,25 @@ def test_weyl_twist_validation():
         (preset("GL", 3), [[0, -1, -1], [-1, 0, -1], [0, 0, 1]]),
     ):
         assert _permutes_the_roots(datum, IntMatrix(rows))
-        with pytest.raises(InvalidArgument, match="does not preserve the coroots"):
-            weyl_twist(datum, IntMatrix(rows))
+        assert not _preserves_every_coroot(datum, IntMatrix(rows))
+        _assert_refused(datum, IntMatrix(rows))
 
 
-def test_a_twist_takes_its_determinant_once(monkeypatch):
-    """An explicit matrix that reads as a signed permutation takes no Smith
-    form and generates no roots; any other takes its one Smith form (whose
-    product is |det w|), and a bad one raises there.  Twists built in closed
-    form, and transposes, take none."""
-    from llc_params import abgroups, rootdata
-
-    calls, generated = [], []
-    snf, generate = abgroups.smith_normal_form, rootdata.RootDatum._roots_and_coroots
-
-    def counting_snf(a):
-        calls.append(a)
-        return snf(a)
-
-    def counting_roots(rd):
-        generated.append(rd.name)
-        return generate(rd)
-
-    monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
-    monkeypatch.setattr(rootdata.RootDatum, "_roots_and_coroots", counting_roots)
+def test_a_twist_takes_no_smith_form_and_no_roots(no_smith_form_or_roots):
+    """An explicit matrix is read as a signed permutation or refused, with no
+    Smith form and no root list; twists built in closed form, and transposes,
+    take none either."""
     gl2, swap = preset("GL", 2), IntMatrix([[0, 1], [1, 0]])
     w = weyl_twist(gl2, swap)
-    assert calls == generated == []
     assert w.transpose() == weyl_twist(gl2, swap.transpose())
-    bad = IntMatrix([[2, 0], [0, 1]])
-    with pytest.raises(InvalidArgument, match="not unimodular"):
-        weyl_twist(gl2, bad)
-    assert calls == [bad] and generated == []
+    for bad in ([[2, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 0], [0, 0]], [[6, 5], [-5, -4]]):
+        _assert_refused(gl2, IntMatrix(bad))
     with pytest.raises(InvalidArgument, match="must be 2x2"):
         weyl_twist(gl2, IntMatrix([[1, 0]]))
     for family, n in (("GL", 5), ("SL", 5), ("PGL", 5), ("GL", 1)):
         rd = preset(family, n)
         for twist in (coxeter_twist(rd), identity_twist(rd)):
             assert twist.transpose().transpose() == twist
-    assert calls == [bad] and generated == []
 
 
 def test_weyl_twist_accepts_longest_element():
@@ -551,3 +526,16 @@ def test_datum_equality_keys_on_what_it_stores():
     assert a == b and hash(a) == hash(b)
     assert preset("SL", 3) != preset("PGL", 3)
     assert preset("SL", 3) != preset("SL", 4)
+
+
+def test_a_datum_is_frozen():
+    rd = preset("SL", 4)
+    held = {rd}
+    for field, value in (("n", 0), ("kind", "gl"), ("rank", 9)):
+        with pytest.raises(AttributeError):
+            setattr(rd, field, value)
+        with pytest.raises(AttributeError):
+            delattr(rd, field)
+    assert (rd.kind, rd.n, repr(rd)) == ("adjoint", 4, "RootDatum('PGL_4', rank=3)")
+    assert rd in held and preset("SL", 4) in held
+    assert RootDatum(kind="adjoint", n=4) == rd

@@ -18,7 +18,15 @@ from llc_params.cocycles import POINT_MOD_STABILIZER, component_descriptor
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import preset, weyl_twist
 
-from oracles import center_by_roots, gauss_det, identity, matmul, shifted, textbook_cokernel
+from oracles import (
+    center_by_roots,
+    gauss_det,
+    identity,
+    json_roots,
+    matmul,
+    shifted,
+    textbook_cokernel,
+)
 
 Q_ELL = ((7, 3), (11, 5))
 _DUAL = {"GL": "GL", "SL": "PGL", "PGL": "SL"}
@@ -33,7 +41,7 @@ def _weyl_group(rd):
     r = rd.rank
     gens = [
         [[int(i == j) - a[i] * c[j] for j in range(r)] for i in range(r)]
-        for a, c in zip(rd.roots, rd.coroots)
+        for a, c in zip(*json_roots(rd.to_json()))
     ]
     seen = frontier = {tuple(map(tuple, identity(r)))}
     while frontier:
@@ -94,7 +102,7 @@ def test_ellipticity_is_the_centers_free_rank_over_whole_weyl_groups():
         rd, case = preset(family, n), (family, n, w)
         comp = component_descriptor(weyl_twist(rd, w), 7, 3)
         orbit_rank, _ = textbook_cokernel(shifted(w.data, -1, 1), rd.rank)
-        center_rank, _ = center_by_roots(rd.rank, rd.roots)
+        center_rank, _ = center_by_roots(rd.rank, json_roots(rd.to_json())[0])
         assert comp.orbit_torus_rank == orbit_rank, case
         assert comp.elliptic == (orbit_rank == center_rank), case
         point = comp.product_form == POINT_MOD_STABILIZER
