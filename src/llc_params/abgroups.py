@@ -2,7 +2,9 @@
 
 A value represents Z**free_rank + Z/d1 + ... + Z/dk with d1 | d2 | ... | dk
 and every di >= 2.  That normal form is unique, so equality of values is
-isomorphism of groups, the fact the whole matching pipeline leans on.
+isomorphism of groups, the fact the whole matching pipeline leans on.  A
+group is a frozen record (``errors.FrozenRecord``) of its free rank and
+that chain, so no value can leave the normal form once built.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .arith import is_prime, valuation
-from .errors import InvalidArgument, InvalidPrime
+from .errors import FrozenRecord, InvalidArgument, InvalidPrime
 from .lattice import IntMatrix, diagonal_invariants, smith_normal_form
 
 
@@ -30,7 +32,7 @@ def _chain_from_factors(factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
     return invariants.count(0), tuple(d for d in invariants if d > 1)
 
 
-class FinGenAbGroup:
+class FinGenAbGroup(FrozenRecord):
     """A finitely generated abelian group, held in invariant factor form.
 
     The constructor accepts any list of cyclic orders and renormalizes:
@@ -43,14 +45,13 @@ class FinGenAbGroup:
     True
     """
 
-    __slots__ = ("_free_rank", "_factors")
+    __slots__ = ("free_rank", "invariant_factors")
 
-    def __init__(self, free_rank: int = 0, factors: Iterable[int] = ()):
+    def __new__(cls, free_rank: int = 0, factors: Iterable[int] = ()):
         if isinstance(free_rank, bool) or not isinstance(free_rank, int) or free_rank < 0:
             raise InvalidArgument(f"free rank must be a nonnegative integer, got {free_rank!r}")
         extra, chain = _chain_from_factors(factors)
-        self._free_rank = free_rank + extra
-        self._factors = chain
+        return cls._make(free_rank + extra, chain)
 
     @classmethod
     def cyclic(cls, n: int) -> "FinGenAbGroup":
@@ -58,20 +59,12 @@ class FinGenAbGroup:
         return cls(0, (n,))
 
     @property
-    def free_rank(self) -> int:
-        return self._free_rank
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self._factors
-
-    @property
     def is_trivial(self) -> bool:
-        return self._free_rank == 0 and not self._factors
+        return self.free_rank == 0 and not self.invariant_factors
 
     @property
     def is_finite(self) -> bool:
-        return self._free_rank == 0
+        return self.free_rank == 0
 
     def order(self) -> int | None:
         """Group order as an integer, or None for an infinite group."""
@@ -81,48 +74,40 @@ class FinGenAbGroup:
 
     def torsion_order(self) -> int:
         out = 1
-        for d in self._factors:
+        for d in self.invariant_factors:
             out *= d
         return out
 
     def direct_sum(self, other: "FinGenAbGroup") -> "FinGenAbGroup":
-        return FinGenAbGroup(self._free_rank + other._free_rank, self._factors + other._factors)
+        return FinGenAbGroup(
+            self.free_rank + other.free_rank, self.invariant_factors + other.invariant_factors
+        )
 
     def ell_primary(self, ell: int) -> "FinGenAbGroup":
         """The ell-primary component of the torsion part (a finite group)."""
         if not is_prime(ell, name="ell"):
             raise InvalidPrime(f"ell = {ell} is not prime")
-        return FinGenAbGroup(0, tuple(ell ** valuation(d, ell) for d in self._factors))
+        return FinGenAbGroup(0, tuple(ell ** valuation(d, ell) for d in self.invariant_factors))
 
     def prime_to_ell(self, ell: int) -> "FinGenAbGroup":
         """The prime-to-ell part of the torsion (the free part is dropped)."""
         if not is_prime(ell, name="ell"):
             raise InvalidPrime(f"ell = {ell} is not prime")
-        return FinGenAbGroup(0, tuple(d // ell ** valuation(d, ell) for d in self._factors))
+        factors = self.invariant_factors
+        return FinGenAbGroup(0, tuple(d // ell ** valuation(d, ell) for d in factors))
 
     def describe(self) -> str:
         """Human-oriented name such as 'Z^2 + Z/2 + Z/12'; '0' when trivial."""
         parts = []
-        if self._free_rank == 1:
+        if self.free_rank == 1:
             parts.append("Z")
-        elif self._free_rank > 1:
-            parts.append(f"Z^{self._free_rank}")
-        parts.extend(f"Z/{d}" for d in self._factors)
+        elif self.free_rank > 1:
+            parts.append(f"Z^{self.free_rank}")
+        parts.extend(f"Z/{d}" for d in self.invariant_factors)
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:
-        return {"freeRank": self._free_rank, "torsion": list(self._factors)}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FinGenAbGroup):
-            return NotImplemented
-        return self._free_rank == other._free_rank and self._factors == other._factors
-
-    def __hash__(self) -> int:
-        return hash((self._free_rank, self._factors))
-
-    def __repr__(self) -> str:
-        return f"FinGenAbGroup(free_rank={self._free_rank}, invariant_factors={self._factors})"
+        return {"freeRank": self.free_rank, "torsion": list(self.invariant_factors)}
 
 
 def cokernel(a: IntMatrix) -> FinGenAbGroup:

@@ -8,6 +8,9 @@ off the exception rather than guessing from the type.
 
 from __future__ import annotations
 
+from functools import cache
+from operator import attrgetter
+
 
 class LlcError(Exception):
     """Base class for all structured errors raised by this package."""
@@ -59,42 +62,68 @@ class InternalError(LlcError):
     exit_code = 1
 
 
+@cache
+def _minter(k: int):
+    """minter(new, set0, ..., set{k-1}) returns _make(cls, v0, ..., v{k-1}),
+    which mints new(cls) and stores each field by its slot's setter.
+
+    The setters are called by name, in code compiled once per k: some
+    records are minted by the ten thousand, and a loop over the setters
+    costs twice as much.
+    """
+    values, setters = [f"v{i}" for i in range(k)], [f"set{i}" for i in range(k)]
+    namespace = {}
+    exec(
+        f"def minter(new, {', '.join(setters)}):\n"
+        f"    def _make(cls, {', '.join(values)}):\n"
+        "        record = new(cls)\n"
+        + "".join(f"        {put}(record, {v})\n" for put, v in zip(setters, values))
+        + "        return record\n"
+        "    return _make\n",
+        namespace,
+    )
+    return namespace["minter"]
+
+
 class FrozenRecord:
     """An immutable value record whose fields are the ``__slots__`` of its classes.
 
     A record is built from its fields by position or by keyword, equals a
     record of the same class with equal fields (and hashes alike), and
     refuses assignment and deletion.  Its repr names every field.
+    ``cls._make(...)`` mints a record from its fields, unchecked; a subclass
+    that validates or derives its fields does so in its own ``__new__`` and
+    returns ``cls._make(...)``, and copies and pickles go through it too.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         # the fields in order, base classes' first; a class pattern reads them too
-        cls.__match_args__ = tuple(
+        fields = cls.__match_args__ = tuple(
             name for base in reversed(cls.__mro__) for name in vars(base).get("__slots__", ())
         )
+        cls._values = attrgetter(*fields)  # of one field: its bare value
+        setters = (getattr(cls, name).__set__ for name in fields)
+        cls._make = classmethod(_minter(len(fields))(object.__new__, *setters))
 
-    def __init__(self, *values, **named):
-        fields = self.__match_args__
+    def __new__(cls, *values, **named):
+        fields = cls.__match_args__
         if named and named.keys() == set(fields[len(values):]):
             # the keyword values follow the positional ones, in field order
             values += tuple(map(named.pop, fields[len(values):]))
         if named or len(values) != len(fields):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
-        for name, value in zip(fields, values):
-            object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__match_args__)
+            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
+        return cls._make(*values)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return self._values() == other._values()
+        values = self._values
+        return values(self) == values(other)
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -107,5 +136,6 @@ class FrozenRecord:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # the default reduction restores slots by assignment, which is refused
-        return type(self), self._values()
+        # the default reduction restores slots by assignment, which is refused,
+        # and a constructor may take other arguments than the fields
+        return self._make, tuple(getattr(self, name) for name in self.__match_args__)

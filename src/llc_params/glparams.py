@@ -8,7 +8,10 @@ on exponents; no cyclotomic element is ever materialized.
 
 The parameters with one (n, q, ell) form a GLFamily.  It checks the standing
 hypotheses once, and it owns the canonical scan, the closed-form count and
-the enumeration; every parameter is minted from a family.
+the enumeration; every parameter is minted from a family.  GLFamily,
+TrselpGL and ParamMatrices are frozen records (errors.FrozenRecord), so a
+parameter's modulus always divides q^n - 1 and its orbit closes within n
+steps.
 
 Coefficients come in two flavors: integral (ZBAR, exponents mod q^n - 1) and
 residue (FBAR, exponents mod the prime-to-ell part).  Reduction forgets the
@@ -29,7 +32,7 @@ from itertools import chain
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
-from .errors import CoefficientMismatch, InternalError, InvalidArgument
+from .errors import CoefficientMismatch, FrozenRecord, InternalError, InvalidArgument
 from .rootdata import preset
 
 ZBAR = "zbar"  # integral coefficients (Z-bar_ell)
@@ -71,7 +74,7 @@ def _cut_bands(ranges: list[range], p: int, m: int) -> list[range]:
     return out
 
 
-class GLFamily:
+class GLFamily(FrozenRecord):
     """The tame GL_n parameters at one (n, q, ell), with the hypotheses checked once.
 
     Every parameter of a family shares n, q, ell, the residue characteristic
@@ -86,15 +89,12 @@ class GLFamily:
 
     __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus")
 
-    def __init__(self, n: int, q: int, ell: int):
+    def __new__(cls, n: int, q: int, ell: int):
         preset("GL", n)  # the rank rule of GL_n, and its error
-        self.p, _ = check_admissible(q, ell)
-        self.n = n
-        self.q = q
-        self.ell = ell
-        self.full_modulus = q**n - 1
-        self.k = valuation(self.full_modulus, ell)
-        self.residue_modulus = self.full_modulus // ell**self.k
+        p, _ = check_admissible(q, ell)
+        full = q**n - 1
+        k = valuation(full, ell)
+        return cls._make(n, q, ell, p, k, full, full // ell**k)
 
     def modulus(self, coeff: str) -> int:
         """The exponent modulus: q^n - 1 for ZBAR, its prime-to-ell part for FBAR."""
@@ -180,14 +180,15 @@ class GLFamily:
         end = offset + (m if limit is None else limit)  # at most m exponents exist
         page: list[int] = []
         seen = 0
-        for size, chunks in self._windows(coeff):
-            if seen >= end:
-                break
+        # the window that fills the page is the last one built, and limit 0 builds none
+        for size, chunks in self._windows(coeff) if end > offset else ():
             if seen + size > offset:
                 window = [a for chunk in chunks for a in chunk]
                 page += window[max(offset - seen, 0):end - seen]
             seen += size
-        return [_param(self, coeff, m, a) for a in page]
+            if seen >= end:
+                break
+        return [_param(self, coeff, m, a, 0) for a in page]
 
     def count(self, coeff: str) -> int:
         """Number of enumerated parameters, by Moebius inversion over orbit sizes.
@@ -210,19 +211,11 @@ class GLFamily:
             raise InternalError("orbit count was not divisible by n")
         return total // n
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GLFamily):
-            return NotImplemented
-        return (self.n, self.q, self.ell) == (other.n, other.q, other.ell)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.q, self.ell))
-
     def __repr__(self) -> str:
         return f"GLFamily(n={self.n}, q={self.q}, ell={self.ell})"
 
 
-class TrselpGL:
+class TrselpGL(FrozenRecord):
     """One tame GL_n parameter of a family, stored as exponent data.
 
     >>> fam = GLFamily(2, 11, 5)
@@ -235,7 +228,7 @@ class TrselpGL:
 
     __slots__ = ("family", "coeff", "modulus", "a", "b")
 
-    def __init__(self, family: GLFamily, coeff: str = ZBAR, a: int = 0, b: int = 0):
+    def __new__(cls, family: GLFamily, coeff: str = ZBAR, a: int = 0, b: int = 0):
         if not isinstance(family, GLFamily):
             raise InvalidArgument(f"family must be a GLFamily, got {family!r}")
         modulus = family.modulus(coeff)
@@ -243,20 +236,14 @@ class TrselpGL:
             raise InvalidArgument(f"a must be an integer, got {a!r}")
         if isinstance(b, bool) or not isinstance(b, int):
             raise InvalidArgument(f"b must be an integer, got {b!r}")
-        self.family = family
-        self.coeff = coeff
-        self.modulus = modulus
-        self.a = a % modulus
-        self.b = b % family.full_modulus
+        return cls._make(family, coeff, modulus, a % modulus, b % family.full_modulus)
 
     def orbit(self) -> tuple[int, ...]:
         """The q-power orbit of the exponent, in generation order."""
-        a, m, q, n = self.a, self.modulus, self.family.q, self.family.n
+        a, m, q = self.a, self.modulus, self.family.q
         out = [a]
         x = a * q % m
         while x != a:
-            if len(out) == n:
-                raise _unclosed(a, m)
             out.append(x)
             x = x * q % m
         return tuple(out)
@@ -268,15 +255,13 @@ class TrselpGL:
 
     def canonical(self) -> "TrselpGL":
         """The same parameter with the exponent replaced by its orbit minimum."""
-        a, m, q, n = self.a, self.modulus, self.family.q, self.family.n
+        a, m, q = self.a, self.modulus, self.family.q
         # the least exponent of the orbit, walked without building it
-        least, x, s = a, a * q % m, 1
+        least, x = a, a * q % m
         while x != a:
-            if s == n:
-                raise _unclosed(a, m)
             if x < least:
                 least = x
-            x, s = x * q % m, s + 1
+            x = x * q % m
         if least == a:
             return self
         return _param(self.family, self.coeff, m, least, self.b)
@@ -293,16 +278,6 @@ class TrselpGL:
             "modulus": self.modulus,
         }
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TrselpGL):
-            return NotImplemented
-        return (self.family, self.coeff, self.a, self.b) == (
-            other.family, other.coeff, other.a, other.b
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.coeff, self.a, self.b))
-
     def __repr__(self) -> str:
         fam = self.family
         return (
@@ -311,24 +286,8 @@ class TrselpGL:
         )
 
 
-def _param(family: GLFamily, coeff: str, modulus: int, a: int, b: int = 0) -> TrselpGL:
-    """A parameter from exponents the caller has already reduced: no checks."""
-    phi = object.__new__(TrselpGL)
-    phi.family = family
-    phi.coeff = coeff
-    phi.modulus = modulus
-    phi.a = a
-    phi.b = b
-    return phi
-
-
-def _unclosed(a: int, modulus: int) -> InternalError:
-    """The error for an orbit of a mod the modulus that did not close within n steps.
-
-    The orbit size divides n because the modulus divides q^n - 1, so only a
-    parameter whose fields were overwritten gets here.
-    """
-    return InternalError(f"orbit of {a} mod {modulus} did not close within n steps")
+# a parameter (family, coeff, modulus, a, b) from exponents already reduced: no checks
+_param = TrselpGL._make
 
 
 def _exponent(e, name: str) -> int:
@@ -337,7 +296,7 @@ def _exponent(e, name: str) -> int:
     return e
 
 
-class ParamMatrices:
+class ParamMatrices(FrozenRecord):
     """The (x, y) pair of a parameter, held as exponents of zeta.
 
     x, the inertia value, is diag(zeta^e_1, ..., zeta^e_n) with the exponents
@@ -353,15 +312,13 @@ class ParamMatrices:
 
     __slots__ = ("modulus", "diagonal", "corner")
 
-    def __init__(self, modulus: int, diagonal: Iterable[int], corner: int):
+    def __new__(cls, modulus: int, diagonal: Iterable[int], corner: int):
         if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
             raise InvalidArgument(f"modulus must be a positive integer, got {modulus!r}")
         diagonal = tuple(_exponent(e, "diagonal entry") % modulus for e in diagonal)
         if not diagonal:
             raise InvalidArgument("the diagonal needs n >= 1 exponents")
-        self.modulus = modulus
-        self.diagonal = diagonal
-        self.corner = _exponent(corner, "corner") % modulus
+        return cls._make(modulus, diagonal, _exponent(corner, "corner") % modulus)
 
     @property
     def n(self) -> int:
@@ -377,13 +334,6 @@ class ParamMatrices:
             y[i][(i + 1) % n] = {"exp": 0}
         y[n - 1][0] = {"exp": self.corner}
         return {"n": n, "modulus": self.modulus, "x": x, "y": y}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ParamMatrices):
-            return NotImplemented
-        return (self.modulus, self.diagonal, self.corner) == (
-            other.modulus, other.diagonal, other.corner
-        )
 
     def __repr__(self) -> str:
         return f"ParamMatrices(n={self.n}, modulus={self.modulus})"
@@ -407,11 +357,7 @@ def matrices(phi: TrselpGL) -> ParamMatrices:
         )
     orbit = phi.orbit()
     # the exponents are already reduced, so skip the constructor's checks
-    m = object.__new__(ParamMatrices)
-    m.modulus = phi.modulus
-    m.diagonal = orbit * (phi.family.n // len(orbit))
-    m.corner = phi.b
-    return m
+    return ParamMatrices._make(phi.modulus, orbit * (phi.family.n // len(orbit)), phi.b)
 
 
 def verify_cocycle(m: ParamMatrices, q: int) -> bool:
@@ -500,8 +446,6 @@ def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
     # building the orbit
     s, x = 1, a * q % m
     while x != a:
-        if s == n:
-            raise _unclosed(a, m)
         s, x = s + 1, x * q % m
     if s == n:
         return [(i, i) for i in range(1, n + 1)]

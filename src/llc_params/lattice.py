@@ -1,9 +1,9 @@
 """Exact integer matrices and their Smith invariants.
 
-Matrices are immutable and arbitrary precision.  A matrix with ``rows`` r
-and ``cols`` c represents a homomorphism Z^c -> Z^r sending the j-th basis
-vector to column j.  Empty matrices (r = 0 or c = 0) are legal and mean what
-they should.
+Matrices are frozen records (``errors.FrozenRecord``) of arbitrary
+precision.  A matrix with ``rows`` r and ``cols`` c represents a
+homomorphism Z^c -> Z^r sending the j-th basis vector to column j.  Empty
+matrices (r = 0 or c = 0) are legal and mean what they should.
 
 A matrix is held as its nonzeros: each row is a tuple of (column, entry)
 pairs, columns ascending.  Dense rows are only the constructor's input (the
@@ -32,11 +32,14 @@ from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
 from math import gcd
 
-from .errors import InvalidArgument
+from .errors import FrozenRecord, InvalidArgument
 
 
-class IntMatrix:
+class IntMatrix(FrozenRecord):
     """An immutable matrix over Z, held as its nonzeros row by row.
+
+    ``IntMatrix._make(nonzeros, rows, cols)`` takes rows of (column, plain
+    int) nonzeros, columns ascending, as they are.
 
     >>> a = IntMatrix([[2, 0], [6, 8]])
     >>> a.rows, a.cols, a.nonzeros
@@ -47,7 +50,7 @@ class IntMatrix:
 
     __slots__ = ("nonzeros", "rows", "cols")
 
-    def __init__(self, data: Iterable[Sequence[int]], *, cols: int | None = None):
+    def __new__(cls, data: Iterable[Sequence[int]], *, cols: int | None = None):
         rows = list(map(tuple, data))
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             # a bool, a non-integer or an int subclass: refuse the first bad
@@ -65,21 +68,8 @@ class IntMatrix:
             width = 0 if cols is None else cols
         if width < 0:
             raise InvalidArgument("cols must be nonnegative")
-        self.nonzeros = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
-        self.rows = len(rows)
-        self.cols = width
-
-    @classmethod
-    def _trusted(cls, nonzeros: tuple[tuple[tuple[int, int], ...], ...], cols: int) -> "IntMatrix":
-        """A matrix from rows of (column, plain int) nonzeros, columns ascending.
-
-        The rows are taken as they are.
-        """
-        m = object.__new__(cls)
-        m.nonzeros = nonzeros
-        m.rows = len(nonzeros)
-        m.cols = cols
-        return m
+        nonzeros = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
+        return cls._make(nonzeros, len(rows), width)
 
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:
@@ -92,14 +82,6 @@ class IntMatrix:
             out.append(tuple(dense))
         return tuple(out)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IntMatrix):
-            return NotImplemented
-        return self.cols == other.cols and self.nonzeros == other.nonzeros
-
-    def __hash__(self) -> int:
-        return hash((self.cols, self.nonzeros))
-
     def __repr__(self) -> str:
         if self.rows:
             return f"IntMatrix({[list(r) for r in self.data]})"
@@ -110,7 +92,7 @@ class IntMatrix:
         for i, row in enumerate(self.nonzeros):
             for j, e in row:
                 columns[j].append((i, e))
-        return IntMatrix._trusted(tuple(map(tuple, columns)), self.rows)
+        return IntMatrix._make(tuple(map(tuple, columns)), self.cols, self.rows)
 
 
 def diagonal_invariants(diagonal: Iterable[int]) -> tuple[int, ...]:

@@ -61,11 +61,11 @@ class RootDatum(FrozenRecord):
 
     __slots__ = ("kind", "n")
 
-    def __init__(self, kind: str, n: int):
+    def __new__(cls, kind: str, n: int):
         least = _least_n(kind, "datum")
         if type(n) is not int or n < least:
             raise InvalidArgument(f"a {kind} datum needs an int n >= {least}, got {n!r}")
-        super().__init__(kind, n)
+        return cls._make(kind, n)
 
     @property
     def rank(self) -> int:
@@ -110,7 +110,7 @@ class WeylTwist(FrozenRecord):
 
     __slots__ = ("kind", "perm", "sign")
 
-    def __init__(self, kind: str, perm: tuple[int, ...], sign: int):
+    def __new__(cls, kind: str, perm: tuple[int, ...], sign: int):
         """Refuse, in O(n), a record that is no signed permutation of a preset's lattice."""
         least = _least_n(kind, "twist")
         if type(perm) is not tuple:
@@ -123,7 +123,7 @@ class WeylTwist(FrozenRecord):
             )
         if type(sign) is not int or sign not in (1, -1):
             raise InvalidArgument(f"twist sign must be 1 or -1, got {sign!r}")
-        super().__init__(kind, perm, sign)
+        return cls._make(kind, perm, sign)
 
     @property
     def datum(self) -> RootDatum:
@@ -156,7 +156,7 @@ class WeylTwist(FrozenRecord):
                     if 0 <= k < width:
                         row[k] = row.get(k, 0) + b
             presentation.append(tuple(sorted((k, b) for k, b in row.items() if b)))
-        group = cokernel(IntMatrix._trusted(tuple(presentation), width))
+        group = cokernel(IntMatrix._make(tuple(presentation), len(presentation), width))
         if kind == "adjoint":
             return FinGenAbGroup(group.free_rank - 1, group.invariant_factors)
         return group

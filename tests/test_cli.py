@@ -267,7 +267,7 @@ def test_component_takes_each_invariant_once(monkeypatch):
 
 
 @pytest.mark.parametrize("cmd", ["component", "match"])
-def test_an_explicit_weyl_matrix_is_checked_for_unimodularity_once(monkeypatch, cmd):
+def test_an_explicit_weyl_matrix_takes_no_smith_form_and_no_roots(monkeypatch, cmd):
     from llc_params import rootdata
 
     calls, generated = _count_snf(monkeypatch), []
@@ -584,7 +584,7 @@ def test_text_reports_never_build_their_json_body(monkeypatch, argv):
 
 
 @pytest.mark.parametrize("group", ["GL", "SL", "PGL"])
-def test_presets_generate_their_roots_only_to_print_or_check_them(monkeypatch, group):
+def test_presets_generate_their_roots_only_for_component_json(monkeypatch, group):
     """Text reports with the Coxeter, identity and explicit twists, and the
     grid, read only a preset's simple system, and an explicit --weyl matrix
     is refused without one; only component JSON needs every root."""

@@ -269,9 +269,7 @@ def test_finite_cokernel_guard_fires_on_non_frobenius_input():
     # no signed permutation has the eigenvalue q, so forge the record
     # e_i -> q e_i past the constructor's check: w - q id is zero and its
     # cokernel infinite
-    forged = object.__new__(WeylTwist)
-    for name, value in (("kind", "gl"), ("perm", (0, 1)), ("sign", 11)):
-        object.__setattr__(forged, name, value)
+    forged = WeylTwist._make("gl", (0, 1), 11)
     with pytest.raises(LlcError) as exc:
         frob_fixed_scheme(forged, 11)
     assert exc.value.code == "internal-error"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llc_params import cli, glparams
-from llc_params.errors import InternalError, InvalidRank, LlcError
+from llc_params.errors import InvalidRank, LlcError
 from llc_params.glparams import (
     _SCAN_WINDOW,
     COEFFS,
@@ -268,15 +268,16 @@ def test_lift_preserves_regularity_both_ways_here():
 # equivalence
 
 
-def test_an_orbit_that_cannot_close_is_an_internal_error():
-    # a modulus that does not divide q^n - 1 only arises from overwritten
-    # fields: 1 mod 9 under q = 3 runs 3, 0, 0, ... and never returns.
-    # Each orbit walk stops after n steps with an error instead of hanging
+def test_a_parameters_modulus_cannot_be_overwritten():
+    # a modulus that does not divide q^n - 1 would leave an orbit open: 1 mod
+    # 9 under q = 3 runs 3, 0, 0, ... and never returns.  The orbit walks
+    # rely on the modulus dividing q^n - 1, so the parameter refuses the write
     phi = TrselpGL(GLFamily(2, 3, 5), ZBAR, a=1)
-    phi.modulus = 9
-    for walk in (TrselpGL.orbit, TrselpGL.canonical, nilpotent_support_fixed_positions):
-        with pytest.raises(InternalError, match="orbit of 1 mod 9 did not close"):
-            walk(phi)
+    with pytest.raises(AttributeError):
+        phi.modulus = 9
+    assert phi.modulus == 8 and phi.orbit() == (1, 3)
+    assert phi.canonical() is phi
+    assert nilpotent_support_fixed_positions(phi) == [(1, 1), (2, 2)]
 
 
 def test_equivalent_same_orbit():
@@ -493,6 +494,30 @@ def test_parameters_reject_negative_paging():
         with pytest.raises(LlcError) as exc:
             GL2.parameters(ZBAR, offset, limit)
         assert exc.value.code == "invalid-argument"
+
+
+def test_a_page_builds_no_window_past_the_one_that_fills_it(monkeypatch):
+    # GL_3 at q = 101 has 4055 canonical exponents in each of its first two windows
+    fam = GLFamily(3, 101, 5)
+    first = [size for size, _ in islice(fam._windows(ZBAR), 3)]
+    assert first[:2] == [4055, 4055]
+    built = []
+    windows = GLFamily._windows
+
+    def counting(self, coeff):
+        for window in windows(self, coeff):
+            built.append(window)
+            yield window
+
+    monkeypatch.setattr(GLFamily, "_windows", counting)
+    for offset, limit, expected in (
+        (0, 1, 1), (4054, 1, 1), (0, 4055, 1), (4055, 1, 2), (5000, 100, 2), (0, 4056, 2),
+        (0, 0, 0), (5000, 0, 0),
+    ):
+        built.clear()
+        page = fam.parameters(ZBAR, offset, limit)
+        assert len(page) == limit and len(built) == expected, (offset, limit)
+        assert [size for size, _ in built] == first[:expected]
 
 
 # ---------------------------------------------------------------------------

@@ -505,7 +505,7 @@ def _same_matrix(got, expected):
 def test_trusted_results_equal_validated_ones(a):
     r, c = a.rows, a.cols
     _same_matrix(a.transpose(), _public([[a.data[i][j] for i in range(r)] for j in range(c)], r))
-    _same_matrix(IntMatrix._trusted(a.nonzeros, c), _public(a.data, c))
+    _same_matrix(IntMatrix._make(a.nonzeros, r, c), _public(a.data, c))
 
 
 # ---------------------------------------------------------------------------

@@ -104,7 +104,7 @@ def test_high_rank_permutation_twists_have_closed_forms(n, eps, q):
 def test_wide_permutation_twists_have_closed_forms(n, eps, q):
     # row i holds eps in column image[i]: n nonzeros, where dense rows hold n^2
     image = random.Random(f"{n}/{eps}/{q}").sample(range(n), n)
-    w = IntMatrix._trusted(tuple(((j, eps),) for j in image), n)
+    w = IntMatrix._make(tuple(((j, eps),) for j in image), n, n)
     _check_twist(weyl_twist(preset("GL", n), w), signed_cycle_cokernels(image, eps, q), q)
 
 

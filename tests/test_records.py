@@ -2,7 +2,10 @@
 
 Each record is built by hand from the fields of the GL_2, q = 11, ell = 5
 case.  The reprs are pinned strings, the ones the records printed when they
-were dataclasses.
+were dataclasses.  The value classes whose constructors take other
+arguments than their fields (a family's (n, q, ell), a matrix's dense rows)
+are checked for the same semantics, against the reprs they printed before
+they were records.
 """
 
 import copy
@@ -10,6 +13,7 @@ import pickle
 
 import pytest
 
+import llc_params
 from llc_params import cli
 from llc_params.abgroups import FinGenAbGroup
 from llc_params.blocks import (
@@ -21,6 +25,8 @@ from llc_params.blocks import (
 )
 from llc_params.cocycles import CocycleSpace, ComponentDescriptor, cocycle_space, frob_fixed_scheme
 from llc_params.errors import FrozenRecord, InvalidArgument
+from llc_params.glparams import FBAR, GLFamily, ParamMatrices, TrselpGL
+from llc_params.lattice import IntMatrix
 from llc_params.rootdata import WeylTwist, coxeter_twist, preset
 from llc_params.sweep import GridCheck
 
@@ -193,3 +199,79 @@ def test_a_command_defaults_its_unechoed_options():
     assert isinstance(command, FrozenRecord)
     assert command.unechoed == ()
     assert cli.COMMANDS["enumerate"].unechoed == ("limit", "offset")
+
+
+# (a function that builds fresh equal values, an unequal value of the class,
+# the pinned repr) for the value classes whose constructors take other
+# arguments than their fields
+VALUES = [
+    (lambda: GLFamily(2, 11, 5), GLFamily(3, 11, 5), "GLFamily(n=2, q=11, ell=5)"),
+    (
+        lambda: TrselpGL(GLFamily(2, 11, 5), FBAR, a=25, b=7),  # a is taken mod 24
+        TrselpGL(GLFamily(2, 11, 5), FBAR, a=1, b=8),
+        "TrselpGL(n=2, q=11, ell=5, coeff='fbar', a=1, b=7)",
+    ),
+    (lambda: ParamMatrices(120, [1, 131], -1), ParamMatrices(7, [1], 0),
+     "ParamMatrices(n=2, modulus=120)"),
+    (lambda: IntMatrix([[2, 0], [6, 8]]), IntMatrix([[2, 0], [6, 9]]),
+     "IntMatrix([[2, 0], [6, 8]])"),
+    (lambda: IntMatrix([], cols=3), IntMatrix([], cols=2), "IntMatrix([], cols=3)"),
+    (lambda: FinGenAbGroup(1, (4, 2, 3)), FinGenAbGroup(0, (2, 12)),
+     "FinGenAbGroup(free_rank=1, invariant_factors=(2, 12))"),
+]
+VALUE_IDS = ["GLFamily", "TrselpGL", "ParamMatrices", "IntMatrix", "IntMatrix-empty",
+             "FinGenAbGroup"]
+
+
+@pytest.mark.parametrize("build,other,text", VALUES, ids=VALUE_IDS)
+def test_a_value_refuses_assignment_and_stays_in_its_set(build, other, text):
+    value = build()
+    held = {value}
+    for name in (*type(value).__match_args__, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, name, 0))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert value in held and value == build()
+
+
+@pytest.mark.parametrize("build,other,text", VALUES, ids=VALUE_IDS)
+def test_equal_values_hash_alike(build, other, text):
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b and hash(a) == hash(b)
+    assert a != other and not a == other and a != text
+    assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("build,other,text", VALUES, ids=VALUE_IDS)
+def test_value_repr_is_the_pinned_string(build, other, text):
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("build,other,text", VALUES, ids=VALUE_IDS)
+def test_value_copies_and_pickles_are_equal(build, other, text):
+    value = build()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+        assert repr(twin) == text
+
+
+def test_every_value_class_of_the_package_hashes_and_refuses_assignment():
+    """A class of the public API that compares by value hashes and is frozen.
+
+    A new value class needs a sample here, so none can slip in mutable."""
+    samples = [build() for build, _, _ in VALUES] + [cls(**fields) for cls, fields, _ in RECORDS]
+    samples.append(preset("GL", 2))
+    by_class = {type(value): value for value in samples}
+    value_classes = {
+        obj for name in llc_params.__all__
+        if isinstance(obj := getattr(llc_params, name), type) and obj.__eq__ is not object.__eq__
+    }
+    assert FinGenAbGroup in value_classes and value_classes <= by_class.keys()
+    for cls in value_classes:
+        value = by_class[cls]
+        assert cls.__hash__ is not None, cls
+        slots = [name for base in cls.__mro__ for name in vars(base).get("__slots__", ())]
+        for name in (*slots, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 0)
