@@ -47,11 +47,11 @@ class FinGenAbGroup(FrozenRecord):
 
     __slots__ = ("free_rank", "invariant_factors")
 
-    def __new__(cls, free_rank: int = 0, factors: Iterable[int] = ()):
+    def __init__(self, free_rank: int = 0, factors: Iterable[int] = ()):
         if isinstance(free_rank, bool) or not isinstance(free_rank, int) or free_rank < 0:
             raise InvalidArgument(f"free rank must be a nonnegative integer, got {free_rank!r}")
         extra, chain = _chain_from_factors(factors)
-        return cls._make(free_rank + extra, chain)
+        self._fill(free_rank + extra, chain)
 
     @classmethod
     def cyclic(cls, n: int) -> "FinGenAbGroup":

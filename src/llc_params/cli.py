@@ -354,8 +354,8 @@ class _Command(FrozenRecord):
     # in order, that the JSON report echoes as "input"; unechoed: those after them
     __slots__ = ("help", "handler", "groups", "echoed", "unechoed")
 
-    def __new__(cls, help, handler, groups, echoed, unechoed=()):
-        return cls._make(help, handler, groups, echoed, unechoed)
+    def __init__(self, help, handler, groups, echoed, unechoed=()):
+        self._fill(help, handler, groups, echoed, unechoed)
 
 
 _ALL, _GL = ("GL", "SL", "PGL"), ("GL",)

@@ -64,22 +64,25 @@ class InternalError(LlcError):
 
 @cache
 def _minter(k: int):
-    """minter(new, set0, ..., set{k-1}) returns _make(cls, v0, ..., v{k-1}),
-    which mints new(cls) and stores each field by its slot's setter.
+    """minter(new, set0, ..., set{k-1}) returns (_make, _fill) for records of k fields.
 
-    The setters are called by name, in code compiled once per k: some
-    records are minted by the ten thousand, and a loop over the setters
-    costs twice as much.
+    _fill(record, v0, ..., v{k-1}) stores each field by its slot's setter,
+    and _make(cls, v0, ..., v{k-1}) does the same on a fresh new(cls); a
+    pickle finds _make by that name.  The setters are called by name, in
+    code compiled once per k: one grid sweep mints about 40,000 records,
+    and a loop over the setters made it about 10 % slower.
     """
-    values, setters = [f"v{i}" for i in range(k)], [f"set{i}" for i in range(k)]
+    values = "".join(f", v{i}" for i in range(k))
+    setters = "".join(f", set{i}" for i in range(k))
+    stores = "".join(f"        set{i}(record, v{i})\n" for i in range(k))
     namespace = {}
     exec(
-        f"def minter(new, {', '.join(setters)}):\n"
-        f"    def _make(cls, {', '.join(values)}):\n"
-        "        record = new(cls)\n"
-        + "".join(f"        {put}(record, {v})\n" for put, v in zip(setters, values))
-        + "        return record\n"
-        "    return _make\n",
+        f"def minter(new{setters}):\n"
+        f"    def _fill(record{values}):\n{stores}"
+        f"    def _make(cls{values}):\n"
+        f"        record = new(cls)\n{stores}"
+        "        return record\n"
+        "    return _make, _fill\n",
         namespace,
     )
     return namespace["minter"]
@@ -91,9 +94,10 @@ class FrozenRecord:
     A record is built from its fields by position or by keyword, equals a
     record of the same class with equal fields (and hashes alike), and
     refuses assignment and deletion.  Its repr names every field.
-    ``cls._make(...)`` mints a record from its fields, unchecked; a subclass
-    that validates or derives its fields does so in its own ``__new__`` and
-    returns ``cls._make(...)``, and copies and pickles go through it too.
+    A subclass that validates or derives its fields does so in its own
+    ``__init__`` and stores them with ``self._fill(...)``.
+    ``cls._make(...)`` mints a record from its fields, unchecked; copies
+    and pickles go through it.
     """
 
     __slots__ = ()
@@ -105,16 +109,17 @@ class FrozenRecord:
         )
         cls._values = attrgetter(*fields)  # of one field: its bare value
         setters = (getattr(cls, name).__set__ for name in fields)
-        cls._make = classmethod(_minter(len(fields))(object.__new__, *setters))
+        make, cls._fill = _minter(len(fields))(object.__new__, *setters)
+        cls._make = classmethod(make)
 
-    def __new__(cls, *values, **named):
-        fields = cls.__match_args__
+    def __init__(self, *values, **named):
+        fields = self.__match_args__
         if named and named.keys() == set(fields[len(values):]):
             # the keyword values follow the positional ones, in field order
             values += tuple(map(named.pop, fields[len(values):]))
         if named or len(values) != len(fields):
-            raise TypeError(f"{cls.__name__} takes the fields {', '.join(fields)}")
-        return cls._make(*values)
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        self._fill(*values)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):

@@ -89,12 +89,12 @@ class GLFamily(FrozenRecord):
 
     __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus")
 
-    def __new__(cls, n: int, q: int, ell: int):
+    def __init__(self, n: int, q: int, ell: int):
         preset("GL", n)  # the rank rule of GL_n, and its error
         p, _ = check_admissible(q, ell)
         full = q**n - 1
         k = valuation(full, ell)
-        return cls._make(n, q, ell, p, k, full, full // ell**k)
+        self._fill(n, q, ell, p, k, full, full // ell**k)
 
     def modulus(self, coeff: str) -> int:
         """The exponent modulus: q^n - 1 for ZBAR, its prime-to-ell part for FBAR."""
@@ -228,7 +228,7 @@ class TrselpGL(FrozenRecord):
 
     __slots__ = ("family", "coeff", "modulus", "a", "b")
 
-    def __new__(cls, family: GLFamily, coeff: str = ZBAR, a: int = 0, b: int = 0):
+    def __init__(self, family: GLFamily, coeff: str = ZBAR, a: int = 0, b: int = 0):
         if not isinstance(family, GLFamily):
             raise InvalidArgument(f"family must be a GLFamily, got {family!r}")
         modulus = family.modulus(coeff)
@@ -236,7 +236,7 @@ class TrselpGL(FrozenRecord):
             raise InvalidArgument(f"a must be an integer, got {a!r}")
         if isinstance(b, bool) or not isinstance(b, int):
             raise InvalidArgument(f"b must be an integer, got {b!r}")
-        return cls._make(family, coeff, modulus, a % modulus, b % family.full_modulus)
+        self._fill(family, coeff, modulus, a % modulus, b % family.full_modulus)
 
     def orbit(self) -> tuple[int, ...]:
         """The q-power orbit of the exponent, in generation order."""
@@ -312,13 +312,13 @@ class ParamMatrices(FrozenRecord):
 
     __slots__ = ("modulus", "diagonal", "corner")
 
-    def __new__(cls, modulus: int, diagonal: Iterable[int], corner: int):
+    def __init__(self, modulus: int, diagonal: Iterable[int], corner: int):
         if isinstance(modulus, bool) or not isinstance(modulus, int) or modulus < 1:
             raise InvalidArgument(f"modulus must be a positive integer, got {modulus!r}")
         diagonal = tuple(_exponent(e, "diagonal entry") % modulus for e in diagonal)
         if not diagonal:
             raise InvalidArgument("the diagonal needs n >= 1 exponents")
-        return cls._make(modulus, diagonal, _exponent(corner, "corner") % modulus)
+        self._fill(modulus, diagonal, _exponent(corner, "corner") % modulus)
 
     @property
     def n(self) -> int:

@@ -50,7 +50,7 @@ class IntMatrix(FrozenRecord):
 
     __slots__ = ("nonzeros", "rows", "cols")
 
-    def __new__(cls, data: Iterable[Sequence[int]], *, cols: int | None = None):
+    def __init__(self, data: Iterable[Sequence[int]], *, cols: int | None = None):
         rows = list(map(tuple, data))
         if not set(map(type, chain.from_iterable(rows))) <= {int}:
             # a bool, a non-integer or an int subclass: refuse the first bad
@@ -69,7 +69,7 @@ class IntMatrix(FrozenRecord):
         if width < 0:
             raise InvalidArgument("cols must be nonnegative")
         nonzeros = tuple(tuple((j, e) for j, e in enumerate(r) if e) for r in rows)
-        return cls._make(nonzeros, len(rows), width)
+        self._fill(nonzeros, len(rows), width)
 
     @property
     def data(self) -> tuple[tuple[int, ...], ...]:

@@ -61,11 +61,11 @@ class RootDatum(FrozenRecord):
 
     __slots__ = ("kind", "n")
 
-    def __new__(cls, kind: str, n: int):
+    def __init__(self, kind: str, n: int):
         least = _least_n(kind, "datum")
         if type(n) is not int or n < least:
             raise InvalidArgument(f"a {kind} datum needs an int n >= {least}, got {n!r}")
-        return cls._make(kind, n)
+        self._fill(kind, n)
 
     @property
     def rank(self) -> int:
@@ -110,7 +110,7 @@ class WeylTwist(FrozenRecord):
 
     __slots__ = ("kind", "perm", "sign")
 
-    def __new__(cls, kind: str, perm: tuple[int, ...], sign: int):
+    def __init__(self, kind: str, perm: tuple[int, ...], sign: int):
         """Refuse, in O(n), a record that is no signed permutation of a preset's lattice."""
         least = _least_n(kind, "twist")
         if type(perm) is not tuple:
@@ -123,7 +123,7 @@ class WeylTwist(FrozenRecord):
             )
         if type(sign) is not int or sign not in (1, -1):
             raise InvalidArgument(f"twist sign must be 1 or -1, got {sign!r}")
-        return cls._make(kind, perm, sign)
+        self._fill(kind, perm, sign)
 
     @property
     def datum(self) -> RootDatum:

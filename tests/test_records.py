@@ -256,6 +256,25 @@ def test_value_copies_and_pickles_are_equal(build, other, text):
         assert repr(twin) == text
 
 
+@pytest.mark.parametrize("build,other,text", VALUES, ids=VALUE_IDS)
+def test_a_wrapped_constructor_sees_each_construction(build, other, text, monkeypatch):
+    """A value class validates in its own __init__, so a pass-through wrapper
+    on cls.__init__ (perfbench/tracer.py times constructors so) sees one
+    call per public construction and builds the same value."""
+    expected = build()
+    cls, calls = type(expected), []
+    assert "__init__" in vars(cls)
+    init = cls.__init__
+
+    def wrapped(*args, **kwargs):
+        calls.append(args)
+        return init(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", wrapped)
+    value = build()
+    assert len(calls) == 1 and value == expected and repr(value) == text
+
+
 def test_every_value_class_of_the_package_hashes_and_refuses_assignment():
     """A class of the public API that compares by value hashes and is frozen.
 

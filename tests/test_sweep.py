@@ -241,12 +241,12 @@ def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
     assert (len(integral), len(supported)) == (13013, 13028)
 
     seen = {name: [] for name in ("matrices", "cocycle", "support")}
-    calls = {name: 0 for name in ("orbit", "lifts", "_param", "__new__")}
+    calls = {name: 0 for name in ("orbit", "lifts", "_param", "__init__")}
     matrices, verify, support, lifts = (
         sweep.matrices, sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions,
         sweep.lifts_in_component,
     )
-    orbit, param, new = TrselpGL.orbit, glparams._param, TrselpGL.__new__
+    orbit, param, init = TrselpGL.orbit, glparams._param, TrselpGL.__init__
 
     def counting(name, f):
         def wrapped(*args, **kwargs):
@@ -272,11 +272,11 @@ def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
     monkeypatch.setattr(sweep, "lifts_in_component", counting("lifts", lifts))
     monkeypatch.setattr(TrselpGL, "orbit", counting("orbit", orbit))
     monkeypatch.setattr(glparams, "_param", counting("_param", param))
-    monkeypatch.setattr(TrselpGL, "__new__", counting("__new__", new))
+    monkeypatch.setattr(TrselpGL, "__init__", counting("__init__", init))
     assert all(c.passed for c in sweep.run_grid())
     assert seen["matrices"] == seen["cocycle"] == integral
     assert seen["support"] == supported
-    assert calls == {"orbit": 13013, "lifts": 3100, "_param": 27005, "__new__": 3115}
+    assert calls == {"orbit": 13013, "lifts": 3100, "_param": 27005, "__init__": 3115}
 
 
 def test_the_one_pass_reports_a_parameter_under_both_checks(monkeypatch):
