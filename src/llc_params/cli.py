@@ -22,7 +22,7 @@ import functools
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
@@ -221,15 +221,17 @@ def _cmd_enumerate(args) -> _Outcome:
             hint=f"raise {MAX_MODULUS_ENV} to scan larger moduli",
         )
     count = family.count(args.coeff)
-    page = family.parameters(args.coeff, args.offset, args.limit)
+    page = family.exponents(args.coeff, args.offset, args.limit)
 
     def body():
+        # a page's parameters differ only in a: one gives the row, each a its copy
+        row = TrselpGL(family, args.coeff, page[0]).to_json() if page else {}
         return {
             "modulus": modulus,
             "count": count,
             "offset": args.offset,
             "limit": args.limit,
-            "parameters": [phi.to_json() for phi in page],
+            "parameters": [{**row, "a": a} for a in page],
         }
 
     def lines():
@@ -237,8 +239,8 @@ def _cmd_enumerate(args) -> _Outcome:
         yield f"  modulus: {modulus}"
         yield f"  count:   {count}"
         yield f"  showing {len(page)} at offset {args.offset}"
-        for phi in page:
-            yield f"  a={phi.a} b={phi.b}"
+        for a in page:
+            yield f"  a={a} b=0"
 
     return body, lines(), 0
 
@@ -454,7 +456,7 @@ def _write(value, newline: str, chunks: list[str]) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _uniform_items(value, inner: str) -> Iterator[str] | None:
+def _uniform_items(value, inner: str) -> Iterable[str] | None:
     """The items of a uniform list, with no per-value dispatch; None for any
     other list, which `_write` writes value by value.
 
@@ -462,8 +464,9 @@ def _uniform_items(value, inner: str) -> Iterator[str] | None:
     non-empty exact lists or tuples of one length, every entry an exact int)
     or records (a page of parameters: non-empty exact dicts with the same str
     keys, each key's column all exact int or all exact str).  Vectors and
-    records are filled from one item template; '%d' writes an int as
-    int.__repr__ does and raises the same ValueError for one too long to print.
+    records are filled from one item template, where a record column with one
+    value on every row is written once; '%d' writes an int as int.__repr__
+    does and raises the same ValueError for one too long to print.
     """
     kinds = set(map(type, value))
     if kinds == {int}:
@@ -491,16 +494,19 @@ def _uniform_items(value, inner: str) -> Iterator[str] | None:
             return None
         column_kinds = set(map(type, column))
         if column_kinds == {str}:
-            column = list(map(encode_basestring, column))
-            slot = "%s"
+            encode, slot = encode_basestring, "%s"
         elif column_kinds == {int}:
-            slot = "%d"
+            encode, slot = int.__repr__, "%d"
         else:
             return None
-        columns.append(column)
+        if column.count(column[0]) == len(column):  # one value on every row: write it once
+            slot = encode(column[0]).replace("%", "%%")
+        else:
+            columns.append(column if slot == "%d" else list(map(encode, column)))
         fields.append(encode_basestring(name).replace("%", "%%") + ": " + slot)
     template = "{" + field + ("," + field).join(fields) + inner + "}"
-    return map(template.__mod__, zip(*columns))
+    # with no varying column, every row is the same string
+    return map(template.__mod__, zip(*columns)) if columns else [template % ()] * len(value)
 
 
 def run(argv: list[str] | None = None, stream=None) -> int:

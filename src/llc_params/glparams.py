@@ -7,11 +7,11 @@ zeta^b.  Everything about such a parameter is therefore integer arithmetic
 on exponents; no cyclotomic element is ever materialized.
 
 The parameters with one (n, q, ell) form a GLFamily.  It checks the standing
-hypotheses once, and it owns the canonical scan, the closed-form count and
-the enumeration; every parameter is minted from a family.  GLFamily,
-TrselpGL and ParamMatrices are frozen records (errors.FrozenRecord), so a
-parameter's modulus always divides q^n - 1 and its orbit closes within n
-steps.
+hypotheses once and owns the canonical scan and the closed-form count; pages
+come as exponents, and every parameter is minted from a family over them.
+GLFamily, TrselpGL and ParamMatrices are frozen records (errors.FrozenRecord),
+so a parameter's modulus always divides q^n - 1 and its orbit closes within
+n steps.
 
 Coefficients come in two flavors: integral (ZBAR, exponents mod q^n - 1) and
 residue (FBAR, exponents mod the prime-to-ell part).  Reduction forgets the
@@ -159,15 +159,15 @@ class GLFamily(FrozenRecord):
             for chunk in chunks:
                 yield from chunk
 
-    def parameters(self, coeff: str, offset: int = 0, limit: int | None = None) -> list["TrselpGL"]:
-        """The regular parameters up to equivalence (orbit minima, b = 0), ascending.
+    def exponents(self, coeff: str, offset: int = 0, limit: int | None = None) -> list[int]:
+        """The canonical exponents of the regular parameters, ascending.
 
-        Returns the page [offset, offset + limit) of that list, all of it by
+        Returns the page [offset, offset + limit) of the scan, all of it by
         default.  Scan windows wholly before the page are skipped by their
         count, so their surviving ranges are never expanded.
 
         >>> fam = GLFamily(2, 11, 5)
-        >>> len(fam.parameters(ZBAR)), [phi.a for phi in fam.parameters(ZBAR, 3, 2)]
+        >>> len(fam.exponents(ZBAR)), fam.exponents(ZBAR, 3, 2)
         (55, [4, 5])
         """
         if type(offset) is not int or offset < 0 or (
@@ -188,7 +188,16 @@ class GLFamily(FrozenRecord):
             seen += size
             if seen >= end:
                 break
-        return [_param(self, coeff, m, a, 0) for a in page]
+        return page
+
+    def parameters(self, coeff: str, offset: int = 0, limit: int | None = None) -> list["TrselpGL"]:
+        """The regular parameters up to equivalence: a page of exponents, minted with b = 0.
+
+        >>> [phi.a for phi in GLFamily(2, 11, 5).parameters(ZBAR, 3, 2)]
+        [4, 5]
+        """
+        m = self.modulus(coeff)
+        return [_param(self, coeff, m, a, 0) for a in self.exponents(coeff, offset, limit)]
 
     def count(self, coeff: str) -> int:
         """Number of enumerated parameters, by Moebius inversion over orbit sizes.

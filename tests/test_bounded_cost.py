@@ -16,7 +16,7 @@ from time import perf_counter
 import pytest
 
 import llc_params
-from llc_params import arith, cli
+from llc_params import arith, cli, glparams
 from llc_params.glparams import ZBAR, GLFamily, TrselpGL, nilpotent_support_fixed_positions
 from llc_params.lattice import IntMatrix, smith_normal_form
 from llc_params.rootdata import coxeter_twist, identity_twist, preset
@@ -421,6 +421,33 @@ def test_enumerate_validates_its_family_once(monkeypatch):
     assert len(json.loads(text)["parameters"]) == 2000
     # one family, validated once; minting its 2000 parameters checks nothing
     assert calls == {"check_admissible": 1, "valuation": 1}
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+def test_an_enumerate_page_builds_no_parameter_per_row(monkeypatch, output):
+    # a page is written from its exponents: JSON copies the row of one
+    # parameter, built through the public constructor, and text builds none
+    calls = {"_param": 0, "__init__": 0}
+    param, init = glparams._param, TrselpGL.__init__
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(glparams, "_param", counting("_param", param))
+    monkeypatch.setattr(TrselpGL, "__init__", counting("__init__", init))
+    page = ["enumerate", "--n", "2", "--q", "499", "--ell", "3", "--offset", "244",
+            "--output", output, "--limit"]
+    for limit in (1, 10, 2000):
+        calls.update(_param=0, __init__=0)
+        code, text = run_timed([*page, str(limit)])
+        assert code == 0
+        rows = json.loads(text)["parameters"] if output == "json" else text.splitlines()[4:]
+        assert len(rows) == limit
+        assert calls["_param"] == 0 and calls["__init__"] <= 1, (limit, calls)
 
 
 def test_matching_never_factors(monkeypatch):

@@ -109,6 +109,38 @@ def test_uniform_lists_match_json_dumps(rows, where):
         assert cli._dumps(value) == reference(value)
 
 
+# a page of parameters varies in one column; the writer bakes every column
+# that holds one value on every row into the template; str values come from
+# the key alphabet, with its '%' and quote characters
+column_ints = st.one_of(st.integers(-3, 3), st.integers(max_value=-1),
+                        st.integers(-(10**30), 10**30), st.sampled_from([10**30, -(10**30)]))
+
+
+@st.composite
+def constant_column_lists(draw):
+    names = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
+    count = draw(st.integers(1, 5))
+    moving = draw(st.sampled_from([0, 1, len(names)]))  # the first `moving` columns vary
+    columns = {}
+    for i, name in enumerate(names):
+        kind = draw(st.sampled_from([column_ints, keys]))
+        if i >= moving:
+            columns[name] = [draw(kind)] * count
+        else:  # one varying column takes distinct values, so that it really varies
+            columns[name] = draw(st.lists(kind, min_size=count, max_size=count,
+                                          unique=moving == 1))
+    return [{name: columns[name][i] for name in draw(st.permutations(names))}
+            for i in range(count)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(constant_column_lists(), st.sampled_from(["bare", "in dict", "in list"]))
+def test_constant_columns_match_json_dumps(rows, where):
+    assert cli._uniform_items(rows, "\n  ") is not None
+    value = {"page": rows, "n": 1} if where == "in dict" else [[rows]] if where == "in list" else rows
+    assert cli._dumps(value) == reference(value)
+
+
 def test_writer_edge_cases():
     for value in ({}, [], (), {"a": {}}, {"a": [[], ()]}, [True, 1, False, 0], (7,), [-0],
                   {"b": 1, "a": 2, "A": 3, "é": 4, "": 5}):
@@ -222,3 +254,22 @@ def test_roots_and_coroots_take_a_constant_number_of_writer_calls(monkeypatch, g
              for n in ("2", "8", "24")}
     assert len(set(calls.values())) == 1, calls
     assert calls["24"] <= 50, calls
+
+
+def test_vectors_mixing_lists_and_tuples_take_the_template_path(monkeypatch):
+    assert cli._uniform_items([[1, 2], (3, 4)], "\n  ") is not None
+    calls = 0
+    write = cli._write
+
+    def counting_write(value, newline, chunks):
+        nonlocal calls
+        calls += 1
+        write(value, newline, chunks)
+
+    monkeypatch.setattr(cli, "_write", counting_write)
+    counts = {}
+    for name, rows in {"lists": [[1, 2], [3, 4]], "mixed": [[1, 2], (3, 4)]}.items():
+        calls = 0
+        assert cli._dumps({"roots": rows}) == reference({"roots": rows})
+        counts[name] = calls
+    assert counts["mixed"] == counts["lists"], counts
