@@ -252,26 +252,27 @@ def _cmd_verify(args) -> _Outcome:
     lift = phi if phi.coeff == ZBAR else canonical_lift(phi)
     m = matrices(lift)
     ok = verify_cocycle(m, args.q)
-    # the support is the n^2 / s positions i == j mod the orbit size s, so the
-    # text report counts it and only the JSON body lists it
-    s = len(lift.orbit())
-    diagonal = s == args.n
+    # the support is the n^2 / s positions i == j mod the orbit size s (s = n
+    # exactly when phi is regular), so the text report counts it and only the
+    # JSON body lists it
+    s = lift.family.orbit_size(ZBAR, lift.a)
+    regular = s == args.n
 
     def body():
         support = [list(p) for p in nilpotent_support_fixed_positions(lift)]
         return {
             "parameter": phi.to_json(),
-            "regular": phi.is_regular,
+            "regular": regular,
             "cocycleHolds": ok,
             "matrices": m.to_json(),
-            "nilpotentSupport": {"positions": support, "diagonalOnly": diagonal},
+            "nilpotentSupport": {"positions": support, "diagonalOnly": regular},
         }
 
     def lines():
         yield f"verify [GL_{args.n}, q={args.q}, ell={args.ell}, a={phi.a}, b={phi.b}]"
-        yield f"  regular:          {_yesno(phi.is_regular)}"
+        yield f"  regular:          {_yesno(regular)}"
         yield f"  cocycle holds:    {_yesno(ok)}"
-        yield f"  support diagonal: {_yesno(diagonal)} ({args.n * args.n // s} positions)"
+        yield f"  support diagonal: {_yesno(regular)} ({args.n * args.n // s} positions)"
 
     return body, lines(), 0
 

@@ -8,7 +8,8 @@ on exponents; no cyclotomic element is ever materialized.
 
 The parameters with one (n, q, ell) form a GLFamily.  It checks the standing
 hypotheses once and owns the canonical scan and the closed-form count; pages
-come as exponents, and every parameter is minted from a family over them.
+come as exponents.  Per-parameter work runs in family kernels on an exponent
+(GLFamily.orbit to GLFamily.lifts), and the record functions mint over them.
 GLFamily, TrselpGL and ParamMatrices are frozen records (errors.FrozenRecord),
 so a parameter's modulus always divides q^n - 1 and its orbit closes within
 n steps.
@@ -220,6 +221,83 @@ class GLFamily(FrozenRecord):
             raise InternalError("orbit count was not divisible by n")
         return total // n
 
+    def orbit(self, coeff: str, a: int) -> tuple[int, ...]:
+        """The q-power orbit of the exponent a mod the modulus, in generation order.
+
+        >>> GLFamily(2, 11, 5).orbit(ZBAR, 1), GLFamily(2, 11, 5).orbit(ZBAR, 132)
+        ((1, 11), (12,))
+        """
+        m, q = self.modulus(coeff), self.q
+        a %= m
+        out = [a]
+        x = a * q % m
+        while x != a:
+            out.append(x)
+            x = x * q % m
+        return tuple(out)
+
+    def orbit_size(self, coeff: str, a: int) -> int:
+        """The size s of the orbit of a, walked without building it; s = n when a is regular.
+
+        >>> GLFamily(2, 11, 5).orbit_size(ZBAR, 1), GLFamily(2, 11, 5).orbit_size(ZBAR, 12)
+        (2, 1)
+        """
+        m, q = self.modulus(coeff), self.q
+        a %= m
+        s, x = 1, a * q % m
+        while x != a:
+            s, x = s + 1, x * q % m
+        return s
+
+    def least(self, coeff: str, a: int) -> int:
+        """The least exponent of the orbit of a: its canonical representative.
+
+        At FBAR it reduces an integral a, since Z/(q^n - 1) = Z/M' x Z/ell^k.
+
+        >>> GLFamily(2, 11, 5).least(ZBAR, 11), GLFamily(2, 11, 5).least(FBAR, 37)
+        (1, 13)
+        """
+        return min(self.orbit(coeff, a))
+
+    def diagonal(self, a: int) -> tuple[int, ...]:
+        """The integral exponents a q^i, i < n: the orbit of a, n / s times over (a q^s = a).
+
+        >>> GLFamily(2, 11, 5).diagonal(1), GLFamily(2, 11, 5).diagonal(12)
+        ((1, 11), (12, 12))
+        """
+        orbit = self.orbit(ZBAR, a)
+        return orbit * (self.n // len(orbit))
+
+    def support(self, coeff: str, a: int) -> list[tuple[int, int]]:
+        """Matrix positions where an inertia-fixed nilpotent could live, row by row.
+
+        (i, j), 1-indexed, is fixed by inertia exactly when a q^{i-1} and
+        a q^{j-1} agree, i.e. i == j mod the orbit size s; for a regular a
+        (s = n) the nilpotent cone meets the fixed space only at zero.
+
+        >>> GLFamily(2, 11, 5).support(ZBAR, 1), GLFamily(2, 11, 5).support(ZBAR, 12)
+        ([(1, 1), (2, 2)], [(1, 1), (1, 2), (2, 1), (2, 2)])
+        """
+        n, s = self.n, self.orbit_size(coeff, a)
+        if s == n:
+            return [(i, i) for i in range(1, n + 1)]
+        return [(i, j) for i in range(1, n + 1) for j in range((i - 1) % s + 1, n + 1, s)]
+
+    def lifts(self, a: int) -> Iterator[int]:
+        """The ell^k integral exponents congruent to the residue exponent a mod M'.
+
+        The canonical lift, divisible by ell^k, comes first (it has the orbit
+        size of a); the rest follow in increasing order.
+
+        >>> list(GLFamily(2, 11, 5).lifts(1))
+        [25, 1, 49, 73, 97]
+        """
+        lk, r, full = self.ell**self.k, self.residue_modulus, self.full_modulus
+        a %= r
+        first = a * lk * pow(lk, -1, r) % full
+        yield first
+        yield from (e for e in range(a, full, r) if e != first)
+
     def __repr__(self) -> str:
         return f"GLFamily(n={self.n}, q={self.q}, ell={self.ell})"
 
@@ -249,31 +327,18 @@ class TrselpGL(FrozenRecord):
 
     def orbit(self) -> tuple[int, ...]:
         """The q-power orbit of the exponent, in generation order."""
-        a, m, q = self.a, self.modulus, self.family.q
-        out = [a]
-        x = a * q % m
-        while x != a:
-            out.append(x)
-            x = x * q % m
-        return tuple(out)
+        return self.family.orbit(self.coeff, self.a)
 
     @property
     def is_regular(self) -> bool:
         """True when a, qa, ..., q^{n-1} a are pairwise distinct mod the modulus."""
-        return len(self.orbit()) == self.family.n
+        return self.family.orbit_size(self.coeff, self.a) == self.family.n
 
     def canonical(self) -> "TrselpGL":
         """The same parameter with the exponent replaced by its orbit minimum."""
-        a, m, q = self.a, self.modulus, self.family.q
-        # the least exponent of the orbit, walked without building it
-        least, x = a, a * q % m
-        while x != a:
-            if x < least:
-                least = x
-            x = x * q % m
-        if least == a:
-            return self
-        return _param(self.family, self.coeff, m, least, self.b)
+        fam, a = self.family, self.a
+        least = fam.least(self.coeff, a)
+        return self if least == a else _param(fam, self.coeff, self.modulus, least, self.b)
 
     def to_json(self) -> dict:
         fam = self.family
@@ -349,11 +414,7 @@ class ParamMatrices(FrozenRecord):
 
 
 def matrices(phi: TrselpGL) -> ParamMatrices:
-    """The (x, y) pair of an integral parameter: x has the exponents a q^i mod M
-    on its diagonal, and y has b in its corner.
-
-    The diagonal is the orbit of a, repeated n / s times for an orbit of
-    size s, since a q^s = a.
+    """The (x, y) pair of an integral parameter: x has GLFamily.diagonal(a), y the corner b.
 
     >>> m = matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1, b=7))
     >>> m.diagonal, m.corner
@@ -364,45 +425,41 @@ def matrices(phi: TrselpGL) -> ParamMatrices:
             "matrices need integral coefficients",
             hint="lift the parameter first; residue exponents do not pin down matrices",
         )
-    orbit = phi.orbit()
     # the exponents are already reduced, so skip the constructor's checks
-    return ParamMatrices._make(phi.modulus, orbit * (phi.family.n // len(orbit)), phi.b)
+    return ParamMatrices._make(phi.modulus, phi.family.diagonal(phi.a), phi.b)
+
+
+def cocycle_law(diagonal: Sequence[int], q: int, modulus: int) -> bool:
+    """y x y^{-1} == x^q for x = diag(zeta^e) over reduced exponents, zeta of order modulus.
+
+    Conjugating by the cyclic shift rotates the diagonal exponents left by
+    one (the corner unit cancels), and x^q multiplies them by q: one comparison.
+
+    >>> cocycle_law((1, 11), 11, 120), cocycle_law((1, 12), 11, 120)
+    (True, False)
+    """
+    return [e * q % modulus for e in diagonal] == [*diagonal[1:], diagonal[0]]
 
 
 def verify_cocycle(m: ParamMatrices, q: int) -> bool:
-    """Check y x y^{-1} == x^q in exponent arithmetic.
-
-    Conjugating a diagonal matrix by the cyclic shift rotates its diagonal
-    exponents left by one (the corner unit cancels); raising to the q-th
-    power multiplies exponents by q mod the exponent modulus.  So the check
-    is one comparison: the q-multiple of the diagonal against its rotation.
+    """Check y x y^{-1} == x^q for a matrix pair: the cocycle law on its diagonal.
 
     >>> verify_cocycle(matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1)), 11)
     True
     """
-    diag, mod = m.diagonal, m.modulus
-    return [e * q % mod for e in diag] == [*diag[1:], diag[0]]
+    return cocycle_law(m.diagonal, q, m.modulus)
 
 
 def reduction(phi: TrselpGL) -> TrselpGL:
-    """Residue-coefficient image: forget the ell-part of the exponent.
-
-    The fixed splitting Z/(q^n - 1) = Z/M' x Z/ell^k (M' the prime-to-ell
-    part) sends a to a mod M'; the result is re-canonicalized to its orbit
-    minimum.
-    """
+    """Residue-coefficient image: the least exponent of the orbit of a mod M'."""
     if phi.coeff != ZBAR:
         raise CoefficientMismatch("reduction starts from an integral parameter")
     fam = phi.family
-    return _param(fam, FBAR, fam.residue_modulus, phi.a % fam.residue_modulus, phi.b).canonical()
+    return _param(fam, FBAR, fam.residue_modulus, fam.least(FBAR, phi.a), phi.b)
 
 
 def canonical_lift(phi: TrselpGL) -> TrselpGL:
     """The integral lift of a residue parameter with prime-to-ell eigenvalues.
-
-    Its exponent is the one congruent to a mod M' and divisible by ell^k
-    (Chinese remainders); it has the same orbit size as the residue
-    exponent, hence the same regularity and nilpotent support.
 
     >>> canonical_lift(TrselpGL(GLFamily(2, 11, 5), FBAR, a=1)).a
     25
@@ -410,52 +467,25 @@ def canonical_lift(phi: TrselpGL) -> TrselpGL:
     if phi.coeff != FBAR:
         raise CoefficientMismatch("lifts start from a residue parameter")
     fam = phi.family
-    lk = fam.ell**fam.k
-    a = phi.a * lk * pow(lk, -1, phi.modulus) % fam.full_modulus
-    return _param(fam, ZBAR, fam.full_modulus, a, phi.b)
+    return _param(fam, ZBAR, fam.full_modulus, next(fam.lifts(phi.a)), phi.b)
 
 
 def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
-    """All integral lifts of a residue parameter, canonical lift first.
-
-    The lifts form a torsor under the ell-power roots of unity: exactly the
-    ell^k exponents congruent to a mod M'.  The canonical lift (see
-    canonical_lift) comes first; the remaining lifts follow in increasing
-    exponent order.
+    """All integral lifts of a residue parameter, canonical lift first (see GLFamily.lifts).
 
     >>> [psi.a for psi in lifts_in_component(TrselpGL(GLFamily(2, 11, 5), FBAR, a=1))]
     [25, 1, 49, 73, 97]
     """
-    first = canonical_lift(phi)
-    fam, b, skip = phi.family, phi.b, first.a
-    full = fam.full_modulus
-    # a < M', so the lifts a + t M' (0 <= t < ell^k) ascend below q^n - 1
-    return [first] + [
-        _param(fam, ZBAR, full, e, b) for e in range(phi.a, full, phi.modulus) if e != skip
-    ]
+    if phi.coeff != FBAR:
+        raise CoefficientMismatch("lifts start from a residue parameter")
+    fam, b = phi.family, phi.b
+    return [_param(fam, ZBAR, fam.full_modulus, e, b) for e in fam.lifts(phi.a)]
 
 
 def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
-    """Matrix positions where an inertia-fixed nilpotent could live, row by row.
-
-    Position (i, j), 1-indexed, is fixed by the inertia action exactly when
-    a (q^{i-1} - q^{j-1}) == 0 mod the exponent modulus, that is, when the
-    diagonal exponents a q^{i-1} and a q^{j-1} agree.  The orbit of a has s
-    distinct exponents and then repeats, so they agree exactly when
-    i == j mod s.  For a regular parameter (s = n) this is precisely the
-    diagonal, which is the computational form of the statement that the
-    relevant nilpotent cone meets the fixed space only at zero.
+    """Matrix positions where an inertia-fixed nilpotent could live (see GLFamily.support).
 
     >>> nilpotent_support_fixed_positions(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=12))
     [(1, 1), (1, 2), (2, 1), (2, 2)]
     """
-    fam = phi.family
-    n, q, m, a = fam.n, fam.q, phi.modulus, phi.a
-    # the orbit size s is the least s >= 1 with a q^s == a, walked without
-    # building the orbit
-    s, x = 1, a * q % m
-    while x != a:
-        s, x = s + 1, x * q % m
-    if s == n:
-        return [(i, i) for i in range(1, n + 1)]
-    return [(i, j) for i in range(1, n + 1) for j in range((i - 1) % s + 1, n + 1, s)]
+    return phi.family.support(phi.coeff, phi.a)

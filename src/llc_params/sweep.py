@@ -8,8 +8,9 @@ orbit walk, and the component/block comparison pits the character-lattice
 computation against the cocharacter one.  The sweep makes one pass over
 (n, q): each pair takes its cokernels once for all its ells, and scans and
 walks each of its distinct exponent moduli once.  The cocycle and support
-checks (5 and 8) read each integral parameter in one pass, each keeping
-its own failures.
+checks (5 and 8) read each integral exponent in one pass, each keeping its
+own failures.  The parameter checks run the family kernels of glparams on
+exponents (the code its record functions mint over), so they mint no record.
 """
 
 from __future__ import annotations
@@ -21,17 +22,7 @@ from .arith import valuation
 from .blocks import categorical_summaries
 from .cocycles import component_descriptor
 from .errors import FrozenRecord
-from .glparams import (
-    FBAR,
-    ZBAR,
-    GLFamily,
-    TrselpGL,
-    lifts_in_component,
-    matrices,
-    nilpotent_support_fixed_positions,
-    reduction,
-    verify_cocycle,
-)
+from .glparams import FBAR, ZBAR, GLFamily, cocycle_law
 from .rootdata import coxeter_twist, preset
 
 GRID_Q = (3, 5, 7, 11, 13)
@@ -76,14 +67,6 @@ def _direct_orbit_count(n: int, q: int, modulus: int) -> int:
         if size == n:
             count += 1
     return count
-
-
-def _lifts_form_torsor(phi: TrselpGL) -> bool:
-    """phi has ell^k integral lifts, each reducing to phi, the first one's
-    exponent divisible by ell^k."""
-    lk = phi.family.ell**phi.family.k
-    lifts = lifts_in_component(phi)
-    return len(lifts) == lk and all(reduction(psi) == phi for psi in lifts) and lifts[0].a % lk == 0
 
 
 # the checks after the golden one: id, label, what their count counts, and how
@@ -146,24 +129,25 @@ def run_grid() -> list[GridCheck]:
             if n not in GRID_N_PARAMS:
                 continue
 
-            # 5 and 8: the cocycle relation holds for every enumerated
-            # parameter, and the nilpotent support is the diagonal exactly in
-            # the regular case.  One pass reads each parameter for both
-            # checks, and each check keeps its own failures
+            # 5 and 8: the cocycle law holds on the diagonal of every
+            # enumerated integral exponent, and the nilpotent support is the
+            # diagonal exactly in the regular case.  One pass reads each
+            # exponent for both checks, and each check keeps its own failures
             fam = GLFamily(n, q, ells[0])
-            integral = fam.parameters(ZBAR)
+            m = fam.full_modulus
+            integral = list(fam.scan(ZBAR))
+            diagonal, support = fam.diagonal, fam.support
             diag = [(i, i) for i in range(1, n + 1)]
             broken, spread = [], []
-            for phi in integral:
-                if not verify_cocycle(matrices(phi), q):
-                    broken.append((n, q, phi.a))
-                if nilpotent_support_fixed_positions(phi) != diag:
-                    spread.append((n, q, phi.a))
+            for a in integral:
+                if not cocycle_law(diagonal(a), q, m):
+                    broken.append((n, q, a))
+                if support(ZBAR, a) != diag:
+                    spread.append((n, q, a))
             tally("cocycle-relation", len(integral), broken)
             tally("nilpotent-support", len(integral), spread)
             if n >= 2:
-                degenerate = TrselpGL(fam, ZBAR, 0, 0)
-                regular = len(nilpotent_support_fixed_positions(degenerate)) <= n
+                regular = len(support(ZBAR, 0)) <= n
                 tally("nilpotent-support", 1, [(n, q, "degenerate")] if regular else [])
 
             # 6: enumeration counts agree with a direct orbit walk and the
@@ -171,8 +155,7 @@ def run_grid() -> list[GridCheck]:
             # canonical point.  A scan and a walk depend only on the modulus,
             # q^n - 1 at every ell or the residue modulus at each: `moduli`
             # holds each distinct one's exponents and direct count, taken once
-            m = fam.full_modulus
-            moduli = {m: ([phi.a for phi in integral], _direct_orbit_count(n, q, m))}
+            moduli = {m: (integral, _direct_orbit_count(n, q, m))}
             for ell in ells:
                 fam = GLFamily(n, q, ell)
                 for coeff in (ZBAR, FBAR):
@@ -184,9 +167,15 @@ def run_grid() -> list[GridCheck]:
                           else [(n, q, ell, coeff, listed, direct, closed)])
                 pool = moduli[fam.residue_modulus][0]
                 sample = pool if len(pool) <= SAMPLE_SIZE else rng.sample(pool, SAMPLE_SIZE)
-                tally("lift-torsor", len(sample), [
-                    (n, q, ell, a) for a in sample if not _lifts_form_torsor(TrselpGL(fam, FBAR, a))
-                ])
+                # a residue exponent has ell^k lifts, each reducing to it, the
+                # first one divisible by ell^k
+                lk, torn = ell**fam.k, []
+                for a in sample:
+                    lifts = list(fam.lifts(a))
+                    if not (len(lifts) == lk and all(fam.least(FBAR, e) == a for e in lifts)
+                            and lifts[0] % lk == 0):
+                        torn.append((n, q, ell, a))
+                tally("lift-torsor", len(sample), torn)
 
     return [golden] + [
         GridCheck(check_id, label, not bad[check_id], f"{cases[check_id]} {noun}"

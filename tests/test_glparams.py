@@ -22,6 +22,7 @@ from llc_params.glparams import (
     TrselpGL,
     ZBAR,
     canonical_lift,
+    cocycle_law,
     lifts_in_component,
     matrices,
     nilpotent_support_fixed_positions,
@@ -726,3 +727,70 @@ def test_lifts_and_reduction_match_brute_chinese_remainders():
             red = reduction(TrselpGL(fam, ZBAR, a, 3))
             assert (red.a, red.b) == (brute_reduction(a, q, r, n), 3), (n, q, ell, a)
     assert {1, 5, 25, 121} <= torsor_sizes
+
+
+# ---------------------------------------------------------------------------
+# the family kernels against the oracles and against their record wrappers
+
+
+def kernel_net_exponents(fam, coeff, rng):
+    """Exponents of every orbit size s | n at one flavor, a few unreduced."""
+    n, q, m = fam.n, fam.q, fam.modulus(coeff)
+    exps = {0, 1, 2, m // 2, m - 1} | {m // d for d in range(2, 10) if m % d == 0}
+    for s in divisors(n):
+        g = gcd(q**s - 1, m)
+        exps |= {m // g * k for k in rng.sample(range(g), min(g, 8))}
+    return sorted(exps) + [m + 1, 3 * m - 1]
+
+
+def test_kernels_match_the_oracles_and_their_record_wrappers():
+    # each kernel runs on a family and an exponent; the records mint over
+    # them.  Every kernel is checked against an oracle from fresh powers or a
+    # linear scan, and against the record function that wraps it, on
+    # parameters with a nonzero corner b
+    rng = random.Random(20261022)
+    sizes = {coeff: set() for coeff in COEFFS}
+    for n, q, ell in KERNEL_FAMILIES:
+        fam = GLFamily(n, q, ell)
+        full, r = fam.full_modulus, fam.residue_modulus
+        for coeff in COEFFS:
+            m = fam.modulus(coeff)
+            for a in kernel_net_exponents(fam, coeff, rng):
+                case = (n, q, ell, coeff, a)
+                s = orbit_size_by_powers(a, q, m, n)
+                sizes[coeff].add((n, s))
+                powers = [a * pow(q, i, m) % m for i in range(n)]
+                assert fam.orbit(coeff, a) == tuple(powers[:s]), case
+                assert fam.orbit_size(coeff, a) == s, case
+                assert fam.least(coeff, a) == brute_reduction(a, q, m, n), case
+                assert fam.support(coeff, a) == fixed_positions_by_powers(a, q, m, n), case
+
+                phi = TrselpGL(fam, coeff, a, b := rng.randrange(1, full))
+                assert phi.orbit() == fam.orbit(coeff, a), case
+                assert phi.is_regular == (fam.orbit_size(coeff, a) == n), case
+                least = phi.canonical()
+                assert (least.coeff, least.a, least.b) == (coeff, fam.least(coeff, a), b), case
+                assert nilpotent_support_fixed_positions(phi) == fam.support(coeff, a), case
+
+                if coeff == ZBAR:
+                    diag = fam.diagonal(a)
+                    assert diag == tuple(powers), case
+                    assert cocycle_law(diag, q, m) and conjugation_law_holds(diag, b, q, m), case
+                    pair = matrices(phi)
+                    assert (pair.modulus, pair.diagonal, pair.corner) == (m, diag, b), case
+                    assert verify_cocycle(pair, q), case
+                    # the least exponent at FBAR is the reduction
+                    red = reduction(phi)
+                    assert (red.coeff, red.a, red.b) == (FBAR, fam.least(FBAR, a), b), case
+                    assert red.a == brute_reduction(a, q, r, n), case
+                elif full <= 50000:
+                    canonical, lifts = brute_lifts(a, r, full)
+                    got = list(fam.lifts(a))
+                    assert got == [canonical] + [e for e in lifts if e != canonical], case
+                    assert [(psi.coeff, psi.a, psi.b) for psi in lifts_in_component(phi)] == [
+                        (ZBAR, e, b) for e in got
+                    ], case
+                    assert canonical_lift(phi) == lifts_in_component(phi)[0], case
+    every = {(n, s) for n, _, _ in KERNEL_FAMILIES for s in divisors(n)}
+    assert sizes[ZBAR] == sizes[FBAR] == every
+

@@ -141,10 +141,8 @@ def test_failing_cases_are_reported_in_grid_order(monkeypatch):
     from llc_params.blocks import CategoricalSummary, MatchReport
     from llc_params.glparams import FBAR, GLFamily
 
-    summaries, lifts = sweep.categorical_summaries, sweep.lifts_in_component
-    verify, support, count = (
-        sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions, GLFamily.count
-    )
+    summaries, law = sweep.categorical_summaries, sweep.cocycle_law
+    lifts, support, count = GLFamily.lifts, GLFamily.support, GLFamily.count
 
     def skewed(s, component, free_ranks_agree):
         m = s.match
@@ -163,22 +161,24 @@ def test_failing_cases_are_reported_in_grid_order(monkeypatch):
             for s in out
         )
 
-    def skewed_support(phi):
-        if phi.family.q == 3 and phi.family.n >= 2 and phi.a in (0, 5):
+    def skewed_support(fam, coeff, a):
+        if fam.q == 3 and fam.n >= 2 and a in (0, 5):
             return []
-        return support(phi)
+        return support(fam, coeff, a)
 
-    def skewed_lifts(phi):
-        out = lifts(phi)
-        return out[1:] if phi.a % 10 == 9 else out
+    def skewed_lifts(fam, a):
+        out = list(lifts(fam, a))
+        return out[1:] if a % 10 == 9 else out
 
     def skewed_count(fam, coeff):
         return count(fam, coeff) + (fam.q == 11 and fam.ell in (3, 17) and coeff == FBAR)
 
     monkeypatch.setattr(sweep, "categorical_summaries", skewed_summaries)
-    monkeypatch.setattr(sweep, "verify_cocycle", lambda m, q: m.diagonal[0] % 1000 != 7 and verify(m, q))
-    monkeypatch.setattr(sweep, "nilpotent_support_fixed_positions", skewed_support)
-    monkeypatch.setattr(sweep, "lifts_in_component", skewed_lifts)
+    monkeypatch.setattr(
+        sweep, "cocycle_law", lambda diag, q, m: diag[0] % 1000 != 7 and law(diag, q, m)
+    )
+    monkeypatch.setattr(GLFamily, "support", skewed_support)
+    monkeypatch.setattr(GLFamily, "lifts", skewed_lifts)
     monkeypatch.setattr(GLFamily, "count", skewed_count)
     assert [(c.check_id, c.passed, c.detail) for c in sweep.run_grid()] == PINNED_FAILURES
 
@@ -215,16 +215,14 @@ def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
 
 
 def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
-    # checks 5 and 8 read each integral parameter in one pass: one matrix
-    # pair, one cocycle check and one nilpotent support for each, plus the
-    # degenerate a = 0 support for n >= 2.  The pair walks the orbit through
-    # TrselpGL.orbit; the support and canonical() walk their own orbits
-    # without building them, so the orbit is built once per parameter.  One
-    # run_grid() mints 13,013 + 6,996 + 6,996 parameters unchecked (the
-    # integral lists, the lifts and their reductions) and validates the
-    # 3,100 sampled residue parameters and the 15 degenerate ones
+    # checks 5 and 8 read each integral exponent in one pass through the
+    # family kernels that matrices, verify_cocycle and the support mint
+    # over: one diagonal, one cocycle law and one support for each, plus the
+    # degenerate a = 0 support for n >= 2.  Check 7 takes one lift set per
+    # sampled residue exponent.  One run_grid() mints no parameter and no
+    # matrix pair, checked or unchecked
     from llc_params import glparams, sweep
-    from llc_params.glparams import ZBAR, GLFamily, TrselpGL
+    from llc_params.glparams import ZBAR, GLFamily, ParamMatrices, TrselpGL
 
     integral = [
         (n, q, phi.a)
@@ -240,13 +238,14 @@ def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
                 supported.append((n, q, 0))
     assert (len(integral), len(supported)) == (13013, 13028)
 
-    seen = {name: [] for name in ("matrices", "cocycle", "support")}
-    calls = {name: 0 for name in ("orbit", "lifts", "_param", "__init__")}
-    matrices, verify, support, lifts = (
-        sweep.matrices, sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions,
-        sweep.lifts_in_component,
+    seen = {name: [] for name in ("diagonal", "cocycle", "support")}
+    calls = {name: 0 for name in ("orbit", "lifts", "_param", "_make", "__init__")}
+    diagonal, law, support, lifts = (
+        GLFamily.diagonal, sweep.cocycle_law, GLFamily.support, GLFamily.lifts
     )
-    orbit, param, init = TrselpGL.orbit, glparams._param, TrselpGL.__init__
+    orbit, param, make, init = (
+        TrselpGL.orbit, glparams._param, ParamMatrices._make, TrselpGL.__init__
+    )
 
     def counting(name, f):
         def wrapped(*args, **kwargs):
@@ -254,29 +253,30 @@ def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
             return f(*args, **kwargs)
         return wrapped
 
-    def seeing_matrices(phi):
-        seen["matrices"].append((phi.family.n, phi.family.q, phi.a))
-        return matrices(phi)
+    def seeing_diagonal(fam, a):
+        seen["diagonal"].append((fam.n, fam.q, a))
+        return diagonal(fam, a)
 
-    def seeing_cocycle(m, q):
-        seen["cocycle"].append((m.n, q, m.diagonal[0]))
-        return verify(m, q)
+    def seeing_cocycle(diag, q, m):
+        seen["cocycle"].append((len(diag), q, diag[0]))
+        return law(diag, q, m)
 
-    def seeing_support(phi):
-        seen["support"].append((phi.family.n, phi.family.q, phi.a))
-        return support(phi)
+    def seeing_support(fam, coeff, a):
+        seen["support"].append((fam.n, fam.q, a))
+        return support(fam, coeff, a)
 
-    monkeypatch.setattr(sweep, "matrices", seeing_matrices)
-    monkeypatch.setattr(sweep, "verify_cocycle", seeing_cocycle)
-    monkeypatch.setattr(sweep, "nilpotent_support_fixed_positions", seeing_support)
-    monkeypatch.setattr(sweep, "lifts_in_component", counting("lifts", lifts))
+    monkeypatch.setattr(GLFamily, "diagonal", seeing_diagonal)
+    monkeypatch.setattr(sweep, "cocycle_law", seeing_cocycle)
+    monkeypatch.setattr(GLFamily, "support", seeing_support)
+    monkeypatch.setattr(GLFamily, "lifts", counting("lifts", lifts))
     monkeypatch.setattr(TrselpGL, "orbit", counting("orbit", orbit))
     monkeypatch.setattr(glparams, "_param", counting("_param", param))
+    monkeypatch.setattr(ParamMatrices, "_make", counting("_make", make))
     monkeypatch.setattr(TrselpGL, "__init__", counting("__init__", init))
     assert all(c.passed for c in sweep.run_grid())
-    assert seen["matrices"] == seen["cocycle"] == integral
+    assert seen["diagonal"] == seen["cocycle"] == integral
     assert seen["support"] == supported
-    assert calls == {"orbit": 13013, "lifts": 3100, "_param": 27005, "__init__": 3115}
+    assert calls == {"orbit": 0, "lifts": 3100, "_param": 0, "_make": 0, "__init__": 0}
 
 
 def test_the_one_pass_reports_a_parameter_under_both_checks(monkeypatch):
@@ -284,16 +284,18 @@ def test_the_one_pass_reports_a_parameter_under_both_checks(monkeypatch):
     # each: the cocycle failure does not skip its support
     from llc_params import sweep
 
-    verify, support = sweep.verify_cocycle, sweep.nilpotent_support_fixed_positions
+    from llc_params.glparams import GLFamily
 
-    def skewed_cocycle(m, q):
-        return (m.n, q, m.diagonal[0]) != (2, 3, 5) and verify(m, q)
+    law, support = sweep.cocycle_law, GLFamily.support
 
-    def skewed_support(phi):
-        return [] if (phi.family.n, phi.family.q, phi.a) == (2, 3, 5) else support(phi)
+    def skewed_cocycle(diag, q, m):
+        return (len(diag), q, diag[0]) != (2, 3, 5) and law(diag, q, m)
 
-    monkeypatch.setattr(sweep, "verify_cocycle", skewed_cocycle)
-    monkeypatch.setattr(sweep, "nilpotent_support_fixed_positions", skewed_support)
+    def skewed_support(fam, coeff, a):
+        return [] if (fam.n, fam.q, a) == (2, 3, 5) else support(fam, coeff, a)
+
+    monkeypatch.setattr(sweep, "cocycle_law", skewed_cocycle)
+    monkeypatch.setattr(GLFamily, "support", skewed_support)
     details = {c.check_id: (c.passed, c.detail) for c in sweep.run_grid()}
     assert details["cocycle-relation"] == (False, "13013 parameters; failures: [(2, 3, 5)]")
     assert details["nilpotent-support"] == (False, "13028 cases; failures: [(2, 3, 5)]")
