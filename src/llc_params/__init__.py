@@ -36,7 +36,6 @@ from .cocycles import (
     twisted_centralizer,
 )
 from .errors import (
-    CoefficientMismatch,
     InternalError,
     InvalidArgument,
     InvalidPrime,
@@ -51,11 +50,7 @@ from .glparams import (
     ParamMatrices,
     TrselpGL,
     ZBAR,
-    lifts_in_component,
-    matrices,
-    nilpotent_support_fixed_positions,
-    reduction,
-    verify_cocycle,
+    cocycle_law,
 )
 from .lattice import IntMatrix, smith_normal_form
 from .rootdata import (
@@ -74,7 +69,6 @@ __all__ = [
     "BlockDescriptor",
     "CategoricalSummary",
     "CocycleSpace",
-    "CoefficientMismatch",
     "ComponentDescriptor",
     "FBAR",
     "FinGenAbGroup",
@@ -96,6 +90,7 @@ __all__ = [
     "WeylTwist",
     "ZBAR",
     "categorical_summary",
+    "cocycle_law",
     "cokernel",
     "component_descriptor",
     "cocycle_space",
@@ -103,15 +98,10 @@ __all__ = [
     "finite_torus",
     "frob_fixed_scheme",
     "identity_twist",
-    "lifts_in_component",
     "match_sides",
-    "matrices",
-    "nilpotent_support_fixed_positions",
     "preset",
-    "reduction",
     "smith_normal_form",
     "torus_block_descriptor",
     "twisted_centralizer",
-    "verify_cocycle",
     "weyl_twist",
 ]

@@ -32,16 +32,7 @@ from .abgroups import FinGenAbGroup
 from .blocks import GRADING_INDEX, categorical_summary, match_sides, torus_block_descriptor
 from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
 from .errors import FrozenRecord, InvalidArgument, LlcError
-from .glparams import (
-    COEFFS,
-    ZBAR,
-    GLFamily,
-    TrselpGL,
-    canonical_lift,
-    matrices,
-    nilpotent_support_fixed_positions,
-    verify_cocycle,
-)
+from .glparams import COEFFS, ZBAR, GLFamily, ParamMatrices, TrselpGL, cocycle_law
 from .lattice import IntMatrix
 from .rootdata import WeylTwist, coxeter_twist, identity_twist, preset, weyl_twist
 from .sweep import run_grid
@@ -246,25 +237,26 @@ def _cmd_enumerate(args) -> _Outcome:
 
 
 def _cmd_verify(args) -> _Outcome:
-    phi = TrselpGL(GLFamily(args.n, args.q, args.ell), args.coeff, args.a, args.b)
+    family = GLFamily(args.n, args.q, args.ell)
+    phi = TrselpGL(family, args.coeff, args.a, args.b)
     # a residue parameter is checked through its canonical integral lift,
     # which has the same orbit size and the same nilpotent support
-    lift = phi if phi.coeff == ZBAR else canonical_lift(phi)
-    m = matrices(lift)
-    ok = verify_cocycle(m, args.q)
+    a = phi.a if phi.coeff == ZBAR else next(family.lifts(phi.a))
+    diagonal = family.diagonal(a)
+    ok = cocycle_law(diagonal, args.q, family.full_modulus)
     # the support is the n^2 / s positions i == j mod the orbit size s (s = n
     # exactly when phi is regular), so the text report counts it and only the
     # JSON body lists it
-    s = lift.family.orbit_size(ZBAR, lift.a)
+    s = family.orbit_size(ZBAR, a)
     regular = s == args.n
 
     def body():
-        support = [list(p) for p in nilpotent_support_fixed_positions(lift)]
+        support = [list(p) for p in family.support(ZBAR, a)]
         return {
             "parameter": phi.to_json(),
             "regular": regular,
             "cocycleHolds": ok,
-            "matrices": m.to_json(),
+            "matrices": ParamMatrices(family.full_modulus, diagonal, phi.b).to_json(),
             "nilpotentSupport": {"positions": support, "diagonalOnly": regular},
         }
 

@@ -8,17 +8,19 @@ on exponents; no cyclotomic element is ever materialized.
 
 The parameters with one (n, q, ell) form a GLFamily.  It checks the standing
 hypotheses once and owns the canonical scan and the closed-form count; pages
-come as exponents.  Per-parameter work runs in family kernels on an exponent
-(GLFamily.orbit to GLFamily.lifts), and the record functions mint over them.
-GLFamily, TrselpGL and ParamMatrices are frozen records (errors.FrozenRecord),
-so a parameter's modulus always divides q^n - 1 and its orbit closes within
-n steps.
+come as exponents.  Everything about one parameter is a family kernel on an
+exponent, GLFamily.orbit to GLFamily.lifts, and cocycle_law checks a
+diagonal.  TrselpGL and ParamMatrices are the validated records of a
+parameter and of its matrix pair, for reports.  GLFamily, TrselpGL and
+ParamMatrices are frozen records (errors.FrozenRecord), so a family's moduli
+always divide q^n - 1 and every orbit closes within n steps.
 
 Coefficients come in two flavors: integral (ZBAR, exponents mod q^n - 1) and
-residue (FBAR, exponents mod the prime-to-ell part).  Reduction forgets the
-ell-part of the exponent; the lifts of a residue parameter form a torsor
-under the ell-power roots of unity, with the unique prime-to-ell-order lift
-playing the role of the Teichmueller representative.
+residue (FBAR, exponents mod the prime-to-ell part).  Reduction
+(GLFamily.least at FBAR) forgets the ell-part of the exponent; the lifts of
+a residue exponent (GLFamily.lifts) form a torsor under the ell-power roots
+of unity, with the unique prime-to-ell-order lift playing the role of the
+Teichmueller representative.
 
 Regularity (the q-power orbit of the exponent has full size n) is exactly
 ellipticity plus regular semisimplicity for this family; non-regular
@@ -33,7 +35,7 @@ from itertools import chain
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
-from .errors import CoefficientMismatch, FrozenRecord, InternalError, InvalidArgument
+from .errors import FrozenRecord, InternalError, InvalidArgument
 from .rootdata import preset
 
 ZBAR = "zbar"  # integral coefficients (Z-bar_ell)
@@ -43,6 +45,12 @@ COEFFS = (ZBAR, FBAR)
 
 _SCAN_WINDOW = 4096  # exponents per window; a short page stops after one
 _BAND_COST = 8  # cutting out one band costs about as much as 8 comprehension steps
+
+
+def _exponent(e, name: str) -> int:
+    if isinstance(e, bool) or not isinstance(e, int):
+        raise InvalidArgument(f"{name} must be an integer exponent, got {e!r}")
+    return e
 
 
 def _moebius(m: int) -> int:
@@ -191,15 +199,6 @@ class GLFamily(FrozenRecord):
                 break
         return page
 
-    def parameters(self, coeff: str, offset: int = 0, limit: int | None = None) -> list["TrselpGL"]:
-        """The regular parameters up to equivalence: a page of exponents, minted with b = 0.
-
-        >>> [phi.a for phi in GLFamily(2, 11, 5).parameters(ZBAR, 3, 2)]
-        [4, 5]
-        """
-        m = self.modulus(coeff)
-        return [_param(self, coeff, m, a, 0) for a in self.exponents(coeff, offset, limit)]
-
     def count(self, coeff: str) -> int:
         """Number of enumerated parameters, by Moebius inversion over orbit sizes.
 
@@ -228,7 +227,7 @@ class GLFamily(FrozenRecord):
         ((1, 11), (12,))
         """
         m, q = self.modulus(coeff), self.q
-        a %= m
+        a = _exponent(a, "a") % m
         out = [a]
         x = a * q % m
         while x != a:
@@ -243,7 +242,7 @@ class GLFamily(FrozenRecord):
         (2, 1)
         """
         m, q = self.modulus(coeff), self.q
-        a %= m
+        a = _exponent(a, "a") % m
         s, x = 1, a * q % m
         while x != a:
             s, x = s + 1, x * q % m
@@ -293,10 +292,9 @@ class GLFamily(FrozenRecord):
         [25, 1, 49, 73, 97]
         """
         lk, r, full = self.ell**self.k, self.residue_modulus, self.full_modulus
-        a %= r
+        a = _exponent(a, "a") % r
         first = a * lk * pow(lk, -1, r) % full
-        yield first
-        yield from (e for e in range(a, full, r) if e != first)
+        return chain((first,), (e for e in range(a, full, r) if e != first))
 
     def __repr__(self) -> str:
         return f"GLFamily(n={self.n}, q={self.q}, ell={self.ell})"
@@ -305,12 +303,9 @@ class GLFamily(FrozenRecord):
 class TrselpGL(FrozenRecord):
     """One tame GL_n parameter of a family, stored as exponent data.
 
-    >>> fam = GLFamily(2, 11, 5)
-    >>> phi = TrselpGL(fam, ZBAR, a=1)
-    >>> phi.modulus, phi.is_regular
-    (120, True)
-    >>> TrselpGL(fam, ZBAR, a=12).is_regular
-    False
+    >>> phi = TrselpGL(GLFamily(2, 11, 5), ZBAR, a=121, b=-1)
+    >>> phi.modulus, phi.a, phi.b
+    (120, 1, 119)
     """
 
     __slots__ = ("family", "coeff", "modulus", "a", "b")
@@ -319,26 +314,8 @@ class TrselpGL(FrozenRecord):
         if not isinstance(family, GLFamily):
             raise InvalidArgument(f"family must be a GLFamily, got {family!r}")
         modulus = family.modulus(coeff)
-        if isinstance(a, bool) or not isinstance(a, int):
-            raise InvalidArgument(f"a must be an integer, got {a!r}")
-        if isinstance(b, bool) or not isinstance(b, int):
-            raise InvalidArgument(f"b must be an integer, got {b!r}")
+        a, b = _exponent(a, "a"), _exponent(b, "b")
         self._fill(family, coeff, modulus, a % modulus, b % family.full_modulus)
-
-    def orbit(self) -> tuple[int, ...]:
-        """The q-power orbit of the exponent, in generation order."""
-        return self.family.orbit(self.coeff, self.a)
-
-    @property
-    def is_regular(self) -> bool:
-        """True when a, qa, ..., q^{n-1} a are pairwise distinct mod the modulus."""
-        return self.family.orbit_size(self.coeff, self.a) == self.family.n
-
-    def canonical(self) -> "TrselpGL":
-        """The same parameter with the exponent replaced by its orbit minimum."""
-        fam, a = self.family, self.a
-        least = fam.least(self.coeff, a)
-        return self if least == a else _param(fam, self.coeff, self.modulus, least, self.b)
 
     def to_json(self) -> dict:
         fam = self.family
@@ -358,16 +335,6 @@ class TrselpGL(FrozenRecord):
             f"TrselpGL(n={fam.n}, q={fam.q}, ell={fam.ell}, "
             f"coeff={self.coeff!r}, a={self.a}, b={self.b})"
         )
-
-
-# a parameter (family, coeff, modulus, a, b) from exponents already reduced: no checks
-_param = TrselpGL._make
-
-
-def _exponent(e, name: str) -> int:
-    if isinstance(e, bool) or not isinstance(e, int):
-        raise InvalidArgument(f"{name} must be an integer exponent, got {e!r}")
-    return e
 
 
 class ParamMatrices(FrozenRecord):
@@ -413,22 +380,6 @@ class ParamMatrices(FrozenRecord):
         return f"ParamMatrices(n={self.n}, modulus={self.modulus})"
 
 
-def matrices(phi: TrselpGL) -> ParamMatrices:
-    """The (x, y) pair of an integral parameter: x has GLFamily.diagonal(a), y the corner b.
-
-    >>> m = matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1, b=7))
-    >>> m.diagonal, m.corner
-    ((1, 11), 7)
-    """
-    if phi.coeff != ZBAR:
-        raise CoefficientMismatch(
-            "matrices need integral coefficients",
-            hint="lift the parameter first; residue exponents do not pin down matrices",
-        )
-    # the exponents are already reduced, so skip the constructor's checks
-    return ParamMatrices._make(phi.modulus, phi.family.diagonal(phi.a), phi.b)
-
-
 def cocycle_law(diagonal: Sequence[int], q: int, modulus: int) -> bool:
     """y x y^{-1} == x^q for x = diag(zeta^e) over reduced exponents, zeta of order modulus.
 
@@ -439,53 +390,3 @@ def cocycle_law(diagonal: Sequence[int], q: int, modulus: int) -> bool:
     (True, False)
     """
     return [e * q % modulus for e in diagonal] == [*diagonal[1:], diagonal[0]]
-
-
-def verify_cocycle(m: ParamMatrices, q: int) -> bool:
-    """Check y x y^{-1} == x^q for a matrix pair: the cocycle law on its diagonal.
-
-    >>> verify_cocycle(matrices(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=1)), 11)
-    True
-    """
-    return cocycle_law(m.diagonal, q, m.modulus)
-
-
-def reduction(phi: TrselpGL) -> TrselpGL:
-    """Residue-coefficient image: the least exponent of the orbit of a mod M'."""
-    if phi.coeff != ZBAR:
-        raise CoefficientMismatch("reduction starts from an integral parameter")
-    fam = phi.family
-    return _param(fam, FBAR, fam.residue_modulus, fam.least(FBAR, phi.a), phi.b)
-
-
-def canonical_lift(phi: TrselpGL) -> TrselpGL:
-    """The integral lift of a residue parameter with prime-to-ell eigenvalues.
-
-    >>> canonical_lift(TrselpGL(GLFamily(2, 11, 5), FBAR, a=1)).a
-    25
-    """
-    if phi.coeff != FBAR:
-        raise CoefficientMismatch("lifts start from a residue parameter")
-    fam = phi.family
-    return _param(fam, ZBAR, fam.full_modulus, next(fam.lifts(phi.a)), phi.b)
-
-
-def lifts_in_component(phi: TrselpGL) -> list[TrselpGL]:
-    """All integral lifts of a residue parameter, canonical lift first (see GLFamily.lifts).
-
-    >>> [psi.a for psi in lifts_in_component(TrselpGL(GLFamily(2, 11, 5), FBAR, a=1))]
-    [25, 1, 49, 73, 97]
-    """
-    if phi.coeff != FBAR:
-        raise CoefficientMismatch("lifts start from a residue parameter")
-    fam, b = phi.family, phi.b
-    return [_param(fam, ZBAR, fam.full_modulus, e, b) for e in fam.lifts(phi.a)]
-
-
-def nilpotent_support_fixed_positions(phi: TrselpGL) -> list[tuple[int, int]]:
-    """Matrix positions where an inertia-fixed nilpotent could live (see GLFamily.support).
-
-    >>> nilpotent_support_fixed_positions(TrselpGL(GLFamily(2, 11, 5), ZBAR, a=12))
-    [(1, 1), (1, 2), (2, 1), (2, 2)]
-    """
-    return phi.family.support(phi.coeff, phi.a)

@@ -10,7 +10,7 @@ computation against the cocharacter one.  The sweep makes one pass over
 walks each of its distinct exponent moduli once.  The cocycle and support
 checks (5 and 8) read each integral exponent in one pass, each keeping its
 own failures.  The parameter checks run the family kernels of glparams on
-exponents (the code its record functions mint over), so they mint no record.
+exponents, so they mint no record.
 """
 
 from __future__ import annotations

@@ -14,17 +14,7 @@ import pytest
 from llc_params.abgroups import FinGenAbGroup, cokernel
 from llc_params.arith import valuation
 from llc_params.cocycles import component_descriptor, frob_fixed_scheme
-from llc_params.glparams import (
-    FBAR,
-    ZBAR,
-    GLFamily,
-    TrselpGL,
-    lifts_in_component,
-    matrices,
-    nilpotent_support_fixed_positions,
-    reduction,
-    verify_cocycle,
-)
+from llc_params.glparams import FBAR, ZBAR, GLFamily, cocycle_law
 from llc_params.blocks import match_sides, torus_block_descriptor
 from llc_params.lattice import IntMatrix, smith_normal_form
 from llc_params.rootdata import coxeter_twist, preset
@@ -130,8 +120,11 @@ def test_acceptance_05_cocycle_relation():
                 for ell in ELLS:
                     if not _admissible(q, ell):
                         continue
-                    for phi in GLFamily(n, q, ell).parameters(ZBAR):
-                        assert verify_cocycle(matrices(phi), q), phi
+                    family = GLFamily(n, q, ell)
+                    for a in family.exponents(ZBAR):
+                        assert cocycle_law(family.diagonal(a), q, family.full_modulus), (
+                            n, q, ell, a
+                        )
                         checked += 1
         assert checked > 10_000
 
@@ -176,16 +169,14 @@ def test_acceptance_07_lift_torsor():
                     family = GLFamily(n, q, ell)
                     lk = ell**family.k
                     for _ in range(50):
-                        phi = TrselpGL(
-                            family, FBAR, rng.randrange(family.modulus(FBAR))
-                        ).canonical()
-                        lifts = lifts_in_component(phi)
+                        a = family.least(FBAR, rng.randrange(family.modulus(FBAR)))
+                        lifts = list(family.lifts(a))
                         assert len(lifts) == lk
-                        assert len({psi.a for psi in lifts}) == lk
-                        for psi in lifts:
-                            assert reduction(psi) == phi
+                        assert len(set(lifts)) == lk
+                        for e in lifts:
+                            assert family.least(FBAR, e) == a, (n, q, ell, e)
                         # the canonical lift has prime-to-ell order eigenvalues
-                        assert lifts[0].a % lk == 0
+                        assert lifts[0] % lk == 0
 
 
 @pytest.fixture(scope="module")
@@ -240,12 +231,12 @@ def test_acceptance_10_nilpotent_support():
             for q in GRID_Q:
                 ell = next(e for e in ELLS if _admissible(q, e))
                 family = GLFamily(n, q, ell)
-                for phi in family.parameters(ZBAR):
-                    assert nilpotent_support_fixed_positions(phi) == diag, phi
+                for a in family.exponents(ZBAR):
+                    assert family.support(ZBAR, a) == diag, (n, q, a)
                 if n >= 2:
-                    degenerate = TrselpGL(family, ZBAR, a=0)
-                    assert not degenerate.is_regular
-                    support = nilpotent_support_fixed_positions(degenerate)
+                    # a = 0 is degenerate: its orbit has size 1
+                    assert family.orbit_size(ZBAR, 0) != n
+                    support = family.support(ZBAR, 0)
                     assert len(support) > n, (n, q)
 
 

@@ -16,8 +16,8 @@ from time import perf_counter
 import pytest
 
 import llc_params
-from llc_params import arith, cli, glparams
-from llc_params.glparams import ZBAR, GLFamily, TrselpGL, nilpotent_support_fixed_positions
+from llc_params import arith, cli
+from llc_params.glparams import ZBAR, GLFamily, TrselpGL
 from llc_params.lattice import IntMatrix, smith_normal_form
 from llc_params.rootdata import coxeter_twist, identity_twist, preset
 from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, admissible_ells
@@ -160,13 +160,13 @@ def test_gl3000_verify_text_answers(coeff):
 
 
 def test_text_verify_never_lists_the_nilpotent_support(monkeypatch):
-    calls, listed = [], cli.nilpotent_support_fixed_positions
+    calls, listed = [], GLFamily.support
 
-    def listing(phi):
-        calls.append(phi.a)
-        return listed(phi)
+    def listing(fam, coeff, a):
+        calls.append(a)
+        return listed(fam, coeff, a)
 
-    monkeypatch.setattr(cli, "nilpotent_support_fixed_positions", listing)
+    monkeypatch.setattr(GLFamily, "support", listing)
     for n, a in (("2", "4"), ("6", "0"), ("6", "1"), ("3000", "0")):
         code, _ = run_timed(["verify", "--n", n, "--q", "3", "--ell", "5", "--a", a])
         assert code == 0
@@ -185,22 +185,22 @@ def test_the_nilpotent_support_keeps_no_memory():
     # those allocations takes seconds, so the GL_1500 calls are timed and
     # counted in pymalloc blocks, and tracemalloc watches GL_300 (90,000
     # positions, 6.2 MB, which any table would keep)
-    phi = TrselpGL(GLFamily(1500, 3, 5), ZBAR, 0)
+    fam = GLFamily(1500, 3, 5)
     gc.collect()
     blocks = sys.getallocatedblocks()
     start = perf_counter()
     for _ in range(2):
-        assert len(nilpotent_support_fixed_positions(phi)) == 1500**2
+        assert len(fam.support(ZBAR, 0)) == 1500**2
     elapsed = perf_counter() - start
     assert elapsed < BUDGET_S, f"two GL_1500 supports took {elapsed:.2f} s"
     gc.collect()
     assert sys.getallocatedblocks() - blocks < 2**14  # under 1 MB of 64-byte blocks
 
-    phi = TrselpGL(GLFamily(300, 3, 5), ZBAR, 0)
+    fam = GLFamily(300, 3, 5)
     tracemalloc.start()
     try:
         for _ in range(2):
-            assert len(nilpotent_support_fixed_positions(phi)) == 300**2
+            assert len(fam.support(ZBAR, 0)) == 300**2
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -427,8 +427,8 @@ def test_enumerate_validates_its_family_once(monkeypatch):
 def test_an_enumerate_page_builds_no_parameter_per_row(monkeypatch, output):
     # a page is written from its exponents: JSON copies the row of one
     # parameter, built through the public constructor, and text builds none
-    calls = {"_param": 0, "__init__": 0}
-    param, init = glparams._param, TrselpGL.__init__
+    calls = {"_make": 0, "__init__": 0}
+    make, init = TrselpGL._make, TrselpGL.__init__
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -437,17 +437,17 @@ def test_an_enumerate_page_builds_no_parameter_per_row(monkeypatch, output):
 
         return wrapper
 
-    monkeypatch.setattr(glparams, "_param", counting("_param", param))
+    monkeypatch.setattr(TrselpGL, "_make", counting("_make", make))
     monkeypatch.setattr(TrselpGL, "__init__", counting("__init__", init))
     page = ["enumerate", "--n", "2", "--q", "499", "--ell", "3", "--offset", "244",
             "--output", output, "--limit"]
     for limit in (1, 10, 2000):
-        calls.update(_param=0, __init__=0)
+        calls.update(_make=0, __init__=0)
         code, text = run_timed([*page, str(limit)])
         assert code == 0
         rows = json.loads(text)["parameters"] if output == "json" else text.splitlines()[4:]
         assert len(rows) == limit
-        assert calls["_param"] == 0 and calls["__init__"] <= 1, (limit, calls)
+        assert calls["_make"] == 0 and calls["__init__"] <= 1, (limit, calls)
 
 
 def test_matching_never_factors(monkeypatch):

@@ -1,4 +1,4 @@
-"""Tame GL_n parameters: orbits, matrices, lifts, enumeration."""
+"""Tame GL_n parameters: the family kernels, the records, enumeration."""
 
 import io
 import json
@@ -7,6 +7,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import islice
 from math import gcd
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,13 +22,7 @@ from llc_params.glparams import (
     ParamMatrices,
     TrselpGL,
     ZBAR,
-    canonical_lift,
     cocycle_law,
-    lifts_in_component,
-    matrices,
-    nilpotent_support_fixed_positions,
-    reduction,
-    verify_cocycle,
 )
 
 from oracles import (
@@ -88,32 +83,31 @@ def test_construction_validation():
 
 
 def test_orbit_generation_order():
-    phi = TrselpGL(GL2, ZBAR, a=1)
-    assert phi.orbit() == (1, 11)
-    assert TrselpGL(GL2, ZBAR, a=11).orbit() == (11, 1)
+    assert GL2.orbit(ZBAR, 1) == (1, 11)
+    assert GL2.orbit(ZBAR, 11) == (11, 1)
+    # the exponent is read mod the modulus of its flavor
+    assert GL2.orbit(ZBAR, 121) == (1, 11) and GL2.orbit(FBAR, 25) == (1, 11)
 
 
 def test_regularity():
-    assert TrselpGL(GL2, ZBAR, a=1).is_regular
+    assert GL2.orbit_size(ZBAR, 1) == GL2.n
     # 12 * 11 = 132 = 12 mod 120: fixed point, orbit size 1
-    assert not TrselpGL(GL2, ZBAR, a=12).is_regular
-    assert not TrselpGL(GL2, ZBAR, a=0).is_regular
+    assert GL2.orbit_size(ZBAR, 12) == 1
+    assert GL2.orbit_size(ZBAR, 0) == 1
     # n = 1: every exponent is regular
-    assert TrselpGL(GLFamily(1, 11, 5), ZBAR, a=0).is_regular
+    assert GLFamily(1, 11, 5).orbit_size(ZBAR, 0) == 1
 
 
 def test_order_three_eigenvalue_parameter():
     # exponent 40 has order 3 in Z/120; its orbit {40, 80} still has size 2
-    phi = TrselpGL(GL2, ZBAR, a=40)
-    assert phi.orbit() == (40, 80)
-    assert phi.is_regular
+    assert GL2.orbit(ZBAR, 40) == (40, 80)
+    assert GL2.orbit_size(ZBAR, 40) == GL2.n
 
 
 def test_canonical():
-    phi = TrselpGL(GL2, ZBAR, a=11)
-    assert phi.a != min(phi.orbit())
-    assert phi.canonical().a == 1 == min(phi.canonical().orbit())
-    assert TrselpGL(GL2, ZBAR, a=1).canonical().a == 1
+    assert GL2.least(ZBAR, 11) == 1 == min(GL2.orbit(ZBAR, 11))
+    assert GL2.least(ZBAR, 1) == 1
+    assert GL2.least(ZBAR, 131) == 1  # unreduced: 131 = 11 mod 120
 
 
 def test_equality_and_hash():
@@ -134,27 +128,34 @@ def test_to_json():
 
 
 def test_matrices_frozen_gl2():
-    m = matrices(TrselpGL(GL2, ZBAR, a=1, b=7))
+    m = ParamMatrices(GL2.full_modulus, GL2.diagonal(1), 7)
     assert m.diagonal == (1, 11)
     assert m.corner == 7
     assert m.modulus == 120 and m.n == 2
 
 
 def test_matrices_n1():
-    m = matrices(TrselpGL(GLFamily(1, 11, 5), ZBAR, a=3, b=4))
+    fam = GLFamily(1, 11, 5)
+    m = ParamMatrices(fam.full_modulus, fam.diagonal(3), 4)
     assert m.diagonal == (3,)
     assert m.corner == 4
     assert m.to_json() == {"n": 1, "modulus": 10, "x": [[{"exp": 3}]], "y": [[{"exp": 4}]]}
 
 
 def test_matrices_need_integral_coefficients():
-    with pytest.raises(LlcError) as exc:
-        matrices(TrselpGL(GL2, FBAR, a=1))
-    assert exc.value.code == "coefficient-mismatch"
+    # the diagonal takes an integral exponent, read mod q^n - 1: a residue
+    # exponent is not one (1 and 1 + 24 agree mod 24 but not mod 120), so a
+    # residue parameter's matrices are those of its canonical lift, whose
+    # eigenvalues have prime-to-ell order
+    assert GL2.diagonal(121) == GL2.diagonal(1) == (1, 11)
+    assert GL2.diagonal(1 + GL2.residue_modulus) == (25, 35) != GL2.diagonal(1)
+    lift = GL2.diagonal(next(GL2.lifts(1)))
+    assert lift == (25, 35) and all(e % 5 == 0 for e in lift)
+    assert cocycle_law(lift, 11, GL2.full_modulus)
 
 
 def test_matrices_json_entries():
-    j = matrices(TrselpGL(GL2, ZBAR, a=1)).to_json()
+    j = ParamMatrices(GL2.full_modulus, GL2.diagonal(1), 0).to_json()
     assert j["x"][0][0] == {"exp": 1}
     assert j["x"][0][1] == {"zero": True}
     assert j["y"][0][1] == {"exp": 0}
@@ -180,89 +181,91 @@ def test_param_matrices_shape_errors():
 
 def test_verify_cocycle_holds_for_built_matrices():
     for a in (1, 7, 40):
-        m = matrices(TrselpGL(GL2, ZBAR, a=a))
-        assert verify_cocycle(m, 11)
+        assert cocycle_law(GL2.diagonal(a), 11, GL2.full_modulus)
 
 
 def test_verify_cocycle_rejects_corrupted_diagonal():
     # diag (1, 12): conjugation rotates to (12, 1) but x^q is (11, 12)
     m = ParamMatrices(120, [1, 12], 5)
-    assert not verify_cocycle(m, 11)
+    assert not cocycle_law(m.diagonal, 11, m.modulus)
     # the last exponent must wrap around to the first: (1, 11, 121 = 1 mod 120)
-    assert verify_cocycle(ParamMatrices(120, [1, 11], 5), 11)
-    assert not verify_cocycle(ParamMatrices(120, [1, 11, 1], 5), 11)
+    assert cocycle_law(ParamMatrices(120, [1, 11], 5).diagonal, 11, 120)
+    assert not cocycle_law(ParamMatrices(120, [1, 11, 1], 5).diagonal, 11, 120)
 
 
 def test_verify_cocycle_is_ell_independent():
     # the relation only involves n, q, a; both ell choices agree
     for ell in (5, 7, 13):
-        phi = TrselpGL(GLFamily(3, 3, ell), ZBAR, a=5)
-        assert verify_cocycle(matrices(phi), 3)
+        fam = GLFamily(3, 3, ell)
+        assert fam.full_modulus == 26
+        assert cocycle_law(fam.diagonal(5), 3, fam.full_modulus)
 
 
 # ---------------------------------------------------------------------------
-# reduction and lifts
+# reduction and lifts: the reduction of an integral exponent is the least
+# exponent of its orbit at FBAR, and GLFamily.lifts lifts a residue exponent
 
 
 def test_reduction_frozen_values():
-    assert reduction(TrselpGL(GL2, ZBAR, a=25)).a == 1
-    assert reduction(TrselpGL(GL2, ZBAR, a=49)).a == 1
-    assert reduction(TrselpGL(GL2, ZBAR, a=23)).a == 13
-    out = reduction(TrselpGL(GL2, ZBAR, a=1))
-    assert out.coeff == FBAR and out.modulus == 24 and out.a == 1
+    assert GL2.least(FBAR, 25) == 1
+    assert GL2.least(FBAR, 49) == 1
+    assert GL2.least(FBAR, 23) == 13
+    assert GL2.least(FBAR, 1) == 1 and GL2.modulus(FBAR) == 24
 
 
 def test_reduction_requires_integral_source():
-    with pytest.raises(LlcError):
-        reduction(TrselpGL(GL2, FBAR, a=1))
+    # reduction starts from an integral exponent: least at FBAR reads it mod
+    # M' = 24, so every integral exponent of Z/120 reduces, and a reduced
+    # exponent reduces to itself
+    reduced = [GL2.least(FBAR, a) for a in range(GL2.full_modulus)]
+    assert reduced == [GL2.least(FBAR, a % 24) for a in range(GL2.full_modulus)]
+    assert all(GL2.least(FBAR, r) == r for r in reduced)
+    assert reduced == [brute_reduction(a, 11, 24, 2) for a in range(GL2.full_modulus)]
 
 
 def test_lifts_frozen_example():
-    lifts = lifts_in_component(TrselpGL(GL2, FBAR, a=1))
-    assert [psi.a for psi in lifts] == [25, 1, 49, 73, 97]
-    assert all(psi.coeff == ZBAR for psi in lifts)
+    lifts = list(GL2.lifts(1))
+    assert lifts == [25, 1, 49, 73, 97]
+    assert all(0 <= e < GL2.full_modulus for e in lifts)
 
 
 def test_lifts_when_k_is_zero():
     # v_7(3^2 - 1) = 0: the lift is unique and keeps the exponent
-    lifts = lifts_in_component(TrselpGL(GLFamily(2, 3, 7), FBAR, a=5))
-    assert len(lifts) == 1
-    assert lifts[0].a == 5 and lifts[0].coeff == ZBAR
+    assert list(GLFamily(2, 3, 7).lifts(5)) == [5]
 
 
 def test_lifts_require_residue_source():
-    with pytest.raises(LlcError):
-        lifts_in_component(TrselpGL(GL2, ZBAR, a=1))
+    # lifts start from a residue exponent: an integral exponent is read mod
+    # M' = 24, so 1 and its lift 49 have the same lifts
+    assert list(GL2.lifts(49)) == list(GL2.lifts(1)) == list(GL2.lifts(1 - 24))
 
 
 def test_lift_torsor_properties():
-    phi = TrselpGL(GL2, FBAR, a=13)
-    lifts = lifts_in_component(phi)
+    lifts = list(GL2.lifts(13))
     assert len(lifts) == 5
     # all congruent to a mod M', pairwise distinct, canonical first
-    assert all(psi.a % 24 == 13 for psi in lifts)
-    assert len({psi.a for psi in lifts}) == 5
-    assert lifts[0].a % 5 == 0
-    assert [psi.a for psi in lifts[1:]] == sorted(psi.a for psi in lifts[1:])
-    # reduction round-trips onto the canonicalized source
-    for psi in lifts:
-        assert reduction(psi) == phi.canonical()
+    assert all(e % 24 == 13 for e in lifts)
+    assert len(set(lifts)) == 5
+    assert lifts[0] % 5 == 0
+    assert lifts[1:] == sorted(lifts[1:])
+    # reduction round-trips onto the canonical residue exponent
+    for e in lifts:
+        assert GL2.least(FBAR, e) == GL2.least(FBAR, 13)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=119))
 def test_reduction_after_lift_is_identity_gl2(a):
-    phi = TrselpGL(GL2, FBAR, a=a).canonical()
-    for psi in lifts_in_component(phi):
-        assert reduction(psi) == phi
+    least = GL2.least(FBAR, a)
+    for e in GL2.lifts(least):
+        assert GL2.least(FBAR, e) == least
 
 
 def test_lift_preserves_regularity_both_ways_here():
     # regularity depends only on a mod M' when the orbit map is compatible;
     # check it concretely on the frozen example
-    phi = TrselpGL(GL2, FBAR, a=1)
-    assert phi.is_regular
-    assert all(psi.is_regular for psi in lifts_in_component(phi))
+    assert GL2.orbit_size(FBAR, 1) == GL2.n
+    assert all(GL2.orbit_size(ZBAR, e) == GL2.n for e in GL2.lifts(1))
 
 
 # ---------------------------------------------------------------------------
@@ -272,23 +275,27 @@ def test_lift_preserves_regularity_both_ways_here():
 def test_a_parameters_modulus_cannot_be_overwritten():
     # a modulus that does not divide q^n - 1 would leave an orbit open: 1 mod
     # 9 under q = 3 runs 3, 0, 0, ... and never returns.  The orbit walks
-    # rely on the modulus dividing q^n - 1, so the parameter refuses the write
-    phi = TrselpGL(GLFamily(2, 3, 5), ZBAR, a=1)
+    # rely on the modulus dividing q^n - 1, so neither a parameter nor its
+    # family takes the write
+    fam = GLFamily(2, 3, 5)
+    phi = TrselpGL(fam, ZBAR, a=1)
     with pytest.raises(AttributeError):
         phi.modulus = 9
-    assert phi.modulus == 8 and phi.orbit() == (1, 3)
-    assert phi.canonical() is phi
-    assert nilpotent_support_fixed_positions(phi) == [(1, 1), (2, 2)]
+    with pytest.raises(AttributeError):
+        fam.full_modulus = 9
+    assert phi.modulus == fam.modulus(ZBAR) == 8 and fam.orbit(ZBAR, phi.a) == (1, 3)
+    assert fam.least(ZBAR, phi.a) == phi.a
+    assert fam.support(ZBAR, phi.a) == [(1, 1), (2, 2)]
 
 
 def test_equivalent_same_orbit():
     # equivalent parameters (same q-power orbit, same corner unit) share
-    # their canonical form, the representative enumeration lists
-    phi = TrselpGL(GL2, ZBAR, a=1)
-    assert TrselpGL(GL2, ZBAR, a=11).canonical() == phi
-    assert phi.canonical() == phi
-    assert TrselpGL(GL2, ZBAR, a=2).canonical() != phi
-    assert TrselpGL(GL2, ZBAR, a=1, b=1).canonical() != phi
+    # their canonical exponent, the representative enumeration lists; the
+    # corner tells the records apart
+    assert GL2.least(ZBAR, 11) == GL2.least(ZBAR, 1) == 1
+    assert GL2.least(ZBAR, 2) != 1
+    assert 1 in GL2.exponents(ZBAR) and 11 not in GL2.exponents(ZBAR)
+    assert TrselpGL(GL2, ZBAR, a=1, b=1) != TrselpGL(GL2, ZBAR, a=1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,30 +303,29 @@ def test_equivalent_same_orbit():
 
 
 def test_nilpotent_support_diagonal_for_regular():
-    phi = TrselpGL(GL2, ZBAR, a=1)
-    assert nilpotent_support_fixed_positions(phi) == [(1, 1), (2, 2)]
-    psi = TrselpGL(GLFamily(3, 3, 13), ZBAR, a=1)
-    assert nilpotent_support_fixed_positions(psi) == [(1, 1), (2, 2), (3, 3)]
+    assert GL2.support(ZBAR, 1) == [(1, 1), (2, 2)]
+    assert GLFamily(3, 3, 13).support(ZBAR, 1) == [(1, 1), (2, 2), (3, 3)]
 
 
 def test_nilpotent_support_grows_for_degenerate_exponent():
     # a = 0: every position is fixed
-    phi = TrselpGL(GL2, ZBAR, a=0)
-    assert nilpotent_support_fixed_positions(phi) == [
+    assert GL2.support(ZBAR, 0) == [
         (1, 1),
         (1, 2),
         (2, 1),
         (2, 2),
     ]
     # a = 12 is a nonzero fixed point of multiplication by q
-    psi = TrselpGL(GL2, ZBAR, a=12)
-    assert len(nilpotent_support_fixed_positions(psi)) == 4
+    assert len(GL2.support(ZBAR, 12)) == 4
 
 
 def test_nilpotent_support_uses_own_modulus():
-    # over residue coefficients the modulus is M', not q^n - 1
-    phi = TrselpGL(GL2, FBAR, a=1)
-    assert nilpotent_support_fixed_positions(phi) == [(1, 1), (2, 2)]
+    # over residue coefficients the modulus is M', not q^n - 1: at q = 9,
+    # ell = 5 the exponent 2 is fixed mod M' = 16 (9 * 2 = 18) but not mod 80
+    assert GL2.support(FBAR, 1) == [(1, 1), (2, 2)]
+    fam = GLFamily(2, 9, 5)
+    assert fam.support(FBAR, 2) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert fam.support(ZBAR, 2) == [(1, 1), (2, 2)]
 
 
 def test_powers_are_taken_once_per_flavor():
@@ -365,9 +371,8 @@ def test_nilpotent_support_matches_fresh_powers_across_flavors():
                 g = gcd(q**s - 1, m)
                 exps |= {m // g * k for k in rng.sample(range(g), min(g, 12))}
             for a in sorted(exps):
-                phi = TrselpGL(fam, coeff, a, rng.randrange(m))
                 expected = fixed_positions_by_powers(a, q, m, n)
-                assert nilpotent_support_fixed_positions(phi) == expected, (n, q, ell, coeff, a)
+                assert fam.support(coeff, a) == expected, (n, q, ell, coeff, a)
                 s = orbit_size_by_powers(a, q, m, n)
                 assert len(expected) == n * n // s
                 sizes[coeff].add((n, s))
@@ -380,23 +385,21 @@ def test_nilpotent_support_matches_fresh_powers_across_flavors():
 
 
 def test_enumeration_frozen_counts():
-    assert len(GL2.parameters(ZBAR)) == 55
-    assert len(GL2.parameters(FBAR)) == 11
+    assert len(GL2.exponents(ZBAR)) == 55
+    assert len(GL2.exponents(FBAR)) == 11
 
 
 def test_enumeration_yields_canonical_ascending_regulars():
-    params = GL2.parameters(FBAR)
-    assert all(phi.is_regular and phi.a == min(phi.orbit()) for phi in params)
-    exps = [phi.a for phi in params]
+    exps = GL2.exponents(FBAR)
+    assert all(GL2.orbit_size(FBAR, a) == GL2.n and GL2.least(FBAR, a) == a for a in exps)
     assert exps == sorted(exps)
-    assert all(phi.b == 0 for phi in params)
 
 
 def test_enumeration_matches_brute_oracle():
     for n, q, ell in ((1, 11, 5), (2, 11, 5), (2, 3, 5), (3, 3, 13), (4, 3, 5)):
         family = GLFamily(n, q, ell)
         for coeff in (ZBAR, FBAR):
-            got = [phi.a for phi in family.parameters(coeff)]
+            got = family.exponents(coeff)
             assert got == brute_orbit_reps(n, q, family.modulus(coeff)), (n, q, ell, coeff)
             assert list(family.scan(coeff)) == got
 
@@ -411,13 +414,16 @@ def test_count_params_closed_form_matches_enumeration():
 def test_count_matches_enumerate_exactly():
     gl3 = GLFamily(3, 3, 13)
     for coeff in (ZBAR, FBAR):
-        assert GL2.count(coeff) == len(GL2.parameters(coeff))
-        assert gl3.count(coeff) == len(gl3.parameters(coeff))
+        assert GL2.count(coeff) == len(GL2.exponents(coeff))
+        assert gl3.count(coeff) == len(gl3.exponents(coeff))
 
 
 def test_all_enumerated_parameters_pass_verify():
-    for phi in GLFamily(3, 3, 13).parameters(ZBAR):
-        assert verify_cocycle(matrices(phi), 3)
+    fam = GLFamily(3, 3, 13)
+    exps = fam.exponents(ZBAR)
+    assert len(exps) == 8
+    for a in exps:
+        assert cocycle_law(fam.diagonal(a), 3, fam.full_modulus), a
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +486,12 @@ def test_pages_across_window_boundaries_are_slices(n, q, ell, coeff):
     for edge in edges:
         first = bisect_left(full, edge)  # the first exponent of the window at edge
         for offset, limit in ((first - 3, 7), (first - 1, 1), (first, 1), (first - 2, _SCAN_WINDOW + 5)):
-            assert [phi.a for phi in fam.parameters(coeff, offset, limit)] == full[offset:offset + limit]
+            assert fam.exponents(coeff, offset, limit) == full[offset:offset + limit]
         assert enumerate_page(fam, coeff, first - 3, 7) == full[first - 3:first + 4]
-    assert [phi.a for phi in fam.parameters(coeff, 5)] == full[5:]
-    assert fam.parameters(coeff, len(full) - 2, 10)[-1].a == full[-1]
-    assert fam.parameters(coeff, len(full) + 5, 3) == []
-    assert fam.parameters(coeff, 3, 0) == []
+    assert fam.exponents(coeff, 5) == full[5:]
+    assert fam.exponents(coeff, len(full) - 2, 10)[-1] == full[-1]
+    assert fam.exponents(coeff, len(full) + 5, 3) == []
+    assert fam.exponents(coeff, 3, 0) == []
 
 
 def test_parameters_reject_negative_paging():
@@ -493,7 +499,7 @@ def test_parameters_reject_negative_paging():
     # bare TypeError
     for offset, limit in ((-1, 3), (0, -1), (True, 3), (0, True), (1.5, 3), (0, 2.0), ("1", None)):
         with pytest.raises(LlcError) as exc:
-            GL2.parameters(ZBAR, offset, limit)
+            GL2.exponents(ZBAR, offset, limit)
         assert exc.value.code == "invalid-argument"
 
 
@@ -516,26 +522,29 @@ def test_a_page_builds_no_window_past_the_one_that_fills_it(monkeypatch):
         (0, 0, 0), (5000, 0, 0),
     ):
         built.clear()
-        page = fam.parameters(ZBAR, offset, limit)
+        page = fam.exponents(ZBAR, offset, limit)
         assert len(page) == limit and len(built) == expected, (offset, limit)
         assert [size for size, _ in built] == first[:expected]
 
 
 # ---------------------------------------------------------------------------
-# parameters the package mints itself equal the validated ones
+# the kernels' exponents, minted unchecked, equal the validated records
 
 
-def assert_same_as_validated(phi):
-    ref = TrselpGL(phi.family, phi.coeff, phi.a, phi.b)
+def assert_same_as_validated(fam, coeff, a, b=0):
+    # _make stores what it is given, as copies and pickles do: the kernel's
+    # exponent must already be reduced for the mint to equal the record
+    phi = TrselpGL._make(fam, coeff, fam.modulus(coeff), a, b)
+    ref = TrselpGL(fam, coeff, a, b)
     assert phi == ref and hash(phi) == hash(ref)
     assert repr(phi) == repr(ref)
     assert phi.to_json() == ref.to_json()
 
 
-def validated_matrices(phi):
-    n, q = phi.family.n, phi.family.q
+def validated_matrices(fam, a, b):
+    n, q, m = fam.n, fam.q, fam.full_modulus
     # left unreduced, and the corner shifted by a modulus: the constructor reduces
-    return ParamMatrices(phi.modulus, [phi.a * q**i for i in range(n)], phi.b - phi.modulus)
+    return ParamMatrices(m, [a * q**i for i in range(n)], b - m)
 
 
 def dense_json(n, modulus, a, b, q):
@@ -557,27 +566,25 @@ def dense_json(n, modulus, a, b, q):
 def test_minted_parameters_equal_validated_ones(n, q, ell):
     fam = GLFamily(n, q, ell)
     for coeff in COEFFS:
-        listed = fam.parameters(coeff)
-        page = fam.parameters(coeff, len(listed) // 3, 40)
+        listed = fam.exponents(coeff)
+        page = fam.exponents(coeff, len(listed) // 3, 40)
         assert page == listed[len(listed) // 3:len(listed) // 3 + 40]
-        for phi in listed + page:
-            assert_same_as_validated(phi)
-            assert_same_as_validated(phi.canonical())
-    for phi in fam.parameters(FBAR)[:25]:
-        assert_same_as_validated(canonical_lift(phi))
-        for psi in lifts_in_component(phi):
-            assert_same_as_validated(psi)
-            assert_same_as_validated(reduction(psi))
-    extra = [TrselpGL(fam, ZBAR, a=7, b=b) for b in (1, -3)]
+        for a in listed + page:
+            assert_same_as_validated(fam, coeff, a)
+            assert_same_as_validated(fam, coeff, fam.least(coeff, a + fam.modulus(coeff)), 3)
+    for a in fam.exponents(FBAR)[:25]:
+        for e in fam.lifts(a):
+            assert_same_as_validated(fam, ZBAR, e, 2)
+            assert_same_as_validated(fam, FBAR, fam.least(FBAR, e), 2)
+    full = fam.full_modulus
+    extra = [(7, b % full) for b in (1, -3)]
     # M / (q^d - 1) has an orbit of size d, so the diagonal repeats n / d times
-    extra += [
-        TrselpGL(fam, ZBAR, a=(q**n - 1) // (q**d - 1), b=5) for d in range(1, n + 1) if n % d == 0
-    ]
-    for phi in fam.parameters(ZBAR)[:60] + extra:
-        m = matrices(phi)
-        ref = validated_matrices(phi)
+    extra += [((q**n - 1) // (q**d - 1), 5 % full) for d in range(1, n + 1) if n % d == 0]
+    for a, b in [(a, 0) for a in fam.exponents(ZBAR)[:60]] + extra:
+        m = ParamMatrices._make(full, fam.diagonal(a), b)
+        ref = validated_matrices(fam, a, b)
         assert m == ref and repr(m) == repr(ref)
-        assert m.to_json() == dense_json(n, phi.modulus, phi.a, phi.b, q)
+        assert m.to_json() == dense_json(n, full, a, b, q)
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +629,7 @@ def test_band_scan_pages_match_brute_oracle(case, data):
     offset = max(data.draw(st.sampled_from(anchors)) + data.draw(st.integers(-1, 1)), 0)
     limit = data.draw(st.sampled_from([0, 1, 2, 7, 100, _SCAN_WINDOW + 3]))
     stop = offset + limit
-    assert [phi.a for phi in fam.parameters(coeff, offset, limit)] == reps[offset:stop]
+    assert fam.exponents(coeff, offset, limit) == reps[offset:stop]
     assert list(islice(fam.scan(coeff), offset, stop)) == reps[offset:stop]
 
 
@@ -677,9 +684,9 @@ def test_verify_cocycle_matches_the_conjugation_oracle():
         exps = {0, 1, m - 1} | {m // (q**d - 1) for d in divisors(n)}
         exps |= {rng.randrange(m) for _ in range(6)}
         for a in sorted(exps):
-            built = matrices(TrselpGL(fam, ZBAR, a, rng.randrange(m)))
+            built = ParamMatrices(m, fam.diagonal(a), rng.randrange(m))
             assert conjugation_law_holds(built.diagonal, built.corner, q, m)
-            assert verify_cocycle(built, q), (n, q, a)
+            assert cocycle_law(built.diagonal, q, m), (n, q, a)
             for i, e in enumerate(built.diagonal):
                 for v in {e + 1, e - 1, e + m // 2, rng.randrange(m)}:
                     if (v - e) % m == 0:
@@ -688,12 +695,12 @@ def test_verify_cocycle_matches_the_conjugation_oracle():
                     cells[i] = v
                     bad = ParamMatrices(m, cells, built.corner)
                     law = conjugation_law_holds(bad.diagonal, bad.corner, q, m)
-                    assert verify_cocycle(bad, q) == law == (n == 1), (n, q, a, i, v)
+                    assert cocycle_law(bad.diagonal, q, m) == law == (n == 1), (n, q, a, i, v)
                     refused += n > 1
             # and diagonals drawn at random, which mostly break the law
             drawn = ParamMatrices(m, [rng.randrange(m) for _ in range(n)], rng.randrange(m))
             law = conjugation_law_holds(drawn.diagonal, drawn.corner, q, m)
-            assert verify_cocycle(drawn, q) == law, (n, q, drawn.diagonal)
+            assert cocycle_law(drawn.diagonal, q, m) == law, (n, q, drawn.diagonal)
     assert refused > 1000
 
 
@@ -708,29 +715,24 @@ def test_lifts_and_reduction_match_brute_chinese_remainders():
         m, r = fam.full_modulus, fam.residue_modulus
         if m > 50000:
             continue
-        listed = fam.parameters(FBAR)
+        listed = fam.exponents(FBAR)
         residues = rng.sample(listed, min(len(listed), 8))
-        residues += [TrselpGL(fam, FBAR, rng.randrange(r), rng.randrange(m)) for _ in range(4)]
-        for phi in residues:
-            canonical, lifts = brute_lifts(phi.a, r, m)
+        # and residue exponents off the list, some of them unreduced
+        residues += [rng.randrange(r) for _ in range(2)] + [r + rng.randrange(r) for _ in range(2)]
+        for a in residues:
+            canonical, lifts = brute_lifts(a % r, r, m)
             torsor_sizes.add(len(lifts))
-            got = lifts_in_component(phi)
-            assert [psi.a for psi in got] == [canonical] + [e for e in lifts if e != canonical]
-            assert canonical_lift(phi).a == canonical
-            assert {(psi.coeff, psi.modulus, psi.b) for psi in got} == {(ZBAR, m, phi.b)}
-            for psi in got:
-                red = reduction(psi)
-                assert (red.coeff, red.modulus, red.a, red.b) == (
-                    FBAR, r, brute_reduction(psi.a, q, r, n), phi.b
-                ), (n, q, ell, psi.a)
+            got = list(fam.lifts(a))
+            assert got == [canonical] + [e for e in lifts if e != canonical], (n, q, ell, a)
+            for e in got:
+                assert fam.least(FBAR, e) == brute_reduction(e, q, r, n), (n, q, ell, e)
         for a in rng.sample(range(m), min(m, 25)):
-            red = reduction(TrselpGL(fam, ZBAR, a, 3))
-            assert (red.a, red.b) == (brute_reduction(a, q, r, n), 3), (n, q, ell, a)
+            assert fam.least(FBAR, a) == brute_reduction(a, q, r, n), (n, q, ell, a)
     assert {1, 5, 25, 121} <= torsor_sizes
 
 
 # ---------------------------------------------------------------------------
-# the family kernels against the oracles and against their record wrappers
+# the family kernels against the oracles
 
 
 def kernel_net_exponents(fam, coeff, rng):
@@ -743,11 +745,9 @@ def kernel_net_exponents(fam, coeff, rng):
     return sorted(exps) + [m + 1, 3 * m - 1]
 
 
-def test_kernels_match_the_oracles_and_their_record_wrappers():
-    # each kernel runs on a family and an exponent; the records mint over
-    # them.  Every kernel is checked against an oracle from fresh powers or a
-    # linear scan, and against the record function that wraps it, on
-    # parameters with a nonzero corner b
+def test_kernels_match_the_oracles():
+    # each kernel runs on a family and an exponent, and each is checked
+    # against an oracle from fresh powers or a linear scan
     rng = random.Random(20261022)
     sizes = {coeff: set() for coeff in COEFFS}
     for n, q, ell in KERNEL_FAMILIES:
@@ -764,33 +764,39 @@ def test_kernels_match_the_oracles_and_their_record_wrappers():
                 assert fam.orbit_size(coeff, a) == s, case
                 assert fam.least(coeff, a) == brute_reduction(a, q, m, n), case
                 assert fam.support(coeff, a) == fixed_positions_by_powers(a, q, m, n), case
-
-                phi = TrselpGL(fam, coeff, a, b := rng.randrange(1, full))
-                assert phi.orbit() == fam.orbit(coeff, a), case
-                assert phi.is_regular == (fam.orbit_size(coeff, a) == n), case
-                least = phi.canonical()
-                assert (least.coeff, least.a, least.b) == (coeff, fam.least(coeff, a), b), case
-                assert nilpotent_support_fixed_positions(phi) == fam.support(coeff, a), case
-
                 if coeff == ZBAR:
                     diag = fam.diagonal(a)
                     assert diag == tuple(powers), case
+                    b = rng.randrange(1, full)
                     assert cocycle_law(diag, q, m) and conjugation_law_holds(diag, b, q, m), case
-                    pair = matrices(phi)
-                    assert (pair.modulus, pair.diagonal, pair.corner) == (m, diag, b), case
-                    assert verify_cocycle(pair, q), case
                     # the least exponent at FBAR is the reduction
-                    red = reduction(phi)
-                    assert (red.coeff, red.a, red.b) == (FBAR, fam.least(FBAR, a), b), case
-                    assert red.a == brute_reduction(a, q, r, n), case
+                    assert fam.least(FBAR, a) == brute_reduction(a, q, r, n), case
                 elif full <= 50000:
-                    canonical, lifts = brute_lifts(a, r, full)
-                    got = list(fam.lifts(a))
-                    assert got == [canonical] + [e for e in lifts if e != canonical], case
-                    assert [(psi.coeff, psi.a, psi.b) for psi in lifts_in_component(phi)] == [
-                        (ZBAR, e, b) for e in got
-                    ], case
-                    assert canonical_lift(phi) == lifts_in_component(phi)[0], case
+                    canonical, lifts = brute_lifts(a % r, r, full)
+                    assert list(fam.lifts(a)) == [canonical] + [e for e in lifts if e != canonical], case
     every = {(n, s) for n, _, _ in KERNEL_FAMILIES for s in divisors(n)}
     assert sizes[ZBAR] == sizes[FBAR] == every
 
+
+# ---------------------------------------------------------------------------
+# the kernels take integer exponents only
+
+
+def test_kernels_refuse_an_exponent_that_is_no_int():
+    # a float never walks back to its start, so orbit_size(ZBAR, 0.1) used to
+    # spin and orbit to grow its list without end; True was read as 1 and
+    # "3" ended in a bare TypeError.  Each kernel now refuses them at once,
+    # lifts too, before a lift is asked for
+    calls = {"diagonal": GL2.diagonal, "lifts": GL2.lifts}
+    for coeff in COEFFS:
+        for name in ("orbit", "orbit_size", "least", "support"):
+            calls[f"{name}({coeff})"] = lambda a, f=getattr(GL2, name), c=coeff: f(c, a)
+    calls["TrselpGL a"] = lambda a: TrselpGL(GL2, ZBAR, a)
+    calls["TrselpGL b"] = lambda b: TrselpGL(GL2, ZBAR, 1, b)
+    start = perf_counter()
+    for bad in (0.1, 1.5, True, "3"):
+        for name, call in calls.items():
+            with pytest.raises(LlcError) as exc:
+                call(bad)
+            assert exc.value.code == "invalid-argument", (name, bad)
+    assert perf_counter() - start < 1.0

@@ -294,3 +294,28 @@ def test_every_value_class_of_the_package_hashes_and_refuses_assignment():
         for name in (*slots, "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, name, 0)
+
+
+def test_every_record_class_refuses_a_wrong_number_of_fields():
+    """_make and _fill take exactly one value per field.
+
+    A store that dropped the extra values, or left the last fields unset,
+    would mint a record that equals nothing it should."""
+    samples = [build() for build, _, _ in VALUES] + [cls(**fields) for cls, fields, _ in RECORDS]
+    samples.append(preset("GL", 2))
+    by_class = {type(value): value for value in samples}
+    record_classes = {
+        obj for name in llc_params.__all__
+        if isinstance(obj := getattr(llc_params, name), type) and issubclass(obj, FrozenRecord)
+    }
+    assert {GLFamily, TrselpGL, ParamMatrices, IntMatrix} <= record_classes <= by_class.keys()
+    for cls in record_classes:
+        record = copy.copy(by_class[cls])
+        values = record._values(record) if len(cls.__match_args__) > 1 else (record._values(record),)
+        assert cls._make(*values) == record, cls
+        for wrong in (values[:-1], (*values, values[-1])):
+            with pytest.raises(TypeError):
+                cls._make(*wrong)
+            with pytest.raises(TypeError):
+                record._fill(*wrong)
+            assert record == by_class[cls], cls

@@ -184,7 +184,7 @@ def test_failing_cases_are_reported_in_grid_order(monkeypatch):
 
 
 def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
-    # a full parameter list and a scan both walk every exponent of their
+    # a full exponent list and a scan both walk every exponent of their
     # modulus, and the ZBAR modulus q^n - 1 is the same at every ell: the
     # grid takes each (n, q, modulus) through one of them, once, and walks it
     # once by the direct orbit count
@@ -192,12 +192,12 @@ def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
     from llc_params.glparams import GLFamily
 
     scanned, walked = [], []
-    parameters, scan, walk = GLFamily.parameters, GLFamily.scan, sweep._direct_orbit_count
+    exponents, scan, walk = GLFamily.exponents, GLFamily.scan, sweep._direct_orbit_count
 
-    def counting_parameters(fam, coeff, offset=0, limit=None):
+    def counting_exponents(fam, coeff, offset=0, limit=None):
         if (offset, limit) == (0, None):
             scanned.append((fam.n, fam.q, fam.modulus(coeff)))
-        return parameters(fam, coeff, offset, limit)
+        return exponents(fam, coeff, offset, limit)
 
     def counting_scan(fam, coeff):
         scanned.append((fam.n, fam.q, fam.modulus(coeff)))
@@ -207,7 +207,7 @@ def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
         walked.append((n, q, modulus))
         return walk(n, q, modulus)
 
-    monkeypatch.setattr(GLFamily, "parameters", counting_parameters)
+    monkeypatch.setattr(GLFamily, "exponents", counting_exponents)
     monkeypatch.setattr(GLFamily, "scan", counting_scan)
     monkeypatch.setattr(sweep, "_direct_orbit_count", counting_walk)
     assert all(c.passed for c in sweep.run_grid())
@@ -216,19 +216,18 @@ def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
 
 def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
     # checks 5 and 8 read each integral exponent in one pass through the
-    # family kernels that matrices, verify_cocycle and the support mint
-    # over: one diagonal, one cocycle law and one support for each, plus the
-    # degenerate a = 0 support for n >= 2.  Check 7 takes one lift set per
-    # sampled residue exponent.  One run_grid() mints no parameter and no
-    # matrix pair, checked or unchecked
-    from llc_params import glparams, sweep
+    # family kernels: one diagonal, one cocycle law and one support for
+    # each, plus the degenerate a = 0 support for n >= 2.  Check 7 takes one
+    # lift set per sampled residue exponent.  One run_grid() mints no
+    # parameter and no matrix pair, checked or unchecked
+    from llc_params import sweep
     from llc_params.glparams import ZBAR, GLFamily, ParamMatrices, TrselpGL
 
     integral = [
-        (n, q, phi.a)
+        (n, q, a)
         for n in GRID_N_PARAMS
         for q in GRID_Q
-        for phi in GLFamily(n, q, admissible_ells(q)[0]).parameters(ZBAR)
+        for a in GLFamily(n, q, admissible_ells(q)[0]).exponents(ZBAR)
     ]
     supported = []
     for n in GRID_N_PARAMS:
@@ -239,12 +238,10 @@ def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
     assert (len(integral), len(supported)) == (13013, 13028)
 
     seen = {name: [] for name in ("diagonal", "cocycle", "support")}
-    calls = {name: 0 for name in ("orbit", "lifts", "_param", "_make", "__init__")}
+    mints = [(cls, name) for cls in (TrselpGL, ParamMatrices) for name in ("__init__", "_make")]
+    calls = {"lifts": 0} | {f"{cls.__name__}.{name}": 0 for cls, name in mints}
     diagonal, law, support, lifts = (
         GLFamily.diagonal, sweep.cocycle_law, GLFamily.support, GLFamily.lifts
-    )
-    orbit, param, make, init = (
-        TrselpGL.orbit, glparams._param, ParamMatrices._make, TrselpGL.__init__
     )
 
     def counting(name, f):
@@ -269,14 +266,16 @@ def test_the_grid_reads_each_integral_parameter_once(monkeypatch):
     monkeypatch.setattr(sweep, "cocycle_law", seeing_cocycle)
     monkeypatch.setattr(GLFamily, "support", seeing_support)
     monkeypatch.setattr(GLFamily, "lifts", counting("lifts", lifts))
-    monkeypatch.setattr(TrselpGL, "orbit", counting("orbit", orbit))
-    monkeypatch.setattr(glparams, "_param", counting("_param", param))
-    monkeypatch.setattr(ParamMatrices, "_make", counting("_make", make))
-    monkeypatch.setattr(TrselpGL, "__init__", counting("__init__", init))
+    for cls, name in mints:
+        monkeypatch.setattr(cls, name, counting(f"{cls.__name__}.{name}", getattr(cls, name)))
     assert all(c.passed for c in sweep.run_grid())
     assert seen["diagonal"] == seen["cocycle"] == integral
     assert seen["support"] == supported
-    assert calls == {"orbit": 0, "lifts": 3100, "_param": 0, "_make": 0, "__init__": 0}
+    assert calls == {
+        "lifts": 3100,
+        "TrselpGL.__init__": 0, "TrselpGL._make": 0,
+        "ParamMatrices.__init__": 0, "ParamMatrices._make": 0,
+    }
 
 
 def test_the_one_pass_reports_a_parameter_under_both_checks(monkeypatch):
