@@ -5,9 +5,11 @@ inertia generator s0 subject to Fr s0 Fr^{-1} = s0^q.  A cocycle valued in a
 torus T-hat on which Fr acts through a finite-order lattice automorphism w is
 pinned down by its values on Fr (free) and on s0 (constrained to the scheme
 of fixed points of t -> t^q twisted by w).  On character groups this makes
-everything a cokernel, which the twist takes itself (`WeylTwist.cokernel`):
+everything a cokernel, which the twist reads off its cycle type
+(`WeylTwist.cokernel`), one cyclic group per cycle:
 
-* fixed scheme of w-twisted q-power map:  coker(w - q id)   on X*,
+* fixed scheme of w-twisted q-power map:  coker(w - q id)   on X*, finite
+  as each cycle's |q^l - (+-1)^l| >= q - 1 > 0,
 * twisted centralizer of the Frobenius:   coker(id - w)     on X*.
 
 D -> X*(D) is an anti-equivalence of diagonalizable groups with finitely
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from .abgroups import FinGenAbGroup
 from .arith import check_admissible, prime_power_split
-from .errors import FrozenRecord, InternalError
+from .errors import FrozenRecord
 from .rootdata import WeylTwist
 
 POINT_MOD_STABILIZER = "point_mod_S_psi"
@@ -40,15 +42,7 @@ def frob_fixed_scheme(twist: WeylTwist, q: int) -> FinGenAbGroup:
     power (InvalidPrimePower otherwise).
     """
     prime_power_split(q)
-    group = twist.cokernel(1, -q)
-    if group.free_rank != 0:
-        # a unimodular finite-order twist can never have eigenvalue q >= 2,
-        # so a positive free rank means the caller fed a non-Frobenius matrix
-        raise InternalError(
-            "the inertia fixed scheme is infinite; the twist cannot be of finite order",
-            hint="check that the twist matrix is a root-permuting automorphism",
-        )
-    return group
+    return twist.cokernel(1, -q)
 
 
 def twisted_centralizer(twist: WeylTwist) -> FinGenAbGroup:

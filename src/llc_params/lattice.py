@@ -7,22 +7,22 @@ matrices (r = 0 or c = 0) are legal and mean what they should.
 
 A matrix is held as its nonzeros: each row is a tuple of (column, entry)
 pairs, columns ascending.  Dense rows are only the constructor's input (the
-``--weyl`` JSON and the tests), and ``data`` is their read-out.  The
-twisted-torus presentations that `rootdata` writes have at most four
-nonzeros per row, so they and their transposes cost O(rows + nnz), and
-`smith_normal_form` takes the rows as they are.  A ``--weyl`` matrix itself
-is read or refused in O(nnz) and takes no Smith form, so the CLI hands it
-only these sparse presentations.
+``--weyl`` JSON and the tests), and ``data`` is their read-out.  A matrix
+and its transpose cost O(rows + nnz), and `smith_normal_form` takes the rows
+as they are.  A ``--weyl`` matrix is read or refused in O(nnz) and takes no
+Smith form: the CLI takes Smith forms only of the k x (k + 1) arrows that
+`rootdata` writes, k a twist's number of distinct cycle lengths.
 
-Everything downstream (fixed schemes of twisted Frobenius maps, kernels of
-character maps, centers of root data) reduces to the Smith invariants
-computed here, so this module has no dependencies beyond the error types.
-`smith_normal_form` eliminates sparsely: smallest |entry| first, ties by
-Markowitz cost, down to any diagonal, whose Smith invariants the gcd/lcm
-pass `diagonal_invariants` then takes.  The pivots come off a lazy heap, so
-a sparse n x n twisted torus takes O(n log n) heap steps rather than a scan of
-every nonzero per pivot; on dense input, where each pivot changes most rows,
-the heap is rebuilt from the live entries instead.
+Everything downstream (fixed schemes of twisted Frobenius maps, finite tori,
+centralizers) reduces to the invariants computed here: the gcd/lcm pass
+`diagonal_invariants` on a twist's cyclic orders, and on the semisimple
+lattices one arrow's Smith form.  So this module has no dependencies beyond
+the error types.  `smith_normal_form` eliminates sparsely: smallest |entry|
+first, ties by Markowitz cost, down to any diagonal, whose Smith invariants
+`diagonal_invariants` then takes.  The pivots come off a lazy heap, so a
+sparse n x n matrix takes O(n log n) heap steps rather than a scan of every
+nonzero per pivot; on dense input, where each pivot changes most rows, the
+heap is rebuilt from the live entries instead.
 """
 
 from __future__ import annotations

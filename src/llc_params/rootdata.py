@@ -26,16 +26,16 @@ its kind of lattice: Z^n ("gl"), the sum-zero lattice ("adjoint") or
 Z^n / Z(1, ..., 1) ("sc").  The record refuses any other (kind, perm,
 sign), so a twist names its datum: ``twist.datum`` is the preset of its
 kind and n, and the component and block builders take the twist alone.
-Its cokernels come from sparse e-coordinate presentations that only this
-module writes, and ``weyl_twist`` reads a matrix in the preset's basis as
-one in O(nnz), or refuses it: the twists are exactly the signed
-permutations, so no Smith form or root list is needed to tell them apart.
+Its cokernels are read off the cycle type of perm, a cyclic group per
+cycle.  ``weyl_twist`` reads a matrix in the preset's basis as a twist in
+O(nnz), or refuses it: the twists are exactly the signed permutations, so
+no Smith form or root list is needed to tell them apart.
 """
 
 from __future__ import annotations
 
 from .abgroups import FinGenAbGroup, cokernel
-from .errors import FrozenRecord, InvalidArgument, InvalidRank, UnsupportedFamily
+from .errors import FrozenRecord, InternalError, InvalidArgument, InvalidRank, UnsupportedFamily
 from .lattice import IntMatrix
 
 FAMILIES = ("GL", "SL", "PGL")
@@ -132,34 +132,43 @@ class WeylTwist(FrozenRecord):
 
     def transpose(self) -> "WeylTwist":
         """The twist on the dual lattice: the inverse permutation on the dual kind."""
-        return WeylTwist(_DUAL_KINDS[self.kind], self._inverse(), self.sign)
-
-    def _inverse(self) -> tuple[int, ...]:
-        return tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
+        inverse = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
+        return WeylTwist(_DUAL_KINDS[self.kind], inverse, self.sign)
 
     def cokernel(self, s: int, t: int) -> FinGenAbGroup:
-        """coker(s w + t) on the twist's lattice, from an e-coordinate presentation.
+        """coker(s w + t) on the twist's lattice, read off the cycle type of perm.
 
-        Row j of s w + t on Z^n holds s * sign in column perm^-1(j) and t in
-        column j.  "sc" adds a column of ones, for Z^n / Z(1, ..., 1); "adjoint"
-        takes it times B, whose columns e_i - e_{i+1} span the sum-zero lattice
-        L, and Z^n / (s w + t) L is L / (s w + t) L plus Z^n / L = Z.
+        On a cycle of length l, s w + t acts on Z[x]/(x^l - 1) as s * sign * x +
+        t.  With s * sign or t a unit, x or its inverse is r = -s * sign * t
+        there, and the cycle gives Z/d, d = |r^l - 1| (0 for Z).  "gl" is the
+        sum; "sc" is the sum modulo (1, ..., 1), which is c = sum_{k<l} r^k mod
+        d on each cycle.  The m cycles of one length give m - 1 copies of Z/d
+        and the row (d, c) of a k x (k + 1) arrow, k the number of distinct
+        lengths and c in the last column: one Smith form.  "adjoint" is "sc"
+        transposed at w^-1 = w^T, of the same cycle type.
         """
-        n, kind = len(self.perm), self.kind
-        width = {"gl": n, "sc": n + 1, "adjoint": n - 1}[kind]
-        presentation = []
-        for j, i in enumerate(self._inverse()):
-            row = {n: 1} if kind == "sc" else {}
-            for c, a in ((i, s * self.sign), (j, t)):
-                # times B, an entry a in column c is a in c and -a in c - 1
-                for k, b in ((c, a), (c - 1, -a)) if kind == "adjoint" else ((c, a),):
-                    if 0 <= k < width:
-                        row[k] = row.get(k, 0) + b
-            presentation.append(tuple(sorted((k, b) for k, b in row.items() if b)))
-        group = cokernel(IntMatrix._make(tuple(presentation), len(presentation), width))
-        if kind == "adjoint":
-            return FinGenAbGroup(group.free_rank - 1, group.invariant_factors)
-        return group
+        unit = s * self.sign
+        if unit not in (1, -1) and t not in (1, -1):
+            raise InternalError(f"coker(s w + t) has no unit at s={s}, t={t}, sign={self.sign}")
+        r, perm, seen, lengths = -unit * t, self.perm, bytearray(len(self.perm)), {}
+        for start in range(len(perm)):
+            i, length = start, 0
+            while not seen[i]:
+                seen[i], i, length = 1, perm[i], length + 1  # seen[i] is set first
+            if length:
+                lengths[length] = lengths.get(length, 0) + 1
+        orders, arrow = [], []
+        for length, m in sorted(lengths.items()):
+            power = r**length
+            d, c = abs(power - 1), length if r == 1 else (power - 1) // (r - 1)
+            orders += [d] * (m if self.kind == "gl" else m - 1)
+            arrow.append(((len(arrow), d), (c % d if d else c)))
+        if self.kind == "gl":
+            return FinGenAbGroup(0, orders)
+        k = len(arrow)
+        rows = tuple(tuple(e for e in (diagonal, (k, c)) if e[1]) for diagonal, c in arrow)
+        group = cokernel(IntMatrix._make(rows, k, k + 1))
+        return FinGenAbGroup(group.free_rank, group.invariant_factors + tuple(orders))
 
 
 def _block_pairs(kind: str, rank: int, blocks):

@@ -2,15 +2,17 @@
 
 Each check aggregates a family of exact assertions over the standard grid
 (n up to 6, q in {3, 5, 7, 11, 13}, odd primes ell <= 19 coprime to q; the
-parameter-level checks stop at n = 4).  Where a claim has two independent
-routes the sweep runs both: enumeration counts are re-derived by a direct
-orbit walk, and the component/block comparison pits the character-lattice
-computation against the cocharacter one.  The sweep makes one pass over
-(n, q): each pair takes its cokernels once for all its ells, and scans and
-walks each of its distinct exponent moduli once.  The cocycle and support
-checks (5 and 8) read each integral exponent in one pass, each keeping its
-own failures.  The parameter checks run the family kernels of glparams on
-exponents, so they mint no record.
+parameter-level checks stop at n = 4).  Enumeration counts are re-derived
+by a direct orbit walk.  Checks 2-4 hold the character side, coker(w - q)
+and coker(1 - w), to closed forms and to the cocharacter side,
+coker(q w^T - 1) and coker(1 - w^T); both read the one cycle type of w, so
+they check the descriptors built on the cokernels, whose second route
+(n-row presentations) is the oracle of tests/test_twist_cokernels.py.  The sweep
+makes one pass over (n, q): each pair takes its cokernels once for all its
+ells, and scans and walks each of its distinct exponent moduli once.  The
+cocycle and support checks (5 and 8) read each integral exponent in one
+pass, each keeping its own failures.  The parameter checks run the family
+kernels of glparams on exponents, so they mint no record.
 """
 
 from __future__ import annotations

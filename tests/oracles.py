@@ -5,8 +5,10 @@ library, with different algorithms than the package under test (Gauss over
 Fraction instead of Bareiss, cofactor adjugates, determinantal divisors and
 coset enumeration instead of Smith normal form, linear scans instead of
 closed-form counts, the closed-form GL_n block instead of the twisted
-torus, cycle-type closed forms for type A twists, the root-datum axioms
-checked by hand).  Nothing in this module imports from llc_params.
+torus, cycle-type closed forms for type A twists, n-row e-coordinate
+presentations of the twists the package reads off their cycle types, the
+root-datum axioms checked by hand).  Nothing in this module imports from
+llc_params.
 """
 
 from __future__ import annotations
@@ -550,6 +552,43 @@ def textbook_cokernel(rows, cols: int) -> tuple[int, tuple[int, ...]]:
     """
     nonzero = [d for d in textbook_smith_invariants(rows, cols) if d]
     return len(rows) - len(nonzero), tuple(d for d in nonzero if d > 1)
+
+
+def e_coordinate_cokernel(kind: str, perm, sign: int, s: int, t: int):
+    """coker(s w + t) on a type A lattice, w: e_i -> sign * e_perm[i], from a presentation.
+
+    Row j of s w + t on Z^n holds s * sign in column perm^-1(j) and t in
+    column j.  "sc", Z^n / Z(1, ..., 1), adds a column of ones; "adjoint",
+    the sum-zero lattice L, takes it times B, whose columns e_i - e_{i+1}
+    span L, and Z^n / (s w + t) L is L / (s w + t) L plus Z^n / L = Z, so it
+    has one free rank less.  Returns (free rank, invariant factors > 1) as
+    `textbook_cokernel` does.
+
+    >>> e_coordinate_cokernel("gl", [1, 0], 1, 1, -11)
+    (0, (120,))
+    >>> e_coordinate_cokernel("sc", [1, 2, 0], 1, 1, -3)
+    (0, (13,))
+    >>> e_coordinate_cokernel("adjoint", [0, 1], 1, -1, 1)
+    (1, ())
+    """
+    n = len(perm)
+    width = {"gl": n, "sc": n + 1, "adjoint": n - 1}[kind]
+    inverse = [0] * n
+    for i, j in enumerate(perm):
+        inverse[j] = i
+    rows = []
+    for j in range(n):
+        row = [0] * width
+        if kind == "sc":
+            row[n] = 1
+        for c, a in ((inverse[j], s * sign), (j, t)):
+            # times B, an entry a in column c is a in c and -a in c - 1
+            for k, b in ((c, a), (c - 1, -a)) if kind == "adjoint" else ((c, a),):
+                if 0 <= k < width:
+                    row[k] += b
+        rows.append(row)
+    free, torsion = textbook_cokernel(rows, width)
+    return free - (kind == "adjoint"), torsion
 
 
 def center_by_roots(rank: int, roots) -> tuple[int, tuple[int, ...]]:

@@ -8,9 +8,12 @@ component, block and match never factor and that enumeration validates once.
 import gc
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -19,7 +22,7 @@ import llc_params
 from llc_params import arith, cli
 from llc_params.glparams import ZBAR, GLFamily, TrselpGL
 from llc_params.lattice import IntMatrix, smith_normal_form
-from llc_params.rootdata import coxeter_twist, identity_twist, preset
+from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
 from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, admissible_ells
 
 from oracles import cycle_lengths, preset_twist_matrix, shifted, type_a_fixed_cokernel
@@ -287,13 +290,15 @@ def test_gl300_coxeter_smith_form_is_fast():
 
 
 def test_gl5000_twist_matrices_are_built_from_their_nonzeros(monkeypatch):
-    # a twist is its signed permutation and a matrix is held as its nonzeros,
-    # so the n-cycle, its transpose, the identity and the presentations of
-    # w - 3 and its transpose cost O(n), not n^2 entries
+    # a twist is its signed permutation and its cokernels are read off its
+    # cycle type, so the n-cycle, its transpose and the identity, and their
+    # w - 3 on each lattice, cost O(n): Z^n takes no Smith form, and the other
+    # lattices one arrow of a row per distinct cycle length.  A matrix is
+    # held as its nonzeros, so a permutation matrix of the twist and its
+    # transpose, as `weyl_twist` reads one, cost O(n), not n^2 entries
     from llc_params import abgroups
 
     n = 5000
-    rd = preset("GL", n)
     presented = []
     snf = abgroups.smith_normal_form
     monkeypatch.setattr(abgroups, "smith_normal_form", lambda a: presented.append(a) or snf(a))
@@ -305,17 +310,76 @@ def test_gl5000_twist_matrices_are_built_from_their_nonzeros(monkeypatch):
         assert elapsed < BUDGET_S, f"GL_{n} matrix took {elapsed:.2f} s"
         return out
 
-    for twist, nnz in (
-        (built(lambda: coxeter_twist(rd)), 2 * n),
-        (built(coxeter_twist(rd).transpose), 2 * n),
-        (built(lambda: identity_twist(rd)), n),
-    ):
-        assert len(twist.perm) == n
-        built(lambda: twist.cokernel(1, -3))
-        m = presented.pop()
-        assert (m.rows, m.cols, sum(map(len, m.nonzeros))) == (n, n, nnz)
-        t = built(m.transpose)
-        assert (t.rows, t.cols, sum(map(len, t.nonzeros))) == (n, n, nnz)
+    for family in ("GL", "SL", "PGL"):
+        rd = preset(family, n)
+        for twist, order in (
+            (built(lambda: coxeter_twist(rd)), 3**n - 1),
+            (built(coxeter_twist(rd).transpose), 3**n - 1),
+            (built(lambda: identity_twist(rd)), 2**n),
+        ):
+            assert len(twist.perm) == n
+            group = built(lambda: twist.cokernel(1, -3))
+            # on the sum-zero lattice and on Z^n / Z(1, ..., 1), |det(w - 3)|
+            # loses the factor 3 - 1 of the line Z^n / L or Z(1, ..., 1)
+            assert (group.free_rank, group.order()) == (0, order // (1 if family == "GL" else 2))
+            assert [(a.rows, a.cols) for a in presented] == ([] if family == "GL" else [(1, 2)])
+            presented.clear()
+            if family == "GL":
+                m = built(lambda: IntMatrix._make(tuple(((j, 1),) for j in twist.perm), n, n))
+                t = built(m.transpose)
+                assert (t.rows, t.cols, sum(map(len, t.nonzeros))) == (n, n, n)
+
+
+# a child sets an address-space limit on itself alone, times `cli.run` on the
+# argv it reads from stdin, and prints the exit code, the seconds taken and the
+# report's first line
+CHILD_AS_BYTES = 3 << 30
+_CHILD = (
+    "import io, resource, sys, time\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_AS_BYTES}, {CHILD_AS_BYTES}))\n"
+    "from llc_params import cli\n"
+    "out, start = io.StringIO(), time.perf_counter()\n"
+    "code = cli.run(sys.stdin.read().split(), stream=out)\n"
+    "print(code, time.perf_counter() - start, out.getvalue().partition('\\n')[0])\n"
+)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("group,n", [("GL", 50000), ("SL", 20000), ("PGL", 20000)])
+def test_high_rank_coxeter_match_answers_in_a_child(group, n):
+    # each of the four cokernels reads one n-cycle off the twist and takes
+    # one power 3^n; the child's own address-space limit keeps a blow-up
+    # from reaching the machine
+    child = subprocess.run(
+        [sys.executable, "-c", _CHILD],
+        input=f"match --group {group} --n {n} --q 3 --ell 5",
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, elapsed, first = child.stdout.split(" ", 2)
+    assert code == "0", child.stdout
+    assert float(elapsed) < 0.5, f"{group}_{n} match took {float(elapsed):.2f} s"
+    assert first.startswith(f"match [{group}_{n}, q=3, ell=5")
+
+
+def test_a_random_sl20000_twist_takes_its_fixed_scheme_within_budget():
+    # a seeded permutation of sign -1 with 11 cycles: coker(w - 3) on the
+    # sum-zero lattice is one arrow of at most 11 rows
+    n, eps = 20000, -1
+    perm = random.Random(18).sample(range(n), n)
+    lengths = cycle_lengths(perm)
+    assert len(lengths) == 11
+    twist = WeylTwist("adjoint", tuple(perm), eps)
+    start = perf_counter()
+    group = twist.cokernel(1, -3)
+    elapsed = perf_counter() - start
+    assert elapsed < BUDGET_S, f"SL_{n} coker(w - 3) took {elapsed:.2f} s"
+    # |det(w - 3)| is the product of the cycles' 3^l - eps^l on Z^n, and
+    # 3 - eps on the line Z^n / L
+    order = 1
+    for length in lengths:
+        order *= 3**length - eps**length
+    assert (group.free_rank, group.order()) == (0, order // (3 - eps))
 
 
 def _explicit_argv(cmd, family, perm, weyl):

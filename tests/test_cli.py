@@ -255,22 +255,33 @@ def _count_snf(monkeypatch):
     return calls
 
 
+def _count_cokernels(monkeypatch):
+    """Record (twist, s, t) for every cokernel a twist takes."""
+    from llc_params.rootdata import WeylTwist
+
+    taken, cokernel = [], WeylTwist.cokernel
+    monkeypatch.setattr(
+        WeylTwist, "cokernel", lambda w, s, t: taken.append((w, s, t)) or cokernel(w, s, t)
+    )
+    return taken
+
+
 def test_component_takes_each_invariant_once(monkeypatch):
-    calls = _count_snf(monkeypatch)
+    calls, taken = _count_snf(monkeypatch), _count_cokernels(monkeypatch)
     code, _ = run_cli(["component", "--n", "4", "--q", "11", "--ell", "5"])
     assert code == 0
-    # coker(w - q) and coker(1 - w), the center's rank is read off the datum;
-    # the Coxeter twist is a signed permutation by construction, so w itself
-    # is never checked
-    assert len(calls) == 2
-    assert IntMatrix(preset_twist_matrix("GL", [1, 2, 3, 0], 1)) not in calls
+    # coker(w - q) and coker(1 - w) of the Coxeter twist, the center's rank is
+    # read off the datum; GL's cokernels are read off the cycle type, and the
+    # twist is a signed permutation by construction, so no Smith form is taken
+    assert [(w.perm, s, t) for w, s, t in taken] == [((1, 2, 3, 0), 1, -11), ((1, 2, 3, 0), -1, 1)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("cmd", ["component", "match"])
 def test_an_explicit_weyl_matrix_takes_no_smith_form_and_no_roots(monkeypatch, cmd):
     from llc_params import rootdata
 
-    calls, generated = _count_snf(monkeypatch), []
+    calls, taken, generated = _count_snf(monkeypatch), _count_cokernels(monkeypatch), []
     generate = rootdata.RootDatum._roots_and_coroots
     monkeypatch.setattr(
         rootdata.RootDatum, "_roots_and_coroots", lambda rd: generated.append(rd) or generate(rd)
@@ -280,11 +291,14 @@ def test_an_explicit_weyl_matrix_takes_no_smith_form_and_no_roots(monkeypatch, c
     assert code == 0
     # weyl_twist checks the matrix once, by reading it as a signed
     # permutation (unimodular by construction): it takes no Smith form of its
-    # own and generates no roots
-    assert [a for a in calls if a.data == tuple(map(tuple, swap))] == []
+    # own and generates no roots, and GL's cokernels take none either
+    assert calls == []
     assert generated == []
-    # only the component's two invariants, and the block's two
-    assert {a.rows for a in calls} == {4} and len(calls) == {"component": 2, "match": 4}[cmd]
+    # only the component's two invariants, of the twist read, and the
+    # block's two, of its transpose
+    read, transposed = (0, 2, 3, 1), (0, 3, 1, 2)
+    perms = {"component": [read] * 2, "match": [read] * 2 + [transposed] * 2}[cmd]
+    assert [w.perm for w, _, _ in taken] == perms
 
 
 @pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])
@@ -292,21 +306,24 @@ def test_an_explicit_weyl_matrix_takes_no_smith_form_and_no_roots(monkeypatch, c
 def test_descriptor_matrices_are_no_wider_than_the_rank(monkeypatch, cmd, group, n):
     from llc_params import abgroups
 
-    widths, sizes = [], []
-    snf = abgroups.smith_normal_form
+    shapes, snf = [], abgroups.smith_normal_form
 
     def recording_snf(a):
-        widths.append(a.cols)
-        sizes.append(sum(map(len, a.nonzeros)))
+        shapes.append((a.rows, a.cols, sum(map(len, a.nonzeros))))
         return snf(a)
 
     monkeypatch.setattr(abgroups, "smith_normal_form", recording_snf)
+    taken = _count_cokernels(monkeypatch)
     code, _ = run_cli([cmd, "--group", group, "--n", str(n), "--q", "11", "--ell", "5"])
     assert code == 0
-    # a twist's cokernels are presented in e-coordinates, on n rows: the
-    # simply connected lattice Z^n / Z(1, ..., 1) takes one column more
-    assert widths and max(widths) <= n + 1, widths
-    assert max(sizes) <= 5 * n, sizes
+    # a twist's cokernels are read off its cycle type: Z^n takes no Smith
+    # form, and each cokernel on the other lattices takes one arrow, a row
+    # per distinct cycle length (one for the Coxeter twist) and a column more
+    assert len(taken) == {"component": 2, "block": 2, "match": 4}[cmd]
+    assert [(rows, cols) for rows, cols, _ in shapes] == (
+        [] if group == "GL" else [(1, 2)] * len(taken)
+    ), shapes
+    assert all(nnz <= 2 for *_, nnz in shapes), shapes
 
 
 @pytest.fixture(scope="module")

@@ -65,24 +65,23 @@ def test_grid_check_type(grid_checks):
 
 def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
     # fixed-scheme-cyclic and mu-exponent-law read match-law's component
-    # descriptors, so they take no Smith form of their own, and match-law
+    # descriptors, so they take no cokernel of their own, and match-law
     # takes its cokernels once per (n, q) for all of its ells: the fixed
     # scheme and the stabilizer, then the finite torus and the centralizer.
     # With the golden component's 2 and those 4 for each of the 30 (n, q)
-    # pairs, the grid takes 122
+    # pairs, the grid takes 122.  Every one is on GL's lattice Z^n, read off
+    # the twist's cycle type, so none takes a Smith form
     from llc_params import abgroups
+    from llc_params.rootdata import WeylTwist
     from llc_params.sweep import run_grid
 
-    calls = []
-    snf = abgroups.smith_normal_form
-
-    def counting_snf(a):
-        calls.append(a)
-        return snf(a)
-
-    monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
+    taken, calls = [], []
+    cokernel, snf = WeylTwist.cokernel, abgroups.smith_normal_form
+    monkeypatch.setattr(WeylTwist, "cokernel", lambda w, s, t: taken.append(w) or cokernel(w, s, t))
+    monkeypatch.setattr(abgroups, "smith_normal_form", lambda a: calls.append(a) or snf(a))
     assert all(c.passed for c in run_grid())
-    assert len(calls) == 122
+    assert len(taken) == 122 and {w.kind for w in taken} == {"gl"}
+    assert calls == []
 
 
 def test_the_grid_compares_what_categorical_summary_gives(monkeypatch):
