@@ -41,7 +41,7 @@ class FinGenAbGroup(FrozenRecord):
     FinGenAbGroup(free_rank=0, invariant_factors=(2, 12))
     >>> FinGenAbGroup(0, (0, 6)) == FinGenAbGroup(1, (6,))
     True
-    >>> FinGenAbGroup(0, (1, 1)).is_trivial
+    >>> FinGenAbGroup(0, (1, 1)) == FinGenAbGroup()
     True
     """
 
@@ -57,10 +57,6 @@ class FinGenAbGroup(FrozenRecord):
     def cyclic(cls, n: int) -> "FinGenAbGroup":
         """Z/n, with Z/0 = Z and Z/1 = 0."""
         return cls(0, (n,))
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     @property
     def is_finite(self) -> bool:

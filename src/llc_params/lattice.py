@@ -19,16 +19,14 @@ centralizers) reduces to the invariants computed here: the gcd/lcm pass
 lattices one arrow's Smith form.  So this module has no dependencies beyond
 the error types.  `smith_normal_form` eliminates sparsely: smallest |entry|
 first, ties by Markowitz cost, down to any diagonal, whose Smith invariants
-`diagonal_invariants` then takes.  The pivots come off a lazy heap, so a
-sparse n x n matrix takes O(n log n) heap steps rather than a scan of every
-nonzero per pivot; on dense input, where each pivot changes most rows, the
-heap is rebuilt from the live entries instead.
+`diagonal_invariants` then takes.  Each pivot is found by one scan of the
+live nonzeros, so the search costs O(pivots * nnz): little on an arrow, but
+quadratic on a sparse n x n matrix, which no caller here builds.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from heapq import heapify, heappop, heappush, heapreplace
 from itertools import chain
 from math import gcd
 
@@ -149,15 +147,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     repeats.  The diagonal this reaches goes through `diagonal_invariants`;
     there is no divisibility fix-up.
 
-    The pivots come off a lazy min-heap of (|entry|, cost, row, column)
-    keys.  A key is stale once its row is gone or its |entry| has changed,
-    and is dropped when it reaches the top; a key whose cost has grown is
-    pushed back with the new cost.  After each pivot, the entries it changed
-    get fresh keys.  The heap is rebuilt from the live entries instead once
-    it has doubled since it was built, or when the pivot changed half of the
-    live rows or more, as on dense input: one rebuild there costs less than
-    pushing a key for each changed entry.  The invariants do not depend on
-    the pivot order.
+    The pivot search scans the live nonzeros once per pivot, so it costs
+    O(pivots * nnz): cheap on the k x (k + 1) arrows `rootdata` writes,
+    quadratic on a sparse n x n matrix.  The cost tie-break matters: without
+    it, an arrow's many equal magnitudes fill its rows in.  The invariants
+    do not depend on the pivot order.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)
@@ -172,37 +166,20 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
         for j in row:
             where[j].add(i)
     diagonal = []
-    rebuild = True
     while rows:
-        if rebuild:
-            heap = [
-                (abs(e), (len(row) - 1) * (len(where[j]) - 1), i, j)
-                for i, row in rows.items()
-                for j, e in row.items()
-            ]
-            heapify(heap)
-            built, rebuild = len(heap), False  # the heap's size when last built
-        size, cost, pi, pj = heap[0]
-        row = rows.get(pi)
-        if row is None or abs(row.get(pj, 0)) != size:  # stale: the row or entry changed
-            heappop(heap)
-            continue
-        now = (len(row) - 1) * (len(where[pj]) - 1)
-        if now > cost:
-            heapreplace(heap, (size, now, pi, pj))
-            continue
-        # the pivot's key stays, to go stale with its row
-        touched, cols = set(), set()  # the rows changed, and the columns they changed in
+        _, _, pi, pj = min(
+            (abs(e), (len(row) - 1) * (len(where[j]) - 1), i, j)
+            for i, row in rows.items()
+            for j, e in row.items()
+        )
         while True:
             prow, d = rows[pi], rows[pi][pj]
-            cols.update(prow)
             # clear column pj with row operations
             for i in where[pj] - {pi}:
                 row = rows[i]
                 k = row[pj] // d
                 if not k:
                     continue
-                touched.add(i)
                 for j, e in prow.items():
                     v = row.get(j, 0) - k * e
                     if v:
@@ -229,11 +206,4 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
             diagonal.append(abs(d))
             del rows[pi]  # a lone pivot: its column holds nothing else either
             break
-        # rebuild once half the live rows changed (dense input) or stale keys pile up
-        rebuild = 2 * len(touched) >= len(rows) or len(heap) > 2 * built
-        if not rebuild:
-            for i in touched & rows.keys():
-                row = rows[i]
-                for j in cols & row.keys():
-                    heappush(heap, (abs(row[j]), (len(row) - 1) * (len(where[j]) - 1), i, j))
     return diagonal_invariants(diagonal + [0] * (min(a.rows, a.cols) - len(diagonal)))

@@ -25,7 +25,13 @@ from llc_params.lattice import IntMatrix, smith_normal_form
 from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
 from llc_params.sweep import GRID_N_COMPONENT, GRID_Q, admissible_ells
 
-from oracles import cycle_lengths, preset_twist_matrix, shifted, type_a_fixed_cokernel
+from oracles import (
+    cycle_lengths,
+    e_coordinate_cokernel,
+    preset_twist_matrix,
+    shifted,
+    type_a_fixed_cokernel,
+)
 
 BUDGET_S = 1.5
 PSI_12 = 318665857834031151167461  # strong pseudoprime to 2..37; base 41 catches it
@@ -212,7 +218,7 @@ def test_the_nilpotent_support_keeps_no_memory():
 
 @pytest.mark.parametrize("cmd", ["component", "match"])
 def test_gl1000_coxeter_reports_answer(cmd):
-    # the Smith forms take their pivots off a heap, not a scan of every entry
+    # GL takes no Smith form: each cokernel is read off the n-cycle
     code, text = run_timed([cmd, "--n", "1000", "--q", "3", "--ell", "5"])
     assert code == 0
     assert text.startswith(f"{cmd} [GL_1000, q=3")
@@ -380,6 +386,48 @@ def test_a_random_sl20000_twist_takes_its_fixed_scheme_within_budget():
     for length in lengths:
         order *= 3**length - eps**length
     assert (group.free_rank, group.order()) == (0, order // (3 - eps))
+
+
+def staircase(k, n):
+    """A permutation of range(n) with one cycle of each length 1, ..., k, then fixed points."""
+    perm, start = [], 0
+    for length in range(1, k + 1):
+        perm += range(start + 1, start + length)
+        perm.append(start)
+        start += length
+    return tuple(perm) + tuple(range(start, n))
+
+
+@pytest.mark.parametrize("kind", ["sc", "adjoint"])
+def test_a_staircase_sl20000_twist_takes_its_arrow_within_budget(kind):
+    # 199 distinct cycle lengths make a 199 x 200 arrow whose pivots tie on
+    # magnitude time and again: only the Markowitz tie-break keeps it sparse
+    n, k = 20000, 199
+    perm = staircase(k, n)
+    lengths = cycle_lengths(perm)
+    assert len(set(lengths)) == k
+    twist = WeylTwist(kind, perm, 1)
+    start = perf_counter()
+    fixed, coinvariants = twist.cokernel(1, -3), twist.cokernel(-1, 1)
+    elapsed = perf_counter() - start
+    assert elapsed < BUDGET_S, f"staircase SL_{n} cokernels took {elapsed:.2f} s"
+    order = 1
+    for length in lengths:
+        order *= 3**length - 1
+    assert (fixed.free_rank, fixed.order()) == (0, order // 2)
+    # each cycle gives Z, less the line of the cycle lengths, whose gcd is 1
+    assert (coinvariants.free_rank, coinvariants.invariant_factors) == (len(lengths) - 1, ())
+
+
+@pytest.mark.parametrize("kind", ["sc", "adjoint"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_small_staircase_matches_the_presentation(kind, sign):
+    perm = staircase(9, 46)
+    twist = WeylTwist(kind, perm, sign)
+    for s, t in ((1, -3), (-1, 1)):
+        group = twist.cokernel(s, t)
+        expected = e_coordinate_cokernel(kind, perm, sign, s, t)
+        assert (group.free_rank, group.invariant_factors) == expected
 
 
 def _explicit_argv(cmd, family, perm, weyl):

@@ -78,8 +78,8 @@ def test_mu_invariant_values():
 
     assert mu(2, 11, 5) == FinGenAbGroup.cyclic(5)
     assert mu(2, 11, 3) == FinGenAbGroup.cyclic(3)
-    assert mu(2, 11, 7).is_trivial
-    assert mu(2, 3, 7).is_trivial
+    assert mu(2, 11, 7) == FinGenAbGroup()
+    assert mu(2, 3, 7) == FinGenAbGroup()
     # 3^5 - 1 = 242 = 2 * 11^2
     assert mu(5, 3, 11) == FinGenAbGroup.cyclic(121)
 
@@ -87,7 +87,7 @@ def test_mu_invariant_values():
 def test_a1_fixed_scheme_is_mu_q_plus_1():
     fixed = frob_fixed_scheme(coxeter_twist(preset("SL", 2)), 11)
     assert fixed == FinGenAbGroup.cyclic(12)
-    assert fixed.ell_primary(5).is_trivial
+    assert fixed.ell_primary(5) == FinGenAbGroup()
     # with ell = 3 the 3-part of 12 survives
     assert fixed.ell_primary(3) == FinGenAbGroup.cyclic(3)
 

@@ -94,7 +94,7 @@ def test_empty_shapes():
     z = IntMatrix([], cols=3)
     assert (z.rows, z.cols) == (0, 3)
     assert IntMatrix([[], []]).cols == 0
-    assert cokernel(IntMatrix([], cols=0)).is_trivial
+    assert cokernel(IntMatrix([], cols=0)) == FinGenAbGroup()
 
 
 def test_a_matrix_is_held_as_its_nonzeros():
@@ -368,7 +368,7 @@ def test_diagonal_invariants_match_the_pairwise_pass():
 
 
 # ---------------------------------------------------------------------------
-# the pivot heap: remainder steps, signs, ties, empty lines and shapes
+# the pivot search: remainder steps, signs, ties, empty lines and shapes
 
 
 def test_the_pivot_moves_to_another_row_then_along_it():
@@ -381,9 +381,10 @@ def test_the_pivot_moves_to_another_row_then_along_it():
 
 def test_a_key_whose_cost_grew_is_pushed_back():
     # the pivot 1 at (0, 0) clears rows 1 and 3, and both gain an entry in
-    # column 2; the 2 at (2, 2) is then the least entry, but its key still
-    # has the cost of its column's old count.  The three filler rows keep
-    # the heap from a rebuild: the pivot changed under half of the live rows
+    # column 2; the 2 at (2, 2) is then the least entry, keyed by the
+    # Markowitz cost of its filled-in column.  It does not divide the -15
+    # that row 1 gained, so a remainder moves the pivot.  The three filler
+    # rows are lone entries that the scan passes over until their turn
     core = [[1, 0, 5, 0, 0], [3, 7, 0, 0, 0], [0, 0, 2, 9, 0], [4, 0, 0, 0, 11]]
     filler = [11, 13, 17]
     rows = [row + [0] * len(filler) for row in core]
@@ -414,8 +415,9 @@ def _scrambled_block_diagonal(rng):
 
     The Smith invariants of a block diagonal are those of the diagonal of
     all its blocks' invariants, padded with zeros; each block's come from
-    the minors.  Up to 32 x 32, and sparse, so most pivots change few rows
-    and the next pivot comes off pushed keys, not a rebuilt heap.
+    the minors.  Up to 32 x 32, and sparse, with many equal magnitudes of
+    both signs, so the Markowitz cost and then (row, column) break the
+    ties, and remainders move the pivots.
     """
     blocks = [_block(rng) for _ in range(rng.randint(1, 8))]
     height = sum(len(rows) for rows, _ in blocks)
