@@ -12,96 +12,43 @@ The package computes, in integer arithmetic only:
   (`blocks`).
 
 The command line front end lives in `cli` (entry point ``llc-params``).
+
+``import llc_params`` loads none of these modules.  Each public name of
+``__all__`` resolves on first use (PEP 562): the package imports the name's
+home module, as listed in ``_HOMES``, and keeps the name in its globals.
 """
 
-from .abgroups import FinGenAbGroup, cokernel
-from .blocks import (
-    ApplicabilityFlag,
-    BlockDescriptor,
-    CategoricalSummary,
-    MatchReport,
-    categorical_summary,
-    finite_torus,
-    match_sides,
-    torus_block_descriptor,
-)
-from .cocycles import (
-    CocycleSpace,
-    ComponentDescriptor,
-    POINT_MOD_STABILIZER,
-    TORUS_QUOTIENT,
-    cocycle_space,
-    component_descriptor,
-    frob_fixed_scheme,
-    twisted_centralizer,
-)
-from .errors import (
-    InternalError,
-    InvalidArgument,
-    InvalidPrime,
-    InvalidPrimePower,
-    InvalidRank,
-    LlcError,
-    UnsupportedFamily,
-)
-from .glparams import (
-    FBAR,
-    GLFamily,
-    ParamMatrices,
-    TrselpGL,
-    ZBAR,
-    cocycle_law,
-)
-from .lattice import IntMatrix, smith_normal_form
-from .rootdata import (
-    RootDatum,
-    WeylTwist,
-    coxeter_twist,
-    identity_twist,
-    preset,
-    weyl_twist,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApplicabilityFlag",
-    "BlockDescriptor",
-    "CategoricalSummary",
-    "CocycleSpace",
-    "ComponentDescriptor",
-    "FBAR",
-    "FinGenAbGroup",
-    "GLFamily",
-    "IntMatrix",
-    "InternalError",
-    "InvalidArgument",
-    "InvalidPrime",
-    "InvalidPrimePower",
-    "InvalidRank",
-    "LlcError",
-    "MatchReport",
-    "POINT_MOD_STABILIZER",
-    "ParamMatrices",
-    "RootDatum",
-    "TORUS_QUOTIENT",
-    "TrselpGL",
-    "UnsupportedFamily",
-    "WeylTwist",
-    "ZBAR",
-    "categorical_summary",
-    "cocycle_law",
-    "cokernel",
-    "component_descriptor",
-    "cocycle_space",
-    "coxeter_twist",
-    "finite_torus",
-    "frob_fixed_scheme",
-    "identity_twist",
-    "match_sides",
-    "preset",
-    "smith_normal_form",
-    "torus_block_descriptor",
-    "twisted_centralizer",
-    "weyl_twist",
-]
+# home module -> the public names it defines
+_HOMES = {
+    "abgroups": ("FinGenAbGroup", "cokernel"),
+    "blocks": ("ApplicabilityFlag", "BlockDescriptor", "CategoricalSummary", "MatchReport",
+               "categorical_summary", "finite_torus", "match_sides", "torus_block_descriptor"),
+    "cocycles": ("CocycleSpace", "ComponentDescriptor", "POINT_MOD_STABILIZER", "TORUS_QUOTIENT",
+                 "cocycle_space", "component_descriptor", "frob_fixed_scheme",
+                 "twisted_centralizer"),
+    "errors": ("InternalError", "InvalidArgument", "InvalidPrime", "InvalidPrimePower",
+               "InvalidRank", "LlcError", "UnsupportedFamily"),
+    "glparams": ("FBAR", "GLFamily", "ParamMatrices", "TrselpGL", "ZBAR", "cocycle_law"),
+    "lattice": ("IntMatrix", "smith_normal_form"),
+    "rootdata": ("RootDatum", "WeylTwist", "coxeter_twist", "identity_twist", "preset",
+                 "weyl_twist"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

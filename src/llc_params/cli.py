@@ -28,14 +28,10 @@ from json.encoder import encode_basestring
 from operator import itemgetter
 
 from . import __version__
-from .abgroups import FinGenAbGroup
-from .blocks import GRADING_INDEX, categorical_summary, match_sides, torus_block_descriptor
-from .cocycles import ComponentDescriptor, cocycle_space, component_descriptor
 from .errors import FrozenRecord, InvalidArgument, LlcError
-from .glparams import COEFFS, ZBAR, GLFamily, ParamMatrices, TrselpGL, cocycle_law
-from .lattice import IntMatrix
-from .rootdata import WeylTwist, coxeter_twist, identity_twist, preset, weyl_twist
-from .sweep import run_grid
+
+# each handler imports the layers it calls, so a command loads only what it
+# runs; the annotations that name their classes are never evaluated
 
 SCHEMA_VERSION = 1
 MAX_MODULUS_ENV = "LLC_PARAMS_MAX_MODULUS"
@@ -77,7 +73,8 @@ _OPTIONS = {
     "ell": {"type": int, "required": True},
     "weyl": {"default": "coxeter",
              "help": "twist: 'coxeter', 'identity', or a JSON matrix like [[0,1],[1,0]]"},
-    "coeff": {"choices": COEFFS, "default": ZBAR},
+    # glparams.COEFFS and ZBAR, spelled out so that building the parser loads no layer
+    "coeff": {"choices": ("zbar", "fbar"), "default": "zbar"},
     "a": {"type": int, "required": True},
     "b": {"type": int, "default": 0},
     "limit": {"type": int, "default": 100},
@@ -149,11 +146,13 @@ _Outcome = tuple[Callable[[], dict], Iterator[str], int]
 
 def _build_twist(args) -> WeylTwist:
     """The twist that --weyl names on the preset of --group and --n."""
-    rd, choice = preset(args.group, args.n), args.weyl
+    from . import lattice, rootdata
+
+    rd, choice = rootdata.preset(args.group, args.n), args.weyl
     if choice == "coxeter":
-        return coxeter_twist(rd)
+        return rootdata.coxeter_twist(rd)
     if choice == "identity":
-        return identity_twist(rd)
+        return rootdata.identity_twist(rd)
     try:
         data = json.loads(choice)
     except (ValueError, RecursionError):  # bad JSON, integers over the digit limit, deep nesting
@@ -163,14 +162,16 @@ def _build_twist(args) -> WeylTwist:
         )
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InvalidArgument("--weyl matrix must be a list of rows", code="weyl-invalid")
-    return weyl_twist(rd, IntMatrix(data))
+    return rootdata.weyl_twist(rd, lattice.IntMatrix(data))
 
 
 def _cmd_component(args) -> _Outcome:
+    from . import cocycles
+
     twist = _build_twist(args)
     rd = twist.datum
-    desc = component_descriptor(twist, args.q, args.ell)
-    space = cocycle_space(desc.fixed_scheme, rd.rank, args.ell)
+    desc = cocycles.component_descriptor(twist, args.q, args.ell)
+    space = cocycles.cocycle_space(desc.fixed_scheme, rd.rank, args.ell)
 
     def body():
         return {
@@ -198,9 +199,11 @@ def _cmd_component(args) -> _Outcome:
 
 
 def _cmd_enumerate(args) -> _Outcome:
+    from . import glparams
+
     if args.limit < 0 or args.offset < 0:
         raise InvalidArgument("--limit and --offset must be nonnegative", code="paging-invalid")
-    family = GLFamily(args.n, args.q, args.ell)
+    family = glparams.GLFamily(args.n, args.q, args.ell)
     modulus = family.modulus(args.coeff)
     cap = _max_modulus()
     if modulus > cap:
@@ -216,7 +219,7 @@ def _cmd_enumerate(args) -> _Outcome:
 
     def body():
         # a page's parameters differ only in a: one gives the row, each a its copy
-        row = TrselpGL(family, args.coeff, page[0]).to_json() if page else {}
+        row = glparams.TrselpGL(family, args.coeff, page[0]).to_json() if page else {}
         return {
             "modulus": modulus,
             "count": count,
@@ -237,26 +240,28 @@ def _cmd_enumerate(args) -> _Outcome:
 
 
 def _cmd_verify(args) -> _Outcome:
-    family = GLFamily(args.n, args.q, args.ell)
-    phi = TrselpGL(family, args.coeff, args.a, args.b)
+    from . import glparams
+
+    family = glparams.GLFamily(args.n, args.q, args.ell)
+    phi = glparams.TrselpGL(family, args.coeff, args.a, args.b)
     # a residue parameter is checked through its canonical integral lift,
     # which has the same orbit size and the same nilpotent support
-    a = phi.a if phi.coeff == ZBAR else next(family.lifts(phi.a))
+    a = phi.a if phi.coeff == glparams.ZBAR else next(family.lifts(phi.a))
     diagonal = family.diagonal(a)
-    ok = cocycle_law(diagonal, args.q, family.full_modulus)
+    ok = glparams.cocycle_law(diagonal, args.q, family.full_modulus)
     # the support is the n^2 / s positions i == j mod the orbit size s (s = n
     # exactly when phi is regular), so the text report counts it and only the
     # JSON body lists it
-    s = family.orbit_size(ZBAR, a)
+    s = family.orbit_size(glparams.ZBAR, a)
     regular = s == args.n
 
     def body():
-        support = [list(p) for p in family.support(ZBAR, a)]
+        support = [list(p) for p in family.support(glparams.ZBAR, a)]
         return {
             "parameter": phi.to_json(),
             "regular": regular,
             "cocycleHolds": ok,
-            "matrices": ParamMatrices(family.full_modulus, diagonal, phi.b).to_json(),
+            "matrices": glparams.ParamMatrices(family.full_modulus, diagonal, phi.b).to_json(),
             "nilpotentSupport": {"positions": support, "diagonalOnly": regular},
         }
 
@@ -270,7 +275,9 @@ def _cmd_verify(args) -> _Outcome:
 
 
 def _cmd_block(args) -> _Outcome:
-    block = torus_block_descriptor(_build_twist(args).transpose(), args.q, args.ell)
+    from . import blocks
+
+    block = blocks.torus_block_descriptor(_build_twist(args).transpose(), args.q, args.ell)
 
     def lines():
         yield f"block [{args.group}_{args.n}, q={args.q}, ell={args.ell}]"
@@ -285,10 +292,12 @@ def _cmd_block(args) -> _Outcome:
 
 
 def _cmd_match(args) -> _Outcome:
+    from . import blocks, cocycles
+
     twist = _build_twist(args)
-    desc = component_descriptor(twist, args.q, args.ell)
-    block = torus_block_descriptor(twist.transpose(), args.q, args.ell)
-    report = match_sides(desc, block)
+    desc = cocycles.component_descriptor(twist, args.q, args.ell)
+    block = blocks.torus_block_descriptor(twist.transpose(), args.q, args.ell)
+    report = blocks.match_sides(desc, block)
 
     def body():
         return {"component": desc.to_json(), "block": block.to_json(), "match": report.to_json()}
@@ -303,7 +312,7 @@ def _cmd_match(args) -> _Outcome:
             f"  free ranks agree:   {_yesno(report.free_ranks_agree)} "
             f"({desc.orbit_torus_rank} vs {block.free_rank})"
         )
-        yield f"  grading index:      {GRADING_INDEX}"
+        yield f"  grading index:      {blocks.GRADING_INDEX}"
         yield f"  context mismatch:   {_yesno(report.context_mismatch)}"
         for flag in block.applicability:
             yield f"  {flag.code}: {_yesno(flag.holds)} ({flag.detail})"
@@ -312,13 +321,15 @@ def _cmd_match(args) -> _Outcome:
 
 
 def _cmd_summary(args) -> _Outcome:
-    summary = categorical_summary(args.n, args.q, args.ell)
+    from . import blocks
+
+    summary = blocks.categorical_summary(args.n, args.q, args.ell)
     match = summary.match
     verdict = match.isomorphic and match.free_ranks_agree
 
     def lines():
         yield f"summary [GL_{args.n}, q={args.q}, ell={args.ell}]"
-        yield f"  grading index: {GRADING_INDEX}"
+        yield f"  grading index: {blocks.GRADING_INDEX}"
         yield f"  cell: free rank {match.block.free_rank}, torsion {match.block.torsion.describe()}"
         yield f"  component:     {component_notation(match.component)}"
         yield f"  sides match:   {_yesno(verdict)}"
@@ -327,7 +338,9 @@ def _cmd_summary(args) -> _Outcome:
 
 
 def _cmd_grid(args) -> _Outcome:
-    checks = run_grid()
+    from . import sweep
+
+    checks = sweep.run_grid()
     all_pass = all(c.passed for c in checks)
 
     def body():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft202012Validator
 
-from llc_params import cli
+from llc_params import blocks, cli, cocycles, glparams, sweep
 from llc_params.cocycles import component_descriptor
 from llc_params.lattice import IntMatrix
 from llc_params.rootdata import coxeter_twist, preset
@@ -330,7 +330,7 @@ def test_descriptor_matrices_are_no_wider_than_the_rank(monkeypatch, cmd, group,
 def grid_payload(grid_checks):
     # renders the shared sweep; test_grid_flag_spelling runs the grid end to end
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "run_grid", lambda: grid_checks)
+        mp.setattr(sweep, "run_grid", lambda: grid_checks)
         code, payload = run_json(["grid", "--output", "json"])
     return code, payload
 
@@ -423,19 +423,24 @@ def test_usage_errors():
     assert json.loads(text)["error"]["code"] == "usage-error"
 
 
+def test_the_coeff_option_spells_the_coefficients_of_glparams():
+    # the parser names them without importing glparams; they must not drift
+    assert cli._OPTIONS["coeff"] == {"choices": glparams.COEFFS, "default": glparams.ZBAR}
+
+
 def test_grid_flag_with_a_math_command_is_refused(monkeypatch):
     # --grid with another command is refused before any computation; its own
     # spellings still run the sweep
     from llc_params.sweep import GridCheck
 
-    monkeypatch.setattr(cli, "component_descriptor", None)
+    monkeypatch.setattr(cocycles, "component_descriptor", None)
     for cmd in cli.MATH_COMMANDS:
         extra = ["--a", "1"] if cmd == "verify" else []
         code, payload = run_json(["--grid", cmd, "--n", "2", "--q", "11", "--ell", "5", *extra])
         assert (code, payload["error"]["code"]) == (2, "usage-error"), cmd
         assert "--grid" in payload["error"]["message"]
     checks = [GridCheck("probe", "a probe check", True, "1 case")]
-    monkeypatch.setattr(cli, "run_grid", lambda: checks)
+    monkeypatch.setattr(sweep, "run_grid", lambda: checks)
     for argv in (["--grid"], ["grid"], ["--grid", "grid"], ["--output", "json", "--grid", "grid"]):
         assert run_cli(argv)[0] == 0
 
@@ -449,8 +454,8 @@ def test_gl_only_commands_refuse_other_groups_in_the_parser(monkeypatch):
     geometry = ["--n", "2", "--q", "11", "--ell", "5"]
     gl_only = (("enumerate", []), ("verify", ["--a", "1"]), ("summary", []))
     with monkeypatch.context() as m:
-        m.setattr(cli, "GLFamily", boom)
-        m.setattr(cli, "categorical_summary", boom)
+        m.setattr(glparams, "GLFamily", boom)
+        m.setattr(blocks, "categorical_summary", boom)
         for cmd, extra in gl_only:
             for group in ("SL", "PGL"):
                 code, payload = run_json([cmd, "--group", group, *geometry, *extra])
@@ -474,7 +479,7 @@ def test_internal_errors_exit_1(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("contrived failure")
 
-    monkeypatch.setattr(cli, "component_descriptor", boom)
+    monkeypatch.setattr(cocycles, "component_descriptor", boom)
     code, text = run_cli(["component", "--n", "2", "--q", "11", "--ell", "5"])
     assert code == 1
     payload = json.loads(text)
@@ -566,7 +571,7 @@ def test_output_flag_position_is_flexible():
 
 def _json_bodies_raise(monkeypatch):
     """Make every report-body builder raise, so text output shows it never calls one."""
-    from llc_params import abgroups, blocks, cocycles, glparams, rootdata, sweep
+    from llc_params import abgroups, rootdata
 
     def refuse(self):
         raise AssertionError(f"{type(self).__name__}.to_json built for a text report")
@@ -688,7 +693,7 @@ def test_the_grid_exit_code_does_not_build_the_json_body(monkeypatch):
     _json_bodies_raise(monkeypatch)
     for passed, code, verdict in ((True, 0, "all checks pass"), (False, 1, "SOME CHECKS FAILED")):
         checks = [GridCheck("probe", "a probe check", passed, "1 case")]
-        monkeypatch.setattr(cli, "run_grid", lambda: checks)
+        monkeypatch.setattr(sweep, "run_grid", lambda: checks)
         rc, text = run_cli(["--grid"])
         assert (rc, text.splitlines()[-1].strip()) == (code, verdict)
 
@@ -812,7 +817,7 @@ def test_the_grid_report_echoes_no_input(monkeypatch):
     from llc_params.sweep import GridCheck
 
     assert set(ECHOES) | {"grid"} == set(cli.COMMANDS)  # every command is covered
-    monkeypatch.setattr(cli, "run_grid", lambda: [GridCheck("probe", "a probe check", True, "1 case")])
+    monkeypatch.setattr(sweep, "run_grid", lambda: [GridCheck("probe", "a probe check", True, "1 case")])
     code, payload = run_json(["grid", "--output", "json"])
     assert code == 0
     assert "input" not in payload
