@@ -66,7 +66,7 @@ def _cut_bands(ranges: list[range], p: int, m: int) -> list[range]:
     """The exponents a in the ranges with a p mod m > a, for 2 <= p < m.
 
     The rejected exponents are the bands [ceil(j m / p), floor(j m / (p - 1))]
-    (see GLFamily.scan); only the j that meet a range are visited.
+    (see GLFamily._windows); only the j that meet a range are visited.
     """
     out = []
     for r in ranges:
@@ -119,7 +119,18 @@ class GLFamily(FrozenRecord):
         return tuple(pow(self.q, i, m) for i in range(self.n))
 
     def _windows(self, coeff: str) -> Iterator[tuple[int, Sequence[Sequence[int]]]]:
-        """The canonical exponents (see scan), one window of _SCAN_WINDOW at a time.
+        """The canonical exponents of size-n orbits, one window of _SCAN_WINDOW at a time.
+
+        a mod M is the minimum of a size-n orbit exactly when a q^i mod M > a
+        for every 1 <= i < n.  This also rejects short orbits: an orbit's size
+        s divides n because M divides q^n - 1, and if s < n then i = s gives
+        a q^s = a.  For n = 1 there is no power and every exponent passes.
+
+        The exponents one power p = q^i mod M rejects form bands: with
+        j = floor(a p / M), a p mod M <= a exactly when
+        ceil(j M / p) <= a <= floor(j M / (p - 1)), one band for each
+        j = 0, ..., p - 1 (the last one runs to M - 1); p <= 1 rejects every
+        exponent.
 
         Each window yields its number of canonical exponents and ascending
         chunks that hold them.  The powers are taken in ascending order.
@@ -148,25 +159,6 @@ class GLFamily(FrozenRecord):
                 survivors = sum(map(len, ranges))
             else:
                 yield survivors, ranges
-
-    def scan(self, coeff: str) -> Iterator[int]:
-        """Yield the canonical exponents of size-n orbits in increasing order.
-
-        a mod M is the minimum of a size-n orbit exactly when a q^i mod M > a
-        for every 1 <= i < n.  This also rejects short orbits: an orbit's size
-        s divides n because M divides q^n - 1, and if s < n then i = s gives
-        a q^s = a.  For n = 1 there is no power and every exponent passes.
-
-        The exponents one power p = q^i mod M rejects form bands: with
-        j = floor(a p / M), a p mod M <= a exactly when
-        ceil(j M / p) <= a <= floor(j M / (p - 1)), one band for each
-        j = 0, ..., p - 1 (the last one runs to M - 1); p <= 1 rejects every
-        exponent.  The scan cuts out the bands of the powers that have few of
-        them in a window and filters by the rest (see _windows).
-        """
-        for _, chunks in self._windows(coeff):
-            for chunk in chunks:
-                yield from chunk
 
     def exponents(self, coeff: str, offset: int = 0, limit: int | None = None) -> list[int]:
         """The canonical exponents of the regular parameters, ascending.

@@ -10,18 +10,18 @@ pairs, columns ascending.  Dense rows are only the constructor's input (the
 ``--weyl`` JSON and the tests), and ``data`` is their read-out.  A matrix
 and its transpose cost O(rows + nnz), and `smith_normal_form` takes the rows
 as they are.  A ``--weyl`` matrix is read or refused in O(nnz) and takes no
-Smith form: the CLI takes Smith forms only of the k x (k + 1) arrows that
-`rootdata` writes, k a twist's number of distinct cycle lengths.
+Smith form.
 
 Everything downstream (fixed schemes of twisted Frobenius maps, finite tori,
-centralizers) reduces to the invariants computed here: the gcd/lcm pass
-`diagonal_invariants` on a twist's cyclic orders, and on the semisimple
-lattices one arrow's Smith form.  So this module has no dependencies beyond
-the error types.  `smith_normal_form` eliminates sparsely: smallest |entry|
-first, ties by Markowitz cost, down to any diagonal, whose Smith invariants
+centralizers) reduces to the gcd/lcm pass `diagonal_invariants`, which
+`rootdata` runs on a twist's cycle data in closed form; no command takes a
+Smith form.  So this module has no dependencies beyond the error types.
+`smith_normal_form` is the route for an arbitrary matrix
+(`abgroups.cokernel`).  It eliminates sparsely: smallest |entry| first,
+ties by Markowitz cost, down to any diagonal, whose Smith invariants
 `diagonal_invariants` then takes.  Each pivot is found by one scan of the
-live nonzeros, so the search costs O(pivots * nnz): little on an arrow, but
-quadratic on a sparse n x n matrix, which no caller here builds.
+live nonzeros, so the search costs O(pivots * nnz), quadratic on a sparse
+n x n matrix.
 """
 
 from __future__ import annotations
@@ -148,10 +148,9 @@ def smith_normal_form(a: IntMatrix) -> tuple[int, ...]:
     there is no divisibility fix-up.
 
     The pivot search scans the live nonzeros once per pivot, so it costs
-    O(pivots * nnz): cheap on the k x (k + 1) arrows `rootdata` writes,
-    quadratic on a sparse n x n matrix.  The cost tie-break matters: without
-    it, an arrow's many equal magnitudes fill its rows in.  The invariants
-    do not depend on the pivot order.
+    O(pivots * nnz), quadratic on a sparse n x n matrix.  The cost tie-break
+    matters: without it, a matrix with many equal magnitudes fills its rows
+    in.  The invariants do not depend on the pivot order.
 
     >>> smith_normal_form(IntMatrix([[2, 4], [6, 8]]))
     (2, 4)

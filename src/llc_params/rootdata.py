@@ -26,17 +26,24 @@ its kind of lattice: Z^n ("gl"), the sum-zero lattice ("adjoint") or
 Z^n / Z(1, ..., 1) ("sc").  The record refuses any other (kind, perm,
 sign), so a twist names its datum: ``twist.datum`` is the preset of its
 kind and n, and the component and block builders take the twist alone.
-Its cokernels are read off the cycle type of perm, a cyclic group per
-cycle.  ``weyl_twist`` reads a matrix in the preset's basis as a twist in
-O(nnz), or refuses it: the twists are exactly the signed permutations, so
-no Smith form or root list is needed to tell them apart.
+Its cokernels are read off the cycle type of perm in closed form: a cyclic
+group per cycle, and on the semisimple lattices their quotient by the class
+of (1, ..., 1), with no matrix and no Smith form.  ``weyl_twist`` reads a
+matrix in the preset's basis as a twist in O(nnz), or refuses it: the
+twists are exactly the signed permutations, so no Smith form or root list
+is needed to tell them apart.
 """
 
 from __future__ import annotations
 
-from .abgroups import FinGenAbGroup, cokernel
+from typing import TYPE_CHECKING
+
+from .abgroups import FinGenAbGroup
 from .errors import FrozenRecord, InternalError, InvalidArgument, InvalidRank, UnsupportedFamily
-from .lattice import IntMatrix
+from .lattice import diagonal_invariants
+
+if TYPE_CHECKING:
+    from .lattice import IntMatrix
 
 FAMILIES = ("GL", "SL", "PGL")
 # the kind of datum each family's preset builds, that of its dual group
@@ -140,12 +147,16 @@ class WeylTwist(FrozenRecord):
 
         On a cycle of length l, s w + t acts on Z[x]/(x^l - 1) as s * sign * x +
         t.  With s * sign or t a unit, x or its inverse is r = -s * sign * t
-        there, and the cycle gives Z/d, d = |r^l - 1| (0 for Z).  "gl" is the
-        sum; "sc" is the sum modulo (1, ..., 1), which is c = sum_{k<l} r^k mod
-        d on each cycle.  The m cycles of one length give m - 1 copies of Z/d
-        and the row (d, c) of a k x (k + 1) arrow, k the number of distinct
-        lengths and c in the last column: one Smith form.  "adjoint" is "sc"
-        transposed at w^-1 = w^T, of the same cycle type.
+        there, and the cycle gives Z/(m e_l), m = |r - 1| and e_l = |1 + r +
+        ... + r^(l-1)| (l when r = 1), so m e_l = |r^l - 1| (0 for Z).  "gl" is
+        the sum over the cycles.  "sc" is that sum modulo (1, ..., 1), which is
+        +-e_l on each cycle: the cokernel of [diag(m e) | e], one row a cycle.
+        "adjoint" is "sc" transposed at w^-1 = w^T, of the same cycle type.
+
+        Every j x j minor of [diag(m e) | e] is m^j prod_R e or +-m^(j-1)
+        prod_R e over a j-set R of cycles, so its j-th determinantal divisor is
+        m^(j-1) f_1 ... f_j, (f_1 | ... | f_c) the Smith invariants of diag(e);
+        the cokernel is Z/f_1 + Z/(m f_2) + ... + Z/(m f_c).
         """
         unit = s * self.sign
         if unit not in (1, -1) and t not in (1, -1):
@@ -157,18 +168,13 @@ class WeylTwist(FrozenRecord):
                 seen[i], i, length = 1, perm[i], length + 1  # seen[i] is set first
             if length:
                 lengths[length] = lengths.get(length, 0) + 1
-        orders, arrow = [], []
-        for length, m in sorted(lengths.items()):
-            power = r**length
-            d, c = abs(power - 1), length if r == 1 else (power - 1) // (r - 1)
-            orders += [d] * (m if self.kind == "gl" else m - 1)
-            arrow.append(((len(arrow), d), (c % d if d else c)))
+        m, e = abs(r - 1), []
+        for length, count in lengths.items():
+            e += [length if r == 1 else abs((r**length - 1) // (r - 1))] * count
         if self.kind == "gl":
-            return FinGenAbGroup(0, orders)
-        k = len(arrow)
-        rows = tuple(tuple(e for e in (diagonal, (k, c)) if e[1]) for diagonal, c in arrow)
-        group = cokernel(IntMatrix._make(rows, k, k + 1))
-        return FinGenAbGroup(group.free_rank, group.invariant_factors + tuple(orders))
+            return FinGenAbGroup(0, [m * x for x in e])
+        f = diagonal_invariants(e)
+        return FinGenAbGroup(0, f[:1] + tuple(m * x for x in f[1:]))
 
 
 def _block_pairs(kind: str, rank: int, blocks):

@@ -137,7 +137,7 @@ def run_grid() -> list[GridCheck]:
             # exponent for both checks, and each check keeps its own failures
             fam = GLFamily(n, q, ells[0])
             m = fam.full_modulus
-            integral = list(fam.scan(ZBAR))
+            integral = fam.exponents(ZBAR)
             diagonal, support = fam.diagonal, fam.support
             diag = [(i, i) for i in range(1, n + 1)]
             broken, spread = [], []
@@ -163,7 +163,7 @@ def run_grid() -> list[GridCheck]:
                 for coeff in (ZBAR, FBAR):
                     m = fam.modulus(coeff)
                     if m not in moduli:
-                        moduli[m] = list(fam.scan(coeff)), _direct_orbit_count(n, q, m)
+                        moduli[m] = fam.exponents(coeff), _direct_orbit_count(n, q, m)
                     listed, direct, closed = len(moduli[m][0]), moduli[m][1], fam.count(coeff)
                     tally("count-oracle", 1, [] if listed == direct == closed
                           else [(n, q, ell, coeff, listed, direct, closed)])

@@ -57,6 +57,22 @@ def grid_checks():
     return run_grid()
 
 
+def _replace_smith_form(monkeypatch, replacement):
+    # modules bind the Smith form by name (`from .lattice import ...`)
+    snf = lattice.smith_normal_form
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "llc_params" and getattr(module, "smith_normal_form", None) is snf:
+            monkeypatch.setattr(module, "smith_normal_form", replacement)
+
+
+@pytest.fixture
+def smith_forms(monkeypatch):
+    """Record every matrix handed to the Smith form, by whichever module's name."""
+    calls, snf = [], lattice.smith_normal_form
+    _replace_smith_form(monkeypatch, lambda a: calls.append(a) or snf(a))
+    return calls
+
+
 @pytest.fixture
 def no_smith_form_or_roots(monkeypatch):
     """Make every Smith form, and every preset's list of roots, raise."""
@@ -64,9 +80,5 @@ def no_smith_form_or_roots(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Smith form or a root list was computed")
 
-    # modules bind the Smith form by name (`from .lattice import ...`)
-    snf = lattice.smith_normal_form
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "llc_params" and getattr(module, "smith_normal_form", None) is snf:
-            monkeypatch.setattr(module, "smith_normal_form", refuse)
+    _replace_smith_form(monkeypatch, refuse)
     monkeypatch.setattr(rootdata.RootDatum, "_roots_and_coroots", refuse)

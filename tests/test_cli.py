@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -303,27 +304,19 @@ def test_an_explicit_weyl_matrix_takes_no_smith_form_and_no_roots(monkeypatch, c
 
 @pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])
 @pytest.mark.parametrize("cmd", ["component", "block", "match"])
-def test_descriptor_matrices_are_no_wider_than_the_rank(monkeypatch, cmd, group, n):
-    from llc_params import abgroups
-
-    shapes, snf = [], abgroups.smith_normal_form
-
-    def recording_snf(a):
-        shapes.append((a.rows, a.cols, sum(map(len, a.nonzeros))))
-        return snf(a)
-
-    monkeypatch.setattr(abgroups, "smith_normal_form", recording_snf)
+def test_descriptor_matrices_are_no_wider_than_the_rank(monkeypatch, smith_forms, cmd, group, n):
+    # a twist's cokernels are read off its cycle type on every lattice, so no
+    # descriptor takes a Smith form: not for the Coxeter twist, the identity,
+    # nor an explicit matrix (a seeded signed permutation of several lengths)
     taken = _count_cokernels(monkeypatch)
-    code, _ = run_cli([cmd, "--group", group, "--n", str(n), "--q", "11", "--ell", "5"])
-    assert code == 0
-    # a twist's cokernels are read off its cycle type: Z^n takes no Smith
-    # form, and each cokernel on the other lattices takes one arrow, a row
-    # per distinct cycle length (one for the Coxeter twist) and a column more
-    assert len(taken) == {"component": 2, "block": 2, "match": 4}[cmd]
-    assert [(rows, cols) for rows, cols, _ in shapes] == (
-        [] if group == "GL" else [(1, 2)] * len(taken)
-    ), shapes
-    assert all(nnz <= 2 for *_, nnz in shapes), shapes
+    explicit = json.dumps(preset_twist_matrix(group, random.Random(n).sample(range(n), n), -1))
+    for weyl in ("coxeter", "identity", explicit):
+        taken.clear()
+        code, _ = run_cli([cmd, "--group", group, "--n", str(n), "--q", "11", "--ell", "5",
+                           "--weyl", weyl])
+        assert code == 0
+        assert len(taken) == {"component": 2, "block": 2, "match": 4}[cmd]
+    assert smith_forms == []
 
 
 @pytest.fixture(scope="module")

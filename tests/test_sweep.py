@@ -183,31 +183,25 @@ def test_failing_cases_are_reported_in_grid_order(monkeypatch):
 
 
 def test_each_modulus_is_scanned_and_walked_once_per_n_and_q(monkeypatch):
-    # a full exponent list and a scan both walk every exponent of their
-    # modulus, and the ZBAR modulus q^n - 1 is the same at every ell: the
-    # grid takes each (n, q, modulus) through one of them, once, and walks it
-    # once by the direct orbit count
+    # a full exponent list walks every exponent of its modulus, and the ZBAR
+    # modulus q^n - 1 is the same at every ell: the grid lists each (n, q,
+    # modulus) once, and walks it once by the direct orbit count
     from llc_params import sweep
     from llc_params.glparams import GLFamily
 
     scanned, walked = [], []
-    exponents, scan, walk = GLFamily.exponents, GLFamily.scan, sweep._direct_orbit_count
+    exponents, walk = GLFamily.exponents, sweep._direct_orbit_count
 
     def counting_exponents(fam, coeff, offset=0, limit=None):
         if (offset, limit) == (0, None):
             scanned.append((fam.n, fam.q, fam.modulus(coeff)))
         return exponents(fam, coeff, offset, limit)
 
-    def counting_scan(fam, coeff):
-        scanned.append((fam.n, fam.q, fam.modulus(coeff)))
-        return scan(fam, coeff)
-
     def counting_walk(n, q, modulus):
         walked.append((n, q, modulus))
         return walk(n, q, modulus)
 
     monkeypatch.setattr(GLFamily, "exponents", counting_exponents)
-    monkeypatch.setattr(GLFamily, "scan", counting_scan)
     monkeypatch.setattr(sweep, "_direct_orbit_count", counting_walk)
     assert all(c.passed for c in sweep.run_grid())
     assert sorted(scanned) == sorted(walked) == sorted(set(walked))

@@ -6,8 +6,7 @@ e-coordinates and takes its Smith form by the textbook route.  The two agree
 on every signed permutation of the three kinds of lattice up to n = 4, at
 q in {2, 3, 4, 5, 7, 9, 11} and six (s, t) pairs that hold a unit, and on
 seeded draws at n = 5 to 12.  The cycle-type route takes no Smith form on
-Z^n and one k x (k + 1) arrow on the other kinds, k the number of distinct
-cycle lengths.
+any kind of lattice.
 """
 
 import random
@@ -15,7 +14,6 @@ from itertools import permutations
 
 import pytest
 
-from llc_params import abgroups
 from llc_params.errors import LlcError
 from llc_params.rootdata import WeylTwist
 
@@ -30,35 +28,24 @@ def _pairs(q):
     return ((1, -q), (q, -1), (-1, 1), (1, 1), (-1, q), (q, 1))
 
 
-@pytest.fixture
-def smith_shapes(monkeypatch):
-    """The (rows, cols) of every matrix handed to the Smith form."""
-    shapes, snf = [], abgroups.smith_normal_form
-    monkeypatch.setattr(abgroups, "smith_normal_form",
-                        lambda a: shapes.append((a.rows, a.cols)) or snf(a))
-    return shapes
-
-
-def _check(kind, perm, sign, q, shapes):
+def _check(kind, perm, sign, q, smith_forms):
     twist = WeylTwist(kind, tuple(perm), sign)
-    k = len(set(cycle_lengths(perm)))
     for s, t in _pairs(q):
-        shapes.clear()
         group = twist.cokernel(s, t)
         expected = e_coordinate_cokernel(kind, perm, sign, s, t)
         assert (group.free_rank, group.invariant_factors) == expected, (kind, perm, sign, s, t)
-        # no Smith form on Z^n, and one arrow of a row per distinct cycle length otherwise
-        assert shapes == ([] if kind == "gl" else [(k, k + 1)]), (kind, perm, shapes)
+    # no Smith form on any kind
+    assert smith_forms == [], (kind, perm)
 
 
-def test_every_small_twist_agrees_with_its_presentation(smith_shapes):
+def test_every_small_twist_agrees_with_its_presentation(smith_forms):
     cases = 0
     for kind, least in KINDS.items():
         for n in range(least, 5):
             for perm in permutations(range(n)):
                 for sign in (1, -1):
                     for q in QS:
-                        _check(kind, perm, sign, q, smith_shapes)
+                        _check(kind, perm, sign, q, smith_forms)
                         cases += 6
     assert cases == 97 * 2 * len(QS) * 6
 
@@ -74,14 +61,14 @@ def _equal_cycles(rng, n):
     return perm
 
 
-def test_seeded_twists_up_to_rank_12_agree_with_their_presentations(smith_shapes):
+def test_seeded_twists_up_to_rank_12_agree_with_their_presentations(smith_forms):
     rng = random.Random(20261020)
     seen = set()
     for _ in range(60):
         kind, n = rng.choice(tuple(KINDS)), rng.randint(5, 12)
         perm = _equal_cycles(rng, n) if rng.random() < 0.3 else rng.sample(range(n), n)
         sign, q = rng.choice((1, -1)), rng.choice(QS)
-        _check(kind, perm, sign, q, smith_shapes)
+        _check(kind, perm, sign, q, smith_forms)
         seen.add((kind, sign, len(set(cycle_lengths(perm))) > 1))
     # every kind at both signs, with one and with several distinct lengths
     assert len(seen) == 12, seen
