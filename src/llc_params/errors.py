@@ -6,7 +6,7 @@ internal invariant violations to exit code 1; the CLI reads ``exit_code``
 off the exception rather than guessing from the type.
 
 A FrozenRecord stores its fields by a plain loop over its slots' setters.
-The package mints few records (1,980 per grid sweep, 3 to 20 per CLI
+The package mints few records (1,858 per grid sweep, 2 to 16 per other CLI
 command), so the loop costs the grid about 2 ms and needs no generated code.
 """
 

@@ -44,7 +44,6 @@ FBAR = "fbar"  # residue coefficients (F-bar_ell)
 COEFFS = (ZBAR, FBAR)
 
 _SCAN_WINDOW = 4096  # exponents per window; a short page stops after one
-_BAND_COST = 8  # cutting out one band costs about as much as 8 comprehension steps
 
 
 def _exponent(e, name: str) -> int:
@@ -66,7 +65,8 @@ def _cut_bands(ranges: list[range], p: int, m: int) -> list[range]:
     """The exponents a in the ranges with a p mod m > a, for 2 <= p < m.
 
     The rejected exponents are the bands [ceil(j m / p), floor(j m / (p - 1))]
-    (see GLFamily._windows); only the j that meet a range are visited.
+    (see GLFamily._windows); only the j that meet a range are visited, so
+    the cost is one step per band and range, whatever the bands' lengths.
     """
     out = []
     for r in ranges:
@@ -118,7 +118,7 @@ class GLFamily(FrozenRecord):
         m = self.modulus(coeff)
         return tuple(pow(self.q, i, m) for i in range(self.n))
 
-    def _windows(self, coeff: str) -> Iterator[tuple[int, Sequence[Sequence[int]]]]:
+    def _windows(self, coeff: str) -> Iterator[tuple[int, list[range]]]:
         """The canonical exponents of size-n orbits, one window of _SCAN_WINDOW at a time.
 
         a mod M is the minimum of a size-n orbit exactly when a q^i mod M > a
@@ -132,33 +132,23 @@ class GLFamily(FrozenRecord):
         j = 0, ..., p - 1 (the last one runs to M - 1); p <= 1 rejects every
         exponent.
 
-        Each window yields its number of canonical exponents and ascending
-        chunks that hold them.  The powers are taken in ascending order.
-        While a power's bands in the window, times _BAND_COST, stay below the
-        number of surviving exponents, its bands are cut out of the surviving
-        ranges, so those powers cost per band whatever the bands' lengths.
-        The first power past that point, and every larger one, filters the
-        survivors in one comprehension, and the window yields that list.
+        Each window yields its number of canonical exponents and the ascending
+        ranges that hold them: every power, in ascending order, cuts its bands
+        out of the surviving ranges, so a window costs per band, whatever the
+        bands' lengths, and builds no list.  A power p visits about
+        floor(w p / M) + 1 bands of a window of w exponents (at most one more
+        per surviving range), so the sum of those over the powers prices a
+        window, and a page, before the scan runs.
         """
         m = self.modulus(coeff)
         powers = sorted(self.powers(coeff)[1:])
         if powers and powers[0] <= 1:
             return  # q^i = 1 mod m for some 0 < i < n, so no orbit has size n
         for lo in range(0, m, _SCAN_WINDOW):
-            hi = min(lo + _SCAN_WINDOW, m)
-            ranges = [range(lo, hi)]
-            survivors = hi - lo
-            for i, power in enumerate(powers):
-                if ((hi - lo) * power // m + 1) * _BAND_COST >= survivors:
-                    window: Iterable[int] = chain.from_iterable(ranges)
-                    for power in powers[i:]:
-                        window = [a for a in window if a * power % m > a]
-                    yield len(window), [window]
-                    break
+            ranges = [range(lo, min(lo + _SCAN_WINDOW, m))]
+            for power in powers:
                 ranges = _cut_bands(ranges, power, m)
-                survivors = sum(map(len, ranges))
-            else:
-                yield survivors, ranges
+            yield sum(map(len, ranges)), ranges
 
     def exponents(self, coeff: str, offset: int = 0, limit: int | None = None) -> list[int]:
         """The canonical exponents of the regular parameters, ascending.

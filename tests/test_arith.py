@@ -1,5 +1,7 @@
 """Integer arithmetic helpers: factorization, prime powers, admissibility."""
 
+from time import perf_counter
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -91,6 +93,19 @@ def test_prime_power_split():
     assert prime_power_split(1000000000000000003) == (1000000000000000003, 1)
     assert prime_power_split(1000000000000000003**7) == (1000000000000000003, 7)
     assert prime_power_split(1009**1000) == (1009, 1000)
+    assert prime_power_split(43**2000) == (43, 2000)
+
+
+def test_prime_power_split_of_a_large_power_is_fast():
+    # the root's seed lies just above the root, so Newton takes a few steps:
+    # about 1 ms each.  Seeded at n itself, Newton takes about 0.4 s
+    for q in (43**2000, 1009**1000):
+        best = float("inf")
+        for _ in range(3):
+            start = perf_counter()
+            prime_power_split(q)
+            best = min(best, perf_counter() - start)
+        assert best < 0.1, f"prime_power_split took {best:.3f} s"
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=1, max_value=200))

@@ -467,21 +467,26 @@ def test_a_random_explicit_sl400_twist_answers_within_budget():
 
 
 # GL_2 q=3137: q^2 - 1 = 9840768, just under the 10^7 modulus cap, and its
-# last page starts at count - 100 = 4918716
+# last page starts at count - 100 = 4918716.  GL_6 q=13 fbar at ell = 3 and
+# 7 are the families with the most bands under the cap (largest powers 0.69 M
+# and 0.54 M); their last pages start at count - 100
 @pytest.mark.parametrize(
-    "n,q,ell,offset,limit",
+    "n,q,ell,coeff,offset,limit",
     [
-        (1, 9999991, 3, 9000000, 10),
-        (2, 1583, 3, 500000, 100),
-        (4, 47, 13, 368652, 100),
-        (2, 3137, 3, 4918716, 100),
+        (1, 9999991, 3, "zbar", 9000000, 10),
+        (2, 1583, 3, "zbar", 500000, 100),
+        (4, 47, 13, "zbar", 368652, 100),
+        (2, 3137, 3, "zbar", 4918716, 100),
+        (6, 13, 3, "fbar", 89236, 100),
+        (6, 13, 7, "fbar", 114456, 100),
     ],
-    ids=["gl1-q9999991", "gl2-q1583", "gl4-q47", "gl2-q3137-last-page"],
+    ids=["gl1-q9999991", "gl2-q1583", "gl4-q47", "gl2-q3137-last-page",
+         "gl6-q13-ell3-fbar-last-page", "gl6-q13-ell7-fbar-last-page"],
 )
-def test_deep_enumerate_pages_answer(n, q, ell, offset, limit):
+def test_deep_enumerate_pages_answer(n, q, ell, coeff, offset, limit):
     # a deep page skips whole scan windows and cuts rejected bands out of the
     # windows it scans, instead of testing every exponent below the page
-    argv = ["enumerate", "--n", str(n), "--q", str(q), "--ell", str(ell),
+    argv = ["enumerate", "--n", str(n), "--q", str(q), "--ell", str(ell), "--coeff", coeff,
             "--offset", str(offset), "--limit", str(limit), "--output", "json"]
     code, text = run_timed(argv)
     assert code == 0

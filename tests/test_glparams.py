@@ -12,7 +12,7 @@ from time import perf_counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llc_params import cli, glparams
+from llc_params import cli
 from llc_params.errors import InvalidRank, LlcError
 from llc_params.glparams import (
     _SCAN_WINDOW,
@@ -587,13 +587,12 @@ def test_minted_parameters_equal_validated_ones(n, q, ell):
 
 
 # ---------------------------------------------------------------------------
-# the band scan against the brute oracle, on both of its routes
+# the band scan against the brute oracle
 
 # (n, q, ell, coeff) with moduli up to ~7 * 10^5.  Each window cuts the bands
-# of its cheap powers and filters by the others, so the net holds windows
-# that only cut bands (GL_2 q=1999 fbar: q is 0.014 M, 56 bands a window),
-# windows that only filter (GL_2 q=647 fbar: 513 bands a window), and
-# windows that do both (GL_6 q=13 fbar, whose largest power is 0.54 M).
+# of every power, so the net holds windows with few bands (GL_2 q=1999 fbar:
+# q is 0.014 M, 56 bands a window), with many (GL_2 q=647 fbar: 513 bands a
+# window), and a largest power of 0.54 M (GL_6 q=13 fbar).
 NET_CASES = [
     (2, 523, 5, ZBAR), (2, 1871, 3, FBAR), (2, 1999, 3, FBAR), (2, 647, 3, FBAR),
     (3, 43, 3, ZBAR), (3, 19, 5, FBAR), (3, 67, 3, FBAR), (4, 11, 7, ZBAR), (4, 23, 3, FBAR),
@@ -638,29 +637,11 @@ def test_band_scan_matches_brute_oracle(n, q, ell, coeff):
     assert fam.count(coeff) == len(net_reps(n, q, ell, coeff))
 
 
-def window_routes(fam, coeff, monkeypatch):
-    """How each window of the scan ran: "bands", "filter" or "both"."""
-    cuts = []
-    cut_bands = glparams._cut_bands
-    monkeypatch.setattr(glparams, "_cut_bands", lambda *args: cuts.append(1) or cut_bands(*args))
-    routes = []
-    for _, chunks in fam._windows(coeff):
-        filtered = any(isinstance(chunk, list) for chunk in chunks)
-        routes.append(("both" if cuts else "filter") if filtered else "bands")
-        cuts.clear()
-    return routes
-
-
-def test_band_net_takes_every_route(monkeypatch):
-    taken = {
-        case: set(window_routes(GLFamily(*case[:3]), case[3], monkeypatch)) for case in NET_CASES
-    }
-    assert set().union(*taken.values()) == {"bands", "filter", "both"}
-    assert taken[(6, 13, 7, FBAR)] == {"both"}
-    assert taken[(2, 647, 3, FBAR)] == {"filter"}
-    assert taken[(2, 1999, 3, FBAR)] == {"bands"}
-    # some families switch route from one window to the next
-    assert any(len(routes) > 1 for routes in taken.values())
+def test_scan_windows_hold_only_ranges():
+    # every power cuts its bands out of every window, so no window is a list
+    for n, q, ell, coeff in NET_CASES:
+        for _, chunks in GLFamily(n, q, ell)._windows(coeff):
+            assert all(type(chunk) is range for chunk in chunks), (n, q, ell, coeff)
 
 
 # ---------------------------------------------------------------------------
