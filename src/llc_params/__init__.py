@@ -34,8 +34,8 @@ _HOMES = {
                "InvalidRank", "LlcError", "UnsupportedFamily"),
     "glparams": ("FBAR", "GLFamily", "ParamMatrices", "TrselpGL", "ZBAR", "cocycle_law"),
     "lattice": ("IntMatrix", "smith_normal_form"),
-    "rootdata": ("RootDatum", "WeylTwist", "coxeter_twist", "identity_twist", "preset",
-                 "weyl_twist"),
+    "rootdata": ("RootDatum", "RunRows", "WeylTwist", "coxeter_twist", "identity_twist",
+                 "preset", "weyl_twist"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -408,8 +408,9 @@ def _dumps(payload: dict) -> str:
     ensure_ascii=False) + "\\n", written in one pass.
 
     The value domain is that of the reports: dicts with str keys, lists,
-    tuples, str, int, bool and None; anything else raises TypeError.  An int
-    too long to print raises ValueError, as str() does.
+    tuples, str, int, bool, None and rootdata.RunRows, written as the list
+    of its rows' values; anything else raises TypeError.  An int too long to
+    print raises ValueError, as str() does.
     """
     chunks: list[str] = []
     _write(payload, "\n", chunks)
@@ -458,21 +459,40 @@ def _write(value, newline: str, chunks: list[str]) -> None:
             _write(value[key], inner, chunks)
             sep = "," + inner
         chunks.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    else:  # a rootdata.RunRows, written from its rows' texts, or no report value
+        row_texts = getattr(value, "row_texts", None)
+        if row_texts is None:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        sep, cut, head, joint, tail = _row_joints(newline)
+        text = joint.join(map(cut, row_texts(sep)))
+        chunks.extend((head, text, tail) if text else ("[]",))
+
+
+@functools.cache
+def _row_joints(newline: str) -> tuple:
+    """For the rows of a RunRows written on a line indented as ``newline``:
+    the separator after each value, the cut of a row's last one, and the
+    texts before, between and after the rows."""
+    inner = newline + "  "
+    sep = "," + inner + "  "
+    opener = "[" + sep[1:]
+    return (sep, itemgetter(slice(None, -len(sep))), "[" + inner + opener,
+            inner + "]," + inner + opener, inner + "]" + newline + "]")
 
 
 def _uniform_items(value, inner: str) -> Iterable[str] | None:
     """The items of a uniform list, with no per-value dispatch; None for any
     other list, which `_write` writes value by value.
 
-    A uniform list holds exact ints (one root), int vectors (a datum's roots:
-    non-empty exact lists or tuples of one length, every entry an exact int)
-    or records (a page of parameters: non-empty exact dicts with the same str
-    keys, each key's column all exact int or all exact str).  Vectors and
-    records are filled from one item template, where a record column with one
-    value on every row is written once; '%d' writes an int as int.__repr__
-    does and raises the same ValueError for one too long to print.
+    A uniform list holds exact ints (a group's torsion), int vectors (the
+    positions of `verify`'s nilpotent support: non-empty exact lists or
+    tuples of one length, every entry an exact int) or records (a page of
+    parameters: non-empty exact dicts with the same str keys, each key's
+    column all exact int or all exact str); a datum's roots come as a
+    RunRows, which `_write` writes from its rows' texts.  Vectors and records
+    are filled from one item template, where a record column with one value
+    on every row is written once; '%d' writes an int as int.__repr__ does
+    and raises the same ValueError for one too long to print.
     """
     kinds = set(map(type, value))
     if kinds == {int}:

@@ -35,8 +35,7 @@ from itertools import chain
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
-from .errors import FrozenRecord, InternalError, InvalidArgument
-from .rootdata import preset
+from .errors import FrozenRecord, InternalError, InvalidArgument, InvalidRank
 
 ZBAR = "zbar"  # integral coefficients (Z-bar_ell)
 FBAR = "fbar"  # residue coefficients (F-bar_ell)
@@ -99,7 +98,11 @@ class GLFamily(FrozenRecord):
     __slots__ = ("n", "q", "ell", "p", "k", "full_modulus", "residue_modulus")
 
     def __init__(self, n: int, q: int, ell: int):
-        preset("GL", n)  # the rank rule of GL_n, and its error
+        # GL_n's rank rule, worded as rootdata.preset words it
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InvalidRank(f"n must be an integer, got {n!r}")
+        if n < 1:
+            raise InvalidRank(f"GL needs n >= 1, got {n}")
         p, _ = check_admissible(q, ell)
         full = q**n - 1
         k = valuation(full, ell)

@@ -14,10 +14,13 @@ INPUT group (the datum built is that of the dual):
   fundamental-weight basis, the mirror image of the adjoint one; the center
   character group is Z/n.
 
-A preset is held by its kind and n.  One routine gives the positive (root,
-coroot) of each block of consecutive simple roots, and all n(n - 1) roots
-are generated only where they are printed (component JSON).  A RootDatum
-is a frozen record that refuses any (kind, n) no preset has.
+A preset is held by its kind and n.  One routine gives the (root, coroot)
+of each block of consecutive simple roots, and of its negative, as rows of
+runs (value, count): five runs on GL, three for a 0/1 block and seven for
+a sum of Cartan matrix columns, whatever n.  The n(n - 1) roots are
+generated only where they are printed (component JSON), in O(1) steps
+each, as a RunRows whose rows the CLI writes with no step per entry.  A
+RootDatum is a frozen record that refuses any (kind, n) no preset has.
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
 candidates for a Frobenius action).  As Aut(A_{n-1}) = W x {+-1}, it is
@@ -36,6 +39,9 @@ is needed to tell them apart.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from .abgroups import FinGenAbGroup
@@ -56,14 +62,63 @@ _DUAL_NAMES = {"gl": "GL", "adjoint": "PGL", "sc": "SL"}
 _DUAL_KINDS = {"gl": "gl", "adjoint": "sc", "sc": "adjoint"}
 
 
+class RunRows(FrozenRecord):
+    """Rows of ints, each held as its runs: (value, count) pairs, as many on every row.
+
+    A row is its runs' values in order, each count times, and holds at least
+    one value; a run of count 0 stands for nothing.  A datum's roots and
+    coroots are one each, a record the package builds.  Reports print a
+    RunRows as the list of its rows, each the list of its values, and the
+    CLI writes each row from ``row_texts``, in as many steps as it has runs.
+
+    >>> rows = RunRows((((0, 1), (1, 2)), ((-1, 3), (0, 0))))
+    >>> list(rows.row_texts(", "))
+    ['0, 1, 1, ', '-1, -1, -1, ']
+    """
+
+    __slots__ = ("rows",)
+
+    def row_texts(self, sep: str) -> Iterator[str]:
+        """Each row's values as text, each followed by ``sep``: one join of the
+        texts of its runs, each made once per call."""
+        if not self.rows:
+            return iter(())
+        texts = _RunTexts(_small_run_texts(sep))
+        texts.sep = sep
+        # the runs of all rows in turn, grouped by the rows' common run count
+        runs = map(texts.__getitem__, chain.from_iterable(self.rows))
+        return map("".join, zip(*[runs] * len(self.rows[0])))
+
+
+@functools.cache
+def _small_run_texts(sep: str) -> dict:
+    """The texts of the runs of count 0 or 1 and value -2 to 2, most of a
+    datum's runs, made once per separator."""
+    return {(value, count): (str(value) + sep) * count
+            for value in range(-2, 3) for count in (0, 1)}
+
+
+class _RunTexts(dict):
+    """The text of each run, made on first use: its value and the separator
+    after it, count times; nothing for a run of count 0."""
+
+    __slots__ = ("sep",)
+
+    def __missing__(self, run: tuple[int, int]) -> str:
+        value, count = run
+        text = self[run] = (int.__repr__(value) + self.sep) * count if count else ""
+        return text
+
+
 class RootDatum(FrozenRecord):
     """The based root datum of a preset, held by its kind and n; `preset` makes one.
 
     >>> gl2 = preset("GL", 2)
     >>> gl2
     RootDatum('GL_2', rank=2)
-    >>> gl2.to_json()["roots"]
-    [[1, -1], [-1, 1]]
+    >>> roots = gl2.to_json()["roots"]
+    >>> roots.rows  # e_0 - e_1 = [1, -1] and its negative, as runs (value, count)
+    (((0, 0), (1, 1), (0, 0), (-1, 1), (0, 0)), ((0, 0), (-1, 1), (0, 0), (1, 1), (0, 0)))
     """
 
     __slots__ = ("kind", "n")
@@ -82,22 +137,21 @@ class RootDatum(FrozenRecord):
     def name(self) -> str:
         return f"{_DUAL_NAMES[self.kind]}_{self.n}"
 
-    def _roots_and_coroots(self) -> tuple[tuple, tuple]:
+    def _roots_and_coroots(self) -> tuple[RunRows, RunRows]:
         """(roots, coroots): the positive blocks in order, then their negatives."""
-        n = self.n
-        blocks = ((i, j) for i in range(n - 1) for j in range(i, n - 1))
-        pos = list(_block_pairs(self.kind, self.rank, blocks))
-        roots = _with_negatives([a for a, _ in pos])
-        return roots, roots if self.kind == "gl" else _with_negatives([b for _, b in pos])
+        roots, coroots = _block_runs(self.kind, self.rank)
+        roots = RunRows._make(roots)
+        return roots, roots if self.kind == "gl" else RunRows._make(coroots)
 
     def to_json(self) -> dict:
         roots, coroots = self._roots_and_coroots()
+        rank = self.rank
         return {
             "name": self.name,
-            "charLatticeRank": self.rank,
-            "roots": [list(a) for a in roots],
-            "cocharLatticeRank": self.rank,
-            "coroots": [list(a) for a in coroots],
+            "charLatticeRank": rank,
+            "roots": roots,
+            "cocharLatticeRank": rank,
+            "coroots": coroots,
             "pairing": "dot",
         }
 
@@ -177,32 +231,40 @@ class WeylTwist(FrozenRecord):
         return FinGenAbGroup(0, f[:1] + tuple(m * x for x in f[1:]))
 
 
-def _block_pairs(kind: str, rank: int, blocks):
-    """The positive (root, coroot) of each block i..j of simple roots of a preset.
+def _block_runs(kind: str, rank: int) -> tuple[tuple, tuple]:
+    """(roots, coroots) as rows of runs: those of the blocks i..j of simple
+    roots in order, i ascending, then j, and then their negatives.
 
-    GL: e_i - e_{j+1}, its own coroot.  Adjoint basis: the 0/1 vector on
-    i..j with the sum of the type A Cartan matrix's columns i..j, which
-    telescopes to +1 at i and at j (2 when i = j) and -1 just outside the
-    block; the simply connected basis swaps the two.
+    GL: e_i - e_{j+1}, its own coroot, (0, i), (1, 1), (0, j - i), (-1, 1),
+    (0, rank - j - 2).  Adjoint basis: the 0/1 vector on i..j, (0, i),
+    (1, j - i + 1), (0, rank - 1 - j), with the sum of the type A Cartan
+    matrix's columns i..j, which telescopes to +1 at i and at j (2 when i =
+    j) and -1 just outside the block: seven runs, those past the lattice's
+    ends and the two after a 2 of count 0.  The simply connected basis swaps
+    the two.
     """
-    for i, j in blocks:
-        if kind == "gl":
-            v = [0] * rank
-            v[i], v[j + 1] = 1, -1
-            v = tuple(v)
-            yield v, v
-            continue
-        ones = (0,) * i + (1,) * (j + 1 - i) + (0,) * (rank - 1 - j)
-        sums = [0] * (rank + 2)  # one spare slot at each end
-        sums[i] = sums[j + 2] = -1
-        sums[i + 1] += 1
-        sums[j + 1] += 1
-        sums = tuple(sums[1:-1])
-        yield (ones, sums) if kind == "adjoint" else (sums, ones)
-
-
-def _with_negatives(pos: list) -> tuple:
-    return tuple(pos) + tuple([tuple([-x for x in v]) for v in pos])
+    zeros = [(0, k) for k in range(rank + 1)]
+    if kind == "gl":
+        roots = tuple([(zeros[i], (s, 1), zeros[j - i], (-s, 1), zeros[rank - j - 2])
+                       for s in (1, -1) for i in range(rank - 1) for j in range(i, rank - 1)])
+        return roots, roots
+    # a block's Cartan sum is heads[i] + spans[j - i] + tails[j]: its runs
+    # before i, from i to j and after j
+    z0, last, tables = zeros[0], rank - 1, []
+    for s in (1, -1):
+        up, down = (s, 1), (-s, 1)
+        heads, tails, spans = [(z0, z0)], [], [((2 * s, 1), z0, z0)]
+        for k in range(last):
+            heads.append((zeros[k], down))
+            tails.append((down, zeros[last - 1 - k]))
+            spans.append((up, zeros[k], up))
+        tails.append((z0, z0))
+        tables.append((s, heads, spans, tails))
+    ones, sums = zip(*[
+        ((zeros[i], (s, j - i + 1), zeros[last - j]), heads[i] + spans[j - i] + tails[j])
+        for s, heads, spans, tails in tables for i in range(rank) for j in range(i, rank)
+    ])
+    return (ones, sums) if kind == "adjoint" else (sums, ones)
 
 
 def _least_n(kind: str, record: str) -> int:

@@ -155,6 +155,16 @@ def test_semisimple_rank_200_answers(cmd, group):
     assert text.startswith(f"{cmd} [") and "_200, q=3" in text.splitlines()[0]
 
 
+@pytest.mark.parametrize("group", ["GL", "SL"])
+def test_rank_200_component_json_answers(group):
+    # 2n^2(n - 1) root and coroot entries, 176 MB of JSON, each root written
+    # from its runs
+    code, text = run_timed(["component", "--group", group, "--n", "200", "--q", "3", "--ell", "5",
+                            "--output", "json"])
+    assert code == 0
+    assert '"charLatticeRank"' in text
+
+
 @pytest.mark.parametrize("coeff", ["zbar", "fbar"])
 def test_gl3000_verify_text_answers(coeff):
     # x is held by its diagonal and y by its corner, and the text report

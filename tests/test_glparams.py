@@ -24,6 +24,7 @@ from llc_params.glparams import (
     ZBAR,
     cocycle_law,
 )
+from llc_params.rootdata import preset
 
 from oracles import (
     brute_count,
@@ -57,6 +58,18 @@ def test_exponents_are_reduced_mod_modulus():
     phi = TrselpGL(GL2, ZBAR, a=121, b=-1)
     assert phi.a == 1
     assert phi.b == 119
+
+
+@pytest.mark.parametrize("n", [0, -3, True, 2.0, "2", None])
+def test_a_family_refuses_a_rank_as_the_gl_preset_does(n):
+    # the family checks GL's rank rule itself, so that it loads no root datum
+    with pytest.raises(InvalidRank) as family:
+        GLFamily(n, 11, 5)
+    with pytest.raises(InvalidRank) as datum:
+        preset("GL", n)
+    refusal = (datum.value.message, datum.value.hint, datum.value.code, datum.value.exit_code)
+    assert (family.value.message, family.value.hint, family.value.code,
+            family.value.exit_code) == refusal
 
 
 def test_construction_validation():

@@ -25,7 +25,7 @@ GEOMETRY = ["--n", "2", "--q", "11", "--ell", "5"]
 FRONT = {"cli", "errors"}
 TWIST = FRONT | {"arith", "lattice", "abgroups", "rootdata"}
 COMPONENT = TWIST | {"cocycles"}
-PARAMS = TWIST | {"glparams"}
+PARAMS = FRONT | {"arith", "glparams"}
 # a tiny input per command -> the package modules its child loads
 FOOTPRINTS = {
     "--version": (["--version"], FRONT),

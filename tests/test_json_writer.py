@@ -8,10 +8,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llc_params import cli
+from llc_params.rootdata import RunRows
 
 
 def reference(value):
     return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def expand(value):
+    """The value with each RunRows written out: a list of rows, each the list
+    of its runs' values, every value as many times as its run's count."""
+    if type(value) is RunRows:
+        return [[v for v, count in row for _ in range(count)] for row in value.rows]
+    if isinstance(value, dict):
+        return {key: expand(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [expand(item) for item in value]
+    return value
 
 
 # non-ASCII text, quotes, backslashes and control characters, beside the
@@ -37,6 +50,54 @@ values = st.recursive(
 @given(values)
 def test_writer_matches_json_dumps(value):
     assert cli._dumps(value) == reference(value)
+
+
+# run values: rows of one run count, each holding a value, with small and
+# negative values and counts of 0 and 1; one value in eight has an int past
+# the digit limit in one of its runs, counted or not
+@st.composite
+def run_rows(draw):
+    width = draw(st.integers(1, 4))
+    runs = st.tuples(st.one_of(st.integers(-3, 3), st.integers()), st.integers(0, 3))
+    rows = [draw(st.lists(runs, min_size=width, max_size=width))
+            for _ in range(draw(st.integers(0, 4)))]
+    for row in rows:
+        if not any(count for _, count in row):  # a row of no value is no RunRows row
+            k = draw(st.integers(0, width - 1))
+            row[k] = (row[k][0], 1)
+    if rows and draw(st.integers(0, 7)) == 0:
+        row, k = draw(st.sampled_from(rows)), draw(st.integers(0, width - 1))
+        row[k] = (draw(st.sampled_from([10**5000, -(10**5000)])), row[k][1])
+    return RunRows(tuple(map(tuple, rows)))
+
+
+nested_run_rows = st.recursive(
+    st.one_of(run_rows(), scalars),
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(text, inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(nested_run_rows)
+def test_run_rows_are_written_as_json_dumps_writes_their_expansion(value):
+    try:
+        expected = reference(expand(value))
+    except ValueError as err:  # an int too long to print
+        with pytest.raises(ValueError) as raised:
+            cli._dumps(value)
+        assert str(raised.value) == str(err)
+    else:
+        assert cli._dumps(value) == expected
+
+
+def test_run_rows_edge_cases():
+    # no rows, rank-1 rows, runs of count 0 before, between and after, and an
+    # int too long to print in a run of count 0, which prints nothing
+    for rows in ((), (((1, 1),),), (((0, 0), (-2, 1), (0, 0)), ((0, 0), (2, 1), (0, 0))),
+                 (((0, 2), (10**5000, 0), (1, 1)),), (((-1, 3),), ((0, 1),))):
+        for value in (RunRows(rows), {"a": [RunRows(rows)], "b": {"c": RunRows(rows)}}):
+            assert cli._dumps(value) == reference(expand(value)), rows
 
 
 # uniform lists take the writer's one-template path; each strategy sometimes
@@ -194,9 +255,10 @@ def test_every_report_is_written_as_json_dumps_writes_it(monkeypatch, argv):
     monkeypatch.setattr(cli, "_dumps", recording_dumps)
     out = io.StringIO()
     cli.run(["--output", "json", *argv], stream=out)
-    # the objects the handlers built, tuples and all, and the bytes on stdout
+    # the objects the handlers built, tuples and all, with the datum's run
+    # rows written out, and the bytes on stdout
     assert len(payloads) == 1
-    assert out.getvalue() == reference(payloads[0])
+    assert out.getvalue() == reference(expand(payloads[0]))
 
 
 @pytest.mark.parametrize(

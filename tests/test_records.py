@@ -27,7 +27,7 @@ from llc_params.cocycles import CocycleSpace, ComponentDescriptor, cocycle_space
 from llc_params.errors import FrozenRecord, InvalidArgument
 from llc_params.glparams import FBAR, GLFamily, ParamMatrices, TrselpGL
 from llc_params.lattice import IntMatrix
-from llc_params.rootdata import WeylTwist, coxeter_twist, preset
+from llc_params.rootdata import RunRows, WeylTwist, coxeter_twist, preset
 from llc_params.sweep import GridCheck
 
 Z120, Z5 = FinGenAbGroup(0, (120,)), FinGenAbGroup(0, (5,))
@@ -106,6 +106,7 @@ RECORDS = [
         {"check_id": "golden", "label": "GL_2 at q = 11", "passed": True, "detail": "3 ells"},
         "GridCheck(check_id='golden', label='GL_2 at q = 11', passed=True, detail='3 ells')",
     ),
+    (RunRows, {"rows": (((0, 1), (1, 2)),)}, "RunRows(rows=(((0, 1), (1, 2)),))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
