@@ -11,7 +11,7 @@ makes the two sides of the comparison agree.
 
 Every block records whether q is above the Coxeter number n of the twist's
 datum A_{n-1} (the regime where the block-to-torus dictionary is
-unconditional), read off the twist itself as len(perm).  The matcher
+unconditional), read off the twist itself as its n.  The matcher
 compares the mu invariant of a parameter component against the block
 torsion, records whether the free ranks agree, and tags the report with the
 integer grading common to both sides.
@@ -80,7 +80,7 @@ def torus_block_descriptors(
     directions the twist fixes.  Neither depends on ell, so both cokernels
     are taken once; each ell reads only the torus's ell-primary part and k.
     For the GL_n Coxeter twist this is Z/ell^k with k = v_ell(q^n - 1) and
-    one free direction.  Each block carries the flag q > n, n = len(perm).
+    one free direction.  Each block carries the flag q > n, n the twist's n.
 
     >>> cotwist = coxeter_twist(preset("GL", 2)).transpose()
     >>> [(b.k, b.free_rank) for b in torus_block_descriptors(cotwist, 11, (3, 5, 7))]
@@ -91,7 +91,7 @@ def torus_block_descriptors(
     t = finite_torus(twist, q)
     order = t.order()
     free_rank = twisted_centralizer(twist).free_rank
-    h = len(twist.perm)  # the Coxeter number of A_{h-1}
+    h = twist.n  # the Coxeter number of A_{h-1}
     flag = ApplicabilityFlag("q-above-coxeter-number", q > h, f"q = {q}, Coxeter number = {h}")
     return tuple(
         BlockDescriptor(t.ell_primary(ell), free_rank, order, valuation(order, ell), (flag,))

@@ -23,18 +23,16 @@ each, as a RunRows whose rows the CLI writes with no step per entry.  A
 RootDatum is a frozen record that refuses any (kind, n) no preset has.
 
 A WeylTwist is a finite-order automorphism of the character lattice (the
-candidates for a Frobenius action).  As Aut(A_{n-1}) = W x {+-1}, it is
-held as a signed permutation e_i -> sign * e_perm[i] of e-coordinates on
-its kind of lattice: Z^n ("gl"), the sum-zero lattice ("adjoint") or
-Z^n / Z(1, ..., 1) ("sc").  The record refuses any other (kind, perm,
-sign), so a twist names its datum: ``twist.datum`` is the preset of its
-kind and n, and the component and block builders take the twist alone.
-Its cokernels are read off the cycle type of perm in closed form: a cyclic
-group per cycle, and on the semisimple lattices their quotient by the class
-of (1, ..., 1), with no matrix and no Smith form.  ``weyl_twist`` reads a
-matrix in the preset's basis as a twist in O(nnz), or refuses it: the
-twists are exactly the signed permutations, so no Smith form or root list
-is needed to tell them apart.
+candidates for a Frobenius action).  As Aut(A_{n-1}) = W x {+-1}, it is a
+signed permutation e_i -> sign * e_perm[i] of e-coordinates on its kind of
+lattice: Z^n ("gl"), the sum-zero lattice ("adjoint") or Z^n / Z(1, ...,
+1) ("sc").  Every invariant taken here depends on it only through its
+class, perm's cycle type with the sign, so the record holds the class: in
+O(1) for the Coxeter and identity twists at any n.  It names its datum:
+``twist.datum`` is the preset of its kind and n, and the component and
+block builders take the twist alone.  Its cokernels are read off the
+cycle type in closed form, with no Smith form, and ``weyl_twist`` reads
+a matrix in the preset's basis in O(nnz), or refuses it.
 """
 
 from __future__ import annotations
@@ -42,14 +40,10 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator
 from itertools import chain
-from typing import TYPE_CHECKING
 
 from .abgroups import FinGenAbGroup
 from .errors import FrozenRecord, InternalError, InvalidArgument, InvalidRank, UnsupportedFamily
-from .lattice import diagonal_invariants
-
-if TYPE_CHECKING:
-    from .lattice import IntMatrix
+from .lattice import IntMatrix, diagonal_invariants
 
 FAMILIES = ("GL", "SL", "PGL")
 # the kind of datum each family's preset builds, that of its dual group
@@ -124,9 +118,10 @@ class RootDatum(FrozenRecord):
     __slots__ = ("kind", "n")
 
     def __init__(self, kind: str, n: int):
-        least = _least_n(kind, "datum")
-        if type(n) is not int or n < least:
-            raise InvalidArgument(f"a {kind} datum needs an int n >= {least}, got {n!r}")
+        if kind not in _LEAST_N:
+            raise InvalidArgument(f"a kind must be one of {tuple(_LEAST_N)}, got {kind!r}")
+        if type(n) is not int or n < _LEAST_N[kind]:
+            raise InvalidArgument(f"a {kind} datum needs an int n >= {_LEAST_N[kind]}, got {n!r}")
         self._fill(kind, n)
 
     @property
@@ -160,44 +155,68 @@ class RootDatum(FrozenRecord):
 
 
 class WeylTwist(FrozenRecord):
-    """The twist e_i -> sign * e_perm[i], n = len(perm), of a kind of lattice.
+    """The class of e_i -> sign * e_perm[i] on a kind of lattice: perm's cycle
+    type, as (length, count) pairs by ascending length, and the sign.
 
     >>> w = coxeter_twist(preset("SL", 3))
     >>> w.transpose()
-    WeylTwist(kind='sc', perm=(2, 0, 1), sign=1)
+    WeylTwist(kind='sc', cycles=((3, 1),), sign=1)
     >>> w.cokernel(1, -3)
     FinGenAbGroup(free_rank=0, invariant_factors=(13,))
     """
 
-    __slots__ = ("kind", "perm", "sign")
+    __slots__ = ("kind", "cycles", "sign")
 
-    def __init__(self, kind: str, perm: tuple[int, ...], sign: int):
-        """Refuse, in O(n), a record that is no signed permutation of a preset's lattice."""
-        least = _least_n(kind, "twist")
-        if type(perm) is not tuple:
-            raise InvalidArgument(f"a twist's perm must be a tuple, got {type(perm).__name__}")
-        n = len(perm)
-        if n < least or set(map(type, perm)) != {int} or set(perm) != set(range(n)):
-            raise InvalidArgument(
-                f"a {kind} twist's perm must permute range(n) with n >= {least}; "
-                f"got one of length {n}"
-            )
+    def __init__(self, kind: str, cycles: tuple[tuple[int, int], ...], sign: int):
+        """Refuse, in O(distinct lengths), a record that names no preset's twists."""
+        if type(cycles) is not tuple:
+            raise InvalidArgument(f"a twist's cycles must be a tuple, got {type(cycles).__name__}")
+        n = last = 0
+        for pair in cycles:
+            length, count = pair if type(pair) is tuple and len(pair) == 2 else (None, None)
+            if type(length) is not int or type(count) is not int or length <= last or count < 1:
+                raise InvalidArgument(f"a twist's cycles must be int pairs (length, count), "
+                                      f"lengths ascending from 1, counts >= 1; got {pair!r}")
+            last, n = length, n + length * count
+        RootDatum(kind, n)  # refuses a kind and n that no preset has
         if type(sign) is not int or sign not in (1, -1):
             raise InvalidArgument(f"twist sign must be 1 or -1, got {sign!r}")
-        self._fill(kind, perm, sign)
+        if sign == -1 and n == 2 and kind != "gl":  # -1 lies in the Weyl group of A_1
+            cycles, sign = ((1, 2),) if cycles == ((2, 1),) else ((2, 1),), 1
+        self._fill(kind, cycles, sign)
+
+    @classmethod
+    def from_permutation(cls, kind: str, perm: tuple[int, ...], sign: int) -> WeylTwist:
+        """The class of e_i -> sign * e_perm[i], n = len(perm), read in one walk;
+        refuse, in O(n), a perm that does not permute range(n)."""
+        if type(perm) is not tuple:
+            raise InvalidArgument(f"a twist's perm must be a tuple, got {type(perm).__name__}")
+        n, lengths, seen = len(perm), {}, bytearray(len(perm))
+        if set(map(type, perm)) != {int} or set(perm) != set(range(n)):
+            raise InvalidArgument(f"a twist's perm must permute range(n), got one of length {n}")
+        for start in range(n):
+            i, length = start, 0
+            while not seen[i]:
+                seen[i], i, length = 1, perm[i], length + 1  # seen[i] is set first
+            if length:
+                lengths[length] = lengths.get(length, 0) + 1
+        return cls(kind, tuple(sorted(lengths.items())), sign)
+
+    @property
+    def n(self) -> int:
+        return sum(length * count for length, count in self.cycles)
 
     @property
     def datum(self) -> RootDatum:
         """The preset whose lattice the twist acts on."""
-        return RootDatum(self.kind, len(self.perm))
+        return RootDatum(self.kind, self.n)
 
-    def transpose(self) -> "WeylTwist":
-        """The twist on the dual lattice: the inverse permutation on the dual kind."""
-        inverse = tuple(sorted(range(len(self.perm)), key=self.perm.__getitem__))
-        return WeylTwist(_DUAL_KINDS[self.kind], inverse, self.sign)
+    def transpose(self) -> WeylTwist:
+        """The twist on the dual lattice: w^T = w^-1, of w's class, on the dual kind."""
+        return WeylTwist._make(_DUAL_KINDS[self.kind], self.cycles, self.sign)
 
     def cokernel(self, s: int, t: int) -> FinGenAbGroup:
-        """coker(s w + t) on the twist's lattice, read off the cycle type of perm.
+        """coker(s w + t) on the twist's lattice, read off its cycle type.
 
         On a cycle of length l, s w + t acts on Z[x]/(x^l - 1) as s * sign * x +
         t.  With s * sign or t a unit, x or its inverse is r = -s * sign * t
@@ -215,15 +234,9 @@ class WeylTwist(FrozenRecord):
         unit = s * self.sign
         if unit not in (1, -1) and t not in (1, -1):
             raise InternalError(f"coker(s w + t) has no unit at s={s}, t={t}, sign={self.sign}")
-        r, perm, seen, lengths = -unit * t, self.perm, bytearray(len(self.perm)), {}
-        for start in range(len(perm)):
-            i, length = start, 0
-            while not seen[i]:
-                seen[i], i, length = 1, perm[i], length + 1  # seen[i] is set first
-            if length:
-                lengths[length] = lengths.get(length, 0) + 1
+        r = -unit * t
         m, e = abs(r - 1), []
-        for length, count in lengths.items():
+        for length, count in self.cycles:
             e += [length if r == 1 else abs((r**length - 1) // (r - 1))] * count
         if self.kind == "gl":
             return FinGenAbGroup(0, [m * x for x in e])
@@ -267,13 +280,6 @@ def _block_runs(kind: str, rank: int) -> tuple[tuple, tuple]:
     return (ones, sums) if kind == "adjoint" else (sums, ones)
 
 
-def _least_n(kind: str, record: str) -> int:
-    """The least n of a preset of this kind; any other kind is refused."""
-    if kind not in _LEAST_N:
-        raise InvalidArgument(f"{record} kind must be one of {tuple(_LEAST_N)}, got {kind!r}")
-    return _LEAST_N[kind]
-
-
 def preset(family: str, n: int) -> RootDatum:
     """The root datum of the dual group of ``family``_n; see module docstring."""
     if family not in FAMILIES:
@@ -296,29 +302,25 @@ def coxeter_twist(rd: RootDatum) -> WeylTwist:
     Coxeter number n; for GL_1 it is the identity.
 
     >>> coxeter_twist(preset("GL", 2))
-    WeylTwist(kind='gl', perm=(1, 0), sign=1)
+    WeylTwist(kind='gl', cycles=((2, 1),), sign=1)
     """
-    n = rd.n
-    return WeylTwist(rd.kind, tuple((j + 1) % n for j in range(n)), 1)
+    return WeylTwist(rd.kind, ((rd.n, 1),), 1)
 
 
 def identity_twist(rd: RootDatum) -> WeylTwist:
-    return WeylTwist(rd.kind, tuple(range(rd.n)), 1)
+    return WeylTwist(rd.kind, ((1, rd.n),), 1)
 
 
-def _read_signed_permutation(kind: str, n: int, columns) -> WeylTwist | None:
-    """The twist of Z^n ("gl") or of the sum-zero lattice ("adjoint") with a
-    matrix of these columns, as (row, entry) nonzeros by ascending row; or None.
-
-    On Z^n, column i is sign * e_perm[i].  In the simple-root basis, column i
-    is sign * (e_perm[i] - e_perm[i+1]) = +-(e_a - e_{b+1}), ones on rows
-    a..b; sign 1 is tried first, since at n = 2 both fit.
-    """
+def _read_signed_permutation(kind: str, n: int, columns) -> tuple | None:
+    """(perm, sign) of the twist of Z^n ("gl") or the sum-zero lattice with these
+    columns, (row, entry) nonzeros by ascending row, or None.  Column i is sign
+    * e_perm[i] on Z^n; in the simple-root basis it is sign * (e_perm[i] -
+    e_perm[i+1]) = +-(e_a - e_{b+1}), ones on rows a..b."""
     if kind == "gl":
         ones = [column[0] for column in columns if len(column) == 1]
         perm, signs = tuple(i for i, _ in ones), {x for _, x in ones}
         readable = len(ones) == n == len(set(perm)) and len(signs) == 1 and signs <= {1, -1}
-        return WeylTwist(kind, perm, signs.pop()) if readable else None
+        return (perm, signs.pop()) if readable else None
     pairs = []  # (perm[i], perm[i+1]) for sign 1
     for column in columns:
         if not column:
@@ -330,28 +332,25 @@ def _read_signed_permutation(kind: str, n: int, columns) -> WeylTwist | None:
     for sign, chain in ((1, pairs), (-1, [(j, i) for i, j in pairs])):
         perm = tuple(i for i, _ in chain) + (chain[-1][1],)
         if all(chain[i][1] == chain[i + 1][0] for i in range(n - 2)) and len(set(perm)) == n:
-            return WeylTwist(kind, perm, sign)
+            return perm, sign
     return None
 
 
 def weyl_twist(rd: RootDatum, matrix: IntMatrix) -> WeylTwist:
-    """Read a raw lattice matrix in the preset's basis as a signed permutation.
-
-    The read is O(nnz); in the weight basis ("sc"), dual to the simple roots,
-    the transpose is read as a sum-zero lattice twist and transposed back.
-    As Aut(A_{n-1}) = W x {+-1}, a matrix that does not read is no root datum
+    """Read a raw lattice matrix in the preset's basis as a twist, in O(nnz):
+    by rows where that is simpler, as w^T = w^-1 is of w's class, on Z^n and
+    in the weight basis ("sc"), read as a sum-zero lattice twist's columns.
+    As Aut(A_{n-1}) = W x {+-1}, any other matrix is no root datum
     automorphism (not unimodular, moving a root off the roots or moving a
-    coroot), and is refused with one message.
-    """
+    coroot), and is refused with one message."""
     if matrix.rows != rd.rank or matrix.cols != rd.rank:
-        raise InvalidArgument(
-            f"twist must be {rd.rank}x{rd.rank} for {rd.name}, got {matrix.rows}x{matrix.cols}"
-        )
-    columns = matrix.nonzeros if rd.kind == "sc" else matrix.transpose().nonzeros
-    twist = _read_signed_permutation("gl" if rd.kind == "gl" else "adjoint", rd.n, columns)
-    if twist is None:
+        raise InvalidArgument(f"twist must be {rd.rank}x{rd.rank} for {rd.name}, "
+                              f"got {matrix.rows}x{matrix.cols}")
+    columns = matrix.transpose().nonzeros if rd.kind == "adjoint" else matrix.nonzeros
+    read = _read_signed_permutation(rd.kind, rd.n, columns)
+    if read is None:
         raise InvalidArgument(
             f"twist matrix is no signed permutation of the {rd.name} lattice",
             hint="a twist is a Weyl group element times 1 or -1, written in the preset's basis",
         )
-    return twist.transpose() if rd.kind == "sc" else twist
+    return WeylTwist.from_permutation(rd.kind, *read)

@@ -20,6 +20,7 @@ import pytest
 
 import llc_params
 from llc_params import arith, cli
+from llc_params.cocycles import twisted_centralizer
 from llc_params.glparams import ZBAR, GLFamily, TrselpGL
 from llc_params.lattice import IntMatrix, smith_normal_form
 from llc_params.rootdata import WeylTwist, coxeter_twist, identity_twist, preset
@@ -306,11 +307,11 @@ def test_gl300_coxeter_smith_form_is_fast():
 
 
 def test_gl5000_twist_matrices_are_built_from_their_nonzeros(smith_forms):
-    # a twist is its signed permutation and its cokernels are read off its
-    # cycle type, so the n-cycle, its transpose and the identity, and their
-    # w - 3 on each lattice, cost O(n) and take no Smith form.  A matrix is
-    # held as its nonzeros, so a permutation matrix of the twist and its
-    # transpose, as `weyl_twist` reads one, cost O(n), not n^2 entries
+    # a twist is its signed cycle type and its cokernels are read off it, so
+    # the n-cycle, its transpose and the identity, and their w - 3 on each
+    # lattice, take no Smith form.  A matrix is held as its nonzeros, so a
+    # permutation matrix of each, made here, and its transpose, as
+    # `weyl_twist` reads one, cost O(n), not n^2 entries
     n = 5000
 
     def built(make):
@@ -322,19 +323,20 @@ def test_gl5000_twist_matrices_are_built_from_their_nonzeros(smith_forms):
 
     for family in ("GL", "SL", "PGL"):
         rd = preset(family, n)
-        for twist, order in (
-            (built(lambda: coxeter_twist(rd)), 3**n - 1),
-            (built(coxeter_twist(rd).transpose), 3**n - 1),
-            (built(lambda: identity_twist(rd)), 2**n),
+        for twist, order, perm in (
+            (built(lambda: coxeter_twist(rd)), 3**n - 1, [(j + 1) % n for j in range(n)]),
+            (built(coxeter_twist(rd).transpose), 3**n - 1, [(j - 1) % n for j in range(n)]),
+            (built(lambda: identity_twist(rd)), 2**n, list(range(n))),
         ):
-            assert len(twist.perm) == n
+            assert twist.n == n
+            assert twist == WeylTwist.from_permutation(twist.kind, tuple(perm), 1)
             group = built(lambda: twist.cokernel(1, -3))
             # on the sum-zero lattice and on Z^n / Z(1, ..., 1), |det(w - 3)|
             # loses the factor 3 - 1 of the line Z^n / L or Z(1, ..., 1)
             assert (group.free_rank, group.order()) == (0, order // (1 if family == "GL" else 2))
             assert smith_forms == []
             if family == "GL":
-                m = built(lambda: IntMatrix._make(tuple(((j, 1),) for j in twist.perm), n, n))
+                m = built(lambda: IntMatrix._make(tuple(((j, 1),) for j in perm), n, n))
                 t = built(m.transpose)
                 assert (t.rows, t.cols, sum(map(len, t.nonzeros))) == (n, n, n)
 
@@ -354,11 +356,13 @@ _CHILD = (
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-@pytest.mark.parametrize("group,n", [("GL", 50000), ("SL", 20000), ("PGL", 20000)])
+@pytest.mark.parametrize("group,n", [
+    ("GL", 50000), ("SL", 20000), ("PGL", 20000), ("GL", 10**6), ("SL", 10**6), ("PGL", 10**6),
+])
 def test_high_rank_coxeter_match_answers_in_a_child(group, n):
-    # each of the four cokernels reads one n-cycle off the twist and takes
-    # one power 3^n; the child's own address-space limit keeps a blow-up
-    # from reaching the machine
+    # each of the four cokernels reads the one pair (n, 1) off the twist and
+    # takes at most one power 3^n; the child's own address-space limit keeps
+    # a blow-up from reaching the machine
     child = subprocess.run(
         [sys.executable, "-c", _CHILD],
         input=f"match --group {group} --n {n} --q 3 --ell 5",
@@ -371,6 +375,35 @@ def test_high_rank_coxeter_match_answers_in_a_child(group, n):
     assert first.startswith(f"match [{group}_{n}, q=3, ell=5")
 
 
+def test_coxeter_and_identity_twists_build_nothing_of_size_n():
+    # a twist is its signed cycle type: at n = 10^18 the Coxeter and identity
+    # twists, the transpose, the datum and coker(1 - w), which takes no power
+    # (r = 1), each answer in microseconds, and nothing of size n could be built
+    n = 10**18
+
+    def fast(make):
+        best = float("inf")
+        for _ in range(5):  # the best of five, past a stray pause of the machine
+            start = perf_counter()
+            out = make()
+            best = min(best, perf_counter() - start)
+        assert best < 1e-3, f"{make} took {best * 1e6:.0f} us"
+        return out
+
+    for family in ("GL", "SL", "PGL"):
+        rd = preset(family, n)
+        w, one = fast(lambda: coxeter_twist(rd)), fast(lambda: identity_twist(rd))
+        assert (w.cycles, one.cycles, w.n, one.n) == (((n, 1),), ((1, n),), n, n)
+        assert fast(w.transpose).cycles == w.cycles and fast(one.transpose).cycles == one.cycles
+        assert fast(lambda: w.datum) == rd and fast(lambda: one.datum) == rd
+        # the n-cycle fixes only the line of (1, ..., 1): Z on Z^n, and
+        # Z/n on the semisimple lattices, where that line meets the lattice
+        stabilizer = fast(lambda: twisted_centralizer(w))
+        assert (stabilizer.free_rank, stabilizer.invariant_factors) == (
+            (1, ()) if family == "GL" else (0, (n,))
+        )
+
+
 def test_a_random_sl20000_twist_takes_its_fixed_scheme_within_budget():
     # a seeded permutation of sign -1 with 11 cycles: coker(w - 3) on the
     # sum-zero lattice takes one power of 3 per distinct cycle length
@@ -378,7 +411,7 @@ def test_a_random_sl20000_twist_takes_its_fixed_scheme_within_budget():
     perm = random.Random(18).sample(range(n), n)
     lengths = cycle_lengths(perm)
     assert len(lengths) == 11
-    twist = WeylTwist("adjoint", tuple(perm), eps)
+    twist = WeylTwist.from_permutation("adjoint", tuple(perm), eps)
     start = perf_counter()
     group = twist.cokernel(1, -3)
     elapsed = perf_counter() - start
@@ -409,7 +442,7 @@ def test_a_staircase_sl20000_twist_takes_its_cokernels_within_budget(kind):
     perm = staircase(k, n)
     lengths = cycle_lengths(perm)
     assert len(set(lengths)) == k
-    twist = WeylTwist(kind, perm, 1)
+    twist = WeylTwist.from_permutation(kind, perm, 1)
     start = perf_counter()
     fixed, coinvariants = twist.cokernel(1, -3), twist.cokernel(-1, 1)
     elapsed = perf_counter() - start
@@ -429,7 +462,7 @@ def test_a_small_staircase_matches_the_presentation(kind, sign):
     # determinantal divisors, which the exhaustive small twists (at most two
     # distinct lengths) do not
     perm = staircase(9, 46)
-    twist = WeylTwist(kind, perm, sign)
+    twist = WeylTwist.from_permutation(kind, perm, sign)
     for q in (2, 3):  # the six (s, t) pairs with a unit of test_twist_cokernels
         for s, t in ((1, -q), (q, -1), (-1, 1), (1, 1), (-1, q), (q, 1)):
             group = twist.cokernel(s, t)

@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 from llc_params import blocks, cli, cocycles, glparams, sweep
 from llc_params.cocycles import component_descriptor
 from llc_params.lattice import IntMatrix
-from llc_params.rootdata import coxeter_twist, preset
+from llc_params.rootdata import WeylTwist, coxeter_twist, preset
 
 from oracles import preset_twist_matrix
 
@@ -274,7 +274,8 @@ def test_component_takes_each_invariant_once(monkeypatch):
     # coker(w - q) and coker(1 - w) of the Coxeter twist, the center's rank is
     # read off the datum; GL's cokernels are read off the cycle type, and the
     # twist is a signed permutation by construction, so no Smith form is taken
-    assert [(w.perm, s, t) for w, s, t in taken] == [((1, 2, 3, 0), 1, -11), ((1, 2, 3, 0), -1, 1)]
+    coxeter = WeylTwist("gl", ((4, 1),), 1)
+    assert taken == [(coxeter, 1, -11), (coxeter, -1, 1)]
     assert calls == []
 
 
@@ -296,10 +297,12 @@ def test_an_explicit_weyl_matrix_takes_no_smith_form_and_no_roots(monkeypatch, c
     assert calls == []
     assert generated == []
     # only the component's two invariants, of the twist read, and the
-    # block's two, of its transpose
-    read, transposed = (0, 2, 3, 1), (0, 3, 1, 2)
-    perms = {"component": [read] * 2, "match": [read] * 2 + [transposed] * 2}[cmd]
-    assert [w.perm for w, _, _ in taken] == perms
+    # block's two, of its transpose; on GL the transpose w^-1 is of the
+    # twist's class, a fixed point and a 3-cycle, so the two records are equal
+    read = transposed = WeylTwist("gl", ((1, 1), (3, 1)), 1)
+    expected = {"component": [(read, 1, -11), (read, -1, 1)],
+                "match": [(read, 1, -11), (read, -1, 1), (transposed, 11, -1), (transposed, -1, 1)]}
+    assert taken == expected[cmd]
 
 
 @pytest.mark.parametrize("group,n", [("GL", 24), ("SL", 16), ("PGL", 16)])

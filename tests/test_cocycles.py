@@ -269,7 +269,7 @@ def test_finite_cokernel_guard_fires_on_non_frobenius_input():
     # no signed permutation has the eigenvalue q, so forge the record
     # e_i -> q e_i past the constructor's check: w - q id is zero and its
     # cokernel infinite
-    forged = WeylTwist._make("gl", (0, 1), 11)
+    forged = WeylTwist._make("gl", ((1, 2),), 11)
     with pytest.raises(LlcError) as exc:
         frob_fixed_scheme(forged, 11)
     assert exc.value.code == "internal-error"

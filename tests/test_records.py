@@ -77,8 +77,8 @@ MATCH_REPR = (
 RECORDS = [
     (
         WeylTwist,
-        {"kind": "gl", "perm": (1, 0), "sign": 1},
-        "WeylTwist(kind='gl', perm=(1, 0), sign=1)",
+        {"kind": "gl", "cycles": ((2, 1),), "sign": 1},
+        "WeylTwist(kind='gl', cycles=((2, 1),), sign=1)",
     ),
     (
         CocycleSpace,
@@ -151,9 +151,9 @@ def test_the_fields_are_listed_in_order(cls, fields, text):
 
 
 def test_a_class_pattern_reads_the_fields_by_position():
-    match WeylTwist("gl", (1, 0), -1):
-        case WeylTwist(kind, perm, sign):
-            assert (kind, perm, sign) == ("gl", (1, 0), -1)
+    match WeylTwist("gl", ((2, 1),), -1):
+        case WeylTwist(kind, cycles, sign):
+            assert (kind, cycles, sign) == ("gl", ((2, 1),), -1)
         case _:
             pytest.fail("the pattern did not match")
 
@@ -192,7 +192,7 @@ def test_the_builders_give_the_hand_built_records():
 
 def test_a_twist_refuses_a_bad_record_by_keyword_too():
     with pytest.raises(InvalidArgument):
-        WeylTwist(kind="gl", perm=(0, 0), sign=1)
+        WeylTwist(kind="gl", cycles=((1, 0),), sign=1)
 
 
 def test_a_command_defaults_its_unechoed_options():

@@ -23,6 +23,8 @@ from llc_params.rootdata import (
 
 from oracles import (
     center_by_roots,
+    cycle_lengths,
+    e_coordinate_cokernel,
     gauss_det,
     identity,
     json_roots,
@@ -454,7 +456,8 @@ def test_a_twist_takes_no_smith_form_and_no_roots(no_smith_form_or_roots):
 def test_weyl_twist_accepts_longest_element():
     rd = preset("GL", 3)
     rev = IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-    assert weyl_twist(rd, rev) == WeylTwist("gl", (2, 1, 0), 1)
+    # the longest element swaps e_0 and e_2: one fixed point and one 2-cycle
+    assert weyl_twist(rd, rev) == WeylTwist("gl", ((1, 1), (2, 1)), 1)
 
 
 @pytest.mark.parametrize("family,other", [("GL", "GL"), ("SL", "PGL"), ("PGL", "SL")])
@@ -468,10 +471,7 @@ def test_weyl_twist_reads_each_signed_permutation(family, other):
         perm = tuple(rng.sample(range(n), n))
         rows = preset_twist_matrix(family, perm, eps)
         twist = weyl_twist(preset(family, n), IntMatrix(rows, cols=len(rows)))
-        if family == "GL" or n > 2:
-            assert twist == WeylTwist(kind, perm, eps), (perm, eps)
-        else:
-            assert twist in (WeylTwist(kind, perm, eps), WeylTwist(kind, perm[::-1], -eps))
+        assert twist == WeylTwist.from_permutation(kind, perm, eps), (perm, eps)
         dual = IntMatrix(rows, cols=len(rows)).transpose()
         assert weyl_twist(preset(other, n), dual) == twist.transpose(), (perm, eps)
         # the twist names its preset, and its transpose the dual kind at the same n
@@ -497,8 +497,68 @@ def test_weyl_twist_reads_each_signed_permutation(family, other):
 ])
 def test_a_record_that_is_no_signed_permutation_is_refused(kind, perm, sign):
     with pytest.raises(InvalidArgument) as exc:
-        WeylTwist(kind, perm, sign)
+        WeylTwist.from_permutation(kind, perm, sign)
     assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("kind, cycles, sign", [
+    ("gl", ((2, 1), (1, 1)), 1),  # unsorted
+    ("gl", ((1, 1), (1, 1)), 1),  # a repeated length
+    ("gl", ((1, 2), (2, 1), (2, 1)), 1),
+    ("gl", ((2, 0),), 1),  # a count of 0 or below
+    ("sc", ((1, 1), (2, -1)), 1),
+    ("gl", ((0, 3), (1, 2)), 1),  # a length below 1
+    ("gl", ((2.0, 1),), 1),  # a non-int or bool length or count
+    ("gl", ((True, 2),), 1),
+    ("gl", ((2, True),), 1),
+    ("gl", ((2, 1.0),), 1),
+    ("gl", [(2, 1)], 1),  # a list in place of the tuple
+    ("gl", ([2, 1],), 1),
+    ("gl", ((2, 1, 1),), 1),  # no pair
+    ("gl", ((2,),), 1),
+    ("gl", (), 1),  # lengths whose sum is below the kind's least n
+    ("sc", ((1, 1),), 1),
+    ("adjoint", ((1, 1),), -1),
+    ("GL", ((2, 1),), 1),  # no kind of lattice
+    ("gl", ((2, 1),), 0),  # no sign
+    ("sc", ((2, 1),), True),
+])
+def test_a_record_that_is_no_signed_cycle_type_is_refused(kind, cycles, sign):
+    with pytest.raises(InvalidArgument) as exc:
+        WeylTwist(kind, cycles, sign)
+    assert exc.value.exit_code == 2
+
+
+def _conjugate(perm, sigma):
+    """sigma perm sigma^-1, as the image tuple of i -> sigma[perm[sigma^-1[i]]]."""
+    inverse = {j: i for i, j in enumerate(sigma)}
+    return tuple(sigma[perm[inverse[i]]] for i in range(len(perm)))
+
+
+@pytest.mark.parametrize("kind", ["gl", "sc", "adjoint"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_a_twist_is_its_signed_cycle_type(kind, sign):
+    # conjugate permutations give one record, and their presentations the
+    # cokernels it reads; the transpose is the inverse permutation on the
+    # dual kind; and at n = 2 on the semisimple lattices, where -1 lies in
+    # the Weyl group, (swap, -1) is (id, 1)
+    rng = random.Random(f"class/{kind}/{sign}")
+    dual = {"gl": "gl", "sc": "adjoint", "adjoint": "sc"}[kind]
+    for n in range(1 if kind == "gl" else 2, 10):
+        for _ in range(4):
+            perm, sigma = tuple(rng.sample(range(n), n)), rng.sample(range(n), n)
+            conj = _conjugate(perm, sigma)
+            twist = WeylTwist.from_permutation(kind, perm, sign)
+            assert twist == WeylTwist.from_permutation(kind, conj, sign), (perm, sigma)
+            assert twist.n == sum(cycle_lengths(perm)) == n
+            for s, t in ((1, -3), (3, -1), (-1, 1), (1, 1)):
+                got = twist.cokernel(s, t)
+                for image in (perm, conj):
+                    assert (got.free_rank, got.invariant_factors) == e_coordinate_cokernel(
+                        kind, image, sign, s, t), (perm, sigma, s, t)
+            inverse = tuple(sorted(range(n), key=perm.__getitem__))
+            assert twist.transpose() == WeylTwist.from_permutation(dual, inverse, sign)
+    assert (WeylTwist(kind, ((2, 1),), -sign) == WeylTwist(kind, ((1, 2),), sign)) == (kind != "gl")
 
 
 @pytest.mark.parametrize("kind, n", [
@@ -517,9 +577,9 @@ def test_a_datum_no_preset_has_is_refused(kind, n):
 
 def test_twist_equality_and_hash():
     a = weyl_twist(preset("GL", 2), IntMatrix([[0, 1], [1, 0]]))
-    b = WeylTwist("gl", (1, 0), 1)
+    b = WeylTwist("gl", ((2, 1),), 1)
     assert a == b and hash(a) == hash(b)
-    assert a != WeylTwist("sc", (1, 0), 1)
+    assert a != WeylTwist("sc", ((2, 1),), 1)
 
 
 def test_to_json_shape():

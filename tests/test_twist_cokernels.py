@@ -29,7 +29,7 @@ def _pairs(q):
 
 
 def _check(kind, perm, sign, q, smith_forms):
-    twist = WeylTwist(kind, tuple(perm), sign)
+    twist = WeylTwist.from_permutation(kind, tuple(perm), sign)
     for s, t in _pairs(q):
         group = twist.cokernel(s, t)
         expected = e_coordinate_cokernel(kind, perm, sign, s, t)
@@ -77,7 +77,7 @@ def test_seeded_twists_up_to_rank_12_agree_with_their_presentations(smith_forms)
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_pair_with_no_unit_is_an_internal_error(kind):
     # a forged sign of 11 is the only way in: neither s * sign nor t is a unit
-    forged = WeylTwist._make(kind, (1, 0), 11)
+    forged = WeylTwist._make(kind, ((2, 1),), 11)
     with pytest.raises(LlcError) as exc:
         forged.cokernel(1, -11)
     assert (exc.value.code, exc.value.exit_code) == ("internal-error", 1)
