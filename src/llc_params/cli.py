@@ -218,14 +218,15 @@ def _cmd_enumerate(args) -> _Outcome:
     page = family.exponents(args.coeff, args.offset, args.limit)
 
     def body():
-        # a page's parameters differ only in a: one gives the row, each a its copy
+        # a page's parameters differ only in a: one parameter gives the row, and
+        # the writer joins the exponents into it, with no record per row
         row = glparams.TrselpGL(family, args.coeff, page[0]).to_json() if page else {}
         return {
             "modulus": modulus,
             "count": count,
             "offset": args.offset,
             "limit": args.limit,
-            "parameters": [{**row, "a": a} for a in page],
+            "parameters": _Page(row, "a", page),
         }
 
     def lines():
@@ -357,6 +358,12 @@ def _cmd_grid(args) -> _Outcome:
     return body, lines(), 0 if all_pass else 1
 
 
+class _Page(FrozenRecord):
+    # records that differ only at one key: reports print the list of {**row, key: v}
+    # for each v in values, and the writer writes it from row once
+    __slots__ = ("row", "key", "values")
+
+
 class _Command(FrozenRecord):
     # handler: args -> _Outcome; groups: the --group choices; echoed: the options,
     # in order, that the JSON report echoes as "input"; unechoed: those after them
@@ -408,9 +415,9 @@ def _dumps(payload: dict) -> str:
     ensure_ascii=False) + "\\n", written in one pass.
 
     The value domain is that of the reports: dicts with str keys, lists,
-    tuples, str, int, bool, None and rootdata.RunRows, written as the list
-    of its rows' values; anything else raises TypeError.  An int too long to
-    print raises ValueError, as str() does.
+    tuples, str, int, bool, None, rootdata.RunRows (the list of its rows'
+    values) and _Page (the list of its records); anything else raises
+    TypeError.  An int too long to print raises ValueError, as str() does.
     """
     chunks: list[str] = []
     _write(payload, "\n", chunks)
@@ -459,13 +466,36 @@ def _write(value, newline: str, chunks: list[str]) -> None:
             _write(value[key], inner, chunks)
             sep = "," + inner
         chunks.append(newline + "}")
-    else:  # a rootdata.RunRows, written from its rows' texts, or no report value
+    else:  # a rootdata.RunRows, written from its rows' texts, a page, or no report value
         row_texts = getattr(value, "row_texts", None)
-        if row_texts is None:
+        if row_texts is not None:
+            sep, cut, head, joint, tail = _row_joints(newline)
+            text = joint.join(map(cut, row_texts(sep)))
+            chunks.extend((head, text, tail) if text else ("[]",))
+        elif type(value) is _Page:
+            chunks.extend(_page_texts(value, newline))
+        else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        sep, cut, head, joint, tail = _row_joints(newline)
-        text = joint.join(map(cut, row_texts(sep)))
-        chunks.extend((head, text, tail) if text else ("[]",))
+
+
+def _page_texts(page: _Page, newline: str) -> tuple[str, ...]:
+    """A page's records: the row's fixed fields written once, and the values
+    joined between the row's texts before and after the key into a chunk of
+    their own, which no concatenation copies; no value makes a dict or a fill."""
+    if not page.values:
+        return ("[]",)
+    inner, field = newline + "  ", newline + "    "
+    row, texts, sep = {**page.row, page.key: None}, ["{"], field
+    for name in sorted(row):
+        texts.append(sep + encode_basestring(name) + ": ")
+        sep = "," + field
+        if name == page.key:
+            cut = len(texts)
+        else:
+            _write(row[name], field, texts)
+    before, after = "".join(texts[:cut]), "".join(texts[cut:]) + inner + "}"
+    values = (after + "," + inner + before).join(map(int.__repr__, page.values))
+    return "[" + inner + before, values, after + newline + "]"
 
 
 @functools.cache
@@ -484,55 +514,24 @@ def _uniform_items(value, inner: str) -> Iterable[str] | None:
     """The items of a uniform list, with no per-value dispatch; None for any
     other list, which `_write` writes value by value.
 
-    A uniform list holds exact ints (a group's torsion), int vectors (the
+    A uniform list holds exact ints (a group's torsion) or int vectors (the
     positions of `verify`'s nilpotent support: non-empty exact lists or
-    tuples of one length, every entry an exact int) or records (a page of
-    parameters: non-empty exact dicts with the same str keys, each key's
-    column all exact int or all exact str); a datum's roots come as a
-    RunRows, which `_write` writes from its rows' texts.  Vectors and records
-    are filled from one item template, where a record column with one value
-    on every row is written once; '%d' writes an int as int.__repr__ does
-    and raises the same ValueError for one too long to print.
+    tuples of one length, every entry an exact int); a datum's roots come as
+    a RunRows and a page of parameters as a page, which `_write` writes from
+    their texts.  Vectors are filled from one item template; '%d' writes an
+    int as int.__repr__ does and raises the same ValueError for one too
+    long to print.
     """
     kinds = set(map(type, value))
     if kinds == {int}:
         return map(int.__repr__, value)
+    if not kinds <= {list, tuple} or len(set(map(len, value))) != 1 or not value[0]:
+        return None
+    if set(map(type, chain.from_iterable(value))) != {int}:
+        return None
     field = inner + "  "
-    if kinds <= {list, tuple}:
-        if len(set(map(len, value))) != 1 or not value[0]:
-            return None
-        if set(map(type, chain.from_iterable(value))) != {int}:
-            return None
-        slots = ("," + field).join(["%d"] * len(value[0]))
-        return map(("[" + field + slots + inner + "]").__mod__, map(tuple, value))
-    if kinds != {dict}:
-        return None
-    keys = value[0].keys()
-    if not keys or set(map(type, keys)) != {str} or set(map(len, value)) != {len(keys)}:
-        return None
-    names = sorted(keys)
-    columns = []
-    fields = []
-    for name in names:
-        try:  # with the lengths equal, no missing key means the same keys
-            column = list(map(itemgetter(name), value))
-        except KeyError:
-            return None
-        column_kinds = set(map(type, column))
-        if column_kinds == {str}:
-            encode, slot = encode_basestring, "%s"
-        elif column_kinds == {int}:
-            encode, slot = int.__repr__, "%d"
-        else:
-            return None
-        if column.count(column[0]) == len(column):  # one value on every row: write it once
-            slot = encode(column[0]).replace("%", "%%")
-        else:
-            columns.append(column if slot == "%d" else list(map(encode, column)))
-        fields.append(encode_basestring(name).replace("%", "%%") + ": " + slot)
-    template = "{" + field + ("," + field).join(fields) + inner + "}"
-    # with no varying column, every row is the same string
-    return map(template.__mod__, zip(*columns)) if columns else [template % ()] * len(value)
+    slots = ("," + field).join(["%d"] * len(value[0]))
+    return map(("[" + field + slots + inner + "]").__mod__, map(tuple, value))
 
 
 def run(argv: list[str] | None = None, stream=None) -> int:

@@ -582,10 +582,12 @@ def test_enumerate_validates_its_family_once(monkeypatch):
 
 @pytest.mark.parametrize("output", ["json", "text"])
 def test_an_enumerate_page_builds_no_parameter_per_row(monkeypatch, output):
-    # a page is written from its exponents: JSON copies the row of one
+    # a page is written from its exponents: JSON takes the row of one
     # parameter, built through the public constructor, and text builds none
     calls = {"_make": 0, "__init__": 0}
     make, init = TrselpGL._make, TrselpGL.__init__
+    exponents, dumps = GLFamily.exponents, cli._dumps
+    returned, payloads = [], []
 
     def counting(name, original):
         def wrapper(*args, **kwargs):
@@ -594,17 +596,33 @@ def test_an_enumerate_page_builds_no_parameter_per_row(monkeypatch, output):
 
         return wrapper
 
+    def recording_exponents(*args, **kwargs):
+        returned.append(exponents(*args, **kwargs))
+        return returned[-1]
+
+    def recording_dumps(payload):
+        payloads.append(payload)
+        return dumps(payload)
+
     monkeypatch.setattr(TrselpGL, "_make", counting("_make", make))
     monkeypatch.setattr(TrselpGL, "__init__", counting("__init__", init))
+    monkeypatch.setattr(GLFamily, "exponents", recording_exponents)
+    monkeypatch.setattr(cli, "_dumps", recording_dumps)
     page = ["enumerate", "--n", "2", "--q", "499", "--ell", "3", "--offset", "244",
             "--output", output, "--limit"]
     for limit in (1, 10, 2000):
         calls.update(_make=0, __init__=0)
+        returned.clear()
+        payloads.clear()
         code, text = run_timed([*page, str(limit)])
         assert code == 0
         rows = json.loads(text)["parameters"] if output == "json" else text.splitlines()[4:]
         assert len(rows) == limit
         assert calls["_make"] == 0 and calls["__init__"] <= 1, (limit, calls)
+        assert len(returned) == 1
+        if output == "json":
+            # the body holds the very list of exponents: no dict is built per row
+            assert payloads[0]["parameters"].values is returned[0]
 
 
 def test_matching_never_factors(monkeypatch):

@@ -17,9 +17,12 @@ def reference(value):
 
 def expand(value):
     """The value with each RunRows written out: a list of rows, each the list
-    of its runs' values, every value as many times as its run's count."""
+    of its runs' values, every value as many times as its run's count; and
+    each page as the list of its records, its row with the key at each value."""
     if type(value) is RunRows:
         return [[v for v, count in row for _ in range(count)] for row in value.rows]
+    if type(value) is cli._Page:
+        return [{**expand(value.row), value.key: v} for v in value.values]
     if isinstance(value, dict):
         return {key: expand(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -100,8 +103,9 @@ def test_run_rows_edge_cases():
             assert cli._dumps(value) == reference(expand(value)), rows
 
 
-# uniform lists take the writer's one-template path; each strategy sometimes
-# breaks the uniformity, which must send the list down the recursive path
+# uniform int vectors take the writer's one-template path, and lists of
+# records the recursive one; each strategy sometimes breaks the uniformity,
+# which must send the list down the recursive path
 keys = st.sampled_from(["a", "b", "modulus", "%", "%s", "%%", "%d", "", '"', "'", "\\",
                         "é", "μ_5", "\U0001d11e"])
 
@@ -170,36 +174,31 @@ def test_uniform_lists_match_json_dumps(rows, where):
         assert cli._dumps(value) == reference(value)
 
 
-# a page of parameters varies in one column; the writer bakes every column
-# that holds one value on every row into the template; str values come from
-# the key alphabet, with its '%' and quote characters
+# a page of parameters varies at one key, which sorts first, in the middle or
+# last among the row's keys; the row's values are ints or str, the latter
+# from the key alphabet too, with its '%' and quote characters
 column_ints = st.one_of(st.integers(-3, 3), st.integers(max_value=-1),
                         st.integers(-(10**30), 10**30), st.sampled_from([10**30, -(10**30)]))
 
 
 @st.composite
-def constant_column_lists(draw):
-    names = draw(st.lists(keys, min_size=1, max_size=5, unique=True))
-    count = draw(st.integers(1, 5))
-    moving = draw(st.sampled_from([0, 1, len(names)]))  # the first `moving` columns vary
-    columns = {}
-    for i, name in enumerate(names):
-        kind = draw(st.sampled_from([column_ints, keys]))
-        if i >= moving:
-            columns[name] = [draw(kind)] * count
-        else:  # one varying column takes distinct values, so that it really varies
-            columns[name] = draw(st.lists(kind, min_size=count, max_size=count,
-                                          unique=moving == 1))
-    return [{name: columns[name][i] for name in draw(st.permutations(names))}
-            for i in range(count)]
+def pages(draw):
+    names = sorted(draw(st.lists(keys, min_size=1, max_size=5, unique=True)))
+    key = names[draw(st.sampled_from([0, len(names) // 2, len(names) - 1]))]
+    row = {name: draw(st.one_of(column_ints, keys, text)) for name in names if name != key}
+    # the row as one parameter's record holds the key too, at a value of its own
+    if draw(st.booleans()):
+        row[key] = draw(column_ints)
+    values = draw(st.one_of(st.just([]), st.lists(column_ints, min_size=1, max_size=1),
+                            st.lists(column_ints, min_size=2, max_size=6)))
+    return cli._Page(row, key, values)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(constant_column_lists(), st.sampled_from(["bare", "in dict", "in list"]))
-def test_constant_columns_match_json_dumps(rows, where):
-    assert cli._uniform_items(rows, "\n  ") is not None
-    value = {"page": rows, "n": 1} if where == "in dict" else [[rows]] if where == "in list" else rows
-    assert cli._dumps(value) == reference(value)
+@given(pages(), st.sampled_from(["bare", "in dict", "in list"]))
+def test_pages_match_json_dumps_of_their_records(page, where):
+    value = {"page": page, "n": 1} if where == "in dict" else [[page]] if where == "in list" else page
+    assert cli._dumps(value) == reference(expand(value))
 
 
 def test_writer_edge_cases():
@@ -238,6 +237,13 @@ REPORTS = [
     ["component", *GL2, "--weyl", "xyz"],
     ["component", *GL2, "--weyl", "[[2,0],[0,1]]"],
     ["enumerate", *GL2, "--limit", "-1"],
+    # pages: none asked for, none left past the count, one row, and 2000 rows
+    # under a modulus of 3137^2 - 1 = 9,840,768, just under the cap
+    ["enumerate", "--limit", "0", *GL2],
+    ["enumerate", "--offset", "60", *GL2],
+    ["enumerate", "--limit", "1", *GL2, "--offset", "7"],
+    ["enumerate", "--q", "3137", "--n", "2", "--ell", "3", "--offset", "4000000",
+     "--limit", "2000"],
     ["component", "--n"],
     [],
 ]
@@ -275,7 +281,9 @@ def test_writer_refuses_values_outside_the_report_domain(value):
 
 def test_an_integer_too_long_to_print_is_output_too_large():
     for value in ({"modulus": 10**5000}, [[1, 2], [3, 10**5000]],
-                  [{"a": 1, "b": "x"}, {"a": 10**5000, "b": "y"}]):
+                  [{"a": 1, "b": "x"}, {"a": 10**5000, "b": "y"}],
+                  {"parameters": cli._Page({"a": 1, "b": "x"}, "a", [1, 10**5000, 2])},
+                  {"parameters": cli._Page({"a": 1, "b": 10**5000}, "a", [1, 2])}):
         with pytest.raises(ValueError):
             cli._dumps(value)
     out = io.StringIO()
