@@ -2,8 +2,8 @@
 
 The package computes, in integer arithmetic only:
 
-* Smith invariants and the derived abelian-group calculus (`lattice`,
-  `abgroups`),
+* abelian-group normal forms (`abgroups`), and Smith invariants of
+  arbitrary matrices on top of them (`lattice`),
 * root data of the dual groups with their standard twists (`rootdata`),
 * the component structure of spaces of tame torus-valued cocycles
   (`cocycles`),
@@ -24,7 +24,7 @@ __version__ = "0.1.0"
 
 # home module -> the public names it defines
 _HOMES = {
-    "abgroups": ("FinGenAbGroup", "cokernel"),
+    "abgroups": ("FinGenAbGroup",),
     "blocks": ("ApplicabilityFlag", "BlockDescriptor", "CategoricalSummary", "MatchReport",
                "categorical_summary", "finite_torus", "match_sides", "torus_block_descriptor"),
     "cocycles": ("CocycleSpace", "ComponentDescriptor", "POINT_MOD_STABILIZER", "TORUS_QUOTIENT",
@@ -33,7 +33,7 @@ _HOMES = {
     "errors": ("InternalError", "InvalidArgument", "InvalidPrime", "InvalidPrimePower",
                "InvalidRank", "LlcError", "UnsupportedFamily"),
     "glparams": ("FBAR", "GLFamily", "ParamMatrices", "TrselpGL", "ZBAR", "cocycle_law"),
-    "lattice": ("IntMatrix", "smith_normal_form"),
+    "lattice": ("IntMatrix", "cokernel", "smith_normal_form"),
     "rootdata": ("RootDatum", "RunRows", "WeylTwist", "coxeter_twist", "identity_twist",
                  "preset", "weyl_twist"),
 }

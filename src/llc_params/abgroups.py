@@ -4,16 +4,60 @@ A value represents Z**free_rank + Z/d1 + ... + Z/dk with d1 | d2 | ... | dk
 and every di >= 2.  That normal form is unique, so equality of values is
 isomorphism of groups, the fact the whole matching pipeline leans on.  A
 group is a frozen record (``errors.FrozenRecord``) of its free rank and
-that chain, so no value can leave the normal form once built.
+that chain, so no value can leave the normal form once built.  Its one
+pass, `diagonal_invariants`, normalizes every group, a twist's cokernel
+(`rootdata`) and a Smith form's diagonal (`lattice`) among them.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
+from math import gcd
 
 from .arith import is_prime, valuation
 from .errors import FrozenRecord, InvalidArgument, InvalidPrime
-from .lattice import IntMatrix, diagonal_invariants, smith_normal_form
+
+
+def diagonal_invariants(diagonal: Iterable[int]) -> tuple[int, ...]:
+    """The Smith invariants of a diagonal matrix with nonnegative entries.
+
+    Ones lead and zeros trail.  The other entries are taken as (value,
+    multiplicity) groups, so a run of equal entries costs one group.  Every
+    pair of groups (a, b), a before b, with a not dividing b is exchanged
+    for gcd and lcm, since diag(a, b) and diag(gcd, lcm) are equivalent: the
+    min(#a, #b) pairs become (gcd, lcm) and the surplus copies of a or b
+    move to a new group at the end.  After the pass for a group, its value
+    divides every later one, so a chain passes through with divisibility
+    checks alone; nothing is factored.
+
+    >>> diagonal_invariants([0, 4, 1, 6])
+    (1, 2, 12, 0)
+    >>> diagonal_invariants([6, 6, 4, 4, 4])
+    (2, 2, 4, 12, 12)
+    """
+    diagonal = list(diagonal)
+    counts = {}
+    for d in diagonal:
+        if d > 1:
+            counts[d] = counts.get(d, 0) + 1
+    groups = list(counts.items())
+    for i, (a, count) in enumerate(groups):  # enumerate visits the groups appended below
+        for j in range(i + 1, len(groups)):  # not those appended meanwhile: a divides them
+            b, bcount = groups[j]
+            if b % a:
+                g = gcd(a, b)
+                pairs = min(count, bcount)
+                groups[j] = (a // g * b, pairs)
+                if count > pairs:
+                    groups.append((a, count - pairs))
+                elif bcount > pairs:
+                    groups.append((b, bcount - pairs))
+                a, count = g, pairs
+        groups[i] = (a, count)
+    chain = [1] * diagonal.count(1)
+    for a, count in groups:
+        chain += [a] * count
+    return tuple(chain) + (0,) * diagonal.count(0)
 
 
 def _chain_from_factors(factors: Iterable[int]) -> tuple[int, tuple[int, ...]]:
@@ -104,15 +148,3 @@ class FinGenAbGroup(FrozenRecord):
 
     def to_json(self) -> dict:
         return {"freeRank": self.free_rank, "torsion": list(self.invariant_factors)}
-
-
-def cokernel(a: IntMatrix) -> FinGenAbGroup:
-    """Z^rows / (column span of a), from the Smith normal form.
-
-    >>> cokernel(IntMatrix([[1, -1], [-1, 1]]))
-    FinGenAbGroup(free_rank=1, invariant_factors=())
-    >>> cokernel(IntMatrix([[-11, 1], [1, -11]]))
-    FinGenAbGroup(free_rank=0, invariant_factors=(120,))
-    """
-    nonzero = [e for e in smith_normal_form(a) if e != 0]
-    return FinGenAbGroup(a.rows - len(nonzero), tuple(e for e in nonzero if e > 1))

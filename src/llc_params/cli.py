@@ -146,7 +146,7 @@ _Outcome = tuple[Callable[[], dict], Iterator[str], int]
 
 def _build_twist(args) -> WeylTwist:
     """The twist that --weyl names on the preset of --group and --n."""
-    from . import lattice, rootdata
+    from . import rootdata
 
     rd, choice = rootdata.preset(args.group, args.n), args.weyl
     if choice == "coxeter":
@@ -162,6 +162,7 @@ def _build_twist(args) -> WeylTwist:
         )
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InvalidArgument("--weyl matrix must be a list of rows", code="weyl-invalid")
+    from . import lattice  # only an explicit matrix needs it
     return rootdata.weyl_twist(rd, lattice.IntMatrix(data))
 
 

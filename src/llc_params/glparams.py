@@ -31,7 +31,7 @@ support stay total, but enumeration only emits regular ones.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, islice
 from math import gcd
 
 from .arith import check_admissible, factorint, valuation
@@ -158,7 +158,7 @@ class GLFamily(FrozenRecord):
 
         Returns the page [offset, offset + limit) of the scan, all of it by
         default.  Scan windows wholly before the page are skipped by their
-        count, so their surviving ranges are never expanded.
+        count, and no surviving range is expanded past the page's end.
 
         >>> fam = GLFamily(2, 11, 5)
         >>> len(fam.exponents(ZBAR)), fam.exponents(ZBAR, 3, 2)
@@ -177,8 +177,7 @@ class GLFamily(FrozenRecord):
         # the window that fills the page is the last one built, and limit 0 builds none
         for size, chunks in self._windows(coeff) if end > offset else ():
             if seen + size > offset:
-                window = [a for chunk in chunks for a in chunk]
-                page += window[max(offset - seen, 0):end - seen]
+                page += islice(chain.from_iterable(chunks), max(offset - seen, 0), end - seen)
             seen += size
             if seen >= end:
                 break

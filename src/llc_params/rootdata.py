@@ -41,9 +41,8 @@ import functools
 from collections.abc import Iterator
 from itertools import chain
 
-from .abgroups import FinGenAbGroup
+from .abgroups import FinGenAbGroup, diagonal_invariants
 from .errors import FrozenRecord, InternalError, InvalidArgument, InvalidRank, UnsupportedFamily
-from .lattice import IntMatrix, diagonal_invariants
 
 FAMILIES = ("GL", "SL", "PGL")
 # the kind of datum each family's preset builds, that of its dual group

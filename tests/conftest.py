@@ -58,7 +58,7 @@ def grid_checks():
 
 
 def _replace_smith_form(monkeypatch, replacement):
-    # modules bind the Smith form by name (`from .lattice import ...`)
+    # `lattice` binds the Smith form, and so would any module that took it by name
     snf = lattice.smith_normal_form
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "llc_params" and getattr(module, "smith_normal_form", None) is snf:

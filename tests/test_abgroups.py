@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from llc_params.abgroups import FinGenAbGroup, cokernel
+from llc_params.abgroups import FinGenAbGroup
 from llc_params.errors import LlcError
-from llc_params.lattice import IntMatrix
+from llc_params.lattice import IntMatrix, cokernel
 
 from oracles import coset_group_structure, gauss_det, identity, primary_invariant_factors
 

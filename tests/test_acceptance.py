@@ -11,12 +11,12 @@ from pathlib import Path
 
 import pytest
 
-from llc_params.abgroups import FinGenAbGroup, cokernel
+from llc_params.abgroups import FinGenAbGroup
 from llc_params.arith import valuation
 from llc_params.cocycles import component_descriptor, frob_fixed_scheme
 from llc_params.glparams import FBAR, ZBAR, GLFamily, cocycle_law
 from llc_params.blocks import match_sides, torus_block_descriptor
-from llc_params.lattice import IntMatrix, smith_normal_form
+from llc_params.lattice import IntMatrix, cokernel, smith_normal_form
 from llc_params.rootdata import coxeter_twist, preset
 
 from oracles import brute_count, coset_group_structure, gauss_det, smith_invariants_by_minors

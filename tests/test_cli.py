@@ -243,16 +243,16 @@ def test_summary_json():
 
 def _count_snf(monkeypatch):
     """Record every matrix handed to the Smith normal form."""
-    from llc_params import abgroups
+    from llc_params import lattice
 
     calls = []
-    snf = abgroups.smith_normal_form
+    snf = lattice.smith_normal_form
 
     def counting_snf(a):
         calls.append(a)
         return snf(a)
 
-    monkeypatch.setattr(abgroups, "smith_normal_form", counting_snf)
+    monkeypatch.setattr(lattice, "smith_normal_form", counting_snf)
     return calls
 
 

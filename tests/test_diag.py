@@ -9,9 +9,9 @@ the ell-primary torsion while pi_0 is the prime-to-ell torsion.
 
 from hypothesis import given, strategies as st
 
-from llc_params.abgroups import FinGenAbGroup, cokernel
+from llc_params.abgroups import FinGenAbGroup
 from llc_params.cocycles import cocycle_space
-from llc_params.lattice import IntMatrix
+from llc_params.lattice import IntMatrix, cokernel
 
 
 def kernel(char_map):

@@ -23,7 +23,7 @@ COSTLY = ("dataclasses", "inspect", "typing", "ast", "dis", "tokenize")
 
 GEOMETRY = ["--n", "2", "--q", "11", "--ell", "5"]
 FRONT = {"cli", "errors"}
-TWIST = FRONT | {"arith", "lattice", "abgroups", "rootdata"}
+TWIST = FRONT | {"arith", "abgroups", "rootdata"}
 COMPONENT = TWIST | {"cocycles"}
 PARAMS = FRONT | {"arith", "glparams"}
 # a tiny input per command -> the package modules its child loads
@@ -31,6 +31,8 @@ FOOTPRINTS = {
     "--version": (["--version"], FRONT),
     "usage-error": (["component", "--n", "2"], FRONT),
     "component": (["component", *GEOMETRY], COMPONENT),
+    "weyl-identity": (["component", *GEOMETRY, "--weyl", "identity"], COMPONENT),
+    "weyl-matrix": (["component", *GEOMETRY, "--weyl", "[[0,1],[1,0]]"], COMPONENT | {"lattice"}),
     "enumerate": (["enumerate", *GEOMETRY], PARAMS),
     "verify": (["verify", *GEOMETRY, "--a", "1"], PARAMS),
     "block": (["block", *GEOMETRY], COMPONENT | {"blocks"}),
@@ -55,12 +57,16 @@ def _loaded_after(prelude):
     )
 
 
-def _package_modules(argv, prelude=""):
-    """The llc_params modules a child loads to run ``argv``, without the package itself."""
+def _modules_after(code):
+    """The llc_params modules a child loads to run ``code``, without the package itself."""
     return set(_child(
-        f"import io, sys\n{prelude}\nimport llc_params.cli as c\nc.run({argv!r}, io.StringIO())\n"
+        f"import io, sys\n{code}\n"
         "print(' '.join(m.split('.', 1)[1] for m in sys.modules if m.startswith('llc_params.')))"
     ))
+
+
+def _package_modules(argv, prelude=""):
+    return _modules_after(f"{prelude}\nimport llc_params.cli as c\nc.run({argv!r}, io.StringIO())")
 
 
 def test_the_cli_imports_none_of_the_costly_modules():
@@ -86,6 +92,13 @@ def test_every_command_has_a_footprint():
 def test_each_command_loads_only_the_layers_it_runs(case):
     argv, expected = FOOTPRINTS[case]
     assert _package_modules(argv) == expected
+
+
+@pytest.mark.parametrize("layer", ["abgroups", "rootdata"])
+def test_the_normal_form_and_the_root_data_load_no_matrix_layer(layer):
+    # the Smith-form layer sits on top of the normal form: only an explicit
+    # matrix (or a library caller) loads it
+    assert _modules_after(f"import llc_params.{layer}") == {"errors", "arith", "abgroups", layer}
 
 
 def test_the_footprint_guard_sees_an_eager_layer_import():

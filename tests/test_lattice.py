@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from llc_params import cli
-from llc_params.abgroups import FinGenAbGroup, cokernel
+from llc_params.abgroups import FinGenAbGroup, diagonal_invariants
 from llc_params.errors import InvalidArgument, LlcError
-from llc_params.lattice import IntMatrix, diagonal_invariants, smith_normal_form
+from llc_params.lattice import IntMatrix, cokernel, smith_normal_form
 from llc_params.rootdata import preset, weyl_twist
 
 from oracles import (

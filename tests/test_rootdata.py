@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from llc_params import cli
-from llc_params.abgroups import FinGenAbGroup, cokernel
+from llc_params.abgroups import FinGenAbGroup
 from llc_params.errors import InvalidArgument, LlcError
-from llc_params.lattice import IntMatrix
+from llc_params.lattice import IntMatrix, cokernel
 from llc_params.rootdata import (
     RootDatum,
     RunRows,

@@ -71,14 +71,14 @@ def test_the_grid_takes_each_fixed_scheme_once_per_n_and_q(monkeypatch):
     # With the golden component's 2 and those 4 for each of the 30 (n, q)
     # pairs, the grid takes 122.  Every one is on GL's lattice Z^n, read off
     # the twist's cycle type, so none takes a Smith form
-    from llc_params import abgroups
+    from llc_params import lattice
     from llc_params.rootdata import WeylTwist
     from llc_params.sweep import run_grid
 
     taken, calls = [], []
-    cokernel, snf = WeylTwist.cokernel, abgroups.smith_normal_form
+    cokernel, snf = WeylTwist.cokernel, lattice.smith_normal_form
     monkeypatch.setattr(WeylTwist, "cokernel", lambda w, s, t: taken.append(w) or cokernel(w, s, t))
-    monkeypatch.setattr(abgroups, "smith_normal_form", lambda a: calls.append(a) or snf(a))
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda a: calls.append(a) or snf(a))
     assert all(c.passed for c in run_grid())
     assert len(taken) == 122 and {w.kind for w in taken} == {"gl"}
     assert calls == []
